@@ -189,7 +189,38 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "report_fir_json.golden",
         true,
     ),
+    (&["backends", "--json"], "backends_json.golden", true),
+    (
+        &["run", "--json", "examples/chl/checksum.chl", "main", A16],
+        "run_checksum_json.golden",
+        true,
+    ),
+    (&["ir", "--json", "examples/chl/gcd.chl", "main"], "ir_gcd_json.golden", true),
+    (
+        &["verilog", "--json", "c2v", "examples/chl/gcd.chl", "main"],
+        "verilog_gcd_json.golden",
+        true,
+    ),
+    // One golden per `synth` data shape: combinational, FSMD, dataflow.
+    (
+        &["synth", "--json", "cones", "examples/chl/checksum.chl", "main", A16],
+        "synth_checksum_cones_json.golden",
+        true,
+    ),
+    (
+        &["synth", "--json", "c2v", "examples/chl/gcd.chl", "main", "48", "36"],
+        "synth_gcd_c2v_json.golden",
+        true,
+    ),
+    (
+        &["synth", "--json", "cash", "examples/chl/gcd.chl", "main", "48", "36"],
+        "synth_gcd_cash_json.golden",
+        true,
+    ),
 ];
+
+/// A 16-element array argument (`checksum.chl` takes `int data[16]`).
+const A16: &str = "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16";
 
 #[test]
 fn every_verb_matches_its_pre_refactor_golden() {
