@@ -311,110 +311,6 @@ impl FlowReport {
         ));
         out
     }
-
-    /// Serializes the report to its documented JSON form.
-    pub fn to_json(&self) -> String {
-        use crate::json::{diag_json, escape};
-        let interval = |i: Interval| {
-            let max = i.max.map_or("null".to_string(), |m| m.to_string());
-            format!(r#"{{"min":{},"max":{max}}}"#, i.min)
-        };
-        let networks = self
-            .networks
-            .iter()
-            .map(|n| {
-                let procs = n
-                    .processes
-                    .iter()
-                    .map(|p| format!("\"{}\"", escape(p)))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let chans = n
-                    .channels
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            r#"{{"name":"{}","sends":{},"recvs":{},"senders":{},"receivers":{},"balance":"{}"}}"#,
-                            escape(&c.name),
-                            interval(c.sends),
-                            interval(c.recvs),
-                            c.senders,
-                            c.receivers,
-                            c.balance
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let deadlock = match &n.deadlock {
-                    None => "null".to_string(),
-                    Some(d) => {
-                        let cycle = d
-                            .cycle
-                            .iter()
-                            .map(|p| format!("\"{}\"", escape(p)))
-                            .collect::<Vec<_>>()
-                            .join(",");
-                        let blocked = d
-                            .blocked
-                            .iter()
-                            .map(|b| {
-                                format!(
-                                    r#"{{"process":"{}","channel":"{}","dir":"{}","span":{{"start":{},"end":{}}}}}"#,
-                                    escape(&b.process),
-                                    escape(&b.channel),
-                                    b.dir,
-                                    b.span.start,
-                                    b.span.end
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(",");
-                        format!(r#"{{"cycle":[{cycle}],"blocked":[{blocked}]}}"#)
-                    }
-                };
-                let caps = n
-                    .capacities
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            r#"{{"channel":"{}","capacity":{}}}"#,
-                            escape(&c.channel),
-                            c.capacity
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let skipped = match &n.skipped {
-                    Some(s) => format!("\"{}\"", escape(s)),
-                    None => "null".to_string(),
-                };
-                format!(
-                    r#"{{"processes":[{procs}],"channels":[{chans}],"deadlock":{deadlock},"capacities":[{caps}],"skipped":{skipped}}}"#
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let contracts = self
-            .contracts
-            .iter()
-            .map(|c| {
-                format!(
-                    r#"{{"channel":"{}","declared":{},"achieved":{},"verdict":"{}"}}"#,
-                    escape(&c.channel),
-                    c.declared,
-                    interval(c.achieved),
-                    c.verdict
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let diags = self.diags.iter().map(diag_json).collect::<Vec<_>>().join(",");
-        format!(
-            r#"{{"entry":"{}","ok":{},"networks":[{networks}],"contracts":[{contracts}],"diags":[{diags}]}}"#,
-            escape(&self.entry),
-            !self.has_errors(),
-        )
-    }
 }
 
 /// Runs the process-network analysis over `prog`'s `entry` function.
@@ -1425,21 +1321,6 @@ mod tests {
         let err = compile_to_hir("int main() { int x @ii(2); return x; }").unwrap_err();
         let msg = format!("{err:?}");
         assert!(msg.contains("channel declarations"), "{msg}");
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let r = flow(
-            "int main() { chan<int> a; chan<int> b; int x = 0; int y = 0; par { \
-             { send(a, 1); x = recv(b); } \
-             { send(b, 2); y = recv(a); } } return x + y; }",
-        );
-        let j = r.to_json();
-        assert!(j.starts_with(r#"{"entry":"main","ok":false"#), "{j}");
-        assert!(j.contains(r#""deadlock":{"cycle":["#), "{j}");
-        assert!(j.contains(r#""capacities":[{"channel":"a","capacity":1}]"#), "{j}");
-        // Deterministic.
-        assert_eq!(j, r.to_json());
     }
 
     #[test]

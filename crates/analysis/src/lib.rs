@@ -29,14 +29,13 @@
 //!   a HIR must-init walk), and provably dead branches.
 //!
 //! The entry point is [`lint_program`]; `chls-core` wires it to the
-//! `chls lint` CLI verb and [`json`] serializes the result.
+//! `chls lint` CLI verb and serializes the result.
 
 pub mod backend_lint;
 pub mod callgraph;
 pub mod cycles;
 pub mod effects;
 pub mod flow;
-pub mod json;
 pub mod memlint;
 pub mod race;
 pub mod repair;
@@ -106,11 +105,6 @@ impl LintReport {
                 .iter()
                 .any(|d| d.severity == chls_frontend::diag::Severity::Error)
             || (self.backend.is_some() && self.backend_findings.iter().any(|f| f.is_rejection()))
-    }
-
-    /// Serializes the report to its documented JSON form.
-    pub fn to_json(&self) -> String {
-        json::report_to_json(self)
     }
 
     /// Renders the report as human-readable text, resolving spans
@@ -549,17 +543,5 @@ mod tests {
             "warnings: {:?}",
             r.warnings
         );
-    }
-
-    #[test]
-    fn json_is_stable_and_escaped() {
-        let prog = hir("int main() { int x = 0; par { { x = 1; } { x = 2; } } return x; }");
-        let r = lint_program(&prog, "main", None).unwrap();
-        let j = r.to_json();
-        assert!(j.starts_with(r#"{"entry":"main","backend":null,"races":["#));
-        assert!(j.contains(r#""features":{"par":true"#));
-        assert!(j.contains(r#""cycles":["#));
-        // Same input, same output.
-        assert_eq!(j, lint_program(&prog, "main", None).unwrap().to_json());
     }
 }

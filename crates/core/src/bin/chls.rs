@@ -36,192 +36,20 @@
 //! uses — then prints the response's `text` (or, with `--json`, wraps
 //! its `data` in the unified envelope of DESIGN.md §10/§15).
 //!
-//! Every verb declares its accepted flags and positional arity in
-//! [`VERBS`]; a flag a verb does not declare is an error with that
-//! verb's usage string, never silently accepted. Scalar arguments are
-//! integers; array arguments are comma-separated lists like `1,2,3,4`.
+//! Every verb's usage, positional layout and accepted flags come from
+//! its row in [`chls::verbs::VERBS`]; a flag a verb does not declare is
+//! an error with that verb's usage string, never silently accepted.
+//! Scalar arguments are integers; array arguments are comma-separated
+//! lists like `1,2,3,4`.
 
-use chls::jsonin;
-use chls::jsonout;
+use chls::jsonin::{self, Value};
 use chls::serve::{self, ServeConfig, DEFAULT_ADDR};
-use chls::service::{self, Request, ServiceCtx, Source};
-use chls::CompileOptions;
+use chls::service::{self, envelope, Request, ServiceCtx, Source};
+use chls::verbs::{self, Pos, Run, Takes, Verb, VERBS};
+use chls::{obj, CompileOptions};
 use std::process::ExitCode;
 
-/// One flag a verb accepts.
-struct FlagSpec {
-    /// Flag name including the leading dashes.
-    name: &'static str,
-    /// Does the flag consume the following argument as its value?
-    takes_value: bool,
-}
-
-/// One verb's argument specification.
-struct VerbSpec {
-    name: &'static str,
-    usage: &'static str,
-    /// Minimum required positional arguments.
-    min_pos: usize,
-    /// Maximum positional arguments (`None` = variadic trailing args).
-    max_pos: Option<usize>,
-    flags: &'static [FlagSpec],
-}
-
-const JSON: FlagSpec = FlagSpec {
-    name: "--json",
-    takes_value: false,
-};
-
-const fn flag(name: &'static str) -> FlagSpec {
-    FlagSpec {
-        name,
-        takes_value: false,
-    }
-}
-
-const fn vflag(name: &'static str) -> FlagSpec {
-    FlagSpec {
-        name,
-        takes_value: true,
-    }
-}
-
-/// The whole CLI surface, one row per verb.
-const VERBS: &[VerbSpec] = &[
-    VerbSpec {
-        name: "backends",
-        usage: "chls backends [--json]",
-        min_pos: 0,
-        max_pos: Some(0),
-        flags: &[JSON],
-    },
-    VerbSpec {
-        name: "run",
-        usage: "chls run [--jit] [--json] <file> <entry> [args...]",
-        min_pos: 2,
-        max_pos: None,
-        flags: &[flag("--jit"), JSON],
-    },
-    VerbSpec {
-        name: "check",
-        usage: "chls check [--jobs N] [--jit] [--json] <file> <entry> [args...]",
-        min_pos: 2,
-        max_pos: None,
-        flags: &[vflag("--jobs"), flag("--jit"), JSON],
-    },
-    VerbSpec {
-        name: "ir",
-        usage: "chls ir [--json] <file> <entry>",
-        min_pos: 2,
-        max_pos: Some(2),
-        flags: &[JSON],
-    },
-    VerbSpec {
-        name: "synth",
-        usage: "chls synth [--pipeline] [--narrow] [--opt-netlist] [--unroll N] [--json] <backend> <file> <entry> [args...]",
-        min_pos: 3,
-        max_pos: None,
-        flags: &[
-            flag("--pipeline"),
-            flag("--narrow"),
-            flag("--opt-netlist"),
-            vflag("--unroll"),
-            JSON,
-        ],
-    },
-    VerbSpec {
-        name: "verilog",
-        usage: "chls verilog [--pipeline] [--narrow] [--opt-netlist] [--unroll N] [--json] <backend> <file> <entry>",
-        min_pos: 3,
-        max_pos: Some(3),
-        flags: &[
-            flag("--pipeline"),
-            flag("--narrow"),
-            flag("--opt-netlist"),
-            vflag("--unroll"),
-            JSON,
-        ],
-    },
-    VerbSpec {
-        name: "equiv",
-        usage: "chls equiv --backend A --backend B [--bound K] [--json] <file> <entry> [entry_b]",
-        min_pos: 2,
-        max_pos: Some(3),
-        flags: &[vflag("--backend"), vflag("--bound"), JSON],
-    },
-    VerbSpec {
-        name: "lint",
-        usage: "chls lint [--backend B] [--json] <file> <entry>",
-        min_pos: 2,
-        max_pos: Some(2),
-        flags: &[vflag("--backend"), JSON],
-    },
-    VerbSpec {
-        name: "flow",
-        usage: "chls flow [--json] <file> <entry>",
-        min_pos: 2,
-        max_pos: Some(2),
-        flags: &[JSON],
-    },
-    VerbSpec {
-        name: "rewrite",
-        usage: "chls rewrite [--backend B] [--json] <file> <entry>",
-        min_pos: 2,
-        max_pos: Some(2),
-        flags: &[vflag("--backend"), JSON],
-    },
-    VerbSpec {
-        name: "report",
-        usage: "chls report [--backend B | --all] [--narrow] [--opt-netlist] [--unroll N] [--jit] [--json] <file> <entry> [args...]",
-        min_pos: 2,
-        max_pos: None,
-        flags: &[
-            vflag("--backend"),
-            flag("--all"),
-            flag("--narrow"),
-            flag("--opt-netlist"),
-            vflag("--unroll"),
-            flag("--jit"),
-            JSON,
-        ],
-    },
-    VerbSpec {
-        name: "explore",
-        usage: "chls explore [--backend B | --all] [--budget N] [--seq-bound K] [--jobs N] [--emit-dir DIR] [--json] <file> <entry>",
-        min_pos: 2,
-        max_pos: Some(2),
-        flags: &[
-            vflag("--backend"),
-            flag("--all"),
-            vflag("--budget"),
-            vflag("--seq-bound"),
-            vflag("--jobs"),
-            vflag("--emit-dir"),
-            JSON,
-        ],
-    },
-    VerbSpec {
-        name: "schema",
-        usage: "chls schema [--json]",
-        min_pos: 0,
-        max_pos: Some(0),
-        flags: &[JSON],
-    },
-    VerbSpec {
-        name: "serve",
-        usage: "chls serve [--addr HOST:PORT] [--workers N] [--cache-mb M] [--stats]",
-        min_pos: 0,
-        max_pos: Some(0),
-        flags: &[
-            vflag("--addr"),
-            vflag("--workers"),
-            vflag("--cache-mb"),
-            flag("--stats"),
-        ],
-    },
-];
-
-/// Flags (with values) and positionals, as parsed against one verb's spec.
+/// Flags (with values) and positionals, as parsed against one verb's row.
 #[derive(Default)]
 struct Parsed {
     flags: Vec<(&'static str, Option<String>)>,
@@ -254,19 +82,20 @@ impl Parsed {
 /// anywhere; tokens starting with `--` that the verb does not declare
 /// are errors. Single-dash tokens stay positional so negative numbers
 /// pass through as arguments.
-fn parse_verb_args(spec: &VerbSpec, argv: &[String]) -> Result<Parsed, String> {
+fn parse_verb_args(spec: &Verb, argv: &[String]) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         if a.starts_with("--") {
-            let Some(flag) = spec.flags.iter().find(|f| f.name == a) else {
+            let Some(flag) = spec.flag(a) else {
                 return Err(format!(
                     "unknown flag `{a}` for `chls {}`\nusage: {}",
                     spec.name, spec.usage
                 ));
             };
-            let value = if flag.takes_value {
-                match it.next() {
+            let value = match flag.takes {
+                Takes::Nothing => None,
+                Takes::Value | Takes::TwoValues => match it.next() {
                     Some(v) => Some(v.clone()),
                     None => {
                         return Err(format!(
@@ -274,25 +103,32 @@ fn parse_verb_args(spec: &VerbSpec, argv: &[String]) -> Result<Parsed, String> {
                             spec.usage
                         ))
                     }
-                }
-            } else {
-                None
+                },
             };
             parsed.flags.push((flag.name, value));
         } else {
             parsed.pos.push(a.clone());
         }
     }
-    if parsed.pos.len() < spec.min_pos {
+    for flag in spec.flags.iter().filter(|f| f.takes == Takes::TwoValues) {
+        let n = parsed.values(flag.name).len();
+        if n != 2 {
+            return Err(format!(
+                "`chls {}` needs exactly two {} flags, got {n}\nusage: {}",
+                spec.name, flag.name, spec.usage
+            ));
+        }
+    }
+    let min = spec.min_pos();
+    if parsed.pos.len() < min {
         return Err(format!(
-            "`chls {}` needs at least {} argument{}\nusage: {}",
+            "`chls {}` needs at least {min} argument{}\nusage: {}",
             spec.name,
-            spec.min_pos,
-            if spec.min_pos == 1 { "" } else { "s" },
+            if min == 1 { "" } else { "s" },
             spec.usage
         ));
     }
-    if let Some(max) = spec.max_pos {
+    if let Some(max) = spec.max_pos() {
         if parsed.pos.len() > max {
             return Err(format!(
                 "`chls {}` takes at most {max} argument{}, got {}\nusage: {}",
@@ -317,9 +153,22 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Builds the service [`Request`] for one parsed verb invocation —
-/// pure translation, no compilation here.
-fn build_request(name: &str, p: &Parsed) -> Result<Request, String> {
+/// The value of flag `name` as a positive integer, if given.
+fn positive(p: &Parsed, name: &str) -> Result<Option<usize>, String> {
+    p.value(name)
+        .map(|v| {
+            v.parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{name} needs a positive integer"))
+        })
+        .transpose()
+}
+
+/// Builds the service [`Request`] for one parsed verb invocation: the
+/// positionals fill the row's layout, and each flag sets its one field
+/// (a verb only ever carries the flags its row declares).
+fn build_request(spec: &Verb, p: &Parsed) -> Result<Request, String> {
     let mut opts = CompileOptions::new()
         .pipeline(p.has("--pipeline"))
         .narrow(p.has("--narrow"))
@@ -340,90 +189,42 @@ fn build_request(name: &str, p: &Parsed) -> Result<Request, String> {
         opts = opts.unroll(Some(u));
     }
     let mut req = Request {
-        verb: name.to_string(),
+        verb: spec.name.to_string(),
+        budget: positive(p, "--budget")?,
+        bound: positive(p, "--bound")?.or(positive(p, "--seq-bound")?),
+        emit_dir: p.value("--emit-dir").map(str::to_string),
         ..Request::default()
     };
-    match name {
-        "backends" | "schema" => {}
-        "run" | "check" | "report" => {
-            req.source = Source::Path(p.pos[0].clone());
-            req.entry = p.pos[1].clone();
-            req.args = p.pos[2..].to_vec();
-            if name == "report" {
-                let which = p.value("--backend");
-                if which.is_some() && p.has("--all") {
-                    return Err("`--backend` and `--all` are mutually exclusive".to_string());
-                }
-                opts = opts.backend(which);
-            }
-        }
-        "ir" | "flow" => {
-            req.source = Source::Path(p.pos[0].clone());
-            req.entry = p.pos[1].clone();
-        }
-        "lint" | "rewrite" => {
-            req.source = Source::Path(p.pos[0].clone());
-            req.entry = p.pos[1].clone();
-            opts = opts.backend(p.value("--backend"));
-        }
-        "explore" => {
-            req.source = Source::Path(p.pos[0].clone());
-            req.entry = p.pos[1].clone();
-            let which = p.value("--backend");
-            if which.is_some() && p.has("--all") {
-                return Err("`--backend` and `--all` are mutually exclusive".to_string());
-            }
-            opts = opts.backend(which);
-            req.budget = match p.value("--budget") {
-                Some(v) => Some(v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    "--budget needs a positive integer".to_string()
-                })?),
-                None => None,
-            };
-            req.bound = match p.value("--seq-bound") {
-                Some(v) => Some(v.parse().ok().filter(|&k| k > 0).ok_or_else(|| {
-                    "--seq-bound needs a positive integer".to_string()
-                })?),
-                None => None,
-            };
-            req.emit_dir = p.value("--emit-dir").map(str::to_string);
-        }
-        "synth" | "verilog" => {
-            opts = opts.backend(Some(&p.pos[0]));
-            req.source = Source::Path(p.pos[1].clone());
-            req.entry = p.pos[2].clone();
-            req.args = p.pos[3..].to_vec();
-        }
-        "equiv" => {
-            const USAGE: &str =
-                "chls equiv --backend A --backend B [--bound K] [--json] <file> <entry> [entry_b]";
-            let backends = p.values("--backend");
-            if backends.len() != 2 {
-                return Err(format!(
-                    "`chls equiv` needs exactly two --backend flags, got {}\nusage: {USAGE}",
-                    backends.len()
-                ));
-            }
-            req.backends = backends.iter().map(ToString::to_string).collect();
-            req.source = Source::Path(p.pos[0].clone());
-            req.entry = p.pos[1].clone();
-            req.entry_b = p.pos.get(2).cloned();
-            req.bound = match p.value("--bound") {
-                Some(v) => Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&k| k > 0)
-                        .ok_or_else(|| {
-                            format!("--bound needs a positive integer\nusage: {USAGE}")
-                        })?,
-                ),
-                None => None,
-            };
-        }
-        _ => unreachable!("every dispatched verb is covered"),
+    // `equiv` names its two backends with a repeated flag; elsewhere
+    // `--backend` narrows the verb to one.
+    let mut backend = p.value("--backend");
+    if spec.flag("--backend").is_some_and(|f| f.takes == Takes::TwoValues) {
+        req.backends = p.values("--backend").iter().map(ToString::to_string).collect();
+        backend = None;
     }
-    req.options = opts;
+    if backend.is_some() && p.has("--all") {
+        return Err("`--backend` and `--all` are mutually exclusive".to_string());
+    }
+    let mut pos = p.pos.iter();
+    for slot in spec.pos {
+        match slot {
+            Pos::Backend => backend = pos.next().map(String::as_str),
+            Pos::File => req.source = Source::Path(pos.next().cloned().unwrap_or_default()),
+            Pos::Entry => req.entry = pos.next().cloned().unwrap_or_default(),
+            Pos::EntryB => req.entry_b = pos.next().cloned(),
+            Pos::Args => req.args = pos.by_ref().cloned().collect(),
+        }
+    }
+    req.options = opts.backend(backend);
     Ok(req)
+}
+
+/// Parses argv against `spec` and builds the request; errors carry the
+/// verb's usage line.
+fn request_for(spec: &Verb, argv: &[String]) -> Result<(Request, bool), String> {
+    let parsed = parse_verb_args(spec, argv)?;
+    let req = build_request(spec, &parsed).map_err(|e| format!("{e}\nusage: {}", spec.usage))?;
+    Ok((req, parsed.has("--json")))
 }
 
 /// Runs one request in-process and renders it exactly as the historic
@@ -432,18 +233,16 @@ fn build_request(name: &str, p: &Parsed) -> Result<Request, String> {
 fn run_local(req: &Request, json: bool) -> ExitCode {
     match service::handle(req, &ServiceCtx::uncached()) {
         Ok(h) => {
-            for w in &h.response.warnings {
+            let r = &h.response;
+            for w in &r.warnings {
                 eprintln!("{w}");
             }
             if json {
-                println!(
-                    "{}",
-                    jsonout::envelope(&h.response.verb, h.response.ok, &h.response.data)
-                );
+                println!("{}", envelope(&r.verb, r.ok, &r.data, &obj! {}));
             } else {
-                print!("{}", h.response.text);
+                print!("{}", r.text);
             }
-            if h.response.ok {
+            if r.ok {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -456,7 +255,8 @@ fn run_local(req: &Request, json: bool) -> ExitCode {
     }
 }
 
-fn cmd_serve(p: &Parsed) -> Result<ExitCode, String> {
+fn cmd_serve(spec: &Verb, argv: &[String]) -> Result<ExitCode, String> {
+    let p = parse_verb_args(spec, argv)?;
     let mut cfg = ServeConfig::default();
     if let Some(a) = p.value("--addr") {
         cfg.addr = a.to_string();
@@ -484,45 +284,18 @@ fn run_client(addr: &str, argv: &[String]) -> ExitCode {
         eprintln!("client needs a verb");
         return usage();
     };
-    // Daemon-only verbs have no VerbSpec: a bare request suffices.
-    if verb == "stats" || verb == "shutdown" {
-        let json = argv[1..].iter().any(|a| a == "--json");
-        let req = Request {
-            verb: verb.clone(),
-            ..Request::default()
-        };
-        return match serve::call(addr, &req, 0) {
-            Ok(line) => render_remote(&line, json),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let Some(spec) = VERBS.iter().find(|v| v.name == verb.as_str()) else {
+    let Some(spec) = verbs::find(verb) else {
         eprintln!("unknown verb `{verb}`");
         return usage();
     };
-    if spec.name == "serve" {
-        eprintln!("`serve` cannot be forwarded to a daemon");
+    if matches!(spec.run, Run::Cli) {
+        eprintln!("`{verb}` cannot be forwarded to a daemon");
         return ExitCode::FAILURE;
     }
-    let parsed = match parse_verb_args(spec, &argv[1..]) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let req = match build_request(spec.name, &parsed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match serve::call(addr, &req, 0) {
-        Ok(line) => render_remote(&line, parsed.has("--json")),
+    let result = request_for(spec, &argv[1..])
+        .and_then(|(req, json)| Ok((serve::call(addr, &req, 0)?, json)));
+    match result {
+        Ok((line, json)) => render_remote(&line, json),
         Err(e) => {
             eprintln!("{e}");
             ExitCode::FAILURE
@@ -538,23 +311,23 @@ fn render_remote(line: &str, json: bool) -> ExitCode {
         eprintln!("malformed response from daemon: {line}");
         return ExitCode::FAILURE;
     };
-    let ok = v.get("ok").and_then(jsonin::Value::as_bool).unwrap_or(false);
-    if let Some(warnings) = v.get("warnings").and_then(jsonin::Value::as_arr) {
-        for w in warnings {
-            if let Some(w) = w.as_str() {
-                eprintln!("{w}");
-            }
+    let ok = v.get("ok").and_then(Value::as_bool).unwrap_or(false);
+    for w in v.get("warnings").and_then(Value::as_arr).unwrap_or_default() {
+        if let Some(w) = w.as_str() {
+            eprintln!("{w}");
         }
     }
+    let data = v.get("data").unwrap_or(&Value::Null);
     if json {
         println!("{line}");
-    } else if let Some(err) = v.get("data").and_then(|d| d.str_of("error")) {
+    } else if let Some(err) = data.str_of("error") {
         eprintln!("{err}");
     } else {
         match v.str_of("text") {
             Some(t) if !t.is_empty() => print!("{t}"),
-            // stats/shutdown have no text rendering; show the data.
-            _ => println!("{}", raw_field(line)),
+            // stats/shutdown have no text rendering; show the data,
+            // which re-serializes byte for byte.
+            _ => println!("{data}"),
         }
     }
     if ok {
@@ -562,21 +335,6 @@ fn render_remote(line: &str, json: bool) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Extracts the raw `"data"` object text from an envelope line (it is
-/// always the `"data":` member; re-serializing the parsed tree would
-/// reorder keys).
-fn raw_field(line: &str) -> &str {
-    if let Some(start) = line.find(r#","data":"#) {
-        let body = &line[start + 8..];
-        // The envelope appends `,"text":` (serve) after data.
-        if let Some(end) = body.find(r#","text":"#) {
-            return &body[..end];
-        }
-        return body.trim_end_matches('}');
-    }
-    line
 }
 
 fn main() -> ExitCode {
@@ -605,31 +363,20 @@ fn main() -> ExitCode {
         return run_client(&addr, &argv);
     }
     let Some(cmd) = argv.first() else { return usage() };
-    let Some(spec) = VERBS.iter().find(|v| v.name == cmd.as_str()) else {
+    let Some(spec) = verbs::find(cmd) else {
         eprintln!("unknown verb `{cmd}`");
         return usage();
     };
-    let parsed = match parse_verb_args(spec, &argv[1..]) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    let result = match spec.run {
+        Run::Cli => cmd_serve(spec, &argv[1..]),
+        Run::Daemon => Err(format!(
+            "`{cmd}` is answered by a running daemon\nusage: {}",
+            spec.usage
+        )),
+        Run::Service(_) => request_for(spec, &argv[1..]).map(|(req, json)| run_local(&req, json)),
     };
-    if spec.name == "serve" {
-        return match cmd_serve(&parsed) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match build_request(spec.name, &parsed) {
-        Ok(req) => run_local(&req, parsed.has("--json")),
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }

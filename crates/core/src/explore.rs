@@ -34,10 +34,11 @@
 
 use crate::cache::Artifact;
 use crate::executor::Executor;
+use crate::jsonin::Value;
+use crate::obj;
 use crate::prelude::*;
 use crate::service::ServiceCtx;
 use crate::Table;
-use chls_analysis::json::escape;
 use chls_backends::SynthError;
 use chls_rtl::CostModel;
 use std::fmt::Write as _;
@@ -795,14 +796,6 @@ fn opt_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "-".to_string(), |v| v.to_string())
 }
 
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
-fn json_opt_str(v: Option<&str>) -> String {
-    v.map_or_else(|| "null".to_string(), |s| format!("\"{}\"", escape(s)))
-}
-
 impl ExploreReport {
     /// How many distinct backends the frontier spans.
     pub fn frontier_backends(&self) -> usize {
@@ -884,70 +877,47 @@ impl ExploreReport {
     }
 
     /// The machine rendering (`data` of the service response).
-    pub fn to_json(&self) -> String {
-        let backends = self
-            .backends
-            .iter()
-            .map(|b| format!("\"{b}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        let frontier = self
-            .frontier
-            .iter()
-            .map(|p| {
-                let cert = format!(
-                    r#"{{"tier":"{}","method":{},"bound":{},"vectors":{},"detail":{}}}"#,
-                    p.cert.tier.name(),
-                    json_opt_str(p.cert.method.as_deref()),
-                    p.cert.bound.map_or_else(|| "null".to_string(), |b| b.to_string()),
-                    p.cert
-                        .vectors
-                        .map_or_else(|| "null".to_string(), |v| v.to_string()),
-                    json_opt_str(p.cert.detail.as_deref()),
-                );
-                let emit = match &p.emit {
-                    Some(Emit::Written {
-                        aiger,
-                        blif,
-                        roundtrip,
-                    }) => format!(
-                        r#"{{"aiger":"{}","blif":"{}","roundtrip":"{roundtrip}"}}"#,
-                        escape(aiger),
-                        escape(blif)
-                    ),
-                    Some(Emit::Skipped(why)) => {
-                        format!(r#"{{"skipped":"{}"}}"#, escape(why))
-                    }
-                    None => "null".to_string(),
-                };
-                format!(
-                    r#"{{"backend":"{}","pipeline":{},"narrow":{},"opt_netlist":{},"unroll":{},"style":{},"area":{},"latency":{},"ii":{},"certification":{cert},"emit":{emit}}}"#,
-                    p.config.backend,
-                    p.config.pipeline,
-                    p.config.narrow,
-                    p.config.opt_netlist,
-                    p.config
-                        .unroll
-                        .map_or_else(|| "null".to_string(), |u| u.to_string()),
-                    json_opt_str(p.eval.style),
-                    p.eval
-                        .area
-                        .map_or_else(|| "null".to_string(), |a| format!("{a:.1}")),
-                    json_opt_u64(p.eval.latency),
-                    json_opt_u64(p.eval.ii),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            r#"{{"entry":"{}","backends":[{backends}],"lattice":{},"feasible":{},"evaluated":{},"budget":{},"seq_bound":{},"frontier":[{frontier}]}}"#,
-            escape(&self.entry),
-            self.lattice,
-            self.feasible,
-            self.evaluated,
-            self.budget.map_or_else(|| "null".to_string(), |b| b.to_string()),
-            self.seq_bound,
-        )
+    pub fn to_value(&self) -> Value {
+        let frontier = self.frontier.iter().map(|p| {
+            let cert = obj! {
+                "tier": p.cert.tier.name(),
+                "method": p.cert.method.as_deref(),
+                "bound": p.cert.bound,
+                "vectors": p.cert.vectors,
+                "detail": p.cert.detail.as_deref(),
+            };
+            let emit = p.emit.as_ref().map(|e| match e {
+                Emit::Written {
+                    aiger,
+                    blif,
+                    roundtrip,
+                } => obj! { "aiger": aiger, "blif": blif, "roundtrip": roundtrip },
+                Emit::Skipped(why) => obj! { "skipped": why },
+            });
+            obj! {
+                "backend": p.config.backend,
+                "pipeline": p.config.pipeline,
+                "narrow": p.config.narrow,
+                "opt_netlist": p.config.opt_netlist,
+                "unroll": p.config.unroll,
+                "style": p.eval.style,
+                "area": p.eval.area.map(|a| Value::fixed(a, 1)),
+                "latency": p.eval.latency,
+                "ii": p.eval.ii,
+                "certification": cert,
+                "emit": emit,
+            }
+        });
+        obj! {
+            "entry": &self.entry,
+            "backends": Value::arr(self.backends.iter().copied()),
+            "lattice": self.lattice,
+            "feasible": self.feasible,
+            "evaluated": self.evaluated,
+            "budget": self.budget,
+            "seq_bound": self.seq_bound,
+            "frontier": Value::arr(frontier),
+        }
     }
 }
 
@@ -1057,7 +1027,7 @@ mod tests {
                 ..ExploreOptions::default()
             },
         );
-        assert_eq!(one.to_json(), eight.to_json());
+        assert_eq!(one.to_value(), eight.to_value());
         assert_eq!(one.render(), eight.render());
     }
 

@@ -1,29 +1,103 @@
-//! A minimal JSON *reader* — the inbound half of the service wire.
+//! The one JSON value model of the tree: a strict reader ([`parse`]) and
+//! one writer (`Display`) over the same [`Value`].
 //!
-//! [`crate::jsonout`] writes envelopes by hand; this module parses them
-//! (and `chls serve` requests) back into a small [`Value`] tree. It is
-//! a strict recursive-descent parser over the subset JSON itself
-//! defines — objects, arrays, strings with escapes, numbers, booleans,
-//! null — with no dependency and no allocation tricks. Duplicate keys
-//! keep the last value, matching what every mainstream parser does.
+//! Every `--json` output, every `chls serve` wire line and every request
+//! is built as a [`Value`] (usually with the [`obj!`](crate::obj) macro)
+//! and rendered by `Display`. Two properties keep the writer byte-stable:
+//!
+//! * objects keep insertion order ([`Map`]), so fields print in the order
+//!   a verb builds them;
+//! * numbers keep their text ([`Number`]): a parsed number prints exactly
+//!   as it was read, and a built one with the precision it was built with
+//!   ([`Value::fixed`]).
+//!
+//! Together they make `parse(s)?.to_string() == s` for every document
+//! the writer produced. The parser is strict recursive descent over the
+//! whole of JSON, with no dependency. Duplicate keys are kept in order;
+//! lookups see the last one, matching what every mainstream parser does.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
     Bool(bool),
-    /// All JSON numbers parse as `f64`; [`Value::as_u64`]/[`Value::as_i64`]
-    /// round-trip integers that fit exactly.
-    Num(f64),
+    Num(Number),
     Str(String),
     Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
+    Obj(Map),
+}
+
+/// A JSON number, held as its (always valid) JSON text so it prints back
+/// byte for byte. Equality is textual: `1` and `1.0` differ.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Number(String);
+
+impl Number {
+    pub fn as_f64(&self) -> f64 {
+        self.0.parse().expect("a Number holds valid JSON number text")
+    }
+}
+
+/// A JSON object's members, in insertion order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Map(Vec<(String, Value)>);
+
+impl Map {
+    /// The value of `key`; the last one if the key repeats.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    pub fn keys(&self) -> impl Iterator<Item = &String> {
+        self.0.iter().map(|(k, _)| k)
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+
+    /// Appends a member.
+    pub fn push(&mut self, key: impl Into<String>, value: impl Into<Value>) {
+        self.0.push((key.into(), value.into()));
+    }
+}
+
+/// Builds an object [`Value`] with members in the written order; each
+/// value goes through `Value::from`.
+///
+/// ```
+/// let v = chls::obj! { "entry": "gcd", "jobs": 2_usize, "jit": false };
+/// assert_eq!(v.to_string(), r#"{"entry":"gcd","jobs":2,"jit":false}"#);
+/// ```
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal : $value:expr),* $(,)?) => {{
+        #[allow(unused_mut)]
+        let mut m = $crate::jsonin::Map::default();
+        $(m.push($key, $value);)*
+        $crate::jsonin::Value::Obj(m)
+    }};
 }
 
 impl Value {
+    /// `x` printed with exactly `digits` fractional digits (`{:.N}`), the
+    /// precision every float in the output contract is specified with.
+    /// Infinities and NaN have no JSON spelling and become `null`.
+    pub fn fixed(x: f64, digits: usize) -> Value {
+        if x.is_finite() {
+            Value::Num(Number(format!("{x:.digits$}")))
+        } else {
+            Value::Null
+        }
+    }
+
+    /// An array of `items`, each through `Value::from`.
+    pub fn arr<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+
     /// Member lookup on objects; `None` elsewhere.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -48,27 +122,20 @@ impl Value {
 
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(n) => Some(n.as_f64()),
             _ => None,
         }
     }
 
+    /// Integers that fit exactly: integer text, or any number whose value
+    /// is a whole number within ±2^53.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
+        let Value::Num(n) = self else { return None };
+        n.0.parse().ok().or_else(|| {
+            let x = n.as_f64();
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            #[allow(clippy::cast_possible_truncation)]
-            Value::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Some(*n as i64),
-            _ => None,
-        }
+            (x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53)).then_some(x as u64)
+        })
     }
 
     pub fn as_arr(&self) -> Option<&[Value]> {
@@ -82,6 +149,117 @@ impl Value {
     pub fn str_of(&self, key: &str) -> Option<&str> {
         self.get(key).and_then(Value::as_str)
     }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl From<&String> for Value {
+    fn from(s: &String) -> Value {
+        Value::Str(s.clone())
+    }
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Num(Number(n.to_string()))
+            }
+        }
+    )*};
+}
+from_integer!(u16, u32, u64, usize, i64);
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl From<Vec<Value>> for Value {
+    fn from(items: Vec<Value>) -> Value {
+        Value::Arr(items)
+    }
+}
+
+impl fmt::Display for Value {
+    /// Compact JSON: no whitespace, members in insertion order.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Num(n) => f.write_str(&n.0),
+            Value::Str(s) => write_str(f, s),
+            Value::Arr(items) => {
+                f.write_char('[')?;
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    v.fmt(f)?;
+                }
+                f.write_char(']')
+            }
+            Value::Obj(m) => {
+                f.write_char('{')?;
+                for (i, (k, v)) in m.0.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_str(f, k)?;
+                    f.write_char(':')?;
+                    v.fmt(f)?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// Writes `s` as a JSON string literal: `"` and `\` escaped, `\n` `\r`
+/// `\t` by name, other control characters as `\u00XX`, everything else
+/// (including non-ASCII) verbatim.
+fn write_str(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    let mut start = 0;
+    // Every escaped character is ASCII, so byte indices are char
+    // boundaries.
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[start..i])?;
+        if named.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(named)?;
+        }
+        start = i + 1;
+    }
+    f.write_str(&s[start..])?;
+    f.write_char('"')
 }
 
 /// A parse failure, with the byte offset where it happened.
@@ -178,7 +356,7 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut m = BTreeMap::new();
+        let mut m = Map::default();
         self.ws();
         if self.eat(b'}') {
             return Ok(Value::Obj(m));
@@ -190,7 +368,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.ws();
             let v = self.value()?;
-            m.insert(key, v);
+            m.push(key, v);
             self.ws();
             if self.eat(b',') {
                 continue;
@@ -292,37 +470,37 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// One number, validated against JSON's grammar (`-? int frac? exp?`)
+    /// so a [`Number`] only ever holds text that parses as `f64`.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.i;
         let _ = self.eat(b'-');
-        while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-            self.i += 1;
-        }
-        if self.eat(b'.') {
-            while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-                self.i += 1;
+        let digits = |p: &mut Self| {
+            let from = p.i;
+            while p.b.get(p.i).is_some_and(u8::is_ascii_digit) {
+                p.i += 1;
             }
+            p.i > from
+        };
+        let int_start = self.i;
+        if !digits(self) || (self.b[int_start] == b'0' && self.i - int_start > 1) {
+            return Err(self.err("invalid number"));
+        }
+        if self.eat(b'.') && !digits(self) {
+            return Err(self.err("invalid number"));
         }
         if self.b.get(self.i).is_some_and(|c| *c == b'e' || *c == b'E') {
             self.i += 1;
             if !self.eat(b'+') {
                 let _ = self.eat(b'-');
             }
-            while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-                self.i += 1;
+            if !digits(self) {
+                return Err(self.err("invalid number"));
             }
         }
         let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("invalid number"))
+        Ok(Value::Num(Number(text.to_string())))
     }
-}
-
-/// Escapes `s` and wraps it in quotes — the write-side dual of
-/// [`Parser::string`], re-exported here so wire code has one import.
-pub fn quote(s: &str) -> String {
-    format!("\"{}\"", chls_analysis::json::escape(s))
 }
 
 #[cfg(test)]
@@ -333,8 +511,9 @@ mod tests {
     fn parses_scalars() {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse("true").unwrap(), Value::Bool(true));
-        assert_eq!(parse(" -42 ").unwrap(), Value::Num(-42.0));
-        assert_eq!(parse("2.5e2").unwrap(), Value::Num(250.0));
+        assert_eq!(parse(" -42 ").unwrap().as_f64(), Some(-42.0));
+        assert_eq!(parse("2.5e2").unwrap().as_f64(), Some(250.0));
+        assert_eq!(parse("2.5e2").unwrap().as_u64(), Some(250));
         assert_eq!(parse(r#""a\nb""#).unwrap(), Value::Str("a\nb".into()));
     }
 
@@ -356,25 +535,52 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,]", r#"{"a"}"#, "tru", "1 2", r#""\q""#, "01x"] {
+        for bad in [
+            "", "{", "[1,]", r#"{"a"}"#, "tru", "1 2", r#""\q""#, "01x", "-", "1.", "1e", "01",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
     }
 
     #[test]
-    fn round_trips_an_envelope() {
-        let e = crate::jsonout::envelope("check", true, r#"{"entry":"gcd","results":[]}"#);
-        let v = parse(&e).unwrap();
-        assert_eq!(v.str_of("tool"), Some("chls"));
-        assert_eq!(v.str_of("verb"), Some("check"));
-        assert_eq!(v.get("schema").and_then(Value::as_u64), Some(1));
-        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(v.get("data").unwrap().str_of("entry"), Some("gcd"));
+    fn objects_keep_insertion_order_and_last_duplicate_wins() {
+        let v = parse(r#"{"z":1,"a":2,"z":3}"#).unwrap();
+        let Value::Obj(m) = &v else { panic!("object") };
+        assert_eq!(m.keys().map(String::as_str).collect::<Vec<_>>(), ["z", "a", "z"]);
+        assert_eq!(v.get("z").and_then(Value::as_u64), Some(3));
     }
 
     #[test]
-    fn quote_escapes() {
-        assert_eq!(quote("a\"b\n"), r#""a\"b\n""#);
-        assert_eq!(parse(&quote("x\ty")).unwrap(), Value::Str("x\ty".into()));
+    fn writer_round_trips_byte_for_byte() {
+        for doc in [
+            r#"{"tool":"chls","seconds":0.000030244,"area":1234.0,"rate":0.5000,"n":-7,"e":2.5e-5}"#,
+            r#"[null,true,false,"a\"b\\c\n\r\t\u0001é",[],{}]"#,
+            r#"{"z":{"y":[1,{"x":null}]},"a":"—🦀"}"#,
+        ] {
+            assert_eq!(parse(doc).unwrap().to_string(), doc);
+        }
+    }
+
+    #[test]
+    fn builders_fix_precision_and_map_options() {
+        let v = crate::obj! {
+            "area": Value::fixed(19788.0, 1),
+            "clock_ns": Value::fixed(3.3, 3),
+            "inf": Value::fixed(f64::INFINITY, 1),
+            "ret": Some(12_i64),
+            "cycles": None::<u64>,
+            "arrays": Value::arr(["x", "y"]),
+        };
+        assert_eq!(
+            v.to_string(),
+            r#"{"area":19788.0,"clock_ns":3.300,"inf":null,"ret":12,"cycles":null,"arrays":["x","y"]}"#
+        );
+    }
+
+    #[test]
+    fn strings_escape_like_the_contract() {
+        let s = Value::from("a\"b\n\u{7}\\").to_string();
+        assert_eq!(s, r#""a\"b\n\u0007\\""#);
+        assert_eq!(parse(&s).unwrap(), Value::from("a\"b\n\u{7}\\"));
     }
 }

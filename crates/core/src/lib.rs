@@ -37,7 +37,6 @@ pub mod error;
 pub mod executor;
 pub mod explore;
 pub mod jsonin;
-pub mod jsonout;
 pub mod options;
 pub mod programs;
 pub mod qor;
@@ -46,6 +45,7 @@ pub mod report;
 pub mod rewriter;
 pub mod serve;
 pub mod service;
+pub mod verbs;
 
 pub use chls_analysis::{flow_program, lint_program, FlowReport, LintError, LintReport};
 pub use chls_backends::{Backend, BackendInfo, Design, SynthError, SynthOptions};

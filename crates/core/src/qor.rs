@@ -11,6 +11,8 @@
 
 use crate::driver::{simulate_design_with, Compiler};
 use crate::error::Error;
+use crate::jsonin::Value;
+use crate::obj;
 use crate::options::CompileOptions;
 use crate::report::{fnum, Table};
 use chls_backends::{Design, SynthError};
@@ -348,6 +350,46 @@ fn opt_num<T: ToString>(v: Option<T>) -> String {
 }
 
 impl QorReport {
+    /// The `data` of `report`: absent metrics are `null`, never omitted
+    /// keys; areas carry one decimal and seconds nine.
+    pub fn to_value(&self) -> Value {
+        let rows = self.backends.iter().map(|q| {
+            let area = |a: Option<f64>| a.map(|a| Value::fixed(a, 1));
+            let phases = q
+                .phases
+                .iter()
+                .map(|(name, s)| obj! { "phase": name, "seconds": Value::fixed(*s, 9) });
+            obj! {
+                "backend": q.backend,
+                "status": q.status.tag(),
+                "reason": q.status.reason(),
+                "style": q.style,
+                "fsm_states": q.fsm_states,
+                "registers": q.registers,
+                "memories": q.memories,
+                "gates": q.gates,
+                "area": area(q.area),
+                "narrowed_area": area(q.narrowed_area),
+                "opt_area": area(q.opt_area),
+                "sched_cycles": q.sched_cycles,
+                "ii": q.ii,
+                "cycles": q.cycles,
+                "time_units": q.time_units,
+                "sim_note": q.sim_note.as_deref(),
+                "jit_blocks": q.jit_blocks,
+                "jit_bytes": q.jit_bytes,
+                "jit_fallbacks": q.jit_fallbacks,
+                "phases": Value::arr(phases),
+            }
+        });
+        obj! {
+            "entry": &self.entry,
+            "parse_seconds": Value::fixed(self.parse_seconds, 9),
+            "args": self.args_used.as_deref(),
+            "backends": Value::arr(rows),
+        }
+    }
+
     /// Renders the aligned QoR table plus an aggregated per-phase
     /// wall-clock table.
     pub fn render(&self) -> String {

@@ -20,9 +20,9 @@
 
 use crate::cache::ArtifactCache;
 use crate::executor::Executor;
-use crate::jsonin::{self, quote, Value};
-use crate::jsonout;
-use crate::service::{self, Request, ServiceCtx};
+use crate::jsonin::{self, Map, Value};
+use crate::obj;
+use crate::service::{self, envelope, Request, ServiceCtx, SCHEMA_VERSION};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -127,37 +127,45 @@ impl Metrics {
         }
     }
 
+    /// The `data` of `stats`.
     #[allow(clippy::cast_precision_loss)]
-    fn to_json(&self, cache: &ArtifactCache, workers: usize) -> String {
+    fn to_value(&self, cache: &ArtifactCache, workers: usize) -> Value {
         let uptime = self.start.elapsed().as_secs_f64();
         let requests = self.requests.load(Ordering::Relaxed);
-        let errors = self.errors.load(Ordering::Relaxed);
         let busy = self.busy_micros.load(Ordering::Relaxed) as f64 / 1e6;
         let mut lat = self.latencies.lock().expect("latency lock").clone();
         lat.sort_unstable();
-        let p50 = Self::percentile(&lat, 0.50);
-        let p99 = Self::percentile(&lat, 0.99);
-        let verbs = self
-            .verbs
-            .lock()
-            .expect("verbs lock")
-            .iter()
-            .map(|(v, n)| format!("{}:{n}", quote(v)))
-            .collect::<Vec<_>>()
-            .join(",");
+        let mut verbs = Map::default();
+        for (v, n) in self.verbs.lock().expect("verbs lock").iter() {
+            verbs.push(v, *n);
+        }
         let c = cache.stats();
-        format!(
-            r#"{{"uptime_seconds":{uptime:.3},"requests":{requests},"errors":{errors},"requests_per_second":{:.1},"busy_seconds":{busy:.3},"workers":{workers},"verbs":{{{verbs}}},"latency_ms":{{"p50":{p50:.3},"p99":{p99:.3}}},"cache":{{"hits":{},"misses":{},"hit_rate":{:.4},"insertions":{},"evictions":{},"bytes":{},"entries":{},"budget":{}}}}}"#,
-            if uptime > 0.0 { requests as f64 / uptime } else { 0.0 },
-            c.hits,
-            c.misses,
-            c.hit_rate(),
-            c.insertions,
-            c.evictions,
-            c.bytes,
-            c.entries,
-            c.budget,
-        )
+        obj! {
+            "uptime_seconds": Value::fixed(uptime, 3),
+            "requests": requests,
+            "errors": self.errors.load(Ordering::Relaxed),
+            "requests_per_second": Value::fixed(
+                if uptime > 0.0 { requests as f64 / uptime } else { 0.0 },
+                1,
+            ),
+            "busy_seconds": Value::fixed(busy, 3),
+            "workers": workers,
+            "verbs": Value::Obj(verbs),
+            "latency_ms": obj! {
+                "p50": Value::fixed(Self::percentile(&lat, 0.50), 3),
+                "p99": Value::fixed(Self::percentile(&lat, 0.99), 3),
+            },
+            "cache": obj! {
+                "hits": c.hits,
+                "misses": c.misses,
+                "hit_rate": Value::fixed(c.hit_rate(), 4),
+                "insertions": c.insertions,
+                "evictions": c.evictions,
+                "bytes": c.bytes,
+                "entries": c.entries,
+                "budget": c.budget,
+            },
+        }
     }
 }
 
@@ -248,7 +256,8 @@ impl Server {
     pub fn stats_json(&self) -> String {
         self.state
             .metrics
-            .to_json(&self.state.cache, self.state.executor.workers())
+            .to_value(&self.state.cache, self.state.executor.workers())
+            .to_string()
     }
 
     /// Has a `shutdown` request (or [`Server::stop`]) been seen?
@@ -301,13 +310,24 @@ fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
     }
 }
 
-fn error_envelope(verb: &str, message: &str, id: &str, cached: bool) -> String {
-    jsonout::envelope_with(
-        verb,
-        false,
-        &format!(r#"{{"error":{}}}"#, quote(message)),
-        &format!(r#","text":"","warnings":[],"cached":{cached},"id":{id}"#),
-    )
+/// A serve reply: the envelope plus the serve members `text`,
+/// `warnings`, `cached` and the echoed `id`.
+fn reply_line(
+    verb: &str,
+    ok: bool,
+    data: &str,
+    text: &str,
+    warnings: &[String],
+    cached: bool,
+    id: Option<u64>,
+) -> String {
+    let extra = obj! {
+        "text": text,
+        "warnings": Value::arr(warnings),
+        "cached": cached,
+        "id": id,
+    };
+    envelope(verb, ok, data, &extra)
 }
 
 fn handle_conn(stream: TcpStream, state: &Arc<State>) {
@@ -383,8 +403,8 @@ struct Reply {
 }
 
 fn respond(state: &Arc<State>, line: &str) -> Reply {
-    let fail = |verb: &str, msg: &str, id: &str| Reply {
-        line: error_envelope(verb, msg, id, false),
+    let fail = |verb: &str, msg: &str, id: Option<u64>| Reply {
+        line: reply_line(verb, false, &obj! { "error": msg }.to_string(), "", &[], false, id),
         verb: verb.to_string(),
         ok: false,
         cached: false,
@@ -392,25 +412,17 @@ fn respond(state: &Arc<State>, line: &str) -> Reply {
     };
     let parsed = match jsonin::parse(line) {
         Ok(v) => v,
-        Err(e) => return fail("?", &e.to_string(), "null"),
+        Err(e) => return fail("?", &e.to_string(), None),
     };
-    let id = parsed
-        .get("id")
-        .and_then(Value::as_u64)
-        .map_or_else(|| "null".to_string(), |n| n.to_string());
+    let id = parsed.get("id").and_then(Value::as_u64);
     let verb = parsed.str_of("verb").unwrap_or("?").to_string();
     match verb.as_str() {
         "stats" => {
             let data = state
                 .metrics
-                .to_json(&state.cache, state.executor.workers());
+                .to_value(&state.cache, state.executor.workers());
             Reply {
-                line: jsonout::envelope_with(
-                    "stats",
-                    true,
-                    &data,
-                    &format!(r#","text":"","warnings":[],"cached":false,"id":{id}"#),
-                ),
+                line: reply_line("stats", true, &data.to_string(), "", &[], false, id),
                 verb,
                 ok: true,
                 cached: false,
@@ -420,13 +432,9 @@ fn respond(state: &Arc<State>, line: &str) -> Reply {
         "shutdown" => {
             // The actual stop signal fires in `handle_conn` *after*
             // this acknowledgment is flushed to the client.
+            let data = obj! { "shutting_down": true }.to_string();
             Reply {
-                line: jsonout::envelope_with(
-                    "shutdown",
-                    true,
-                    r#"{"shutting_down":true}"#,
-                    &format!(r#","text":"","warnings":[],"cached":false,"id":{id}"#),
-                ),
+                line: reply_line("shutdown", true, &data, "", &[], false, id),
                 verb,
                 ok: true,
                 cached: false,
@@ -443,12 +451,12 @@ fn respond(state: &Arc<State>, line: &str) -> Reply {
                 .err()
                 .unwrap_or_else(|| "impossible: __panic returned".to_string());
             state.executor.reap_and_respawn();
-            fail("__panic", &msg, &id)
+            fail("__panic", &msg, id)
         }
         _ => {
             let req = match Request::from_json(&parsed) {
                 Ok(r) => r,
-                Err(e) => return fail(&verb, &e, &id),
+                Err(e) => return fail(&verb, &e, id),
             };
             let timeout = req
                 .timeout_ms
@@ -460,22 +468,15 @@ fn respond(state: &Arc<State>, line: &str) -> Reply {
             match ticket.wait_timeout(timeout) {
                 Ok(Ok(handled)) => {
                     let r = &handled.response;
-                    let warnings = r
-                        .warnings
-                        .iter()
-                        .map(|w| quote(w))
-                        .collect::<Vec<_>>()
-                        .join(",");
                     Reply {
-                        line: jsonout::envelope_with(
+                        line: reply_line(
                             &r.verb,
                             r.ok,
                             &r.data,
-                            &format!(
-                                r#","text":{},"warnings":[{warnings}],"cached":{},"id":{id}"#,
-                                quote(&r.text),
-                                handled.cached
-                            ),
+                            &r.text,
+                            &r.warnings,
+                            handled.cached,
+                            id,
                         ),
                         verb,
                         ok: r.ok,
@@ -483,8 +484,7 @@ fn respond(state: &Arc<State>, line: &str) -> Reply {
                         shutdown: false,
                     }
                 }
-                Ok(Err(e)) => fail(&verb, &e, &id),
-                Err(e) => fail(&verb, &e, &id),
+                Ok(Err(e)) | Err(e) => fail(&verb, &e, id),
             }
         }
     }
@@ -498,7 +498,7 @@ pub fn run(cfg: &ServeConfig) -> Result<(), String> {
         "chls serve: listening on {} ({} workers, schema {})",
         server.addr,
         server.workers(),
-        jsonout::SCHEMA_VERSION
+        SCHEMA_VERSION
     );
     let _ = std::io::stdout().flush();
     server.wait();
@@ -511,25 +511,7 @@ pub fn run(cfg: &ServeConfig) -> Result<(), String> {
 /// One client call: connect, send `req` (tagged with `id`), read one
 /// envelope line. Returns the raw line.
 pub fn call(addr: &str, req: &Request, id: u64) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| format!("cannot connect to chls serve at {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let wire = req.to_json();
-    // Splice the id into the request object; one write, one segment.
-    let line = format!("{{\"id\":{id},{}\n", &wire[1..]);
-    stream
-        .write_all(line.as_bytes())
-        .map_err(|e| format!("send failed: {e}"))?;
-    stream.flush().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-    let mut reply = String::new();
-    reader
-        .read_line(&mut reply)
-        .map_err(|e| format!("receive failed: {e}"))?;
-    if reply.is_empty() {
-        return Err("server closed the connection without replying".to_string());
-    }
-    Ok(reply.trim_end_matches('\n').to_string())
+    Client::connect(addr)?.send(id, req.to_json())
 }
 
 /// A persistent client connection for pipelining many requests.
@@ -555,26 +537,20 @@ impl Client {
     /// Sends one request and reads its reply line.
     pub fn call(&mut self, req: &Request) -> Result<String, String> {
         self.next_id += 1;
-        let wire = req.to_json();
-        let line = format!("{{\"id\":{},{}\n", self.next_id, &wire[1..]);
-        self.writer
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("send failed: {e}"))?;
-        self.writer.flush().map_err(|e| e.to_string())?;
-        let mut reply = String::new();
-        self.reader
-            .read_line(&mut reply)
-            .map_err(|e| format!("receive failed: {e}"))?;
-        if reply.is_empty() {
-            return Err("server closed the connection without replying".to_string());
-        }
-        Ok(reply.trim_end_matches('\n').to_string())
+        self.send(self.next_id, req.to_json())
     }
 
     /// Raw single-verb calls with no body (`stats`, `shutdown`).
     pub fn call_bare(&mut self, verb: &str) -> Result<String, String> {
         self.next_id += 1;
-        let line = format!("{{\"id\":{},\"verb\":{}}}\n", self.next_id, quote(verb));
+        self.send(self.next_id, obj! { "verb": verb }.to_string())
+    }
+
+    /// The one send/receive path: `body` (a JSON object) gets `id`
+    /// spliced in front, goes out as one line in one write, and one
+    /// reply line comes back.
+    fn send(&mut self, id: u64, body: String) -> Result<String, String> {
+        let line = format!("{{\"id\":{id},{}\n", &body[1..]);
         self.writer
             .write_all(line.as_bytes())
             .map_err(|e| format!("send failed: {e}"))?;

@@ -9,9 +9,11 @@
 //!
 //! A [`Response`] always carries *both* renderings: `text` is the exact
 //! byte sequence the one-shot CLI prints in human mode (pinned by
-//! `tests/golden_cli.rs`), `data` is the verb-specific JSON documented
-//! in DESIGN.md §15 and dumped live by `chls schema`. `ok` mirrors the
-//! process exit code.
+//! `tests/golden_cli.rs`), `data` is the verb-specific JSON whose shape
+//! the verb's row in [`crate::verbs::VERBS`] declares (and `chls schema`
+//! dumps). Every handler builds `data` as a [`Value`]; [`handle`] renders
+//! it once, so a cached response is spliced into replies, never
+//! re-serialized. `ok` mirrors the process exit code.
 //!
 //! When the [`ServiceCtx`] carries an [`ArtifactCache`], [`handle`]
 //! memoizes at three levels keyed by content address (FNV-1a of the
@@ -24,9 +26,12 @@
 
 use crate::cache::{fnv64, Artifact, ArtifactCache};
 use crate::interp::ArgValue;
-use crate::jsonin::{quote, Value};
+use crate::jsonin::Value;
+use crate::obj;
 use crate::prelude::*;
-use chls_analysis::json::escape;
+use crate::verbs::{self, Run};
+use crate::{FlowReport, LintReport};
+use chls_frontend::diag::{Diagnostic, Severity};
 use chls_rtl::CostModel;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -107,12 +112,51 @@ impl ServiceCtx {
     }
 }
 
-/// The verbs [`handle`] accepts (the daemon adds `stats`/`shutdown` at
-/// the transport layer — they are server state, not compilation).
-pub const SERVICE_VERBS: &[&str] = &[
-    "backends", "run", "check", "ir", "synth", "verilog", "equiv", "lint", "flow", "rewrite",
-    "report", "explore", "schema",
-];
+/// What a verb handler produces; [`handle`] names it and renders `data`.
+pub struct Output {
+    pub ok: bool,
+    pub data: Value,
+    pub text: String,
+    pub warnings: Vec<String>,
+}
+
+/// One verb's implementation: the request, the shared context, and the
+/// source text with its digest (`""` and 0 for verbs without a source).
+pub type Handler = fn(&Request, &ServiceCtx, &str, u64) -> Result<Output, String>;
+
+/// Version of the envelope contract (`"schema"` in every envelope): it
+/// bumps only when a field changes meaning or disappears, never when a
+/// verb grows a new field.
+pub const SCHEMA_VERSION: u32 = 1;
+
+/// The unified envelope every `--json` output and serve reply uses:
+/// `{"tool":"chls","verb":…,"version":…,"schema":1,"ok":…,"data":…}`
+/// followed by the members of `extra` (serve adds `text`, `warnings`,
+/// `cached` and `id`). `data` arrives pre-rendered, so a cached
+/// [`Response::data`] is spliced in as is; `ok` mirrors the exit code.
+pub fn envelope(verb: &str, ok: bool, data: &str, extra: &Value) -> String {
+    let head = obj! {
+        "tool": "chls",
+        "verb": verb,
+        "version": env!("CARGO_PKG_VERSION"),
+        "schema": SCHEMA_VERSION,
+        "ok": ok,
+    }
+    .to_string();
+    let tail = extra.to_string();
+    let mut out = String::with_capacity(head.len() + data.len() + tail.len() + 8);
+    // Splice `"data":…` and the extra members into the head object.
+    out.push_str(&head[..head.len() - 1]);
+    out.push_str(",\"data\":");
+    out.push_str(data);
+    if tail.len() > 2 {
+        out.push(',');
+        out.push_str(&tail[1..]);
+    } else {
+        out.push('}');
+    }
+    out
+}
 
 /// Parses raw positional argument strings into interpreter values.
 pub fn parse_args(raw: &[String]) -> Result<Vec<ArgValue>, String> {
@@ -142,13 +186,19 @@ pub fn parse_args(raw: &[String]) -> Result<Vec<ArgValue>, String> {
 /// designs) are `Ok` responses with `ok:false`, exactly as the
 /// one-shot exit codes always worked.
 pub fn handle(req: &Request, ctx: &ServiceCtx) -> Result<Handled, String> {
-    if !SERVICE_VERBS.contains(&req.verb.as_str()) {
+    let Some((verb, handler)) = verbs::find(&req.verb).and_then(|v| match v.run {
+        Run::Service(h) => Some((v, h)),
+        Run::Daemon | Run::Cli => None,
+    }) else {
         return Err(format!("unknown verb `{}`", req.verb));
-    }
-    let src = resolve_source(req)?;
+    };
+    let src = resolve_source(req, verb.needs_source())?;
     let digest = src.as_deref().map_or(0, |s| fnv64(s.as_bytes()));
+    // `--emit-dir` writes files, so a memoized reply could name files
+    // deleted since: such requests always run.
+    let memo = ctx.cache.as_ref().filter(|_| req.emit_dir.is_none());
     let key = response_key(req, digest);
-    if let Some(cache) = &ctx.cache {
+    if let Some(cache) = memo {
         if let Some(Artifact::Response(r)) = cache.get(&key) {
             return Ok(Handled {
                 response: r,
@@ -156,8 +206,15 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Result<Handled, String> {
             });
         }
     }
-    let response = Arc::new(dispatch(req, ctx, src.as_deref(), digest)?);
-    if let Some(cache) = &ctx.cache {
+    let out = handler(req, ctx, src.as_deref().unwrap_or_default(), digest)?;
+    let response = Arc::new(Response {
+        verb: verb.name.to_string(),
+        ok: out.ok,
+        data: out.data.to_string(),
+        text: out.text,
+        warnings: out.warnings,
+    });
+    if let Some(cache) = memo {
         cache.put(&key, Artifact::Response(response.clone()));
     }
     Ok(Handled {
@@ -166,15 +223,10 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Result<Handled, String> {
     })
 }
 
-fn resolve_source(req: &Request) -> Result<Option<String>, String> {
+fn resolve_source(req: &Request, needed: bool) -> Result<Option<String>, String> {
     match &req.source {
-        Source::None => {
-            if matches!(req.verb.as_str(), "backends" | "schema") {
-                Ok(None)
-            } else {
-                Err(format!("verb `{}` needs a source file or text", req.verb))
-            }
-        }
+        Source::None if needed => Err(format!("verb `{}` needs a source file or text", req.verb)),
+        Source::None => Ok(None),
         Source::Path(p) => std::fs::read_to_string(p)
             .map(Some)
             .map_err(|e| format!("cannot read {p}: {e}")),
@@ -184,10 +236,11 @@ fn resolve_source(req: &Request) -> Result<Option<String>, String> {
 
 /// The whole-response content address. Everything that can change a
 /// single output byte is in here; `trace` is not (the only verb whose
-/// output shows traces, `report`, forces it on itself).
+/// output shows traces, `report`, forces it on itself), nor `emit_dir`
+/// (requests that set it bypass the memo).
 fn response_key(req: &Request, digest: u64) -> String {
     format!(
-        "resp|{}|{digest:016x}|{}|a={}|{}|jobs={:?}|eb={:?}|bound={:?}|bk={}|budget={:?}|emit={:?}",
+        "resp|{}|{digest:016x}|{}|a={}|{}|jobs={:?}|eb={:?}|bound={:?}|bk={}|budget={:?}",
         req.verb,
         req.entry,
         req.args.join("\u{1f}"),
@@ -197,7 +250,6 @@ fn response_key(req: &Request, digest: u64) -> String {
         req.bound,
         req.backends.join(","),
         req.budget,
-        req.emit_dir,
     )
 }
 
@@ -256,81 +308,54 @@ pub(crate) fn design_for(
     Ok(design)
 }
 
-fn dispatch(
-    req: &Request,
-    ctx: &ServiceCtx,
-    src: Option<&str>,
-    digest: u64,
-) -> Result<Response, String> {
-    match req.verb.as_str() {
-        "backends" => Ok(verb_backends()),
-        "schema" => Ok(verb_schema()),
-        "run" => verb_run(req, ctx, src.expect("source resolved"), digest),
-        "check" => verb_check(req, src.expect("source resolved")),
-        "ir" => verb_ir(req, ctx, src.expect("source resolved"), digest),
-        "lint" => verb_lint(req, ctx, src.expect("source resolved"), digest),
-        "flow" => verb_flow(req, ctx, src.expect("source resolved"), digest),
-        "rewrite" => verb_rewrite(req, src.expect("source resolved")),
-        "synth" => verb_synth(req, ctx, src.expect("source resolved"), digest),
-        "verilog" => verb_verilog(req, ctx, src.expect("source resolved"), digest),
-        "equiv" => verb_equiv(req, ctx, src.expect("source resolved"), digest),
-        "report" => verb_report(req, ctx, src.expect("source resolved"), digest),
-        "explore" => verb_explore(req, ctx, src.expect("source resolved"), digest),
-        _ => unreachable!("verb validated by handle()"),
-    }
-}
-
 // ---------------------------------------------------------------- verbs
 
-fn verb_backends() -> Response {
-    let table = taxonomy_table();
-    let mut rows = Vec::new();
-    for b in crate::registry::backends() {
-        rows.push(backend_info_json(&b.info(), "compiler"));
-    }
-    for i in crate::registry::structural_rows() {
-        rows.push(backend_info_json(&i, "structural"));
-    }
-    Response {
-        verb: "backends".to_string(),
-        ok: true,
-        data: format!(r#"{{"backends":[{}]}}"#, rows.join(",")),
-        text: format!("{table}\n"),
-        warnings: Vec::new(),
-    }
-}
-
-fn backend_info_json(i: &chls_backends::BackendInfo, kind: &str) -> String {
-    format!(
-        r#"{{"name":"{}","kind":"{kind}","models":"{}","year":{},"concurrency":"{}","timing":"{}","pointers":{},"data_dependent_loops":{},"parallel_constructs":{}}}"#,
-        escape(i.name),
-        escape(i.models),
-        i.year,
-        escape(&i.concurrency.to_string()),
-        escape(&i.timing.to_string()),
-        i.pointers,
-        i.data_dependent_loops,
-        i.parallel_constructs,
-    )
-}
-
-fn sim_result_json(ret: Option<i64>, arrays: &[(usize, Vec<i64>)], cycles: Option<u64>) -> String {
-    let arrs = arrays
+pub(crate) fn verb_backends(
+    _req: &Request,
+    _ctx: &ServiceCtx,
+    _src: &str,
+    _digest: u64,
+) -> Result<Output, String> {
+    let info = |i: &chls_backends::BackendInfo, kind: &str| {
+        obj! {
+            "name": i.name,
+            "kind": kind,
+            "models": i.models,
+            "year": i.year,
+            "concurrency": i.concurrency.to_string(),
+            "timing": i.timing.to_string(),
+            "pointers": i.pointers,
+            "data_dependent_loops": i.data_dependent_loops,
+            "parallel_constructs": i.parallel_constructs,
+        }
+    };
+    let rows = crate::registry::backends()
         .iter()
-        .map(|(i, vs)| {
-            let vals = vs.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
-            format!(r#"{{"arg":{i},"values":[{vals}]}}"#)
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        r#"{{"ret":{},"arrays":[{arrs}],"cycles":{}}}"#,
-        ret.map_or_else(|| "null".to_string(), |v| v.to_string()),
-        cycles.map_or_else(|| "null".to_string(), |v| v.to_string()),
-    )
+        .map(|b| info(&b.info(), "compiler"))
+        .chain(crate::registry::structural_rows().iter().map(|i| info(i, "structural")))
+        .collect::<Vec<_>>();
+    Ok(Output {
+        ok: true,
+        data: obj! { "backends": rows },
+        text: format!("{}\n", taxonomy_table()),
+        warnings: Vec::new(),
+    })
 }
 
-fn verb_run(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Response, String> {
+fn sim_data(ret: Option<i64>, arrays: &[(usize, Vec<i64>)], cycles: Option<u64>) -> Value {
+    let arrays = arrays
+        .iter()
+        .map(|(i, vs)| obj! { "arg": *i, "values": Value::arr(vs.iter().copied()) })
+        .collect::<Vec<_>>();
+    obj! { "ret": ret, "arrays": arrays, "cycles": cycles }
+}
+
+pub(crate) fn verb_run(
+    req: &Request,
+    ctx: &ServiceCtx,
+    src: &str,
+    digest: u64,
+) -> Result<Output, String> {
     let args = parse_args(&req.args)?;
     let compiler = compiler_for(ctx, src, digest)?;
     let warnings = compiler.rendered_warnings();
@@ -359,20 +384,54 @@ fn verb_run(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<R
     if let Some(c) = cycles {
         let _ = writeln!(text, "cycles = {c}");
     }
-    let sim = sim_result_json(ret, &arrays, cycles);
-    Ok(Response {
-        verb: "run".to_string(),
+    Ok(Output {
         ok: true,
-        data: format!(r#"{{"entry":"{}","jit":{jit},"result":{sim}}}"#, escape(&req.entry)),
+        data: obj! {
+            "entry": &req.entry,
+            "jit": jit,
+            "result": sim_data(ret, &arrays, cycles),
+        },
         text,
         warnings,
     })
 }
 
-fn verb_check(req: &Request, src: &str) -> Result<Response, String> {
+/// The `data` of `check`: one row per backend with the verdict tag and
+/// per-design timing.
+fn check_data(entry: &str, jobs: usize, jit: bool, results: &[(&'static str, Verdict)]) -> Value {
+    let rows = results
+        .iter()
+        .map(|(backend, verdict)| {
+            let (tag, cycles, time_units, detail) = match verdict {
+                Verdict::Pass { cycles, time_units } => ("pass", *cycles, *time_units, None),
+                Verdict::Unsupported(why) => ("unsupported", None, None, Some(why.clone())),
+                Verdict::Mismatch { got, expected } => (
+                    "mismatch",
+                    None,
+                    None,
+                    Some(format!("got {got}, expected {expected}")),
+                ),
+                Verdict::Error(e) => ("error", None, None, Some(e.clone())),
+            };
+            obj! {
+                "backend": *backend,
+                "verdict": tag,
+                "cycles": cycles,
+                "time_units": time_units,
+                "detail": detail,
+            }
+        })
+        .collect::<Vec<_>>();
+    obj! { "entry": entry, "jobs": jobs, "jit": jit, "results": rows }
+}
+
+pub(crate) fn verb_check(
+    req: &Request,
+    _ctx: &ServiceCtx,
+    src: &str,
+    _digest: u64,
+) -> Result<Output, String> {
     let opts = &req.options;
-    let jobs = opts.effective_jobs();
-    let jit = opts.jit_requested();
     let args = parse_args(&req.args)?;
     let warnings = Compiler::parse(src)
         .map(|c| c.rendered_warnings())
@@ -402,28 +461,107 @@ fn verb_check(req: &Request, src: &str) -> Result<Response, String> {
             }
         }
     }
-    Ok(Response {
-        verb: "check".to_string(),
+    Ok(Output {
         ok: !bad,
-        data: crate::jsonout::check_json(&req.entry, jobs, jit, &results),
+        data: check_data(&req.entry, opts.effective_jobs(), opts.jit_requested(), &results),
         text,
         warnings,
     })
 }
 
-fn verb_ir(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Response, String> {
+pub(crate) fn verb_ir(
+    req: &Request,
+    ctx: &ServiceCtx,
+    src: &str,
+    digest: u64,
+) -> Result<Output, String> {
     let compiler = compiler_for(ctx, src, digest)?;
     let ir = compiler.prepared_ir(&req.entry).map_err(|e| e.to_string())?;
-    Ok(Response {
-        verb: "ir".to_string(),
+    Ok(Output {
         ok: true,
-        data: format!(r#"{{"entry":"{}","ir":{}}}"#, escape(&req.entry), quote(&ir)),
         text: format!("{ir}\n"),
+        data: obj! { "entry": &req.entry, "ir": ir },
         warnings: compiler.rendered_warnings(),
     })
 }
 
-fn verb_lint(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Response, String> {
+fn span_data(s: chls_frontend::span::Span) -> Value {
+    obj! { "start": s.start, "end": s.end }
+}
+
+fn diag_data(d: &Diagnostic) -> Value {
+    let notes = d
+        .notes
+        .iter()
+        .map(|n| obj! { "message": &n.message, "span": span_data(n.span) })
+        .collect::<Vec<_>>();
+    obj! {
+        "severity": match d.severity {
+            Severity::Error => "error",
+            Severity::Warning => "warning",
+        },
+        "message": &d.message,
+        "span": span_data(d.span),
+        "notes": notes,
+    }
+}
+
+fn diags_data(ds: &[Diagnostic]) -> Value {
+    Value::arr(ds.iter().map(diag_data))
+}
+
+/// The `data` of `lint`. Spans are byte offsets into the analyzed
+/// source, so the output does not depend on how a consumer counts lines.
+pub fn lint_data(r: &LintReport) -> Value {
+    let f = &r.features;
+    let backends = r
+        .backend_findings
+        .iter()
+        .map(|b| {
+            obj! {
+                "backend": b.backend,
+                "construct": b.construct,
+                "status": b.status,
+                "reason": &b.reason,
+                "detail": b.detail.as_deref(),
+                "repairable": b.repairable,
+                "rewrite": b.rewrite,
+            }
+        })
+        .collect::<Vec<_>>();
+    let cycles = r
+        .cycle_bounds
+        .iter()
+        .map(|c| obj! { "backend": c.backend, "min": c.interval.min, "max": c.interval.max })
+        .collect::<Vec<_>>();
+    obj! {
+        "entry": &r.entry,
+        "backend": r.backend.as_deref(),
+        "races": diags_data(&r.races),
+        "warnings": diags_data(&r.warnings),
+        "features": obj! {
+            "par": f.par,
+            "channels": f.channels,
+            "delay": f.delay,
+            "pointers": f.pointers,
+            "multi_target_pointers": Value::arr(&f.multi_target_pointers),
+            "data_dependent_loops": f.data_dependent_loops,
+            "timing_constraints": f.timing_constraints,
+            "recursion": f.recursion,
+        },
+        "backends": backends,
+        "cycles": cycles,
+        "memory": diags_data(&r.memory),
+        "dead_branches": diags_data(&r.dead_branches),
+    }
+}
+
+pub(crate) fn verb_lint(
+    req: &Request,
+    ctx: &ServiceCtx,
+    src: &str,
+    digest: u64,
+) -> Result<Output, String> {
     // The strict frontend rejects recursion at parse time; the lint's
     // job is to *report* it (as a repairable finding) instead. When the
     // strict parse fails but the relaxed one succeeds — i.e. the only
@@ -440,17 +578,20 @@ fn verb_lint(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<
                 .map_err(|e| e.to_string())?
         }
     };
-    let ok = !report.has_errors();
-    Ok(Response {
-        verb: "lint".to_string(),
-        ok,
-        data: report.to_json(),
+    Ok(Output {
+        ok: !report.has_errors(),
+        data: lint_data(&report),
         text: report.render(src),
         warnings: Vec::new(),
     })
 }
 
-fn verb_rewrite(req: &Request, src: &str) -> Result<Response, String> {
+pub(crate) fn verb_rewrite(
+    req: &Request,
+    _ctx: &ServiceCtx,
+    src: &str,
+    _digest: u64,
+) -> Result<Output, String> {
     let backend = req.options.backend_requested();
     let outcome = crate::rewriter::rewrite_and_certify(
         src,
@@ -499,16 +640,14 @@ fn verb_rewrite(req: &Request, src: &str) -> Result<Response, String> {
         .actions
         .iter()
         .map(|a| {
-            format!(
-                r#"{{"pass":"{}","target":"{}","applied":{},"detail":"{}"}}"#,
-                a.pass,
-                escape(&a.target),
-                a.applied,
-                escape(&a.detail)
-            )
+            obj! {
+                "pass": a.pass.to_string(),
+                "target": &a.target,
+                "applied": a.applied,
+                "detail": &a.detail,
+            }
         })
-        .collect::<Vec<_>>()
-        .join(",");
+        .collect::<Vec<_>>();
     let checks = outcome
         .checks
         .iter()
@@ -518,26 +657,21 @@ fn verb_rewrite(req: &Request, src: &str) -> Result<Response, String> {
                 crate::rewriter::CheckStatus::Fail => "fail",
                 crate::rewriter::CheckStatus::Skip => "skip",
             };
-            format!(
-                r#"{{"check":"{}","status":"{status}","detail":"{}"}}"#,
-                c.name,
-                escape(&c.detail)
-            )
+            obj! { "check": c.name, "status": status, "detail": &c.detail }
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let data = format!(
-        r#"{{"entry":"{}","changed":{},"certified":{},"accepted_before":{},"accepted_after":{},"backends_total":{},"actions":[{actions}],"certification":[{checks}],"source":{}}}"#,
-        escape(&outcome.entry),
-        outcome.changed,
-        outcome.certified,
-        outcome.accepted_before,
-        outcome.accepted_after,
-        outcome.backends_total,
-        quote(&outcome.source)
-    );
-    Ok(Response {
-        verb: "rewrite".to_string(),
+        .collect::<Vec<_>>();
+    let data = obj! {
+        "entry": &outcome.entry,
+        "changed": outcome.changed,
+        "certified": outcome.certified,
+        "accepted_before": outcome.accepted_before,
+        "accepted_after": outcome.accepted_after,
+        "backends_total": outcome.backends_total,
+        "actions": actions,
+        "certification": checks,
+        "source": outcome.source,
+    };
+    Ok(Output {
         ok,
         data,
         text,
@@ -545,20 +679,102 @@ fn verb_rewrite(req: &Request, src: &str) -> Result<Response, String> {
     })
 }
 
-fn verb_flow(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Response, String> {
+fn interval_data(i: chls_analysis::Interval) -> Value {
+    obj! { "min": i.min, "max": i.max }
+}
+
+/// The `data` of `flow`.
+pub fn flow_data(r: &FlowReport) -> Value {
+    let networks = r
+        .networks
+        .iter()
+        .map(|n| {
+            let channels = n
+                .channels
+                .iter()
+                .map(|c| {
+                    obj! {
+                        "name": &c.name,
+                        "sends": interval_data(c.sends),
+                        "recvs": interval_data(c.recvs),
+                        "senders": c.senders,
+                        "receivers": c.receivers,
+                        "balance": c.balance.to_string(),
+                    }
+                })
+                .collect::<Vec<_>>();
+            let deadlock = n.deadlock.as_ref().map(|d| {
+                let blocked = d
+                    .blocked
+                    .iter()
+                    .map(|b| {
+                        obj! {
+                            "process": &b.process,
+                            "channel": &b.channel,
+                            "dir": b.dir.to_string(),
+                            "span": span_data(b.span),
+                        }
+                    })
+                    .collect::<Vec<_>>();
+                obj! { "cycle": Value::arr(&d.cycle), "blocked": blocked }
+            });
+            let capacities = n
+                .capacities
+                .iter()
+                .map(|c| obj! { "channel": &c.channel, "capacity": c.capacity })
+                .collect::<Vec<_>>();
+            obj! {
+                "processes": Value::arr(&n.processes),
+                "channels": channels,
+                "deadlock": deadlock,
+                "capacities": capacities,
+                "skipped": n.skipped.as_deref(),
+            }
+        })
+        .collect::<Vec<_>>();
+    let contracts = r
+        .contracts
+        .iter()
+        .map(|c| {
+            obj! {
+                "channel": &c.channel,
+                "declared": c.declared,
+                "achieved": interval_data(c.achieved),
+                "verdict": c.verdict.to_string(),
+            }
+        })
+        .collect::<Vec<_>>();
+    obj! {
+        "entry": &r.entry,
+        "ok": !r.has_errors(),
+        "networks": networks,
+        "contracts": contracts,
+        "diags": diags_data(&r.diags),
+    }
+}
+
+pub(crate) fn verb_flow(
+    req: &Request,
+    ctx: &ServiceCtx,
+    src: &str,
+    digest: u64,
+) -> Result<Output, String> {
     let compiler = compiler_for(ctx, src, digest)?;
     let report = compiler.flow(&req.entry).map_err(|e| e.to_string())?;
-    let ok = !report.has_errors();
-    Ok(Response {
-        verb: "flow".to_string(),
-        ok,
-        data: report.to_json(),
+    Ok(Output {
+        ok: !report.has_errors(),
+        data: flow_data(&report),
         text: report.render(compiler.source()),
         warnings: Vec::new(),
     })
 }
 
-fn verb_synth(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Response, String> {
+pub(crate) fn verb_synth(
+    req: &Request,
+    ctx: &ServiceCtx,
+    src: &str,
+    digest: u64,
+) -> Result<Output, String> {
     let backend_name = req
         .options
         .backend_requested()
@@ -574,19 +790,23 @@ fn verb_synth(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result
     let mut text = String::new();
     let _ = writeln!(text, "backend:  {}", backend.info().models);
     let _ = writeln!(text, "area:     {area:.0} NAND2-equivalent gates");
-    let mut detail = String::new();
+    let mut data = obj! {
+        "backend": &backend_name,
+        "models": backend.info().models,
+        "entry": &req.entry,
+        "area": Value::fixed(area, 1),
+    };
+    let Value::Obj(members) = &mut data else { unreachable!("obj! builds an object") };
     match design.as_ref() {
         Design::Comb(nl) => {
             let _ = writeln!(text, "style:    combinational ({} cells)", nl.cells.len());
             let _ = writeln!(text, "delay:    {:.2} ns", nl.critical_path(&model));
-            let _ = write!(
-                detail,
-                r#""style":"combinational","cells":{},"delay_ns":{:.3}"#,
-                nl.cells.len(),
-                nl.critical_path(&model)
-            );
+            members.push("style", "combinational");
+            members.push("cells", nl.cells.len());
+            members.push("delay_ns", Value::fixed(nl.critical_path(&model), 3));
         }
         Design::Fsmd(f) => {
+            let clock_ns = f.critical_path(&model) + model.sequential_overhead_ns;
             let _ = writeln!(
                 text,
                 "style:    FSMD ({} states, {} registers, {} memories)",
@@ -596,28 +816,25 @@ fn verb_synth(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result
             );
             let _ = writeln!(
                 text,
-                "clock:    {:.2} ns min period ({:.0} MHz)",
-                f.critical_path(&model) + model.sequential_overhead_ns,
+                "clock:    {clock_ns:.2} ns min period ({:.0} MHz)",
                 f.fmax_mhz(&model)
             );
-            let _ = write!(
-                detail,
-                r#""style":"fsmd","states":{},"registers":{},"memories":{},"clock_ns":{:.3},"fmax_mhz":{:.1}"#,
-                f.states.len(),
-                f.regs.len(),
-                f.mems.len(),
-                f.critical_path(&model) + model.sequential_overhead_ns,
-                f.fmax_mhz(&model)
-            );
+            members.push("style", "fsmd");
+            members.push("states", f.states.len());
+            members.push("registers", f.regs.len());
+            members.push("memories", f.mems.len());
+            members.push("clock_ns", Value::fixed(clock_ns, 3));
+            members.push("fmax_mhz", Value::fixed(f.fmax_mhz(&model), 1));
         }
         Design::Dataflow(g) => {
             let _ = writeln!(text, "style:    asynchronous dataflow ({} nodes)", g.nodes.len());
             let _ = writeln!(text, "nodes:    {:?}", g.histogram());
-            let _ = write!(detail, r#""style":"dataflow","nodes":{}"#, g.nodes.len());
+            members.push("style", "dataflow");
+            members.push("nodes", g.nodes.len());
         }
     }
     // Run it if sample args were provided.
-    let mut result = "null".to_string();
+    let mut result = Value::Null;
     if !req.args.is_empty() {
         let args = parse_args(&req.args)?;
         let out =
@@ -629,28 +846,23 @@ fn verb_synth(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result
         if let Some(t) = out.time_units {
             let _ = writeln!(text, "time:     {t} units");
         }
-        result = sim_result_json(out.ret, &out.arrays, out.cycles);
+        result = sim_data(out.ret, &out.arrays, out.cycles);
     }
-    Ok(Response {
-        verb: "synth".to_string(),
+    members.push("result", result);
+    Ok(Output {
         ok: true,
-        data: format!(
-            r#"{{"backend":"{}","models":"{}","entry":"{}","area":{area:.1},{detail},"result":{result}}}"#,
-            escape(&backend_name),
-            escape(backend.info().models),
-            escape(&req.entry),
-        ),
+        data,
         text,
         warnings: compiler.rendered_warnings(),
     })
 }
 
-fn verb_verilog(
+pub(crate) fn verb_verilog(
     req: &Request,
     ctx: &ServiceCtx,
     src: &str,
     digest: u64,
-) -> Result<Response, String> {
+) -> Result<Output, String> {
     let backend_name = req
         .options
         .backend_requested()
@@ -671,73 +883,63 @@ fn verb_verilog(
                 .to_string())
         }
     };
-    Ok(Response {
-        verb: "verilog".to_string(),
+    Ok(Output {
         ok: true,
-        data: format!(
-            r#"{{"backend":"{}","entry":"{}","verilog":{}}}"#,
-            escape(&backend_name),
-            escape(&req.entry),
-            quote(&v)
-        ),
         text: format!("{v}\n"),
+        data: obj! { "backend": &backend_name, "entry": &req.entry, "verilog": v },
         warnings: compiler.rendered_warnings(),
     })
 }
 
-/// Serializes an equivalence report as the `data` of `equiv`.
-fn equiv_json(
+/// The `data` of `equiv`.
+fn equiv_data(
     backends: &[String],
     entries: (&str, &str),
     bound: Option<usize>,
     r: &chls_logic::EquivReport,
-) -> String {
-    let verdict = match &r.verdict {
-        chls_logic::Verdict::Equivalent => "equivalent".to_string(),
-        chls_logic::Verdict::Differ(_) => "differ".to_string(),
-        chls_logic::Verdict::Unknown(_) => "unknown".to_string(),
-    };
-    let detail = match &r.verdict {
-        chls_logic::Verdict::Unknown(why) => format!("\"{}\"", escape(why)),
+) -> Value {
+    let (verdict, detail) = match &r.verdict {
+        chls_logic::Verdict::Equivalent => ("equivalent", Value::Null),
+        chls_logic::Verdict::Unknown(why) => ("unknown", Value::from(why)),
         chls_logic::Verdict::Differ(cex) => {
-            let inputs = cex
-                .inputs
-                .iter()
-                .map(|(n, v)| format!("\"{}\":{v}", escape(n)))
-                .collect::<Vec<_>>()
-                .join(",");
-            let rams = cex
-                .rams
-                .iter()
-                .map(|(n, vs)| {
-                    let vals = vs.iter().map(ToString::to_string).collect::<Vec<_>>();
-                    format!("\"{}\":[{}]", escape(n), vals.join(","))
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                r#"{{"inputs":{{{inputs}}},"rams":{{{rams}}},"output":"{}","a_value":{},"b_value":{}}}"#,
-                escape(&cex.output),
-                cex.a_value,
-                cex.b_value
-            )
+            let mut inputs = crate::jsonin::Map::default();
+            for (n, v) in &cex.inputs {
+                inputs.push(n, *v);
+            }
+            let mut rams = crate::jsonin::Map::default();
+            for (n, vs) in &cex.rams {
+                rams.push(n, Value::arr(vs.iter().copied()));
+            }
+            let detail = obj! {
+                "inputs": Value::Obj(inputs),
+                "rams": Value::Obj(rams),
+                "output": &cex.output,
+                "a_value": cex.a_value,
+                "b_value": cex.b_value,
+            };
+            ("differ", detail)
         }
-        chls_logic::Verdict::Equivalent => "null".to_string(),
     };
-    format!(
-        r#"{{"backend_a":"{}","backend_b":"{}","entry_a":"{}","entry_b":"{}","bound":{},"verdict":"{verdict}","method":"{}","aig_nodes":{},"sat_conflicts":{},"detail":{detail}}}"#,
-        escape(&backends[0]),
-        escape(&backends[1]),
-        escape(entries.0),
-        escape(entries.1),
-        bound.map_or_else(|| "null".to_string(), |k| k.to_string()),
-        r.method.name(),
-        r.aig_nodes,
-        r.sat_conflicts,
-    )
+    obj! {
+        "backend_a": &backends[0],
+        "backend_b": &backends[1],
+        "entry_a": entries.0,
+        "entry_b": entries.1,
+        "bound": bound,
+        "verdict": verdict,
+        "method": r.method.name(),
+        "aig_nodes": r.aig_nodes,
+        "sat_conflicts": r.sat_conflicts,
+        "detail": detail,
+    }
 }
 
-fn verb_equiv(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Response, String> {
+pub(crate) fn verb_equiv(
+    req: &Request,
+    ctx: &ServiceCtx,
+    src: &str,
+    digest: u64,
+) -> Result<Output, String> {
     if req.backends.len() != 2 {
         return Err(format!(
             "`chls equiv` needs exactly two --backend flags, got {}",
@@ -829,16 +1031,20 @@ fn verb_equiv(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result
             let _ = writeln!(text, "UNKNOWN: {why} {stats}");
         }
     }
-    Ok(Response {
-        verb: "equiv".to_string(),
+    Ok(Output {
         ok,
-        data: equiv_json(&req.backends, (entry, entry_b), used_bound, &report),
+        data: equiv_data(&req.backends, (entry, entry_b), used_bound, &report),
         text,
         warnings: compiler.rendered_warnings(),
     })
 }
 
-fn verb_report(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Response, String> {
+pub(crate) fn verb_report(
+    req: &Request,
+    ctx: &ServiceCtx,
+    src: &str,
+    digest: u64,
+) -> Result<Output, String> {
     let args = if req.args.is_empty() {
         None
     } else {
@@ -860,21 +1066,20 @@ fn verb_report(req: &Request, ctx: &ServiceCtx, src: &str, digest: u64) -> Resul
         .backends
         .iter()
         .any(|q| matches!(q.status, QorStatus::Error(_)));
-    Ok(Response {
-        verb: "report".to_string(),
+    Ok(Output {
         ok,
-        data: crate::jsonout::report_json(&report),
+        data: report.to_value(),
         text: report.render(),
         warnings: compiler.rendered_warnings(),
     })
 }
 
-fn verb_explore(
+pub(crate) fn verb_explore(
     req: &Request,
     ctx: &ServiceCtx,
     src: &str,
     digest: u64,
-) -> Result<Response, String> {
+) -> Result<Output, String> {
     let compiler = compiler_for(ctx, src, digest)?;
     let opts = crate::explore::ExploreOptions {
         backend: req.options.backend_requested().map(str::to_string),
@@ -894,136 +1099,53 @@ fn verb_explore(
     if let Some(note) = &report.entry_note {
         warnings.push(note.clone());
     }
-    Ok(Response {
-        verb: "explore".to_string(),
+    Ok(Output {
         ok,
-        data: report.to_json(),
+        data: report.to_value(),
         text: report.render(),
         warnings,
     })
 }
 
-// ---------------------------------------------------------- schema verb
-
-/// Every verb's `data` shape, one row per verb: (verb, shape, notes).
-/// `stats` and `shutdown` are daemon-only but documented here so the
-/// contract lives in one place.
-const SCHEMAS: &[(&str, &str, &str)] = &[
-    (
-        "backends",
-        r#"{"backends":[{"name":str,"kind":"compiler"|"structural","models":str,"year":int,"concurrency":str,"timing":str,"pointers":bool,"data_dependent_loops":bool,"parallel_constructs":bool}]}"#,
-        "the paper's Table 1, live",
-    ),
-    (
-        "run",
-        r#"{"entry":str,"jit":bool,"result":{"ret":int|null,"arrays":[{"arg":int,"values":[int]}],"cycles":int|null}}"#,
-        "golden interpreter (or --jit native) execution",
-    ),
-    (
-        "check",
-        r#"{"entry":str,"jobs":int,"jit":bool,"results":[{"backend":str,"verdict":"pass"|"unsupported"|"mismatch"|"error","cycles":int|null,"time_units":int|null,"detail":str|null}]}"#,
-        "all backends vs the golden interpreter",
-    ),
-    ("ir", r#"{"entry":str,"ir":str}"#, "prepared SSA IR dump"),
-    (
-        "synth",
-        r#"{"backend":str,"models":str,"entry":str,"area":num,"style":"combinational"|"fsmd"|"dataflow",...style fields...,"result":sim|null}"#,
-        "style fields: cells+delay_ns | states+registers+memories+clock_ns+fmax_mhz | nodes",
-    ),
-    (
-        "verilog",
-        r#"{"backend":str,"entry":str,"verilog":str}"#,
-        "synthesizable Verilog for comb/fsmd designs",
-    ),
-    (
-        "equiv",
-        r#"{"backend_a":str,"backend_b":str,"entry_a":str,"entry_b":str,"bound":int|null,"verdict":"equivalent"|"differ"|"unknown","method":str,"aig_nodes":int,"sat_conflicts":int,"detail":null|str|{"inputs":obj,"rams":obj,"output":str,"a_value":int,"b_value":int}}"#,
-        "SAT/BDD equivalence of two backends",
-    ),
-    (
-        "lint",
-        r#"{"entry":str,"errors":[...],"backends":[...]}"#,
-        "static analysis: races, support matrix, cycle bounds",
-    ),
-    (
-        "flow",
-        r#"{"entry":str,"errors":[...],"processes":[...],"channels":[...]}"#,
-        "static process-network analysis",
-    ),
-    (
-        "rewrite",
-        r#"{"entry":str,"changed":bool,"certified":bool,"accepted_before":int,"accepted_after":int,"backends_total":int,"actions":[{"pass":str,"target":str,"applied":bool,"detail":str}],"certification":[{"check":str,"status":"pass"|"fail"|"skip","detail":str}],"source":str}"#,
-        "certified synthesizability repair: rewritten CHL + proof ladder",
-    ),
-    (
-        "report",
-        r#"{"entry":str,"parse_seconds":num,"args":str|null,"backends":[{"backend":str,"status":str,...,"phases":[{"phase":str,"seconds":num}]}]}"#,
-        "per-backend QoR metrics and per-phase timing",
-    ),
-    (
-        "explore",
-        r#"{"entry":str,"backends":[str],"lattice":int,"feasible":int,"evaluated":int,"budget":int|null,"seq_bound":int,"frontier":[{"backend":str,"pipeline":bool,"narrow":bool,"opt_netlist":bool,"unroll":int|null,"style":str,"area":num,"latency":int|null,"ii":int|null,"certification":{"tier":"certified"|"sampled"|"refuted"|"unchecked","method":str|null,"bound":int|null,"vectors":int|null,"detail":str|null},"emit":{"aiger":str,"blif":str,"roundtrip":str}|{"skipped":str}|null}]}"#,
-        "certified design-space exploration: Pareto frontier over (area, latency, II)",
-    ),
-    (
-        "schema",
-        r#"{"schema":int,"verbs":[{"verb":str,"data":str,"notes":str}]}"#,
-        "this contract, machine-readable",
-    ),
-    (
-        "stats",
-        r#"{"uptime_seconds":num,"requests":int,"errors":int,"requests_per_second":num,"busy_seconds":num,"workers":int,"verbs":{str:int},"latency_ms":{"p50":num,"p99":num},"cache":{"hits":int,"misses":int,"hit_rate":num,"insertions":int,"evictions":int,"bytes":int,"entries":int,"budget":int}}"#,
-        "daemon only: service-level metrics",
-    ),
-    (
-        "shutdown",
-        r#"{"shutting_down":true}"#,
-        "daemon only: graceful stop",
-    ),
-];
-
-fn verb_schema() -> Response {
+/// `chls schema`: the envelope and every verb row's `data` shape, plus
+/// the shared shapes the rows refer to by name.
+pub(crate) fn verb_schema(
+    _req: &Request,
+    _ctx: &ServiceCtx,
+    _src: &str,
+    _digest: u64,
+) -> Result<Output, String> {
+    let rows = verbs::VERBS.iter().filter(|v| !v.shape.is_empty());
     let mut text = String::new();
+    let _ = writeln!(text, "envelope (schema {SCHEMA_VERSION}):");
     let _ = writeln!(
         text,
-        "envelope (schema {}):",
-        crate::jsonout::SCHEMA_VERSION
-    );
-    let _ = writeln!(
-        text,
-        r#"  {{"tool":"chls","verb":<verb>,"version":<semver>,"schema":{},"ok":<bool>,"data":<verb-specific>}}"#,
-        crate::jsonout::SCHEMA_VERSION
+        r#"  {{"tool":"chls","verb":<verb>,"version":<semver>,"schema":{SCHEMA_VERSION},"ok":<bool>,"data":<verb-specific>}}"#,
     );
     let _ = writeln!(
         text,
         "  serve adds: \"text\":<str>,\"warnings\":[str],\"cached\":<bool>,\"id\":<int|null>\n"
     );
     let _ = writeln!(text, "per-verb data shapes:");
-    for (verb, shape, notes) in SCHEMAS {
-        let _ = writeln!(text, "  {verb:<9} {notes}");
-        let _ = writeln!(text, "            {shape}");
+    for v in rows.clone() {
+        let _ = writeln!(text, "  {:<9} {}", v.name, v.notes);
+        let _ = writeln!(text, "            {}", v.shape);
     }
-    let rows = SCHEMAS
-        .iter()
-        .map(|(verb, shape, notes)| {
-            format!(
-                r#"{{"verb":"{verb}","data":{},"notes":{}}}"#,
-                quote(shape),
-                quote(notes)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    Response {
-        verb: "schema".to_string(),
+    let _ = writeln!(text, "\nshared shapes:");
+    for (name, shape) in verbs::TYPES {
+        let _ = writeln!(text, "  {name:<9} {shape}");
+    }
+    let data = obj! {
+        "schema": SCHEMA_VERSION,
+        "verbs": Value::arr(rows.map(|v| obj! { "verb": v.name, "data": v.shape, "notes": v.notes })),
+        "types": Value::arr(verbs::TYPES.iter().map(|(name, shape)| obj! { "name": *name, "data": *shape })),
+    };
+    Ok(Output {
         ok: true,
-        data: format!(
-            r#"{{"schema":{},"verbs":[{rows}]}}"#,
-            crate::jsonout::SCHEMA_VERSION
-        ),
+        data,
         text,
         warnings: Vec::new(),
-    }
+    })
 }
 
 // ------------------------------------------------------ wire (de)coding
@@ -1032,39 +1154,35 @@ impl Request {
     /// Serializes for the `chls serve` wire (one line, no newline).
     pub fn to_json(&self) -> String {
         let (path, text) = match &self.source {
-            Source::None => ("null".to_string(), "null".to_string()),
-            Source::Path(p) => (quote(p), "null".to_string()),
-            Source::Text(t) => ("null".to_string(), quote(t)),
+            Source::None => (None, None),
+            Source::Path(p) => (Some(p), None),
+            Source::Text(t) => (None, Some(t)),
         };
-        let args = self.args.iter().map(|a| quote(a)).collect::<Vec<_>>().join(",");
-        let backends = self
-            .backends
-            .iter()
-            .map(|b| quote(b))
-            .collect::<Vec<_>>()
-            .join(",");
         let o = &self.options;
-        let opt = |b: Option<&str>| b.map_or_else(|| "null".to_string(), quote);
-        let optn = |n: Option<u64>| n.map_or_else(|| "null".to_string(), |v| v.to_string());
-        format!(
-            r#"{{"verb":{},"path":{path},"text":{text},"entry":{},"args":[{args}],"backends":[{backends}],"entry_b":{},"bound":{},"budget":{},"emit_dir":{},"timeout_ms":{},"options":{{"backend":{},"narrow":{},"opt_netlist":{},"pipeline":{},"unroll":{},"jit":{},"jobs":{},"trace":{}}}}}"#,
-            quote(&self.verb),
-            quote(&self.entry),
-            opt(self.entry_b.as_deref()),
-            optn(self.bound.map(|b| b as u64)),
-            optn(self.budget.map(|b| b as u64)),
-            opt(self.emit_dir.as_deref()),
-            optn(self.timeout_ms),
-            opt(o.backend_requested()),
-            o.narrow_requested(),
-            o.opt_netlist_requested(),
-            o.pipeline_requested(),
-            optn(o.unroll_requested().map(u64::from)),
-            o.jit_explicit()
-                .map_or_else(|| "null".to_string(), |b| b.to_string()),
-            optn(o.jobs_requested().map(|j| j as u64)),
-            o.trace_enabled(),
-        )
+        obj! {
+            "verb": &self.verb,
+            "path": path,
+            "text": text,
+            "entry": &self.entry,
+            "args": Value::arr(&self.args),
+            "backends": Value::arr(&self.backends),
+            "entry_b": self.entry_b.as_deref(),
+            "bound": self.bound,
+            "budget": self.budget,
+            "emit_dir": self.emit_dir.as_deref(),
+            "timeout_ms": self.timeout_ms,
+            "options": obj! {
+                "backend": o.backend_requested(),
+                "narrow": o.narrow_requested(),
+                "opt_netlist": o.opt_netlist_requested(),
+                "pipeline": o.pipeline_requested(),
+                "unroll": o.unroll_requested(),
+                "jit": o.jit_explicit(),
+                "jobs": o.jobs_requested(),
+                "trace": o.trace_enabled(),
+            },
+        }
+        .to_string()
     }
 
     /// Parses a wire request (the dual of [`Request::to_json`]).
@@ -1239,11 +1357,9 @@ mod tests {
             &ServiceCtx::uncached(),
         )
         .unwrap();
-        for v in SERVICE_VERBS {
-            assert!(h.response.data.contains(&format!("\"verb\":\"{v}\"")), "{v}");
-        }
-        for v in ["stats", "shutdown"] {
-            assert!(h.response.data.contains(&format!("\"verb\":\"{v}\"")), "{v}");
+        for v in verbs::VERBS.iter().filter(|v| !matches!(v.run, Run::Cli)) {
+            let row = format!("\"verb\":\"{}\"", v.name);
+            assert!(h.response.data.contains(&row), "{}", v.name);
         }
     }
 }

@@ -144,6 +144,11 @@ const CASES: &[(&[&str], &str, bool)] = &[
         true,
     ),
     (
+        &["flow", "--json", "examples/chl/flow/deadlock_order.chl", "main"],
+        "flow_deadlock_json.golden",
+        false,
+    ),
+    (
         &["synth", "c2v", "examples/chl/gcd.chl", "main", "48", "36"],
         "synth_gcd.golden",
         true,
@@ -217,6 +222,8 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "synth_gcd_cash_json.golden",
         true,
     ),
+    (&["schema"], "schema.golden", true),
+    (&["schema", "--json"], "schema_json.golden", true),
 ];
 
 /// A 16-element array argument (`checksum.chl` takes `int data[16]`).

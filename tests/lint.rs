@@ -396,7 +396,7 @@ fn sema_warnings_surface_through_the_driver() {
 #[test]
 fn lint_report_json_round_trips_key_fields() {
     let r = lint(RACY[2].1, "main");
-    let j = r.to_json();
+    let j = chls::service::lint_data(&r).to_string();
     assert!(j.contains(r#""races":[{"severity":"error""#));
     assert!(j.contains(r#""backend":"handelc","min":"#));
     // Notes carry byte spans for both access sites.
@@ -547,7 +547,7 @@ fn provably_dead_branch_warns() {
     );
     assert!(!r.has_errors(), "dead branches warn, they do not fail");
     // And the finding rides the JSON surface.
-    let j = r.to_json();
+    let j = chls::service::lint_data(&r).to_string();
     assert!(
         j.contains(r#""dead_branches":[{"severity":"warning""#),
         "{j}"
@@ -557,7 +557,7 @@ fn provably_dead_branch_warns() {
 #[test]
 fn memory_findings_ride_the_json_surface() {
     let r = lint(OOB[0].1, "main");
-    let j = r.to_json();
+    let j = chls::service::lint_data(&r).to_string();
     assert!(j.contains(r#""memory":[{"severity":"error""#), "{j}");
     // Stable order: memory and dead_branches trail the existing fields.
     let cycles = j.find(r#""cycles":["#).unwrap();

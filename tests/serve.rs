@@ -275,6 +275,31 @@ fn stats_verb_reports_service_metrics() {
 }
 
 #[test]
+fn emit_dir_requests_bypass_the_response_memo() {
+    let server = server();
+    let mut client = Client::connect(&server.addr.to_string()).expect("connects");
+    let dir = std::env::temp_dir().join(format!("chls_serve_emit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut r = req("explore", MAC4, "mac4", &[]);
+    r.options = chls::CompileOptions::new().backend(Some("cones"));
+    r.budget = Some(2);
+    r.emit_dir = Some(dir.to_string_lossy().into_owned());
+    let emitted = || std::fs::read_dir(&dir).map_or(0, Iterator::count);
+
+    let first = envelope(&client.call(&r).unwrap());
+    assert!(ok_of(&first));
+    assert!(emitted() > 0, "the sweep writes its frontier netlists");
+    // Delete the emitted files: an identical request must write them
+    // again rather than replay a reply naming files that are gone.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let second = envelope(&client.call(&r).unwrap());
+    assert!(!cached_of(&second), "an --emit-dir request was served from the memo");
+    assert!(emitted() > 0, "the repeated sweep re-emits its files");
+    assert_eq!(first.get("data"), second.get("data"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn shutdown_acks_then_stops_accepting() {
     let mut server = server();
     let addr = server.addr.to_string();
