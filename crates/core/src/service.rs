@@ -26,7 +26,7 @@
 
 use crate::cache::{fnv64, Artifact, ArtifactCache};
 use crate::interp::ArgValue;
-use crate::jsonin::Value;
+use crate::jsonin::{Map, Value};
 use crate::obj;
 use crate::prelude::*;
 use crate::verbs::{self, Run};
@@ -790,13 +790,11 @@ pub(crate) fn verb_synth(
     let mut text = String::new();
     let _ = writeln!(text, "backend:  {}", backend.info().models);
     let _ = writeln!(text, "area:     {area:.0} NAND2-equivalent gates");
-    let mut data = obj! {
-        "backend": &backend_name,
-        "models": backend.info().models,
-        "entry": &req.entry,
-        "area": Value::fixed(area, 1),
-    };
-    let Value::Obj(members) = &mut data else { unreachable!("obj! builds an object") };
+    let mut members = Map::default();
+    members.push("backend", &backend_name);
+    members.push("models", backend.info().models);
+    members.push("entry", &req.entry);
+    members.push("area", Value::fixed(area, 1));
     match design.as_ref() {
         Design::Comb(nl) => {
             let _ = writeln!(text, "style:    combinational ({} cells)", nl.cells.len());
@@ -851,7 +849,7 @@ pub(crate) fn verb_synth(
     members.push("result", result);
     Ok(Output {
         ok: true,
-        data,
+        data: Value::Obj(members),
         text,
         warnings: compiler.rendered_warnings(),
     })
@@ -902,11 +900,11 @@ fn equiv_data(
         chls_logic::Verdict::Equivalent => ("equivalent", Value::Null),
         chls_logic::Verdict::Unknown(why) => ("unknown", Value::from(why)),
         chls_logic::Verdict::Differ(cex) => {
-            let mut inputs = crate::jsonin::Map::default();
+            let mut inputs = Map::default();
             for (n, v) in &cex.inputs {
                 inputs.push(n, *v);
             }
-            let mut rams = crate::jsonin::Map::default();
+            let mut rams = Map::default();
             for (n, vs) in &cex.rams {
                 rams.push(n, Value::arr(vs.iter().copied()));
             }

@@ -19,7 +19,9 @@ use chls::verbs::{self, Pos, Run};
 use chls::Compiler;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Once;
+
+mod common;
+use common::chls_bin;
 
 // ------------------------------------------------------------ shapes
 
@@ -279,24 +281,6 @@ fn golden_envelopes_match_their_schema_rows() {
 }
 
 // ------------------------------------------------- live verb outputs
-
-fn chls_bin() -> PathBuf {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let bin = root.join("target/release/chls");
-    static BUILD: Once = Once::new();
-    BUILD.call_once(|| {
-        if !bin.exists() {
-            let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-            let status = Command::new(cargo)
-                .args(["build", "--release", "-p", "chls", "--bins"])
-                .current_dir(&root)
-                .status()
-                .expect("spawn cargo build");
-            assert!(status.success(), "building the chls binary failed");
-        }
-    });
-    bin
-}
 
 /// Every `.chl` under `examples/chl` with its entry: `main`, or the file
 /// stem for the software corpus.
