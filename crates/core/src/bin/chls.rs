@@ -37,7 +37,7 @@
 //! its `data` in the unified envelope of DESIGN.md §10/§15).
 //!
 //! Every verb's usage, positional layout and accepted flags come from
-//! its row in [`chls::verbs::VERBS`]; a flag a verb does not declare is
+//! its row in [`chls::verbs::TABLE`]; a flag a verb does not declare is
 //! an error with that verb's usage string, never silently accepted.
 //! Scalar arguments are integers; array arguments are comma-separated
 //! lists like `1,2,3,4`.
@@ -45,7 +45,7 @@
 use chls::jsonin::{self, Value};
 use chls::serve::{self, ServeConfig, DEFAULT_ADDR};
 use chls::service::{self, envelope, Request, ServiceCtx, Source};
-use chls::verbs::{self, Pos, Run, Takes, Verb, VERBS};
+use chls::verbs::{self, Pos, Run, Takes, Verb, TABLE};
 use chls::{obj, CompileOptions};
 use std::process::ExitCode;
 
@@ -144,7 +144,7 @@ fn parse_verb_args(spec: &Verb, argv: &[String]) -> Result<Parsed, String> {
 
 fn usage() -> ExitCode {
     eprintln!("usage:");
-    for v in VERBS {
+    for v in TABLE {
         eprintln!("  {}", v.usage);
     }
     eprintln!("  chls client [--addr HOST:PORT] <verb> [verb args...]");

@@ -10,7 +10,7 @@
 //! A [`Response`] always carries *both* renderings: `text` is the exact
 //! byte sequence the one-shot CLI prints in human mode (pinned by
 //! `tests/golden_cli.rs`), `data` is the verb-specific JSON whose shape
-//! the verb's row in [`crate::verbs::VERBS`] declares (and `chls schema`
+//! the verb's row in [`crate::verbs::TABLE`] declares (and `chls schema`
 //! dumps). Every handler builds `data` as a [`Value`]; [`handle`] renders
 //! it once, so a cached response is spliced into replies, never
 //! re-serialized. `ok` mirrors the process exit code.
@@ -1113,7 +1113,7 @@ pub(crate) fn verb_schema(
     _src: &str,
     _digest: u64,
 ) -> Result<Output, String> {
-    let rows = verbs::VERBS.iter().filter(|v| !v.shape.is_empty());
+    let rows = verbs::TABLE.iter().filter(|v| !v.shape.is_empty());
     let mut text = String::new();
     let _ = writeln!(text, "envelope (schema {SCHEMA_VERSION}):");
     let _ = writeln!(
@@ -1355,7 +1355,7 @@ mod tests {
             &ServiceCtx::uncached(),
         )
         .unwrap();
-        for v in verbs::VERBS.iter().filter(|v| !matches!(v.run, Run::Cli)) {
+        for v in verbs::TABLE.iter().filter(|v| !matches!(v.run, Run::Cli)) {
             let row = format!("\"verb\":\"{}\"", v.name);
             assert!(h.response.data.contains(&row), "{}", v.name);
         }

@@ -108,7 +108,7 @@ impl Verb {
 
 /// The row for `name`.
 pub fn find(name: &str) -> Option<&'static Verb> {
-    VERBS.iter().find(|v| v.name == name)
+    TABLE.iter().find(|v| v.name == name)
 }
 
 const fn switch(name: &'static str) -> Flag {
@@ -151,7 +151,7 @@ pub const TYPES: &[(&str, &str)] = &[
 ];
 
 /// Every verb, in `chls schema` and usage order.
-pub const VERBS: &[Verb] = &[
+pub const TABLE: &[Verb] = &[
     Verb {
         name: "backends",
         usage: "chls backends [--json]",
@@ -332,8 +332,8 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_arity_follows_the_layout() {
-        for (i, v) in VERBS.iter().enumerate() {
-            assert!(VERBS[..i].iter().all(|w| w.name != v.name), "{}", v.name);
+        for (i, v) in TABLE.iter().enumerate() {
+            assert!(TABLE[..i].iter().all(|w| w.name != v.name), "{}", v.name);
             assert!(v.usage.contains(v.name), "{}", v.name);
             assert_eq!(v.shape.is_empty(), matches!(v.run, Run::Cli), "{}", v.name);
         }

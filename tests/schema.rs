@@ -1,5 +1,5 @@
 //! The output contract, checked: every verb's `data` against the shape
-//! its row in `chls::verbs::VERBS` declares, and the JSON writer against
+//! its row in `chls::verbs::TABLE` declares, and the JSON writer against
 //! its reader.
 //!
 //! * Every `tests/golden/*_json.golden` envelope re-serializes byte for
@@ -225,7 +225,7 @@ fn check_envelope(env: &Value, origin: &str) {
 
 #[test]
 fn every_row_shape_parses() {
-    for v in verbs::VERBS.iter().filter(|v| !v.shape.is_empty()) {
+    for v in verbs::TABLE.iter().filter(|v| !v.shape.is_empty()) {
         ShapeParser::parse(v.shape);
     }
     for (_, def) in verbs::TYPES {
@@ -329,7 +329,7 @@ fn extra_flags(verb: &str) -> &'static [&'static str] {
 fn every_verb_output_over_the_corpus_matches_its_schema_row() {
     let corpus = corpus();
     let mut checked = Vec::new();
-    for row in verbs::VERBS {
+    for row in verbs::TABLE {
         if !matches!(row.run, Run::Service(_)) {
             continue;
         }
@@ -375,7 +375,7 @@ fn every_verb_output_over_the_corpus_matches_its_schema_row() {
             }
         }
     }
-    for row in verbs::VERBS.iter().filter(|v| matches!(v.run, Run::Service(_))) {
+    for row in verbs::TABLE.iter().filter(|v| matches!(v.run, Run::Service(_))) {
         assert!(
             checked.contains(&row.name),
             "no `{}` output over the corpus was checked",
