@@ -394,6 +394,12 @@ fn live_daemon_replies_round_trip_and_match_their_rows() {
     })
     .expect("server binds an ephemeral port");
     let mut client = Client::connect(&server.addr.to_string()).expect("connects");
+    // One served request, so `stats` reports a verb count and latencies.
+    let backends = chls::Request {
+        verb: "backends".to_string(),
+        ..chls::Request::default()
+    };
+    check_envelope(&parse(&client.call(&backends).unwrap()).unwrap(), "backends");
     for verb in ["stats", "shutdown"] {
         let line = client.call_bare(verb).expect("daemon replies");
         let v = parse(&line).unwrap_or_else(|e| panic!("{verb}: {e}"));
