@@ -95,7 +95,7 @@ fn parse_verb_args(spec: &Verb, argv: &[String]) -> Result<Parsed, String> {
             };
             let value = match flag.takes {
                 Takes::Nothing => None,
-                Takes::Value | Takes::TwoValues => match it.next() {
+                Takes::Value => match it.next() {
                     Some(v) => Some(v.clone()),
                     None => {
                         return Err(format!(
@@ -108,15 +108,6 @@ fn parse_verb_args(spec: &Verb, argv: &[String]) -> Result<Parsed, String> {
             parsed.flags.push((flag.name, value));
         } else {
             parsed.pos.push(a.clone());
-        }
-    }
-    for flag in spec.flags.iter().filter(|f| f.takes == Takes::TwoValues) {
-        let n = parsed.values(flag.name).len();
-        if n != 2 {
-            return Err(format!(
-                "`chls {}` needs exactly two {} flags, got {n}\nusage: {}",
-                spec.name, flag.name, spec.usage
-            ));
         }
     }
     let min = spec.min_pos();
@@ -198,8 +189,14 @@ fn build_request(spec: &Verb, p: &Parsed) -> Result<Request, String> {
     // `equiv` names its two backends with a repeated flag; elsewhere
     // `--backend` narrows the verb to one.
     let mut backend = p.value("--backend");
-    if spec.flag("--backend").is_some_and(|f| f.takes == Takes::TwoValues) {
+    if spec.name == "equiv" {
         req.backends = p.values("--backend").iter().map(ToString::to_string).collect();
+        if req.backends.len() != 2 {
+            return Err(format!(
+                "`chls equiv` needs exactly two --backend flags, got {}",
+                req.backends.len()
+            ));
+        }
         backend = None;
     }
     if backend.is_some() && p.has("--all") {

@@ -1287,6 +1287,41 @@ mod tests {
     }
 
     #[test]
+    fn check_data_tags_every_verdict() {
+        let results: Vec<(&'static str, Verdict)> = vec![
+            (
+                "c2v",
+                Verdict::Pass {
+                    cycles: Some(37),
+                    time_units: None,
+                },
+            ),
+            ("cones", Verdict::Unsupported("loop".into())),
+            (
+                "cyber",
+                Verdict::Mismatch {
+                    got: "1".into(),
+                    expected: "2".into(),
+                },
+            ),
+        ];
+        let j = check_data("gcd", 2, false, &results).to_string();
+        assert!(j.starts_with(r#"{"entry":"gcd","jobs":2,"jit":false,"results":["#), "{j}");
+        assert!(
+            j.contains(r#"{"backend":"c2v","verdict":"pass","cycles":37,"time_units":null,"detail":null}"#),
+            "{j}"
+        );
+        assert!(
+            j.contains(r#"{"backend":"cones","verdict":"unsupported","cycles":null,"time_units":null,"detail":"loop"}"#),
+            "{j}"
+        );
+        assert!(
+            j.contains(r#"{"backend":"cyber","verdict":"mismatch","cycles":null,"time_units":null,"detail":"got 1, expected 2"}"#),
+            "{j}"
+        );
+    }
+
+    #[test]
     fn response_memo_returns_identical_arc() {
         let cache = Arc::new(ArtifactCache::default());
         let ctx = ServiceCtx::with_cache(cache.clone());

@@ -28,11 +28,9 @@ use crate::service::{self as s, Handler};
 pub enum Takes {
     /// A bare switch (`--json`).
     Nothing,
-    /// One value after the flag (`--jobs N`).
+    /// One value after the flag (`--jobs N`); a repeated flag keeps
+    /// every value (`equiv --backend A --backend B`).
     Value,
-    /// One value per occurrence, given exactly twice
-    /// (`--backend A --backend B`).
-    TwoValues,
 }
 
 /// One flag a verb accepts.
@@ -210,14 +208,7 @@ pub const TABLE: &[Verb] = &[
         name: "equiv",
         usage: "chls equiv --backend A --backend B [--bound K] [--json] <file> <entry> [entry_b]",
         pos: &[Pos::File, Pos::Entry, Pos::EntryB],
-        flags: &[
-            Flag {
-                name: "--backend",
-                takes: Takes::TwoValues,
-            },
-            value("--bound"),
-            JSON,
-        ],
+        flags: &[value("--backend"), value("--bound"), JSON],
         run: Run::Service(s::verb_equiv),
         shape: r#"{"backend_a":str,"backend_b":str,"entry_a":str,"entry_b":str,"bound":int|null,"verdict":"equivalent"|"differ"|"unknown","method":str,"aig_nodes":int,"sat_conflicts":int,"detail":null|str|{"inputs":{str:int},"rams":{str:[int]},"output":str,"a_value":int,"b_value":int}}"#,
         notes: "SAT/BDD equivalence of two backends",
