@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn pointer_alias_race_is_detected_via_points_to() {
-        // The acceptance-criterion program: the second arm writes through
+        // The motivating program: the second arm writes through
         // `p`, which aliases `x` only per the points-to analysis.
         let prog =
             hir("int main() { int x = 0; int *p = &x; par { { x = 1; } { *p = 2; } } return x; }");

@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: one `exp*` binary per claim in the paper (see
 //! `EXPERIMENTS.md` at the workspace root for the index and the recorded
-//! results), plus Criterion microbenchmarks of the toolchain itself.
+//! results). Toolchain performance is measured by the separate
+//! `benchmark/` workspace, not here.
 
 use chls::interp::ArgValue;
 use chls::{simulate_design, Compiler, SynthOptions};

@@ -15,8 +15,9 @@
 //! `shutdown` (graceful stop; wakes the blocking accept loop with a
 //! self-connection).
 //!
-//! [`Server::start`] embeds the daemon in-process (tests and
-//! `bench_serve` use this); [`run`] is the blocking CLI entry point.
+//! [`Server::start`] embeds the daemon in-process (the tests and the
+//! benchmark's `serve` workload use this); [`run`] is the blocking CLI
+//! entry point.
 
 use crate::cache::ArtifactCache;
 use crate::executor::Executor;

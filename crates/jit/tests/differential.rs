@@ -3,12 +3,16 @@
 //! memory contents — on real synthesized designs.
 //!
 //! These tests compile CHL sources with the `c2v` backend (the FSMD
-//! reference path) and run each design through both engines. On hosts
-//! where JIT execution is unavailable the tests pass trivially.
+//! reference path), plus one hand-built FSMD, and run each design
+//! through both engines. On hosts where JIT execution is unavailable
+//! the tests pass trivially.
 
 use chls_backends::{Backend, C2Verilog, SynthOptions};
+use chls_frontend::IntType;
+use chls_ir::BinKind;
 use chls_jit::JitProgram;
-use chls_rtl::fsmd::Fsmd;
+use chls_rtl::builder::FsmdBuilder;
+use chls_rtl::fsmd::{Fsmd, Rv};
 use chls_sim::fsmd_sim;
 use chls_sim::interp::ArgValue;
 
@@ -147,6 +151,49 @@ fn forced_fallback_matches_native() {
         let b = forced.run(&args, MAX_CYCLES).expect("fallback runs");
         assert_eq!(a, b);
     }
+}
+
+/// A hand-built MAC/hash loop of `n` cycles: per cycle one memory read,
+/// one memory write, three register transfers, a shift and masks — a
+/// shape no frontend emits in one state.
+fn mac_fsmd(n: u64) -> Fsmd {
+    let ty = IntType::new(32, true);
+    let mut b = FsmdBuilder::new("mac");
+    let mem = b.mem("buf", ty, 256);
+    let i = b.reg("i", ty, 0);
+    let acc = b.reg("acc", ty, 1);
+    let s_loop = b.state();
+    let s_done = b.state();
+    let idx = Rv::bin(BinKind::And, ty, b.get(i), b.konst(255, ty));
+    let v = b.read(mem, idx.clone());
+    let scale = Rv::bin(BinKind::And, ty, b.get(i), b.konst(15, ty));
+    let shifted = Rv::bin(BinKind::Shr, ty, b.get(acc), b.konst(3, ty));
+    let acc_next = b.add(b.add(b.get(acc), b.mul(v.clone(), scale)), shifted);
+    let stored = Rv::bin(BinKind::Xor, ty, acc_next.clone(), v);
+    let done = b.eq(b.get(i), b.konst(n as i64 - 1, ty));
+    let i_next = b.add(b.get(i), b.konst(1, ty));
+    b.at(s_loop)
+        .set(acc, acc_next)
+        .write(mem, idx, stored)
+        .set(i, i_next)
+        .branch(done, s_done, s_loop);
+    b.at(s_done).done();
+    let ret = b.get(acc);
+    b.returning(ret).finish()
+}
+
+#[test]
+fn hand_built_mac_agrees_native_and_fallback() {
+    const CYCLES: u64 = 4_096;
+    let f = mac_fsmd(CYCLES);
+    if let Some(fb) = differential(&f, &[], false) {
+        assert_eq!(fb, 0, "straight-line design must not fall back");
+    }
+    if let Some(fb) = differential(&f, &[], true) {
+        assert!(fb > 0, "forced fallback must route through the interpreter");
+    }
+    let r = fsmd_sim::simulate(&f, &[], MAX_CYCLES).expect("interp");
+    assert_eq!(r.cycles, CYCLES + 1, "one cycle per iteration plus the done state");
 }
 
 #[test]

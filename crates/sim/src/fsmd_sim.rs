@@ -101,7 +101,7 @@ pub fn simulate(
     let r = simulate_inner(f, args, max_cycles);
     if let Ok(r) = &r {
         // One counter add per run, never per cycle — the hot loop is
-        // untouched (BENCH_sim.json guards this).
+        // untouched (the benchmark's `sim_long` workload measures this).
         chls_trace::add("sim.cycles", r.cycles);
     }
     r

@@ -258,10 +258,16 @@ impl ChanMonitor {
         self.check(&mut st);
     }
 
-    /// Declares the deadlock if every live thread is blocked.
+    /// Declares the deadlock if every live thread is blocked. The
+    /// snapshot is sorted so the verdict does not depend on the order
+    /// in which the threads happened to block.
     fn check(&self, st: &mut MonState) {
         if st.verdict.is_none() && !st.blocked.is_empty() && st.blocked.len() >= st.live {
-            st.verdict = Some(st.blocked.clone());
+            let mut blocked = st.blocked.clone();
+            blocked.sort_by(|a, b| {
+                (&a.process, &a.channel, a.dir as u8).cmp(&(&b.process, &b.channel, b.dir as u8))
+            });
+            st.verdict = Some(blocked);
             self.cv.notify_all();
         }
     }

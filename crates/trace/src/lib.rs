@@ -6,7 +6,7 @@
 //! The layer is built so that instrumented code pays almost nothing when
 //! tracing is off — every entry point checks one relaxed atomic load and
 //! returns. When tracing is on, costs are still deliberately shaped for
-//! the hot paths measured in `BENCH_sim.json`:
+//! the simulator hot paths that the `benchmark/` workloads measure:
 //!
 //! * **Spans** ([`span`]) are phase-granular (a whole optimization pass,
 //!   a whole simulation run). They take one short mutex lock on *drop*,

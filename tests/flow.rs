@@ -128,6 +128,29 @@ fn ordering_deadlock_verdict_matches_both_simulators() {
 }
 
 #[test]
+fn interpreter_deadlock_message_is_deterministic() {
+    // The arms block in whatever order the threads reach their sends;
+    // the reported blocked set must not depend on it.
+    let (compiler, _) = load("examples/chl/flow/deadlock_order.chl");
+    let messages: BTreeSet<String> = (0..50)
+        .map(|_| {
+            let err = compiler
+                .interpret("main", &[])
+                .expect_err("interpreter must hang");
+            assert!(matches!(err, InterpError::Deadlock { .. }), "{err}");
+            err.to_string()
+        })
+        .collect();
+    assert_eq!(messages.len(), 1, "deadlock message varies: {messages:?}");
+    let msg = messages.first().expect("one message");
+    let (arm0, arm1) = (msg.find("arm 0"), msg.find("arm 1"));
+    assert!(
+        arm0.is_some() && arm0 < arm1,
+        "arm 0 must be reported first: {msg}"
+    );
+}
+
+#[test]
 fn rate_mismatch_verdict_matches_the_interpreter() {
     let (compiler, _) = load("examples/chl/flow/rate_mismatch.chl");
     let report = flow(&compiler);
