@@ -46,6 +46,8 @@ impl Backend for C2Verilog {
             pointers: true,
             data_dependent_loops: true,
             parallel_constructs: false,
+            reads_pipeline: true,
+            reads_narrow: true,
         }
     }
 

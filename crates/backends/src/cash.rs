@@ -32,6 +32,8 @@ impl Backend for Cash {
             pointers: true,
             data_dependent_loops: true,
             parallel_constructs: false,
+            reads_pipeline: false,
+            reads_narrow: true,
         }
     }
 

@@ -90,6 +90,13 @@ pub struct BackendInfo {
     pub data_dependent_loops: bool,
     /// Supports `par`/channels.
     pub parallel_constructs: bool,
+    /// [`Backend::synthesize`] reads [`SynthOptions::pipeline_loops`]
+    /// (and with it `pipeline_if_convert`). When false, the design does
+    /// not depend on either knob.
+    pub reads_pipeline: bool,
+    /// [`Backend::synthesize`] reads [`SynthOptions::narrow_widths`].
+    /// When false, the design does not depend on it.
+    pub reads_narrow: bool,
 }
 
 /// Synthesis options shared by all backends.

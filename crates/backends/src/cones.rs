@@ -36,6 +36,8 @@ impl Backend for Cones {
             pointers: true,
             data_dependent_loops: false,
             parallel_constructs: false,
+            reads_pipeline: false,
+            reads_narrow: true,
         }
     }
 

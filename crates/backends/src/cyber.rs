@@ -29,6 +29,8 @@ impl Backend for Cyber {
             pointers: false,
             data_dependent_loops: true,
             parallel_constructs: false,
+            reads_pipeline: true,
+            reads_narrow: true,
         }
     }
 

@@ -49,6 +49,8 @@ impl Backend for HandelC {
             pointers: true,
             data_dependent_loops: true,
             parallel_constructs: true,
+            reads_pipeline: false,
+            reads_narrow: false,
         }
     }
 

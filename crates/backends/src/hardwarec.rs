@@ -52,6 +52,8 @@ impl Backend for HardwareC {
             pointers: true,
             data_dependent_loops: true,
             parallel_constructs: true,
+            reads_pipeline: false,
+            reads_narrow: false,
         }
     }
 

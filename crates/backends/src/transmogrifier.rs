@@ -82,6 +82,8 @@ impl Backend for Transmogrifier {
             pointers: true,
             data_dependent_loops: true,
             parallel_constructs: false,
+            reads_pipeline: false,
+            reads_narrow: true,
         }
     }
 

@@ -103,15 +103,12 @@ impl Compiler {
             let _span = chls_trace::span("backend.synthesize");
             backend.synthesize(&self.hir, entry, opts)?
         };
-        if !opts.opt_netlist {
-            return Ok(design);
-        }
         // The logic optimizer runs here, not in the backends, so every
         // backend gets it uniformly and none can forget to apply it.
-        Ok(match design {
-            Design::Comb(nl) => Design::Comb(chls_logic::optimize(&nl)),
-            Design::Fsmd(f) => Design::Fsmd(chls_logic::optimize_fsmd(&f)),
-            d @ Design::Dataflow(_) => d,
+        Ok(if opts.opt_netlist {
+            optimize_design(&design)
+        } else {
+            design
         })
     }
 
@@ -125,6 +122,19 @@ impl Compiler {
     pub fn prepared_ir(&self, entry: &str) -> Result<String, SynthError> {
         let prepared = chls_backends::common::prepare_sequential(&self.hir, entry, false)?;
         Ok(prepared.func.to_string())
+    }
+}
+
+/// The `opt_netlist` post-pass: the word-level logic optimizer over a
+/// synthesized design. [`Compiler::synthesize`] applies it when
+/// [`SynthOptions::opt_netlist`] is set; `explore` applies it to an
+/// un-optimized design to derive the optimized twin without
+/// synthesizing again. Dataflow circuits pass through unchanged.
+pub(crate) fn optimize_design(design: &Design) -> Design {
+    match design {
+        Design::Comb(nl) => Design::Comb(chls_logic::optimize(nl)),
+        Design::Fsmd(f) => Design::Fsmd(chls_logic::optimize_fsmd(f)),
+        Design::Dataflow(g) => Design::Dataflow(g.clone()),
     }
 }
 

@@ -33,6 +33,24 @@ use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Runs `f`, turning a panic into the `Err` text a [`Ticket`] reports
+/// for a job that panicked, so work nested inside one job can fail
+/// alone and read exactly as if it had been its own job.
+///
+/// # Errors
+///
+/// `worker panicked: <message>` when `f` panics.
+pub(crate) fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| {
+        let msg = p
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_string());
+        format!("worker panicked: {msg}")
+    })
+}
+
 struct Shard {
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
@@ -175,15 +193,10 @@ impl Executor {
         let (tx, rx) = mpsc::channel();
         let panics = self.shared.clone();
         let job: Job = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(f)).map_err(|p| {
+            let result = catch_panic(f);
+            if result.is_err() {
                 panics.panics.fetch_add(1, Ordering::Relaxed);
-                let msg = p
-                    .downcast_ref::<&str>()
-                    .map(ToString::to_string)
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                format!("worker panicked: {msg}")
-            });
+            }
             let _ = tx.send(result);
         });
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.shards.len();

@@ -21,11 +21,23 @@
 //!   **refuted** and fails the verb: a config whose output changes is
 //!   a compiler bug surfaced, not a design point.
 //!
+//! The cheap phase runs each distinct synthesis once. Points that
+//! differ only in knobs their backend does not read (the backend's
+//! [`chls_backends::BackendInfo`] declares `reads_pipeline` and
+//! `reads_narrow`) share one base synthesis, with `opt_netlist` off;
+//! the `opt` points take the base's optimized twin, derived by
+//! [`crate::driver::optimize_design`], the driver's own post-pass. The 224
+//! points of `--all` fold to 64 syntheses. Designs stay in memory
+//! through the full phase, certification and emission; they are
+//! fetched from the design cache only where the cheap phase was
+//! answered from the cache.
+//!
 //! With `--budget N` the sweep runs successive halving: every lattice
 //! point is scored by the cheap synthesis-only phase (NAND2 area ×
 //! scheduled cycles, no simulation), the pool is halved on that
 //! estimate until at most `N` candidates remain, and only the
-//! survivors are simulated for real latency.
+//! survivors are simulated for real latency. The designs of the other
+//! points are dropped then.
 //!
 //! `--emit-dir DIR` dumps every frontier netlist as binary AIGER and
 //! BLIF through [`chls_logic::interchange`], and re-proves each AIGER
@@ -33,7 +45,7 @@
 //! checked, not hoped.
 
 use crate::cache::Artifact;
-use crate::executor::Executor;
+use crate::executor::{catch_panic, Executor};
 use crate::jsonin::Value;
 use crate::obj;
 use crate::prelude::*;
@@ -46,7 +58,7 @@ use std::sync::Arc;
 
 /// Unroll factors swept per backend (with the three binary knobs this
 /// makes 32 configurations per backend).
-const UNROLLS: [Option<u32>; 4] = [None, Some(2), Some(4), Some(8)];
+pub const UNROLLS: [Option<u32>; 4] = [None, Some(2), Some(4), Some(8)];
 
 /// Knobs of the `explore` verb itself (the lattice dimensions live in
 /// [`Config`]).
@@ -96,6 +108,30 @@ impl Config {
             .narrow(self.narrow)
             .opt_netlist(self.opt_netlist)
             .unroll(self.unroll)
+    }
+
+    /// The lattice point whose synthesis this point shares: the same
+    /// backend and unroll factor, only the knobs the backend reads (its
+    /// [`chls_backends::BackendInfo`] says which), and `opt_netlist`
+    /// off, since the optimized design is derived from the base by
+    /// [`crate::driver::optimize_design`].
+    fn base(&self) -> Config {
+        let info = crate::registry::backend_by_name(self.backend)
+            .expect("lattice backends come from the registry")
+            .info();
+        Config {
+            backend: self.backend,
+            pipeline: self.pipeline && info.reads_pipeline,
+            narrow: self.narrow && info.reads_narrow,
+            opt_netlist: false,
+            unroll: self.unroll,
+        }
+    }
+
+    /// Is this the backend's all-defaults point, the reference every
+    /// frontier point of the backend is certified against?
+    fn is_reference(&self) -> bool {
+        !self.pipeline && !self.narrow && !self.opt_netlist && self.unroll.is_none()
     }
 
     /// Filesystem-safe identifier, used for `--emit-dir` filenames.
@@ -324,6 +360,21 @@ fn lattice(backends: &[&'static str]) -> Vec<Config> {
     out
 }
 
+/// Groups lattice points by the synthesis they share
+/// ([`Config::base`]): bases in first-appearance order, each with its
+/// member points in lattice order.
+fn fold_bases(points: &[Config]) -> Vec<(Config, Vec<usize>)> {
+    let mut out: Vec<(Config, Vec<usize>)> = Vec::new();
+    for (i, cfg) in points.iter().enumerate() {
+        let base = cfg.base();
+        match out.iter_mut().find(|(b, _)| *b == base) {
+            Some((_, members)) => members.push(i),
+            None => out.push((base, vec![i])),
+        }
+    }
+    out
+}
+
 /// Cache key for one lattice point's [`EvalRecord`]; `phase` is
 /// `"synth"` (cheap) or `"full"` (with simulation).
 fn eval_key(digest: u64, entry: &str, cfg: &Config, phase: &str) -> String {
@@ -346,79 +397,112 @@ fn store_eval(ctx: &ServiceCtx, key: &str, rec: &EvalRecord) {
     }
 }
 
-/// The cheap phase: synthesize only, under a private trace collector
-/// so the scheduler's cycle count and initiation interval land in this
-/// evaluation's record. The synthesized design is pushed into the
-/// shared design cache so the full phase, certification, and emission
-/// never re-synthesize.
-fn synth_eval(
+/// A design held in memory between phases: the synthesized design, or
+/// the rendered synthesis error. Where a point holds nothing (phase 1
+/// was answered from the cache, the synthesis panicked, or the point
+/// was dropped by halving), later phases fall back to
+/// [`crate::service::design_for`].
+type Held = Result<Arc<Design>, String>;
+
+/// One lattice point's phase-1 outcome: its cheap record and the design
+/// it holds.
+type Evaluated = (EvalRecord, Option<Held>);
+
+/// The cheap record of a synthesized design; `sched` carries the
+/// scheduler's `sched.cycles` and `sched.ii` from the synthesis.
+fn synth_record(design: &Design, sched: (Option<u64>, Option<u64>)) -> EvalRecord {
+    let style = match design {
+        Design::Comb(_) => "comb",
+        Design::Fsmd(_) => "fsmd",
+        Design::Dataflow(_) => "dataflow",
+    };
+    EvalRecord {
+        status: EvalStatus::Ok,
+        style: Some(style),
+        area: Some(design.area(&CostModel::new())),
+        sched_cycles: sched.0,
+        ii: sched.1,
+        latency: None,
+        sim_note: None,
+        simulated: false,
+    }
+}
+
+/// The cheap phase for one base point (see [`Config::base`]):
+/// synthesize it once, under a private trace collector so the
+/// scheduler's cycle count and initiation interval land in the record,
+/// and derive its optimized twin through
+/// [`crate::driver::optimize_design`]. Returns the outcomes of the
+/// `opt_netlist` off and on points. The twin runs under
+/// [`catch_panic`], so an optimizer panic fails only the `opt` points,
+/// with the executor's message.
+fn synth_base(compiler: &Compiler, entry: &str, base: &Config) -> (Evaluated, Evaluated) {
+    let col = chls_trace::Collector::new();
+    col.set_enabled(true);
+    let result = chls_trace::with_collector(&col, || {
+        compiler.synthesize(
+            crate::registry::backend_by_name(base.backend)
+                .expect("lattice backends come from the registry")
+                .as_ref(),
+            entry,
+            &base.compile_options().synth_options(),
+        )
+    });
+    match result {
+        Err(e) => {
+            let rec = match e {
+                SynthError::Unsupported { .. } | SynthError::Loop(_) | SynthError::Transform(_) => {
+                    EvalRecord {
+                        status: EvalStatus::Unsupported(e.to_string()),
+                        ..EvalRecord::error(String::new())
+                    }
+                }
+                _ => EvalRecord::error(e.to_string()),
+            };
+            let failed = (rec, Some(Err(e.to_string())));
+            (failed.clone(), failed)
+        }
+        Ok(design) => {
+            let snap = col.snapshot();
+            let sched = (
+                snap.counter("sched.cycles").filter(|&c| c > 0),
+                snap.gauge("sched.ii"),
+            );
+            let optimized = catch_panic(|| crate::driver::optimize_design(&design));
+            let twin = match optimized {
+                Ok(t) => (synth_record(&t, sched), Some(Ok(Arc::new(t)))),
+                Err(msg) => (EvalRecord::error(msg), None),
+            };
+            let plain = (synth_record(&design, sched), Some(Ok(Arc::new(design))));
+            (plain, twin)
+        }
+    }
+}
+
+/// A point's design: the one held in memory, else the shared design
+/// cache (synthesizing on a miss).
+fn design_of(
+    held: Option<Held>,
     compiler: &Compiler,
     entry: &str,
     cfg: &Config,
     ctx: &ServiceCtx,
     digest: u64,
-) -> EvalRecord {
-    let key = eval_key(digest, entry, cfg, "synth");
-    if let Some(r) = cached_eval(ctx, &key) {
-        return (*r).clone();
-    }
-    let copts = cfg.compile_options();
-    let col = chls_trace::Collector::new();
-    col.set_enabled(true);
-    let result = chls_trace::with_collector(&col, || {
-        compiler.synthesize(
-            crate::registry::backend_by_name(cfg.backend)
-                .expect("lattice backends come from the registry")
-                .as_ref(),
-            entry,
-            &copts.synth_options(),
-        )
-    });
-    let rec = match result {
-        Err(
-            e @ (SynthError::Unsupported { .. } | SynthError::Loop(_) | SynthError::Transform(_)),
-        ) => EvalRecord {
-            status: EvalStatus::Unsupported(e.to_string()),
-            ..EvalRecord::error(String::new())
-        },
-        Err(e) => EvalRecord::error(e.to_string()),
-        Ok(design) => {
-            let snap = col.snapshot();
-            let style = match &design {
-                Design::Comb(_) => "comb",
-                Design::Fsmd(_) => "fsmd",
-                Design::Dataflow(_) => "dataflow",
-            };
-            let rec = EvalRecord {
-                status: EvalStatus::Ok,
-                style: Some(style),
-                area: Some(design.area(&CostModel::new())),
-                sched_cycles: snap.counter("sched.cycles").filter(|&c| c > 0),
-                ii: snap.gauge("sched.ii"),
-                latency: None,
-                sim_note: None,
-                simulated: false,
-            };
-            if let Some(cache) = &ctx.cache {
-                cache.put(
-                    &crate::service::design_key(digest, entry, cfg.backend, &copts),
-                    Artifact::Design(Arc::new(design)),
-                );
-            }
-            rec
-        }
-    };
-    store_eval(ctx, &key, &rec);
-    rec
+) -> Held {
+    held.unwrap_or_else(|| {
+        crate::service::design_for(ctx, compiler, digest, cfg.backend, entry, &cfg.compile_options())
+    })
 }
 
 /// The full phase: add measured latency by simulating the design on
 /// the default argument vector.
+#[allow(clippy::too_many_arguments)]
 fn full_eval(
     compiler: &Compiler,
     entry: &str,
     cfg: &Config,
     cheap: &EvalRecord,
+    held: Option<Held>,
     args: Option<&[ArgValue]>,
     ctx: &ServiceCtx,
     digest: u64,
@@ -429,7 +513,7 @@ fn full_eval(
     }
     let mut rec = cheap.clone();
     rec.simulated = true;
-    match point_design(compiler, entry, cfg, ctx, digest) {
+    match design_of(held, compiler, entry, cfg, ctx, digest) {
         Err(e) => rec.sim_note = Some(e),
         Ok(design) => match args {
             None => {
@@ -451,18 +535,6 @@ fn full_eval(
     rec
 }
 
-/// Fetches (or synthesizes) one point's design via the shared design
-/// cache.
-fn point_design(
-    compiler: &Compiler,
-    entry: &str,
-    cfg: &Config,
-    ctx: &ServiceCtx,
-    digest: u64,
-) -> Result<Arc<Design>, String> {
-    crate::service::design_for(ctx, compiler, digest, cfg.backend, entry, &cfg.compile_options())
-}
-
 /// The Pareto objective of one evaluated point; missing latency or II
 /// is pessimal, so incomparable points never shadow measured ones.
 fn objective(r: &EvalRecord) -> (f64, u64, u64) {
@@ -477,12 +549,16 @@ fn dominates(a: (f64, u64, u64), b: (f64, u64, u64)) -> bool {
     a.0 <= b.0 && a.1 <= b.1 && a.2 <= b.2 && (a.0 < b.0 || a.1 < b.1 || a.2 < b.2)
 }
 
-/// Certifies one frontier point against the unoptimized same-backend
-/// reference.
+/// Certifies one frontier point (design `candidate`) against the
+/// unoptimized same-backend reference: the backend's all-defaults
+/// lattice point, whose design is `reference` when held.
+#[allow(clippy::too_many_arguments)]
 fn certify(
     compiler: &Compiler,
     entry: &str,
     cfg: &Config,
+    candidate: Option<Held>,
+    reference: Option<Held>,
     seq_bound: usize,
     ctx: &ServiceCtx,
     digest: u64,
@@ -494,18 +570,23 @@ fn certify(
         vectors: None,
         detail: Some(detail),
     };
-    let reference = match crate::service::design_for(
-        ctx,
-        compiler,
-        digest,
-        cfg.backend,
-        entry,
-        &CompileOptions::new(),
-    ) {
+    // The reference is cached under the default options, where `equiv`
+    // and other verbs look for it.
+    let defaults = CompileOptions::new();
+    if let (Some(Ok(d)), Some(cache)) = (&reference, &ctx.cache) {
+        cache.put(
+            &crate::service::design_key(digest, entry, cfg.backend, &defaults),
+            Artifact::Design(d.clone()),
+        );
+    }
+    let reference = reference.unwrap_or_else(|| {
+        crate::service::design_for(ctx, compiler, digest, cfg.backend, entry, &defaults)
+    });
+    let reference = match reference {
         Ok(d) => d,
         Err(e) => return unchecked(format!("reference synthesis failed: {e}")),
     };
-    let candidate = match point_design(compiler, entry, cfg, ctx, digest) {
+    let candidate = match design_of(candidate, compiler, entry, cfg, ctx, digest) {
         Ok(d) => d,
         Err(e) => return unchecked(format!("candidate synthesis failed: {e}")),
     };
@@ -586,12 +667,13 @@ fn emit_point(
     compiler: &Compiler,
     entry: &str,
     cfg: &Config,
+    held: Option<Held>,
     dir: &str,
     ctx: &ServiceCtx,
     digest: u64,
 ) -> Emit {
     use chls_logic::interchange;
-    let design = match point_design(compiler, entry, cfg, ctx, digest) {
+    let design = match design_of(held, compiler, entry, cfg, ctx, digest) {
         Ok(d) => d,
         Err(e) => return Emit::Skipped(format!("synthesis failed: {e}")),
     };
@@ -657,18 +739,68 @@ pub fn explore(
     let points = lattice(&backends);
     let exec = Executor::new(opts.jobs.max(1));
 
-    // Phase 1: cheap synthesis-only evaluation of every lattice point.
-    let tickets: Vec<_> = points
+    // Phase 1: cheap synthesis-only evaluation of every lattice point,
+    // one synthesis per distinct base (see `Config::base`). A base
+    // whose points are all cached is not synthesized.
+    let bases = fold_bases(&points);
+    let outcomes: Vec<_> = bases
         .iter()
-        .map(|cfg| {
-            let (compiler, entry, cfg, ctx) =
-                (compiler.clone(), entry.clone(), cfg.clone(), ctx.clone());
-            exec.submit(move || synth_eval(&compiler, &entry, &cfg, &ctx, digest))
+        .map(|(base, members)| {
+            let cached: Option<Vec<EvalRecord>> = members
+                .iter()
+                .map(|&i| cached_eval(ctx, &eval_key(digest, &entry, &points[i], "synth")))
+                .map(|r| r.map(|r| (*r).clone()))
+                .collect();
+            // `Err`: every point of the base was answered from the cache.
+            match cached {
+                Some(records) => Err(records),
+                None => {
+                    let (compiler, entry, base) = (compiler.clone(), entry.clone(), base.clone());
+                    Ok(exec.submit(move || synth_base(&compiler, &entry, &base)))
+                }
+            }
         })
         .collect();
-    let cheap: Vec<EvalRecord> = tickets
+    let mut cheap: Vec<Option<EvalRecord>> = vec![None; points.len()];
+    let mut held: Vec<Option<Held>> = vec![None; points.len()];
+    for ((_, members), outcome) in bases.iter().zip(outcomes) {
+        let (plain, twin) = match outcome {
+            Err(records) => {
+                for (&i, rec) in members.iter().zip(records) {
+                    cheap[i] = Some(rec);
+                }
+                continue;
+            }
+            // A panicked base fails every point sharing it.
+            Ok(t) => t.wait().unwrap_or_else(|msg| {
+                let failed = (EvalRecord::error(msg), None);
+                (failed.clone(), failed)
+            }),
+        };
+        for &i in members {
+            let cfg = &points[i];
+            let (rec, design) = if cfg.opt_netlist { twin.clone() } else { plain.clone() };
+            // Cache what was synthesized. A panic holds nothing and is
+            // never cached, so a warm sweep retries it.
+            if let (Some(cache), Some(design)) = (&ctx.cache, &design) {
+                store_eval(ctx, &eval_key(digest, &entry, cfg, "synth"), &rec);
+                if let Ok(d) = design {
+                    let key = crate::service::design_key(
+                        digest,
+                        &entry,
+                        cfg.backend,
+                        &cfg.compile_options(),
+                    );
+                    cache.put(&key, Artifact::Design(d.clone()));
+                }
+            }
+            cheap[i] = Some(rec);
+            held[i] = design;
+        }
+    }
+    let cheap: Vec<EvalRecord> = cheap
         .into_iter()
-        .map(|t| t.wait().unwrap_or_else(EvalRecord::error))
+        .map(|r| r.expect("every lattice point belongs to one base"))
         .collect();
 
     let mut alive: Vec<usize> = (0..points.len())
@@ -697,6 +829,13 @@ pub fn explore(
         }
         alive.sort_unstable();
     }
+    // Later phases need only the survivors and each backend's reference
+    // (its all-defaults point); drop every other design.
+    for (i, h) in held.iter_mut().enumerate() {
+        if !points[i].is_reference() && alive.binary_search(&i).is_err() {
+            *h = None;
+        }
+    }
 
     // Phase 3: full evaluation (simulation) of the survivors.
     let owned_args = crate::default_args(compiler, &entry);
@@ -704,16 +843,17 @@ pub fn explore(
     let tickets: Vec<_> = alive
         .iter()
         .map(|&i| {
-            let (compiler, entry, cfg, ctx, args, rec) = (
+            let (compiler, entry, cfg, ctx, args, rec, design) = (
                 compiler.clone(),
                 entry.clone(),
                 points[i].clone(),
                 ctx.clone(),
                 args.clone(),
                 cheap[i].clone(),
+                held[i].clone(),
             );
             exec.submit(move || {
-                full_eval(&compiler, &entry, &cfg, &rec, args.as_deref(), &ctx, digest)
+                full_eval(&compiler, &entry, &cfg, &rec, design, args.as_deref(), &ctx, digest)
             })
         })
         .collect();
@@ -756,13 +896,27 @@ pub fn explore(
         .map(|&(i, _)| {
             let (compiler, entry, cfg, ctx) =
                 (compiler.clone(), entry.clone(), points[i].clone(), ctx.clone());
+            let design = held[i].clone();
+            let reference = points
+                .iter()
+                .position(|p| p.backend == cfg.backend && p.is_reference())
+                .and_then(|r| held[r].clone());
             let seq_bound = opts.seq_bound;
             let emit_dir = opts.emit_dir.clone();
             exec.submit(move || {
-                let cert = certify(&compiler, &entry, &cfg, seq_bound, &ctx, digest);
+                let cert = certify(
+                    &compiler,
+                    &entry,
+                    &cfg,
+                    design.clone(),
+                    reference,
+                    seq_bound,
+                    &ctx,
+                    digest,
+                );
                 let emit = emit_dir
                     .as_deref()
-                    .map(|dir| emit_point(&compiler, &entry, &cfg, dir, &ctx, digest));
+                    .map(|dir| emit_point(&compiler, &entry, &cfg, design, dir, &ctx, digest));
                 (cert, emit)
             })
         })
@@ -952,6 +1106,57 @@ mod tests {
         // thing, so nothing may be refuted.
         for p in &r.frontier {
             assert_ne!(p.cert.tier, Tier::Refuted, "{:?}", p.config);
+        }
+    }
+
+    #[test]
+    fn full_lattice_folds_to_64_distinct_syntheses() {
+        let all: Vec<&'static str> = crate::registry::backends().iter().map(|b| b.info().name).collect();
+        let points = lattice(&all);
+        assert_eq!(points.len(), 224);
+        let bases = fold_bases(&points);
+        // c2v and cyber read both knobs (16 bases each); cash, cones and
+        // transmogrifier read `narrow` (8 each); handelc and hardwarec
+        // read neither (4 each).
+        assert_eq!(bases.len(), 2 * 16 + 3 * 8 + 2 * 4);
+        for (base, members) in &bases {
+            assert!(!base.opt_netlist, "{base:?}");
+            assert!(members.iter().all(|&i| points[i].base() == *base));
+        }
+        let mut covered: Vec<usize> = bases.iter().flat_map(|(_, m)| m.iter().copied()).collect();
+        covered.sort_unstable();
+        assert_eq!(covered, (0..points.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cache_state_never_changes_the_report() {
+        // Cold, warm (phase 1 answered from the cache, designs fetched
+        // back from it) and a cache small enough to evict mid-sweep
+        // must all print what an uncached sweep prints.
+        let src = "int dot4(int a, int b) { int s = 0; \
+                   for (int i = 0; i < 4; i++) { s = (s + a * b + i) & 65535; } return s; }";
+        let opts = ExploreOptions {
+            budget: Some(8),
+            jobs: 2,
+            ..ExploreOptions::default()
+        };
+        let compiler = Arc::new(Compiler::parse(src).unwrap());
+        let digest = crate::cache::fnv64(src.as_bytes());
+        let run = |ctx: &ServiceCtx| explore(&compiler, "dot4", &opts, ctx, digest).unwrap();
+        let want = run(&ServiceCtx::uncached());
+        let caches = [
+            (ArtifactCache::default(), false),
+            (ArtifactCache::with_budget(64 << 10), true),
+        ];
+        for (cache, evicts) in caches {
+            let cache = Arc::new(cache);
+            let ctx = ServiceCtx::with_cache(cache.clone());
+            for _ in 0..2 {
+                let got = run(&ctx);
+                assert_eq!(got.to_value(), want.to_value());
+                assert_eq!(got.render(), want.render());
+            }
+            assert_eq!(cache.stats().evictions > 0, evicts);
         }
     }
 

@@ -41,6 +41,8 @@ pub fn structural_rows() -> Vec<BackendInfo> {
             pointers: false,
             data_dependent_loops: true,
             parallel_constructs: true,
+            reads_pipeline: false,
+            reads_narrow: false,
         },
         BackendInfo {
             name: "specc (methodology)",
@@ -52,6 +54,8 @@ pub fn structural_rows() -> Vec<BackendInfo> {
             pointers: false,
             data_dependent_loops: true,
             parallel_constructs: true,
+            reads_pipeline: false,
+            reads_narrow: false,
         },
     ]
 }

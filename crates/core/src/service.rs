@@ -269,11 +269,6 @@ fn compiler_for(ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Arc<Compiler
     Ok(compiler)
 }
 
-/// Synthesizes (or fetches) one design. The error is the bare
-/// [`SynthError`] rendering; callers wrap it in their verb's historic
-/// phrasing.
-///
-/// [`SynthError`]: chls_backends::SynthError
 /// The design cache's content address; `explore` writes freshly
 /// synthesized designs under the same key [`design_for`] reads, so the
 /// two never duplicate work.
@@ -281,6 +276,11 @@ pub(crate) fn design_key(digest: u64, entry: &str, backend_name: &str, opts: &Co
     format!("design|{digest:016x}|{entry}|{backend_name}|{}", opts.cache_key())
 }
 
+/// Synthesizes (or fetches) one design. The error is the bare
+/// [`SynthError`] rendering; callers wrap it in their verb's historic
+/// phrasing.
+///
+/// [`SynthError`]: chls_backends::SynthError
 pub(crate) fn design_for(
     ctx: &ServiceCtx,
     compiler: &Compiler,

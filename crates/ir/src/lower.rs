@@ -233,8 +233,11 @@ impl<'a> Lower<'a> {
             return;
         }
         self.sealed[b.0 as usize] = true;
-        let pending: Vec<(LocalId, Value)> =
+        let mut pending: Vec<(LocalId, Value)> =
             self.incomplete[b.0 as usize].drain().collect();
+        // Filling a phi can create values; fill in phi order, not the
+        // map's per-process hash order, so numbering is reproducible.
+        pending.sort_unstable_by_key(|&(_, phi)| phi);
         for (var, phi) in pending {
             self.fill_phi(var, b, phi);
         }

@@ -11,7 +11,8 @@
 # a `chls equiv` smoke (two backends proven bounded-equivalent on real
 # examples, and a seeded miscompile refuted with a counterexample), and
 # a `chls explore` sweep (fir + crc8: non-empty certified frontiers,
-# every emitted AIGER re-proved equivalent after re-reading), and the
+# every emitted AIGER re-proved equivalent after re-reading; fir's
+# `--all --json` output must not depend on the job count), and the
 # benchmark smoke test (every `benchmark/` workload runs with zero failed
 # operations, and a corrupted golden value is caught).
 set -euo pipefail
@@ -290,6 +291,13 @@ for p in frontier:
 print(f"  frontier {len(frontier)} points, all emitted + round-trip re-proved")
 EOF
 done
+# Points that share a synthesis are evaluated once, on whichever worker
+# runs it: the sweep's bytes must not depend on the job count.
+echo "-- explore examples/chl/fir.chl (jobs=1 vs jobs=2 must match)"
+./target/release/chls explore --all --json --jobs 1 examples/chl/fir.chl main > "$tmp/explore_j1.json"
+./target/release/chls explore --all --json --jobs 2 examples/chl/fir.chl main > "$tmp/explore_j2.json"
+cmp "$tmp/explore_j1.json" "$tmp/explore_j2.json"
+echo "explore output identical across job counts"
 
 echo "== benchmark smoke (every workload, zero failures, corrupted golden caught) =="
 cargo test --release --manifest-path benchmark/Cargo.toml

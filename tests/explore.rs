@@ -1,13 +1,21 @@
 //! Integration tests for `chls explore`: determinism across worker
 //! counts (the Pareto frontier must not depend on evaluation order),
 //! cache warm/cold equivalence (a warm sweep must replay the same
-//! frontier, including synthesis-time-only metrics like the II), and
-//! daemon parity (the serve path returns the one-shot bytes).
+//! frontier, including synthesis-time-only metrics like the II),
+//! daemon parity (the serve path returns the one-shot bytes), and the
+//! backends' declarations of which knobs they read, which decide the
+//! syntheses a sweep shares.
 
+mod common;
+
+use chls::explore::UNROLLS;
 use chls::jsonin::{parse, Value};
 use chls::serve::{Client, ServeConfig, Server};
 use chls::service::{self, Source};
-use chls::{CompileOptions, Request, ServiceCtx};
+use chls::{
+    backends, Backend, CompileOptions, Compiler, Design, Request, ServiceCtx, SynthOptions,
+};
+use common::corpus;
 
 /// Small enough to sweep quickly, rich enough to have a real frontier:
 /// a loop (unrollable, pipelinable) over a multiply-accumulate.
@@ -151,4 +159,96 @@ fn certified_points_carry_proof_metadata_and_no_refutations() {
         }
     }
     assert!(certified >= 1, "expected at least one certified point: {}", h.response.data);
+}
+
+/// What one synthesis produced, in the terms `explore` records: the
+/// error (or panic) text, or the style, area bits and scheduler
+/// counters. `Debug` text is not compared: it carries value numbering.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Failed(String),
+    Built {
+        style: &'static str,
+        area: u64,
+        sched_cycles: Option<u64>,
+        ii: Option<u64>,
+    },
+}
+
+fn outcome(compiler: &Compiler, backend: &dyn Backend, entry: &str, opts: &SynthOptions) -> Outcome {
+    let col = chls_trace::Collector::new();
+    col.set_enabled(true);
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        chls_trace::with_collector(&col, || compiler.synthesize(backend, entry, opts))
+    }));
+    match run {
+        Err(p) => Outcome::Failed(
+            p.downcast_ref::<&str>()
+                .map(ToString::to_string)
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap_or_default(),
+        ),
+        Ok(Err(e)) => Outcome::Failed(e.to_string()),
+        Ok(Ok(design)) => {
+            let snap = col.snapshot();
+            Outcome::Built {
+                style: match design {
+                    Design::Comb(_) => "comb",
+                    Design::Fsmd(_) => "fsmd",
+                    Design::Dataflow(_) => "dataflow",
+                },
+                area: design.area(&chls_rtl::CostModel::new()).to_bits(),
+                sched_cycles: snap.counter("sched.cycles"),
+                ii: snap.gauge("sched.ii"),
+            }
+        }
+    }
+}
+
+#[test]
+fn backends_ignore_the_knobs_they_declare_unread() {
+    // `explore` synthesizes once per distinct (backend, unroll, knobs
+    // the backend reads) and shares the design among the points that
+    // differ only in unread knobs. Turning an unread knob on, alone or
+    // next to the knobs the backend reads, must therefore never change
+    // what synthesis produces.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut compared = 0;
+    for (path, entry) in corpus() {
+        let src = std::fs::read_to_string(root.join(&path)).expect("corpus file reads");
+        // Recursive programs parse only after `chls rewrite`.
+        let Ok(compiler) = Compiler::parse(&src) else { continue };
+        if compiler.hir().func_by_name(&entry).is_none() {
+            continue;
+        }
+        for backend in backends() {
+            let info = backend.info();
+            for unroll in UNROLLS {
+                let synth = |pipeline: bool, narrow: bool| {
+                    let opts = SynthOptions {
+                        pipeline_loops: pipeline,
+                        narrow_widths: narrow,
+                        unroll_factor: unroll,
+                        ..SynthOptions::default()
+                    };
+                    outcome(&compiler, backend.as_ref(), &entry, &opts)
+                };
+                for (pipeline, narrow) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let base = (pipeline && info.reads_pipeline, narrow && info.reads_narrow);
+                    if base == (pipeline, narrow) {
+                        continue;
+                    }
+                    assert_eq!(
+                        synth(pipeline, narrow),
+                        synth(base.0, base.1),
+                        "{path}: {} at unroll {unroll:?} with pipeline={pipeline} narrow={narrow} \
+                         differs from its base",
+                        info.name
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 0, "no program of the corpus was compared");
 }

@@ -168,6 +168,13 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "explore_blend_json.golden",
         true,
     ),
+    // Successive halving, plus infeasible points that include
+    // transmogrifier synthesis panics caught by the executor.
+    (
+        &["explore", "--budget", "32", "--json", "examples/chl/software/matmul.chl", "matmul"],
+        "explore_matmul_budget_json.golden",
+        true,
+    ),
     (
         &["report", "--backend", "c2v", "examples/chl/fir.chl", "main"],
         "report_fir.golden",

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 mod common;
-use common::chls_bin;
+use common::{chls_bin, corpus};
 
 // ------------------------------------------------------------ shapes
 
@@ -281,25 +281,6 @@ fn golden_envelopes_match_their_schema_rows() {
 }
 
 // ------------------------------------------------- live verb outputs
-
-/// Every `.chl` under `examples/chl` with its entry: `main`, or the file
-/// stem for the software corpus.
-fn corpus() -> Vec<(String, String)> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut out = Vec::new();
-    for sub in ["examples/chl", "examples/chl/flow", "examples/chl/software"] {
-        for e in std::fs::read_dir(root.join(sub)).expect("corpus dir") {
-            let p = e.expect("dir entry").path();
-            if p.extension().is_some_and(|x| x == "chl") {
-                let stem = p.file_stem().unwrap().to_string_lossy().into_owned();
-                let entry = if sub.ends_with("software") { stem } else { "main".to_string() };
-                out.push((format!("{sub}/{}", p.file_name().unwrap().to_string_lossy()), entry));
-            }
-        }
-    }
-    out.sort();
-    out
-}
 
 /// All-zero arguments for `entry`, in CLI spelling.
 fn zero_args(file: &str, entry: &str) -> Vec<String> {
