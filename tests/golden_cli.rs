@@ -158,6 +158,15 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "equiv_checksum_json.golden",
         true,
     ),
+    // A 216,696-node miter that strash folds; its bound is reachable.
+    (
+        &[
+            "equiv", "--json", "--backend", "c2v", "--backend", "cyber", "--bound", "16",
+            "examples/chl/gcd.chl", "main",
+        ],
+        "equiv_gcd_c2v_cyber_json.golden",
+        true,
+    ),
     (
         &["explore", "--all", "--seq-bound", "24", "examples/chl/blend.chl", "main"],
         "explore_blend.golden",
