@@ -323,7 +323,7 @@ fn equiv_check(orig_src: &str, new_src: &str, entry: &str, orig: &HirProgram) ->
                 name: "equiv",
                 status: CheckStatus::Pass,
                 detail: format!(
-                    "SAT-proved equivalent on all inputs that finish within {EQUIV_BOUND} cycles \
+                    "proved equivalent on all inputs that finish within {EQUIV_BOUND} cycles \
                      [method {}, {} aig nodes]",
                     report.method.name(),
                     report.aig_nodes

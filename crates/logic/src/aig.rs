@@ -13,9 +13,17 @@
 //! rules (constant absorption, idempotence, contradiction, substitution,
 //! and the four resolution shapes), which is enough to fold multiplexers
 //! with equal arms — the pattern that dominates unrolled FSMD state
-//! logic.
+//! logic. The structural hash is keyed by the packed fanin pair under a
+//! one-multiply hasher; node numbering follows insertion order alone.
+//!
+//! Node indices are topological by construction (an AND's fanins always
+//! exist before it), so [`Aig::simulate64`] evaluates the whole graph in
+//! one pass over the node array, 64 input patterns at a time: one `u64`
+//! per node, AND and complement one instruction each. [`Aig::eval`] is
+//! lane 0 of that pass.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An AIG edge: a node index with a complement bit in the LSB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,14 +65,40 @@ impl std::ops::Not for Lit {
 
 const NO_FANIN: Lit = Lit(u32::MAX);
 
+/// Hasher for the packed `u64` fanin pairs of the structural hash: one
+/// multiply by a 64-bit odd constant, rotated so the table's bucket bits
+/// (low) and tag bits (high) both draw on every key bit.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Structural hash table: packed ordered fanin pair → AND node.
+type Strash = HashMap<u64, u32, BuildHasherDefault<PairHasher>>;
+
 /// An and-inverter graph. Node 0 is constant FALSE; inputs and AND
 /// gates share one index space.
 #[derive(Debug, Clone, Default)]
 pub struct Aig {
     /// Fanins per node; `NO_FANIN` marks inputs (and the constant).
     fanins: Vec<[Lit; 2]>,
-    /// Structural hash: ordered fanin pair → existing AND node.
-    strash: HashMap<(u32, u32), u32>,
+    /// Structural hash: ordered fanin pair (packed `a << 32 | b`) →
+    /// existing AND node.
+    strash: Strash,
     /// Primary input nodes, in creation order.
     inputs: Vec<u32>,
 }
@@ -74,7 +108,7 @@ impl Aig {
     pub fn new() -> Aig {
         Aig {
             fanins: vec![[NO_FANIN, NO_FANIN]],
-            strash: HashMap::new(),
+            strash: Strash::default(),
             inputs: Vec::new(),
         }
     }
@@ -204,7 +238,7 @@ impl Aig {
                 }
             }
             // Structural hashing.
-            let key = (a.0, b.0);
+            let key = u64::from(a.0) << 32 | u64::from(b.0);
             if let Some(&v) = self.strash.get(&key) {
                 return Lit::from_var(v);
             }
@@ -235,21 +269,36 @@ impl Aig {
         self.or(l, r)
     }
 
-    /// Evaluates the whole graph under an input assignment (inputs
-    /// absent from `assign` default to false). Intended for tests and
-    /// counterexample decoding — one pass over every node.
-    pub fn eval(&self, assign: &HashMap<u32, bool>) -> Vec<bool> {
-        let mut vals = vec![false; self.fanins.len()];
+    /// Evaluates the whole graph on 64 input patterns at once: bit `j`
+    /// of `lanes(v)` is input node `v`'s value in pattern `j`, and bit
+    /// `j` of the result's entry `u` is node `u`'s value in that pattern.
+    /// One pass over the nodes in index order, which is topological.
+    pub fn simulate64(&self, lanes: impl Fn(u32) -> u64) -> Vec<u64> {
+        let mut vals = vec![0u64; self.fanins.len()];
         for v in 1..self.fanins.len() {
             let [f0, f1] = self.fanins[v];
             vals[v] = if f0 == NO_FANIN {
-                assign.get(&(v as u32)).copied().unwrap_or(false)
+                lanes(v as u32)
             } else {
-                (vals[f0.var() as usize] ^ f0.is_compl())
-                    && (vals[f1.var() as usize] ^ f1.is_compl())
+                Aig::lit_value64(&vals, f0) & Aig::lit_value64(&vals, f1)
             };
         }
         vals
+    }
+
+    /// The 64 lanes of one edge under a pass of [`Aig::simulate64`].
+    pub fn lit_value64(vals: &[u64], l: Lit) -> u64 {
+        vals[l.var() as usize] ^ 0u64.wrapping_sub(u64::from(l.is_compl()))
+    }
+
+    /// Evaluates the whole graph under one input assignment (inputs
+    /// absent from `assign` default to false): lane 0 of
+    /// [`Aig::simulate64`]. Used by tests and counterexample decoding.
+    pub fn eval(&self, assign: &HashMap<u32, bool>) -> Vec<bool> {
+        self.simulate64(|v| u64::from(assign.get(&v).copied().unwrap_or(false)))
+            .into_iter()
+            .map(|w| w & 1 != 0)
+            .collect()
     }
 
     /// The value of one edge under a full evaluation from [`Aig::eval`].

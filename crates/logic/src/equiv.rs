@@ -17,7 +17,9 @@
 //! bounded property *both sides finished ⇒ same return value and same
 //! final contents of caller-visible arrays*. A bound under which no
 //! input can finish on both sides is reported as `Unknown`, never as
-//! a vacuous pass.
+//! a vacuous pass. That side condition is settled by a concrete witness
+//! when one turns up in a few passes of [`Aig::simulate64`] over seeded
+//! word-level patterns (the all-zero input first), and by SAT otherwise.
 //!
 //! Every "differ" verdict is **replayed through the concrete
 //! simulator** before being reported; a solver/simulator disagreement
@@ -578,6 +580,11 @@ fn decide(
         if side == Lit::TRUE {
             return None;
         }
+        if simulated_witness(g, env, side) {
+            chls_trace::add("logic.vacuity_sim", 1);
+            return None;
+        }
+        chls_trace::add("logic.vacuity_sat", 1);
         let mut solver = Solver::new();
         let cnf = Cnf::encode(g, &[side], &mut solver);
         cnf.assert_true(side, &mut solver);
@@ -660,6 +667,61 @@ fn decide(
             let cex = replay(&vals)?;
             Ok(report(Verdict::Differ(cex), Method::Sat, conflicts, g.len()))
         }
+    }
+}
+
+/// Rounds of 64 patterns [`simulated_witness`] tries before SAT.
+const WITNESS_ROUNDS: u64 = 4;
+
+/// Whether some seeded input pattern sets `side`: each round simulates
+/// 64 patterns, one value per scalar input word and shared-RAM word.
+/// Lane 0 is the all-zero input; the other lanes mix values in 0–3 and
+/// 0–31 (loop counts that finish early) with full-width ones. A lane
+/// that sets `side` is a concrete satisfying assignment of `side`.
+fn simulated_witness(g: &Aig, env: &SymEnv, side: Lit) -> bool {
+    let words: Vec<&Word> = env
+        .inputs
+        .iter()
+        .map(|(_, w)| w)
+        .chain(env.rams.iter().flat_map(|(_, ws)| ws))
+        .collect();
+    let mut lanes = vec![0u64; g.len()];
+    for round in 0..WITNESS_ROUNDS {
+        for (i, w) in words.iter().enumerate() {
+            let values: Vec<u64> = (0..64u64)
+                .map(|lane| pattern_value(round, i, lane))
+                .collect();
+            for (bit, l) in w.bits.iter().enumerate() {
+                lanes[l.var() as usize] = values
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (lane, v)| acc | (v >> bit & 1) << lane);
+            }
+        }
+        let vals = g.simulate64(|v| lanes[v as usize]);
+        if Aig::lit_value64(&vals, side) != 0 {
+            return true;
+        }
+    }
+    false
+}
+
+/// The seeded value of one word in one lane of one round: zero in lane
+/// 0, otherwise a splitmix64 draw keyed by all three and kept to 2 bits,
+/// 5 bits, or full width.
+fn pattern_value(round: u64, word: usize, lane: u64) -> u64 {
+    if lane == 0 {
+        return 0;
+    }
+    let key = round << 56 | (word as u64) << 8 | lane;
+    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    match z >> 62 {
+        0 => z & 3,
+        1 => z & 31,
+        _ => z,
     }
 }
 

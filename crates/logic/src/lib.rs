@@ -8,8 +8,8 @@
 //! same function? Both are answered over an And-Inverter Graph:
 //!
 //! * [`aig`] — the AIG core: structural hashing, constant folding,
-//!   one- and two-level rewrite rules, complemented edges, and an
-//!   exporter back to `rtl::netlist`.
+//!   one- and two-level rewrite rules, complemented edges, a 64-lane
+//!   bit-parallel simulator, and an exporter back to `rtl::netlist`.
 //! * [`blast`] — word-level bit-blasting of netlists into the AIG with
 //!   exactly the simulator's arithmetic semantics, including symbolic
 //!   RAM and a cycle-unrolling symbolic machine.

@@ -6,9 +6,12 @@
 //! periodic learned-clause reduction — is enough. A conflict budget
 //! turns runaway instances into an explicit `Unknown` instead of a
 //! hang.
+//!
+//! [`Cnf`] maps AIG variables to solver variables through a dense
+//! vector indexed by AIG variable, so encoding a cone costs four array
+//! reads per AND rather than four hash lookups.
 
 use crate::aig::{Aig, Lit};
-use std::collections::HashMap;
 
 /// A solver literal: `var << 1 | sign` (sign 1 = negated).
 pub type SLit = u32;
@@ -526,13 +529,17 @@ fn luby(i: u32) -> u64 {
 // Tseitin encoding of AIG cones.
 // ---------------------------------------------------------------------
 
+/// Marks AIG variables outside the encoded cones in [`Cnf::var_map`].
+pub const NOT_ENCODED: u32 = u32::MAX;
+
 /// A Tseitin encoding of one or more AIG cones into a [`Solver`],
 /// remembering the AIG-variable → solver-variable map for decoding
 /// models.
 pub struct Cnf {
-    /// AIG variable → solver variable, for every node in the encoded
-    /// cones.
-    pub var_map: HashMap<u32, u32>,
+    /// Solver variable per AIG variable, indexed by AIG variable;
+    /// [`NOT_ENCODED`] outside the encoded cones. Solver variables are
+    /// numbered in the cone's topological order.
+    pub var_map: Vec<u32>,
 }
 
 impl Cnf {
@@ -540,42 +547,49 @@ impl Cnf {
     /// clause pinning the constant node false). Roots are *not*
     /// asserted; use [`Cnf::assert_true`].
     pub fn encode(aig: &Aig, roots: &[Lit], solver: &mut Solver) -> Cnf {
-        let mut var_map: HashMap<u32, u32> = HashMap::new();
+        let mut var_map = vec![NOT_ENCODED; aig.len()];
         let cone = aig.cone(roots);
         for &v in &cone {
-            let sv = solver.new_var();
-            var_map.insert(v, sv);
+            var_map[v as usize] = solver.new_var();
         }
-        let slit = |l: Lit| -> SLit { var_map[&l.var()] << 1 | u32::from(l.is_compl()) };
+        let cnf = Cnf { var_map };
         for &v in &cone {
             if v == 0 {
-                solver.add_clause(&[neg(var_map[&0])]);
+                solver.add_clause(&[neg(cnf.var_map[0])]);
                 continue;
             }
             if aig.is_and(v) {
                 let [a, b] = aig.node(v);
-                let x = pos(var_map[&v]);
-                let (sa, sb) = (slit(a), slit(b));
+                let x = pos(cnf.var_map[v as usize]);
+                let (sa, sb) = (cnf.slit(a), cnf.slit(b));
                 solver.add_clause(&[snot(x), sa]);
                 solver.add_clause(&[snot(x), sb]);
                 solver.add_clause(&[x, snot(sa), snot(sb)]);
             }
         }
-        Cnf { var_map }
+        cnf
+    }
+
+    /// The solver literal of an encoded AIG edge.
+    fn slit(&self, l: Lit) -> SLit {
+        let sv = self.var_map[l.var() as usize];
+        debug_assert_ne!(sv, NOT_ENCODED, "edge outside the encoded cone");
+        sv << 1 | u32::from(l.is_compl())
     }
 
     /// Asserts an already-encoded literal true.
     pub fn assert_true(&self, l: Lit, solver: &mut Solver) -> bool {
-        let s = self.var_map[&l.var()] << 1 | u32::from(l.is_compl());
-        solver.add_clause(&[s])
+        solver.add_clause(&[self.slit(l)])
     }
 
     /// Converts a solver model back to AIG input values (false for
     /// variables outside the encoded cone).
     pub fn decode(&self, aig: &Aig, model: &[bool]) -> Vec<bool> {
         let mut vals = vec![false; aig.len()];
-        for (&av, &sv) in &self.var_map {
-            vals[av as usize] = model[sv as usize];
+        for (val, &sv) in vals.iter_mut().zip(&self.var_map) {
+            if sv != NOT_ENCODED {
+                *val = model[sv as usize];
+            }
         }
         vals
     }

@@ -9,7 +9,8 @@
 # agree), a `chls report` QoR smoke over the example corpus (width
 # narrowing and the AIG logic optimizer must both pay for themselves),
 # a `chls equiv` smoke (two backends proven bounded-equivalent on real
-# examples, and a seeded miscompile refuted with a counterexample), and
+# examples, gcd's 216k-node c2v/cyber miter proved equivalent at bound
+# 16, and a seeded miscompile refuted with a counterexample), and
 # a `chls explore` sweep (fir + crc8: non-empty certified frontiers,
 # every emitted AIGER re-proved equivalent after re-reading; fir's
 # `--all --json` output must not depend on the job count), and the
@@ -195,6 +196,11 @@ for spec in "blend 70" "checksum 60" "fir 190"; do
     ./target/release/chls equiv --backend handelc --backend transmogrifier \
         --bound "$2" "examples/chl/$1.chl" main
 done
+echo "-- equiv examples/chl/gcd.chl c2v/cyber (bound 16)"
+./target/release/chls equiv --backend c2v --backend cyber --bound 16 \
+    examples/chl/gcd.chl main > "$tmp/equiv_gcd.txt"
+cat "$tmp/equiv_gcd.txt"
+grep -q "^EQUIVALENT" "$tmp/equiv_gcd.txt"
 cat > "$tmp/bug.chl" <<'EOF'
 int main(int a, int b) {
     int s = 0;

@@ -247,3 +247,57 @@ fn self_equivalence_decided_by_strash() {
     assert!(matches!(report.verdict, Verdict::Equivalent));
     assert_eq!(report.method, chls_logic::Method::Strash);
 }
+
+/// Checks `a` ≡ `b` at `k` under a private trace collector and returns
+/// the report with the collector's snapshot.
+fn traced_seq_equiv(
+    a: &chls_rtl::Fsmd,
+    b: &chls_rtl::Fsmd,
+    k: usize,
+) -> (chls_logic::EquivReport, chls_trace::Snapshot) {
+    let col = chls_trace::Collector::new();
+    col.set_enabled(true);
+    let report = chls_trace::with_collector(&col, || {
+        check_seq_equiv(a, b, k, &EquivOptions::default()).expect("check runs")
+    });
+    (report, col.snapshot())
+}
+
+/// gcd's bound is reachable (`b = 0` finishes at once), so the all-zero
+/// simulated lane settles it and the 216k-node miter never meets SAT.
+#[test]
+fn reachable_bound_is_settled_by_simulation() {
+    let src = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/chl/gcd.chl"),
+    )
+    .expect("reads gcd.chl");
+    let a = synth_fsmd(&src, "c2v", "main");
+    let b = synth_fsmd(&src, "cyber", "main");
+    let (report, snap) = traced_seq_equiv(&a, &b, 16);
+    assert!(matches!(report.verdict, Verdict::Equivalent), "{:?}", report.verdict);
+    assert_eq!(report.sat_conflicts, 0);
+    assert_eq!(snap.counter("logic.vacuity_sim"), Some(1));
+    assert_eq!(snap.counter("logic.vacuity_sat"), None);
+}
+
+/// clamp_mix cannot finish within 16 cycles on both sides; no simulated
+/// lane can show otherwise, so the `Unknown` still rests on a SAT proof.
+#[test]
+fn unreachable_bound_still_needs_sat() {
+    let bench = chls::benchmarks()
+        .into_iter()
+        .find(|b| b.name == "clamp_mix")
+        .expect("clamp_mix is a shipped benchmark");
+    let a = synth_fsmd(bench.source, "c2v", bench.entry);
+    let b = synth_fsmd(bench.source, "cyber", bench.entry);
+    let (report, snap) = traced_seq_equiv(&a, &b, 16);
+    match &report.verdict {
+        Verdict::Unknown(why) => {
+            assert_eq!(why, "no input completes within the bound on both sides")
+        }
+        other => panic!("expected Unknown, got {other:?}"),
+    }
+    assert!(report.sat_conflicts > 0, "the unreachability proof is SAT's");
+    assert_eq!(snap.counter("logic.vacuity_sat"), Some(1));
+    assert_eq!(snap.counter("logic.vacuity_sim"), None);
+}
