@@ -188,8 +188,8 @@ enum Rule {
 }
 
 /// Cycle interval for `func` under the Handel-C timing rule. `func` must
-/// already be prepared (inlined, unrolled, pointers lowered), i.e. what
-/// `chls_backends::common::prepare_structured` returns.
+/// already be prepared (inlined, unrolled, pointers lowered), i.e. the
+/// entry of what `chls_backends::Preparer::structured` returns.
 pub fn handelc_interval(func: &HirFunc) -> Interval {
     function_interval(func, Rule::HandelC)
 }

@@ -49,9 +49,9 @@ pub use flow::{flow_program, Balance, FlowReport};
 pub use memlint::{check_dead_branches, check_memory, check_uninit_scalars};
 pub use race::find_races;
 
-use chls_backends::{construct_support, prepare_structured};
+use chls_backends::{construct_support, Preparer};
 use chls_frontend::diag::Diagnostic;
-use chls_frontend::hir::{HirFunc, HirProgram};
+use chls_frontend::hir::HirFunc;
 use chls_opt::points_to;
 use std::fmt;
 
@@ -237,15 +237,17 @@ impl std::error::Error for LintError {}
 /// Race detection and feature detection run on the *inlined* entry
 /// function with pointers intact, so pointer accesses resolve through
 /// points-to facts rather than being rewritten away first. Cycle bounds
-/// run on the fully prepared form (`prepare_structured`) — the same HIR
-/// the structured backends execute — and are omitted when preparation
-/// fails (e.g. recursion) or when the timing-rule backend would reject
-/// the program anyway.
+/// run on the fully prepared form ([`Preparer::structured`]) — the same
+/// HIR the structured backends execute — and are omitted when
+/// preparation fails (e.g. recursion) or when the timing-rule backend
+/// would reject the program anyway. Both preparations come from `prep`'s
+/// memo, so a later synthesis of the same program reuses them.
 pub fn lint_program(
-    prog: &HirProgram,
+    prep: &Preparer,
     entry: &str,
     backend: Option<&str>,
 ) -> Result<LintReport, LintError> {
+    let prog = prep.hir();
     if let Some(b) = backend {
         if construct_support(b).is_none() {
             return Err(LintError::UnknownBackend(b.to_string()));
@@ -298,14 +300,14 @@ pub fn lint_program(
     // check.
     let mut memory = memlint::check_uninit_scalars(func);
     let mut dead_branches = Vec::new();
-    if let Ok(prepared) = chls_backends::prepare_sequential(prog, entry, false) {
+    if let Ok(prepared) = prep.sequential(entry, false, false, None) {
         memory.extend(memlint::check_memory(&prepared.func));
         dead_branches = memlint::check_dead_branches(&prepared.func);
     }
 
     let mut cycle_bounds = Vec::new();
-    if let Ok(prepared) = prepare_structured(prog, entry) {
-        let pf = &prepared.funcs[0];
+    if let Ok(prepared) = prep.structured(entry, None) {
+        let pf = &prepared.prog.funcs[0];
         let wants = |b: &str| backend.is_none_or(|sel| sel == b);
         if wants("handelc") {
             cycle_bounds.push(CycleBound {
@@ -341,8 +343,8 @@ mod tests {
     use super::*;
     use chls_frontend::compile_to_hir;
 
-    fn hir(src: &str) -> HirProgram {
-        compile_to_hir(src).expect("compile")
+    fn hir(src: &str) -> Preparer {
+        Preparer::new(compile_to_hir(src).expect("compile"))
     }
 
     #[test]

@@ -350,12 +350,13 @@ impl UninitWalk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chls_backends::prepare_sequential;
+    use chls_backends::Preparer;
     use chls_frontend::compile_to_hir;
 
     fn prepared(src: &str) -> Function {
         let prog = compile_to_hir(src).expect("compile");
-        prepare_sequential(&prog, "main", false).expect("prepare").func
+        let prepared = Preparer::new(prog).sequential("main", false, false, None);
+        prepared.expect("prepare").func.clone()
     }
 
     fn uninit(src: &str) -> Vec<Diagnostic> {

@@ -22,7 +22,6 @@
 //! the cycle count is faithful.
 
 use crate::common::*;
-use chls_frontend::hir::HirProgram;
 use chls_frontend::IntType;
 use chls_ir::ir::{Function, InstKind, MemSource, Term, Value};
 use chls_rtl::fsmd::{Action, Fsmd, FsmdMem, NextState, RegId, Rv, RvKind, StateId};
@@ -53,19 +52,24 @@ impl Backend for C2Verilog {
 
     fn synthesize(
         &self,
-        prog: &HirProgram,
+        prep: &Preparer,
         entry: &str,
         opts: &SynthOptions,
     ) -> Result<Design, SynthError> {
-        let mut prepared = prepare_sequential_opts(prog, entry, false, opts.narrow_widths, opts.unroll_factor)?;
-        if opts.pipeline_loops && opts.pipeline_if_convert {
+        let prepared = prep.sequential(entry, false, opts.narrow_widths, opts.unroll_factor)?;
+        let fsmd = if opts.pipeline_loops && opts.pipeline_if_convert {
             // Modulo scheduling wants single-block loop bodies: forward
             // duplicated loads (so re-loading arms become pure), then
             // predicate small data-dependent branches (if-conversion).
-            chls_opt::loadcse::eliminate_redundant_loads(&mut prepared.func);
-            chls_opt::ifconv::if_convert(&mut prepared.func);
-        }
-        let fsmd = schedule_to_fsmd(&prepared.func, opts)?;
+            // Both rewrite in place, so they work on a copy of the
+            // shared preparation.
+            let mut func = prepared.func.clone();
+            chls_opt::loadcse::eliminate_redundant_loads(&mut func);
+            chls_opt::ifconv::if_convert(&mut func);
+            schedule_to_fsmd(&func, opts)?
+        } else {
+            schedule_to_fsmd(&prepared.func, opts)?
+        };
         Ok(Design::Fsmd(fsmd))
     }
 }
@@ -425,7 +429,7 @@ mod tests {
 
     fn synth(src: &str, entry: &str, opts: &SynthOptions) -> Fsmd {
         let prog = compile_to_hir(src).expect("frontend ok");
-        let d = C2Verilog.synthesize(&prog, entry, opts).expect("synthesis ok");
+        let d = C2Verilog.synthesize(&Preparer::new(prog), entry, opts).expect("synthesis ok");
         match d {
             Design::Fsmd(f) => f,
             _ => panic!("c2v must produce an FSMD"),

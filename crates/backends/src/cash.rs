@@ -14,7 +14,6 @@
 
 use crate::common::*;
 use chls_dataflow::build_dataflow;
-use chls_frontend::hir::HirProgram;
 
 /// The CASH backend.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,11 +38,11 @@ impl Backend for Cash {
 
     fn synthesize(
         &self,
-        prog: &HirProgram,
+        prep: &Preparer,
         entry: &str,
         opts: &SynthOptions,
     ) -> Result<Design, SynthError> {
-        let prepared = prepare_sequential_opts(prog, entry, false, opts.narrow_widths, opts.unroll_factor)?;
+        let prepared = prep.sequential(entry, false, opts.narrow_widths, opts.unroll_factor)?;
         let g = build_dataflow(&prepared.func)
             .map_err(|e| SynthError::Transform(e.to_string()))?;
         Ok(Design::Dataflow(g))
@@ -59,7 +58,7 @@ mod tests {
     fn synth(src: &str, entry: &str) -> chls_dataflow::DataflowGraph {
         let prog = compile_to_hir(src).expect("frontend ok");
         match Cash
-            .synthesize(&prog, entry, &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), entry, &SynthOptions::default())
             .expect("synthesis ok")
         {
             Design::Dataflow(g) => g,
@@ -141,7 +140,7 @@ mod tests {
     fn par_rejected_as_sequential_c() {
         let prog = compile_to_hir("void f() { par { delay; delay; } }").unwrap();
         let err = Cash
-            .synthesize(&prog, "f", &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
             .unwrap_err();
         assert!(matches!(err, SynthError::Transform(_)), "{err}");
     }

@@ -1,13 +1,9 @@
 //! Shared backend infrastructure: the [`Backend`] trait, taxonomy
-//! metadata (the paper's Table 1), synthesis options, design containers,
-//! and the sequential preparation pipeline (inline → unroll → pointer
-//! elimination → IR → simplify) that compiler-scheduled backends share.
+//! metadata (the paper's Table 1), synthesis options and design
+//! containers. The shared front half lives in [`crate::prepare`].
 
-use chls_frontend::hir::{FuncId, HirProgram};
-use chls_ir::Function;
+pub use crate::prepare::{Prepared, Preparer, Structured};
 use chls_opt::dep::AliasPrecision;
-use chls_opt::ptr::PtrStats;
-use chls_opt::unroll::{UnrollOptions, UnrollStats};
 use chls_rtl::cost::CostModel;
 use chls_rtl::fsmd::Fsmd;
 use chls_rtl::netlist::Netlist;
@@ -149,7 +145,7 @@ impl Default for SynthOptions {
 }
 
 /// A synthesized design.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Design {
     /// A purely combinational netlist (Cones).
     Comb(Netlist),
@@ -238,90 +234,18 @@ pub trait Backend {
     /// Taxonomy metadata.
     fn info(&self) -> BackendInfo;
 
-    /// Synthesizes `entry` of `prog` into hardware.
+    /// Synthesizes `entry` of `prep`'s program into hardware, taking
+    /// the shared front half from `prep`'s memo.
     ///
     /// # Errors
     ///
     /// See [`SynthError`].
     fn synthesize(
         &self,
-        prog: &HirProgram,
+        prep: &Preparer,
         entry: &str,
         opts: &SynthOptions,
     ) -> Result<Design, SynthError>;
-}
-
-/// Result of the shared sequential preparation pipeline.
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    /// Inlined, pointer-free, simplified IR of the entry function.
-    pub func: Function,
-    /// Pointer-analysis statistics.
-    pub ptr_stats: PtrStats,
-    /// Unrolling statistics.
-    pub unroll_stats: UnrollStats,
-}
-
-/// Runs the sequential pipeline: inline → unroll (per `force_full_unroll`)
-/// → pointer elimination → IR lowering → simplify.
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn prepare_sequential(
-    prog: &HirProgram,
-    entry: &str,
-    force_full_unroll: bool,
-) -> Result<Prepared, SynthError> {
-    prepare_sequential_opts(prog, entry, force_full_unroll, false, None)
-}
-
-/// [`prepare_sequential`] with the width-narrowing transform optionally
-/// appended (narrow → re-simplify) before verification, and an optional
-/// unroll-factor override for unpragma'd counted loops.
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn prepare_sequential_opts(
-    prog: &HirProgram,
-    entry: &str,
-    force_full_unroll: bool,
-    narrow: bool,
-    unroll_factor: Option<u32>,
-) -> Result<Prepared, SynthError> {
-    let _span = chls_trace::span("backend.prepare");
-    let (entry_id, _) = prog
-        .func_by_name(entry)
-        .ok_or_else(|| SynthError::NoSuchFunction(entry.to_string()))?;
-    let mut inlined = chls_opt::inline_program(prog, entry_id)
-        .map_err(|e| SynthError::Transform(e.to_string()))?;
-    let (unrolled, unroll_stats) = chls_opt::unroll::unroll_function(
-        &inlined.funcs[0],
-        UnrollOptions {
-            force_full: force_full_unroll,
-            factor_override: unroll_factor,
-        },
-    );
-    inlined.funcs[0] = unrolled;
-    let mut ptr_stats = PtrStats::default();
-    chls_opt::ptr::lower_pointers(&mut inlined.funcs[0], &mut ptr_stats)
-        .map_err(|e| SynthError::Transform(e.to_string()))?;
-    let mut func = chls_trace::time("ir.lower", || chls_ir::lower_function(&inlined, FuncId(0)))
-        .map_err(|e| SynthError::Transform(e.to_string()))?;
-    chls_opt::memory::merge_monolithic(&mut func);
-    chls_opt::memory::split_banks(&mut func);
-    chls_opt::simplify::simplify(&mut func);
-    if narrow {
-        chls_opt::narrow::narrow(&mut func);
-        chls_opt::simplify::simplify(&mut func);
-    }
-    chls_ir::verify::verify(&func).map_err(|e| SynthError::Transform(e.to_string()))?;
-    Ok(Prepared {
-        func,
-        ptr_stats,
-        unroll_stats,
-    })
 }
 
 /// How one paradigm treats one CHL construct — the static half of a
@@ -502,45 +426,4 @@ pub const CONSTRUCT_MATRIX: &[ConstructSupport] = &[
 /// Looks up the construct-support row for `backend`.
 pub fn construct_support(backend: &str) -> Option<&'static ConstructSupport> {
     CONSTRUCT_MATRIX.iter().find(|r| r.backend == backend)
-}
-
-/// Runs inline → unroll (pragmas) → pointer elimination, staying at HIR
-/// (for the structured backends: Handel-C, HardwareC).
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn prepare_structured(prog: &HirProgram, entry: &str) -> Result<HirProgram, SynthError> {
-    prepare_structured_opts(prog, entry, None)
-}
-
-/// [`prepare_structured`] with an optional unroll-factor override for
-/// unpragma'd counted loops (the `--unroll N` knob).
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn prepare_structured_opts(
-    prog: &HirProgram,
-    entry: &str,
-    unroll_factor: Option<u32>,
-) -> Result<HirProgram, SynthError> {
-    let _span = chls_trace::span("backend.prepare");
-    let (entry_id, _) = prog
-        .func_by_name(entry)
-        .ok_or_else(|| SynthError::NoSuchFunction(entry.to_string()))?;
-    let mut inlined = chls_opt::inline_program(prog, entry_id)
-        .map_err(|e| SynthError::Transform(e.to_string()))?;
-    let (unrolled, _) = chls_opt::unroll::unroll_function(
-        &inlined.funcs[0],
-        UnrollOptions {
-            force_full: false,
-            factor_override: unroll_factor,
-        },
-    );
-    inlined.funcs[0] = unrolled;
-    let mut ptr_stats = PtrStats::default();
-    chls_opt::ptr::lower_pointers(&mut inlined.funcs[0], &mut ptr_stats)
-        .map_err(|e| SynthError::Transform(e.to_string()))?;
-    Ok(inlined)
 }

@@ -13,7 +13,6 @@
 //! experiment E7's area explodes with trip count and array size.
 
 use crate::common::*;
-use chls_frontend::hir::HirProgram;
 use chls_frontend::IntType;
 use chls_ir::ir::{BlockId, Function, InstKind, MemSource, Term, Value};
 use chls_ir::BinKind;
@@ -43,11 +42,11 @@ impl Backend for Cones {
 
     fn synthesize(
         &self,
-        prog: &HirProgram,
+        prep: &Preparer,
         entry: &str,
         opts: &SynthOptions,
     ) -> Result<Design, SynthError> {
-        let prepared = prepare_sequential_opts(prog, entry, true, opts.narrow_widths, opts.unroll_factor)?;
+        let prepared = prep.sequential(entry, true, opts.narrow_widths, opts.unroll_factor)?;
         let f = &prepared.func;
         // Any remaining loop is fatal: Cones has no clock to wait with.
         let loops = chls_ir::loops::LoopForest::compute(f);
@@ -393,7 +392,7 @@ mod tests {
     fn synth(src: &str, entry: &str) -> Netlist {
         let prog = compile_to_hir(src).expect("frontend ok");
         let d = Cones
-            .synthesize(&prog, entry, &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), entry, &SynthOptions::default())
             .expect("synthesis ok");
         match d {
             Design::Comb(nl) => nl,
@@ -447,7 +446,7 @@ mod tests {
         )
         .unwrap();
         let err = Cones
-            .synthesize(&prog, "f", &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
             .unwrap_err();
         assert!(matches!(err, SynthError::Loop(_)), "{err}");
     }

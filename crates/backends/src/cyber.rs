@@ -10,7 +10,7 @@
 //! level, before analysis could have resolved them.
 
 use crate::common::*;
-use chls_frontend::hir::{HirProgram, HirStmt};
+use chls_frontend::hir::HirStmt;
 use chls_frontend::Type;
 
 /// The Cyber backend.
@@ -36,13 +36,13 @@ impl Backend for Cyber {
 
     fn synthesize(
         &self,
-        prog: &HirProgram,
+        prep: &Preparer,
         entry: &str,
         opts: &SynthOptions,
     ) -> Result<Design, SynthError> {
         // BDL prohibits pointers outright (recursion is already rejected
         // by semantic analysis, as Cyber itself would).
-        for func in &prog.funcs {
+        for func in &prep.hir().funcs {
             for local in &func.locals {
                 if matches!(local.ty, Type::Ptr(_)) {
                     return Err(SynthError::Unsupported {
@@ -63,7 +63,7 @@ impl Backend for Cyber {
         }
         // Behind the language gate, Cyber is conventional behavioral
         // synthesis — reuse the compiler-scheduled flow.
-        let prepared = prepare_sequential_opts(prog, entry, false, opts.narrow_widths, opts.unroll_factor)?;
+        let prepared = prep.sequential(entry, false, opts.narrow_widths, opts.unroll_factor)?;
         let fsmd = crate::c2v::schedule_to_fsmd(&prepared.func, opts)?;
         Ok(Design::Fsmd(fsmd))
     }
@@ -124,7 +124,7 @@ mod tests {
         )
         .unwrap();
         let d = Cyber
-            .synthesize(&prog, "f", &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
             .expect("synthesizes");
         let Design::Fsmd(f) = d else { unreachable!() };
         let r = simulate(
@@ -143,7 +143,7 @@ mod tests {
         )
         .unwrap();
         let err = Cyber
-            .synthesize(&prog, "f", &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
             .unwrap_err();
         match err {
             SynthError::Unsupported { backend, what } => {
@@ -162,7 +162,7 @@ mod tests {
         )
         .unwrap();
         assert!(Cyber
-            .synthesize(&prog, "f", &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
             .is_err());
     }
 

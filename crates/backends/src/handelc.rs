@@ -56,12 +56,12 @@ impl Backend for HandelC {
 
     fn synthesize(
         &self,
-        prog: &HirProgram,
+        prep: &Preparer,
         entry: &str,
         opts: &SynthOptions,
     ) -> Result<Design, SynthError> {
-        let prepared = prepare_structured_opts(prog, entry, opts.unroll_factor)?;
-        let fsmd = Compile::new(&prepared)?.run()?;
+        let prepared = prep.structured(entry, opts.unroll_factor)?;
+        let fsmd = Compile::new(&prepared.prog)?.run()?;
         Ok(Design::Fsmd(fsmd))
     }
 }
@@ -938,7 +938,7 @@ mod tests {
     fn synth(src: &str, entry: &str) -> Fsmd {
         let prog = compile_to_hir(src).expect("frontend ok");
         let d = HandelC
-            .synthesize(&prog, entry, &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), entry, &SynthOptions::default())
             .expect("synthesis ok");
         match d {
             Design::Fsmd(f) => f,
@@ -1018,7 +1018,7 @@ mod tests {
     fn zero_cycle_loop_rejected() {
         let prog = compile_to_hir("void f() { while (true) { } }").unwrap();
         let err = HandelC
-            .synthesize(&prog, "f", &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
             .unwrap_err();
         assert!(matches!(err, SynthError::Loop(_)), "{err}");
     }
@@ -1304,7 +1304,7 @@ mod proptests {
             let golden = interp_run(&prog, "f", &[ArgValue::Scalar(a)], &InterpOptions::default())
                 .expect("interprets");
             let d = HandelC
-                .synthesize(&prog, "f", &SynthOptions::default())
+                .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
                 .expect("synthesizes");
             let Design::Fsmd(f) = d else { unreachable!() };
             let r = simulate(&f, &[ArgValue::Scalar(a)], 10_000).expect("simulates");
@@ -1322,7 +1322,7 @@ mod proptests {
             let golden = interp_run(&prog, "f", &[ArgValue::Scalar(a)], &InterpOptions::default())
                 .expect("interprets");
             let d = HandelC
-                .synthesize(&prog, "f", &SynthOptions::default())
+                .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
                 .expect("synthesizes");
             let Design::Fsmd(f) = d else { unreachable!() };
             let r = simulate(&f, &[ArgValue::Scalar(a)], 10_000).expect("simulates");

@@ -59,12 +59,12 @@ impl Backend for HardwareC {
 
     fn synthesize(
         &self,
-        prog: &HirProgram,
+        prep: &Preparer,
         entry: &str,
         opts: &SynthOptions,
     ) -> Result<Design, SynthError> {
-        let prepared = prepare_structured_opts(prog, entry, opts.unroll_factor)?;
-        let fsmd = Compiler::new(&prepared, opts)?.run()?;
+        let prepared = prep.structured(entry, opts.unroll_factor)?;
+        let fsmd = Compiler::new(&prepared.prog, opts)?.run()?;
         Ok(Design::Fsmd(fsmd))
     }
 }
@@ -622,18 +622,23 @@ impl<'p> Compiler<'p> {
     // ---- chunk emission ----
 
     /// Schedules and emits a chunk after `prev`. Returns the last state.
+    /// Final local values commit to their registers, in local order so
+    /// the state's actions do not follow hash order.
+    fn commit_locals(&self, chunk: &mut Chunk) {
+        let mut cur: Vec<_> = std::mem::take(&mut chunk.cur).into_iter().collect();
+        cur.sort_unstable_by_key(|&(local, _)| local);
+        for (local, v) in cur {
+            chunk.commits.push((v, self.reg_of[&local]));
+        }
+    }
+
     fn flush(
         &mut self,
         mut chunk: Chunk,
         prev: StateId,
         budget: Option<u32>,
     ) -> Result<StateId, SynthError> {
-        // Final local values commit to their registers.
-        let cur = std::mem::take(&mut chunk.cur);
-        for (local, v) in cur {
-            let r = self.reg_of[&local];
-            chunk.commits.push((v, r));
-        }
+        self.commit_locals(&mut chunk);
         let (last, _) = self.emit(chunk, prev, budget, None)?;
         Ok(last)
     }
@@ -647,11 +652,7 @@ impl<'p> Compiler<'p> {
         budget: Option<u32>,
         want: In,
     ) -> Result<(StateId, Rv), SynthError> {
-        let cur = std::mem::take(&mut chunk.cur);
-        for (local, v) in cur {
-            let r = self.reg_of[&local];
-            chunk.commits.push((v, r));
-        }
+        self.commit_locals(&mut chunk);
         let (last, rv) = self.emit(chunk, prev, budget, Some(want))?;
         Ok((last, rv.expect("want produces a value")))
     }
@@ -838,7 +839,7 @@ mod tests {
 
     fn synth_opts(src: &str, entry: &str, opts: &SynthOptions) -> Result<Fsmd, SynthError> {
         let prog = compile_to_hir(src).expect("frontend ok");
-        HardwareC.synthesize(&prog, entry, opts).map(|d| match d {
+        HardwareC.synthesize(&Preparer::new(prog), entry, opts).map(|d| match d {
             Design::Fsmd(f) => f,
             _ => panic!("hardwarec must produce an FSMD"),
         })
@@ -958,7 +959,7 @@ mod tests {
         )
         .unwrap();
         let err = HardwareC
-            .synthesize(&prog, "f", &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
             .unwrap_err();
         assert!(matches!(err, SynthError::Unsupported { .. }), "{err}");
     }

@@ -28,13 +28,14 @@ pub mod cyber;
 pub mod handelc;
 pub mod hardwarec;
 pub(crate) mod pipeline;
+pub mod prepare;
 pub mod transmogrifier;
 
 pub use common::{
-    construct_support, prepare_sequential, prepare_sequential_opts, prepare_structured, Backend,
-    BackendInfo, ConcurrencyModel, ConstructSupport, Design, Prepared, Support, SynthError,
-    SynthOptions, TimingModel, CONSTRUCT_MATRIX,
+    construct_support, Backend, BackendInfo, ConcurrencyModel, ConstructSupport, Design, Support,
+    SynthError, SynthOptions, TimingModel, CONSTRUCT_MATRIX,
 };
+pub use prepare::{Prepared, Preparer, Structured};
 pub use c2v::C2Verilog;
 pub use cash::Cash;
 pub use cones::Cones;

@@ -698,7 +698,7 @@ mod tests {
             },
             ..Default::default()
         };
-        match C2Verilog.synthesize(&prog, entry, &opts).expect("synthesizes") {
+        match C2Verilog.synthesize(&Preparer::new(prog), entry, &opts).expect("synthesizes") {
             Design::Fsmd(f) => f,
             _ => unreachable!(),
         }
@@ -896,7 +896,7 @@ mod tests {
                 pipeline_loops: true,
                 ..Default::default()
             };
-            let design = match C2Verilog.synthesize(&prog, bench.1, &opts) {
+            let design = match C2Verilog.synthesize(&Preparer::new(prog), bench.1, &opts) {
                 Ok(d) => d,
                 Err(e) => panic!("c2v+pipeline refused {}: {e}", bench.1),
             };

@@ -22,7 +22,6 @@
 //! multi-ported memory access, while small regions waste cycles.
 
 use crate::common::*;
-use chls_frontend::hir::HirProgram;
 use chls_frontend::IntType;
 use chls_ir::ir::{BlockId, Function, InstKind, MemSource, Term, Value};
 use chls_ir::BinKind;
@@ -89,11 +88,11 @@ impl Backend for Transmogrifier {
 
     fn synthesize(
         &self,
-        prog: &HirProgram,
+        prep: &Preparer,
         entry: &str,
         opts: &SynthOptions,
     ) -> Result<Design, SynthError> {
-        let prepared = prepare_sequential_opts(prog, entry, false, opts.narrow_widths, opts.unroll_factor)?;
+        let prepared = prep.sequential(entry, false, opts.narrow_widths, opts.unroll_factor)?;
         let fsmd = build(&prepared.func)?;
         Ok(Design::Fsmd(fsmd))
     }
@@ -261,7 +260,8 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
         let state = state_of[&head];
         let mut values: HashMap<Value, Rv> = HashMap::new();
         let mut block_pred: HashMap<BlockId, Rv> = HashMap::new();
-        let mut edge_pred: HashMap<(BlockId, BlockId), Rv> = HashMap::new();
+        // Ordered: a block predicate ORs its in-edges in iteration order.
+        let mut edge_pred: BTreeMap<(BlockId, BlockId), Rv> = BTreeMap::new();
         // Pending (uncommitted) stores for in-region forwarding:
         // (guard, addr, value) per memory, in program order.
         let mut pending: BTreeMap<u32, Vec<(Rv, Rv, Rv)>> = BTreeMap::new();
@@ -486,8 +486,10 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                     .push(Action::write_if(g, MemId(m), a, val));
             }
         }
-        // Commit registers for cross-region values defined here.
-        for (&v, &r) in &reg_of {
+        // Commit registers for cross-region values defined here, in
+        // value order so the state's actions do not follow hash order.
+        for &v in &needs_reg {
+            let r = reg_of[&v];
             let inst = f.inst(v);
             if region_of[inst.block.0 as usize] != head {
                 continue;
@@ -568,7 +570,7 @@ fn edge_sources_match(f: &Function, pred_blk: BlockId, target: BlockId) -> bool 
 }
 
 fn merge_edge(
-    edge_pred: &mut HashMap<(BlockId, BlockId), Rv>,
+    edge_pred: &mut BTreeMap<(BlockId, BlockId), Rv>,
     key: (BlockId, BlockId),
     pred: Rv,
 ) {
@@ -592,7 +594,7 @@ mod tests {
     fn synth(src: &str, entry: &str) -> Fsmd {
         let prog = compile_to_hir(src).expect("frontend ok");
         let d = Transmogrifier
-            .synthesize(&prog, entry, &SynthOptions::default())
+            .synthesize(&Preparer::new(prog), entry, &SynthOptions::default())
             .expect("synthesis ok");
         match d {
             Design::Fsmd(f) => f,

@@ -1,7 +1,7 @@
 //! The compiler driver: frontend, synthesis, and unified design
 //! simulation, plus the conformance checker every experiment leans on.
 
-use chls_backends::{Backend, Design, SynthError, SynthOptions};
+use chls_backends::{Backend, Design, Preparer, SynthError, SynthOptions};
 use chls_frontend::hir::HirProgram;
 use chls_frontend::FrontendError;
 use chls_ir::MemSource;
@@ -10,9 +10,15 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// A parsed and analyzed CHL program, ready for synthesis.
+///
+/// The program sits in a [`Preparer`], so every backend, `lint` and
+/// [`Compiler::prepared_ir`] called on one `Compiler` share the front
+/// half (inline → unroll → pointer elimination → IR → simplify) instead
+/// of each running it again. That memo is dropped with the `Compiler`,
+/// and a clone starts with an empty one.
 #[derive(Debug, Clone)]
 pub struct Compiler {
-    hir: HirProgram,
+    prep: Preparer,
     source: String,
 }
 
@@ -25,14 +31,14 @@ impl Compiler {
     pub fn parse(source: &str) -> Result<Self, FrontendError> {
         let hir = chls_trace::time("frontend.parse", || chls_frontend::compile_to_hir(source))?;
         Ok(Compiler {
-            hir,
+            prep: Preparer::new(hir),
             source: source.to_string(),
         })
     }
 
     /// The analyzed program.
     pub fn hir(&self) -> &HirProgram {
-        &self.hir
+        self.prep.hir()
     }
 
     /// The original source text.
@@ -43,7 +49,7 @@ impl Compiler {
     /// Warnings collected during semantic analysis, rendered against the
     /// source (one line per warning, note lines indented).
     pub fn rendered_warnings(&self) -> Vec<String> {
-        self.hir
+        self.hir()
             .warnings
             .iter()
             .map(|w| w.render(&self.source))
@@ -61,7 +67,7 @@ impl Compiler {
         entry: &str,
         backend: Option<&str>,
     ) -> Result<chls_analysis::LintReport, chls_analysis::LintError> {
-        chls_analysis::lint_program(&self.hir, entry, backend)
+        chls_analysis::lint_program(&self.prep, entry, backend)
     }
 
     /// Runs the static process-network analysis: SDF balance equations,
@@ -72,7 +78,7 @@ impl Compiler {
     ///
     /// See [`chls_analysis::LintError`].
     pub fn flow(&self, entry: &str) -> Result<chls_analysis::FlowReport, chls_analysis::LintError> {
-        chls_analysis::flow_program(&self.hir, entry)
+        chls_analysis::flow_program(self.hir(), entry)
     }
 
     /// Runs the golden-model interpreter.
@@ -85,7 +91,7 @@ impl Compiler {
         entry: &str,
         args: &[ArgValue],
     ) -> Result<interp::InterpResult, interp::InterpError> {
-        interp::run(&self.hir, entry, args, &InterpOptions::default())
+        interp::run(self.hir(), entry, args, &InterpOptions::default())
     }
 
     /// Synthesizes with the given backend.
@@ -101,7 +107,7 @@ impl Compiler {
     ) -> Result<Design, SynthError> {
         let design = {
             let _span = chls_trace::span("backend.synthesize");
-            backend.synthesize(&self.hir, entry, opts)?
+            backend.synthesize(&self.prep, entry, opts)?
         };
         // The logic optimizer runs here, not in the backends, so every
         // backend gets it uniformly and none can forget to apply it.
@@ -120,7 +126,7 @@ impl Compiler {
     /// Returns [`SynthError`] when any preparation pass rejects the
     /// program (e.g. an unresolvable pointer).
     pub fn prepared_ir(&self, entry: &str) -> Result<String, SynthError> {
-        let prepared = chls_backends::common::prepare_sequential(&self.hir, entry, false)?;
+        let prepared = self.prep.sequential(entry, false, false, None)?;
         Ok(prepared.func.to_string())
     }
 }

@@ -28,6 +28,7 @@
 //! deliberately wrong rewrite (an off-by-one stack bound) and the
 //! differential rung refutes it with a concrete counterexample.
 
+use chls_backends::Preparer;
 use chls_frontend::hir::HirProgram;
 use chls_frontend::types::Type;
 use chls_opt::rewrite::{rewrite_program, RewriteAction, RewriteOptions};
@@ -96,13 +97,9 @@ pub struct RewriteOutcome {
     pub backends_total: usize,
 }
 
-/// Counts construct-matrix rows with no outright rejection.
-fn accepted_backends(
-    prog: &HirProgram,
-    entry: &str,
-    backend: Option<&str>,
-) -> Result<(usize, usize), String> {
-    let report = chls_analysis::lint_program(prog, entry, backend).map_err(|e| e.to_string())?;
+/// Counts construct-matrix rows with no outright rejection in `report`,
+/// and the rows considered.
+fn accepted_backends(report: &chls_analysis::LintReport, backend: Option<&str>) -> (usize, usize) {
     let rows: Vec<&str> = match backend {
         Some(b) => vec![b],
         None => chls_backends::CONSTRUCT_MATRIX
@@ -119,7 +116,7 @@ fn accepted_backends(
                 .any(|f| f.backend == **b && f.is_rejection())
         })
         .count();
-    Ok((accepted, rows.len()))
+    (accepted, rows.len())
 }
 
 /// Splitmix-style deterministic generator — certification must be
@@ -364,8 +361,10 @@ pub fn rewrite_and_certify(
     let orig = chls_frontend::compile_to_hir_relaxed(src).map_err(|e| e.render(src))?;
     let result = rewrite_program(&orig, entry, rw_opts)?;
     let new_src = chls_frontend::chlprint::print_program(&result.prog, Some(entry));
+    let orig = Preparer::new(orig);
 
-    let (accepted_before, backends_total) = accepted_backends(&orig, entry, backend)?;
+    let before = chls_analysis::lint_program(&orig, entry, backend).map_err(|e| e.to_string())?;
+    let (accepted_before, backends_total) = accepted_backends(&before, backend);
     let mut checks = Vec::new();
 
     // Rung 1: strict re-compile of the printed source.
@@ -377,7 +376,7 @@ pub fn rewrite_and_certify(
                 status: CheckStatus::Pass,
                 detail: "rewritten source re-parses under the strict frontend".to_string(),
             });
-            Some(hir)
+            Some(Preparer::new(hir))
         }
         Err(e) => {
             checks.push(CertCheck {
@@ -397,12 +396,11 @@ pub fn rewrite_and_certify(
             status: CheckStatus::Skip,
             detail: "no strictly-compiled program to lint".to_string(),
         }),
-        Some(hir) => {
+        Some(new) => {
             let report =
-                chls_analysis::lint_program(hir, entry, backend).map_err(|e| e.to_string())?;
+                chls_analysis::lint_program(new, entry, backend).map_err(|e| e.to_string())?;
             let clean = !report.has_errors();
-            let (aft, _) = accepted_backends(hir, entry, backend)?;
-            accepted_after = aft;
+            accepted_after = accepted_backends(&report, backend).0;
             checks.push(CertCheck {
                 name: "backend-lint",
                 status: if clean { CheckStatus::Pass } else { CheckStatus::Fail },
@@ -429,9 +427,9 @@ pub fn rewrite_and_certify(
                 detail: "no strictly-compiled program to synthesize".to_string(),
             });
         }
-        Some(hir) => {
-            checks.push(differential_check(&orig, hir, entry));
-            checks.push(equiv_check(src, &new_src, entry, &orig));
+        Some(new) => {
+            checks.push(differential_check(orig.hir(), new.hir(), entry));
+            checks.push(equiv_check(src, &new_src, entry, orig.hir()));
         }
     }
 

@@ -253,20 +253,22 @@ fn response_key(req: &Request, digest: u64) -> String {
     )
 }
 
-/// Parses (or fetches) the compiler for `src`, caching under the
-/// source digest.
+/// Parses (or fetches) the compiler for `src`, caching the parse under
+/// the source digest. Every request gets its own copy: the cached
+/// `Compiler` never prepares, so the preparations a request makes die
+/// with it instead of sitting in the cache beyond its byte charge.
 fn compiler_for(ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Arc<Compiler>, String> {
     let key = format!("hir|{digest:016x}");
     if let Some(cache) = &ctx.cache {
         if let Some(Artifact::Compiler(c)) = cache.get(&key) {
-            return Ok(c);
+            return Ok(Arc::new(c.as_ref().clone()));
         }
     }
-    let compiler = Arc::new(Compiler::parse(src).map_err(|e| e.render(src))?);
+    let compiler = Compiler::parse(src).map_err(|e| e.render(src))?;
     if let Some(cache) = &ctx.cache {
-        cache.put(&key, Artifact::Compiler(compiler.clone()));
+        cache.put(&key, Artifact::Compiler(Arc::new(compiler.clone())));
     }
-    Ok(compiler)
+    Ok(Arc::new(compiler))
 }
 
 /// The design cache's content address; `explore` writes freshly
@@ -574,7 +576,8 @@ pub(crate) fn verb_lint(
             let Ok(hir) = chls_frontend::compile_to_hir_relaxed(src) else {
                 return Err(strict_err);
             };
-            chls_analysis::lint_program(&hir, &req.entry, req.options.backend_requested())
+            let prep = chls_backends::Preparer::new(hir);
+            chls_analysis::lint_program(&prep, &req.entry, req.options.backend_requested())
                 .map_err(|e| e.to_string())?
         }
     };

@@ -517,13 +517,16 @@ impl<'f> Builder<'f> {
                     }
                 }
             }
-            // Record this block's final token producers.
-            for (&m, loads) in &pending_loads {
+            // Record this block's final token producers, in memory
+            // order so node numbering does not follow hash order.
+            let mut pending_loads: Vec<_> = pending_loads.into_iter().collect();
+            pending_loads.sort_unstable_by_key(|&(m, _)| m);
+            for (m, loads) in &pending_loads {
                 if loads.is_empty() {
                     continue;
                 }
                 let join = self.join_load_tokens(loads);
-                last_token.insert(m, join);
+                last_token.insert(*m, join);
             }
             for (m, tok) in last_token {
                 self.block_token_out.insert((b, m), tok);
@@ -565,8 +568,9 @@ impl<'f> Builder<'f> {
 
     /// Pass B: feed each block's `token_in` join from the incoming chain.
     fn wire_token_ins(&mut self) {
-        let entries: Vec<((BlockId, u32), NodeId)> =
+        let mut entries: Vec<((BlockId, u32), NodeId)> =
             self.token_in.iter().map(|(&k, &v)| (k, v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
         for ((b, m), join) in entries {
             let src = if b == self.f.entry {
                 self.mem_seeds[m as usize]
@@ -613,8 +617,9 @@ impl<'f> Builder<'f> {
             }
         }
         // Item mus (non-phi live-ins, ctrl, mem tokens).
-        let entries: Vec<((BlockId, Item), NodeId)> =
+        let mut entries: Vec<((BlockId, Item), NodeId)> =
             self.mu_node.iter().map(|(&k, &v)| (k, v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
         for ((b, item), mu) in entries {
             let preds = self.preds[b.0 as usize].clone();
             for (port, p) in preds.into_iter().enumerate() {

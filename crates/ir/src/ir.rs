@@ -538,6 +538,75 @@ impl Function {
     }
 }
 
+/// Pending "replace every use of `from` with `to`" rewrites, applied to
+/// a function in one sweep.
+///
+/// Rewriting the whole function per replacement is quadratic; a pass
+/// instead records each replacement here, reads operands through
+/// [`Forwarding::resolve`] while it runs, and calls
+/// [`Forwarding::apply`] once at the end. Recording `a → b` and later
+/// `b → c` resolves `a` to `c`, exactly as two eager rewrites in that
+/// order would.
+#[derive(Debug, Clone)]
+pub struct Forwarding {
+    /// `to[v]` is `v`'s replacement; `v` itself when it has none.
+    to: Vec<Value>,
+    any: bool,
+}
+
+impl Forwarding {
+    /// No replacements yet, for a function of `f`'s size.
+    pub fn new(f: &Function) -> Self {
+        Forwarding {
+            to: (0..f.insts.len() as u32).map(Value).collect(),
+            any: false,
+        }
+    }
+
+    /// Records that every use of `from` becomes a use of `to`.
+    pub fn forward(&mut self, from: Value, to: Value) {
+        self.to[from.0 as usize] = to;
+        self.any = true;
+    }
+
+    /// True when `v` has been replaced.
+    pub fn is_forwarded(&self, v: Value) -> bool {
+        self.to[v.0 as usize] != v
+    }
+
+    /// The value a use of `v` reads after every recorded replacement.
+    pub fn resolve(&mut self, mut v: Value) -> Value {
+        // Path halving keeps chains short without a second pass.
+        loop {
+            let next = self.to[v.0 as usize];
+            if next == v {
+                return v;
+            }
+            let skip = self.to[next.0 as usize];
+            self.to[v.0 as usize] = skip;
+            v = next;
+        }
+    }
+
+    /// Rewrites every operand and terminator use in `f` through the
+    /// recorded replacements. Returns whether any were recorded.
+    pub fn apply(&mut self, f: &mut Function) -> bool {
+        if !self.any {
+            return false;
+        }
+        for inst in &mut f.insts {
+            inst.kind.map_operands(|v| self.resolve(v));
+        }
+        for block in &mut f.blocks {
+            match &mut block.term {
+                Term::Br { cond: v, .. } | Term::Ret(Some(v)) => *v = self.resolve(*v),
+                _ => {}
+            }
+        }
+        true
+    }
+}
+
 impl fmt::Display for Function {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "fn {}(", self.name)?;
@@ -797,6 +866,25 @@ mod tests {
         f.add_inst(b0, InstKind::Const(5), s(32));
         let phi = f.add_phi(b0, s(32));
         assert_eq!(f.block(b0).insts[0], phi);
+    }
+
+    #[test]
+    fn forwarding_chains_resolve_like_eager_rewrites() {
+        let mut f = Function::new("t");
+        let b0 = f.entry;
+        let c = f.add_inst(b0, InstKind::Const(1), s(32));
+        let x = f.add_inst(b0, InstKind::Bin(BinKind::Add, c, c), s(32));
+        let y = f.add_inst(b0, InstKind::Bin(BinKind::Mul, x, c), s(32));
+        let z = f.add_inst(b0, InstKind::Bin(BinKind::Sub, y, x), s(32));
+        f.block_mut(b0).term = Term::Ret(Some(z));
+        let mut fwd = Forwarding::new(&f);
+        fwd.forward(y, x);
+        fwd.forward(x, c);
+        assert!(fwd.is_forwarded(y) && !fwd.is_forwarded(c));
+        assert!(fwd.apply(&mut f));
+        assert_eq!(f.inst(z).kind, InstKind::Bin(BinKind::Sub, c, c));
+        assert_eq!(f.block(b0).term, Term::Ret(Some(z)));
+        assert!(!Forwarding::new(&f).apply(&mut f), "nothing recorded");
     }
 
     #[test]

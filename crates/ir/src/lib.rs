@@ -42,7 +42,7 @@ pub mod lower;
 pub mod verify;
 
 pub use ir::{
-    eval_bin, eval_cast, eval_un, BinKind, BlockId, Function, InstData, InstKind, MemId, MemInfo,
-    MemSource, Term, UnKind, Value,
+    eval_bin, eval_cast, eval_un, BinKind, BlockId, Forwarding, Function, InstData, InstKind,
+    MemId, MemInfo, MemSource, Term, UnKind, Value,
 };
 pub use lower::{lower_function, LowerError};

@@ -632,12 +632,12 @@ fn bin_kind(op: BinOp) -> BinKind {
 /// Removes phis whose incoming values are all identical (or the phi
 /// itself), iterating to a fixpoint, then rewrites all uses.
 pub fn remove_trivial_phis(f: &mut Function) {
-    let mut replace: HashMap<Value, Value> = HashMap::new();
+    let mut fwd = Forwarding::new(f);
     loop {
         let mut changed = false;
         for i in 0..f.insts.len() {
             let v = Value(i as u32);
-            if replace.contains_key(&v) {
+            if fwd.is_forwarded(v) {
                 continue;
             }
             let InstKind::Phi(args) = &f.insts[i].kind else {
@@ -645,10 +645,8 @@ pub fn remove_trivial_phis(f: &mut Function) {
             };
             let mut unique: Option<Value> = None;
             let mut trivial = true;
-            for (_, mut a) in args.iter().copied() {
-                while let Some(&r) = replace.get(&a) {
-                    a = r;
-                }
+            for (_, a) in args.iter().copied() {
+                let a = fwd.resolve(a);
                 if a == v {
                     continue;
                 }
@@ -663,7 +661,7 @@ pub fn remove_trivial_phis(f: &mut Function) {
             }
             if trivial {
                 if let Some(u) = unique {
-                    replace.insert(v, u);
+                    fwd.forward(v, u);
                     changed = true;
                 }
             }
@@ -672,29 +670,10 @@ pub fn remove_trivial_phis(f: &mut Function) {
             break;
         }
     }
-    if replace.is_empty() {
-        f.compact();
-        return;
-    }
-    let resolve = |mut v: Value| {
-        while let Some(&r) = replace.get(&v) {
-            v = r;
+    if fwd.apply(f) {
+        for block in &mut f.blocks {
+            block.insts.retain(|&v| !fwd.is_forwarded(v));
         }
-        v
-    };
-    for inst in &mut f.insts {
-        inst.kind.map_operands(resolve);
-    }
-    for block in &mut f.blocks {
-        if let Term::Br { cond, .. } = &mut block.term {
-            *cond = resolve(*cond);
-        }
-        if let Term::Ret(Some(v)) = &mut block.term {
-            *v = resolve(*v);
-        }
-        block
-            .insts
-            .retain(|v| !replace.contains_key(v));
     }
     f.compact();
 }

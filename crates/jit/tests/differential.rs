@@ -21,7 +21,7 @@ const MAX_CYCLES: u64 = 5_000_000;
 fn synth(src: &str, entry: &str) -> Fsmd {
     let hir = chls_frontend::compile_to_hir(src).expect("frontend");
     let design = C2Verilog
-        .synthesize(&hir, entry, &SynthOptions::default())
+        .synthesize(&chls_backends::Preparer::new(hir), entry, &SynthOptions::default())
         .expect("synthesizes");
     design.as_fsmd().expect("c2v produces an FSMD").clone()
 }

@@ -14,7 +14,7 @@
 //! [`crate::ifconv`] predicate it and the pipeliner overlap the loop.
 
 use crate::dep::{may_alias, mem_access, AliasPrecision};
-use chls_ir::ir::{Function, InstKind, Term, Value};
+use chls_ir::ir::{Forwarding, Function, InstKind, Value};
 use std::collections::HashMap;
 
 /// Address identity for availability tracking: constant addresses compare
@@ -33,25 +33,6 @@ fn addr_key(f: &Function, addr: Value) -> AddrKey {
     }
 }
 
-/// Replaces every use of `from` with `to` (operands and terminators).
-fn replace_uses(f: &mut Function, from: Value, to: Value) {
-    for inst in &mut f.insts {
-        inst.kind.map_operands(|o| if o == from { to } else { o });
-    }
-    for block in &mut f.blocks {
-        if let Term::Br { cond, .. } = &mut block.term {
-            if *cond == from {
-                *cond = to;
-            }
-        }
-        if let Term::Ret(Some(v)) = &mut block.term {
-            if *v == from {
-                *v = to;
-            }
-        }
-    }
-}
-
 /// Runs redundant-load elimination. Returns the number of loads forwarded.
 ///
 /// Uses [`AliasPrecision::Basic`] for the store-kill test: a store only
@@ -60,7 +41,8 @@ pub fn eliminate_redundant_loads(f: &mut Function) -> usize {
     let preds = f.predecessors();
     // avail_out[b]: loads still valid at the end of block b.
     let mut avail_out: Vec<HashMap<(u32, AddrKey), Value>> = vec![HashMap::new(); f.blocks.len()];
-    let mut forwarded: Vec<(Value, Value)> = Vec::new();
+    let mut fwd = Forwarding::new(f);
+    let mut n = 0;
     // Process blocks in reverse-postorder-ish sequence: a simple forward
     // pass over the block list is enough because availability only flows
     // through single-predecessor edges, and `lower` emits predecessors
@@ -77,7 +59,10 @@ pub fn eliminate_redundant_loads(f: &mut Function) -> usize {
                 InstKind::Load { mem, addr } => {
                     let key = (mem.0, addr_key(f, addr));
                     if let Some(&prev) = avail.get(&key) {
-                        forwarded.push((v, prev));
+                        // The dead load stays as an unused
+                        // instruction; DCE sweeps it.
+                        fwd.forward(v, prev);
+                        n += 1;
                     } else {
                         avail.insert(key, v);
                     }
@@ -97,12 +82,7 @@ pub fn eliminate_redundant_loads(f: &mut Function) -> usize {
         }
         avail_out[bi] = avail;
     }
-    let n = forwarded.len();
-    for (dead, keep) in forwarded {
-        replace_uses(f, dead, keep);
-        // The dead load stays as an unused instruction; DCE sweeps it.
-    }
-    if n > 0 {
+    if fwd.apply(f) {
         crate::simplify::simplify(f);
     }
     n

@@ -9,6 +9,7 @@ use chls_ir::dom::DomTree;
 use chls_ir::ir::*;
 use chls_ir::lower::remove_trivial_phis;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Statistics from a simplification run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -43,26 +44,6 @@ pub fn simplify(f: &mut Function) -> SimplifyStats {
     stats
 }
 
-/// Replaces every use of `from` with `to` across the function.
-fn replace_uses(f: &mut Function, from: Value, to: Value) {
-    for inst in &mut f.insts {
-        inst.kind.map_operands(|v| if v == from { to } else { v });
-    }
-    for block in &mut f.blocks {
-        match &mut block.term {
-            Term::Br { cond, .. }
-                if *cond == from => {
-                    *cond = to;
-                }
-            Term::Ret(Some(v))
-                if *v == from => {
-                    *v = to;
-                }
-            _ => {}
-        }
-    }
-}
-
 fn const_of(f: &Function, v: Value) -> Option<i64> {
     match &f.inst(v).kind {
         InstKind::Const(c) => Some(*c),
@@ -72,21 +53,21 @@ fn const_of(f: &Function, v: Value) -> Option<i64> {
 
 /// Folds constant and algebraically-trivial instructions in place (the
 /// instruction becomes a `Const` or is replaced by an operand).
+/// Replacements are forwarded: later instructions read their operands
+/// through the table, and uses are rewritten once at the end.
 fn fold_constants(f: &mut Function, stats: &mut SimplifyStats) -> bool {
+    let mut fwd = Forwarding::new(f);
     let mut changed = false;
     for i in 0..f.insts.len() {
         let v = Value(i as u32);
-        let inst = f.inst(v).clone();
-        match &inst.kind {
+        let ty = f.inst(v).ty;
+        match f.inst(v).kind {
             InstKind::Bin(op, a, b) => {
-                let (ca, cb) = (const_of(f, *a), const_of(f, *b));
+                let (a, b) = (fwd.resolve(a), fwd.resolve(b));
+                let (ca, cb) = (const_of(f, a), const_of(f, b));
                 if let (Some(x), Some(y)) = (ca, cb) {
-                    let ety = if op.is_comparison() {
-                        f.inst(*a).ty
-                    } else {
-                        inst.ty
-                    };
-                    let folded = eval_bin(*op, ety, x, y);
+                    let ety = if op.is_comparison() { f.inst(a).ty } else { ty };
+                    let folded = eval_bin(op, ety, x, y);
                     f.inst_mut(v).kind = InstKind::Const(folded);
                     stats.folded += 1;
                     changed = true;
@@ -95,20 +76,18 @@ fn fold_constants(f: &mut Function, stats: &mut SimplifyStats) -> bool {
                 // Algebraic identities that replace the result with an
                 // operand (types already match by construction).
                 let ident = match (op, ca, cb) {
-                    (BinKind::Add, Some(0), _) => Some(*b),
-                    (BinKind::Add | BinKind::Sub, _, Some(0)) => Some(*a),
-                    (BinKind::Mul, _, Some(1)) => Some(*a),
-                    (BinKind::Mul, Some(1), _) => Some(*b),
-                    (BinKind::Shl | BinKind::Shr, _, Some(0)) => Some(*a),
-                    (BinKind::Or | BinKind::Xor, _, Some(0)) => Some(*a),
-                    (BinKind::Or | BinKind::Xor, Some(0), _) => Some(*b),
-                    (BinKind::And, _, Some(m)) if (m as u64) & inst.ty.mask() == inst.ty.mask() => {
-                        Some(*a)
-                    }
+                    (BinKind::Add, Some(0), _) => Some(b),
+                    (BinKind::Add | BinKind::Sub, _, Some(0)) => Some(a),
+                    (BinKind::Mul, _, Some(1)) => Some(a),
+                    (BinKind::Mul, Some(1), _) => Some(b),
+                    (BinKind::Shl | BinKind::Shr, _, Some(0)) => Some(a),
+                    (BinKind::Or | BinKind::Xor, _, Some(0)) => Some(a),
+                    (BinKind::Or | BinKind::Xor, Some(0), _) => Some(b),
+                    (BinKind::And, _, Some(m)) if (m as u64) & ty.mask() == ty.mask() => Some(a),
                     _ => None,
                 };
                 if let Some(src) = ident {
-                    replace_uses(f, v, src);
+                    fwd.forward(v, src);
                     stats.folded += 1;
                     changed = true;
                     continue;
@@ -126,31 +105,32 @@ fn fold_constants(f: &mut Function, stats: &mut SimplifyStats) -> bool {
                 }
             }
             InstKind::Un(op, a) => {
-                if let Some(x) = const_of(f, *a) {
-                    f.inst_mut(v).kind = InstKind::Const(eval_un(*op, inst.ty, x));
+                if let Some(x) = const_of(f, fwd.resolve(a)) {
+                    f.inst_mut(v).kind = InstKind::Const(eval_un(op, ty, x));
                     stats.folded += 1;
                     changed = true;
                 }
             }
             InstKind::Select { cond, t, f: fv } => {
-                if let Some(c) = const_of(f, *cond) {
-                    let src = if c != 0 { *t } else { *fv };
-                    replace_uses(f, v, src);
+                let (t, fv) = (fwd.resolve(t), fwd.resolve(fv));
+                if let Some(c) = const_of(f, fwd.resolve(cond)) {
+                    fwd.forward(v, if c != 0 { t } else { fv });
                     stats.folded += 1;
                     changed = true;
                 } else if t == fv {
-                    replace_uses(f, v, *t);
+                    fwd.forward(v, t);
                     stats.folded += 1;
                     changed = true;
                 }
             }
             InstKind::Cast { from, val } => {
-                if let Some(x) = const_of(f, *val) {
-                    f.inst_mut(v).kind = InstKind::Const(eval_cast(*from, inst.ty, x));
+                let val = fwd.resolve(val);
+                if let Some(x) = const_of(f, val) {
+                    f.inst_mut(v).kind = InstKind::Const(eval_cast(from, ty, x));
                     stats.folded += 1;
                     changed = true;
-                } else if *from == inst.ty {
-                    replace_uses(f, v, *val);
+                } else if from == ty {
+                    fwd.forward(v, val);
                     stats.folded += 1;
                     changed = true;
                 }
@@ -158,6 +138,7 @@ fn fold_constants(f: &mut Function, stats: &mut SimplifyStats) -> bool {
             _ => {}
         }
     }
+    fwd.apply(f);
     changed
 }
 
@@ -241,9 +222,43 @@ fn prune_unreachable(f: &mut Function, stats: &mut SimplifyStats) -> bool {
     changed
 }
 
+/// One multiply per hashed word: CSE keys are a handful of small
+/// integers, for which SipHash's collision resistance buys nothing.
+/// Rotated so both the bucket (low) and tag (high) bits see every
+/// input bit.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// CSE's scoped table: key → (first value, result width, signedness).
+type CseTable<K> = HashMap<K, (Value, u16, bool), BuildHasherDefault<KeyHasher>>;
+
 /// Dominator-scoped CSE over pure instructions.
 fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
-    #[derive(PartialEq, Eq, Hash)]
+    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
     struct Key {
         kind_tag: u8,
         a: u32,
@@ -290,10 +305,11 @@ fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
             }
         }
     }
-    let mut changed = false;
-    let mut replacements: Vec<(Value, Value)> = Vec::new();
+    // Keys are read from the operands as they stand: a merge found in
+    // this sweep does not expose further merges until the next one.
+    let mut fwd = Forwarding::new(f);
     // Iterative preorder: (block, scope snapshot length).
-    let mut table: HashMap<Key, (Value, u16, bool)> = HashMap::new();
+    let mut table: CseTable<Key> = CseTable::default();
     let mut undo: Vec<Vec<Key>> = Vec::new();
     let mut stack: Vec<(BlockId, bool)> = vec![(f.entry, false)];
     while let Some((b, leaving)) = stack.pop() {
@@ -312,13 +328,12 @@ fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
                 Some(&(prev, ty_w, ty_s))
                     if ty_w == inst.ty.width && ty_s == inst.ty.signed =>
                 {
-                    replacements.push((v, prev));
+                    fwd.forward(v, prev);
+                    stats.cse += 1;
                 }
                 _ => {
                     table.insert(key, (v, inst.ty.width, inst.ty.signed));
-                    undo.last_mut()
-                        .expect("scope exists")
-                        .push(key_of(inst).expect("same inst"));
+                    undo.last_mut().expect("scope exists").push(key);
                 }
             }
         }
@@ -326,12 +341,7 @@ fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
             stack.push((c, false));
         }
     }
-    for (from, to) in replacements {
-        replace_uses(f, from, to);
-        stats.cse += 1;
-        changed = true;
-    }
-    changed
+    fwd.apply(f)
 }
 
 /// Removes pure instructions with no uses (then compacts).

@@ -110,6 +110,17 @@ EOF
 ./target/release/chls check --jobs 1 "$tmp/gcd.chl" gcd 48 36 > "$tmp/seq.txt"
 ./target/release/chls check --jobs 4 "$tmp/gcd.chl" gcd 48 36 > "$tmp/par.txt"
 diff "$tmp/seq.txt" "$tmp/par.txt"
+# All seven backends accept checksum.chl, so at --jobs 4 the threads of
+# one `check` share the program's preparation memo concurrently.
+sum16="9,1,8,2,7,3,6,4,5,0,15,11,14,12,13,10"
+./target/release/chls check --jobs 1 examples/chl/checksum.chl main "$sum16" > "$tmp/seq.txt"
+./target/release/chls check --jobs 4 examples/chl/checksum.chl main "$sum16" > "$tmp/par.txt"
+diff "$tmp/seq.txt" "$tmp/par.txt"
+if [ "$(grep -c ' PASS ' "$tmp/par.txt")" -ne 7 ]; then
+    echo "FAIL: all seven backends should pass on checksum.chl" >&2
+    cat "$tmp/par.txt" >&2
+    exit 1
+fi
 echo "verdicts identical"
 
 echo "== chls report smoke (QoR JSON over the example corpus) =="

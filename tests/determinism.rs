@@ -25,10 +25,145 @@ const REDUCED: &str = "int main(int a[16], int x, int y) {
 
 #[test]
 fn ir_text_is_identical_across_lowerings() {
-    let compiler = Compiler::parse(REDUCED).expect("the reduced program parses");
-    let first = compiler.prepared_ir("main").expect("the reduced program lowers");
+    // A fresh `Compiler` each run: one `Compiler` lowers once and
+    // answers repeats from its memo.
+    let lower = || {
+        let compiler = Compiler::parse(REDUCED).expect("the reduced program parses");
+        compiler
+            .prepared_ir("main")
+            .expect("the reduced program lowers")
+    };
+    let first = lower();
     for run in 1..16 {
-        let again = compiler.prepared_ir("main").expect("the reduced program lowers");
+        let again = lower();
         assert_eq!(again, first, "lowering {run} printed different IR");
+    }
+}
+
+/// Every program the shared-preparation tests synthesize: the
+/// `examples/chl` corpus (entry `main`, or the file's stem under
+/// `software/`) and the built-in benchmark kernels. Programs the strict
+/// frontend rejects (the recursive inputs of `chls rewrite`) have no
+/// `Compiler` to share and are left out.
+fn corpus() -> Vec<(String, String, String)> {
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![repo.join("examples/chl")];
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("examples/chl is readable") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "chl") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    let mut programs: Vec<_> = files
+        .into_iter()
+        .map(|path| {
+            let stem = path
+                .file_stem()
+                .expect("named")
+                .to_string_lossy()
+                .into_owned();
+            let in_software = path.parent().is_some_and(|p| p.ends_with("software"));
+            let entry = if in_software {
+                stem
+            } else {
+                "main".to_string()
+            };
+            let source = std::fs::read_to_string(&path).expect("readable");
+            let name = path
+                .strip_prefix(repo)
+                .unwrap_or(&path)
+                .display()
+                .to_string();
+            (name, source, entry)
+        })
+        .collect();
+    programs.extend(chls::benchmarks().into_iter().map(|b| {
+        (
+            b.name.to_string(),
+            b.source.to_string(),
+            b.entry.to_string(),
+        )
+    }));
+    programs.retain(|(_, source, _)| Compiler::parse(source).is_ok());
+    programs
+}
+
+/// The options the shared-preparation tests synthesize under: the
+/// defaults, and loop pipelining, under which c2v rewrites its copy of
+/// the prepared IR (load forwarding, if-conversion) before scheduling.
+fn option_sets() -> [chls::SynthOptions; 2] {
+    let pipelined = chls::SynthOptions {
+        pipeline_loops: true,
+        ..chls::SynthOptions::default()
+    };
+    [chls::SynthOptions::default(), pipelined]
+}
+
+/// All seven backends synthesized through one `Compiler` — in registry
+/// order and in reverse — give exactly the designs (or errors) a fresh
+/// `Compiler` per backend gives. Sharing the front half changes no
+/// output, and no backend's rewrites leak into another's input.
+#[test]
+fn one_compiler_for_every_backend_matches_a_fresh_one_each() {
+    let backends = chls::backends();
+    for (name, source, entry) in corpus() {
+        for opts in option_sets() {
+            let fresh: Vec<_> = backends
+                .iter()
+                .map(|b| {
+                    let compiler = Compiler::parse(&source).expect("corpus program parses");
+                    compiler.synthesize(b.as_ref(), &entry, &opts)
+                })
+                .collect();
+            let forward = Compiler::parse(&source).expect("corpus program parses");
+            for (b, want) in backends.iter().zip(&fresh) {
+                let got = forward.synthesize(b.as_ref(), &entry, &opts);
+                assert!(
+                    got == *want,
+                    "{name} on {}: shared compiler differs",
+                    b.info().name
+                );
+            }
+            let reverse = Compiler::parse(&source).expect("corpus program parses");
+            for (b, want) in backends.iter().zip(&fresh).rev() {
+                let got = reverse.synthesize(b.as_ref(), &entry, &opts);
+                assert!(
+                    got == *want,
+                    "{name} on {} (reverse order): shared compiler differs",
+                    b.info().name
+                );
+            }
+        }
+    }
+}
+
+/// The seven backends on one `Compiler` run the front half at most three
+/// times: once for the sequential four, once for Cones' full unrolling,
+/// once for the structured prefix (which the sequential preparation
+/// then reuses). Every other request is a memo hit.
+#[test]
+fn seven_backends_prepare_at_most_three_times() {
+    let backends = chls::backends();
+    for (name, source, entry) in corpus() {
+        let compiler = Compiler::parse(&source).expect("corpus program parses");
+        let col = chls_trace::Collector::new();
+        col.set_enabled(true);
+        chls_trace::with_collector(&col, || {
+            for b in &backends {
+                let _ = compiler.synthesize(b.as_ref(), &entry, &chls::SynthOptions::default());
+            }
+        });
+        let snap = col.snapshot();
+        let misses = snap.counter("backend.prepare.miss").unwrap_or(0);
+        assert!(
+            misses <= 3,
+            "{name}: {misses} preparations for seven backends"
+        );
     }
 }
