@@ -16,16 +16,24 @@
 //!   miss builds on the prefix slot, so the prefix code exists once.
 //!
 //! Results (errors too) are shared as [`Arc`]s; a backend that rewrites
-//! the prepared IR clones it first. Lookups are safe from many threads:
-//! callers asking for the key being computed wait for it, callers asking
-//! for another key compute their own without waiting.
+//! the prepared IR clones it first.
+//!
+//! The memo serves the thread that created the `Preparer`. The first
+//! request from any other thread (check's fan-out, explore's executor,
+//! the jobs of a long-lived program shared between threads) empties it
+//! for good, and from then on every request computes its own result. A
+//! retained result stays allocated as long as the `Preparer` lives, in
+//! the allocator arena of the thread that computed it; on a program
+//! shared between threads for a long time, such results keep those
+//! arenas from shrinking back after each thread's peaks.
 
 use crate::common::SynthError;
 use chls_frontend::hir::{FuncId, HirProgram};
 use chls_ir::Function;
 use chls_opt::ptr::PtrStats;
 use chls_opt::unroll::{UnrollOptions, UnrollStats};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, ThreadId};
 
 /// The structured prefix: the program after inline → unroll → pointer
 /// elimination, still HIR.
@@ -33,8 +41,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 pub struct Structured {
     /// The inlined program; `funcs[0]` is the entry function.
     pub prog: HirProgram,
-    /// Pointer-analysis statistics.
-    pub ptr_stats: PtrStats,
     /// Unrolling statistics.
     pub unroll_stats: UnrollStats,
 }
@@ -44,8 +50,6 @@ pub struct Structured {
 pub struct Prepared {
     /// Inlined, pointer-free, simplified IR of the entry function.
     pub func: Function,
-    /// Pointer-analysis statistics.
-    pub ptr_stats: PtrStats,
     /// Unrolling statistics.
     pub unroll_stats: UnrollStats,
 }
@@ -63,74 +67,47 @@ struct SequentialKey {
     narrow: bool,
 }
 
-/// One result, computed at most once; waiters block until it is set.
-type Cell<T> = Arc<OnceLock<Result<Arc<T>, SynthError>>>;
-
 /// A memo slot: the most recent key and its result.
-#[derive(Debug)]
-struct Slot<K, T>(Mutex<Option<(K, Cell<T>)>>);
+type Slot<K, T> = Option<(K, Result<Arc<T>, SynthError>)>;
 
-impl<K: PartialEq, T> Slot<K, T> {
-    fn new() -> Self {
-        Slot(Mutex::new(None))
-    }
-
-    /// The cell for `key` and whether it was already there. A different
-    /// key is evicted; a caller still computing it keeps its own cell.
-    fn cell(&self, key: K) -> (Cell<T>, bool) {
-        // Every update is one assignment, so a panic elsewhere cannot
-        // leave the slot half-written.
-        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((k, cell)) = slot.as_ref() {
-            if *k == key {
-                return (cell.clone(), true);
-            }
-        }
-        let cell = Cell::default();
-        *slot = Some((key, cell.clone()));
-        (cell, false)
-    }
-
-    fn get(
-        &self,
-        key: K,
-        compute: impl FnOnce(&K) -> Result<T, SynthError>,
-    ) -> (Result<Arc<T>, SynthError>, bool)
-    where
-        K: Clone,
-    {
-        let (cell, hit) = self.cell(key.clone());
-        (
-            cell.get_or_init(|| compute(&key).map(Arc::new)).clone(),
-            hit,
-        )
-    }
-}
-
-/// An analyzed program plus the memo of its front-half preparations:
-/// what every [`crate::Backend::synthesize`] receives. The memo lives
-/// and dies with the `Preparer`; a clone copies the program and starts
-/// with an empty memo.
-#[derive(Debug)]
-pub struct Preparer {
-    hir: HirProgram,
+#[derive(Debug, Default)]
+struct Memo {
+    /// Set when a thread other than the owner first asks. The slots are
+    /// emptied then and stay empty.
+    shared: bool,
     structured: Slot<PrefixKey, Structured>,
     sequential: Slot<SequentialKey, Prepared>,
 }
 
+/// An analyzed program plus the memo of its front-half preparations:
+/// what every [`crate::Backend::synthesize`] receives. The memo lives
+/// and dies with the `Preparer`; a clone shares the program and starts
+/// with an empty memo of its own.
+#[derive(Debug)]
+pub struct Preparer {
+    hir: Arc<HirProgram>,
+    /// The thread the memo serves: the one that created this value.
+    owner: ThreadId,
+    memo: Mutex<Memo>,
+}
+
 impl Clone for Preparer {
     fn clone(&self) -> Self {
-        Preparer::new(self.hir.clone())
+        Preparer::from_shared(Arc::clone(&self.hir))
     }
 }
 
 impl Preparer {
     /// Wraps an analyzed program with an empty memo.
     pub fn new(hir: HirProgram) -> Self {
+        Preparer::from_shared(Arc::new(hir))
+    }
+
+    fn from_shared(hir: Arc<HirProgram>) -> Self {
         Preparer {
             hir,
-            structured: Slot::new(),
-            sequential: Slot::new(),
+            owner: thread::current().id(),
+            memo: Mutex::default(),
         }
     }
 
@@ -157,7 +134,7 @@ impl Preparer {
             force_full_unroll: false,
             unroll_factor,
         };
-        let (r, hit) = self.structured.get(key, |k| self.run_prefix(k));
+        let (r, hit) = self.get(structured_slot, key, |k| self.run_prefix(k));
         count(hit);
         r
     }
@@ -186,14 +163,49 @@ impl Preparer {
             },
             narrow,
         };
-        let (r, hit) = self.sequential.get(key, |k| {
-            let (prefix, _) = self
-                .structured
-                .get(k.prefix.clone(), |p| self.run_prefix(p));
+        let (r, hit) = self.get(sequential_slot, key, |k| {
+            let (prefix, _) = self.get(structured_slot, k.prefix.clone(), |p| self.run_prefix(p));
             run_sequential(&*prefix?, k.narrow)
         });
         count(hit);
         r
+    }
+
+    /// The memo, emptied for good on the first request from a thread
+    /// other than the owner.
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        // Every update is one assignment, so a panic elsewhere cannot
+        // leave the memo half-written.
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if !memo.shared && thread::current().id() != self.owner {
+            *memo = Memo {
+                shared: true,
+                ..Memo::default()
+            };
+        }
+        memo
+    }
+
+    /// The result for `key` in the slot `slot` picks, computed by
+    /// `compute` (without holding the memo) unless the slot holds it,
+    /// and whether it was a hit. A new key evicts the slot.
+    fn get<K: PartialEq, T>(
+        &self,
+        slot: fn(&mut Memo) -> &mut Slot<K, T>,
+        key: K,
+        compute: impl FnOnce(&K) -> Result<T, SynthError>,
+    ) -> (Result<Arc<T>, SynthError>, bool) {
+        if let Some((k, r)) = slot(&mut self.memo()) {
+            if *k == key {
+                return (r.clone(), true);
+            }
+        }
+        let r = compute(&key).map(Arc::new);
+        let mut memo = self.memo();
+        if !memo.shared {
+            *slot(&mut memo) = Some((key, r.clone()));
+        }
+        (r, false)
     }
 
     fn run_prefix(&self, key: &PrefixKey) -> Result<Structured, SynthError> {
@@ -211,15 +223,18 @@ impl Preparer {
             },
         );
         prog.funcs[0] = unrolled;
-        let mut ptr_stats = PtrStats::default();
-        chls_opt::ptr::lower_pointers(&mut prog.funcs[0], &mut ptr_stats)
+        chls_opt::ptr::lower_pointers(&mut prog.funcs[0], &mut PtrStats::default())
             .map_err(|e| SynthError::Transform(e.to_string()))?;
-        Ok(Structured {
-            prog,
-            ptr_stats,
-            unroll_stats,
-        })
+        Ok(Structured { prog, unroll_stats })
     }
+}
+
+fn structured_slot(memo: &mut Memo) -> &mut Slot<PrefixKey, Structured> {
+    &mut memo.structured
+}
+
+fn sequential_slot(memo: &mut Memo) -> &mut Slot<SequentialKey, Prepared> {
+    &mut memo.sequential
 }
 
 fn count(hit: bool) {
@@ -248,7 +263,56 @@ fn run_sequential(prefix: &Structured, narrow: bool) -> Result<Prepared, SynthEr
     chls_ir::verify::verify(&func).map_err(|e| SynthError::Transform(e.to_string()))?;
     Ok(Prepared {
         func,
-        ptr_stats: prefix.ptr_stats.clone(),
         unroll_stats: prefix.unroll_stats.clone(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chls_frontend::compile_to_hir;
+
+    fn preparer() -> Preparer {
+        let src = "int f(int a, int b) { int s = 0; for (int i = 0; i < 4; i++) { s += a * i + b; } return s; }";
+        Preparer::new(compile_to_hir(src).expect("frontend ok"))
+    }
+
+    #[test]
+    fn the_memo_serves_its_owner_until_another_thread_asks() {
+        let prep = preparer();
+        let first = prep.sequential("f", false, false, None).expect("prepares");
+        let again = prep.sequential("f", false, false, None).expect("prepares");
+        assert!(Arc::ptr_eq(&first, &again), "the owner hits its own result");
+        let full = prep.sequential("f", true, false, None).expect("prepares");
+        let evicted = prep.sequential("f", false, false, None).expect("prepares");
+        assert!(!Arc::ptr_eq(&first, &evicted), "a new key evicts the slot");
+        assert!(!Arc::ptr_eq(&full, &evicted));
+        let other = thread::scope(|s| {
+            s.spawn(|| prep.sequential("f", false, false, None))
+                .join()
+                .expect("no panic")
+        })
+        .expect("prepares");
+        assert!(
+            !Arc::ptr_eq(&evicted, &other),
+            "another thread computes its own"
+        );
+        assert_eq!(evicted.func.to_string(), other.func.to_string());
+        let after = prep.sequential("f", false, false, None).expect("prepares");
+        let after_again = prep.sequential("f", false, false, None).expect("prepares");
+        assert!(
+            !Arc::ptr_eq(&after, &after_again),
+            "a memo another thread used stays empty"
+        );
+    }
+
+    #[test]
+    fn a_clone_shares_the_program_and_starts_empty() {
+        let prep = preparer();
+        let first = prep.structured("f", None).expect("prepares");
+        let copy = prep.clone();
+        assert!(std::ptr::eq(prep.hir(), copy.hir()));
+        let fresh = copy.structured("f", None).expect("prepares");
+        assert!(!Arc::ptr_eq(&first, &fresh));
+    }
 }

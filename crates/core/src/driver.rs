@@ -8,18 +8,20 @@ use chls_ir::MemSource;
 use chls_sim::interp::{self, ArgValue, InterpOptions};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed and analyzed CHL program, ready for synthesis.
 ///
 /// The program sits in a [`Preparer`], so every backend, `lint` and
-/// [`Compiler::prepared_ir`] called on one `Compiler` share the front
-/// half (inline → unroll → pointer elimination → IR → simplify) instead
-/// of each running it again. That memo is dropped with the `Compiler`,
-/// and a clone starts with an empty one.
+/// [`Compiler::prepared_ir`] called on one `Compiler` from the thread
+/// that created it share the front half (inline → unroll → pointer
+/// elimination → IR → simplify) instead of each running it again. That
+/// memo is dropped with the `Compiler`, or as soon as another thread
+/// uses it; a clone shares the parse and starts with an empty one.
 #[derive(Debug, Clone)]
 pub struct Compiler {
     prep: Preparer,
-    source: String,
+    source: Arc<str>,
 }
 
 impl Compiler {
@@ -32,7 +34,7 @@ impl Compiler {
         let hir = chls_trace::time("frontend.parse", || chls_frontend::compile_to_hir(source))?;
         Ok(Compiler {
             prep: Preparer::new(hir),
-            source: source.to_string(),
+            source: source.into(),
         })
     }
 

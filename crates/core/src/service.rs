@@ -254,9 +254,10 @@ fn response_key(req: &Request, digest: u64) -> String {
 }
 
 /// Parses (or fetches) the compiler for `src`, caching the parse under
-/// the source digest. Every request gets its own copy: the cached
-/// `Compiler` never prepares, so the preparations a request makes die
-/// with it instead of sitting in the cache beyond its byte charge.
+/// the source digest. Every request gets its own copy, which shares the
+/// parse: the cached `Compiler` never prepares, so the preparations a
+/// request makes die with it instead of sitting in the cache beyond its
+/// byte charge.
 fn compiler_for(ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Arc<Compiler>, String> {
     let key = format!("hir|{digest:016x}");
     if let Some(cache) = &ctx.cache {

@@ -110,8 +110,9 @@ EOF
 ./target/release/chls check --jobs 1 "$tmp/gcd.chl" gcd 48 36 > "$tmp/seq.txt"
 ./target/release/chls check --jobs 4 "$tmp/gcd.chl" gcd 48 36 > "$tmp/par.txt"
 diff "$tmp/seq.txt" "$tmp/par.txt"
-# All seven backends accept checksum.chl, so at --jobs 4 the threads of
-# one `check` share the program's preparation memo concurrently.
+# All seven backends accept checksum.chl. At --jobs 1 they share one
+# preparation; at --jobs 4 the fan-out threads look up the same memo
+# concurrently and prepare for themselves, and the verdicts must match.
 sum16="9,1,8,2,7,3,6,4,5,0,15,11,14,12,13,10"
 ./target/release/chls check --jobs 1 examples/chl/checksum.chl main "$sum16" > "$tmp/seq.txt"
 ./target/release/chls check --jobs 4 examples/chl/checksum.chl main "$sum16" > "$tmp/par.txt"

@@ -5,6 +5,8 @@
 
 use chls::Compiler;
 
+mod common;
+
 /// A generated program, reduced: lowering its `if` inside a loop left
 /// incomplete phis whose fill order, and with it the SSA value
 /// numbering `chls ir` prints, followed hash-map order.
@@ -41,46 +43,16 @@ fn ir_text_is_identical_across_lowerings() {
 }
 
 /// Every program the shared-preparation tests synthesize: the
-/// `examples/chl` corpus (entry `main`, or the file's stem under
-/// `software/`) and the built-in benchmark kernels. Programs the strict
-/// frontend rejects (the recursive inputs of `chls rewrite`) have no
-/// `Compiler` to share and are left out.
+/// `examples/chl` corpus and the built-in benchmark kernels. Programs
+/// the strict frontend rejects (the recursive inputs of `chls rewrite`)
+/// have no `Compiler` to share and are left out.
 fn corpus() -> Vec<(String, String, String)> {
-    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut dirs = vec![repo.join("examples/chl")];
-    let mut files = Vec::new();
-    while let Some(dir) = dirs.pop() {
-        for entry in std::fs::read_dir(&dir).expect("examples/chl is readable") {
-            let path = entry.expect("directory entry").path();
-            if path.is_dir() {
-                dirs.push(path);
-            } else if path.extension().is_some_and(|e| e == "chl") {
-                files.push(path);
-            }
-        }
-    }
-    files.sort();
-    let mut programs: Vec<_> = files
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut programs: Vec<_> = common::corpus()
         .into_iter()
-        .map(|path| {
-            let stem = path
-                .file_stem()
-                .expect("named")
-                .to_string_lossy()
-                .into_owned();
-            let in_software = path.parent().is_some_and(|p| p.ends_with("software"));
-            let entry = if in_software {
-                stem
-            } else {
-                "main".to_string()
-            };
-            let source = std::fs::read_to_string(&path).expect("readable");
-            let name = path
-                .strip_prefix(repo)
-                .unwrap_or(&path)
-                .display()
-                .to_string();
-            (name, source, entry)
+        .map(|(path, entry)| {
+            let source = std::fs::read_to_string(root.join(&path)).expect("readable");
+            (path, source, entry)
         })
         .collect();
     programs.extend(chls::benchmarks().into_iter().map(|b| {
