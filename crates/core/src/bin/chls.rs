@@ -11,7 +11,8 @@
 //! chls equiv --backend A --backend B <file.chl> <entry> [entry_b]
 //!                                              prove or refute that two
 //!                                              backends implement the same
-//!                                              function (SAT/BDD)
+//!                                              function (strash, exhaustive
+//!                                              enumeration or SAT)
 //! chls lint <file.chl> <entry>                 static analysis: races,
 //!                                              per-backend support, cycle bounds
 //! chls flow <file.chl> <entry>                 static process-network analysis

@@ -259,7 +259,7 @@ impl Tier {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certification {
     pub tier: Tier,
-    /// Proof method (`strash`/`bdd`/`sat`) when certified.
+    /// Proof method (`strash`/`exhaustive`/`sat`) when certified.
     pub method: Option<String>,
     /// Sequential bound used, when a sequential proof ran.
     pub bound: Option<usize>,

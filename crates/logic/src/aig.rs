@@ -121,11 +121,6 @@ impl Aig {
         Lit::from_var(v)
     }
 
-    /// Whether a node is a primary input.
-    pub fn is_input(&self, v: u32) -> bool {
-        v != 0 && self.fanins[v as usize][0] == NO_FANIN
-    }
-
     /// Whether a node is an AND gate.
     pub fn is_and(&self, v: u32) -> bool {
         self.fanins[v as usize][0] != NO_FANIN
@@ -331,71 +326,6 @@ impl Aig {
         }
         order
     }
-
-    /// Exports the cones of `outputs` as a word-level netlist of 1-bit
-    /// cells (ANDs become `a & b`, complemented edges become `~x`). The
-    /// `input_names` map labels primary inputs; unnamed reachable inputs
-    /// get positional names. Used to hand small sequential miters to the
-    /// ROBDD checker, which only speaks netlists.
-    pub fn to_netlist(
-        &self,
-        name: &str,
-        outputs: &[(String, Lit)],
-        input_names: &HashMap<u32, String>,
-    ) -> chls_rtl::Netlist {
-        use chls_rtl::{CellId, CellKind, Netlist};
-        let u1 = chls_frontend::IntType::new(1, false);
-        let mut nl = Netlist::new(name.to_string());
-        let roots: Vec<Lit> = outputs.iter().map(|(_, l)| *l).collect();
-        let mut cell_of: HashMap<u32, CellId> = HashMap::new();
-        let mut not_of: HashMap<u32, CellId> = HashMap::new();
-        let konst = nl.add(CellKind::Const(0), u1);
-        cell_of.insert(0, konst);
-        for v in self.cone(&roots) {
-            if v == 0 {
-                continue;
-            }
-            let id = if self.is_input(v) {
-                let name = input_names
-                    .get(&v)
-                    .cloned()
-                    .unwrap_or_else(|| format!("n{v}"));
-                nl.add(CellKind::Input { name }, u1)
-            } else {
-                let [f0, f1] = self.fanins[v as usize];
-                let l = edge_cell(&mut nl, &cell_of, &mut not_of, f0);
-                let r = edge_cell(&mut nl, &cell_of, &mut not_of, f1);
-                nl.add(CellKind::Bin(chls_ir::BinKind::And, l, r), u1)
-            };
-            cell_of.insert(v, id);
-        }
-        for (name, l) in outputs {
-            let id = edge_cell(&mut nl, &cell_of, &mut not_of, *l);
-            nl.set_output(name.clone(), id);
-        }
-        nl
-    }
-}
-
-/// Cell for an edge, inserting (and caching) a NOT for complemented
-/// edges.
-fn edge_cell(
-    nl: &mut chls_rtl::Netlist,
-    cell_of: &HashMap<u32, chls_rtl::CellId>,
-    not_of: &mut HashMap<u32, chls_rtl::CellId>,
-    l: Lit,
-) -> chls_rtl::CellId {
-    use chls_rtl::CellKind;
-    let u1 = chls_frontend::IntType::new(1, false);
-    let base = cell_of[&l.var()];
-    if !l.is_compl() {
-        return base;
-    }
-    *not_of.entry(l.var()).or_insert_with(|| {
-        // `!x` at u1 is `x ^ 1`; use Not, whose u1 canonicalization
-        // flips the low bit.
-        nl.add(CellKind::Un(chls_ir::UnKind::Not, base), u1)
-    })
 }
 
 #[cfg(test)]
@@ -454,30 +384,6 @@ mod tests {
             assign.insert(b.var(), vb);
             let vals = g.eval(&assign);
             assert_eq!(Aig::lit_value(&vals, x), va ^ vb);
-        }
-    }
-
-    #[test]
-    fn exported_netlist_matches_aig() {
-        use chls_sim::netlist_sim::NetlistSim;
-        let mut g = Aig::new();
-        let a = g.input();
-        let b = g.input();
-        let s = g.input();
-        let o = g.mux(s, a, !b);
-        let names: HashMap<u32, String> = [(a.var(), "a"), (b.var(), "b"), (s.var(), "s")]
-            .into_iter()
-            .map(|(v, n)| (v, n.to_string()))
-            .collect();
-        let nl = g.to_netlist("m", &[("o".to_string(), o)], &names);
-        for bits in 0..8u32 {
-            let (va, vb, vs) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
-            let mut sim = NetlistSim::new(&nl).unwrap();
-            sim.set_input("a", va as i64);
-            sim.set_input("b", vb as i64);
-            sim.set_input("s", vs as i64);
-            let want = if vs { va } else { !vb };
-            assert_eq!(sim.output("o").unwrap(), want as i64);
         }
     }
 }

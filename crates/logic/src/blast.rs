@@ -403,8 +403,8 @@ pub struct SymEnv {
     pub inputs: Vec<(String, Word)>,
     /// Symbolic RAM initial contents by sharing key.
     pub rams: Vec<(String, Vec<Word>)>,
-    /// Input-bit labels (`name` or `name[word]`, bit) per AIG variable,
-    /// for exported netlists and witness decoding.
+    /// Input-bit labels (`name.bit` or `key.word.bit`) per AIG
+    /// variable, for exported AIGER and BLIF port names.
     pub labels: HashMap<u32, String>,
 }
 

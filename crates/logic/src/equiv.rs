@@ -3,13 +3,13 @@
 //! Two designs are compared by blasting both into one shared [`Aig`]
 //! (inputs unified by name, caller-visible arrays unified by parameter
 //! index) and building a *miter*: a single literal that is true exactly
-//! when some observable output differs. The ladder then tries, in
-//! order:
+//! when some observable output differs. Combinational and sequential
+//! checks share one ladder, which tries, in order:
 //!
 //! 1. **strash** — structural hashing plus the AIG rewrite rules often
 //!    collapse the miter to constant false outright;
-//! 2. **BDD** — for small input counts the existing `rtl::bdd` checker
-//!    decides the miter canonically;
+//! 2. **exhaustive** — a small enough input space is enumerated, 64
+//!    assignments per [`Aig::simulate64`] pass;
 //! 3. **SAT** — Tseitin-encode the miter cone and run the CDCL solver
 //!    under a conflict budget.
 //!
@@ -17,9 +17,10 @@
 //! bounded property *both sides finished ⇒ same return value and same
 //! final contents of caller-visible arrays*. A bound under which no
 //! input can finish on both sides is reported as `Unknown`, never as
-//! a vacuous pass. That side condition is settled by a concrete witness
-//! when one turns up in a few passes of [`Aig::simulate64`] over seeded
-//! word-level patterns (the all-zero input first), and by SAT otherwise.
+//! a vacuous pass. The exhaustive rung settles that side condition in
+//! its own passes; otherwise a concrete witness settles it when one
+//! turns up in a few passes over seeded word-level patterns (the
+//! all-zero input first), and SAT when none does.
 //!
 //! Every "differ" verdict is **replayed through the concrete
 //! simulator** before being reported; a solver/simulator disagreement
@@ -30,7 +31,7 @@ use crate::aig::{Aig, Lit};
 use crate::blast::{RamSpec, SymEnv, SymError, SymMachine, Word};
 use crate::sat::{Cnf, Outcome, Solver};
 use chls_frontend::IntType;
-use chls_rtl::{check_equivalence, fsmd_to_netlist, Equivalence, Fsmd, Netlist};
+use chls_rtl::{fsmd_to_netlist, Fsmd, Netlist};
 use chls_rtl::netlist::CellKind;
 use chls_sim::netlist_sim::NetlistSim;
 use std::collections::{BTreeMap, HashMap};
@@ -40,15 +41,11 @@ use std::collections::{BTreeMap, HashMap};
 pub struct EquivOptions {
     /// Conflict budget for the CDCL solver before giving up.
     pub sat_budget: u64,
-    /// Maximum total symbolic input bits for the BDD fast path.
-    pub bdd_input_limit: usize,
-    /// Node budget handed to the BDD checker.
-    pub bdd_budget: usize,
 }
 
 impl Default for EquivOptions {
     fn default() -> Self {
-        EquivOptions { sat_budget: 2_000_000, bdd_input_limit: 20, bdd_budget: 1 << 21 }
+        EquivOptions { sat_budget: 2_000_000 }
     }
 }
 
@@ -57,8 +54,8 @@ impl Default for EquivOptions {
 pub enum Method {
     /// The miter folded to constant false in the AIG.
     Strash,
-    /// The ROBDD checker.
-    Bdd,
+    /// Evaluation of the miter on every input assignment.
+    Exhaustive,
     /// The CDCL SAT solver.
     Sat,
 }
@@ -68,7 +65,7 @@ impl Method {
     pub fn name(self) -> &'static str {
         match self {
             Method::Strash => "strash",
-            Method::Bdd => "bdd",
+            Method::Exhaustive => "exhaustive",
             Method::Sat => "sat",
         }
     }
@@ -177,19 +174,6 @@ fn decode_env(env: &SymEnv, vals: &[bool]) -> DecodedEnv {
     (inputs, rams)
 }
 
-/// Converts a BDD witness (or any name→value list) into an AIG input
-/// valuation using the environment's bit labels.
-fn vals_from_named(env: &SymEnv, aig_len: usize, named: &[(String, i64)]) -> Vec<bool> {
-    let map: HashMap<&str, i64> = named.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let mut vals = vec![false; aig_len];
-    for (&var, label) in &env.labels {
-        if let Some(&v) = map.get(label.as_str()) {
-            vals[var as usize] = v != 0;
-        }
-    }
-    vals
-}
-
 // ---------------------------------------------------------------------
 // Combinational equivalence.
 // ---------------------------------------------------------------------
@@ -217,33 +201,18 @@ pub fn check_comb_equiv(
         )));
     }
 
-    // BDD fast path when the shared input space is small and the
-    // interfaces line up exactly.
-    if input_bits(a) <= opts.bdd_input_limit && input_bits(b) <= opts.bdd_input_limit {
-        match check_equivalence(a, b, opts.bdd_budget) {
-            Ok(Equivalence::Equivalent) => {
-                return Ok(EquivReport {
-                    verdict: Verdict::Equivalent,
-                    method: Method::Bdd,
-                    aig_nodes: 0,
-                    sat_conflicts: 0,
-                    bound: 0,
-                });
-            }
-            Ok(Equivalence::Differ { witness, .. }) => {
-                let cex = replay_comb(a, b, witness, Vec::new())?;
-                return Ok(EquivReport {
-                    verdict: Verdict::Differ(cex),
-                    method: Method::Bdd,
-                    aig_nodes: 0,
-                    sat_conflicts: 0,
-                    bound: 0,
-                });
-            }
-            Err(_) => {} // unsupported cell or budget: drop to the AIG ladder
-        }
-    }
+    let (g, env, miter) = comb_miter(a, b)?;
+    chls_trace::add("logic.aig_nodes", g.len() as u64);
 
+    decide(&g, &env, miter, None, opts, 0, |vals| {
+        let (inputs, _) = decode_env(&env, vals);
+        replay_comb(a, b, inputs, Vec::new())
+    })
+}
+
+/// Blasts both netlists into one AIG and returns it with the shared
+/// inputs and the miter: some same-named output differs.
+fn comb_miter(a: &Netlist, b: &Netlist) -> Result<(Aig, SymEnv, Lit), EquivError> {
     let mut g = Aig::new();
     let mut env = SymEnv::new();
     let ma = SymMachine::new(&mut g, &mut env, a, &[])?;
@@ -257,22 +226,7 @@ pub fn check_comb_equiv(
         let d = neq64(&mut g, wa, &wb);
         miter = g.or(miter, d);
     }
-    chls_trace::add("logic.aig_nodes", g.len() as u64);
-
-    decide(&mut g, &env, miter, None, opts, 0, |vals| {
-        let (inputs, _) = decode_env(&env, vals);
-        replay_comb(a, b, inputs, Vec::new())
-    })
-}
-
-fn input_bits(nl: &Netlist) -> usize {
-    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
-    for c in &nl.cells {
-        if let CellKind::Input { name } = &c.kind {
-            seen.insert(name.as_str(), c.ty.width as usize);
-        }
-    }
-    seen.values().sum()
+    Ok((g, env, miter))
 }
 
 /// Replays a combinational counterexample through both concrete
@@ -377,7 +331,7 @@ pub fn check_seq_equiv(
     let miter = g.and(both_done, diff);
     chls_trace::add("logic.aig_nodes", g.len() as u64);
 
-    decide(&mut g, &env, miter, Some(both_done), opts, k, |vals| {
+    decide(&g, &env, miter, Some(both_done), opts, k, |vals| {
         let (inputs, rams) = decode_env(&env, vals);
         replay_seq(&na, &nb, &specs_a, &specs_b, k, inputs, rams)
     })
@@ -550,13 +504,35 @@ fn replay_seq(
 // The shared decision ladder.
 // ---------------------------------------------------------------------
 
-/// Decides a miter literal: strash, then BDD (small inputs), then SAT.
-/// `vacuity` is an optional side condition (e.g. "both machines
-/// finish") that must be satisfiable for an Equivalent verdict to be
-/// meaningful. `replay` converts an AIG input valuation into a
-/// confirmed counterexample.
+/// A rung's answer, before counterexample replay.
+#[derive(Debug)]
+enum Decision {
+    /// No input sets the miter, and the side condition holds.
+    Equivalent,
+    /// An AIG valuation, one entry per node, that sets the miter.
+    Differ(Vec<bool>),
+    /// Undecided, and why.
+    Unknown(String),
+}
+
+impl Decision {
+    /// The answer once the miter is known to be unsatisfiable: `why` is
+    /// the side condition's failure, if any.
+    fn holds(why: Option<String>) -> Decision {
+        why.map_or(Decision::Equivalent, Decision::Unknown)
+    }
+}
+
+/// Why an otherwise-proved bounded check is `Unknown`.
+const NO_INPUT_COMPLETES: &str = "no input completes within the bound on both sides";
+
+/// Decides a miter literal: strash, then exhaustive enumeration (small
+/// input spaces), then SAT. `vacuity` is an optional side condition
+/// (e.g. "both machines finish") that must be satisfiable for an
+/// Equivalent verdict to be meaningful. `replay` converts an AIG input
+/// valuation into a confirmed counterexample.
 fn decide(
-    g: &mut Aig,
+    g: &Aig,
     env: &SymEnv,
     miter: Lit,
     vacuity: Option<Lit>,
@@ -564,110 +540,153 @@ fn decide(
     bound: usize,
     replay: impl Fn(&[bool]) -> Result<Counterexample, EquivError>,
 ) -> Result<EquivReport, EquivError> {
-    let report = move |verdict, method, conflicts, aig_nodes| EquivReport {
+    let mut conflicts = 0;
+    let (decision, method) = if miter == Lit::FALSE {
+        // Rung 1: the rewriting AIG folded the miter already.
+        let why = check_vacuity(g, env, vacuity, opts, &mut conflicts);
+        (Decision::holds(why), Method::Strash)
+    } else if let Some(d) = exhaustive(g, env, miter, vacuity, EXHAUSTIVE_WORK) {
+        (d, Method::Exhaustive)
+    } else {
+        (sat(g, env, miter, vacuity, opts, &mut conflicts), Method::Sat)
+    };
+    let verdict = match decision {
+        Decision::Equivalent => Verdict::Equivalent,
+        Decision::Differ(vals) => Verdict::Differ(replay(&vals)?),
+        Decision::Unknown(why) => Verdict::Unknown(why),
+    };
+    Ok(EquivReport {
         verdict,
         method,
-        aig_nodes,
+        aig_nodes: g.len(),
         sat_conflicts: conflicts,
         bound,
-    };
+    })
+}
 
-    let check_vacuity = |g: &mut Aig, conflicts: &mut u64| -> Option<String> {
-        let side = vacuity?;
-        if side == Lit::FALSE {
-            return Some("no input completes within the bound on both sides".into());
-        }
-        if side == Lit::TRUE {
-            return None;
-        }
-        if simulated_witness(g, env, side) {
-            chls_trace::add("logic.vacuity_sim", 1);
-            return None;
-        }
-        chls_trace::add("logic.vacuity_sat", 1);
-        let mut solver = Solver::new();
-        let cnf = Cnf::encode(g, &[side], &mut solver);
-        cnf.assert_true(side, &mut solver);
-        let out = solver.solve(Some(opts.sat_budget));
-        *conflicts += solver.num_conflicts();
-        match out {
-            Outcome::Sat(_) => None,
-            Outcome::Unsat => {
-                Some("no input completes within the bound on both sides".into())
-            }
-            Outcome::Unknown => Some("could not establish the bound is reachable".into()),
-        }
-    };
+/// Node evaluations (passes × AIG nodes) the exhaustive rung may spend
+/// before it leaves the miter to SAT. A miter of 20 input bits fits
+/// when its AIG has at most 4,096 nodes, one of 8 bits at up to 4M.
+const EXHAUSTIVE_WORK: u64 = 1 << 24;
 
-    // Rung 1: the rewriting AIG may have folded the miter already.
-    if miter == Lit::FALSE {
-        let mut conflicts = 0;
-        let verdict = match check_vacuity(g, &mut conflicts) {
-            Some(why) => Verdict::Unknown(why),
-            None => Verdict::Equivalent,
-        };
-        return Ok(report(verdict, Method::Strash, conflicts, g.len()));
+/// Lane masks of the exhaustive rung: lane `l` of mask `i` is bit `i`
+/// of `l`, so the 64 lanes of a pass hold every value of six bits.
+const LANE_MASKS: [u64; 6] = [
+    0xaaaa_aaaa_aaaa_aaaa,
+    0xcccc_cccc_cccc_cccc,
+    0xf0f0_f0f0_f0f0_f0f0,
+    0xff00_ff00_ff00_ff00,
+    0xffff_0000_ffff_0000,
+    0xffff_ffff_0000_0000,
+];
+
+/// Rung 2: evaluates the miter on every input assignment, 64 per
+/// [`Aig::simulate64`] pass. Input bit `i` takes its value from
+/// [`LANE_MASKS`] for `i < 6` and from bit `i - 6` of the pass index
+/// above. The first lane that sets the miter is the counterexample;
+/// when none does, `vacuity` holds if some lane sets it. `None` when
+/// the enumeration would exceed `work` node evaluations.
+fn exhaustive(
+    g: &Aig,
+    env: &SymEnv,
+    miter: Lit,
+    vacuity: Option<Lit>,
+    work: u64,
+) -> Option<Decision> {
+    let bits: Vec<Lit> = input_words(env).flat_map(|w| w.bits.iter().copied()).collect();
+    let shift = u32::try_from(bits.len().saturating_sub(LANE_MASKS.len())).ok()?;
+    let passes = 1u64.checked_shl(shift)?;
+    if passes.checked_mul(g.len() as u64)? > work {
+        return None;
     }
-
-    // Rung 2: BDD over the exported miter cone when the input space is
-    // small enough to enumerate symbolically.
-    let total_bits: usize = env.inputs.iter().map(|(_, w)| w.bits.len()).sum::<usize>()
-        + env
-            .rams
-            .iter()
-            .map(|(_, ws)| ws.iter().map(|w| w.bits.len()).sum::<usize>())
-            .sum::<usize>();
-    if total_bits <= opts.bdd_input_limit {
-        let miter_nl = g.to_netlist("miter", &[("diff".into(), miter)], &env.labels);
-        let zero_nl = const_false_twin(&miter_nl);
-        match check_equivalence(&miter_nl, &zero_nl, opts.bdd_budget) {
-            Ok(Equivalence::Equivalent) => {
-                let mut conflicts = 0;
-                let verdict = match check_vacuity(g, &mut conflicts) {
-                    Some(why) => Verdict::Unknown(why),
-                    None => Verdict::Equivalent,
-                };
-                return Ok(report(verdict, Method::Bdd, conflicts, g.len()));
-            }
-            Ok(Equivalence::Differ { witness, .. }) => {
-                let vals = vals_from_named(env, g.len(), &witness);
-                let cex = replay(&vals)?;
-                return Ok(report(Verdict::Differ(cex), Method::Bdd, 0, g.len()));
-            }
-            Err(_) => {} // fall through to SAT
-        }
+    let side = vacuity.unwrap_or(Lit::TRUE);
+    let mut lanes = vec![0u64; g.len()];
+    for (l, mask) in bits.iter().zip(LANE_MASKS) {
+        lanes[l.var() as usize] = mask;
     }
+    let mut reached = false;
+    for pass in 0..passes {
+        for (i, l) in bits.iter().enumerate().skip(LANE_MASKS.len()) {
+            lanes[l.var() as usize] = 0u64.wrapping_sub(pass >> (i - LANE_MASKS.len()) & 1);
+        }
+        let vals = g.simulate64(|v| lanes[v as usize]);
+        let hits = Aig::lit_value64(&vals, miter);
+        if hits != 0 {
+            let lane = hits.trailing_zeros();
+            return Some(Decision::Differ(vals.iter().map(|w| w >> lane & 1 != 0).collect()));
+        }
+        reached |= Aig::lit_value64(&vals, side) != 0;
+    }
+    Some(Decision::holds((!reached).then(|| NO_INPUT_COMPLETES.into())))
+}
 
-    // Rung 3: CDCL SAT on the Tseitin-encoded miter cone.
+/// Rung 3: CDCL SAT on the Tseitin-encoded miter cone; when it is
+/// unsatisfiable, the side condition is checked as on rung 1.
+fn sat(
+    g: &Aig,
+    env: &SymEnv,
+    miter: Lit,
+    vacuity: Option<Lit>,
+    opts: &EquivOptions,
+    conflicts: &mut u64,
+) -> Decision {
     let mut solver = Solver::new();
     let cnf = Cnf::encode(g, &[miter], &mut solver);
     cnf.assert_true(miter, &mut solver);
     let out = solver.solve(Some(opts.sat_budget));
-    let mut conflicts = solver.num_conflicts();
-    chls_trace::add("logic.sat_conflicts", conflicts);
+    let spent = solver.num_conflicts();
+    chls_trace::add("logic.sat_conflicts", spent);
+    *conflicts += spent;
     match out {
-        Outcome::Unsat => {
-            let verdict = match check_vacuity(g, &mut conflicts) {
-                Some(why) => Verdict::Unknown(why),
-                None => Verdict::Equivalent,
-            };
-            Ok(report(verdict, Method::Sat, conflicts, g.len()))
+        Outcome::Unsat => Decision::holds(check_vacuity(g, env, vacuity, opts, conflicts)),
+        Outcome::Unknown => {
+            Decision::Unknown(format!("SAT conflict budget ({}) exhausted", opts.sat_budget))
         }
-        Outcome::Unknown => Ok(report(
-            Verdict::Unknown(format!(
-                "SAT conflict budget ({}) exhausted",
-                opts.sat_budget
-            )),
-            Method::Sat,
-            conflicts,
-            g.len(),
-        )),
-        Outcome::Sat(model) => {
-            let vals = cnf.decode(g, &model);
-            let cex = replay(&vals)?;
-            Ok(report(Verdict::Differ(cex), Method::Sat, conflicts, g.len()))
-        }
+        Outcome::Sat(model) => Decision::Differ(cnf.decode(g, &model)),
     }
+}
+
+/// Whether the side condition `vacuity` fails: `Some(why)` when no input
+/// can set it (or SAT ran out of budget showing one can). A seeded
+/// simulation witness settles it before SAT is asked.
+fn check_vacuity(
+    g: &Aig,
+    env: &SymEnv,
+    vacuity: Option<Lit>,
+    opts: &EquivOptions,
+    conflicts: &mut u64,
+) -> Option<String> {
+    let side = vacuity?;
+    if side == Lit::FALSE {
+        return Some(NO_INPUT_COMPLETES.into());
+    }
+    if side == Lit::TRUE {
+        return None;
+    }
+    if simulated_witness(g, env, side) {
+        chls_trace::add("logic.vacuity_sim", 1);
+        return None;
+    }
+    chls_trace::add("logic.vacuity_sat", 1);
+    let mut solver = Solver::new();
+    let cnf = Cnf::encode(g, &[side], &mut solver);
+    cnf.assert_true(side, &mut solver);
+    let out = solver.solve(Some(opts.sat_budget));
+    *conflicts += solver.num_conflicts();
+    match out {
+        Outcome::Sat(_) => None,
+        Outcome::Unsat => Some(NO_INPUT_COMPLETES.into()),
+        Outcome::Unknown => Some("could not establish the bound is reachable".into()),
+    }
+}
+
+/// The symbolic words whose bits are the AIG's free inputs: scalar
+/// inputs, then the words of shared RAMs.
+fn input_words(env: &SymEnv) -> impl Iterator<Item = &Word> {
+    env.inputs
+        .iter()
+        .map(|(_, w)| w)
+        .chain(env.rams.iter().flat_map(|(_, ws)| ws))
 }
 
 /// Rounds of 64 patterns [`simulated_witness`] tries before SAT.
@@ -679,15 +698,9 @@ const WITNESS_ROUNDS: u64 = 4;
 /// 0–31 (loop counts that finish early) with full-width ones. A lane
 /// that sets `side` is a concrete satisfying assignment of `side`.
 fn simulated_witness(g: &Aig, env: &SymEnv, side: Lit) -> bool {
-    let words: Vec<&Word> = env
-        .inputs
-        .iter()
-        .map(|(_, w)| w)
-        .chain(env.rams.iter().flat_map(|(_, ws)| ws))
-        .collect();
     let mut lanes = vec![0u64; g.len()];
     for round in 0..WITNESS_ROUNDS {
-        for (i, w) in words.iter().enumerate() {
+        for (i, w) in input_words(env).enumerate() {
             let values: Vec<u64> = (0..64u64)
                 .map(|lane| pattern_value(round, i, lane))
                 .collect();
@@ -725,23 +738,194 @@ fn pattern_value(round: u64, word: usize, lane: u64) -> u64 {
     }
 }
 
-/// A netlist with the same input cells as `nl` but a constant-false
-/// `diff` output, for driving the BDD checker as `miter ≡ 0`.
-fn const_false_twin(nl: &Netlist) -> Netlist {
-    let mut z = Netlist::new(format!("{}_zero", nl.name));
-    for c in &nl.cells {
-        if let CellKind::Input { name } = &c.kind {
-            z.add(CellKind::Input { name: name.clone() }, c.ty);
-        }
-    }
-    let f = z.add(CellKind::Const(0), IntType::new(1, false));
-    z.set_output("diff", f);
-    z
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chls_ir::{BinKind, UnKind};
+
+    /// xorshift64* draws in `0..n`: the generators' only randomness.
+    fn rng(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut s = (seed ^ 0x5851_f42d_4c95_7f2d).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move |n| {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            (s.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as usize % n
+        }
+    }
+
+    const OPS: [BinKind; 8] = [
+        BinKind::Add,
+        BinKind::Sub,
+        BinKind::Mul,
+        BinKind::And,
+        BinKind::Or,
+        BinKind::Xor,
+        BinKind::Shl,
+        BinKind::Shr,
+    ];
+
+    /// A random netlist over inputs `a` and `b` of at most 8 bits each,
+    /// cast to one 8-bit working type, with every cell an output, and a
+    /// twin with one operator changed: odd seeds swap it for another
+    /// (usually a different function), even seeds rewrite an `Add` as
+    /// `x - (-y)` (the same function in a different structure).
+    fn random_pair(seed: u64) -> (Netlist, Netlist) {
+        let mut r = rng(seed);
+        let work = IntType::new(8, r(2) == 1);
+        let mut nl = Netlist::new("rand");
+        let mut nets = Vec::new();
+        for name in ["a", "b"] {
+            let ty = IntType::new(1 + r(8) as u16, r(2) == 1);
+            let x = nl.add(CellKind::Input { name: name.into() }, ty);
+            nets.push(nl.add(CellKind::Cast { from: ty, val: x }, work));
+        }
+        for _ in 0..4 + r(8) {
+            let (x, y) = (nets[r(nets.len())], nets[r(nets.len())]);
+            let id = match r(OPS.len() + 2) {
+                i if i < OPS.len() => nl.add(CellKind::Bin(OPS[i], x, y), work),
+                i if i == OPS.len() => nl.add(CellKind::Const(r(256) as i64), work),
+                _ => {
+                    let sel = nl.add(CellKind::Bin(BinKind::Lt, x, y), IntType::new(1, false));
+                    nl.add(CellKind::Mux { sel, a: y, b: x }, work)
+                }
+            };
+            nets.push(id);
+        }
+        for (i, &net) in nets.iter().enumerate().skip(2) {
+            nl.set_output(format!("o{i}"), net);
+        }
+        let mut twin = nl.clone();
+        let bins: Vec<_> = (twin.cells.iter().enumerate())
+            .filter_map(|(i, c)| match c.kind {
+                CellKind::Bin(op, x, y) if OPS.contains(&op) => Some((i, op, x, y)),
+                _ => None,
+            })
+            .filter(|&(_, op, ..)| seed % 2 == 1 || op == BinKind::Add)
+            .collect();
+        if let Some(&(i, op, x, y)) = bins.get(r(bins.len().max(1))) {
+            twin.cells[i].kind = if seed % 2 == 1 {
+                let other = OPS.iter().filter(|&&o| o != op).nth(r(OPS.len() - 1));
+                CellKind::Bin(*other.expect("seven others"), x, y)
+            } else {
+                let neg = twin.add(CellKind::Un(UnKind::Neg, y), work);
+                CellKind::Bin(BinKind::Sub, x, neg)
+            };
+        }
+        (nl, twin)
+    }
+
+    /// A rung's answer in comparable form; a `Differ` valuation must
+    /// replay through the concrete simulators.
+    fn settled(d: Decision, env: &SymEnv, a: &Netlist, b: &Netlist) -> Result<String, String> {
+        match d {
+            Decision::Equivalent => Ok("equivalent".into()),
+            Decision::Unknown(why) => Ok(why),
+            Decision::Differ(vals) => {
+                let (inputs, _) = decode_env(env, &vals);
+                replay_comb(a, b, inputs, Vec::new())
+                    .map(|_| "differ".into())
+                    .map_err(|e| e.to_string())
+            }
+        }
+    }
+
+    /// SAT and exhaustive enumeration agree on seeded random miters of at
+    /// most 16 input bits, with and without a vacuity side condition,
+    /// and every `Differ` either rung finds replays.
+    #[test]
+    fn exhaustive_and_sat_agree_on_small_miters() {
+        let opts = EquivOptions::default();
+        let mut seen = BTreeMap::new();
+        for seed in 0..96u64 {
+            let (a, b) = random_pair(seed);
+            let (mut g, env, mut miter) = comb_miter(&a, &b).expect("blasts");
+            if miter == Lit::FALSE {
+                *seen.entry("strash".to_string()).or_insert(0) += 1;
+                continue;
+            }
+            // Every third miter gets a side condition over two random
+            // nodes, conjoined into the miter as sequential checks do.
+            let vacuity = (seed % 3 == 0).then(|| {
+                let mut r = rng(!seed);
+                let mut pick = || Lit(2 + r(2 * g.len() - 2) as u32);
+                let (x, y) = (pick(), pick());
+                g.and(x, y)
+            });
+            if let Some(side) = vacuity {
+                miter = g.and(side, miter);
+            }
+            let ex = exhaustive(&g, &env, miter, vacuity, u64::MAX).expect("uncapped");
+            let mut conflicts = 0;
+            let by_sat = sat(&g, &env, miter, vacuity, &opts, &mut conflicts);
+            let (ex, by_sat) = (settled(ex, &env, &a, &b), settled(by_sat, &env, &a, &b));
+            assert_eq!(ex, by_sat, "seed {seed}");
+            *seen.entry(ex.expect("replays")).or_insert(0) += 1;
+        }
+        for kind in ["equivalent", "differ", NO_INPUT_COMPLETES] {
+            assert!(seen.contains_key(kind), "no {kind:?} case among {seen:?}");
+        }
+    }
+
+    /// Enumeration visits every assignment: a miter that only `a == c`
+    /// sets is found, at `c`, for every `c` of widths up to 8 bits and
+    /// sampled `c` at 13 bits (seven bits from the pass index).
+    #[test]
+    fn exhaustive_finds_the_one_differing_input() {
+        let mut r = rng(13);
+        let cases = (1..=8u16)
+            .flat_map(|w| (0..1i64 << w).map(move |c| (w, c)))
+            .chain((0..16).map(|_| (13, r(1 << 13) as i64)));
+        for (width, c) in cases {
+            let build = |needle: bool| {
+                let (ty, u1) = (IntType::new(width, false), IntType::new(1, false));
+                let mut nl = Netlist::new("needle");
+                let a = nl.add(CellKind::Input { name: "a".into() }, ty);
+                let o = if needle {
+                    let k = nl.add(CellKind::Const(c), ty);
+                    nl.add(CellKind::Bin(BinKind::Eq, a, k), u1)
+                } else {
+                    nl.add(CellKind::Const(0), u1)
+                };
+                nl.set_output("o", o);
+                nl
+            };
+            let (g, env, miter) = comb_miter(&build(true), &build(false)).expect("blasts");
+            let Some(Decision::Differ(vals)) = exhaustive(&g, &env, miter, None, u64::MAX) else {
+                panic!("a == {c} at {width} bits not found");
+            };
+            assert_eq!(decode_env(&env, &vals).0, [("a".to_string(), c)]);
+        }
+    }
+
+    /// A miter whose enumeration exceeds the work cap (20 input bits,
+    /// 2^14 passes over thousands of nodes) is left to SAT, which
+    /// reaches the verdict enumeration reaches without the cap.
+    #[test]
+    fn miter_above_the_work_cap_is_decided_by_sat() {
+        let build = |last: BinKind| {
+            let (s10, s32) = (IntType::new(10, true), IntType::new(32, true));
+            let mut nl = Netlist::new("products");
+            let a = nl.add(CellKind::Input { name: "a".into() }, s10);
+            let b = nl.add(CellKind::Input { name: "b".into() }, s10);
+            let a = nl.add(CellKind::Cast { from: s10, val: a }, s32);
+            let b = nl.add(CellKind::Cast { from: s10, val: b }, s32);
+            let ab = nl.add(CellKind::Bin(BinKind::Mul, a, b), s32);
+            let aab = nl.add(CellKind::Bin(BinKind::Mul, ab, a), s32);
+            let abab = nl.add(CellKind::Bin(BinKind::Mul, aab, b), s32);
+            let o = nl.add(CellKind::Bin(last, abab, ab), s32);
+            nl.set_output("o", o);
+            nl
+        };
+        let (a, b) = (build(BinKind::Add), build(BinKind::Xor));
+        let (g, env, miter) = comb_miter(&a, &b).expect("blasts");
+        assert!(exhaustive(&g, &env, miter, None, EXHAUSTIVE_WORK).is_none());
+        let uncapped = exhaustive(&g, &env, miter, None, u64::MAX).expect("uncapped");
+        assert_eq!(settled(uncapped, &env, &a, &b), Ok("differ".into()));
+        let report = check_comb_equiv(&a, &b, &EquivOptions::default()).expect("checks");
+        assert_eq!(report.method, Method::Sat);
+        assert!(matches!(report.verdict, Verdict::Differ(_)), "{:?}", report.verdict);
+    }
 
     /// A fabricated counterexample on which both sides actually agree
     /// must surface as a loud `ReplayMismatch`, never as a refutation —
@@ -752,7 +936,7 @@ mod tests {
         let mut nl = Netlist::new("sum");
         let a = nl.add(CellKind::Input { name: "a".into() }, ty);
         let b = nl.add(CellKind::Input { name: "b".into() }, ty);
-        let s = nl.add(CellKind::Bin(chls_ir::BinKind::Add, a, b), ty);
+        let s = nl.add(CellKind::Bin(BinKind::Add, a, b), ty);
         nl.set_output("s", s);
         let twin = nl.clone();
         let err = replay_comb(

@@ -8,15 +8,16 @@
 //! same function? Both are answered over an And-Inverter Graph:
 //!
 //! * [`aig`] — the AIG core: structural hashing, constant folding,
-//!   one- and two-level rewrite rules, complemented edges, a 64-lane
-//!   bit-parallel simulator, and an exporter back to `rtl::netlist`.
+//!   one- and two-level rewrite rules, complemented edges, and a 64-lane
+//!   bit-parallel simulator.
 //! * [`blast`] — word-level bit-blasting of netlists into the AIG with
 //!   exactly the simulator's arithmetic semantics, including symbolic
 //!   RAM and a cycle-unrolling symbolic machine.
 //! * [`sat`] — Tseitin CNF emission and a small self-contained CDCL
 //!   solver (two watched literals, first-UIP learning, VSIDS, restarts).
-//! * [`equiv`] — miter construction and the strash → BDD → SAT
-//!   decision ladder, with counterexample replay through the concrete
+//! * [`equiv`] — miter construction and the strash → exhaustive → SAT
+//!   decision ladder (exhaustive: every input of a small miter, 64 per
+//!   simulator pass), with counterexample replay through the concrete
 //!   simulator as an independent soundness check.
 //! * [`opt`] — word-level netlist and FSMD optimizers used by
 //!   `--opt-netlist` and the `opt_area` QoR column; every rewrite is

@@ -11,9 +11,9 @@ use chls_rtl::netlist::{CellKind, Netlist};
 
 #[test]
 fn equiv_and_optimize_record_trace_counters() {
-    // 16-bit inputs: 32 input bits total, past the BDD rung's 20-bit
-    // limit, so the Differ check below exercises the SAT path and its
-    // conflict counter.
+    // 16-bit inputs: 32 input bits total, 2^26 passes of the exhaustive
+    // rung and far past its work cap, so the Differ check below
+    // exercises the SAT path and its conflict counter.
     let ty = IntType::new(16, false);
     let build = |op: BinKind| {
         let mut nl = Netlist::new("t");

@@ -12,7 +12,6 @@
 //! * [`cost`] — the technology-independent area/delay model every report
 //!   in the experiment suite pulls numbers from.
 
-pub mod bdd;
 pub mod builder;
 pub mod cost;
 pub mod fsmd;
@@ -20,7 +19,6 @@ pub mod lower;
 pub mod netlist;
 pub mod verilog;
 
-pub use bdd::{check_equivalence, BddError, Equivalence};
 pub use cost::{CostModel, OpClass};
 pub use fsmd::{Action, Fsmd, FsmdMem, NextState, RegId, Rv, RvKind, State, StateId};
 pub use netlist::{bin_class, CellData, CellId, CellKind, Netlist, Ram, RamId};

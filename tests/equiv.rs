@@ -8,7 +8,7 @@ use chls::{backend_by_name, Compiler, Design, SynthOptions};
 use chls_frontend::IntType;
 use chls_ir::BinKind;
 use chls_logic::{
-    check_comb_equiv, check_seq_equiv, optimize, EquivOptions, Verdict,
+    check_comb_equiv, check_seq_equiv, optimize, EquivError, EquivOptions, Verdict,
 };
 use chls_rtl::netlist::{CellKind, Netlist};
 use chls_rtl::CostModel;
@@ -63,7 +63,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The optimizer's output is formally equivalent to its input (full
-    /// input space, decided by the strash/BDD/SAT ladder) and never
+    /// input space, decided by the strash/exhaustive/SAT ladder) and never
     /// costs more area.
     #[test]
     fn optimize_is_sat_equivalent_and_never_larger(
@@ -89,36 +89,47 @@ proptest! {
     }
 }
 
-/// A deliberately broken "rewrite" — replacing `a + b` with `a | b`,
-/// sound only when no carries propagate — must be refuted, and the
-/// counterexample must be confirmed by the concrete simulator.
+/// Deliberately broken "rewrites" must be refuted, and each
+/// counterexample must be confirmed by the concrete simulator: `a + b`
+/// replaced by `a | b` (sound only when no carries propagate), and a
+/// signed `sint<8>` comparison replaced by the unsigned one. Both span
+/// 16 input bits, so the exhaustive rung finds the differing input.
 #[test]
 fn broken_rewrite_is_refuted_with_confirmed_counterexample() {
-    let ty = IntType::new(8, false);
-    let build = |op: BinKind| {
-        let mut nl = Netlist::new("masked_sum");
+    let (u8t, s8) = (IntType::new(8, false), IntType::new(8, true));
+    // `a op b` over inputs of type `ty`, each first cast to `view`.
+    let build = |ty: IntType, view: IntType, op: BinKind| {
+        let mut nl = Netlist::new("rewrite");
         let a = nl.add(CellKind::Input { name: "a".into() }, ty);
         let b = nl.add(CellKind::Input { name: "b".into() }, ty);
-        let s = nl.add(CellKind::Bin(op, a, b), ty);
+        let a = nl.add(CellKind::Cast { from: ty, val: a }, view);
+        let b = nl.add(CellKind::Cast { from: ty, val: b }, view);
+        let out = if op.is_comparison() { IntType::new(1, false) } else { view };
+        let s = nl.add(CellKind::Bin(op, a, b), out);
         nl.set_output("s", s);
         nl
     };
-    let good = build(BinKind::Add);
-    let broken = build(BinKind::Or);
-    let report = check_comb_equiv(&good, &broken, &EquivOptions::default())
-        .expect("check runs");
-    let Verdict::Differ(cex) = report.verdict else {
-        panic!("broken rewrite not refuted: {:?}", report.verdict);
-    };
-    assert_eq!(cex.output, "s");
-    assert_ne!(cex.a_value, cex.b_value);
-    // Independently replay the counterexample through both netlists.
-    for (nl, expected) in [(&good, cex.a_value), (&broken, cex.b_value)] {
-        let mut sim = NetlistSim::new(nl).expect("builds");
-        for (name, v) in &cex.inputs {
-            sim.set_input(name.clone(), *v);
+    let pairs = [
+        (build(u8t, u8t, BinKind::Add), build(u8t, u8t, BinKind::Or)),
+        (build(s8, s8, BinKind::Lt), build(s8, u8t, BinKind::Lt)),
+    ];
+    for (good, broken) in &pairs {
+        let report = check_comb_equiv(good, broken, &EquivOptions::default())
+            .expect("check runs");
+        assert_eq!(report.method, chls_logic::Method::Exhaustive);
+        let Verdict::Differ(cex) = report.verdict else {
+            panic!("broken rewrite not refuted: {:?}", report.verdict);
+        };
+        assert_eq!(cex.output, "s");
+        assert_ne!(cex.a_value, cex.b_value);
+        // Independently replay the counterexample through both netlists.
+        for (nl, expected) in [(good, cex.a_value), (broken, cex.b_value)] {
+            let mut sim = NetlistSim::new(nl).expect("builds");
+            for (name, v) in &cex.inputs {
+                sim.set_input(name.clone(), *v);
+            }
+            assert_eq!(sim.output("s").expect("evaluates"), expected);
         }
-        assert_eq!(sim.output("s").expect("evaluates"), expected);
     }
 }
 
@@ -236,6 +247,17 @@ fn interface_mismatch_is_an_error() {
     let a = synth_fsmd(TWO, "handelc", "f");
     let b = synth_fsmd(TWO, "handelc", "g");
     assert!(check_seq_equiv(&a, &b, 8, &EquivOptions::default()).is_err());
+
+    // A register has no place in a combinational check.
+    let ty = IntType::new(32, true);
+    let mut seq = Netlist::new("seq");
+    let x = seq.add(CellKind::Input { name: "x".into() }, ty);
+    let r = seq.add(CellKind::Reg { next: x, init: 0, en: None }, ty);
+    seq.set_output("q", r);
+    assert!(matches!(
+        check_comb_equiv(&seq, &seq, &EquivOptions::default()),
+        Err(EquivError::Interface(_))
+    ));
 }
 
 /// Comparing a netlist with itself after optimization: `CellId`-level

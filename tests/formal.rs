@@ -1,18 +1,26 @@
-//! Formal equivalence checking of synthesized hardware (`chls_rtl::bdd`).
+//! Formal equivalence checking of synthesized hardware
+//! (`chls_logic::check_comb_equiv`).
 //!
 //! The strongest check in this file verifies the *entire* compile flow —
 //! frontend, SSA lowering, optimization, and the Cones combinational
-//! backend — against an independently hand-built reference netlist, with
-//! BDDs, over all 2^N inputs at once. The others check that the netlist
-//! optimizer is equivalence-preserving on real synthesized designs and
-//! that planted miscompilations are caught with verified witnesses.
+//! backend — against an independently hand-built reference netlist, over
+//! all 2^N inputs at once. The others check that the netlist optimizer is
+//! equivalence-preserving on real synthesized designs and that planted
+//! miscompilations are caught with verified witnesses. Every check must
+//! be decided: an `Unknown` fails the test.
 
 use chls::{backend_by_name, Compiler, Design, SynthOptions};
 use chls_frontend::IntType;
 use chls_ir::BinKind;
-use chls_rtl::{check_equivalence, CellKind, Equivalence, Netlist};
+use chls_logic::{check_comb_equiv, EquivOptions, Verdict};
+use chls_rtl::{CellKind, Netlist};
 
-const BUDGET: usize = 1 << 22;
+/// The combinational checker's verdict on `a` ≡ `b`.
+fn verdict(a: &Netlist, b: &Netlist) -> Verdict {
+    check_comb_equiv(a, b, &EquivOptions::default())
+        .expect("checkable")
+        .verdict
+}
 
 fn cones_netlist(src: &str, entry: &str) -> Netlist {
     let compiler = Compiler::parse(src).expect("parses");
@@ -60,8 +68,11 @@ fn cones_popcount_matches_handbuilt_reference() {
     let out_name = synthesized.outputs[0].0.clone();
     reference.outputs.push((out_name, acc));
 
-    let r = check_equivalence(&synthesized, &reference, BUDGET).expect("checkable");
-    assert_eq!(r, Equivalence::Equivalent, "compiler output differs from reference");
+    let r = verdict(&synthesized, &reference);
+    assert!(
+        matches!(r, Verdict::Equivalent),
+        "compiler output differs from reference: {r:?}"
+    );
 }
 
 /// The single primary input's name as the synthesized netlist spells it.
@@ -87,8 +98,8 @@ fn optimizer_preserves_synthesized_clamp() {
     let mut opt = nl.clone();
     opt.fold_constants();
     opt.sweep_dead();
-    let r = check_equivalence(&nl, &opt, BUDGET).expect("checkable");
-    assert_eq!(r, Equivalence::Equivalent);
+    let r = verdict(&nl, &opt);
+    assert!(matches!(r, Verdict::Equivalent), "{r:?}");
 }
 
 #[test]
@@ -107,16 +118,16 @@ fn optimizer_preserves_synthesized_parity_tree() {
     let mut opt = nl.clone();
     opt.fold_constants();
     opt.sweep_dead();
-    let r = check_equivalence(&nl, &opt, BUDGET).expect("checkable");
-    assert_eq!(r, Equivalence::Equivalent);
+    let r = verdict(&nl, &opt);
+    assert!(matches!(r, Verdict::Equivalent), "{r:?}");
 }
 
 mod properties {
     use super::*;
     use proptest::prelude::*;
 
-    /// Random pure expressions over two variables, multiplier-free so the
-    /// BDDs stay small.
+    /// Random pure expressions over two variables, multiplier-free so
+    /// every check stays cheap.
     fn arb_expr(depth: u32) -> BoxedStrategy<String> {
         let leaf = prop_oneof![
             Just("a".to_string()),
@@ -157,13 +168,10 @@ mod properties {
                     &format!("int f(int a, int b) {{ return {rewrite}; }}"),
                     "f",
                 );
-                match check_equivalence(&base, &other, BUDGET) {
-                    Ok(Equivalence::Equivalent) => {}
-                    Ok(Equivalence::Differ { witness, .. }) => {
-                        panic!("`{e}` vs `{rewrite}` differ on {witness:?}")
-                    }
-                    Err(chls_rtl::BddError::Budget) => {} // rare; not a failure
-                    Err(other) => panic!("`{e}`: {other}"),
+                match verdict(&base, &other) {
+                    Verdict::Equivalent => {}
+                    Verdict::Differ(cex) => panic!("`{e}` vs `{rewrite}` differ: {cex:?}"),
+                    Verdict::Unknown(why) => panic!("`{e}` vs `{rewrite}` undecided: {why}"),
                 }
             }
         }
@@ -184,11 +192,12 @@ fn planted_miscompile_is_caught() {
         }
     }
     assert!(planted, "no And cell to mutate");
-    match check_equivalence(&good, &bad, BUDGET).expect("checkable") {
-        Equivalence::Differ { output, witness, .. } => {
-            assert!(!output.is_empty());
-            assert!(!witness.is_empty());
+    match verdict(&good, &bad) {
+        Verdict::Differ(cex) => {
+            assert!(!cex.output.is_empty());
+            assert!(!cex.inputs.is_empty());
+            assert_ne!(cex.a_value, cex.b_value);
         }
-        Equivalence::Equivalent => panic!("planted bug not detected"),
+        other => panic!("planted bug not detected: {other:?}"),
     }
 }

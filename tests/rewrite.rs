@@ -164,7 +164,7 @@ fn rewritten_corpus_is_conformant_parallel() {
 }
 
 /// Where the original is bounded enough (scalar inputs within the
-/// equivalence budget), certification carries a SAT/BDD equivalence
+/// equivalence budget), certification carries a formal equivalence
 /// proof, not just seeded vectors.
 #[test]
 fn equiv_rung_fires_where_bounded() {
