@@ -211,7 +211,7 @@ pub const TABLE: &[Verb] = &[
         flags: &[value("--backend"), value("--bound"), JSON],
         run: Run::Service(s::verb_equiv),
         shape: r#"{"backend_a":str,"backend_b":str,"entry_a":str,"entry_b":str,"bound":int|null,"verdict":"equivalent"|"differ"|"unknown","method":str,"aig_nodes":int,"sat_conflicts":int,"detail":null|str|{"inputs":{str:int},"rams":{str:[int]},"output":str,"a_value":int,"b_value":int}}"#,
-        notes: "SAT/BDD equivalence of two backends",
+        notes: "formal equivalence of two backends",
     },
     Verb {
         name: "lint",

@@ -301,7 +301,7 @@ for p in frontier:
     # with a named method, and nothing on a frontier may be refuted.
     assert cert["tier"] in ("certified", "sampled", "unchecked"), p
     if cert["tier"] == "certified":
-        assert cert["method"] in ("strash", "bdd", "sat"), p
+        assert cert["method"] in ("strash", "exhaustive", "sat"), p
     em = p["emit"]
     assert em and "roundtrip" in em, ("frontier point not emitted", p)
     assert em["roundtrip"] in ("strash", "sat"), ("round-trip not re-proved", p)

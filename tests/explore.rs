@@ -153,7 +153,7 @@ fn certified_points_carry_proof_metadata_and_no_refutations() {
             certified += 1;
             let method = cert.str_of("method").expect("certified points name a method");
             assert!(
-                ["strash", "bdd", "sat"].contains(&method),
+                ["strash", "exhaustive", "sat"].contains(&method),
                 "unexpected proof method {method}"
             );
         }
