@@ -45,7 +45,9 @@ pub struct EquivOptions {
 
 impl Default for EquivOptions {
     fn default() -> Self {
-        EquivOptions { sat_budget: 2_000_000 }
+        EquivOptions {
+            sat_budget: 2_000_000,
+        }
     }
 }
 
@@ -548,7 +550,8 @@ fn decide(
     } else if let Some(d) = exhaustive(g, env, miter, vacuity, EXHAUSTIVE_WORK) {
         (d, Method::Exhaustive)
     } else {
-        (sat(g, env, miter, vacuity, opts, &mut conflicts), Method::Sat)
+        let d = sat(g, env, miter, vacuity, opts, &mut conflicts);
+        (d, Method::Sat)
     };
     let verdict = match decision {
         Decision::Equivalent => Verdict::Equivalent,
@@ -593,7 +596,9 @@ fn exhaustive(
     vacuity: Option<Lit>,
     work: u64,
 ) -> Option<Decision> {
-    let bits: Vec<Lit> = input_words(env).flat_map(|w| w.bits.iter().copied()).collect();
+    let bits: Vec<Lit> = input_words(env)
+        .flat_map(|w| w.bits.iter().copied())
+        .collect();
     let shift = u32::try_from(bits.len().saturating_sub(LANE_MASKS.len())).ok()?;
     let passes = 1u64.checked_shl(shift)?;
     if passes.checked_mul(g.len() as u64)? > work {
@@ -613,11 +618,14 @@ fn exhaustive(
         let hits = Aig::lit_value64(&vals, miter);
         if hits != 0 {
             let lane = hits.trailing_zeros();
-            return Some(Decision::Differ(vals.iter().map(|w| w >> lane & 1 != 0).collect()));
+            return Some(Decision::Differ(
+                vals.iter().map(|w| w >> lane & 1 != 0).collect(),
+            ));
         }
         reached |= Aig::lit_value64(&vals, side) != 0;
     }
-    Some(Decision::holds((!reached).then(|| NO_INPUT_COMPLETES.into())))
+    let why = (!reached).then(|| NO_INPUT_COMPLETES.into());
+    Some(Decision::holds(why))
 }
 
 /// Rung 3: CDCL SAT on the Tseitin-encoded miter cone; when it is
@@ -639,9 +647,10 @@ fn sat(
     *conflicts += spent;
     match out {
         Outcome::Unsat => Decision::holds(check_vacuity(g, env, vacuity, opts, conflicts)),
-        Outcome::Unknown => {
-            Decision::Unknown(format!("SAT conflict budget ({}) exhausted", opts.sat_budget))
-        }
+        Outcome::Unknown => Decision::Unknown(format!(
+            "SAT conflict budget ({}) exhausted",
+            opts.sat_budget
+        )),
         Outcome::Sat(model) => Decision::Differ(cnf.decode(g, &model)),
     }
 }
@@ -742,6 +751,7 @@ fn pattern_value(round: u64, word: usize, lane: u64) -> u64 {
 mod tests {
     use super::*;
     use chls_ir::{BinKind, UnKind};
+    use std::collections::BTreeSet;
 
     /// xorshift64* draws in `0..n`: the generators' only randomness.
     fn rng(seed: u64) -> impl FnMut(usize) -> usize {
@@ -830,23 +840,48 @@ mod tests {
         }
     }
 
+    /// A netlist whose output `a == c` only the input `c` sets, and a
+    /// twin whose output is constant 0.
+    fn needle_pair(width: u16, c: i64) -> (Netlist, Netlist) {
+        let build = |needle: bool| {
+            let (ty, u1) = (IntType::new(width, false), IntType::new(1, false));
+            let mut nl = Netlist::new("needle");
+            let a = nl.add(CellKind::Input { name: "a".into() }, ty);
+            let o = if needle {
+                let k = nl.add(CellKind::Const(c), ty);
+                nl.add(CellKind::Bin(BinKind::Eq, a, k), u1)
+            } else {
+                nl.add(CellKind::Const(0), u1)
+            };
+            nl.set_output("o", o);
+            nl
+        };
+        (build(true), build(false))
+    }
+
     /// SAT and exhaustive enumeration agree on seeded random miters of at
     /// most 16 input bits, with and without a vacuity side condition,
-    /// and every `Differ` either rung finds replays.
+    /// and every `Differ` either rung finds replays. Needle miters at
+    /// every `c` up to 8 bits, and sampled `c` at 13 bits (seven from
+    /// the pass index), check that enumeration visits every assignment.
     #[test]
     fn exhaustive_and_sat_agree_on_small_miters() {
         let opts = EquivOptions::default();
-        let mut seen = BTreeMap::new();
-        for seed in 0..96u64 {
-            let (a, b) = random_pair(seed);
+        let mut r = rng(13);
+        let needles = (1..=8u16)
+            .flat_map(|w| (0..1i64 << w).map(move |c| (w, c)))
+            .chain((0..16).map(|_| (13, r(1 << 13) as i64)))
+            .map(|(w, c)| (None, needle_pair(w, c)));
+        let random = (0..96u64).map(|seed| ((seed % 3 == 0).then_some(seed), random_pair(seed)));
+        let mut seen = BTreeSet::new();
+        for (side_seed, (a, b)) in random.chain(needles) {
             let (mut g, env, mut miter) = comb_miter(&a, &b).expect("blasts");
             if miter == Lit::FALSE {
-                *seen.entry("strash".to_string()).or_insert(0) += 1;
                 continue;
             }
-            // Every third miter gets a side condition over two random
-            // nodes, conjoined into the miter as sequential checks do.
-            let vacuity = (seed % 3 == 0).then(|| {
+            // A side condition over two random nodes, conjoined into the
+            // miter as sequential checks do.
+            let vacuity = side_seed.map(|seed| {
                 let mut r = rng(!seed);
                 let mut pick = || Lit(2 + r(2 * g.len() - 2) as u32);
                 let (x, y) = (pick(), pick());
@@ -859,72 +894,29 @@ mod tests {
             let mut conflicts = 0;
             let by_sat = sat(&g, &env, miter, vacuity, &opts, &mut conflicts);
             let (ex, by_sat) = (settled(ex, &env, &a, &b), settled(by_sat, &env, &a, &b));
-            assert_eq!(ex, by_sat, "seed {seed}");
-            *seen.entry(ex.expect("replays")).or_insert(0) += 1;
+            assert_eq!(ex, by_sat, "{a:?} vs {b:?}");
+            seen.insert(ex.expect("replays"));
         }
         for kind in ["equivalent", "differ", NO_INPUT_COMPLETES] {
-            assert!(seen.contains_key(kind), "no {kind:?} case among {seen:?}");
+            assert!(seen.contains(kind), "no {kind:?} case among {seen:?}");
         }
     }
 
-    /// Enumeration visits every assignment: a miter that only `a == c`
-    /// sets is found, at `c`, for every `c` of widths up to 8 bits and
-    /// sampled `c` at 13 bits (seven bits from the pass index).
-    #[test]
-    fn exhaustive_finds_the_one_differing_input() {
-        let mut r = rng(13);
-        let cases = (1..=8u16)
-            .flat_map(|w| (0..1i64 << w).map(move |c| (w, c)))
-            .chain((0..16).map(|_| (13, r(1 << 13) as i64)));
-        for (width, c) in cases {
-            let build = |needle: bool| {
-                let (ty, u1) = (IntType::new(width, false), IntType::new(1, false));
-                let mut nl = Netlist::new("needle");
-                let a = nl.add(CellKind::Input { name: "a".into() }, ty);
-                let o = if needle {
-                    let k = nl.add(CellKind::Const(c), ty);
-                    nl.add(CellKind::Bin(BinKind::Eq, a, k), u1)
-                } else {
-                    nl.add(CellKind::Const(0), u1)
-                };
-                nl.set_output("o", o);
-                nl
-            };
-            let (g, env, miter) = comb_miter(&build(true), &build(false)).expect("blasts");
-            let Some(Decision::Differ(vals)) = exhaustive(&g, &env, miter, None, u64::MAX) else {
-                panic!("a == {c} at {width} bits not found");
-            };
-            assert_eq!(decode_env(&env, &vals).0, [("a".to_string(), c)]);
-        }
-    }
-
-    /// A miter whose enumeration exceeds the work cap (20 input bits,
-    /// 2^14 passes over thousands of nodes) is left to SAT, which
-    /// reaches the verdict enumeration reaches without the cap.
+    /// A miter whose enumeration exceeds the work cap (a needle at 26
+    /// input bits: 2^20 passes) is left to SAT, which reaches the verdict
+    /// enumeration reaches without the cap.
     #[test]
     fn miter_above_the_work_cap_is_decided_by_sat() {
-        let build = |last: BinKind| {
-            let (s10, s32) = (IntType::new(10, true), IntType::new(32, true));
-            let mut nl = Netlist::new("products");
-            let a = nl.add(CellKind::Input { name: "a".into() }, s10);
-            let b = nl.add(CellKind::Input { name: "b".into() }, s10);
-            let a = nl.add(CellKind::Cast { from: s10, val: a }, s32);
-            let b = nl.add(CellKind::Cast { from: s10, val: b }, s32);
-            let ab = nl.add(CellKind::Bin(BinKind::Mul, a, b), s32);
-            let aab = nl.add(CellKind::Bin(BinKind::Mul, ab, a), s32);
-            let abab = nl.add(CellKind::Bin(BinKind::Mul, aab, b), s32);
-            let o = nl.add(CellKind::Bin(last, abab, ab), s32);
-            nl.set_output("o", o);
-            nl
-        };
-        let (a, b) = (build(BinKind::Add), build(BinKind::Xor));
+        let (a, b) = needle_pair(26, 5);
         let (g, env, miter) = comb_miter(&a, &b).expect("blasts");
         assert!(exhaustive(&g, &env, miter, None, EXHAUSTIVE_WORK).is_none());
         let uncapped = exhaustive(&g, &env, miter, None, u64::MAX).expect("uncapped");
         assert_eq!(settled(uncapped, &env, &a, &b), Ok("differ".into()));
         let report = check_comb_equiv(&a, &b, &EquivOptions::default()).expect("checks");
         assert_eq!(report.method, Method::Sat);
-        assert!(matches!(report.verdict, Verdict::Differ(_)), "{:?}", report.verdict);
+        let Verdict::Differ(_) = report.verdict else {
+            panic!("{:?}", report.verdict)
+        };
     }
 
     /// A fabricated counterexample on which both sides actually agree

@@ -7,9 +7,7 @@ use chls::interp::ArgValue;
 use chls::{backend_by_name, Compiler, Design, SynthOptions};
 use chls_frontend::IntType;
 use chls_ir::BinKind;
-use chls_logic::{
-    check_comb_equiv, check_seq_equiv, optimize, EquivError, EquivOptions, Verdict,
-};
+use chls_logic::{check_comb_equiv, check_seq_equiv, optimize, EquivError, EquivOptions, Verdict};
 use chls_rtl::netlist::{CellKind, Netlist};
 use chls_rtl::CostModel;
 use chls_sim::netlist_sim::NetlistSim;
@@ -97,6 +95,7 @@ proptest! {
 #[test]
 fn broken_rewrite_is_refuted_with_confirmed_counterexample() {
     let (u8t, s8) = (IntType::new(8, false), IntType::new(8, true));
+    let u1 = IntType::new(1, false);
     // `a op b` over inputs of type `ty`, each first cast to `view`.
     let build = |ty: IntType, view: IntType, op: BinKind| {
         let mut nl = Netlist::new("rewrite");
@@ -104,7 +103,7 @@ fn broken_rewrite_is_refuted_with_confirmed_counterexample() {
         let b = nl.add(CellKind::Input { name: "b".into() }, ty);
         let a = nl.add(CellKind::Cast { from: ty, val: a }, view);
         let b = nl.add(CellKind::Cast { from: ty, val: b }, view);
-        let out = if op.is_comparison() { IntType::new(1, false) } else { view };
+        let out = if op.is_comparison() { u1 } else { view };
         let s = nl.add(CellKind::Bin(op, a, b), out);
         nl.set_output("s", s);
         nl
@@ -114,8 +113,7 @@ fn broken_rewrite_is_refuted_with_confirmed_counterexample() {
         (build(s8, s8, BinKind::Lt), build(s8, u8t, BinKind::Lt)),
     ];
     for (good, broken) in &pairs {
-        let report = check_comb_equiv(good, broken, &EquivOptions::default())
-            .expect("check runs");
+        let report = check_comb_equiv(good, broken, &EquivOptions::default()).expect("check runs");
         assert_eq!(report.method, chls_logic::Method::Exhaustive);
         let Verdict::Differ(cex) = report.verdict else {
             panic!("broken rewrite not refuted: {:?}", report.verdict);
