@@ -10,7 +10,9 @@
 //! * [`loops`] — natural-loop detection;
 //! * [`exec`] — a reference executor that also produces the dynamic
 //!   dependence traces used by the ILP-limit experiment;
-//! * [`verify`] — structural/SSA/type verifier.
+//! * [`verify`] — structural/SSA/type verifier;
+//! * [`fasthash`] — the one-multiply hasher behind the toolchain's
+//!   small-integer-keyed tables.
 //!
 //! ## Example
 //!
@@ -36,6 +38,7 @@
 pub mod dataflow;
 pub mod dom;
 pub mod exec;
+pub mod fasthash;
 pub mod ir;
 pub mod loops;
 pub mod lower;
@@ -45,4 +48,5 @@ pub use ir::{
     eval_bin, eval_cast, eval_un, BinKind, BlockId, Forwarding, Function, InstData, InstKind,
     MemId, MemInfo, MemSource, Term, UnKind, Value,
 };
+pub use fasthash::{FastHasher, FastMap};
 pub use lower::{lower_function, LowerError};

@@ -13,8 +13,9 @@
 //! rules (constant absorption, idempotence, contradiction, substitution,
 //! and the four resolution shapes), which is enough to fold multiplexers
 //! with equal arms — the pattern that dominates unrolled FSMD state
-//! logic. The structural hash is keyed by the packed fanin pair under a
-//! one-multiply hasher; node numbering follows insertion order alone.
+//! logic. The structural hash is keyed by the packed fanin pair under
+//! the one-multiply [`chls_ir::FastHasher`]; node numbering follows
+//! insertion order alone.
 //!
 //! Node indices are topological by construction (an AND's fanins always
 //! exist before it), so [`Aig::simulate64`] evaluates the whole graph in
@@ -22,8 +23,8 @@
 //! per node, AND and complement one instruction each. [`Aig::eval`] is
 //! lane 0 of that pass.
 
+use chls_ir::FastMap;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// An AIG edge: a node index with a complement bit in the LSB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,30 +66,8 @@ impl std::ops::Not for Lit {
 
 const NO_FANIN: Lit = Lit(u32::MAX);
 
-/// Hasher for the packed `u64` fanin pairs of the structural hash: one
-/// multiply by a 64-bit odd constant, rotated so the table's bucket bits
-/// (low) and tag bits (high) both draw on every key bit.
-#[derive(Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 /// Structural hash table: packed ordered fanin pair → AND node.
-type Strash = HashMap<u64, u32, BuildHasherDefault<PairHasher>>;
+type Strash = FastMap<u64, u32>;
 
 /// An and-inverter graph. Node 0 is constant FALSE; inputs and AND
 /// gates share one index space.

@@ -8,8 +8,7 @@
 use chls_ir::dom::DomTree;
 use chls_ir::ir::*;
 use chls_ir::lower::remove_trivial_phis;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use chls_ir::FastMap;
 
 /// Statistics from a simplification run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -222,39 +221,8 @@ fn prune_unreachable(f: &mut Function, stats: &mut SimplifyStats) -> bool {
     changed
 }
 
-/// One multiply per hashed word: CSE keys are a handful of small
-/// integers, for which SipHash's collision resistance buys nothing.
-/// Rotated so both the bucket (low) and tag (high) bits see every
-/// input bit.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 /// CSE's scoped table: key → (first value, result width, signedness).
-type CseTable<K> = HashMap<K, (Value, u16, bool), BuildHasherDefault<KeyHasher>>;
+type CseTable<K> = FastMap<K, (Value, u16, bool)>;
 
 /// Dominator-scoped CSE over pure instructions.
 fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
