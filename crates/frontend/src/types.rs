@@ -52,18 +52,18 @@ impl IntType {
 
     /// Truncates `v` to this type's width and re-extends it to the canonical
     /// 64-bit representation (sign-extended if signed, zero-extended if not).
+    ///
+    /// A shift pair with no data-dependent branch: shifting the low
+    /// `width` bits to the top and back, arithmetically for signed types
+    /// and logically for unsigned ones, drops the high bits and refills
+    /// them with copies of the sign bit or with zeros.
     #[inline]
     pub fn canonicalize(self, v: i64) -> i64 {
-        let bits = (v as u64) & self.mask();
-        if self.signed && self.width < 64 {
-            let sign_bit = 1u64 << (self.width - 1);
-            if bits & sign_bit != 0 {
-                (bits | !self.mask()) as i64
-            } else {
-                bits as i64
-            }
+        let sh = 64 - u32::from(self.width);
+        if self.signed {
+            v.wrapping_shl(sh).wrapping_shr(sh)
         } else {
-            bits as i64
+            (v as u64).wrapping_shl(sh).wrapping_shr(sh) as i64
         }
     }
 

@@ -286,16 +286,11 @@ mod imp {
                             &mut reg_updates,
                             &mut mem_updates,
                         )
-                        .map_err(|e| match e {
-                            // The native header already counted this
-                            // cycle; stamp deadlocks with it so JIT and
-                            // interpreter errors compare equal.
-                            FsmdSimError::Deadlock { blocked, .. } => FsmdSimError::Deadlock {
-                                cycle: env.cycles,
-                                blocked,
-                            },
-                            other => other,
-                        })? {
+                        // The native header already counted this cycle;
+                        // stamp deadlocks with it so JIT and interpreter
+                        // errors compare equal.
+                        .map_err(|e| e.at_cycle(env.cycles))?
+                        {
                             Step::Next(t) => state = t,
                             Step::Done(ret) => {
                                 let regs = slots[..self.f.regs.len()].to_vec();

@@ -13,13 +13,20 @@
 //! compiles every state once into a flat register-machine *tape* (see
 //! [`crate::tape`]) over a dense `i64` slot array: registers, inputs, and
 //! constants live in fixed slots, and every hash-consed subexpression
-//! computes into its own temp slot at most once per cycle. The per-cycle
-//! loop touches only dense arrays: no allocation, no hashing, no pointer
-//! chasing.
+//! computes into its own temp slot at most once per cycle. Building the
+//! tape interns each expression tree once, under a one-multiply hash.
+//!
+//! The per-cycle loop touches only dense arrays: no allocation, no
+//! hashing, no pointer chasing. A cycle runs only a few tape
+//! instructions, so the loop's fixed cost matters as much as theirs:
+//! the state step ([`tape::exec_state`]) is forced inline, so a cycle
+//! makes no call and moves no `Result` around, and values are
+//! canonicalized to their width by a branch-free shift pair.
 //!
 //! The tape representation is shared with the native x86-64 JIT
-//! (`chls-jit`), which compiles the same tapes to machine code; this
-//! module remains the reference executor.
+//! (`chls-jit`), which compiles the same tapes to machine code and
+//! steps single states through [`tape::exec_state`] when it falls back;
+//! this module remains the reference executor.
 
 use crate::interp::ArgValue;
 use crate::tape::{self, Step};
@@ -73,6 +80,18 @@ impl fmt::Display for FsmdSimError {
 }
 
 impl std::error::Error for FsmdSimError {}
+
+impl FsmdSimError {
+    /// Stamps a deadlock with the cycle that entered the stuck
+    /// configuration; the tape layer has no cycle counter. Other errors
+    /// pass through unchanged.
+    pub fn at_cycle(self, cycle: u64) -> Self {
+        match self {
+            FsmdSimError::Deadlock { blocked, .. } => FsmdSimError::Deadlock { cycle, blocked },
+            other => other,
+        }
+    }
+}
 
 /// Result of simulating an FSMD to completion.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,15 +155,9 @@ fn simulate_inner(
             &mut mems,
             &mut reg_updates,
             &mut mem_updates,
-        )
-        .map_err(|e| match e {
-            // The tape layer has no cycle counter; stamp the deadlock
-            // with the cycle that entered the stuck configuration.
-            FsmdSimError::Deadlock { blocked, .. } => FsmdSimError::Deadlock { cycle: cycles, blocked },
-            other => other,
-        })? {
-            Step::Next(t) => state = t,
-            Step::Done(ret) => {
+        ) {
+            Ok(Step::Next(t)) => state = t,
+            Ok(Step::Done(ret)) => {
                 let regs = slots[..comp.n_regs].to_vec();
                 return Ok(FsmdSimResult {
                     ret,
@@ -153,6 +166,7 @@ fn simulate_inner(
                     regs,
                 });
             }
+            Err(e) => return Err(e.at_cycle(cycles)),
         }
     }
 }

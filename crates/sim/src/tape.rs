@@ -8,6 +8,14 @@
 //! live in fixed slots; every hash-consed subexpression computes into
 //! its own temp slot at most once per cycle.
 //!
+//! Building is one interning pass plus one emission pass per state. The
+//! interning pass hash-conses every tree of the design into a DAG under
+//! [`chls_ir::FastMap`] and records each state's root ids; it also
+//! allocates constant slots in first-use order, so [`Tape::const_init`]
+//! comes out in slot order. Emission works from those ids alone, with
+//! the per-state node → slot table a dense vector whose entries are
+//! valid only for the state that wrote them (an epoch mark).
+//!
 //! Side-effect-free subexpressions are evaluated *eagerly* in a
 //! per-state preamble — sound because every datapath operation is total
 //! ([`eval_bin`] defines division by zero, clamps shifts, etc.), so
@@ -26,16 +34,16 @@
 use crate::fsmd_sim::FsmdSimError;
 use crate::interp::ArgValue;
 use chls_frontend::IntType;
-use chls_ir::{eval_bin, eval_un, BinKind, UnKind};
-use chls_rtl::fsmd::{ActionKind, Fsmd, NextState, Rv, RvKind};
-use std::collections::HashMap;
+use chls_ir::{eval_bin, eval_un, BinKind, FastMap, UnKind};
+use chls_rtl::fsmd::{ActionKind, Fsmd, NextState, Rv, RvKind, State};
+use std::collections::hash_map::Entry;
 
 /// Index into the dense slot array: `[regs | inputs | consts | temps]`.
 pub type Slot = u32;
 
 /// One instruction of a compiled state tape. Operands and destinations
 /// are [`Slot`]s; there is no operand stack.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TInst {
     /// `slots[dst] = eval_un(op, ty, slots[a])`.
     Un {
@@ -325,7 +333,7 @@ fn bin_inst(op: BinKind, ety: IntType, dst: Slot, a: Slot, b: Slot) -> TInst {
 
 /// Interned expression node: [`RvKind`] with children by id. Structural
 /// identity (including the result type) ⇒ same id.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum NodeKind {
     Const(i64),
     Reg(u32),
@@ -339,7 +347,7 @@ enum NodeKind {
 
 /// Compiled control transfer. Condition slots are filled by the state's
 /// tape before the transfer is read.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CNext {
     /// Unconditional transfer.
     Goto(u32),
@@ -378,7 +386,7 @@ pub enum CNext {
 }
 
 /// One compiled state: a tape range plus the control transfer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CState {
     /// Half-open `[start, end)` range into [`Tape::code`].
     pub tape: (u32, u32),
@@ -389,7 +397,7 @@ pub struct CState {
 }
 
 /// The whole FSMD, compiled to micro-op tapes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tape {
     /// All states' instructions, concatenated.
     pub code: Vec<TInst>,
@@ -401,28 +409,61 @@ pub struct Tape {
     pub n_regs: usize,
     /// Input count (inputs occupy slots `n_regs..n_regs + n_inputs`).
     pub n_inputs: usize,
-    /// Constant slots and their (pre-canonicalized) values.
+    /// Constant slots and their (pre-canonicalized) values, in slot
+    /// order.
     pub const_init: Vec<(Slot, i64)>,
 }
 
-/// The expression compiler: interns `Rv` trees into a DAG, then emits
-/// one tape per state.
+/// Per-action interned roots (register index or memory index plus
+/// expression node ids).
+#[derive(Debug, Clone, Copy)]
+enum ActionRoots {
+    SetReg(u32, u32),
+    MemWrite(u32, u32, u32),
+}
+
+/// One state's interned roots: half-open ranges into
+/// [`Compiler::actions`] and [`Compiler::conds`].
+#[derive(Debug, Clone, Copy)]
+struct StateRoots {
+    actions: (u32, u32),
+    conds: (u32, u32),
+}
+
+/// Placeholder in [`Compiler::slot`] for a node whose slot is per-state.
+const NO_SLOT: Slot = Slot::MAX;
+
+/// The expression compiler: interns every `Rv` tree of the design into
+/// a DAG once, keeping each state's root ids, then emits one tape per
+/// state from those roots.
 struct Compiler<'f> {
     f: &'f Fsmd,
     nodes: Vec<(NodeKind, IntType)>,
     effectful: Vec<bool>,
-    interned: HashMap<(NodeKind, IntType), u32>,
-    consts: HashMap<i64, Slot>,
+    /// Per node: the slot holding its value. A leaf's fixed slot is set
+    /// when it is interned; a pure interior node's preamble temp is set
+    /// per state and is valid only while `visited[id] == epoch`.
+    slot: Vec<Slot>,
+    interned: FastMap<(NodeKind, IntType), u32>,
+    consts: FastMap<i64, Slot>,
+    /// Constant slots and values, pushed as each slot is allocated.
+    const_init: Vec<(Slot, i64)>,
+    /// Every state's `(guard, roots)` per action, in evaluation order.
+    actions: Vec<(Option<u32>, ActionRoots)>,
+    /// Every state's branch or case conditions, in order.
+    conds: Vec<u32>,
+    /// Per state: its ranges of `actions` and `conds`.
+    roots: Vec<StateRoots>,
+    /// The design's return value, sampled in `Done` states.
+    ret: Option<u32>,
     code: Vec<TInst>,
     n_regs: u32,
     n_inputs: u32,
     temp_base: u32,
     next_temp: u32,
     max_slots: u32,
-    /// Per-state: pure node → preamble slot.
-    pure_slots: HashMap<u32, Slot>,
     /// Per-state: effectful node → emissions as (context, slot) pairs.
-    eff_slots: HashMap<u32, Vec<(u32, Slot)>>,
+    eff_slots: FastMap<u32, Vec<(u32, Slot)>>,
     /// Per-state preamble visit marks (epoch = state index + 1).
     visited: Vec<u32>,
     epoch: u32,
@@ -439,16 +480,21 @@ impl<'f> Compiler<'f> {
             f,
             nodes: Vec::new(),
             effectful: Vec::new(),
-            interned: HashMap::new(),
-            consts: HashMap::new(),
+            slot: Vec::new(),
+            interned: FastMap::default(),
+            consts: FastMap::default(),
+            const_init: Vec::new(),
+            actions: Vec::new(),
+            conds: Vec::new(),
+            roots: Vec::with_capacity(f.states.len()),
+            ret: None,
             code: Vec::new(),
             n_regs: f.regs.len() as u32,
             n_inputs: f.inputs.len() as u32,
             temp_base: 0,
             next_temp: 0,
             max_slots: 0,
-            pure_slots: HashMap::new(),
-            eff_slots: HashMap::new(),
+            eff_slots: FastMap::default(),
             visited: Vec::new(),
             epoch: 0,
             ctx_parent: vec![u32::MAX],
@@ -476,35 +522,77 @@ impl<'f> Compiler<'f> {
             RvKind::Cast(a) => NodeKind::Cast(self.intern(a)),
             RvKind::MemRead { mem, addr } => NodeKind::MemRead(mem.0, self.intern(addr)),
         };
-        let key = (kind, rv.ty);
-        if let Some(&id) = self.interned.get(&key) {
-            return id;
-        }
-        let eff = match &key.0 {
-            NodeKind::MemRead(..) => true,
-            NodeKind::Const(v) => {
-                if !self.consts.contains_key(v) {
-                    let slot = self.n_regs + self.n_inputs + self.consts.len() as u32;
-                    self.consts.insert(*v, slot);
-                }
-                false
-            }
-            NodeKind::Reg(_) | NodeKind::Input(_) => false,
-            NodeKind::Un(_, a) | NodeKind::Cast(a) => self.effectful[*a as usize],
-            NodeKind::Bin(_, a, b) => {
-                self.effectful[*a as usize] || self.effectful[*b as usize]
-            }
-            NodeKind::Mux(s, a, b) => {
-                self.effectful[*s as usize]
-                    || self.effectful[*a as usize]
-                    || self.effectful[*b as usize]
-            }
-        };
         let id = self.nodes.len() as u32;
-        self.nodes.push(key.clone());
+        match self.interned.entry((kind, rv.ty)) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => {
+                e.insert(id);
+            }
+        }
+        let (eff, slot) = match kind {
+            NodeKind::MemRead(..) => (true, NO_SLOT),
+            NodeKind::Const(v) => {
+                let fresh = self.n_regs + self.n_inputs + self.const_init.len() as u32;
+                let slot = *self.consts.entry(v).or_insert(fresh);
+                if slot == fresh {
+                    self.const_init.push((slot, v));
+                }
+                (false, slot)
+            }
+            NodeKind::Reg(r) => (false, r),
+            NodeKind::Input(i) => (false, self.n_regs + i),
+            NodeKind::Un(_, a) | NodeKind::Cast(a) => (self.effectful[a as usize], NO_SLOT),
+            NodeKind::Bin(_, a, b) => (
+                self.effectful[a as usize] || self.effectful[b as usize],
+                NO_SLOT,
+            ),
+            NodeKind::Mux(s, a, b) => (
+                self.effectful[s as usize]
+                    || self.effectful[a as usize]
+                    || self.effectful[b as usize],
+                NO_SLOT,
+            ),
+        };
+        self.nodes.push((kind, rv.ty));
         self.effectful.push(eff);
-        self.interned.insert(key, id);
+        self.slot.push(slot);
         id
+    }
+
+    /// Interns one state's guards, action values, addresses and
+    /// transfer conditions, in evaluation order, and records them as
+    /// the state's roots.
+    fn intern_state(&mut self, st: &State) {
+        let (a0, c0) = (self.actions.len() as u32, self.conds.len() as u32);
+        for a in &st.actions {
+            let guard = a.guard.as_ref().map(|g| self.intern(g));
+            let roots = match &a.kind {
+                ActionKind::SetReg(r, rv) => ActionRoots::SetReg(r.0, self.intern(rv)),
+                ActionKind::MemWrite { mem, addr, value } => {
+                    let a = self.intern(addr);
+                    let v = self.intern(value);
+                    ActionRoots::MemWrite(mem.0, a, v)
+                }
+            };
+            self.actions.push((guard, roots));
+        }
+        match &st.next {
+            NextState::Branch { cond, .. } => {
+                let c = self.intern(cond);
+                self.conds.push(c);
+            }
+            NextState::Cases { cases, .. } => {
+                for (cond, _) in cases {
+                    let c = self.intern(cond);
+                    self.conds.push(c);
+                }
+            }
+            NextState::Goto(_) | NextState::Done => {}
+        }
+        self.roots.push(StateRoots {
+            actions: (a0, self.actions.len() as u32),
+            conds: (c0, self.conds.len() as u32),
+        });
     }
 
     fn children(&self, id: u32) -> [Option<u32>; 3] {
@@ -527,12 +615,11 @@ impl<'f> Compiler<'f> {
 
     /// The slot of a pure node: a fixed leaf slot or its preamble temp.
     fn slot_of(&self, id: u32) -> Slot {
-        match self.nodes[id as usize].0 {
-            NodeKind::Const(v) => self.consts[&v],
-            NodeKind::Reg(r) => r,
-            NodeKind::Input(i) => self.n_regs + i,
-            _ => self.pure_slots[&id],
-        }
+        debug_assert!(
+            self.is_leaf(id) || self.visited[id as usize] == self.epoch,
+            "node {id} has no preamble slot in this state"
+        );
+        self.slot[id as usize]
     }
 
     fn is_leaf(&self, id: u32) -> bool {
@@ -556,7 +643,7 @@ impl<'f> Compiler<'f> {
         if self.effectful[id as usize] {
             return;
         }
-        let (kind, ty) = self.nodes[id as usize].clone();
+        let (kind, ty) = self.nodes[id as usize];
         let dst = self.alloc_temp();
         let inst = match kind {
             NodeKind::Un(op, a) => TInst::Un {
@@ -590,7 +677,7 @@ impl<'f> Compiler<'f> {
             }
         };
         self.code.push(inst);
-        self.pure_slots.insert(id, dst);
+        self.slot[id as usize] = dst;
     }
 
     fn new_ctx(&mut self, parent: u32) -> u32 {
@@ -626,7 +713,7 @@ impl<'f> Compiler<'f> {
             }
         }
         let def_ctx = self.cur_ctx;
-        let (kind, ty) = self.nodes[id as usize].clone();
+        let (kind, ty) = self.nodes[id as usize];
         let dst = match kind {
             NodeKind::MemRead(mem, addr) => {
                 let a = self.emit(addr);
@@ -690,11 +777,10 @@ impl<'f> Compiler<'f> {
     }
 
     /// Compiles one state's actions, control transfer, and return value
-    /// into a tape.
+    /// into a tape, from the roots the interning pass recorded.
     fn compile_state(&mut self, si: usize) -> CState {
         // Per-state reset: temps, slot maps, visit marks, contexts.
         self.next_temp = self.temp_base;
-        self.pure_slots.clear();
         self.eff_slots.clear();
         self.ctx_parent.truncate(1);
         self.cur_ctx = 0;
@@ -702,58 +788,41 @@ impl<'f> Compiler<'f> {
         let start = self.code.len() as u32;
 
         let st = &self.f.states[si];
-        let is_done = matches!(st.next, NextState::Done);
-
-        // Intern this state's roots in evaluation order.
-        let mut action_roots: Vec<(Option<u32>, ActionRoots)> = Vec::new();
-        for a in &st.actions {
-            let guard = a.guard.as_ref().map(|g| self.intern(g));
-            let roots = match &a.kind {
-                ActionKind::SetReg(r, rv) => ActionRoots::SetReg(r.0, self.intern(rv)),
-                ActionKind::MemWrite { mem, addr, value } => {
-                    let a = self.intern(addr);
-                    let v = self.intern(value);
-                    ActionRoots::MemWrite(mem.0, a, v)
-                }
-            };
-            action_roots.push((guard, roots));
-        }
-        let next_roots: Vec<u32> = match &st.next {
-            NextState::Branch { cond, .. } => vec![self.intern(cond)],
-            NextState::Cases { cases, .. } => {
-                cases.iter().map(|(c, _)| self.intern(c)).collect()
-            }
-            NextState::Goto(_) | NextState::Done => Vec::new(),
-        };
-        let ret_root = if is_done {
-            self.f.ret.clone().map(|rv| self.intern(&rv))
+        let StateRoots {
+            actions: (a0, a1),
+            conds: (c0, c1),
+        } = self.roots[si];
+        let (actions, conds) = (a0 as usize..a1 as usize, c0 as usize..c1 as usize);
+        let ret_root = if matches!(st.next, NextState::Done) {
+            self.ret
         } else {
             None
         };
-        self.visited.resize(self.nodes.len(), 0);
 
         // Eager preamble over every root's pure subgraph.
-        for (g, roots) in &action_roots {
+        for k in actions.clone() {
+            let (g, roots) = self.actions[k];
             if let Some(g) = g {
-                self.preamble(*g);
+                self.preamble(g);
             }
             match roots {
-                ActionRoots::SetReg(_, v) => self.preamble(*v),
+                ActionRoots::SetReg(_, v) => self.preamble(v),
                 ActionRoots::MemWrite(_, a, v) => {
-                    self.preamble(*a);
-                    self.preamble(*v);
+                    self.preamble(a);
+                    self.preamble(v);
                 }
             }
         }
-        for &c in &next_roots {
-            self.preamble(c);
+        for k in conds.clone() {
+            self.preamble(self.conds[k]);
         }
         if let Some(r) = ret_root {
             self.preamble(r);
         }
 
         // Effectful evaluation and staging, in action order.
-        for (g, roots) in &action_roots {
+        for k in actions {
+            let (g, roots) = self.actions[k];
             let skip_at = g.map(|g| {
                 let gs = self.emit(g);
                 let at = self.code.len();
@@ -764,7 +833,7 @@ impl<'f> Compiler<'f> {
             if skip_at.is_some() {
                 self.cur_ctx = self.new_ctx(saved);
             }
-            match *roots {
+            match roots {
                 ActionRoots::SetReg(reg, v) => {
                     let val = self.emit(v);
                     let ty = self.f.regs[reg as usize].ty;
@@ -796,14 +865,17 @@ impl<'f> Compiler<'f> {
             NextState::Goto(t) => CNext::Goto(t.0),
             NextState::Done => CNext::Done,
             NextState::Branch { then, els, .. } => CNext::Branch {
-                cond: self.emit(next_roots[0]),
+                cond: self.emit(self.conds[c0 as usize]),
                 then: then.0,
                 els: els.0,
             },
             NextState::Cases { cases, default } => {
-                if next_roots.iter().all(|&c| !self.effectful[c as usize]) {
+                if self.conds[conds.clone()]
+                    .iter()
+                    .all(|&c| !self.effectful[c as usize])
+                {
                     CNext::Cases {
-                        conds: next_roots
+                        conds: self.conds[conds]
                             .iter()
                             .zip(cases.iter())
                             .map(|(&c, (_, t))| (self.slot_of(c), t.0))
@@ -817,8 +889,8 @@ impl<'f> Compiler<'f> {
                     self.code.push(TInst::SetImm { dst: sel, val: -1 });
                     let mut end_patches = Vec::new();
                     let root_ctx = self.cur_ctx;
-                    for (k, &c) in next_roots.iter().enumerate() {
-                        let cs = self.emit(c);
+                    for (k, ci) in conds.enumerate() {
+                        let cs = self.emit(self.conds[ci]);
                         let skip_at = self.code.len();
                         self.code.push(TInst::SkipIfZero { cond: cs, target: 0 });
                         self.code.push(TInst::SetImm {
@@ -861,50 +933,19 @@ impl<'f> Compiler<'f> {
     }
 }
 
-/// Per-action interned roots (register index or memory index plus
-/// expression node ids).
-enum ActionRoots {
-    SetReg(u32, u32),
-    MemWrite(u32, u32, u32),
-}
-
 /// Compiles every state of `f`.
 pub fn compile(f: &Fsmd) -> Tape {
     let mut c = Compiler::new(f);
-    // First intern the whole design so the constant pool (and with it
-    // the temp-slot base) is final before any tape is emitted.
+    // Intern the whole design once, keeping every state's roots, so the
+    // constant pool (and with it the temp-slot base) is final before any
+    // tape is emitted.
     for st in &f.states {
-        for a in &st.actions {
-            if let Some(g) = &a.guard {
-                c.intern(g);
-            }
-            match &a.kind {
-                ActionKind::SetReg(_, rv) => {
-                    c.intern(rv);
-                }
-                ActionKind::MemWrite { addr, value, .. } => {
-                    c.intern(addr);
-                    c.intern(value);
-                }
-            }
-        }
-        match &st.next {
-            NextState::Branch { cond, .. } => {
-                c.intern(cond);
-            }
-            NextState::Cases { cases, .. } => {
-                for (cond, _) in cases {
-                    c.intern(cond);
-                }
-            }
-            NextState::Goto(_) | NextState::Done => {}
-        }
+        c.intern_state(st);
     }
-    if let Some(rv) = f.ret.clone() {
-        c.intern(&rv);
-    }
-    c.temp_base = c.n_regs + c.n_inputs + c.consts.len() as u32;
+    c.ret = f.ret.as_ref().map(|rv| c.intern(rv));
+    c.temp_base = c.n_regs + c.n_inputs + c.const_init.len() as u32;
     c.max_slots = c.temp_base;
+    c.visited = vec![0; c.nodes.len()];
 
     let mut states: Vec<CState> = (0..f.states.len()).map(|si| c.compile_state(si)).collect();
     // Backend-proved stuck configurations become first-class deadlock
@@ -914,14 +955,13 @@ pub fn compile(f: &Fsmd) -> Tape {
             st.next = CNext::Stuck(k as u32);
         }
     }
-    let const_init = c.consts.iter().map(|(&v, &s)| (s, v)).collect();
     Tape {
         code: c.code,
         states,
         n_slots: c.max_slots as usize,
         n_regs: c.n_regs as usize,
         n_inputs: c.n_inputs as usize,
-        const_init,
+        const_init: c.const_init,
     }
 }
 
@@ -931,7 +971,7 @@ pub fn compile(f: &Fsmd) -> Tape {
 ///
 /// Returns [`FsmdSimError::OutOfBounds`] when a memory access falls
 /// outside its extent.
-#[inline]
+#[inline(always)]
 pub fn run_tape(
     code: &[TInst],
     tape: (u32, u32),
@@ -1084,10 +1124,17 @@ pub enum Step {
 /// `reg_updates`/`mem_updates` are caller-provided scratch so the hot
 /// loop stays allocation-free; they are cleared on entry.
 ///
+/// Forced inline: the interpreter's per-cycle loop
+/// ([`crate::fsmd_sim::simulate`]) then pays no call, and moves no
+/// `Result`, per cycle. The JIT calls it for single states, on its
+/// fallback and trap-replay paths.
+///
 /// # Errors
 ///
 /// Returns [`FsmdSimError::OutOfBounds`] when a memory access falls
-/// outside its extent.
+/// outside its extent, and [`FsmdSimError::Deadlock`] (stamped cycle 0;
+/// see [`FsmdSimError::at_cycle`]) on entering a stuck state.
+#[inline(always)]
 pub fn exec_state(
     tape: &Tape,
     f: &Fsmd,

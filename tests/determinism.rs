@@ -139,3 +139,40 @@ fn seven_backends_prepare_at_most_three_times() {
         );
     }
 }
+
+/// Every benchmark kernel's FSMD, on every backend that makes one,
+/// compiles to the same tape twice, and the constant pool comes out in
+/// slot order rather than in the order of a hash table.
+#[test]
+fn tapes_are_identical_across_compilations() {
+    let mut designs = 0usize;
+    for bench in chls::benchmarks() {
+        let compiler = Compiler::parse(bench.source).expect("benchmark parses");
+        for b in &chls::backends() {
+            let Ok(chls::Design::Fsmd(f)) =
+                compiler.synthesize(b.as_ref(), bench.entry, &chls::SynthOptions::default())
+            else {
+                continue;
+            };
+            let label = format!("{} on {}", bench.name, b.info().name);
+            let first = chls_sim::tape::compile(&f);
+            assert_eq!(chls_sim::tape::compile(&f), first, "{label}: tapes differ");
+            assert!(
+                first.const_init.windows(2).all(|p| p[0].0 < p[1].0),
+                "{label}: const_init is not in slot order: {:?}",
+                first.const_init
+            );
+            let base = (first.n_regs + first.n_inputs) as u32;
+            assert!(
+                first
+                    .const_init
+                    .iter()
+                    .enumerate()
+                    .all(|(k, &(s, _))| s == base + k as u32),
+                "{label}: constant slots are not dense after the inputs"
+            );
+            designs += 1;
+        }
+    }
+    assert!(designs >= 50, "only {designs} FSMDs compiled");
+}

@@ -85,6 +85,36 @@ fn assert_bit_exact(f: &Fsmd, args: &[ArgValue], label: &str) -> bool {
     true
 }
 
+/// Runs the JIT with every state forced through the interpreter
+/// fallback, which steps through `chls_sim::tape::exec_state` one state
+/// at a time, and demands a result bit-identical to `fsmd_sim::simulate`,
+/// whose per-cycle loop inlines the same step. Returns false when the
+/// host has no JIT.
+fn assert_fallback_bit_exact(f: &Fsmd, args: &[ArgValue], label: &str) -> bool {
+    let Some(prog) = JitProgram::compile_with(f, true) else {
+        assert!(
+            !chls_jit::available(),
+            "{label}: compile_with returned None on a JIT-capable host"
+        );
+        return false;
+    };
+    assert_eq!(
+        prog.fallback_blocks, prog.blocks,
+        "{label}: a state escaped the forced fallback"
+    );
+    let stepped = prog.run_counted(args, MAX_CYCLES);
+    let looped = fsmd_sim::simulate(f, args, MAX_CYCLES);
+    match (stepped, looped) {
+        (Ok((s, fallbacks)), Ok(l)) => {
+            assert_eq!(s, l, "{label}: one-step path diverged from the loop");
+            assert_eq!(fallbacks, l.cycles, "{label}: a cycle ran natively");
+        }
+        (Err(se), Err(le)) => assert_eq!(se, le, "{label}: errors diverged"),
+        (s, l) => panic!("{label}: engines split: one-step={s:?} loop={l:?}"),
+    }
+    true
+}
+
 fn synth_c2v(compiler: &Compiler, entry: &str) -> Option<Fsmd> {
     let backend = backend_by_name("c2v").expect("c2v is registered");
     match compiler.synthesize(backend.as_ref(), entry, &SynthOptions::default()) {
@@ -258,6 +288,21 @@ fn benchmark_suite_agrees() {
             continue;
         };
         if !assert_bit_exact(&fsmd, &bench.args, bench.name) {
+            return;
+        }
+    }
+}
+
+/// The registered benchmark suite again, with the JIT's every state
+/// falling back to the interpreter's one-step path.
+#[test]
+fn benchmark_suite_agrees_on_the_fallback_path() {
+    for bench in chls::benchmarks() {
+        let compiler = Compiler::parse(bench.source).expect("benchmark parses");
+        let Some(fsmd) = synth_c2v(&compiler, bench.entry) else {
+            continue;
+        };
+        if !assert_fallback_bit_exact(&fsmd, &bench.args, bench.name) {
             return;
         }
     }

@@ -518,3 +518,68 @@ fn fsmd_cycle_limit_exact_boundary() {
         FsmdSimError::CycleLimit(3)
     ));
 }
+
+/// The mask-and-branch definition `IntType::canonicalize` had before it
+/// became a shift pair: truncate to the width, then sign-extend by
+/// testing the sign bit. Kept here as the oracle.
+fn canonicalize_oracle(ty: IntType, v: i64) -> i64 {
+    let mask = if ty.width == 64 {
+        u64::MAX
+    } else {
+        (1u64 << ty.width) - 1
+    };
+    let bits = (v as u64) & mask;
+    if ty.signed && ty.width < 64 && bits & (1u64 << (ty.width - 1)) != 0 {
+        (bits | !mask) as i64
+    } else {
+        bits as i64
+    }
+}
+
+#[test]
+fn canonicalize_matches_mask_and_branch_oracle() {
+    // Boundary values per width: 0, ±1, 2^(w-1)±1, 2^w±1 (and the
+    // powers themselves), and the extremes of i64.
+    let boundaries = |w: u16| {
+        let mut vs = vec![0i64, 1, -1, i64::MIN, i64::MAX];
+        for p in [w - 1, w] {
+            let pow = 1i64.wrapping_shl(u32::from(p));
+            for d in [-1i64, 0, 1] {
+                vs.push(pow.wrapping_add(d));
+                vs.push(pow.wrapping_add(d).wrapping_neg());
+            }
+        }
+        vs
+    };
+    // A seeded stream (splitmix64), shifted right by a varying amount so
+    // small magnitudes are as common as full-width ones.
+    let mut state = 0x5EED_CA11_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut checked = 0usize;
+    for w in 1..=64u16 {
+        for signed in [false, true] {
+            let ty = IntType::new(w, signed);
+            let stream: Vec<i64> = (0..256)
+                .map(|_| {
+                    let r = next();
+                    (r as i64) >> (r % 64)
+                })
+                .collect();
+            for v in boundaries(w).into_iter().chain(stream) {
+                assert_eq!(
+                    ty.canonicalize(v),
+                    canonicalize_oracle(ty, v),
+                    "{ty} canonicalize({v:#x})"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 128 * 256, "only {checked} values checked");
+}
