@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 tests, the CLI integration suite, lint
-# hygiene (clippy + a `chls lint` sweep over the example corpus), a
+# Repo verification: tier-1 tests, every workspace member's tests, the
+# CLI integration suite, lint hygiene (clippy + a `chls lint` sweep
+# over the example corpus), a
 # `chls flow` sweep (examples must be deadlock-free, and the seeded
 # deadlock corpus must be proved stuck), a `chls rewrite` sweep (the
 # software-shaped corpus must be repaired, certified, and lint-clean,
@@ -24,6 +25,12 @@ cargo build --release
 
 echo "== tier-1: tests =="
 cargo test -q
+
+echo "== workspace tests (every member crate's unit and integration tests) =="
+# Tier-1 tests only the root package; this runs the member crates' own
+# suites too (the JIT differential tests, the logic tests, and the unit
+# tests of sim, frontend, opt and the rest).
+cargo test -q --workspace --release
 
 echo "== CLI integration suite =="
 cargo test -q --test cli
