@@ -10,7 +10,6 @@
 
 use chls_backends::{construct_support, ConstructSupport, Support, CONSTRUCT_MATRIX};
 use chls_frontend::hir::*;
-use chls_frontend::Type;
 use chls_opt::PointsTo;
 
 /// The synthesizability-relevant constructs a function exercises.
@@ -41,63 +40,33 @@ pub struct Features {
 /// result for the same function.
 pub fn detect_features(func: &HirFunc, pts: &PointsTo) -> Features {
     let mut f = Features {
-        pointers: func
-            .locals
-            .iter()
-            .any(|l| matches!(l.ty, Type::Ptr(_))),
+        pointers: chls_opt::uses_pointers(func),
         multi_target_pointers: pts
             .multi_target()
             .map(|id| func.local(id).name.clone())
             .collect(),
         ..Features::default()
     };
-    scan_block(&func.body, &mut f);
-    f
-}
-
-fn scan_block(block: &HirBlock, f: &mut Features) {
-    for stmt in &block.stmts {
-        match stmt {
-            HirStmt::Par(arms) => {
-                f.par = true;
-                for arm in arms {
-                    scan_block(arm, f);
-                }
-            }
-            HirStmt::Send { .. } | HirStmt::Recv { .. } => f.channels = true,
-            HirStmt::Delay => f.delay = true,
-            HirStmt::Constraint { body, .. } => {
-                f.timing_constraints = true;
-                scan_block(body, f);
-            }
-            HirStmt::If { then, els, .. } => {
-                scan_block(then, f);
-                scan_block(els, f);
-            }
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                // `while`/`do-while` keep no canonical induction form;
-                // their trip counts are data-dependent by construction.
-                f.data_dependent_loops = true;
-                scan_block(body, f);
-            }
-            HirStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                if chls_opt::unroll::recognize(init, cond, step, body).is_err() {
-                    f.data_dependent_loops = true;
-                }
-                scan_block(init, f);
-                scan_block(step, f);
-                scan_block(body, f);
-            }
-            HirStmt::Block(b) => scan_block(b, f),
-            _ => {}
+    func.body.for_each_stmt(&mut |stmt| match stmt {
+        HirStmt::Par(_) => f.par = true,
+        HirStmt::Send { .. } | HirStmt::Recv { .. } => f.channels = true,
+        HirStmt::Delay => f.delay = true,
+        HirStmt::Constraint { .. } => f.timing_constraints = true,
+        // `while`/`do-while` keep no canonical induction form; their
+        // trip counts are data-dependent by construction.
+        HirStmt::While { .. } | HirStmt::DoWhile { .. } => f.data_dependent_loops = true,
+        HirStmt::For {
+            init,
+            cond,
+            step,
+            body,
+            ..
+        } if chls_opt::unroll::recognize(init, cond, step, body).is_err() => {
+            f.data_dependent_loops = true
         }
-    }
+        _ => {}
+    });
+    f
 }
 
 /// One backend's complaint about one construct the program uses.

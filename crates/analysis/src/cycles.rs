@@ -411,26 +411,15 @@ fn par_paths(arms: &[HirBlock], rule: Rule) -> Paths {
 /// Whether a block contains a loop at any depth (region-head inducing,
 /// for the Transmogrifier if-join rule).
 fn contains_loop(block: &HirBlock) -> bool {
-    block.stmts.iter().any(|s| match s {
-        HirStmt::While { .. } | HirStmt::DoWhile { .. } | HirStmt::For { .. } => true,
-        HirStmt::If { then, els, .. } => contains_loop(then) || contains_loop(els),
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => contains_loop(b),
-        HirStmt::Par(arms) => arms.iter().any(contains_loop),
-        _ => false,
+    block.any_stmt(&mut |s| {
+        matches!(
+            s,
+            HirStmt::While { .. } | HirStmt::DoWhile { .. } | HirStmt::For { .. }
+        )
     })
 }
 
 /// Whether a block performs a send or recv at any depth.
 fn contains_channel_op(block: &HirBlock) -> bool {
-    block.stmts.iter().any(|s| match s {
-        HirStmt::Send { .. } | HirStmt::Recv { .. } => true,
-        HirStmt::If { then, els, .. } => contains_channel_op(then) || contains_channel_op(els),
-        HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => contains_channel_op(body),
-        HirStmt::For {
-            init, step, body, ..
-        } => contains_channel_op(init) || contains_channel_op(step) || contains_channel_op(body),
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => contains_channel_op(b),
-        HirStmt::Par(arms) => arms.iter().any(contains_channel_op),
-        _ => false,
-    })
+    block.any_stmt(&mut |s| matches!(s, HirStmt::Send { .. } | HirStmt::Recv { .. }))
 }

@@ -386,24 +386,11 @@ fn collect_pars<'a>(block: &'a HirBlock, pars: &mut Vec<&'a [HirBlock]>, outside
                 dir: Dir::Recv,
                 span: *span,
             }),
-            HirStmt::If { then, els, .. } => {
-                collect_pars(then, pars, outside);
-                collect_pars(els, pars, outside);
+            _ => {
+                for b in stmt.blocks() {
+                    collect_pars(b, pars, outside);
+                }
             }
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                collect_pars(body, pars, outside)
-            }
-            HirStmt::For {
-                init, step, body, ..
-            } => {
-                collect_pars(init, pars, outside);
-                collect_pars(step, pars, outside);
-                collect_pars(body, pars, outside);
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                collect_pars(b, pars, outside)
-            }
-            _ => {}
         }
     }
 }
@@ -541,29 +528,15 @@ fn count_stmt(stmt: &HirStmt) -> Rates {
 fn escapes(block: &HirBlock) -> bool {
     block.stmts.iter().any(|s| match s {
         HirStmt::Break | HirStmt::Continue | HirStmt::Return(_) => true,
-        HirStmt::If { then, els, .. } => escapes(then) || escapes(els),
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => escapes(b),
-        HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => contains_return(body),
-        HirStmt::For {
-            init, step, body, ..
-        } => contains_return(init) || contains_return(step) || contains_return(body),
-        HirStmt::Par(arms) => arms.iter().any(escapes),
-        _ => false,
+        HirStmt::While { .. } | HirStmt::DoWhile { .. } | HirStmt::For { .. } => {
+            s.blocks().any(contains_return)
+        }
+        _ => s.blocks().any(escapes),
     })
 }
 
 fn contains_return(block: &HirBlock) -> bool {
-    block.stmts.iter().any(|s| match s {
-        HirStmt::Return(_) => true,
-        HirStmt::If { then, els, .. } => contains_return(then) || contains_return(els),
-        HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => contains_return(body),
-        HirStmt::For {
-            init, step, body, ..
-        } => contains_return(init) || contains_return(step) || contains_return(body),
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => contains_return(b),
-        HirStmt::Par(arms) => arms.iter().any(contains_return),
-        _ => false,
-    })
+    block.any_stmt(&mut |s| matches!(s, HirStmt::Return(_)))
 }
 
 // ---------------------------------------------------------------------
@@ -1019,40 +992,17 @@ fn size_buffers(procs: &[Vec<Op>], func: &HirFunc) -> Vec<CapacityNeed> {
 
 /// First source span per (channel, direction) across all arms.
 fn op_spans(arms: &[HirBlock]) -> BTreeMap<(LocalId, Dir), Span> {
-    fn walk(block: &HirBlock, out: &mut BTreeMap<(LocalId, Dir), Span>) {
-        for stmt in &block.stmts {
-            match stmt {
-                HirStmt::Send { chan, span, .. } => {
-                    out.entry((*chan, Dir::Send)).or_insert(*span);
-                }
-                HirStmt::Recv { chan, span, .. } => {
-                    out.entry((*chan, Dir::Recv)).or_insert(*span);
-                }
-                HirStmt::If { then, els, .. } => {
-                    walk(then, out);
-                    walk(els, out);
-                }
-                HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => walk(body, out),
-                HirStmt::For {
-                    init, step, body, ..
-                } => {
-                    walk(init, out);
-                    walk(step, out);
-                    walk(body, out);
-                }
-                HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => walk(b, out),
-                HirStmt::Par(inner) => {
-                    for a in inner {
-                        walk(a, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
     let mut out = BTreeMap::new();
     for arm in arms {
-        walk(arm, &mut out);
+        arm.for_each_stmt(&mut |stmt| match stmt {
+            HirStmt::Send { chan, span, .. } => {
+                out.entry((*chan, Dir::Send)).or_insert(*span);
+            }
+            HirStmt::Recv { chan, span, .. } => {
+                out.entry((*chan, Dir::Recv)).or_insert(*span);
+            }
+            _ => {}
+        });
     }
     out
 }
@@ -1133,59 +1083,65 @@ fn block_sends(block: &HirBlock, chan: LocalId) -> bool {
 /// Handel-C cycle interval of the innermost loop whose body sends on
 /// `chan` — the steady-state service period of the sender.
 fn sender_interval(block: &HirBlock, chan: LocalId) -> Option<Interval> {
-    for stmt in &block.stmts {
-        match stmt {
-            HirStmt::For {
-                init: _,
-                step,
-                body,
-                ..
-            } => {
-                if let Some(i) = sender_interval(body, chan) {
-                    return Some(i);
-                }
-                if block_sends(body, chan) {
-                    return Some(handelc_block_interval(body) + handelc_block_interval(step));
-                }
-            }
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                if let Some(i) = sender_interval(body, chan) {
-                    return Some(i);
-                }
-                if block_sends(body, chan) {
-                    return Some(handelc_block_interval(body));
-                }
-            }
-            HirStmt::If { then, els, .. } => {
-                if let Some(i) = sender_interval(then, chan) {
-                    return Some(i);
-                }
-                if let Some(i) = sender_interval(els, chan) {
-                    return Some(i);
-                }
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                if let Some(i) = sender_interval(b, chan) {
-                    return Some(i);
-                }
-            }
-            HirStmt::Par(arms) => {
-                for a in arms {
-                    if let Some(i) = sender_interval(a, chan) {
-                        return Some(i);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    block.stmts.iter().find_map(|stmt| match stmt {
+        HirStmt::For { step, body, .. } => sender_interval(body, chan).or_else(|| {
+            block_sends(body, chan)
+                .then(|| handelc_block_interval(body) + handelc_block_interval(step))
+        }),
+        HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => sender_interval(body, chan)
+            .or_else(|| block_sends(body, chan).then(|| handelc_block_interval(body))),
+        _ => stmt.blocks().find_map(|b| sender_interval(b, chan)),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use chls_frontend::compile_to_hir;
+    use chls_frontend::hir::HirExpr;
+    use chls_frontend::Type;
+
+    #[test]
+    fn escapes_sees_through_nested_loops_only_for_return() {
+        let b = |s: HirStmt| HirBlock { stmts: vec![s] };
+        let t = || HirExpr::konst(1, Type::Bool);
+        for jump in [HirStmt::Break, HirStmt::Continue, HirStmt::Return(None)] {
+            let is_return = matches!(jump, HirStmt::Return(_));
+            let nested = [
+                HirStmt::While {
+                    cond: t(),
+                    body: b(jump.clone()),
+                    unroll: None,
+                },
+                HirStmt::DoWhile {
+                    body: b(jump.clone()),
+                    cond: t(),
+                },
+                HirStmt::For {
+                    init: HirBlock::default(),
+                    cond: t(),
+                    step: HirBlock::default(),
+                    body: b(jump.clone()),
+                    unroll: None,
+                },
+            ];
+            for s in nested {
+                assert_eq!(escapes(&b(s.clone())), is_return, "{s:?}");
+            }
+            let enclosing = [
+                HirStmt::If {
+                    cond: t(),
+                    then: HirBlock::default(),
+                    els: b(jump.clone()),
+                },
+                HirStmt::Par(vec![HirBlock::default(), b(jump.clone())]),
+                HirStmt::Block(b(jump.clone())),
+            ];
+            for s in enclosing {
+                assert!(escapes(&b(s.clone())), "{s:?}");
+            }
+        }
+    }
 
     fn flow(src: &str) -> FlowReport {
         let prog = compile_to_hir(src).expect("compile");

@@ -23,42 +23,15 @@ use chls_frontend::Span;
 use chls_opt::PointsTo;
 
 /// Walks `func` and reports every conflict between sibling `par` arms.
+/// A `par` nested inside an arm gets its own pass, after its parent's.
 pub fn find_races(func: &HirFunc, pts: &PointsTo) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    walk_block(&func.body, func, pts, &mut out);
-    out
-}
-
-fn walk_block(block: &HirBlock, func: &HirFunc, pts: &PointsTo, out: &mut Vec<Diagnostic>) {
-    for stmt in &block.stmts {
-        match stmt {
-            HirStmt::Par(arms) => {
-                check_par(arms, func, pts, out);
-                // Nested `par` inside an arm gets its own pass.
-                for arm in arms {
-                    walk_block(arm, func, pts, out);
-                }
-            }
-            HirStmt::If { then, els, .. } => {
-                walk_block(then, func, pts, out);
-                walk_block(els, func, pts, out);
-            }
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                walk_block(body, func, pts, out);
-            }
-            HirStmt::For {
-                init, step, body, ..
-            } => {
-                walk_block(init, func, pts, out);
-                walk_block(step, func, pts, out);
-                walk_block(body, func, pts, out);
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                walk_block(b, func, pts, out)
-            }
-            _ => {}
+    func.body.for_each_stmt(&mut |s| {
+        if let HirStmt::Par(arms) = s {
+            check_par(arms, func, pts, &mut out);
         }
-    }
+    });
+    out
 }
 
 fn check_par(arms: &[HirBlock], func: &HirFunc, pts: &PointsTo, out: &mut Vec<Diagnostic>) {

@@ -10,7 +10,6 @@
 //! level, before analysis could have resolved them.
 
 use crate::common::*;
-use chls_frontend::hir::HirStmt;
 use chls_frontend::Type;
 
 /// The Cyber backend.
@@ -42,24 +41,18 @@ impl Backend for Cyber {
     ) -> Result<Design, SynthError> {
         // BDL prohibits pointers outright (recursion is already rejected
         // by semantic analysis, as Cyber itself would).
-        for func in &prep.hir().funcs {
-            for local in &func.locals {
-                if matches!(local.ty, Type::Ptr(_)) {
-                    return Err(SynthError::Unsupported {
-                        backend: "cyber",
-                        what: format!(
-                            "pointers (BDL prohibits them; `{}` in `{}`)",
-                            local.name, func.name
-                        ),
-                    });
-                }
-            }
-            if block_has_addrof(&func.body) {
-                return Err(SynthError::Unsupported {
-                    backend: "cyber",
-                    what: "address-of expressions (BDL prohibits pointers)".to_string(),
-                });
-            }
+        if let Some(func) = prep.hir().funcs.iter().find(|f| chls_opt::uses_pointers(f)) {
+            let what = match func.locals.iter().find(|l| matches!(l.ty, Type::Ptr(_))) {
+                Some(local) => format!(
+                    "pointers (BDL prohibits them; `{}` in `{}`)",
+                    local.name, func.name
+                ),
+                None => "address-of expressions (BDL prohibits pointers)".to_string(),
+            };
+            return Err(SynthError::Unsupported {
+                backend: "cyber",
+                what,
+            });
         }
         // Behind the language gate, Cyber is conventional behavioral
         // synthesis — reuse the compiler-scheduled flow.
@@ -67,43 +60,6 @@ impl Backend for Cyber {
         let fsmd = crate::c2v::schedule_to_fsmd(&prepared.func, opts)?;
         Ok(Design::Fsmd(fsmd))
     }
-}
-
-fn block_has_addrof(block: &chls_frontend::hir::HirBlock) -> bool {
-    use chls_frontend::hir::{HirExpr, HirExprKind};
-    fn expr_has(e: &HirExpr) -> bool {
-        match &e.kind {
-            HirExprKind::AddrOf(_) => true,
-            HirExprKind::Const(_) | HirExprKind::Load(_) => false,
-            HirExprKind::Unary(_, a) | HirExprKind::Cast(a) => expr_has(a),
-            HirExprKind::Binary(_, a, b) => expr_has(a) || expr_has(b),
-            HirExprKind::Select(c, t, f) => expr_has(c) || expr_has(t) || expr_has(f),
-        }
-    }
-    block.stmts.iter().any(|s| match s {
-        HirStmt::Assign { value, .. } | HirStmt::Send { value, .. } => expr_has(value),
-        HirStmt::If { cond, then, els } => {
-            expr_has(cond) || block_has_addrof(then) || block_has_addrof(els)
-        }
-        HirStmt::While { cond, body, .. } => expr_has(cond) || block_has_addrof(body),
-        HirStmt::DoWhile { body, cond } => block_has_addrof(body) || expr_has(cond),
-        HirStmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            block_has_addrof(init)
-                || expr_has(cond)
-                || block_has_addrof(step)
-                || block_has_addrof(body)
-        }
-        HirStmt::Return(Some(e)) => expr_has(e),
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => block_has_addrof(b),
-        HirStmt::Par(bs) => bs.iter().any(block_has_addrof),
-        _ => false,
-    })
 }
 
 #[cfg(test)]

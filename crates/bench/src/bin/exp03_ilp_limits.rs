@@ -4,7 +4,7 @@
 //! instructions is unlikely due to fundamental limits."
 
 use chls::{benchmarks, fnum, Table};
-use chls_ir::exec::{execute, ArgValue as IrArg, ExecOptions};
+use chls_ir::exec::{execute, ExecOptions};
 use chls_sched::ilp::measure_ilp;
 
 fn main() {
@@ -20,17 +20,9 @@ fn main() {
         let (id, _) = hir.func_by_name(bench.entry).expect("exists");
         let mut f = chls_ir::lower_function(&hir, id).expect("lowers");
         chls_opt::simplify::simplify(&mut f);
-        let args: Vec<IrArg> = bench
-            .args
-            .iter()
-            .map(|a| match a {
-                chls::interp::ArgValue::Scalar(v) => IrArg::Scalar(*v),
-                chls::interp::ArgValue::Array(v) => IrArg::Array(v.clone()),
-            })
-            .collect();
         let trace = execute(
             &f,
-            &args,
+            &bench.args,
             &ExecOptions {
                 record_trace: true,
                 ..Default::default()

@@ -58,16 +58,9 @@ fn main() {
             chls::Design::Dataflow(g) => g,
             _ => unreachable!(),
         };
-        let df_args: Vec<chls_dataflow::sim::ArgValue> = args
-            .iter()
-            .map(|a| match a {
-                ArgValue::Scalar(v) => chls_dataflow::sim::ArgValue::Scalar(*v),
-                ArgValue::Array(v) => chls_dataflow::sim::ArgValue::Array(v.clone()),
-            })
-            .collect();
         let r_async = chls_dataflow::sim::simulate(
             g,
-            &df_args,
+            &args,
             &chls_dataflow::sim::TokenSimOptions {
                 model: model.clone(),
                 ..Default::default()

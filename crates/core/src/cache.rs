@@ -1,7 +1,8 @@
 //! Content-addressed artifact cache for the service layer.
 //!
 //! Every cacheable artifact — a parsed [`Compiler`] (HIR + source), a
-//! synthesized [`Design`], a whole service [`Response`] — is stored
+//! synthesized [`Design`], a whole service
+//! [`Response`](crate::service::Response) — is stored
 //! under a *content address*: a key string built from the FNV-1a digest
 //! of the source text plus [`CompileOptions::cache_key`] plus the
 //! phase, so editing one byte of source or flipping one

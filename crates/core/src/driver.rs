@@ -272,16 +272,9 @@ pub fn simulate_design_with(
             })
         }
         Design::Dataflow(g) => {
-            let df_args: Vec<chls_dataflow::sim::ArgValue> = args
-                .iter()
-                .map(|a| match a {
-                    ArgValue::Scalar(v) => chls_dataflow::sim::ArgValue::Scalar(*v),
-                    ArgValue::Array(v) => chls_dataflow::sim::ArgValue::Array(v.clone()),
-                })
-                .collect();
             let r = chls_dataflow::sim::simulate(
                 g,
-                &df_args,
+                args,
                 &chls_dataflow::sim::TokenSimOptions::default(),
             )
             .map_err(|e| SimulateError(e.to_string()))?;
@@ -421,7 +414,8 @@ pub fn check_conformance_with_options(
 }
 
 /// The full-option conformance entry point: job count, synthesis
-/// options, and simulation engine all come from one [`CompileOptions`].
+/// options, and simulation engine all come from one
+/// [`CompileOptions`](crate::CompileOptions).
 ///
 /// # Errors
 ///

@@ -26,7 +26,7 @@
 //! [`chls_backends::BackendInfo`] declares `reads_pipeline` and
 //! `reads_narrow`) share one base synthesis, with `opt_netlist` off;
 //! the `opt` points take the base's optimized twin, derived by
-//! [`crate::driver::optimize_design`], the driver's own post-pass. The 224
+//! `optimize_design`, the driver's own post-pass. The 224
 //! points of `--all` fold to 64 syntheses. Designs stay in memory
 //! through the full phase, certification and emission; they are
 //! fetched from the design cache only where the cheap phase was

@@ -28,14 +28,7 @@ mod conformance {
         let (id, _) = hir.func_by_name("f").expect("exists");
         let mut f = chls_ir::lower_function(&hir, id).expect("lowers");
         chls_opt::simplify::simplify(&mut f);
-        let ir_args: Vec<chls_ir::exec::ArgValue> = args
-            .iter()
-            .map(|a| match a {
-                ArgValue::Scalar(v) => chls_ir::exec::ArgValue::Scalar(*v),
-                ArgValue::Array(v) => chls_ir::exec::ArgValue::Array(v.clone()),
-            })
-            .collect();
-        let golden = execute(&f, &ir_args, &ExecOptions::default()).expect("executes");
+        let golden = execute(&f, args, &ExecOptions::default()).expect("executes");
         assert_eq!(golden.ret, expect, "IR golden disagrees with test expectation");
         let g = build_dataflow(&f).expect("builds");
         let r = simulate(&g, args, &TokenSimOptions::default())

@@ -27,14 +27,7 @@ use chls_rtl::cost::CostModel;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
-/// An argument bound to a parameter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArgValue {
-    /// A scalar value.
-    Scalar(i64),
-    /// Initial contents of an array parameter.
-    Array(Vec<i64>),
-}
+pub use chls_ir::exec::ArgValue;
 
 /// Simulation errors.
 #[derive(Debug, Clone, PartialEq)]

@@ -175,6 +175,84 @@ pub struct HirBlock {
     pub stmts: Vec<HirStmt>,
 }
 
+impl HirBlock {
+    /// Pre-order walk over every statement at any depth (a statement
+    /// before the statements nested in it, nested blocks in
+    /// [`HirStmt::blocks`] order); true as soon as `pred` holds.
+    pub fn any_stmt<'a>(&'a self, pred: &mut impl FnMut(&'a HirStmt) -> bool) -> bool {
+        self.stmts
+            .iter()
+            .any(|s| pred(s) || s.blocks().any(|b| b.any_stmt(pred)))
+    }
+
+    /// Visits every statement at any depth, in [`Self::any_stmt`] order.
+    pub fn for_each_stmt<'a>(&'a self, f: &mut impl FnMut(&'a HirStmt)) {
+        self.any_stmt(&mut |s| {
+            f(s);
+            false
+        });
+    }
+
+    /// Visits every expression the block's statements own, at any depth,
+    /// in source order: values, conditions, call arguments, and the index
+    /// and deref expressions of written places (see
+    /// [`HirPlace::for_each_expr`]). A `do` body comes before its
+    /// condition; a `for` visits init, condition, step, then body.
+    /// Expressions nested inside a visited expression are the caller's
+    /// to walk.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a HirExpr)) {
+        for s in &self.stmts {
+            match s {
+                HirStmt::Assign { place, value, .. } => {
+                    place.for_each_expr(f);
+                    f(value);
+                }
+                HirStmt::Call { dst, args, .. } => {
+                    if let Some(d) = dst {
+                        d.for_each_expr(f);
+                    }
+                    for a in args {
+                        match a {
+                            HirArg::Value(e) => f(e),
+                            HirArg::Array(p) => p.for_each_expr(f),
+                        }
+                    }
+                }
+                HirStmt::Recv { dst, .. } => dst.for_each_expr(f),
+                HirStmt::Send { value, .. } | HirStmt::Return(Some(value)) => f(value),
+                HirStmt::If { cond, .. } | HirStmt::While { cond, .. } => f(cond),
+                HirStmt::For {
+                    init,
+                    cond,
+                    step,
+                    body,
+                    ..
+                } => {
+                    init.for_each_expr(f);
+                    f(cond);
+                    step.for_each_expr(f);
+                    body.for_each_expr(f);
+                    continue;
+                }
+                HirStmt::DoWhile { .. }
+                | HirStmt::Return(None)
+                | HirStmt::Break
+                | HirStmt::Continue
+                | HirStmt::Block(_)
+                | HirStmt::Par(_)
+                | HirStmt::Delay
+                | HirStmt::Constraint { .. } => {}
+            }
+            for b in s.blocks() {
+                b.for_each_expr(f);
+            }
+            if let HirStmt::DoWhile { cond, .. } = s {
+                f(cond);
+            }
+        }
+    }
+}
+
 /// An assignable location.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HirPlace {
@@ -202,9 +280,26 @@ impl HirPlace {
             _ => None,
         }
     }
+
+    /// Visits the index and deref expressions of this place, in source
+    /// order (`a[i][j]` visits `i`, then `j`).
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a HirExpr)) {
+        match self {
+            HirPlace::Local(_) | HirPlace::Global(_) => {}
+            HirPlace::Index { base, index } => {
+                base.for_each_expr(f);
+                f(index);
+            }
+            HirPlace::Deref(e) => f(e),
+        }
+    }
 }
 
 /// Statements. All expressions inside are side-effect free.
+///
+/// Which variants nest blocks is known in one place, [`HirStmt::blocks`];
+/// read-only walkers go through it (or [`HirBlock::any_stmt`] and
+/// [`HirBlock::for_each_expr`]) instead of matching the nesting variants.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HirStmt {
     /// `place = value;`
@@ -305,6 +400,33 @@ pub enum HirStmt {
         /// Constrained statements.
         body: HirBlock,
     },
+}
+
+impl HirStmt {
+    /// The blocks nested directly in this statement, in source order
+    /// (`for`: init, step, body; `par`: its arms).
+    pub fn blocks(&self) -> impl Iterator<Item = &HirBlock> {
+        let (fixed, arms): ([Option<&HirBlock>; 3], &[HirBlock]) = match self {
+            HirStmt::If { then, els, .. } => ([Some(then), Some(els), None], &[]),
+            HirStmt::For {
+                init, step, body, ..
+            } => ([Some(init), Some(step), Some(body)], &[]),
+            HirStmt::While { body, .. }
+            | HirStmt::DoWhile { body, .. }
+            | HirStmt::Block(body)
+            | HirStmt::Constraint { body, .. } => ([Some(body), None, None], &[]),
+            HirStmt::Par(arms) => ([None; 3], arms),
+            HirStmt::Assign { .. }
+            | HirStmt::Call { .. }
+            | HirStmt::Recv { .. }
+            | HirStmt::Send { .. }
+            | HirStmt::Return(_)
+            | HirStmt::Break
+            | HirStmt::Continue
+            | HirStmt::Delay => ([None; 3], &[]),
+        };
+        fixed.into_iter().flatten().chain(arms)
+    }
 }
 
 /// A function-call argument.
@@ -440,5 +562,257 @@ mod tests {
         assert_eq!(LocalId(4).to_string(), "%4");
         assert_eq!(GlobalId(1).to_string(), "@1");
         assert_eq!(FuncId(2).to_string(), "fn2");
+    }
+
+    fn block(stmts: Vec<HirStmt>) -> HirBlock {
+        HirBlock { stmts }
+    }
+
+    fn int(v: i64) -> HirExpr {
+        HirExpr::konst(v, Type::int())
+    }
+
+    fn set(value: HirExpr) -> HirStmt {
+        HirStmt::Assign {
+            place: HirPlace::Local(LocalId(0)),
+            value,
+            span: Span::dummy(),
+        }
+    }
+
+    /// One statement of every kind, the nesting ones with empty blocks.
+    fn every_kind() -> Vec<HirStmt> {
+        let chan = LocalId(1);
+        let span = Span::dummy();
+        vec![
+            set(int(0)),
+            HirStmt::Call {
+                dst: None,
+                func: FuncId(0),
+                args: vec![],
+                span,
+            },
+            HirStmt::Recv {
+                dst: HirPlace::Local(LocalId(0)),
+                chan,
+                span,
+            },
+            HirStmt::Send {
+                chan,
+                value: int(0),
+                span,
+            },
+            HirStmt::If {
+                cond: int(1),
+                then: block(vec![]),
+                els: block(vec![]),
+            },
+            HirStmt::While {
+                cond: int(1),
+                body: block(vec![]),
+                unroll: None,
+            },
+            HirStmt::DoWhile {
+                body: block(vec![]),
+                cond: int(1),
+            },
+            HirStmt::For {
+                init: block(vec![]),
+                cond: int(1),
+                step: block(vec![]),
+                body: block(vec![]),
+                unroll: None,
+            },
+            HirStmt::Return(None),
+            HirStmt::Break,
+            HirStmt::Continue,
+            HirStmt::Block(block(vec![])),
+            HirStmt::Par(vec![]),
+            HirStmt::Delay,
+            HirStmt::Constraint {
+                cycles: 2,
+                body: block(vec![]),
+            },
+        ]
+    }
+
+    /// Every nesting kind with `s` in each of its block slots in turn.
+    fn nestings(s: &HirStmt) -> Vec<HirStmt> {
+        let one = || block(vec![s.clone()]);
+        let empty = || block(vec![]);
+        let for_loop = |init, step, body| HirStmt::For {
+            init,
+            cond: int(1),
+            step,
+            body,
+            unroll: None,
+        };
+        vec![
+            HirStmt::If {
+                cond: int(1),
+                then: one(),
+                els: empty(),
+            },
+            HirStmt::If {
+                cond: int(1),
+                then: empty(),
+                els: one(),
+            },
+            HirStmt::While {
+                cond: int(1),
+                body: one(),
+                unroll: None,
+            },
+            HirStmt::DoWhile {
+                body: one(),
+                cond: int(1),
+            },
+            for_loop(one(), empty(), empty()),
+            for_loop(empty(), one(), empty()),
+            for_loop(empty(), empty(), one()),
+            HirStmt::Block(one()),
+            HirStmt::Par(vec![one(), empty()]),
+            HirStmt::Par(vec![empty(), one()]),
+            HirStmt::Constraint {
+                cycles: 2,
+                body: one(),
+            },
+        ]
+    }
+
+    #[test]
+    fn walk_reaches_every_kind_in_every_nesting_slot() {
+        use std::mem::discriminant;
+        for inner in every_kind() {
+            for outer in nestings(&inner) {
+                let b = block(vec![outer.clone()]);
+                let mut seen = Vec::new();
+                b.for_each_stmt(&mut |s| seen.push(discriminant(s)));
+                assert_eq!(
+                    seen,
+                    [discriminant(&outer), discriminant(&inner)],
+                    "{inner:?} inside {outer:?}"
+                );
+                assert!(
+                    b.any_stmt(&mut |s| s == &inner),
+                    "{inner:?} inside {outer:?}"
+                );
+                assert_eq!(outer.blocks().filter(|b| !b.stmts.is_empty()).count(), 1);
+            }
+            assert_eq!(inner.blocks().map(|b| b.stmts.len()).sum::<usize>(), 0);
+        }
+    }
+
+    #[test]
+    fn walk_visits_nested_blocks_in_source_order() {
+        let one = |v| block(vec![set(int(v))]);
+        let b = block(vec![
+            HirStmt::If {
+                cond: int(1),
+                then: one(1),
+                els: one(2),
+            },
+            HirStmt::For {
+                init: one(3),
+                cond: int(1),
+                step: one(4),
+                body: one(5),
+                unroll: None,
+            },
+            HirStmt::Par(vec![one(6), one(7)]),
+        ]);
+        let mut seen = Vec::new();
+        b.for_each_stmt(&mut |s| {
+            if let HirStmt::Assign { value, .. } = s {
+                seen.push(value.as_const().expect("numbered"));
+            }
+        });
+        assert_eq!(seen, [1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn any_stmt_stops_at_the_first_match() {
+        let b = block(vec![
+            HirStmt::Block(block(vec![HirStmt::Break, HirStmt::Continue])),
+            HirStmt::Delay,
+        ]);
+        let mut visited = 0;
+        assert!(b.any_stmt(&mut |s| {
+            visited += 1;
+            matches!(s, HirStmt::Break)
+        }));
+        assert_eq!(visited, 2);
+    }
+
+    #[test]
+    fn for_each_expr_visits_in_source_order() {
+        let mut n = 0;
+        let mut next = || {
+            n += 1;
+            int(n)
+        };
+        let span = Span::dummy();
+        let idx = |base, index| HirPlace::Index {
+            base: Box::new(base),
+            index: Box::new(index),
+        };
+        // Struct literals evaluate their fields as written, so numbering
+        // the expressions while building them numbers them in source order.
+        let stmts = vec![
+            HirStmt::Assign {
+                place: idx(idx(HirPlace::Local(LocalId(0)), next()), next()),
+                value: next(),
+                span,
+            },
+            HirStmt::Call {
+                dst: Some(HirPlace::Deref(Box::new(next()))),
+                func: FuncId(0),
+                args: vec![
+                    HirArg::Value(next()),
+                    HirArg::Array(idx(HirPlace::Local(LocalId(2)), next())),
+                ],
+                span,
+            },
+            HirStmt::Recv {
+                dst: idx(HirPlace::Local(LocalId(0)), next()),
+                chan: LocalId(1),
+                span,
+            },
+            HirStmt::Send {
+                chan: LocalId(1),
+                value: next(),
+                span,
+            },
+            HirStmt::If {
+                cond: next(),
+                then: block(vec![HirStmt::Return(Some(next()))]),
+                els: block(vec![set(next())]),
+            },
+            HirStmt::While {
+                cond: next(),
+                body: block(vec![set(next())]),
+                unroll: None,
+            },
+            HirStmt::DoWhile {
+                body: block(vec![set(next())]),
+                cond: next(),
+            },
+            HirStmt::For {
+                init: block(vec![set(next())]),
+                cond: next(),
+                step: block(vec![set(next())]),
+                body: block(vec![set(next())]),
+                unroll: None,
+            },
+            HirStmt::Block(block(vec![set(next())])),
+            HirStmt::Par(vec![block(vec![set(next())]), block(vec![set(next())])]),
+            HirStmt::Constraint {
+                cycles: 2,
+                body: block(vec![set(next())]),
+            },
+        ];
+        let mut seen = Vec::new();
+        block(stmts).for_each_expr(&mut |e| seen.push(e.as_const().expect("numbered")));
+        assert_eq!(seen, (1..=n).collect::<Vec<_>>());
     }
 }

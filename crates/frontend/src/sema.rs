@@ -1543,46 +1543,15 @@ pub fn recursion_cycles(prog: &HirProgram) -> Vec<Vec<FuncId>> {
 /// The source span of the first call from `caller` to `callee`, for
 /// anchoring recursion diagnostics at the offending call site.
 fn first_call_span(prog: &HirProgram, caller: FuncId, callee: FuncId) -> Option<Span> {
-    fn scan(block: &HirBlock, callee: FuncId) -> Option<Span> {
-        for s in &block.stmts {
-            match s {
-                HirStmt::Call { func, span, .. } if *func == callee => return Some(*span),
-                HirStmt::If { then, els, .. } => {
-                    if let Some(sp) = scan(then, callee).or_else(|| scan(els, callee)) {
-                        return Some(sp);
-                    }
-                }
-                HirStmt::While { body, .. }
-                | HirStmt::DoWhile { body, .. }
-                | HirStmt::Block(body)
-                | HirStmt::Constraint { body, .. } => {
-                    if let Some(sp) = scan(body, callee) {
-                        return Some(sp);
-                    }
-                }
-                HirStmt::For {
-                    init, step, body, ..
-                } => {
-                    if let Some(sp) = scan(init, callee)
-                        .or_else(|| scan(step, callee))
-                        .or_else(|| scan(body, callee))
-                    {
-                        return Some(sp);
-                    }
-                }
-                HirStmt::Par(arms) => {
-                    for arm in arms {
-                        if let Some(sp) = scan(arm, callee) {
-                            return Some(sp);
-                        }
-                    }
-                }
-                _ => {}
-            }
+    let mut found = None;
+    prog.func(caller).body.any_stmt(&mut |s| match s {
+        HirStmt::Call { func, span, .. } if *func == callee => {
+            found = Some(*span);
+            true
         }
-        None
-    }
-    scan(&prog.func(caller).body, callee)
+        _ => false,
+    });
+    found
 }
 
 /// Rejects direct or mutual recursion (hardware has no stack). The

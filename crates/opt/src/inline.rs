@@ -60,10 +60,9 @@ pub fn inline_program(prog: &HirProgram, entry: FuncId) -> Result<HirProgram, In
         locals: f.locals.clone(),
     };
     let body = ctx.expand_block(&f.body)?;
-    let uses_par = block_has(&body, &mut |s| matches!(s, HirStmt::Par(_)));
-    let uses_channels = block_has(&body, &mut |s| {
-        matches!(s, HirStmt::Send { .. } | HirStmt::Recv { .. })
-    });
+    let uses_par = body.any_stmt(&mut |s| matches!(s, HirStmt::Par(_)));
+    let uses_channels =
+        body.any_stmt(&mut |s| matches!(s, HirStmt::Send { .. } | HirStmt::Recv { .. }));
     let func = HirFunc {
         name: f.name.clone(),
         ret_ty: f.ret_ty.clone(),
@@ -114,24 +113,6 @@ fn find_cycle(prog: &HirProgram, entry: FuncId) -> Option<String> {
         }
     }
     None
-}
-
-fn block_has(block: &HirBlock, pred: &mut impl FnMut(&HirStmt) -> bool) -> bool {
-    block.stmts.iter().any(|s| {
-        if pred(s) {
-            return true;
-        }
-        match s {
-            HirStmt::If { then, els, .. } => block_has(then, pred) || block_has(els, pred),
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => block_has(body, pred),
-            HirStmt::For {
-                init, step, body, ..
-            } => block_has(init, pred) || block_has(step, pred) || block_has(body, pred),
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => block_has(b, pred),
-            HirStmt::Par(bs) => bs.iter().any(|b| block_has(b, pred)),
-            _ => false,
-        }
-    })
 }
 
 struct Inliner<'p> {
@@ -354,37 +335,12 @@ impl Inliner<'_> {
 /// Returns (only-return-is-final-top-level-stmt, any-return-present).
 fn analyze_returns(block: &HirBlock) -> (bool, bool) {
     let mut count = 0usize;
-    count_returns(block, &mut count);
+    block.for_each_stmt(&mut |s| count += matches!(s, HirStmt::Return(_)) as usize);
     if count == 0 {
         return (false, false);
     }
     let tail_is_ret = matches!(block.stmts.last(), Some(HirStmt::Return(_)));
     (count == 1 && tail_is_ret, true)
-}
-
-fn count_returns(block: &HirBlock, count: &mut usize) {
-    for s in &block.stmts {
-        match s {
-            HirStmt::Return(_) => *count += 1,
-            HirStmt::If { then, els, .. } => {
-                count_returns(then, count);
-                count_returns(els, count);
-            }
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                count_returns(body, count)
-            }
-            HirStmt::For {
-                init, step, body, ..
-            } => {
-                count_returns(init, count);
-                count_returns(step, count);
-                count_returns(body, count);
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => count_returns(b, count),
-            HirStmt::Par(bs) => bs.iter().for_each(|b| count_returns(b, count)),
-            _ => {}
-        }
-    }
 }
 
 fn not_done(done: LocalId) -> HirExpr {

@@ -32,4 +32,4 @@ pub mod unroll;
 
 
 pub use inline::{inline_program, InlineError};
-pub use ptr::{points_to, PointsTo};
+pub use ptr::{points_to, uses_pointers, PointsTo};

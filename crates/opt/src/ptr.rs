@@ -112,6 +112,33 @@ impl PointsTo {
     }
 }
 
+/// True when `func` uses pointers at all: a pointer-typed local, or an
+/// address-of anywhere in its body, including inside the index and deref
+/// expressions of load and store places. A `*&x` with no pointer local
+/// counts, so every gate that refuses pointers sees it.
+pub fn uses_pointers(func: &HirFunc) -> bool {
+    fn addr_of(e: &HirExpr) -> bool {
+        match &e.kind {
+            HirExprKind::AddrOf(_) => true,
+            HirExprKind::Const(_) => false,
+            HirExprKind::Load(p) => {
+                let mut hit = false;
+                p.for_each_expr(&mut |i| hit |= addr_of(i));
+                hit
+            }
+            HirExprKind::Unary(_, a) | HirExprKind::Cast(a) => addr_of(a),
+            HirExprKind::Binary(_, a, b) => addr_of(a) || addr_of(b),
+            HirExprKind::Select(c, t, f) => addr_of(c) || addr_of(t) || addr_of(f),
+        }
+    }
+    if func.locals.iter().any(|l| matches!(l.ty, Type::Ptr(_))) {
+        return true;
+    }
+    let mut hit = false;
+    func.body.for_each_expr(&mut |e| hit |= addr_of(e));
+    hit
+}
+
 /// Computes may-point-to sets for every pointer-typed local of `func`.
 ///
 /// Flow-insensitive Andersen-style fixpoint over assignment constraints;
@@ -200,7 +227,8 @@ pub fn lower_pointers(func: &mut HirFunc, stats_out: &mut PtrStats) -> Result<()
         .map(|(i, _)| LocalId(i as u32))
         .collect();
     stats_out.pointers = ptr_locals.len();
-    if ptr_locals.is_empty() {
+    // With no pointer local, the rewrite below only folds `*&x` to `x`.
+    if !uses_pointers(func) {
         return Ok(());
     }
 
@@ -304,36 +332,18 @@ fn collect_constraints(
     pts: &mut BTreeMap<LocalId, BTreeSet<LocalId>>,
     copies: &mut BTreeMap<LocalId, BTreeSet<LocalId>>,
 ) {
-    for stmt in &block.stmts {
-        match stmt {
-            HirStmt::Assign {
-                place: HirPlace::Local(p),
-                value,
-                ..
-            } if pts.contains_key(p) => {
+    block.for_each_stmt(&mut |stmt| {
+        if let HirStmt::Assign {
+            place: HirPlace::Local(p),
+            value,
+            ..
+        } = stmt
+        {
+            if pts.contains_key(p) {
                 add_sources(value, *p, pts, copies);
             }
-            HirStmt::If { then, els, .. } => {
-                collect_constraints(then, pts, copies);
-                collect_constraints(els, pts, copies);
-            }
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                collect_constraints(body, pts, copies)
-            }
-            HirStmt::For {
-                init, step, body, ..
-            } => {
-                collect_constraints(init, pts, copies);
-                collect_constraints(step, pts, copies);
-                collect_constraints(body, pts, copies);
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                collect_constraints(b, pts, copies)
-            }
-            HirStmt::Par(bs) => bs.iter().for_each(|b| collect_constraints(b, pts, copies)),
-            _ => {}
         }
-    }
+    });
 }
 
 /// Walks a pointer-valued expression for address sources.
@@ -383,7 +393,8 @@ fn find_dead_deref(block: &HirBlock, ctx: &Rewrite) -> Option<LocalId> {
             }
         });
     };
-    visit_exprs(block, &mut |e| check_expr(e, &mut found));
+    // Calls cannot survive inlining, so their arguments hold no derefs.
+    block.for_each_expr(&mut |e| check_expr(e, &mut found));
     found
 }
 
@@ -414,59 +425,6 @@ fn walk_derefs_place(p: &HirPlace, f: &mut impl FnMut(&HirExpr)) {
             walk_derefs_place(base, f);
             walk_derefs(index, f);
         }
-        _ => {}
-    }
-}
-
-fn visit_exprs(block: &HirBlock, f: &mut impl FnMut(&HirExpr)) {
-    for s in &block.stmts {
-        match s {
-            HirStmt::Assign { place, value, .. } => {
-                visit_place_exprs(place, f);
-                f(value);
-            }
-            HirStmt::Send { value, .. } => f(value),
-            HirStmt::Recv { dst, .. } => visit_place_exprs(dst, f),
-            HirStmt::If { cond, then, els } => {
-                f(cond);
-                visit_exprs(then, f);
-                visit_exprs(els, f);
-            }
-            HirStmt::While { cond, body, .. } => {
-                f(cond);
-                visit_exprs(body, f);
-            }
-            HirStmt::DoWhile { body, cond } => {
-                visit_exprs(body, f);
-                f(cond);
-            }
-            HirStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                visit_exprs(init, f);
-                f(cond);
-                visit_exprs(step, f);
-                visit_exprs(body, f);
-            }
-            HirStmt::Return(Some(e)) => f(e),
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => visit_exprs(b, f),
-            HirStmt::Par(bs) => bs.iter().for_each(|b| visit_exprs(b, f)),
-            _ => {}
-        }
-    }
-}
-
-fn visit_place_exprs(p: &HirPlace, f: &mut impl FnMut(&HirExpr)) {
-    match p {
-        HirPlace::Index { base, index } => {
-            visit_place_exprs(base, f);
-            f(index);
-        }
-        HirPlace::Deref(e) => f(e),
         _ => {}
     }
 }
@@ -626,6 +584,14 @@ impl Rewrite {
                 }
             }
             HirPlace::Deref(e) => {
+                if let HirExprKind::AddrOf(inner) = &e.kind {
+                    return self.place(inner); // `*&p` is `p`
+                }
+                if self.lowering.is_empty() {
+                    // No pointer local, so no address space: only `*&`
+                    // folds, and the lowering refuses whatever is left.
+                    return p.clone();
+                }
                 let targets = self.expr_targets(e);
                 let addr = self.expr(e);
                 // Heap path: any heapified target means absolute address.
@@ -681,6 +647,7 @@ impl Rewrite {
                 kind: HirExprKind::Cast(Box::new(self.expr(a))),
                 ty,
             },
+            HirExprKind::AddrOf(_) if self.lowering.is_empty() => e.clone(),
             HirExprKind::AddrOf(place) => {
                 // &x -> base offset; &a[i] -> base + i.
                 let root = place.root_local().expect("sema rejects &ROM");
@@ -923,6 +890,22 @@ mod tests {
         let (ret, stats) = run_lowered("int f(int a) { return a + 1; }", "f", &[ArgValue::Scalar(1)]);
         assert_eq!(ret, Some(2));
         assert_eq!(stats.pointers, 0);
+    }
+
+    #[test]
+    fn deref_of_address_of_folds_without_a_pointer_local() {
+        let src = "int f(int a) { int x = a; int y = 2; *&x = *&y + 1; return x; }";
+        let (ret, stats) = run_lowered(src, "f", &[ArgValue::Scalar(5)]);
+        assert_eq!(ret, Some(3));
+        assert_eq!(stats.pointers, 0);
+        // A bare `&` has no address space to live in: it survives for the
+        // IR lowering to refuse, rather than folding to a wrong constant.
+        let prog = compile_to_hir("int f(int a) { int x = a; int y = a; return &x == &y; }")
+            .expect("frontend ok");
+        let mut inlined = inline_program(&prog, FuncId(0)).expect("inline ok");
+        lower_pointers(&mut inlined.funcs[0], &mut PtrStats::default()).expect("ptr lowering ok");
+        assert!(uses_pointers(&inlined.funcs[0]));
+        assert!(chls_ir::lower_function(&inlined, FuncId(0)).is_err());
     }
 
     #[test]

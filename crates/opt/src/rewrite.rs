@@ -22,7 +22,7 @@
 //! cannot.
 
 use crate::inline::inline_program;
-use crate::ptr::{lower_pointers, PtrStats};
+use crate::ptr::{lower_pointers, uses_pointers, PtrStats};
 use crate::subst::{remap_block, remap_expr, LocalBinding};
 use crate::unroll;
 use chls_frontend::ast::{BinOp, UnOp};
@@ -279,133 +279,15 @@ fn expr_range(e: &HirExpr, func: &HirFunc, params: &[Option<Range>]) -> Range {
 // Walkers
 // ---------------------------------------------------------------------------
 
-fn for_each_call_in_block(block: &HirBlock, f: &mut impl FnMut(FuncId, &[HirArg])) {
-    for s in &block.stmts {
-        match s {
-            HirStmt::Call { func, args, .. } => f(*func, args),
-            HirStmt::If { then, els, .. } => {
-                for_each_call_in_block(then, f);
-                for_each_call_in_block(els, f);
-            }
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                for_each_call_in_block(body, f);
-            }
-            HirStmt::For {
-                init, step, body, ..
-            } => {
-                for_each_call_in_block(init, f);
-                for_each_call_in_block(step, f);
-                for_each_call_in_block(body, f);
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                for_each_call_in_block(b, f);
-            }
-            HirStmt::Par(bs) => bs.iter().for_each(|b| for_each_call_in_block(b, f)),
-            _ => {}
-        }
-    }
-}
-
-/// True when any statement in the block (recursively) satisfies `pred`.
-fn block_any_stmt(block: &HirBlock, pred: &mut impl FnMut(&HirStmt) -> bool) -> bool {
-    block.stmts.iter().any(|s| {
-        if pred(s) {
-            return true;
-        }
-        match s {
-            HirStmt::If { then, els, .. } => {
-                block_any_stmt(then, pred) || block_any_stmt(els, pred)
-            }
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                block_any_stmt(body, pred)
-            }
-            HirStmt::For {
-                init, step, body, ..
-            } => {
-                block_any_stmt(init, pred)
-                    || block_any_stmt(step, pred)
-                    || block_any_stmt(body, pred)
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => block_any_stmt(b, pred),
-            HirStmt::Par(bs) => bs.iter().any(|b| block_any_stmt(b, pred)),
-            _ => false,
-        }
-    })
-}
-
 fn block_contains_return(block: &HirBlock) -> bool {
-    block_any_stmt(block, &mut |s| matches!(s, HirStmt::Return(_)))
-}
-
-/// Visits every expression in the block.
-fn for_each_expr_in_block(block: &HirBlock, f: &mut impl FnMut(&HirExpr)) {
-    fn place(p: &HirPlace, f: &mut impl FnMut(&HirExpr)) {
-        match p {
-            HirPlace::Index { base, index } => {
-                place(base, f);
-                f(index);
-            }
-            HirPlace::Deref(e) => f(e),
-            _ => {}
-        }
-    }
-    for s in &block.stmts {
-        match s {
-            HirStmt::Assign {
-                place: p, value, ..
-            } => {
-                place(p, f);
-                f(value);
-            }
-            HirStmt::Call { dst, args, .. } => {
-                if let Some(d) = dst {
-                    place(d, f);
-                }
-                for a in args {
-                    match a {
-                        HirArg::Value(e) => f(e),
-                        HirArg::Array(p) => place(p, f),
-                    }
-                }
-            }
-            HirStmt::Recv { dst, .. } => place(dst, f),
-            HirStmt::Send { value, .. } => f(value),
-            HirStmt::If { cond, then, els } => {
-                f(cond);
-                for_each_expr_in_block(then, f);
-                for_each_expr_in_block(els, f);
-            }
-            HirStmt::While { cond, body, .. } | HirStmt::DoWhile { body, cond } => {
-                f(cond);
-                for_each_expr_in_block(body, f);
-            }
-            HirStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                for_each_expr_in_block(init, f);
-                f(cond);
-                for_each_expr_in_block(step, f);
-                for_each_expr_in_block(body, f);
-            }
-            HirStmt::Return(Some(e)) => f(e),
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                for_each_expr_in_block(b, f);
-            }
-            HirStmt::Par(bs) => bs.iter().for_each(|b| for_each_expr_in_block(b, f)),
-            _ => {}
-        }
-    }
+    block.any_stmt(&mut |s| matches!(s, HirStmt::Return(_)))
 }
 
 /// Number of statements anywhere in the block that write local `x`
 /// (assignments, call destinations, receives).
 fn count_writes(block: &HirBlock, x: LocalId) -> usize {
     let mut n = 0;
-    block_any_stmt(block, &mut |s| {
+    block.for_each_stmt(&mut |s| {
         let hit = match s {
             HirStmt::Assign { place, .. } => place.root_local() == Some(x),
             HirStmt::Call { dst: Some(d), .. } => d.root_local() == Some(x),
@@ -415,7 +297,6 @@ fn count_writes(block: &HirBlock, x: LocalId) -> usize {
         if hit {
             n += 1;
         }
-        false
     });
     n
 }
@@ -424,7 +305,7 @@ fn count_writes(block: &HirBlock, x: LocalId) -> usize {
 /// write `x` behind our back).
 fn addr_taken(block: &HirBlock, x: LocalId) -> bool {
     let mut hit = false;
-    for_each_expr_in_block(block, &mut |e| {
+    block.for_each_expr(&mut |e| {
         fn scan(e: &HirExpr, x: LocalId, hit: &mut bool) {
             match &e.kind {
                 HirExprKind::AddrOf(p)
@@ -454,12 +335,9 @@ fn addr_taken(block: &HirBlock, x: LocalId) -> bool {
 fn has_loop_level_continue(block: &HirBlock) -> bool {
     block.stmts.iter().any(|s| match s {
         HirStmt::Continue => true,
-        HirStmt::If { then, els, .. } => {
-            has_loop_level_continue(then) || has_loop_level_continue(els)
-        }
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => has_loop_level_continue(b),
-        HirStmt::Par(bs) => bs.iter().any(has_loop_level_continue),
-        _ => false,
+        // A nested loop's `continue` targets that loop — opaque.
+        HirStmt::While { .. } | HirStmt::DoWhile { .. } | HirStmt::For { .. } => false,
+        _ => s.blocks().any(has_loop_level_continue),
     })
 }
 
@@ -480,9 +358,11 @@ fn reachable_from(prog: &HirProgram, entry: FuncId) -> Vec<FuncId> {
 
 fn collect_callees(block: &HirBlock) -> Vec<FuncId> {
     let mut out = Vec::new();
-    for_each_call_in_block(block, &mut |f, _| {
-        if !out.contains(&f) {
-            out.push(f);
+    block.for_each_stmt(&mut |s| {
+        if let HirStmt::Call { func, .. } = s {
+            if !out.contains(func) {
+                out.push(*func);
+            }
         }
     });
     out
@@ -524,7 +404,14 @@ fn entry_param_ranges(
             let f = prog.func(fid);
             let params = ranges[fid.0 as usize].clone();
             let mut updates: Vec<(FuncId, usize, Range)> = Vec::new();
-            for_each_call_in_block(&f.body, &mut |callee, args| {
+            f.body.for_each_stmt(&mut |s| {
+                let HirStmt::Call {
+                    func: callee, args, ..
+                } = s
+                else {
+                    return;
+                };
+                let callee = *callee;
                 if same_cycle(fid, callee) {
                     return;
                 }
@@ -608,24 +495,16 @@ pub struct LoopSite {
 /// data-dependent one.
 pub fn scan_loops(func: &HirFunc) -> Vec<LoopSite> {
     let mut sites = Vec::new();
-    scan_block(&func.body, func, &mut sites);
-    sites
-}
-
-fn scan_block(block: &HirBlock, func: &HirFunc, sites: &mut Vec<LoopSite>) {
-    for s in &block.stmts {
+    func.body.for_each_stmt(&mut |s| {
+        let index = sites.len();
         match s {
             HirStmt::While { cond, body, .. } => {
-                let index = sites.len();
                 let res = infer_data_dep(func, LoopKind::While, None, cond, body, body);
                 sites.push(site(index, LoopKind::While, true, res));
-                scan_block(body, func, sites);
             }
             HirStmt::DoWhile { body, cond } => {
-                let index = sites.len();
                 let res = infer_data_dep(func, LoopKind::DoWhile, None, cond, body, body);
                 sites.push(site(index, LoopKind::DoWhile, true, res));
-                scan_block(body, func, sites);
             }
             HirStmt::For {
                 init,
@@ -634,9 +513,7 @@ fn scan_block(block: &HirBlock, func: &HirFunc, sites: &mut Vec<LoopSite>) {
                 body,
                 ..
             } => {
-                let index = sites.len();
-                let dd = unroll::recognize(init, cond, step, body).is_err();
-                if dd {
+                if unroll::recognize(init, cond, step, body).is_err() {
                     let res = infer_data_dep(func, LoopKind::For, Some(init), cond, step, body);
                     sites.push(site(index, LoopKind::For, true, res));
                 } else {
@@ -648,19 +525,11 @@ fn scan_block(block: &HirBlock, func: &HirFunc, sites: &mut Vec<LoopSite>) {
                         reason: None,
                     });
                 }
-                scan_block(body, func, sites);
             }
-            HirStmt::If { then, els, .. } => {
-                scan_block(then, func, sites);
-                scan_block(els, func, sites);
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                scan_block(b, func, sites);
-            }
-            HirStmt::Par(bs) => bs.iter().for_each(|b| scan_block(b, func, sites)),
             _ => {}
         }
-    }
+    });
+    sites
 }
 
 fn site(index: usize, kind: LoopKind, dd: bool, res: Result<TripBound, String>) -> LoopSite {
@@ -1121,7 +990,7 @@ fn infer_halving(func: &HirFunc, cond: &HirExpr, body: &HirBlock) -> Option<Trip
             HirExprKind::Binary(o, a, b)
                 if *o == op && is_load(a, mid) && b.as_const() == Some(1))
     };
-    block_any_stmt(body, &mut |s| {
+    body.for_each_stmt(&mut |s| {
         let writes = |p: &HirPlace, v: LocalId| p.root_local() == Some(v);
         match s {
             HirStmt::Assign { place, value, .. } => {
@@ -1142,7 +1011,6 @@ fn infer_halving(func: &HirFunc, cond: &HirExpr, body: &HirBlock) -> Option<Trip
                 }
             _ => {}
         }
-        false
     });
     if !ok || count_writes(body, mid) != 1 {
         return None;
@@ -1459,9 +1327,9 @@ fn segment_func(
     if f.uses_channels {
         return Err(format!("`{name}` uses channels inside recursion"));
     }
-    if block_any_stmt(&f.body, &mut |s| {
-        matches!(s, HirStmt::Delay | HirStmt::Constraint { .. })
-    }) {
+    if f.body
+        .any_stmt(&mut |s| matches!(s, HirStmt::Delay | HirStmt::Constraint { .. }))
+    {
         return Err(format!(
             "`{name}` uses timing constructs (`delay`/`#pragma constraint`) inside recursion"
         ));
@@ -1484,19 +1352,12 @@ fn segment_func(
         }
     }
     // `return` inside a loop cannot be linearized with a live flag.
-    let mut bad_loop_return = false;
-    block_any_stmt(&f.body, &mut |s| {
-        if let HirStmt::While { body, .. }
-        | HirStmt::DoWhile { body, .. }
-        | HirStmt::For { body, .. } = s
-        {
-            if block_contains_return(body) {
-                bad_loop_return = true;
-            }
+    if f.body.any_stmt(&mut |s| match s {
+        HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } | HirStmt::For { body, .. } => {
+            block_contains_return(body)
         }
-        false
-    });
-    if bad_loop_return {
+        _ => false,
+    }) {
         return Err(format!(
             "`return` inside a loop in recursive function `{name}`"
         ));
@@ -1529,22 +1390,11 @@ fn segment_func(
                 continue;
             }
         }
-        let mut nested = false;
-        if let HirStmt::Call { .. } = s {
-            // top-level non-cycle call: fine.
-        } else {
-            let probe = HirBlock {
-                stmts: vec![s.clone()],
-            };
-            block_any_stmt(&probe, &mut |inner| {
-                if let HirStmt::Call { func, .. } = inner {
-                    if in_cycle.contains(func) {
-                        nested = true;
-                    }
-                }
-                false
-            });
-        }
+        let nested = s.blocks().any(|b| {
+            b.any_stmt(
+                &mut |inner| matches!(inner, HirStmt::Call { func, .. } if in_cycle.contains(func)),
+            )
+        });
         if nested {
             return Err(format!(
                 "a recursive call in `{name}` is nested inside control flow \
@@ -1607,9 +1457,11 @@ fn plan_recursion(
         if in_cycle.contains(&fid) {
             continue;
         }
-        for_each_call_in_block(&prog.func(fid).body, &mut |callee, _| {
-            if in_cycle.contains(&callee) {
-                roots.insert(callee);
+        prog.func(fid).body.for_each_stmt(&mut |s| {
+            if let HirStmt::Call { func, .. } = s {
+                if in_cycle.contains(func) {
+                    roots.insert(*func);
+                }
             }
         });
     }
@@ -2255,10 +2107,6 @@ fn emit_stack_machine(prog: &mut HirProgram, plan: &RecursionPlan, opts: &Rewrit
 // Pointer repair
 // ---------------------------------------------------------------------------
 
-fn func_uses_pointers(f: &HirFunc) -> bool {
-    f.locals.iter().any(|l| matches!(l.ty, Type::Ptr(_)))
-}
-
 /// Inlines the whole program into `entry` and lowers every pointer to an
 /// indexed array access.
 pub fn repair_pointers(
@@ -2347,7 +2195,7 @@ pub fn rewrite_program(
 
     // 2. Pointer arithmetic (needs a recursion-free call graph to inline).
     let reach = reachable_from(&prog, entry_id);
-    let has_ptrs = reach.iter().any(|f| func_uses_pointers(prog.func(*f)));
+    let has_ptrs = reach.iter().any(|f| uses_pointers(prog.func(*f)));
     if has_ptrs {
         if recursion_remains {
             actions.push(RewriteAction {
@@ -2418,6 +2266,47 @@ mod tests {
     use chls_frontend::{compile_to_hir, compile_to_hir_relaxed};
     use chls_sim::{run, ArgValue, InterpOptions};
 
+    #[test]
+    fn continue_in_a_nested_loop_is_opaque() {
+        let b = |s: HirStmt| HirBlock { stmts: vec![s] };
+        let t = || HirExpr::konst(1, Type::Bool);
+        let cont = || b(HirStmt::Continue);
+        let nested = [
+            HirStmt::While {
+                cond: t(),
+                body: cont(),
+                unroll: None,
+            },
+            HirStmt::DoWhile {
+                body: cont(),
+                cond: t(),
+            },
+            HirStmt::For {
+                init: HirBlock::default(),
+                cond: t(),
+                step: HirBlock::default(),
+                body: cont(),
+                unroll: None,
+            },
+        ];
+        for s in nested {
+            assert!(!has_loop_level_continue(&b(s.clone())), "{s:?}");
+        }
+        let enclosing = [
+            HirStmt::If {
+                cond: t(),
+                then: HirBlock::default(),
+                els: cont(),
+            },
+            HirStmt::Par(vec![HirBlock::default(), cont()]),
+            HirStmt::Block(cont()),
+        ];
+        for s in enclosing {
+            assert!(has_loop_level_continue(&b(s.clone())), "{s:?}");
+        }
+        assert!(!has_loop_level_continue(&b(HirStmt::Break)));
+    }
+
     fn rewrite(src: &str, entry: &str) -> (HirProgram, RewriteResult) {
         let prog = compile_to_hir_relaxed(src).expect("frontend ok");
         let res = rewrite_program(&prog, entry, &RewriteOptions::default()).expect("rewrite ok");
@@ -2435,9 +2324,8 @@ mod tests {
     }
 
     fn has_data_dep_loop(f: &HirFunc) -> bool {
-        block_any_stmt(&f.body, &mut |s| {
-            matches!(s, HirStmt::While { .. } | HirStmt::DoWhile { .. })
-        })
+        f.body
+            .any_stmt(&mut |s| matches!(s, HirStmt::While { .. } | HirStmt::DoWhile { .. }))
     }
 
     const FIB: &str = "uint<32> fib(uint<4> n) {
@@ -2552,7 +2440,7 @@ mod tests {
         assert!(res.actions.iter().any(|a| a.pass == "ptr-to-index" && a.applied));
         assert!(res.actions.iter().any(|a| a.pass == "loop-bound" && a.applied));
         let (_, f) = res.prog.func_by_name("memcpy_walk").expect("exists");
-        assert!(!func_uses_pointers(f));
+        assert!(!uses_pointers(f));
         assert!(!has_data_dep_loop(f));
         let src_arr: Vec<i64> = (0..32).map(|i| 100 + i).collect();
         let sets: Vec<Vec<ArgValue>> = [0i64, 1, 7, 31, 32]

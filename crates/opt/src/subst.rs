@@ -303,39 +303,13 @@ fn subst_local_in_stmt(stmt: &HirStmt, target: LocalId, repl: &HirExpr) -> HirSt
 /// True when any statement in the block assigns to `target` (directly, as
 /// a scalar).
 pub fn block_writes_local(block: &HirBlock, target: LocalId) -> bool {
-    block.stmts.iter().any(|s| stmt_writes_local(s, target))
-}
-
-fn place_is_local(p: &HirPlace, target: LocalId) -> bool {
-    matches!(p, HirPlace::Local(id) if *id == target)
-}
-
-fn stmt_writes_local(stmt: &HirStmt, target: LocalId) -> bool {
-    match stmt {
-        HirStmt::Assign { place, .. } => place_is_local(place, target),
-        HirStmt::Call { dst, .. } => dst
-            .as_ref()
-            .map(|p| place_is_local(p, target))
-            .unwrap_or(false),
-        HirStmt::Recv { dst, .. } => place_is_local(dst, target),
-        HirStmt::Send { .. } | HirStmt::Delay | HirStmt::Break | HirStmt::Continue => false,
-        HirStmt::Return(_) => false,
-        HirStmt::If { then, els, .. } => {
-            block_writes_local(then, target) || block_writes_local(els, target)
-        }
-        HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-            block_writes_local(body, target)
-        }
-        HirStmt::For {
-            init, step, body, ..
-        } => {
-            block_writes_local(init, target)
-                || block_writes_local(step, target)
-                || block_writes_local(body, target)
-        }
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => block_writes_local(b, target),
-        HirStmt::Par(branches) => branches.iter().any(|b| block_writes_local(b, target)),
-    }
+    let is_target = |p: &HirPlace| matches!(p, HirPlace::Local(id) if *id == target);
+    block.any_stmt(&mut |s| match s {
+        HirStmt::Assign { place, .. } => is_target(place),
+        HirStmt::Call { dst: Some(d), .. } => is_target(d),
+        HirStmt::Recv { dst, .. } => is_target(dst),
+        _ => false,
+    })
 }
 
 #[cfg(test)]

@@ -172,12 +172,9 @@ fn cond_operand_int_type(cond: &HirExpr) -> Option<chls_frontend::IntType> {
 fn has_break_or_continue(block: &HirBlock) -> bool {
     block.stmts.iter().any(|s| match s {
         HirStmt::Break | HirStmt::Continue => true,
-        HirStmt::If { then, els, .. } => has_break_or_continue(then) || has_break_or_continue(els),
         // A nested loop's break/continue targets that loop — opaque.
         HirStmt::While { .. } | HirStmt::DoWhile { .. } | HirStmt::For { .. } => false,
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => has_break_or_continue(b),
-        HirStmt::Par(bs) => bs.iter().any(has_break_or_continue),
-        _ => false,
+        _ => s.blocks().any(has_break_or_continue),
     })
 }
 
@@ -417,6 +414,47 @@ mod tests {
     use super::*;
     use chls_frontend::compile_to_hir;
     use chls_ir::exec::{execute, ArgValue, ExecOptions};
+
+    #[test]
+    fn break_or_continue_in_a_nested_loop_is_opaque() {
+        let b = |s: HirStmt| HirBlock { stmts: vec![s] };
+        let t = || HirExpr::konst(1, Type::Bool);
+        for jump in [HirStmt::Break, HirStmt::Continue] {
+            let nested = [
+                HirStmt::While {
+                    cond: t(),
+                    body: b(jump.clone()),
+                    unroll: None,
+                },
+                HirStmt::DoWhile {
+                    body: b(jump.clone()),
+                    cond: t(),
+                },
+                HirStmt::For {
+                    init: HirBlock::default(),
+                    cond: t(),
+                    step: HirBlock::default(),
+                    body: b(jump.clone()),
+                    unroll: None,
+                },
+            ];
+            for s in nested {
+                assert!(!has_break_or_continue(&b(s.clone())), "{s:?}");
+            }
+            let enclosing = [
+                HirStmt::If {
+                    cond: t(),
+                    then: HirBlock::default(),
+                    els: b(jump.clone()),
+                },
+                HirStmt::Par(vec![HirBlock::default(), b(jump.clone())]),
+                HirStmt::Block(b(jump.clone())),
+            ];
+            for s in enclosing {
+                assert!(has_break_or_continue(&b(s.clone())), "{s:?}");
+            }
+        }
+    }
 
     fn unrolled_result(
         src: &str,

@@ -420,7 +420,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::Rng;
 
-    /// Accepted sizes for [`vec`]: a fixed count or a range of counts.
+    /// Accepted sizes for [`vec()`]: a fixed count or a range of counts.
     pub trait SizeRange {
         /// Chooses a length.
         fn pick(&self, rng: &mut Rng) -> usize;

@@ -11,7 +11,7 @@
 //! nondeterministic results here exactly as they would in hardware; the
 //! conformance suite only uses race-free programs.
 //!
-//! All channels share one [`ChanMonitor`], so the last thread to block
+//! All channels share one `ChanMonitor`, so the last thread to block
 //! can see that every live process is now waiting on a channel and
 //! declare a first-class [`InterpError::Deadlock`] (naming each blocked
 //! process/channel/direction) instead of hanging the scope forever.
@@ -29,14 +29,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// An argument bound to an entry-function parameter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArgValue {
-    /// A scalar value.
-    Scalar(i64),
-    /// Initial contents of an array parameter.
-    Array(Vec<i64>),
-}
+pub use chls_ir::exec::ArgValue;
 
 /// Interpreter errors.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 tests, every workspace member's tests, the
-# CLI integration suite, lint hygiene (clippy + a `chls lint` sweep
+# CLI integration suite, lint hygiene (clippy, rustdoc + a `chls lint` sweep
 # over the example corpus), a
 # `chls flow` sweep (examples must be deadlock-free, and the seeded
 # deadlock corpus must be proved stuck), a `chls rewrite` sweep (the
@@ -37,6 +37,9 @@ cargo test -q --test cli
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace -- -D warnings
+
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== chls lint sweep (examples must be race-free) =="
 cargo build --release -p chls --bins

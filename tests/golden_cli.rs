@@ -117,6 +117,18 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "rewrite_bitcount_json.golden",
         true,
     ),
+    // Pointers, a data-dependent loop and the rewriter's address-taken,
+    // write-count and loop-scan walks, all on one program.
+    (
+        &["lint", "--json", "examples/chl/software/memcpy_walk.chl", "memcpy_walk"],
+        "lint_memcpy_walk_json.golden",
+        true,
+    ),
+    (
+        &["rewrite", "--json", "examples/chl/software/memcpy_walk.chl", "memcpy_walk"],
+        "rewrite_memcpy_walk_json.golden",
+        true,
+    ),
     (
         &["flow", "examples/chl/stream_multirate.chl", "main"],
         "flow_stream.golden",

@@ -602,3 +602,38 @@ fn example_corpus_has_zero_memory_findings() {
     }
     assert!(seen >= 7, "expected the full example corpus, saw {seen}");
 }
+
+// ------------------------------------------------------------- pointers
+
+/// `*&x` declares no pointer local. The pointer lowering folds it to `x`,
+/// so every backend but Cyber synthesizes it; Cyber's BDL gate and the
+/// lint's `pointers` feature share one predicate and both still see the
+/// `&`.
+#[test]
+fn deref_of_address_of_folds_yet_cyber_still_rejects_it() {
+    let src = "int f(int a) { int x = a; return *&x + 1; }";
+    let verdicts =
+        check_conformance_with_jobs(src, "f", &[ArgValue::Scalar(5)], 1).expect("interpreter runs");
+    assert_eq!(verdicts.len(), 7);
+    for (backend, v) in &verdicts {
+        match (*backend, v) {
+            ("cyber", Verdict::Unsupported(why)) => {
+                assert!(why.contains("BDL prohibits pointers"), "{why}")
+            }
+            ("cyber", other) => panic!("cyber must reject `*&x`: {other:?}"),
+            (_, Verdict::Pass { .. }) => {}
+            (b, other) => panic!("{b} must synthesize `*&x`: {other:?}"),
+        }
+    }
+
+    let report = lint(src, "f");
+    assert!(report.features.pointers);
+    assert!(
+        report
+            .backend_findings
+            .iter()
+            .any(|f| f.backend == "cyber" && f.construct == "pointers" && f.is_rejection()),
+        "{:?}",
+        report.backend_findings
+    );
+}
