@@ -1170,10 +1170,17 @@ fn transform_block(
             }
             _ => None,
         };
+        // Nested blocks in `HirStmt::blocks` order, the order in which
+        // `scan_loops` numbered the sites.
         match &mut s {
-            HirStmt::While { body, .. }
-            | HirStmt::DoWhile { body, .. }
-            | HirStmt::For { body, .. } => {
+            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
+                transform_block(body, sites, counter, locals, opts, actions);
+            }
+            HirStmt::For {
+                init, step, body, ..
+            } => {
+                transform_block(init, sites, counter, locals, opts, actions);
+                transform_block(step, sites, counter, locals, opts, actions);
                 transform_block(body, sites, counter, locals, opts, actions);
             }
             HirStmt::If { then, els, .. } => {
@@ -2206,6 +2213,14 @@ pub fn rewrite_program(
             });
         } else {
             match repair_pointers(&prog, entry_id) {
+                // A bare `&` with nothing to lower it into stays in place.
+                Ok((p2, _)) if uses_pointers(&p2.funcs[0]) => actions.push(RewriteAction {
+                    pass: "ptr-to-index",
+                    target: entry.to_string(),
+                    applied: false,
+                    detail: "an address is used as a value; pointer lowering leaves it in place"
+                        .to_string(),
+                }),
                 Ok((p2, stats)) => {
                     prog = p2;
                     actions.push(RewriteAction {
@@ -2454,6 +2469,61 @@ mod tests {
             })
             .collect();
         check_same(&orig, &res.prog, "memcpy_walk", &sets);
+    }
+
+    #[test]
+    fn loop_inlined_into_for_step_keeps_site_indices() {
+        // Inlining puts `nudge`'s loop into the `for` step; the loop
+        // after the `for` must still get its own site, not the step's.
+        let src = "int nudge(int i) {
+            uint<2> k = 3;
+            while (k != 0) { k = k - 1; }
+            return i + 1;
+        }
+        int walk(int a[16], uint<4> n) {
+            int *p = &a[0];
+            int s = 0;
+            int i;
+            for (i = 0; i < 4; i = nudge(i)) { s = s + *p; p = p + 1; }
+            uint<4> j = n;
+            while (j != 0) { s = s + 1; j = j - 1; }
+            return s;
+        }";
+        let orig = compile_to_hir(src).expect("frontend ok");
+        let res = rewrite_program(&orig, "walk", &RewriteOptions::default()).expect("ok");
+        assert!(res.actions.iter().any(|a| a.pass == "ptr-to-index" && a.applied));
+        let loops: Vec<(&str, bool, &str)> = res
+            .actions
+            .iter()
+            .filter(|a| a.pass == "loop-bound")
+            .map(|a| (a.target.as_str(), a.applied, a.detail.as_str()))
+            .collect();
+        // A loop's action follows those of the loops nested in it.
+        let targets: Vec<&str> = loops.iter().map(|l| l.0).collect();
+        assert_eq!(
+            targets,
+            ["walk: while loop #1", "walk: for loop #0", "walk: while loop #2"],
+            "{loops:?}"
+        );
+        assert!(loops[0].1 && loops[0].2.contains("`nudge$k`"), "{loops:?}");
+        assert!(!loops[1].1, "{loops:?}");
+        assert!(loops[2].1 && loops[2].2.contains("`j`"), "{loops:?}");
+        let arr: Vec<i64> = (0..16).map(|i| 10 * i).collect();
+        let sets: Vec<Vec<ArgValue>> = (0..16)
+            .map(|n| vec![ArgValue::Array(arr.clone()), ArgValue::Scalar(n)])
+            .collect();
+        check_same(&orig, &res.prog, "walk", &sets);
+    }
+
+    #[test]
+    fn bare_address_of_is_not_reported_as_repaired() {
+        let src = "int f(int a) { int x = a; int y = a; return &x == &y; }";
+        let orig = compile_to_hir(src).expect("frontend ok");
+        let res = rewrite_program(&orig, "f", &RewriteOptions::default()).expect("ok");
+        let act = res.actions.iter().find(|a| a.pass == "ptr-to-index").expect("ptr action");
+        assert!(!act.applied, "{}", act.detail);
+        assert!(!res.changed);
+        assert_eq!(res.prog, orig);
     }
 
     #[test]
