@@ -3,6 +3,7 @@
 //! containers. The shared front half lives in [`crate::prepare`].
 
 pub use crate::prepare::{Prepared, Preparer, Structured};
+use chls_frontend::{IntType, Type};
 use chls_opt::dep::AliasPrecision;
 use chls_rtl::cost::CostModel;
 use chls_rtl::fsmd::Fsmd;
@@ -141,6 +142,16 @@ impl Default for SynthOptions {
             opt_netlist: false,
             unroll_factor: None,
         }
+    }
+}
+
+/// The register type of a scalar HIR type: `bool` is one bit, and
+/// anything else that is not an integer (a lowered pointer) is an `int`.
+pub fn scalar_ty(ty: &Type) -> IntType {
+    match ty {
+        Type::Bool => IntType::u1(),
+        Type::Int(it) => *it,
+        _ => IntType::int(),
     }
 }
 

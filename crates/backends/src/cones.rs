@@ -66,9 +66,6 @@ impl Backend for Cones {
     }
 }
 
-fn u1() -> IntType {
-    IntType::new(1, false)
-}
 
 /// Name of the `i`-th scalar input port.
 pub fn scalar_port(i: usize) -> String {
@@ -130,7 +127,7 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
         init_mems.push(elems);
     }
 
-    let true_cell = nl.add(CellKind::Const(1), u1());
+    let true_cell = nl.add(CellKind::Const(1), IntType::u1());
     // Return accumulation: (pred, value, mem state) per ret block.
     let mut rets: Vec<(CellId, Option<CellId>, Vec<Vec<CellId>>)> = Vec::new();
 
@@ -145,7 +142,7 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                 let ep = edge_pred[&(p, b)];
                 pred_cell = Some(match pred_cell {
                     None => ep,
-                    Some(acc) => nl.add(CellKind::Bin(BinKind::Or, acc, ep), u1()),
+                    Some(acc) => nl.add(CellKind::Bin(BinKind::Or, acc, ep), IntType::u1()),
                 });
             }
             // Merge memory state: fold over predecessors with muxes.
@@ -225,7 +222,7 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                     let aty = nl.cell(a).ty;
                     for (j, &e) in elems.iter().enumerate().skip(1) {
                         let idx = nl.add(CellKind::Const(j as i64), aty);
-                        let eq = nl.add(CellKind::Bin(BinKind::Eq, a, idx), u1());
+                        let eq = nl.add(CellKind::Bin(BinKind::Eq, a, idx), IntType::u1());
                         acc = nl.add(CellKind::Mux { sel: eq, a: e, b: acc }, inst.ty);
                     }
                     acc
@@ -239,8 +236,8 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                     let mut new_elems = Vec::with_capacity(elems.len());
                     for (j, &e) in elems.iter().enumerate() {
                         let idx = nl.add(CellKind::Const(j as i64), aty);
-                        let eq = nl.add(CellKind::Bin(BinKind::Eq, a, idx), u1());
-                        let en = nl.add(CellKind::Bin(BinKind::And, eq, pred), u1());
+                        let eq = nl.add(CellKind::Bin(BinKind::Eq, a, idx), IntType::u1());
+                        let en = nl.add(CellKind::Bin(BinKind::And, eq, pred), IntType::u1());
                         let ty = nl.cell(e).ty;
                         new_elems.push(nl.add(CellKind::Mux { sel: en, a: val, b: e }, ty));
                     }
@@ -285,11 +282,11 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
             Term::Br { cond, then, els } => {
                 let c = values[cond];
                 let not_c = {
-                    let zero = nl.add(CellKind::Const(0), u1());
-                    nl.add(CellKind::Bin(BinKind::Eq, c, zero), u1())
+                    let zero = nl.add(CellKind::Const(0), IntType::u1());
+                    nl.add(CellKind::Bin(BinKind::Eq, c, zero), IntType::u1())
                 };
-                let pt = nl.add(CellKind::Bin(BinKind::And, pred, c), u1());
-                let pf = nl.add(CellKind::Bin(BinKind::And, pred, not_c), u1());
+                let pt = nl.add(CellKind::Bin(BinKind::And, pred, c), IntType::u1());
+                let pf = nl.add(CellKind::Bin(BinKind::And, pred, not_c), IntType::u1());
                 merge_edge_pred(&mut nl, &mut edge_pred, (b, *then), pt);
                 merge_edge_pred(&mut nl, &mut edge_pred, (b, *els), pf);
             }
@@ -374,7 +371,7 @@ fn merge_edge_pred(
 ) {
     match edge_pred.get(&key) {
         Some(&existing) => {
-            let merged = nl.add(CellKind::Bin(BinKind::Or, existing, pred), u1());
+            let merged = nl.add(CellKind::Bin(BinKind::Or, existing, pred), IntType::u1());
             edge_pred.insert(key, merged);
         }
         None => {

@@ -23,7 +23,7 @@
 //! the final `Done` state.
 
 use crate::common::*;
-use chls_frontend::ast::{BinOp, UnOp};
+use chls_frontend::ast::UnOp;
 use chls_frontend::hir::*;
 use chls_frontend::{IntType, Type};
 use chls_ir::{BinKind, UnKind};
@@ -66,17 +66,6 @@ impl Backend for HandelC {
     }
 }
 
-fn u1() -> IntType {
-    IntType::new(1, false)
-}
-
-fn scalar_ty(ty: &Type) -> IntType {
-    match ty {
-        Type::Bool => u1(),
-        Type::Int(it) => *it,
-        _ => IntType::new(32, true),
-    }
-}
 
 /// End-of-program marker.
 const END: usize = usize::MAX;
@@ -219,18 +208,18 @@ impl<'p> Compile<'p> {
                         kind: RvKind::Bin(
                             BinKind::Eq,
                             Box::new(ar),
-                            Box::new(Rv::konst(0, u1())),
+                            Box::new(Rv::konst(0, IntType::u1())),
                         ),
-                        ty: u1(),
+                        ty: IntType::u1(),
                     },
                 }
             }
             HirExprKind::Binary(op, a, b) => {
                 let (ar, br) = (self.rv(a)?, self.rv(b)?);
-                let kind = hir_bin(*op);
+                let kind = BinKind::from(*op);
                 Rv {
                     kind: RvKind::Bin(kind, Box::new(ar), Box::new(br)),
-                    ty: if kind.is_comparison() { u1() } else { ty },
+                    ty: if kind.is_comparison() { IntType::u1() } else { ty },
                 }
             }
             HirExprKind::Select(c, t, f) => Rv {
@@ -499,7 +488,7 @@ impl<'p> Compile<'p> {
             .iter()
             .map(|(cond, cfg)| {
                 let st = get_state(cfg, &mut self.fsmd, &mut state_of, &mut worklist);
-                (cond.clone().unwrap_or_else(|| Rv::konst(1, u1())), st)
+                (cond.clone().unwrap_or_else(|| Rv::konst(1, IntType::u1())), st)
             })
             .collect();
         self.fsmd.state_mut(entry_state).next = cases_to_next(init_cases, done_state);
@@ -599,7 +588,7 @@ impl<'p> Compile<'p> {
                 .iter()
                 .map(|(cond, next_cfg)| {
                     let st = get_state(next_cfg, &mut self.fsmd, &mut state_of, &mut worklist);
-                    (cond.clone().unwrap_or_else(|| Rv::konst(1, u1())), st)
+                    (cond.clone().unwrap_or_else(|| Rv::konst(1, IntType::u1())), st)
                 })
                 .collect();
             self.fsmd.state_mut(state).next = cases_to_next(cases, done_state);
@@ -740,9 +729,9 @@ impl<'p> Compile<'p> {
                     kind: RvKind::Bin(
                         BinKind::Eq,
                         Box::new(c.clone()),
-                        Box::new(Rv::konst(0, u1())),
+                        Box::new(Rv::konst(0, IntType::u1())),
                     ),
-                    ty: u1(),
+                    ty: IntType::u1(),
                 };
                 let mut out = Vec::new();
                 for (gate, target) in [(c, *then), (not_c, *els)] {
@@ -839,7 +828,7 @@ impl Subst {
                                 Box::new(wa.clone()),
                                 Box::new(a.clone()),
                             ),
-                            ty: u1(),
+                            ty: IntType::u1(),
                         };
                         out = Rv {
                             kind: RvKind::Mux(Box::new(hit), Box::new(wv.clone()), Box::new(out)),
@@ -875,8 +864,8 @@ fn and_opt(a: Option<Rv>, b: Option<Rv>) -> Option<Rv> {
     match (a, b) {
         (None, x) | (x, None) => x,
         (Some(x), Some(y)) => Some(Rv {
-            kind: RvKind::Mux(Box::new(x), Box::new(y), Box::new(Rv::konst(0, u1()))),
-            ty: u1(),
+            kind: RvKind::Mux(Box::new(x), Box::new(y), Box::new(Rv::konst(0, IntType::u1()))),
+            ty: IntType::u1(),
         }),
     }
 }
@@ -903,28 +892,6 @@ fn collect_leaves(cfg: &Cfg, out: &mut Vec<usize>) {
                 collect_leaves(b, out);
             }
         }
-    }
-}
-
-fn hir_bin(op: BinOp) -> BinKind {
-    match op {
-        BinOp::Add => BinKind::Add,
-        BinOp::Sub => BinKind::Sub,
-        BinOp::Mul => BinKind::Mul,
-        BinOp::Div => BinKind::Div,
-        BinOp::Rem => BinKind::Rem,
-        BinOp::Shl => BinKind::Shl,
-        BinOp::Shr => BinKind::Shr,
-        BinOp::BitAnd => BinKind::And,
-        BinOp::BitOr => BinKind::Or,
-        BinOp::BitXor => BinKind::Xor,
-        BinOp::Eq => BinKind::Eq,
-        BinOp::Ne => BinKind::Ne,
-        BinOp::Lt => BinKind::Lt,
-        BinOp::Le => BinKind::Le,
-        BinOp::Gt => BinKind::Gt,
-        BinOp::Ge => BinKind::Ge,
-        BinOp::LogAnd | BinOp::LogOr => unreachable!("desugared"),
     }
 }
 

@@ -24,7 +24,7 @@
 //! cycle; a loop's condition re-evaluates in a dedicated header chunk.
 
 use crate::common::*;
-use chls_frontend::ast::{BinOp, UnOp};
+use chls_frontend::ast::UnOp;
 use chls_frontend::hir::*;
 use chls_frontend::{IntType, Type};
 use chls_ir::{BinKind, UnKind};
@@ -69,17 +69,6 @@ impl Backend for HardwareC {
     }
 }
 
-fn u1() -> IntType {
-    IntType::new(1, false)
-}
-
-fn scalar_ty(ty: &Type) -> IntType {
-    match ty {
-        Type::Bool => u1(),
-        Type::Int(it) => *it,
-        _ => IntType::new(32, true),
-    }
-}
 
 /// An operand of a chunk node.
 #[derive(Debug, Clone, PartialEq)]
@@ -398,7 +387,7 @@ impl<'p> Compiler<'p> {
                 | CNode::Mux(_, _, _, t)
                 | CNode::Cast(_, t)
                 | CNode::Load(_, _, t) => *t,
-                CNode::Store(..) => u1(),
+                CNode::Store(..) => IntType::u1(),
             },
             In::Reg(_, t) | In::Const(_, t) | In::Input(_, t) => *t,
         }
@@ -572,33 +561,15 @@ impl<'p> Compiler<'p> {
                     UnOp::Not => In::Node(self.add_chunk_node(chunk, CNode::Un(UnKind::Not, ar, ty))),
                     UnOp::LogNot => In::Node(self.add_chunk_node(
                         chunk,
-                        CNode::Bin(BinKind::Eq, ar, In::Const(0, u1()), u1()),
+                        CNode::Bin(BinKind::Eq, ar, In::Const(0, IntType::u1()), IntType::u1()),
                     )),
                 }
             }
             HirExprKind::Binary(op, a, b) => {
                 let ar = self.chunk_expr(chunk, a)?;
                 let br = self.chunk_expr(chunk, b)?;
-                let kind = match op {
-                    BinOp::Add => BinKind::Add,
-                    BinOp::Sub => BinKind::Sub,
-                    BinOp::Mul => BinKind::Mul,
-                    BinOp::Div => BinKind::Div,
-                    BinOp::Rem => BinKind::Rem,
-                    BinOp::Shl => BinKind::Shl,
-                    BinOp::Shr => BinKind::Shr,
-                    BinOp::BitAnd => BinKind::And,
-                    BinOp::BitOr => BinKind::Or,
-                    BinOp::BitXor => BinKind::Xor,
-                    BinOp::Eq => BinKind::Eq,
-                    BinOp::Ne => BinKind::Ne,
-                    BinOp::Lt => BinKind::Lt,
-                    BinOp::Le => BinKind::Le,
-                    BinOp::Gt => BinKind::Gt,
-                    BinOp::Ge => BinKind::Ge,
-                    BinOp::LogAnd | BinOp::LogOr => unreachable!("desugared"),
-                };
-                let rty = if kind.is_comparison() { u1() } else { ty };
+                let kind = BinKind::from(*op);
+                let rty = if kind.is_comparison() { IntType::u1() } else { ty };
                 In::Node(self.add_chunk_node(chunk, CNode::Bin(kind, ar, br, rty)))
             }
             HirExprKind::Select(c, t, f) => {

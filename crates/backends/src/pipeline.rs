@@ -30,9 +30,6 @@ use chls_sched::NodeId;
 use chls_ir::BinKind;
 use std::collections::HashMap;
 
-fn u1() -> IntType {
-    IntType::new(1, false)
-}
 
 macro_rules! reject {
     ($why:expr) => {{
@@ -308,9 +305,9 @@ pub(crate) fn try_pipeline(
     // ---- emission ----
     let stages = t_len.div_ceil(ii).max(1) as usize;
     // Validity: stage 0 is `running`; stages 1.. have their own bits.
-    let running = out.add_reg(format!("pipe{}_running", shape.header.0), u1(), 0);
+    let running = out.add_reg(format!("pipe{}_running", shape.header.0), IntType::u1(), 0);
     let valids: Vec<RegId> = (1..stages)
-        .map(|j| out.add_reg(format!("pipe{}_v{j}", shape.header.0), u1(), 0))
+        .map(|j| out.add_reg(format!("pipe{}_v{j}", shape.header.0), IntType::u1(), 0))
         .collect();
     // Stage shadows for boundary-updated phis (modulo variable expansion).
     let mut shadows: HashMap<Value, Vec<RegId>> = HashMap::new();
@@ -404,7 +401,7 @@ pub(crate) fn try_pipeline(
         match &inst.kind {
             InstKind::Bin(op, a, b) => Rv {
                 kind: RvKind::Bin(*op, Box::new(op_rv(a)), Box::new(op_rv(b))),
-                ty: if op.is_comparison() { u1() } else { inst.ty },
+                ty: if op.is_comparison() { IntType::u1() } else { inst.ty },
             },
             InstKind::Un(op, a) => Rv {
                 kind: RvKind::Un(*op, Box::new(op_rv(a))),
@@ -444,16 +441,16 @@ pub(crate) fn try_pipeline(
             kind: RvKind::Bin(
                 BinKind::Eq,
                 Box::new(cond_entry),
-                Box::new(Rv::konst(0, u1())),
+                Box::new(Rv::konst(0, IntType::u1())),
             ),
-            ty: u1(),
+            ty: IntType::u1(),
         }
     };
     out.state_mut(entry)
         .actions
         .push(Action::set(running, cond_entry.clone()));
     for &vj in &valids {
-        out.state_mut(entry).actions.push(Action::set(vj, Rv::konst(0, u1())));
+        out.state_mut(entry).actions.push(Action::set(vj, Rv::konst(0, IntType::u1())));
     }
     // Late-latch phis are *read* through their latch register inside the
     // kernel; on (re-)entry that register still holds the previous run's
@@ -478,9 +475,9 @@ pub(crate) fn try_pipeline(
     // Kernel ops.
     let stage_valid = |j: usize| -> Rv {
         if j == 0 {
-            Rv::reg(running, u1())
+            Rv::reg(running, IntType::u1())
         } else {
-            Rv::reg(valids[j - 1], u1())
+            Rv::reg(valids[j - 1], IntType::u1())
         }
     };
     for (ni, &v) in vals.iter().enumerate() {
@@ -605,11 +602,11 @@ pub(crate) fn try_pipeline(
         match &inst.kind {
             InstKind::Bin(op, a, b) => Rv {
                 kind: RvKind::Bin(*op, Box::new(resolve(*a)), Box::new(resolve(*b))),
-                ty: u1(),
+                ty: IntType::u1(),
             },
             InstKind::Un(op, a) => Rv {
                 kind: RvKind::Un(*op, Box::new(resolve(*a))),
-                ty: u1(),
+                ty: IntType::u1(),
             },
             _ => reject!("condition is not a unary/binary op"),
         }
@@ -622,26 +619,26 @@ pub(crate) fn try_pipeline(
             kind: RvKind::Bin(
                 BinKind::Eq,
                 Box::new(cond_new),
-                Box::new(Rv::konst(0, u1())),
+                Box::new(Rv::konst(0, IntType::u1())),
             ),
-            ty: u1(),
+            ty: IntType::u1(),
         }
     };
-    let next_running = Rv::bin(BinKind::And, u1(), Rv::reg(running, u1()), cond_ok);
+    let next_running = Rv::bin(BinKind::And, IntType::u1(), Rv::reg(running, IntType::u1()), cond_ok);
     out.state_mut(last)
         .actions
         .push(Action::set(running, next_running.clone()));
     // Shift stage valids.
-    let mut prev = Rv::reg(running, u1());
+    let mut prev = Rv::reg(running, IntType::u1());
     for &vj in &valids {
         out.state_mut(last).actions.push(Action::set(vj, prev.clone()));
-        prev = Rv::reg(vj, u1());
+        prev = Rv::reg(vj, IntType::u1());
     }
     // Keep cycling while anything will be in flight next window.
     let mut any_next = next_running;
-    any_next = Rv::bin(BinKind::Or, u1(), any_next, Rv::reg(running, u1()));
+    any_next = Rv::bin(BinKind::Or, IntType::u1(), any_next, Rv::reg(running, IntType::u1()));
     for &vj in valids.iter().take(stages.saturating_sub(2)) {
-        any_next = Rv::bin(BinKind::Or, u1(), any_next, Rv::reg(vj, u1()));
+        any_next = Rv::bin(BinKind::Or, IntType::u1(), any_next, Rv::reg(vj, IntType::u1()));
     }
     out.state_mut(last).next = NextState::Branch {
         cond: any_next,

@@ -98,9 +98,6 @@ impl Backend for Transmogrifier {
     }
 }
 
-fn u1() -> IntType {
-    IntType::new(1, false)
-}
 
 /// Region assignment: every block belongs to the region of exactly one
 /// head. Returns (region head of each block, ordered head list).
@@ -298,18 +295,18 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
         for &b in &region_blocks {
             // Block predicate.
             let pred = if b == head {
-                Rv::konst(1, u1())
+                Rv::konst(1, IntType::u1())
             } else {
                 let mut acc: Option<Rv> = None;
                 for (edge, p) in &edge_pred {
                     if edge.1 == b {
                         acc = Some(match acc {
                             None => p.clone(),
-                            Some(a) => Rv::bin(BinKind::Or, u1(), a, p.clone()),
+                            Some(a) => Rv::bin(BinKind::Or, IntType::u1(), a, p.clone()),
                         });
                     }
                 }
-                acc.unwrap_or_else(|| Rv::konst(0, u1()))
+                acc.unwrap_or_else(|| Rv::konst(0, IntType::u1()))
             };
             block_pred.insert(b, pred.clone());
 
@@ -329,7 +326,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                                 let ep = edge_pred
                                     .get(&(*p, b))
                                     .cloned()
-                                    .unwrap_or_else(|| Rv::konst(0, u1()));
+                                    .unwrap_or_else(|| Rv::konst(0, IntType::u1()));
                                 let src = rv_of(*pv, &values, &reg_of, &input_idx);
                                 acc = Some(match acc {
                                     None => src,
@@ -354,7 +351,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                             Box::new(rv_of(*a, &values, &reg_of, &input_idx)),
                             Box::new(rv_of(*bb, &values, &reg_of, &input_idx)),
                         ),
-                        ty: if op.is_comparison() { u1() } else { inst.ty },
+                        ty: if op.is_comparison() { IntType::u1() } else { inst.ty },
                     },
                     InstKind::Un(op, a) => Rv {
                         kind: RvKind::Un(*op, Box::new(rv_of(*a, &values, &reg_of, &input_idx))),
@@ -405,9 +402,9 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                                         Box::new(wa.clone()),
                                         Box::new(a.clone()),
                                     ),
-                                    ty: u1(),
+                                    ty: IntType::u1(),
                                 };
-                                let hit = Rv::bin(BinKind::And, u1(), g.clone(), same);
+                                let hit = Rv::bin(BinKind::And, IntType::u1(), g.clone(), same);
                                 rv = Rv {
                                     kind: RvKind::Mux(
                                         Box::new(hit),
@@ -445,7 +442,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
             }
 
             // Terminator: edge predicates within the region, exits across.
-            let mk_and = |a: Rv, b: Rv| Rv::bin(BinKind::And, u1(), a, b);
+            let mk_and = |a: Rv, b: Rv| Rv::bin(BinKind::And, IntType::u1(), a, b);
             match &f.block(b).term {
                 Term::Jump(t) => {
                     if region_of[t.0 as usize] == head && !heads.contains(t) {
@@ -460,9 +457,9 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                         kind: RvKind::Bin(
                             BinKind::Eq,
                             Box::new(c.clone()),
-                            Box::new(Rv::konst(0, u1())),
+                            Box::new(Rv::konst(0, IntType::u1())),
                         ),
-                        ty: u1(),
+                        ty: IntType::u1(),
                     };
                     for (target, gate) in [(*then, c), (*els, not_c)] {
                         let ep = mk_and(pred.clone(), gate);
@@ -576,7 +573,7 @@ fn merge_edge(
 ) {
     match edge_pred.remove(&key) {
         Some(existing) => {
-            edge_pred.insert(key, Rv::bin(BinKind::Or, u1(), existing, pred));
+            edge_pred.insert(key, Rv::bin(BinKind::Or, IntType::u1(), existing, pred));
         }
         None => {
             edge_pred.insert(key, pred);

@@ -371,84 +371,30 @@ pub fn conformance_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Checks every registered backend against the golden interpreter,
-/// fanning the (independent) backends out over `jobs` OS threads.
+/// Checks every registered backend against the golden interpreter.
 ///
-/// Results are returned in backend-registry order regardless of `jobs`,
-/// so the verdict list is byte-identical to a sequential run.
-///
-/// # Errors
-///
-/// Fails only if the golden interpreter itself cannot run the program.
-pub fn check_conformance_with_jobs(
-    source: &str,
-    entry: &str,
-    args: &[ArgValue],
-    jobs: usize,
-) -> Result<Vec<(&'static str, Verdict)>, String> {
-    check_conformance_with_options(source, entry, args, jobs, &SynthOptions::default())
-}
-
-/// [`check_conformance_with_jobs`] with explicit synthesis options, so
-/// callers can conformance-test optional transforms (e.g. width
-/// narrowing) against the golden interpreter.
+/// The job count ([`CompileOptions::effective_jobs`](crate::CompileOptions::effective_jobs)),
+/// the synthesis options and the simulation engine all come from `opts`.
+/// The (independent) backends fan out over that many OS threads, and
+/// the results come back in backend-registry order whatever the job
+/// count, so the verdict list is byte-identical to a sequential run.
 ///
 /// # Errors
 ///
 /// Fails only if the golden interpreter itself cannot run the program.
-pub fn check_conformance_with_options(
-    source: &str,
-    entry: &str,
-    args: &[ArgValue],
-    jobs: usize,
-    opts: &SynthOptions,
-) -> Result<Vec<(&'static str, Verdict)>, String> {
-    check_conformance_inner(
-        source,
-        entry,
-        args,
-        jobs,
-        opts,
-        crate::CompileOptions::new().jit_requested(),
-    )
-}
-
-/// The full-option conformance entry point: job count, synthesis
-/// options, and simulation engine all come from one
-/// [`CompileOptions`](crate::CompileOptions).
-///
-/// # Errors
-///
-/// Fails only if the golden interpreter itself cannot run the program.
-pub fn check_conformance_with_compile_options(
+pub fn check_conformance(
     source: &str,
     entry: &str,
     args: &[ArgValue],
     opts: &crate::CompileOptions,
 ) -> Result<Vec<(&'static str, Verdict)>, String> {
-    check_conformance_inner(
-        source,
-        entry,
-        args,
-        opts.effective_jobs(),
-        &opts.synth_options(),
-        opts.jit_requested(),
-    )
-}
-
-fn check_conformance_inner(
-    source: &str,
-    entry: &str,
-    args: &[ArgValue],
-    jobs: usize,
-    opts: &SynthOptions,
-    jit: bool,
-) -> Result<Vec<(&'static str, Verdict)>, String> {
+    let jobs = opts.effective_jobs();
+    let jit = opts.jit_requested();
     let compiler = Compiler::parse(source).map_err(|e| e.to_string())?;
     let golden = compiler
         .interpret(entry, args)
         .map_err(|e| e.to_string())?;
-    let opts = opts.clone();
+    let opts = opts.synth_options();
     let backends = crate::registry::backends();
     let n = backends.len();
     if jobs <= 1 || n <= 1 {
@@ -511,18 +457,4 @@ fn check_conformance_inner(
         .into_iter()
         .map(|s| s.expect("every backend index was claimed exactly once"))
         .collect())
-}
-
-/// Checks every registered backend against the golden interpreter, using
-/// [`conformance_jobs`] worker threads.
-///
-/// # Errors
-///
-/// Fails only if the golden interpreter itself cannot run the program.
-pub fn check_conformance(
-    source: &str,
-    entry: &str,
-    args: &[ArgValue],
-) -> Result<Vec<(&'static str, Verdict)>, String> {
-    check_conformance_with_jobs(source, entry, args, conformance_jobs())
 }

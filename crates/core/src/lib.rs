@@ -51,8 +51,7 @@ pub use chls_analysis::{flow_program, lint_program, FlowReport, LintError, LintR
 pub use chls_backends::{Backend, BackendInfo, Design, SynthError, SynthOptions};
 pub use chls_sim::interp;
 pub use driver::{
-    check_conformance, check_conformance_with_compile_options, check_conformance_with_jobs,
-    check_conformance_with_options, conformance_jobs, simulate_design, simulate_design_with,
+    check_conformance, conformance_jobs, simulate_design, simulate_design_with,
     Compiler, SimOutcome, SimulateError, Verdict,
 };
 pub use error::Error;
@@ -73,8 +72,7 @@ pub use service::{Request, Response, ServiceCtx};
 /// pass entry points, simulator internals) is deliberately excluded.
 pub mod prelude {
     pub use crate::driver::{
-        check_conformance, check_conformance_with_compile_options, check_conformance_with_jobs,
-        check_conformance_with_options, conformance_jobs, simulate_design, simulate_design_with,
+        check_conformance, conformance_jobs, simulate_design, simulate_design_with,
         Compiler, SimOutcome, Verdict,
     };
     pub use crate::error::Error;

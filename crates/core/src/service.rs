@@ -439,7 +439,7 @@ pub(crate) fn verb_check(
     let warnings = Compiler::parse(src)
         .map(|c| c.rendered_warnings())
         .unwrap_or_default();
-    let results = crate::check_conformance_with_compile_options(src, &req.entry, &args, opts)?;
+    let results = crate::check_conformance(src, &req.entry, &args, opts)?;
     let bad = results
         .iter()
         .any(|(_, v)| matches!(v, Verdict::Mismatch { .. } | Verdict::Error(_)));

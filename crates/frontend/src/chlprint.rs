@@ -170,10 +170,10 @@ fn print_func(out: &mut String, prog: &HirProgram, func: &HirFunc) {
     let _ = writeln!(out, "{} {}({params}) {{", func.ret_ty, sanitize(&func.name));
 
     // Declare the non-parameter locals the body references.
-    let mut used = vec![false; func.locals.len()];
-    mark_used_block(&func.body, &mut used);
+    let mut used = UsedLocals(vec![false; func.locals.len()]);
+    func.body.clone().walk_mut(&mut used);
     for (i, l) in func.locals.iter().enumerate() {
-        if i < func.num_params || !used[i] {
+        if i < func.num_params || !used.0[i] {
             continue;
         }
         let name = namer.name(LocalId(i as u32));
@@ -204,89 +204,19 @@ fn print_func(out: &mut String, prog: &HirProgram, func: &HirFunc) {
     let _ = writeln!(out, "}}");
 }
 
-fn mark_used_block(block: &HirBlock, used: &mut [bool]) {
-    for s in &block.stmts {
-        mark_used_stmt(s, used);
-    }
-}
+/// Marks every local a body names: places at any depth, and channels.
+struct UsedLocals(Vec<bool>);
 
-fn mark_used_stmt(s: &HirStmt, used: &mut [bool]) {
-    match s {
-        HirStmt::Assign { place: p, value, .. } => {
-            mark_used_place(p, used);
-            mark_used_expr(value, used);
+impl VisitMut for UsedLocals {
+    fn visit_place(&mut self, p: &mut HirPlace) {
+        if let HirPlace::Local(id) = p {
+            self.0[id.0 as usize] = true;
         }
-        HirStmt::Call { dst, args, .. } => {
-            if let Some(d) = dst {
-                mark_used_place(d, used);
-            }
-            for a in args {
-                match a {
-                    HirArg::Value(e) => mark_used_expr(e, used),
-                    HirArg::Array(p) => mark_used_place(p, used),
-                }
-            }
-        }
-        HirStmt::Recv { dst, chan, .. } => {
-            mark_used_place(dst, used);
-            used[chan.0 as usize] = true;
-        }
-        HirStmt::Send { chan, value, .. } => {
-            used[chan.0 as usize] = true;
-            mark_used_expr(value, used);
-        }
-        HirStmt::If { cond, then, els } => {
-            mark_used_expr(cond, used);
-            mark_used_block(then, used);
-            mark_used_block(els, used);
-        }
-        HirStmt::While { cond, body, .. } | HirStmt::DoWhile { body, cond } => {
-            mark_used_expr(cond, used);
-            mark_used_block(body, used);
-        }
-        HirStmt::For { init, cond, step, body, .. } => {
-            mark_used_block(init, used);
-            mark_used_expr(cond, used);
-            mark_used_block(step, used);
-            mark_used_block(body, used);
-        }
-        HirStmt::Return(Some(e)) => mark_used_expr(e, used),
-        HirStmt::Return(None) | HirStmt::Break | HirStmt::Continue | HirStmt::Delay => {}
-        HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => mark_used_block(b, used),
-        HirStmt::Par(arms) => {
-            for a in arms {
-                mark_used_block(a, used);
-            }
-        }
+        p.walk_mut(self);
     }
-}
 
-fn mark_used_place(p: &HirPlace, used: &mut [bool]) {
-    match p {
-        HirPlace::Local(id) => used[id.0 as usize] = true,
-        HirPlace::Global(_) => {}
-        HirPlace::Index { base, index } => {
-            mark_used_place(base, used);
-            mark_used_expr(index, used);
-        }
-        HirPlace::Deref(e) => mark_used_expr(e, used),
-    }
-}
-
-fn mark_used_expr(e: &HirExpr, used: &mut [bool]) {
-    match &e.kind {
-        HirExprKind::Const(_) => {}
-        HirExprKind::Load(p) | HirExprKind::AddrOf(p) => mark_used_place(p, used),
-        HirExprKind::Unary(_, a) | HirExprKind::Cast(a) => mark_used_expr(a, used),
-        HirExprKind::Binary(_, a, b) => {
-            mark_used_expr(a, used);
-            mark_used_expr(b, used);
-        }
-        HirExprKind::Select(c, t, f) => {
-            mark_used_expr(c, used);
-            mark_used_expr(t, used);
-            mark_used_expr(f, used);
-        }
+    fn visit_chan(&mut self, chan: &mut LocalId) {
+        self.0[chan.0 as usize] = true;
     }
 }
 

@@ -200,6 +200,7 @@ impl HirBlock {
     /// condition; a `for` visits init, condition, step, then body.
     /// Expressions nested inside a visited expression are the caller's
     /// to walk.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a HirExpr)) {
         for s in &self.stmts {
             match s {
@@ -251,6 +252,44 @@ impl HirBlock {
             }
         }
     }
+
+    /// Hands each statement to [`VisitMut::visit_stmt`], in order.
+    pub fn walk_mut<V: VisitMut + ?Sized>(&mut self, v: &mut V) {
+        for s in &mut self.stmts {
+            v.visit_stmt(s);
+        }
+    }
+}
+
+/// An in-place rewrite of the HIR.
+///
+/// Each hook's default walks into the node's children (`walk_mut`), in
+/// the order of [`HirBlock::for_each_expr`]: a statement's written
+/// places, expressions and channels, with its nested blocks in
+/// [`HirStmt::blocks`] order; an expression's operands and the places it
+/// reads; a place's base, then its index or deref expression. A pass
+/// overrides only the hooks of the nodes it changes, matches only the
+/// variants it changes, and calls `walk_mut` itself to continue below a
+/// node it keeps.
+pub trait VisitMut {
+    /// A statement; the default is [`HirStmt::walk_mut`].
+    fn visit_stmt(&mut self, s: &mut HirStmt) {
+        s.walk_mut(self);
+    }
+
+    /// A place, written or read, at any depth; the default is
+    /// [`HirPlace::walk_mut`].
+    fn visit_place(&mut self, p: &mut HirPlace) {
+        p.walk_mut(self);
+    }
+
+    /// An expression at any depth; the default is [`HirExpr::walk_mut`].
+    fn visit_expr(&mut self, e: &mut HirExpr) {
+        e.walk_mut(self);
+    }
+
+    /// The channel local of a `send` or `recv`.
+    fn visit_chan(&mut self, _chan: &mut LocalId) {}
 }
 
 /// An assignable location.
@@ -283,6 +322,7 @@ impl HirPlace {
 
     /// Visits the index and deref expressions of this place, in source
     /// order (`a[i][j]` visits `i`, then `j`).
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a HirExpr)) {
         match self {
             HirPlace::Local(_) | HirPlace::Global(_) => {}
@@ -291,6 +331,19 @@ impl HirPlace {
                 f(index);
             }
             HirPlace::Deref(e) => f(e),
+        }
+    }
+
+    /// Visits the base place, then the index or deref expression.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn walk_mut<V: VisitMut + ?Sized>(&mut self, v: &mut V) {
+        match self {
+            HirPlace::Local(_) | HirPlace::Global(_) => {}
+            HirPlace::Index { base, index } => {
+                v.visit_place(base);
+                v.visit_expr(index);
+            }
+            HirPlace::Deref(e) => v.visit_expr(e),
         }
     }
 }
@@ -405,6 +458,7 @@ pub enum HirStmt {
 impl HirStmt {
     /// The blocks nested directly in this statement, in source order
     /// (`for`: init, step, body; `par`: its arms).
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn blocks(&self) -> impl Iterator<Item = &HirBlock> {
         let (fixed, arms): ([Option<&HirBlock>; 3], &[HirBlock]) = match self {
             HirStmt::If { then, els, .. } => ([Some(then), Some(els), None], &[]),
@@ -426,6 +480,93 @@ impl HirStmt {
             | HirStmt::Delay => ([None; 3], &[]),
         };
         fixed.into_iter().flatten().chain(arms)
+    }
+
+    /// [`Self::blocks`], mutably: the same blocks in the same order.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn blocks_mut(&mut self) -> impl Iterator<Item = &mut HirBlock> {
+        let (fixed, arms): ([Option<&mut HirBlock>; 3], &mut [HirBlock]) = match self {
+            HirStmt::If { then, els, .. } => ([Some(then), Some(els), None], &mut []),
+            HirStmt::For {
+                init, step, body, ..
+            } => ([Some(init), Some(step), Some(body)], &mut []),
+            HirStmt::While { body, .. }
+            | HirStmt::DoWhile { body, .. }
+            | HirStmt::Block(body)
+            | HirStmt::Constraint { body, .. } => ([Some(body), None, None], &mut []),
+            HirStmt::Par(arms) => ([None, None, None], arms),
+            HirStmt::Assign { .. }
+            | HirStmt::Call { .. }
+            | HirStmt::Recv { .. }
+            | HirStmt::Send { .. }
+            | HirStmt::Return(_)
+            | HirStmt::Break
+            | HirStmt::Continue
+            | HirStmt::Delay => ([None, None, None], &mut []),
+        };
+        fixed.into_iter().flatten().chain(arms)
+    }
+
+    /// Visits this statement's written places, expressions, channels and
+    /// nested blocks in [`HirBlock::for_each_expr`] order: a `for` visits
+    /// init, condition, step, then body; a `do` visits its body before
+    /// its condition.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn walk_mut<V: VisitMut + ?Sized>(&mut self, v: &mut V) {
+        match self {
+            HirStmt::Assign { place, value, .. } => {
+                v.visit_place(place);
+                v.visit_expr(value);
+            }
+            HirStmt::Call { dst, args, .. } => {
+                if let Some(d) = dst {
+                    v.visit_place(d);
+                }
+                for a in args {
+                    match a {
+                        HirArg::Value(e) => v.visit_expr(e),
+                        HirArg::Array(p) => v.visit_place(p),
+                    }
+                }
+            }
+            HirStmt::Recv { dst, chan, .. } => {
+                v.visit_place(dst);
+                v.visit_chan(chan);
+            }
+            HirStmt::Send { chan, value, .. } => {
+                v.visit_chan(chan);
+                v.visit_expr(value);
+            }
+            HirStmt::Return(Some(value)) => v.visit_expr(value),
+            HirStmt::If { cond, .. } | HirStmt::While { cond, .. } => v.visit_expr(cond),
+            HirStmt::For {
+                init,
+                cond,
+                step,
+                body,
+                ..
+            } => {
+                init.walk_mut(v);
+                v.visit_expr(cond);
+                step.walk_mut(v);
+                body.walk_mut(v);
+                return;
+            }
+            HirStmt::DoWhile { .. }
+            | HirStmt::Return(None)
+            | HirStmt::Break
+            | HirStmt::Continue
+            | HirStmt::Block(_)
+            | HirStmt::Par(_)
+            | HirStmt::Delay
+            | HirStmt::Constraint { .. } => {}
+        }
+        for b in self.blocks_mut() {
+            b.walk_mut(v);
+        }
+        if let HirStmt::DoWhile { cond, .. } = self {
+            v.visit_expr(cond);
+        }
     }
 }
 
@@ -491,6 +632,7 @@ impl HirExpr {
     }
 
     /// Walks all places read by this expression.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn for_each_place<'a>(&'a self, f: &mut impl FnMut(&'a HirPlace)) {
         match &self.kind {
             HirExprKind::Const(_) => {}
@@ -504,6 +646,26 @@ impl HirExpr {
                 c.for_each_place(f);
                 t.for_each_place(f);
                 e.for_each_place(f);
+            }
+        }
+    }
+
+    /// Visits the operands in order, or the place a load or address-of
+    /// names.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn walk_mut<V: VisitMut + ?Sized>(&mut self, v: &mut V) {
+        match &mut self.kind {
+            HirExprKind::Const(_) => {}
+            HirExprKind::Load(p) | HirExprKind::AddrOf(p) => v.visit_place(p),
+            HirExprKind::Unary(_, a) | HirExprKind::Cast(a) => v.visit_expr(a),
+            HirExprKind::Binary(_, a, b) => {
+                v.visit_expr(a);
+                v.visit_expr(b);
+            }
+            HirExprKind::Select(c, t, e) => {
+                v.visit_expr(c);
+                v.visit_expr(t);
+                v.visit_expr(e);
             }
         }
     }
@@ -698,8 +860,44 @@ mod tests {
                     "{inner:?} inside {outer:?}"
                 );
                 assert_eq!(outer.blocks().filter(|b| !b.stmts.is_empty()).count(), 1);
+                let mut outer = outer;
+                let shared: Vec<*const HirBlock> = outer.blocks().map(|b| b as *const _).collect();
+                let mutable: Vec<*const HirBlock> =
+                    outer.blocks_mut().map(|b| b as *const _).collect();
+                assert_eq!(shared, mutable, "{outer:?}");
+                let mut b = b;
+                let mut want = Vec::new();
+                b.for_each_expr(&mut |e| want.push(e.clone()));
+                let mut rec = Recorder::default();
+                b.walk_mut(&mut rec);
+                assert_eq!(rec.exprs, want, "{inner:?} inside {outer:?}");
+                assert_eq!(rec.stmts, seen, "{inner:?} inside {outer:?}");
             }
             assert_eq!(inner.blocks().map(|b| b.stmts.len()).sum::<usize>(), 0);
+        }
+    }
+
+    /// Records the statements and owned expressions the mutable walk
+    /// visits, without descending into the expressions.
+    #[derive(Default)]
+    struct Recorder {
+        stmts: Vec<std::mem::Discriminant<HirStmt>>,
+        exprs: Vec<HirExpr>,
+        chans: Vec<LocalId>,
+    }
+
+    impl VisitMut for Recorder {
+        fn visit_stmt(&mut self, s: &mut HirStmt) {
+            self.stmts.push(std::mem::discriminant(s));
+            s.walk_mut(self);
+        }
+
+        fn visit_expr(&mut self, e: &mut HirExpr) {
+            self.exprs.push(e.clone());
+        }
+
+        fn visit_chan(&mut self, chan: &mut LocalId) {
+            self.chans.push(*chan);
         }
     }
 
@@ -811,8 +1009,61 @@ mod tests {
                 body: block(vec![set(next())]),
             },
         ];
+        let mut b = block(stmts);
         let mut seen = Vec::new();
-        block(stmts).for_each_expr(&mut |e| seen.push(e.as_const().expect("numbered")));
+        b.for_each_expr(&mut |e| seen.push(e.as_const().expect("numbered")));
         assert_eq!(seen, (1..=n).collect::<Vec<_>>());
+        let mut rec = Recorder::default();
+        b.walk_mut(&mut rec);
+        let seen: Vec<i64> = rec.exprs.iter().map(|e| e.as_const().expect("numbered")).collect();
+        assert_eq!(seen, (1..=n).collect::<Vec<_>>());
+        assert_eq!(rec.chans, [LocalId(1), LocalId(1)]);
+    }
+
+    #[test]
+    fn walk_mut_reaches_every_place_and_nested_expression() {
+        // `a[b[x]] = *(&c + y)`: the walk reaches every local, through
+        // indices, derefs and address-ofs, in source order.
+        let load = |p: HirPlace| HirExpr {
+            kind: HirExprKind::Load(Box::new(p)),
+            ty: Type::int(),
+        };
+        let idx = |base: LocalId, index: HirExpr| HirPlace::Index {
+            base: Box::new(HirPlace::Local(base)),
+            index: Box::new(index),
+        };
+        let addr = HirExpr {
+            kind: HirExprKind::Binary(
+                BinOp::Add,
+                Box::new(HirExpr {
+                    kind: HirExprKind::AddrOf(Box::new(HirPlace::Local(LocalId(3)))),
+                    ty: Type::int(),
+                }),
+                Box::new(load(HirPlace::Local(LocalId(4)))),
+            ),
+            ty: Type::int(),
+        };
+        let mut b = block(vec![HirStmt::Assign {
+            place: idx(LocalId(0), load(idx(LocalId(1), load(HirPlace::Local(LocalId(2)))))),
+            value: load(HirPlace::Deref(Box::new(addr))),
+            span: Span::dummy(),
+        }]);
+        struct Locals(Vec<LocalId>);
+        impl VisitMut for Locals {
+            fn visit_place(&mut self, p: &mut HirPlace) {
+                if let HirPlace::Local(id) = p {
+                    self.0.push(*id);
+                    *id = LocalId(id.0 + 10);
+                }
+                p.walk_mut(self);
+            }
+        }
+        let mut locals = Locals(Vec::new());
+        b.walk_mut(&mut locals);
+        assert_eq!(locals.0, [0, 1, 2, 3, 4].map(LocalId));
+        // Every local was renamed in place.
+        let mut again = Locals(Vec::new());
+        b.walk_mut(&mut again);
+        assert_eq!(again.0, [10, 11, 12, 13, 14].map(LocalId));
     }
 }

@@ -40,6 +40,11 @@ impl IntType {
         IntType::new(32, true)
     }
 
+    /// One unsigned bit: the type of conditions and comparison results.
+    pub fn u1() -> Self {
+        IntType::new(1, false)
+    }
+
     /// The mask selecting the low `width` bits.
     #[inline]
     pub fn mask(self) -> u64 {

@@ -13,6 +13,7 @@
 //! `Div` whose behaviour depends on its type, rather than `SDiv`/`UDiv`
 //! pairs.
 
+use chls_frontend::ast::BinOp;
 use chls_frontend::hir::MemBank;
 use chls_frontend::{IntType, Span};
 use std::fmt;
@@ -82,6 +83,32 @@ pub enum BinKind {
     Gt,
     /// Greater-or-equal; result is `u1`.
     Ge,
+}
+
+/// The IR op of a HIR binary operator. Logical operators never reach
+/// one (sema desugars them to selects).
+impl From<BinOp> for BinKind {
+    fn from(op: BinOp) -> Self {
+        match op {
+            BinOp::Add => BinKind::Add,
+            BinOp::Sub => BinKind::Sub,
+            BinOp::Mul => BinKind::Mul,
+            BinOp::Div => BinKind::Div,
+            BinOp::Rem => BinKind::Rem,
+            BinOp::Shl => BinKind::Shl,
+            BinOp::Shr => BinKind::Shr,
+            BinOp::BitAnd => BinKind::And,
+            BinOp::BitOr => BinKind::Or,
+            BinOp::BitXor => BinKind::Xor,
+            BinOp::Eq => BinKind::Eq,
+            BinOp::Ne => BinKind::Ne,
+            BinOp::Lt => BinKind::Lt,
+            BinOp::Le => BinKind::Le,
+            BinOp::Gt => BinKind::Gt,
+            BinOp::Ge => BinKind::Ge,
+            BinOp::LogAnd | BinOp::LogOr => unreachable!("desugared by sema"),
+        }
+    }
 }
 
 impl BinKind {

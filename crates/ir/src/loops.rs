@@ -114,9 +114,6 @@ mod tests {
     use crate::ir::{InstKind, Term};
     use chls_frontend::IntType;
 
-    fn u1() -> IntType {
-        IntType::new(1, false)
-    }
 
     /// b0 -> b1(h) -> b2 -> b1 ; b1 -> b3
     fn single_loop() -> Function {
@@ -125,7 +122,7 @@ mod tests {
         let b1 = f.add_block();
         let b2 = f.add_block();
         let b3 = f.add_block();
-        let c = f.add_inst(b1, InstKind::Const(1), u1());
+        let c = f.add_inst(b1, InstKind::Const(1), IntType::u1());
         f.block_mut(b0).term = Term::Jump(b1);
         f.block_mut(b1).term = Term::Br {
             cond: c,
@@ -160,8 +157,8 @@ mod tests {
         let b3 = f.add_block();
         let b4 = f.add_block();
         let b5 = f.add_block();
-        let c1 = f.add_inst(b1, InstKind::Const(1), u1());
-        let c2 = f.add_inst(b2, InstKind::Const(1), u1());
+        let c1 = f.add_inst(b1, InstKind::Const(1), IntType::u1());
+        let c2 = f.add_inst(b2, InstKind::Const(1), IntType::u1());
         f.block_mut(b0).term = Term::Jump(b1);
         f.block_mut(b1).term = Term::Br {
             cond: c1,
@@ -203,7 +200,7 @@ mod tests {
         let b0 = f.entry;
         let b1 = f.add_block();
         let b2 = f.add_block();
-        let c = f.add_inst(b1, InstKind::Const(0), u1());
+        let c = f.add_inst(b1, InstKind::Const(0), IntType::u1());
         f.block_mut(b0).term = Term::Jump(b1);
         f.block_mut(b1).term = Term::Br {
             cond: c,

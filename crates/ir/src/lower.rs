@@ -20,7 +20,7 @@
 //! constraint-driven backend works from HIR instead.
 
 use crate::ir::*;
-use chls_frontend::ast::{BinOp, UnOp};
+use chls_frontend::ast::UnOp;
 use chls_frontend::hir::*;
 use chls_frontend::{IntType, Span, Type};
 use std::collections::HashMap;
@@ -560,7 +560,7 @@ impl<'a> Lower<'a> {
             HirExprKind::Binary(op, a, b) => {
                 let av = self.lower_expr(a)?;
                 let bv = self.lower_expr(b)?;
-                let kind = bin_kind(*op);
+                let kind = BinKind::from(*op);
                 // Comparison results are u1; their operand type (needed for
                 // signedness and width) is recovered from the operand
                 // instructions by every consumer.
@@ -602,30 +602,6 @@ impl<'a> Lower<'a> {
             HirPlace::Global(_) => Err(LowerError::BadType("ROM used as a value".to_string())),
             HirPlace::Deref(_) => Err(LowerError::NeedsPointerLowering),
         }
-    }
-}
-
-/// Maps an AST/HIR binary operator to an IR op. Logical operators never
-/// reach here (sema desugars them).
-fn bin_kind(op: BinOp) -> BinKind {
-    match op {
-        BinOp::Add => BinKind::Add,
-        BinOp::Sub => BinKind::Sub,
-        BinOp::Mul => BinKind::Mul,
-        BinOp::Div => BinKind::Div,
-        BinOp::Rem => BinKind::Rem,
-        BinOp::Shl => BinKind::Shl,
-        BinOp::Shr => BinKind::Shr,
-        BinOp::BitAnd => BinKind::And,
-        BinOp::BitOr => BinKind::Or,
-        BinOp::BitXor => BinKind::Xor,
-        BinOp::Eq => BinKind::Eq,
-        BinOp::Ne => BinKind::Ne,
-        BinOp::Lt => BinKind::Lt,
-        BinOp::Le => BinKind::Le,
-        BinOp::Gt => BinKind::Gt,
-        BinOp::Ge => BinKind::Ge,
-        BinOp::LogAnd | BinOp::LogOr => unreachable!("desugared by sema"),
     }
 }
 

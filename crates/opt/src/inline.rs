@@ -59,7 +59,8 @@ pub fn inline_program(prog: &HirProgram, entry: FuncId) -> Result<HirProgram, In
         prog,
         locals: f.locals.clone(),
     };
-    let body = ctx.expand_block(&f.body)?;
+    let mut body = f.body.clone();
+    ctx.expand_block(&mut body)?;
     let uses_par = body.any_stmt(&mut |s| matches!(s, HirStmt::Par(_)));
     let uses_channels =
         body.any_stmt(&mut |s| matches!(s, HirStmt::Send { .. } | HirStmt::Recv { .. }));
@@ -145,83 +146,27 @@ impl Inliner<'_> {
         id
     }
 
-    fn expand_block(&mut self, block: &HirBlock) -> Result<HirBlock, InlineError> {
-        let mut out = Vec::new();
-        for stmt in &block.stmts {
-            self.expand_stmt(stmt, &mut out)?;
-        }
-        Ok(HirBlock { stmts: out })
-    }
-
-    fn expand_stmt(&mut self, stmt: &HirStmt, out: &mut Vec<HirStmt>) -> Result<(), InlineError> {
-        match stmt {
-            HirStmt::Call {
+    /// Splices every call in `block`, at any depth, in place.
+    fn expand_block(&mut self, block: &mut HirBlock) -> Result<(), InlineError> {
+        let mut out = Vec::with_capacity(block.stmts.len());
+        for mut stmt in std::mem::take(&mut block.stmts) {
+            if let HirStmt::Call {
                 dst,
                 func,
                 args,
                 span,
-            } => self.splice(*func, args, dst.clone(), *span, out),
-            HirStmt::If { cond, then, els } => {
-                out.push(HirStmt::If {
-                    cond: cond.clone(),
-                    then: self.expand_block(then)?,
-                    els: self.expand_block(els)?,
-                });
-                Ok(())
+            } = stmt
+            {
+                self.splice(func, &args, dst, span, &mut out)?;
+                continue;
             }
-            HirStmt::While { cond, body, unroll } => {
-                out.push(HirStmt::While {
-                    cond: cond.clone(),
-                    body: self.expand_block(body)?,
-                    unroll: *unroll,
-                });
-                Ok(())
+            for b in stmt.blocks_mut() {
+                self.expand_block(b)?;
             }
-            HirStmt::DoWhile { body, cond } => {
-                out.push(HirStmt::DoWhile {
-                    body: self.expand_block(body)?,
-                    cond: cond.clone(),
-                });
-                Ok(())
-            }
-            HirStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                unroll,
-            } => {
-                out.push(HirStmt::For {
-                    init: self.expand_block(init)?,
-                    cond: cond.clone(),
-                    step: self.expand_block(step)?,
-                    body: self.expand_block(body)?,
-                    unroll: *unroll,
-                });
-                Ok(())
-            }
-            HirStmt::Block(b) => {
-                out.push(HirStmt::Block(self.expand_block(b)?));
-                Ok(())
-            }
-            HirStmt::Constraint { cycles, body } => {
-                out.push(HirStmt::Constraint {
-                    cycles: *cycles,
-                    body: self.expand_block(body)?,
-                });
-                Ok(())
-            }
-            HirStmt::Par(branches) => {
-                let bs: Result<Vec<_>, _> =
-                    branches.iter().map(|b| self.expand_block(b)).collect();
-                out.push(HirStmt::Par(bs?));
-                Ok(())
-            }
-            other => {
-                out.push(other.clone());
-                Ok(())
-            }
+            out.push(stmt);
         }
+        block.stmts = out;
+        Ok(())
     }
 
     fn splice(
@@ -272,20 +217,19 @@ impl Inliner<'_> {
             }
         }
 
-        let body = remap_block(&callee.body, &map);
+        let mut body = remap_block(&callee.body, &map);
 
         // Return handling.
         let (simple_tail_ret, any_ret) = analyze_returns(&body);
         if !any_ret {
-            let expanded = self.expand_block(&body)?;
-            out.extend(expanded.stmts);
+            self.expand_block(&mut body)?;
+            out.extend(body.stmts);
             return Ok(());
         }
         if simple_tail_ret {
-            let mut stmts = body.stmts;
-            let last = stmts.pop().expect("tail return exists");
-            let expanded = self.expand_block(&HirBlock { stmts })?;
-            out.extend(expanded.stmts);
+            let last = body.stmts.pop().expect("tail return exists");
+            self.expand_block(&mut body)?;
+            out.extend(body.stmts);
             if let HirStmt::Return(val) = last {
                 if let (Some(dst), Some(v)) = (dst, val) {
                     out.push(HirStmt::Assign {
@@ -315,9 +259,10 @@ impl Inliner<'_> {
             value: HirExpr::konst(0, Type::Bool),
             span: call_span,
         });
-        let guarded = guard_returns(&body, done, ret_local);
-        let expanded = self.expand_block(&guarded)?;
-        out.extend(expanded.stmts);
+        let (guarded, _) = guard_stmts(body.stmts, done, ret_local);
+        let mut guarded = HirBlock { stmts: guarded };
+        self.expand_block(&mut guarded)?;
+        out.extend(guarded.stmts);
         if let (Some(dst), Some(rl)) = (dst, ret_local) {
             out.push(HirStmt::Assign {
                 place: dst,
@@ -357,7 +302,7 @@ fn not_done(done: LocalId) -> HirExpr {
 }
 
 /// `cond && !done`, built as a select so no new operators are needed.
-fn gate_cond(cond: &HirExpr, done: LocalId) -> HirExpr {
+fn gate_cond(cond: HirExpr, done: LocalId) -> HirExpr {
     HirExpr {
         kind: HirExprKind::Select(
             Box::new(HirExpr {
@@ -365,32 +310,26 @@ fn gate_cond(cond: &HirExpr, done: LocalId) -> HirExpr {
                 ty: Type::Bool,
             }),
             Box::new(HirExpr::konst(0, Type::Bool)),
-            Box::new(cond.clone()),
+            Box::new(cond),
         ),
         ty: Type::Bool,
     }
 }
 
 /// Rewrites `return` into `$ret = e; $done = true;` and guards everything
-/// downstream. Returns the transformed block.
-fn guard_returns(block: &HirBlock, done: LocalId, ret: Option<LocalId>) -> HirBlock {
-    let (stmts, _) = guard_stmts(&block.stmts, done, ret);
-    HirBlock { stmts }
-}
-
-/// Returns (transformed stmts, may-set-done).
-fn guard_stmts(stmts: &[HirStmt], done: LocalId, ret: Option<LocalId>) -> (Vec<HirStmt>, bool) {
+/// downstream. Returns (transformed stmts, may-set-done).
+fn guard_stmts(stmts: Vec<HirStmt>, done: LocalId, ret: Option<LocalId>) -> (Vec<HirStmt>, bool) {
     let mut out = Vec::new();
-    for (i, s) in stmts.iter().enumerate() {
+    let mut it = stmts.into_iter();
+    while let Some(s) = it.next() {
         let (mapped, may) = guard_stmt(s, done, ret);
         out.extend(mapped);
         if may {
-            let rest = &stmts[i + 1..];
+            let (rest, _) = guard_stmts(it.collect(), done, ret);
             if !rest.is_empty() {
-                let (rest_stmts, _) = guard_stmts(rest, done, ret);
                 out.push(HirStmt::If {
                     cond: not_done(done),
-                    then: HirBlock { stmts: rest_stmts },
+                    then: HirBlock { stmts: rest },
                     els: HirBlock::default(),
                 });
             }
@@ -400,14 +339,18 @@ fn guard_stmts(stmts: &[HirStmt], done: LocalId, ret: Option<LocalId>) -> (Vec<H
     (out, false)
 }
 
-fn guard_stmt(stmt: &HirStmt, done: LocalId, ret: Option<LocalId>) -> (Vec<HirStmt>, bool) {
+fn guard_stmt(stmt: HirStmt, done: LocalId, ret: Option<LocalId>) -> (Vec<HirStmt>, bool) {
+    let guard = |b: HirBlock| {
+        let (stmts, may) = guard_stmts(b.stmts, done, ret);
+        (HirBlock { stmts }, may)
+    };
     match stmt {
         HirStmt::Return(v) => {
             let mut out = Vec::new();
             if let (Some(rl), Some(e)) = (ret, v) {
                 out.push(HirStmt::Assign {
                     place: HirPlace::Local(rl),
-                    value: e.clone(),
+                    value: e,
                     span: Span::dummy(),
                 });
             }
@@ -419,39 +362,19 @@ fn guard_stmt(stmt: &HirStmt, done: LocalId, ret: Option<LocalId>) -> (Vec<HirSt
             (out, true)
         }
         HirStmt::If { cond, then, els } => {
-            let (ts, tmay) = guard_stmts(&then.stmts, done, ret);
-            let (es, emay) = guard_stmts(&els.stmts, done, ret);
-            (
-                vec![HirStmt::If {
-                    cond: cond.clone(),
-                    then: HirBlock { stmts: ts },
-                    els: HirBlock { stmts: es },
-                }],
-                tmay || emay,
-            )
+            let (then, tmay) = guard(then);
+            let (els, emay) = guard(els);
+            (vec![HirStmt::If { cond, then, els }], tmay || emay)
         }
         HirStmt::While { cond, body, unroll } => {
-            let (bs, may) = guard_stmts(&body.stmts, done, ret);
-            let cond = if may { gate_cond(cond, done) } else { cond.clone() };
-            (
-                vec![HirStmt::While {
-                    cond,
-                    body: HirBlock { stmts: bs },
-                    unroll: *unroll,
-                }],
-                may,
-            )
+            let (body, may) = guard(body);
+            let cond = if may { gate_cond(cond, done) } else { cond };
+            (vec![HirStmt::While { cond, body, unroll }], may)
         }
         HirStmt::DoWhile { body, cond } => {
-            let (bs, may) = guard_stmts(&body.stmts, done, ret);
-            let cond = if may { gate_cond(cond, done) } else { cond.clone() };
-            (
-                vec![HirStmt::DoWhile {
-                    body: HirBlock { stmts: bs },
-                    cond,
-                }],
-                may,
-            )
+            let (body, may) = guard(body);
+            let cond = if may { gate_cond(cond, done) } else { cond };
+            (vec![HirStmt::DoWhile { body, cond }], may)
         }
         HirStmt::For {
             init,
@@ -460,46 +383,40 @@ fn guard_stmt(stmt: &HirStmt, done: LocalId, ret: Option<LocalId>) -> (Vec<HirSt
             body,
             unroll,
         } => {
-            let (bs, may) = guard_stmts(&body.stmts, done, ret);
-            if !may {
-                return (vec![stmt.clone()], false);
-            }
+            let (body, may) = guard(body);
             // Guard the step and gate the condition.
-            let guarded_step = HirBlock {
-                stmts: vec![HirStmt::If {
-                    cond: not_done(done),
-                    then: step.clone(),
-                    els: HirBlock::default(),
-                }],
+            let (cond, step) = if may {
+                let step = HirBlock {
+                    stmts: vec![HirStmt::If {
+                        cond: not_done(done),
+                        then: step,
+                        els: HirBlock::default(),
+                    }],
+                };
+                (gate_cond(cond, done), step)
+            } else {
+                (cond, step)
             };
-            (
-                vec![HirStmt::For {
-                    init: init.clone(),
-                    cond: gate_cond(cond, done),
-                    step: guarded_step,
-                    body: HirBlock { stmts: bs },
-                    unroll: *unroll,
-                }],
-                true,
-            )
+            let stmt = HirStmt::For {
+                init,
+                cond,
+                step,
+                body,
+                unroll,
+            };
+            (vec![stmt], may)
         }
         HirStmt::Block(b) => {
-            let (bs, may) = guard_stmts(&b.stmts, done, ret);
-            (vec![HirStmt::Block(HirBlock { stmts: bs })], may)
+            let (b, may) = guard(b);
+            (vec![HirStmt::Block(b)], may)
         }
         HirStmt::Constraint { cycles, body } => {
-            let (bs, may) = guard_stmts(&body.stmts, done, ret);
-            (
-                vec![HirStmt::Constraint {
-                    cycles: *cycles,
-                    body: HirBlock { stmts: bs },
-                }],
-                may,
-            )
+            let (body, may) = guard(body);
+            (vec![HirStmt::Constraint { cycles, body }], may)
         }
         // `return` cannot appear inside `par` (sema), and other statements
         // cannot return.
-        other => (vec![other.clone()], false),
+        other => (vec![other], false),
     }
 }
 

@@ -31,6 +31,10 @@ pub enum PtrError {
     NeverAssigned(String),
     /// A constant (ROM) array would have to move into writable memory.
     RomTarget(String),
+    /// Two pointers into different objects are compared. Each lowers to
+    /// an offset within its own object, so the offsets say nothing about
+    /// the addresses.
+    CrossObjectCompare,
 }
 
 impl fmt::Display for PtrError {
@@ -43,6 +47,9 @@ impl fmt::Display for PtrError {
                 f,
                 "constant array `{n}` cannot be moved into the monolithic memory"
             ),
+            PtrError::CrossObjectCompare => {
+                write!(f, "pointers into different objects cannot be compared")
+            }
         }
     }
 }
@@ -216,7 +223,8 @@ pub fn points_to(func: &HirFunc) -> PointsTo {
 ///
 /// # Errors
 ///
-/// See [`PtrError`].
+/// See [`PtrError`]. The function is then partly lowered, and the caller
+/// discards it.
 pub fn lower_pointers(func: &mut HirFunc, stats_out: &mut PtrStats) -> Result<(), PtrError> {
     let _span = chls_trace::span("opt.ptr");
     let ptr_locals: Vec<LocalId> = func
@@ -307,18 +315,16 @@ pub fn lower_pointers(func: &mut HirFunc, stats_out: &mut PtrStats) -> Result<()
     }
 
     // ---- Rewrite ----
-    let ctx = Rewrite {
+    let mut ctx = Rewrite {
         lowering,
         heap_bases,
         locals_snapshot: func.locals.clone(),
+        error: None,
     };
-    // Detect dereference of never-assigned pointers up front.
-    if let Some(bad) = find_dead_deref(&func.body, &ctx) {
-        return Err(PtrError::NeverAssigned(
-            func.locals[bad.0 as usize].name.clone(),
-        ));
+    func.body.walk_mut(&mut ctx);
+    if let Some(e) = ctx.error {
+        return Err(e);
     }
-    func.body = ctx.block(&func.body);
     // Pointer locals become plain integer offsets/addresses.
     for &p in &ptr_locals {
         func.locals[p.0 as usize].ty = Type::int();
@@ -379,56 +385,6 @@ fn add_sources(
     }
 }
 
-/// Finds a `Deref` over a pointer expression with no targets at all.
-fn find_dead_deref(block: &HirBlock, ctx: &Rewrite) -> Option<LocalId> {
-    let mut found = None;
-    let check_expr = |e: &HirExpr, found: &mut Option<LocalId>| {
-        walk_derefs(e, &mut |inner| {
-            if found.is_none() {
-                if let Some(p) = sole_ptr_local(inner) {
-                    if matches!(ctx.lowering.get(&p), Some(PtrLowering::Dead)) {
-                        *found = Some(p);
-                    }
-                }
-            }
-        });
-    };
-    // Calls cannot survive inlining, so their arguments hold no derefs.
-    block.for_each_expr(&mut |e| check_expr(e, &mut found));
-    found
-}
-
-fn walk_derefs(e: &HirExpr, f: &mut impl FnMut(&HirExpr)) {
-    match &e.kind {
-        HirExprKind::Load(p) | HirExprKind::AddrOf(p) => walk_derefs_place(p, f),
-        HirExprKind::Unary(_, a) | HirExprKind::Cast(a) => walk_derefs(a, f),
-        HirExprKind::Binary(_, a, b) => {
-            walk_derefs(a, f);
-            walk_derefs(b, f);
-        }
-        HirExprKind::Select(c, t, fv) => {
-            walk_derefs(c, f);
-            walk_derefs(t, f);
-            walk_derefs(fv, f);
-        }
-        HirExprKind::Const(_) => {}
-    }
-}
-
-fn walk_derefs_place(p: &HirPlace, f: &mut impl FnMut(&HirExpr)) {
-    match p {
-        HirPlace::Deref(e) => {
-            f(e);
-            walk_derefs(e, f);
-        }
-        HirPlace::Index { base, index } => {
-            walk_derefs_place(base, f);
-            walk_derefs(index, f);
-        }
-        _ => {}
-    }
-}
-
 /// The single pointer local an expression routes through, if determinable.
 fn sole_ptr_local(e: &HirExpr) -> Option<LocalId> {
     match &e.kind {
@@ -447,6 +403,8 @@ struct Rewrite {
     lowering: BTreeMap<LocalId, PtrLowering>,
     heap_bases: BTreeMap<LocalId, (LocalId, i64)>,
     locals_snapshot: Vec<HirLocal>,
+    /// The first refusal met; the walk goes on, and its result is dropped.
+    error: Option<PtrError>,
 }
 
 impl Rewrite {
@@ -490,180 +448,128 @@ impl Rewrite {
         }
     }
 
-    fn block(&self, b: &HirBlock) -> HirBlock {
-        HirBlock {
-            stmts: b.stmts.iter().map(|s| self.stmt(s)).collect(),
+    /// True when two pointers lower to addresses in one address space:
+    /// both absolute in the heap, or both offsets into one single object.
+    fn comparable(&self, a: &HirExpr, b: &HirExpr) -> bool {
+        let (ta, tb) = (self.expr_targets(a), self.expr_targets(b));
+        let in_heap = |t: &BTreeSet<LocalId>| t.iter().any(|t| self.heap_bases.contains_key(t));
+        (in_heap(&ta) && in_heap(&tb)) || (ta.len() == 1 && ta == tb)
+    }
+
+    /// `*addr` as a direct or heap access.
+    fn deref(&mut self, addr: &mut HirExpr) -> HirPlace {
+        let targets = self.expr_targets(addr);
+        self.visit_expr(addr);
+        let addr = Box::new(take_expr(addr));
+        // Heap path: any heapified target means absolute address.
+        if let Some(&(heap, _)) = targets.iter().find_map(|t| self.heap_bases.get(t)) {
+            return HirPlace::Index {
+                base: Box::new(HirPlace::Local(heap)),
+                index: addr,
+            };
+        }
+        // Direct path: single target.
+        let t = *targets.iter().next().expect("a live pointer has a target");
+        match &self.locals_snapshot[t.0 as usize].ty {
+            Type::Array(..) => HirPlace::Index {
+                base: Box::new(HirPlace::Local(t)),
+                index: addr,
+            },
+            _ => HirPlace::Local(t),
+        }
+    }
+}
+
+/// Rewrites places (`Deref` becomes a direct or heap access, a heapified
+/// object reroutes to the heap) and expressions (pointer-typed ones
+/// become integers).
+impl VisitMut for Rewrite {
+    fn visit_stmt(&mut self, s: &mut HirStmt) {
+        // Inlining ran first; a call that survives it is left as it is.
+        if !matches!(s, HirStmt::Call { .. }) {
+            s.walk_mut(self);
         }
     }
 
-    fn stmt(&self, s: &HirStmt) -> HirStmt {
-        match s {
-            HirStmt::Assign { place, value, span } => HirStmt::Assign {
-                place: self.place(place),
-                value: self.expr(value),
-                span: *span,
-            },
-            HirStmt::Call { .. } => s.clone(), // inlining ran first; unreachable in practice
-            HirStmt::Recv { dst, chan, span } => HirStmt::Recv {
-                dst: self.place(dst),
-                chan: *chan,
-                span: *span,
-            },
-            HirStmt::Send { chan, value, span } => HirStmt::Send {
-                chan: *chan,
-                value: self.expr(value),
-                span: *span,
-            },
-            HirStmt::If { cond, then, els } => HirStmt::If {
-                cond: self.expr(cond),
-                then: self.block(then),
-                els: self.block(els),
-            },
-            HirStmt::While { cond, body, unroll } => HirStmt::While {
-                cond: self.expr(cond),
-                body: self.block(body),
-                unroll: *unroll,
-            },
-            HirStmt::DoWhile { body, cond } => HirStmt::DoWhile {
-                body: self.block(body),
-                cond: self.expr(cond),
-            },
-            HirStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                unroll,
-            } => HirStmt::For {
-                init: self.block(init),
-                cond: self.expr(cond),
-                step: self.block(step),
-                body: self.block(body),
-                unroll: *unroll,
-            },
-            HirStmt::Return(v) => HirStmt::Return(v.as_ref().map(|e| self.expr(e))),
-            HirStmt::Block(b) => HirStmt::Block(self.block(b)),
-            HirStmt::Constraint { cycles, body } => HirStmt::Constraint {
-                cycles: *cycles,
-                body: self.block(body),
-            },
-            HirStmt::Par(bs) => HirStmt::Par(bs.iter().map(|b| self.block(b)).collect()),
-            other => other.clone(),
-        }
-    }
-
-    /// Rewrites a place; `Deref` becomes a direct or heap access.
-    fn place(&self, p: &HirPlace) -> HirPlace {
+    fn visit_place(&mut self, p: &mut HirPlace) {
         match p {
-            HirPlace::Local(_) | HirPlace::Global(_) => {
-                // Direct access to a heapified object reroutes to the heap.
-                if let HirPlace::Local(id) = p {
-                    if let Some(&(heap, base)) = self.heap_bases.get(id) {
-                        // Scalar moved to heap: heap[base].
-                        return HirPlace::Index {
-                            base: Box::new(HirPlace::Local(heap)),
-                            index: Box::new(HirExpr::konst(base, Type::int())),
-                        };
-                    }
-                }
-                p.clone()
-            }
-            HirPlace::Index { base, index } => {
-                let idx = self.expr(index);
-                if let HirPlace::Local(id) = &**base {
-                    if let Some(&(heap, b)) = self.heap_bases.get(id) {
-                        return HirPlace::Index {
-                            base: Box::new(HirPlace::Local(heap)),
-                            index: Box::new(add_int(HirExpr::konst(b, Type::int()), idx)),
-                        };
-                    }
-                }
-                HirPlace::Index {
-                    base: Box::new(self.place(base)),
-                    index: Box::new(idx),
-                }
-            }
-            HirPlace::Deref(e) => {
-                if let HirExprKind::AddrOf(inner) = &e.kind {
-                    return self.place(inner); // `*&p` is `p`
-                }
-                if self.lowering.is_empty() {
-                    // No pointer local, so no address space: only `*&`
-                    // folds, and the lowering refuses whatever is left.
-                    return p.clone();
-                }
-                let targets = self.expr_targets(e);
-                let addr = self.expr(e);
-                // Heap path: any heapified target means absolute address.
-                if targets.iter().any(|t| self.heap_bases.contains_key(t)) {
-                    let (heap, _) = self.heap_bases[targets
-                        .iter()
-                        .find(|t| self.heap_bases.contains_key(t))
-                        .expect("checked")];
-                    return HirPlace::Index {
+            HirPlace::Local(id) => {
+                // Scalar moved to heap: heap[base].
+                if let Some(&(heap, base)) = self.heap_bases.get(id) {
+                    *p = HirPlace::Index {
                         base: Box::new(HirPlace::Local(heap)),
-                        index: Box::new(addr),
+                        index: Box::new(HirExpr::konst(base, Type::int())),
                     };
                 }
-                // Direct path: single target.
-                let t = *targets.iter().next().expect("dead derefs caught earlier");
-                match &self.locals_snapshot[t.0 as usize].ty {
-                    Type::Array(..) => HirPlace::Index {
-                        base: Box::new(HirPlace::Local(t)),
-                        index: Box::new(addr),
-                    },
-                    _ => HirPlace::Local(t),
+            }
+            HirPlace::Global(_) => {}
+            HirPlace::Index { base, index } => {
+                self.visit_expr(index);
+                match **base {
+                    HirPlace::Local(id) if self.heap_bases.contains_key(&id) => {
+                        let (heap, b) = self.heap_bases[&id];
+                        **base = HirPlace::Local(heap);
+                        **index = add_int(HirExpr::konst(b, Type::int()), take_expr(index));
+                    }
+                    _ => self.visit_place(base),
+                }
+            }
+            HirPlace::Deref(addr) => {
+                if let HirExprKind::AddrOf(inner) = &mut addr.kind {
+                    // `*&p` is `p`.
+                    self.visit_place(inner);
+                    *p = std::mem::replace(&mut **inner, HirPlace::Global(GlobalId(0)));
+                } else if self.lowering.is_empty() {
+                    // No pointer local, so no address space: only `*&`
+                    // folds, and the lowering refuses whatever is left.
+                } else if let Some(q) = sole_ptr_local(addr)
+                    .filter(|q| self.lowering.get(q) == Some(&PtrLowering::Dead))
+                {
+                    let name = self.locals_snapshot[q.0 as usize].name.clone();
+                    self.error.get_or_insert(PtrError::NeverAssigned(name));
+                } else {
+                    *p = self.deref(addr);
                 }
             }
         }
     }
 
-    /// Rewrites an expression: pointer-typed expressions become integers.
-    fn expr(&self, e: &HirExpr) -> HirExpr {
-        let ty = strip_ptr(&e.ty);
-        match &e.kind {
-            HirExprKind::Const(v) => HirExpr::konst(*v, ty),
-            HirExprKind::Load(p) => HirExpr {
-                kind: HirExprKind::Load(Box::new(self.place(p))),
-                ty,
-            },
-            HirExprKind::Unary(op, a) => HirExpr {
-                kind: HirExprKind::Unary(*op, Box::new(self.expr(a))),
-                ty,
-            },
-            HirExprKind::Binary(op, a, b) => HirExpr {
-                kind: HirExprKind::Binary(*op, Box::new(self.expr(a)), Box::new(self.expr(b))),
-                ty,
-            },
-            HirExprKind::Select(c, t, f) => HirExpr {
-                kind: HirExprKind::Select(
-                    Box::new(self.expr(c)),
-                    Box::new(self.expr(t)),
-                    Box::new(self.expr(f)),
-                ),
-                ty,
-            },
-            HirExprKind::Cast(a) => HirExpr {
-                kind: HirExprKind::Cast(Box::new(self.expr(a))),
-                ty,
-            },
-            HirExprKind::AddrOf(_) if self.lowering.is_empty() => e.clone(),
+    fn visit_expr(&mut self, e: &mut HirExpr) {
+        if let HirExprKind::Binary(op, a, b) = &e.kind {
+            let pointers = op.is_comparison() && matches!(a.ty, Type::Ptr(_));
+            if pointers && !self.lowering.is_empty() && !self.comparable(a, b) {
+                self.error.get_or_insert(PtrError::CrossObjectCompare);
+            }
+        }
+        match &mut e.kind {
+            HirExprKind::Const(v) => *e = HirExpr::konst(*v, strip_ptr(&e.ty)),
+            // No pointer local: the address-of survives for the IR lowering
+            // to refuse, rather than folding to a wrong constant.
+            HirExprKind::AddrOf(_) if self.lowering.is_empty() => {}
             HirExprKind::AddrOf(place) => {
                 // &x -> base offset; &a[i] -> base + i.
                 let root = place.root_local().expect("sema rejects &ROM");
-                let heap_base = self.heap_bases.get(&root).map(|&(_, b)| b).unwrap_or(0);
-                match &**place {
-                    HirPlace::Local(_) => HirExpr::konst(heap_base, Type::int()),
+                let base = self.heap_bases.get(&root).map_or(0, |&(_, b)| b);
+                let base = HirExpr::konst(base, Type::int());
+                *e = match &mut **place {
                     HirPlace::Index { index, .. } => {
-                        let idx = self.expr(index);
-                        let idx = coerce_int(idx);
-                        add_int(HirExpr::konst(heap_base, Type::int()), idx)
+                        self.visit_expr(index);
+                        add_int(base, coerce_int(take_expr(index)))
                     }
-                    _ => HirExpr::konst(heap_base, Type::int()),
-                }
+                    _ => base,
+                };
+            }
+            _ => {
+                e.ty = strip_ptr(&e.ty);
+                e.walk_mut(self);
             }
         }
     }
+}
+
+/// Moves an expression out of its slot, leaving a placeholder constant.
+fn take_expr(e: &mut HirExpr) -> HirExpr {
+    std::mem::replace(e, HirExpr::konst(0, Type::int()))
 }
 
 fn strip_ptr(ty: &Type) -> Type {
@@ -875,14 +781,47 @@ mod tests {
         assert_eq!(ret, Some(1));
     }
 
-    #[test]
-    fn dead_pointer_deref_rejected() {
-        let prog = compile_to_hir("int f() { int *p; return *p; }").unwrap();
+    fn lowering_error(src: &str) -> PtrError {
+        let prog = compile_to_hir(src).unwrap();
         let (id, _) = prog.func_by_name("f").unwrap();
         let mut inlined = inline_program(&prog, id).unwrap();
         let mut stats = PtrStats::default();
-        let err = lower_pointers(&mut inlined.funcs[0], &mut stats).unwrap_err();
-        assert!(matches!(err, PtrError::NeverAssigned(_)));
+        lower_pointers(&mut inlined.funcs[0], &mut stats).unwrap_err()
+    }
+
+    #[test]
+    fn dead_pointer_deref_rejected() {
+        let err = lowering_error("int f() { int *p; return *p; }");
+        assert_eq!(err, PtrError::NeverAssigned("p".into()));
+        // A store through it too.
+        let err = lowering_error("int f() { int *p; *p = 1; return 0; }");
+        assert_eq!(err, PtrError::NeverAssigned("p".into()));
+    }
+
+    #[test]
+    fn cross_object_pointer_comparison_rejected() {
+        // Both pointers lower to offset 0, each within its own object.
+        let err = lowering_error(
+            "int f() { int x = 1; int y = 2; int *p = &x; int *q = &y; return p == q; }",
+        );
+        assert_eq!(err, PtrError::CrossObjectCompare);
+        let err = lowering_error(
+            "int f() { int a[4]; int b[4]; int *p = &a[1]; int *q = &b[1]; return p != q; }",
+        );
+        assert_eq!(err, PtrError::CrossObjectCompare);
+    }
+
+    #[test]
+    fn heap_pointer_comparison_compares_addresses() {
+        let src = "int f(bool pick) {
+                int x = 1;
+                int y = 2;
+                int *p = pick ? &x : &y;
+                int *q = &y;
+                return p == q ? 1 : 0;
+            }";
+        assert_eq!(run_lowered(src, "f", &[ArgValue::Scalar(1)]).0, Some(0));
+        assert_eq!(run_lowered(src, "f", &[ArgValue::Scalar(0)]).0, Some(1));
     }
 
     #[test]

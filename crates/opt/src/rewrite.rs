@@ -1114,14 +1114,13 @@ fn map_loop_continues(block: &mut HirBlock, extra: &[HirStmt]) {
                 stmts.push(HirStmt::Continue);
                 *s = HirStmt::Block(HirBlock { stmts });
             }
-            HirStmt::If { then, els, .. } => {
-                map_loop_continues(then, extra);
-                map_loop_continues(els, extra);
+            // A nested loop's `continue` targets that loop.
+            HirStmt::While { .. } | HirStmt::DoWhile { .. } | HirStmt::For { .. } => {}
+            _ => {
+                for b in s.blocks_mut() {
+                    map_loop_continues(b, extra);
+                }
             }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                map_loop_continues(b, extra);
-            }
-            _ => {}
         }
     }
 }
@@ -1172,30 +1171,8 @@ fn transform_block(
         };
         // Nested blocks in `HirStmt::blocks` order, the order in which
         // `scan_loops` numbered the sites.
-        match &mut s {
-            HirStmt::While { body, .. } | HirStmt::DoWhile { body, .. } => {
-                transform_block(body, sites, counter, locals, opts, actions);
-            }
-            HirStmt::For {
-                init, step, body, ..
-            } => {
-                transform_block(init, sites, counter, locals, opts, actions);
-                transform_block(step, sites, counter, locals, opts, actions);
-                transform_block(body, sites, counter, locals, opts, actions);
-            }
-            HirStmt::If { then, els, .. } => {
-                transform_block(then, sites, counter, locals, opts, actions);
-                transform_block(els, sites, counter, locals, opts, actions);
-            }
-            HirStmt::Block(b) | HirStmt::Constraint { body: b, .. } => {
-                transform_block(b, sites, counter, locals, opts, actions);
-            }
-            HirStmt::Par(bs) => {
-                for b in bs {
-                    transform_block(b, sites, counter, locals, opts, actions);
-                }
-            }
-            _ => {}
+        for b in s.blocks_mut() {
+            transform_block(b, sites, counter, locals, opts, actions);
         }
         let Some(my) = my else {
             out.push(s);

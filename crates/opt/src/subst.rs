@@ -17,192 +17,41 @@ pub enum LocalBinding {
 /// Rewrites every [`LocalId`] in a block according to `map`, and every
 /// `Load`/`Index` root accordingly.
 pub fn remap_block(block: &HirBlock, map: &[LocalBinding]) -> HirBlock {
-    HirBlock {
-        stmts: block.stmts.iter().map(|s| remap_stmt(s, map)).collect(),
-    }
-}
-
-fn remap_local(id: LocalId, map: &[LocalBinding]) -> LocalId {
-    match &map[id.0 as usize] {
-        LocalBinding::Fresh(n) | LocalBinding::AliasLocal(n) => *n,
-        LocalBinding::AliasGlobal(_) => {
-            unreachable!("global alias used in a local-only position")
-        }
-    }
-}
-
-/// Remaps a place, resolving array aliases (which may retarget a local to
-/// a global ROM).
-pub fn remap_place(place: &HirPlace, map: &[LocalBinding]) -> HirPlace {
-    match place {
-        HirPlace::Local(id) => match &map[id.0 as usize] {
-            LocalBinding::Fresh(n) | LocalBinding::AliasLocal(n) => HirPlace::Local(*n),
-            LocalBinding::AliasGlobal(g) => HirPlace::Global(*g),
-        },
-        HirPlace::Global(g) => HirPlace::Global(*g),
-        HirPlace::Index { base, index } => HirPlace::Index {
-            base: Box::new(remap_place(base, map)),
-            index: Box::new(remap_expr(index, map)),
-        },
-        HirPlace::Deref(e) => HirPlace::Deref(Box::new(remap_expr(e, map))),
-    }
+    let mut block = block.clone();
+    block.walk_mut(&mut Remap(map));
+    block
 }
 
 /// Remaps an expression.
 pub fn remap_expr(e: &HirExpr, map: &[LocalBinding]) -> HirExpr {
-    let kind = match &e.kind {
-        HirExprKind::Const(v) => HirExprKind::Const(*v),
-        HirExprKind::Load(p) => HirExprKind::Load(Box::new(remap_place(p, map))),
-        HirExprKind::Unary(op, a) => HirExprKind::Unary(*op, Box::new(remap_expr(a, map))),
-        HirExprKind::Binary(op, a, b) => HirExprKind::Binary(
-            *op,
-            Box::new(remap_expr(a, map)),
-            Box::new(remap_expr(b, map)),
-        ),
-        HirExprKind::Select(c, t, f) => HirExprKind::Select(
-            Box::new(remap_expr(c, map)),
-            Box::new(remap_expr(t, map)),
-            Box::new(remap_expr(f, map)),
-        ),
-        HirExprKind::Cast(a) => HirExprKind::Cast(Box::new(remap_expr(a, map))),
-        HirExprKind::AddrOf(p) => HirExprKind::AddrOf(Box::new(remap_place(p, map))),
-    };
-    HirExpr {
-        kind,
-        ty: e.ty.clone(),
-    }
+    let mut e = e.clone();
+    Remap(map).visit_expr(&mut e);
+    e
 }
 
-fn remap_stmt(stmt: &HirStmt, map: &[LocalBinding]) -> HirStmt {
-    match stmt {
-        HirStmt::Assign { place, value, span } => HirStmt::Assign {
-            place: remap_place(place, map),
-            value: remap_expr(value, map),
-            span: *span,
-        },
-        HirStmt::Call {
-            dst,
-            func,
-            args,
-            span,
-        } => HirStmt::Call {
-            dst: dst.as_ref().map(|p| remap_place(p, map)),
-            func: *func,
-            args: args
-                .iter()
-                .map(|a| match a {
-                    HirArg::Value(e) => HirArg::Value(remap_expr(e, map)),
-                    HirArg::Array(p) => HirArg::Array(remap_place(p, map)),
-                })
-                .collect(),
-            span: *span,
-        },
-        HirStmt::Recv { dst, chan, span } => HirStmt::Recv {
-            dst: remap_place(dst, map),
-            chan: remap_local(*chan, map),
-            span: *span,
-        },
-        HirStmt::Send { chan, value, span } => HirStmt::Send {
-            chan: remap_local(*chan, map),
-            value: remap_expr(value, map),
-            span: *span,
-        },
-        HirStmt::If { cond, then, els } => HirStmt::If {
-            cond: remap_expr(cond, map),
-            then: remap_block(then, map),
-            els: remap_block(els, map),
-        },
-        HirStmt::While { cond, body, unroll } => HirStmt::While {
-            cond: remap_expr(cond, map),
-            body: remap_block(body, map),
-            unroll: *unroll,
-        },
-        HirStmt::DoWhile { body, cond } => HirStmt::DoWhile {
-            body: remap_block(body, map),
-            cond: remap_expr(cond, map),
-        },
-        HirStmt::For {
-            init,
-            cond,
-            step,
-            body,
-            unroll,
-        } => HirStmt::For {
-            init: remap_block(init, map),
-            cond: remap_expr(cond, map),
-            step: remap_block(step, map),
-            body: remap_block(body, map),
-            unroll: *unroll,
-        },
-        HirStmt::Return(v) => HirStmt::Return(v.as_ref().map(|e| remap_expr(e, map))),
-        HirStmt::Break => HirStmt::Break,
-        HirStmt::Continue => HirStmt::Continue,
-        HirStmt::Block(b) => HirStmt::Block(remap_block(b, map)),
-        HirStmt::Par(branches) => {
-            HirStmt::Par(branches.iter().map(|b| remap_block(b, map)).collect())
-        }
-        HirStmt::Delay => HirStmt::Delay,
-        HirStmt::Constraint { cycles, body } => HirStmt::Constraint {
-            cycles: *cycles,
-            body: remap_block(body, map),
-        },
-    }
-}
+struct Remap<'m>(&'m [LocalBinding]);
 
-/// Substitutes every `Load(Local(target))` in an expression with `repl`.
-pub fn subst_local_in_expr(e: &HirExpr, target: LocalId, repl: &HirExpr) -> HirExpr {
-    match &e.kind {
-        HirExprKind::Load(p) => {
-            if let HirPlace::Local(id) = &**p {
-                if *id == target {
-                    return repl.clone();
+impl VisitMut for Remap<'_> {
+    /// Resolves array aliases, which may retarget a local to a global ROM.
+    fn visit_place(&mut self, place: &mut HirPlace) {
+        match place {
+            HirPlace::Local(id) => {
+                *place = match &self.0[id.0 as usize] {
+                    LocalBinding::Fresh(n) | LocalBinding::AliasLocal(n) => HirPlace::Local(*n),
+                    LocalBinding::AliasGlobal(g) => HirPlace::Global(*g),
                 }
             }
-            HirExpr {
-                kind: HirExprKind::Load(Box::new(subst_local_in_place(p, target, repl))),
-                ty: e.ty.clone(),
+            _ => place.walk_mut(self),
+        }
+    }
+
+    fn visit_chan(&mut self, chan: &mut LocalId) {
+        *chan = match &self.0[chan.0 as usize] {
+            LocalBinding::Fresh(n) | LocalBinding::AliasLocal(n) => *n,
+            LocalBinding::AliasGlobal(_) => {
+                unreachable!("global alias used in a local-only position")
             }
         }
-        HirExprKind::Const(_) => e.clone(),
-        HirExprKind::Unary(op, a) => HirExpr {
-            kind: HirExprKind::Unary(*op, Box::new(subst_local_in_expr(a, target, repl))),
-            ty: e.ty.clone(),
-        },
-        HirExprKind::Binary(op, a, b) => HirExpr {
-            kind: HirExprKind::Binary(
-                *op,
-                Box::new(subst_local_in_expr(a, target, repl)),
-                Box::new(subst_local_in_expr(b, target, repl)),
-            ),
-            ty: e.ty.clone(),
-        },
-        HirExprKind::Select(c, t, f) => HirExpr {
-            kind: HirExprKind::Select(
-                Box::new(subst_local_in_expr(c, target, repl)),
-                Box::new(subst_local_in_expr(t, target, repl)),
-                Box::new(subst_local_in_expr(f, target, repl)),
-            ),
-            ty: e.ty.clone(),
-        },
-        HirExprKind::Cast(a) => HirExpr {
-            kind: HirExprKind::Cast(Box::new(subst_local_in_expr(a, target, repl))),
-            ty: e.ty.clone(),
-        },
-        HirExprKind::AddrOf(p) => HirExpr {
-            kind: HirExprKind::AddrOf(Box::new(subst_local_in_place(p, target, repl))),
-            ty: e.ty.clone(),
-        },
-    }
-}
-
-fn subst_local_in_place(p: &HirPlace, target: LocalId, repl: &HirExpr) -> HirPlace {
-    match p {
-        HirPlace::Local(_) | HirPlace::Global(_) => p.clone(),
-        HirPlace::Index { base, index } => HirPlace::Index {
-            base: Box::new(subst_local_in_place(base, target, repl)),
-            index: Box::new(subst_local_in_expr(index, target, repl)),
-        },
-        HirPlace::Deref(e) => HirPlace::Deref(Box::new(subst_local_in_expr(e, target, repl))),
     }
 }
 
@@ -210,93 +59,22 @@ fn subst_local_in_place(p: &HirPlace, target: LocalId, repl: &HirExpr) -> HirPla
 /// places only; assignments *to* the target are left intact — callers
 /// ensure the target is not written inside).
 pub fn subst_local_in_block(block: &HirBlock, target: LocalId, repl: &HirExpr) -> HirBlock {
-    HirBlock {
-        stmts: block
-            .stmts
-            .iter()
-            .map(|s| subst_local_in_stmt(s, target, repl))
-            .collect(),
-    }
+    let mut block = block.clone();
+    block.walk_mut(&mut SubstLocal { target, repl });
+    block
 }
 
-fn subst_local_in_stmt(stmt: &HirStmt, target: LocalId, repl: &HirExpr) -> HirStmt {
-    match stmt {
-        HirStmt::Assign { place, value, span } => HirStmt::Assign {
-            place: subst_local_in_place(place, target, repl),
-            value: subst_local_in_expr(value, target, repl),
-            span: *span,
-        },
-        HirStmt::Call {
-            dst,
-            func,
-            args,
-            span,
-        } => HirStmt::Call {
-            dst: dst.as_ref().map(|p| subst_local_in_place(p, target, repl)),
-            func: *func,
-            args: args
-                .iter()
-                .map(|a| match a {
-                    HirArg::Value(e) => HirArg::Value(subst_local_in_expr(e, target, repl)),
-                    HirArg::Array(p) => HirArg::Array(subst_local_in_place(p, target, repl)),
-                })
-                .collect(),
-            span: *span,
-        },
-        HirStmt::Recv { dst, chan, span } => HirStmt::Recv {
-            dst: subst_local_in_place(dst, target, repl),
-            chan: *chan,
-            span: *span,
-        },
-        HirStmt::Send { chan, value, span } => HirStmt::Send {
-            chan: *chan,
-            value: subst_local_in_expr(value, target, repl),
-            span: *span,
-        },
-        HirStmt::If { cond, then, els } => HirStmt::If {
-            cond: subst_local_in_expr(cond, target, repl),
-            then: subst_local_in_block(then, target, repl),
-            els: subst_local_in_block(els, target, repl),
-        },
-        HirStmt::While { cond, body, unroll } => HirStmt::While {
-            cond: subst_local_in_expr(cond, target, repl),
-            body: subst_local_in_block(body, target, repl),
-            unroll: *unroll,
-        },
-        HirStmt::DoWhile { body, cond } => HirStmt::DoWhile {
-            body: subst_local_in_block(body, target, repl),
-            cond: subst_local_in_expr(cond, target, repl),
-        },
-        HirStmt::For {
-            init,
-            cond,
-            step,
-            body,
-            unroll,
-        } => HirStmt::For {
-            init: subst_local_in_block(init, target, repl),
-            cond: subst_local_in_expr(cond, target, repl),
-            step: subst_local_in_block(step, target, repl),
-            body: subst_local_in_block(body, target, repl),
-            unroll: *unroll,
-        },
-        HirStmt::Return(v) => {
-            HirStmt::Return(v.as_ref().map(|e| subst_local_in_expr(e, target, repl)))
+struct SubstLocal<'r> {
+    target: LocalId,
+    repl: &'r HirExpr,
+}
+
+impl VisitMut for SubstLocal<'_> {
+    fn visit_expr(&mut self, e: &mut HirExpr) {
+        match &e.kind {
+            HirExprKind::Load(p) if **p == HirPlace::Local(self.target) => *e = self.repl.clone(),
+            _ => e.walk_mut(self),
         }
-        HirStmt::Break => HirStmt::Break,
-        HirStmt::Continue => HirStmt::Continue,
-        HirStmt::Block(b) => HirStmt::Block(subst_local_in_block(b, target, repl)),
-        HirStmt::Par(branches) => HirStmt::Par(
-            branches
-                .iter()
-                .map(|b| subst_local_in_block(b, target, repl))
-                .collect(),
-        ),
-        HirStmt::Delay => HirStmt::Delay,
-        HirStmt::Constraint { cycles, body } => HirStmt::Constraint {
-            cycles: *cycles,
-            body: subst_local_in_block(body, target, repl),
-        },
     }
 }
 

@@ -206,105 +206,87 @@ pub struct UnrollStats {
 pub fn unroll_function(func: &HirFunc, opts: UnrollOptions) -> (HirFunc, UnrollStats) {
     let _span = chls_trace::span("opt.unroll");
     let mut stats = UnrollStats::default();
-    let body = unroll_block(&func.body, opts, &mut stats);
-    (
-        HirFunc {
-            body,
-            ..func.clone()
-        },
-        stats,
-    )
+    let mut func = func.clone();
+    unroll_block(&mut func.body, opts, &mut stats);
+    (func, stats)
 }
 
-fn unroll_block(block: &HirBlock, opts: UnrollOptions, stats: &mut UnrollStats) -> HirBlock {
-    let mut out = Vec::new();
-    for stmt in &block.stmts {
+/// Unrolls the loops of `block` in place, innermost first. Every loop
+/// that stays rolled loses its pragma.
+fn unroll_block(block: &mut HirBlock, opts: UnrollOptions, stats: &mut UnrollStats) {
+    let mut out = Vec::with_capacity(block.stmts.len());
+    for stmt in std::mem::take(&mut block.stmts) {
         match stmt {
             HirStmt::For {
                 init,
                 cond,
                 step,
-                body,
+                mut body,
                 unroll,
             } => {
-                let body2 = unroll_block(body, opts, stats);
+                unroll_block(&mut body, opts, stats);
                 let want = if opts.force_full {
                     Some(0)
                 } else {
                     unroll.or(opts.factor_override)
                 };
-                match want {
-                    None => out.push(HirStmt::For {
-                        init: init.clone(),
-                        cond: cond.clone(),
-                        step: step.clone(),
-                        body: body2,
-                        unroll: None,
-                    }),
-                    Some(factor) => match recognize(init, cond, step, &body2) {
+                if let Some(factor) = want {
+                    match recognize(&init, &cond, &step, &body) {
                         Ok(canon) => {
-                            emit_unrolled(&canon, &body2, factor, step, cond, init, &mut out);
+                            emit_unrolled(&canon, &body, factor, &step, &cond, &init, &mut out);
                             if factor == 0 || factor as usize >= canon.iterations.len().max(1) {
                                 stats.full += 1;
                             } else {
                                 stats.partial += 1;
                             }
+                            continue;
                         }
-                        Err(e) => {
-                            stats.skipped.push(e.to_string());
-                            out.push(HirStmt::For {
-                                init: init.clone(),
-                                cond: cond.clone(),
-                                step: step.clone(),
-                                body: body2,
-                                unroll: None,
-                            });
-                        }
-                    },
+                        Err(e) => stats.skipped.push(e.to_string()),
+                    }
                 }
+                out.push(HirStmt::For {
+                    init,
+                    cond,
+                    step,
+                    body,
+                    unroll: None,
+                });
             }
-            HirStmt::While { cond, body, unroll } => {
-                let body2 = unroll_block(body, opts, stats);
+            HirStmt::While {
+                cond,
+                mut body,
+                unroll,
+            } => {
+                unroll_block(&mut body, opts, stats);
                 if opts.force_full || unroll.is_some() {
                     stats
                         .skipped
                         .push("while loops are not canonical counted loops".to_string());
                 }
                 out.push(HirStmt::While {
-                    cond: cond.clone(),
-                    body: body2,
+                    cond,
+                    body,
                     unroll: None,
                 });
             }
-            HirStmt::DoWhile { body, cond } => {
-                let body2 = unroll_block(body, opts, stats);
+            HirStmt::DoWhile { mut body, cond } => {
+                unroll_block(&mut body, opts, stats);
                 if opts.force_full {
                     stats
                         .skipped
                         .push("do-while loops are not canonical counted loops".to_string());
                 }
-                out.push(HirStmt::DoWhile {
-                    body: body2,
-                    cond: cond.clone(),
-                });
+                out.push(HirStmt::DoWhile { body, cond });
             }
-            HirStmt::If { cond, then, els } => out.push(HirStmt::If {
-                cond: cond.clone(),
-                then: unroll_block(then, opts, stats),
-                els: unroll_block(els, opts, stats),
-            }),
-            HirStmt::Block(b) => out.push(HirStmt::Block(unroll_block(b, opts, stats))),
-            HirStmt::Constraint { cycles, body } => out.push(HirStmt::Constraint {
-                cycles: *cycles,
-                body: unroll_block(body, opts, stats),
-            }),
-            HirStmt::Par(bs) => out.push(HirStmt::Par(
-                bs.iter().map(|b| unroll_block(b, opts, stats)).collect(),
-            )),
-            other => out.push(other.clone()),
+            mut other => {
+                for b in other.blocks_mut() {
+                    unroll_block(b, opts, stats);
+                }
+                out.push(other);
+            }
         }
     }
-    HirBlock { stmts: out }
+    block.stmts = out;
 }
 
 /// Emits the unrolled form. `factor == 0` means full.

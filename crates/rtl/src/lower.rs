@@ -16,9 +16,6 @@ use chls_frontend::IntType;
 use chls_ir::BinKind;
 use std::collections::HashMap;
 
-fn u1() -> IntType {
-    IntType::new(1, false)
-}
 
 /// Lowers an FSMD to a structural netlist.
 ///
@@ -42,7 +39,7 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
 
     // Storage cells (placeholders patched after the next-state logic is
     // built, since registers are defined before their next inputs exist).
-    let zero = nl.add(CellKind::Const(0), u1());
+    let zero = nl.add(CellKind::Const(0), IntType::u1());
     let state_reg = nl.add(
         CellKind::Reg {
             next: zero,
@@ -57,7 +54,7 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
             init: 0,
             en: None,
         },
-        u1(),
+        IntType::u1(),
     );
     let regs: Vec<CellId> = f
         .regs
@@ -101,12 +98,12 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
     let mut eq_state = |nl: &mut Netlist, s: u32| -> CellId {
         *state_eq.entry(s).or_insert_with(|| {
             let c = nl.add(CellKind::Const(s as i64), state_ty);
-            nl.add(CellKind::Bin(BinKind::Eq, state_reg, c), u1())
+            nl.add(CellKind::Bin(BinKind::Eq, state_reg, c), IntType::u1())
         })
     };
     let not_done = {
-        let z = nl.add(CellKind::Const(0), u1());
-        nl.add(CellKind::Bin(BinKind::Eq, done_reg, z), u1())
+        let z = nl.add(CellKind::Const(0), IntType::u1());
+        nl.add(CellKind::Bin(BinKind::Eq, done_reg, z), IntType::u1())
     };
 
     // Rv → cells. `gate` is the activity predicate of the context using
@@ -170,13 +167,13 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
 
     for (si, st) in f.states.iter().enumerate() {
         let in_state = eq_state(&mut nl, si as u32);
-        let active = nl.add(CellKind::Bin(BinKind::And, in_state, not_done), u1());
+        let active = nl.add(CellKind::Bin(BinKind::And, in_state, not_done), IntType::u1());
         for action in &st.actions {
             let guard = match &action.guard {
                 None => active,
                 Some(g) => {
                     let gv = build_rv(&mut nl, &regs, &rams, &inputs, active, g);
-                    nl.add(CellKind::Bin(BinKind::And, active, gv), u1())
+                    nl.add(CellKind::Bin(BinKind::And, active, gv), IntType::u1())
                 }
             };
             match &action.kind {
@@ -258,14 +255,14 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
                 );
             }
             NextState::Done => {
-                let one = nl.add(CellKind::Const(1), u1());
+                let one = nl.add(CellKind::Const(1), IntType::u1());
                 done_next = nl.add(
                     CellKind::Mux {
                         sel: active,
                         a: one,
                         b: done_next,
                     },
-                    u1(),
+                    IntType::u1(),
                 );
                 if let (Some(rr), Some(ret_rv)) = (ret_reg, f.ret.as_ref()) {
                     let v = build_rv(&mut nl, &regs, &rams, &inputs, active, ret_rv);

@@ -453,28 +453,6 @@ fn canonical_for(ty: &Type, v: i64) -> i64 {
     scalar_int_type(ty).canonicalize(v)
 }
 
-fn bin_kind(op: BinOp) -> BinKind {
-    match op {
-        BinOp::Add => BinKind::Add,
-        BinOp::Sub => BinKind::Sub,
-        BinOp::Mul => BinKind::Mul,
-        BinOp::Div => BinKind::Div,
-        BinOp::Rem => BinKind::Rem,
-        BinOp::Shl => BinKind::Shl,
-        BinOp::Shr => BinKind::Shr,
-        BinOp::BitAnd => BinKind::And,
-        BinOp::BitOr => BinKind::Or,
-        BinOp::BitXor => BinKind::Xor,
-        BinOp::Eq => BinKind::Eq,
-        BinOp::Ne => BinKind::Ne,
-        BinOp::Lt => BinKind::Lt,
-        BinOp::Le => BinKind::Le,
-        BinOp::Gt => BinKind::Gt,
-        BinOp::Ge => BinKind::Ge,
-        BinOp::LogAnd | BinOp::LogOr => unreachable!("desugared by sema"),
-    }
-}
-
 struct Interp<'p> {
     prog: &'p HirProgram,
     steps: &'p AtomicU64,
@@ -925,7 +903,7 @@ impl<'p> Interp<'p> {
                         _ => Err(InterpError::BadPointer),
                     };
                 }
-                let kind = bin_kind(*op);
+                let kind = BinKind::from(*op);
                 let ety = if kind.is_comparison() {
                     scalar_int_type(&a.ty)
                 } else {

@@ -5,7 +5,10 @@
 //! fallback (dynamically-banked accesses leave the array whole).
 
 use chls::interp::ArgValue;
-use chls::{backend_by_name, check_conformance, simulate_design, Compiler, SynthOptions, Verdict};
+use chls::{
+    backend_by_name, check_conformance, simulate_design, CompileOptions, Compiler, SynthOptions,
+    Verdict,
+};
 
 const BANKED: &str = "
     int f(int x[8], int y[8]) {
@@ -29,7 +32,8 @@ fn args() -> Vec<ArgValue> {
 
 #[test]
 fn banked_kernel_conforms_on_every_backend() {
-    let results = check_conformance(BANKED, "f", &args()).expect("golden runs");
+    let results =
+        check_conformance(BANKED, "f", &args(), &CompileOptions::new()).expect("golden runs");
     for (backend, verdict) in results {
         match verdict {
             Verdict::Pass { .. } | Verdict::Unsupported(_) => {}
@@ -73,7 +77,8 @@ fn dynamic_banking_falls_back_correctly() {
         }
     ";
     let results =
-        check_conformance(src, "f", &[ArgValue::Scalar(5)]).expect("golden runs");
+        check_conformance(src, "f", &[ArgValue::Scalar(5)], &CompileOptions::new())
+            .expect("golden runs");
     for (backend, verdict) in results {
         match verdict {
             Verdict::Pass { .. } | Verdict::Unsupported(_) => {}
@@ -139,7 +144,7 @@ fn banked_rom_lookup_conforms() {
             return s;
         }
     ";
-    let results = check_conformance(src, "f", &[]).expect("golden runs");
+    let results = check_conformance(src, "f", &[], &CompileOptions::new()).expect("golden runs");
     let mut passes = 0;
     for (backend, verdict) in results {
         match verdict {

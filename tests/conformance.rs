@@ -6,7 +6,7 @@
 //! paper describes).
 
 use chls::interp::ArgValue;
-use chls::{benchmarks, check_conformance, Verdict};
+use chls::{benchmarks, check_conformance, CompileOptions, Verdict};
 
 /// Which refusals are legitimate per backend (the paper's language
 /// restrictions), keyed by backend name.
@@ -27,7 +27,8 @@ fn every_backend_on_every_benchmark() {
     let mut passes = 0;
     let mut refusals = 0;
     for bench in benchmarks() {
-        let results = check_conformance(bench.source, bench.entry, &bench.args)
+        let opts = CompileOptions::new();
+        let results = check_conformance(bench.source, bench.entry, &bench.args, &opts)
             .unwrap_or_else(|e| panic!("{}: golden run failed: {e}", bench.name));
         for (backend, verdict) in results {
             match verdict {
@@ -75,7 +76,7 @@ fn conformance_on_extra_inputs() {
     ];
     for (name, args) in cases {
         let bench = chls::benchmark(name).expect("exists");
-        let results = check_conformance(bench.source, bench.entry, &args)
+        let results = check_conformance(bench.source, bench.entry, &args, &CompileOptions::new())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         for (backend, verdict) in results {
             match verdict {
@@ -93,7 +94,8 @@ fn cycle_counts_reflect_timing_models() {
     // implicit-rule backends and the scheduler produce different cycle
     // counts, but all are in a sane band.
     let bench = chls::benchmark("gcd").expect("exists");
-    let results = check_conformance(bench.source, bench.entry, &bench.args).expect("runs");
+    let opts = CompileOptions::new();
+    let results = check_conformance(bench.source, bench.entry, &bench.args, &opts).expect("runs");
     let mut cycles = std::collections::HashMap::new();
     for (backend, verdict) in results {
         if let Verdict::Pass {
@@ -111,6 +113,32 @@ fn cycle_counts_reflect_timing_models() {
         );
     }
     assert!(cycles.len() >= 3, "{cycles:?}");
+}
+
+/// Pointer lowering turns each pointer into an offset within its one
+/// target object, so `p == q` over different objects would compare two
+/// offsets of 0. The lowering refuses such a comparison (the backend
+/// reports skip), and still lowers one within a single array.
+#[test]
+fn pointer_comparisons_never_mismatch() {
+    let cross = "int f() { int x = 1; int y = 2; int *p = &x; int *q = &y; return p == q; }";
+    let same = "int f(int i) { int a[4]; int *p = &a[1]; int *q = &a[i]; return p == q; }";
+    let opts = CompileOptions::new().jobs(1);
+    for (src, args) in [(cross, vec![]), (same, vec![ArgValue::Scalar(1)])] {
+        let results = check_conformance(src, "f", &args, &opts).expect("golden runs");
+        for (backend, verdict) in &results {
+            assert!(
+                !matches!(verdict, Verdict::Mismatch { .. } | Verdict::Error(_)),
+                "{backend} on `{src}`: {verdict:?}"
+            );
+        }
+        let passes = results.iter().filter(|(_, v)| matches!(v, Verdict::Pass { .. }));
+        if src == same {
+            assert!(passes.count() >= 5, "{results:?}");
+        } else {
+            assert_eq!(passes.count(), 0, "{results:?}");
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! the dataflow machine) must agree on arbitrary expression/control
 //! structures.
 
-use chls::{check_conformance, Verdict};
+use chls::{check_conformance, CompileOptions, Verdict};
 use chls::interp::ArgValue;
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ fn arb_expr(depth: u32) -> BoxedStrategy<String> {
 }
 
 fn assert_all_agree(src: &str, args: &[ArgValue]) {
-    let results = check_conformance(src, "f", args)
+    let results = check_conformance(src, "f", args, &CompileOptions::new())
         .unwrap_or_else(|e| panic!("golden failed on:\n{src}\n{e}"));
     for (backend, verdict) in results {
         match verdict {

@@ -17,7 +17,7 @@ use std::path::Path;
 
 use chls::interp::InterpError;
 use chls::{
-    backend_by_name, check_conformance_with_options, Compiler, Design, SynthOptions, Verdict,
+    backend_by_name, check_conformance, CompileOptions, Compiler, Design, SynthOptions, Verdict,
 };
 use chls_analysis::flow::Dir;
 use chls_analysis::{Balance, FlowReport};
@@ -219,9 +219,8 @@ fn multirate_stream_is_clean_and_its_contract_is_met() {
     // Flow says clean ⇒ every backend must complete and agree, with
     // both a single worker and a contended 8-worker pool.
     for jobs in [1, 8] {
-        let verdicts =
-            check_conformance_with_options(&src, "main", &[], jobs, &SynthOptions::default())
-                .unwrap_or_else(|e| panic!("conformance (jobs={jobs}) failed to run: {e}"));
+        let verdicts = check_conformance(&src, "main", &[], &CompileOptions::new().jobs(jobs))
+            .unwrap_or_else(|e| panic!("conformance (jobs={jobs}) failed to run: {e}"));
         for (backend, v) in &verdicts {
             match v {
                 Verdict::Pass { .. } | Verdict::Unsupported(_) => {}

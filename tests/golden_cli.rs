@@ -129,6 +129,35 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "rewrite_memcpy_walk_json.golden",
         true,
     ),
+    // Halving-loop bounding, recursion to a stack machine, and a counted
+    // nest: the rewriter's in-place loop and continue rewrites.
+    (
+        &["rewrite", "--json", "examples/chl/software/bsearch.chl", "bsearch"],
+        "rewrite_bsearch_json.golden",
+        true,
+    ),
+    (
+        &["rewrite", "--json", "examples/chl/software/fib.chl", "fib"],
+        "rewrite_fib_json.golden",
+        true,
+    ),
+    (
+        &["rewrite", "--json", "examples/chl/software/matmul.chl", "matmul"],
+        "rewrite_matmul_json.golden",
+        true,
+    ),
+    // Partial unrolling substitutes the induction variable into copies.
+    (
+        &["verilog", "--unroll", "2", "--json", "c2v", "examples/chl/fir.chl", "main"],
+        "verilog_fir_unroll2_json.golden",
+        true,
+    ),
+    // Pointer lowering through the arms of a `par`.
+    (
+        &["verilog", "--json", "handelc", "examples/chl/pointer_swap.chl", "main"],
+        "verilog_pointer_swap_handelc_json.golden",
+        true,
+    ),
     (
         &["flow", "examples/chl/stream_multirate.chl", "main"],
         "flow_stream.golden",

@@ -14,7 +14,8 @@
 
 use chls::interp::{ArgValue, InterpOptions, ParOrder};
 use chls::{
-    backend_by_name, check_conformance_with_jobs, simulate_design, Compiler, SynthOptions, Verdict,
+    backend_by_name, check_conformance, simulate_design, CompileOptions, Compiler, SynthOptions,
+    Verdict,
 };
 
 fn lint(src: &str, entry: &str) -> chls_analysis::LintReport {
@@ -130,7 +131,7 @@ fn race_free_programs_agree_across_backends_and_job_counts() {
     let args = [ArgValue::Scalar(7)];
     for (name, src) in RACE_FREE {
         let for_jobs = |jobs: usize| {
-            check_conformance_with_jobs(src, "main", &args, jobs)
+            check_conformance(src, "main", &args, &CompileOptions::new().jobs(jobs))
                 .unwrap_or_else(|e| panic!("{name}: conformance failed: {e}"))
         };
         let one = for_jobs(1);
@@ -612,8 +613,9 @@ fn example_corpus_has_zero_memory_findings() {
 #[test]
 fn deref_of_address_of_folds_yet_cyber_still_rejects_it() {
     let src = "int f(int a) { int x = a; return *&x + 1; }";
+    let opts = CompileOptions::new().jobs(1);
     let verdicts =
-        check_conformance_with_jobs(src, "f", &[ArgValue::Scalar(5)], 1).expect("interpreter runs");
+        check_conformance(src, "f", &[ArgValue::Scalar(5)], &opts).expect("interpreter runs");
     assert_eq!(verdicts.len(), 7);
     for (backend, v) in &verdicts {
         match (*backend, v) {

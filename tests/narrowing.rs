@@ -172,7 +172,7 @@ fn example_args(compiler: &Compiler, entry: &str) -> Vec<ArgValue> {
 /// reschedule — so only the verdict kind is compared.)
 #[test]
 fn examples_are_bit_identical_with_and_without_narrowing() {
-    use chls::{check_conformance_with_options, Verdict};
+    use chls::{check_conformance, CompileOptions, Verdict};
     for entry in std::fs::read_dir("examples/chl").expect("examples present") {
         let path = entry.unwrap().path();
         if path.extension().is_none_or(|e| e != "chl") {
@@ -183,20 +183,11 @@ fn examples_are_bit_identical_with_and_without_narrowing() {
         let args = example_args(&compiler, "main");
         let name = path.display();
         for jobs in [1, 8] {
-            let base =
-                check_conformance_with_options(&src, "main", &args, jobs, &SynthOptions::default())
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let narrow = check_conformance_with_options(
-                &src,
-                "main",
-                &args,
-                jobs,
-                &SynthOptions {
-                    narrow_widths: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let opts = CompileOptions::new().jobs(jobs);
+            let base = check_conformance(&src, "main", &args, &opts)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let narrow = check_conformance(&src, "main", &args, &opts.clone().narrow(true))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(base.len(), narrow.len(), "{name}");
             for ((bk, bv), (nk, nv)) in base.iter().zip(&narrow) {
                 assert_eq!(bk, nk, "{name}: backend order must not depend on options");

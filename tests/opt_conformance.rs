@@ -4,7 +4,7 @@
 //! a verdict or change an answer.
 
 use chls::interp::ArgValue;
-use chls::{check_conformance_with_options, Compiler, SynthOptions, Verdict};
+use chls::{check_conformance, CompileOptions, Compiler, Verdict};
 
 /// Deterministic non-zero arguments for an example entry (same LCG the
 /// narrowing sweep uses, so failures reproduce across suites).
@@ -44,20 +44,11 @@ fn examples_conform_with_opt_netlist() {
         let args = example_args(&compiler, "main");
         let name = path.display();
         for jobs in [1, 8] {
-            let base =
-                check_conformance_with_options(&src, "main", &args, jobs, &SynthOptions::default())
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let opt = check_conformance_with_options(
-                &src,
-                "main",
-                &args,
-                jobs,
-                &SynthOptions {
-                    opt_netlist: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let opts = CompileOptions::new().jobs(jobs);
+            let base = check_conformance(&src, "main", &args, &opts)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let opt = check_conformance(&src, "main", &args, &opts.clone().opt_netlist(true))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(base.len(), opt.len(), "{name}");
             for ((bk, bv), (ok, ov)) in base.iter().zip(&opt) {
                 assert_eq!(bk, ok, "{name}: backend order must not depend on options");
@@ -90,19 +81,9 @@ fn opt_netlist_composes_with_narrow_and_pipeline() {
         let compiler = Compiler::parse(&src).expect("example parses");
         let args = example_args(&compiler, "main");
         let name = path.display();
-        let stacked = check_conformance_with_options(
-            &src,
-            "main",
-            &args,
-            1,
-            &SynthOptions {
-                opt_netlist: true,
-                narrow_widths: true,
-                pipeline_loops: true,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let opts = CompileOptions::new().jobs(1).opt_netlist(true).narrow(true).pipeline(true);
+        let stacked = check_conformance(&src, "main", &args, &opts)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         for (bk, v) in &stacked {
             assert!(
                 !matches!(v, Verdict::Mismatch { .. } | Verdict::Error(_)),

@@ -5,14 +5,17 @@
 //! one-port-at-a-time `output` reference.
 
 use chls::interp::ArgValue;
-use chls::{backend_by_name, check_conformance_with_jobs, Compiler, Design, SynthOptions};
+use chls::{
+    backend_by_name, check_conformance, CompileOptions, Compiler, Design, SynthOptions,
+};
 use chls_rtl::fsmd_to_netlist;
 use chls_sim::netlist_sim::NetlistSim;
 
 /// Renders a full conformance sweep at a given job count.
 fn sweep(bench_name: &str, jobs: usize) -> String {
     let bench = chls::benchmark(bench_name).expect("benchmark exists");
-    let results = check_conformance_with_jobs(bench.source, bench.entry, &bench.args, jobs)
+    let opts = CompileOptions::new().jobs(jobs);
+    let results = check_conformance(bench.source, bench.entry, &bench.args, &opts)
         .expect("conformance runs");
     format!("{results:?}")
 }
@@ -41,14 +44,12 @@ fn verdicts_identical_across_job_counts() {
 /// to the interpreter sweep at every job count.
 #[test]
 fn jit_verdicts_identical_across_job_counts() {
-    use chls::{check_conformance_with_compile_options, CompileOptions};
     for name in ["gcd", "bubble8", "matmul4"] {
         let bench = chls::benchmark(name).expect("benchmark exists");
         let jit_sweep = |jobs: usize| {
             let opts = CompileOptions::new().jobs(jobs).jit(true);
-            let results =
-                check_conformance_with_compile_options(bench.source, bench.entry, &bench.args, &opts)
-                    .expect("conformance runs");
+            let results = check_conformance(bench.source, bench.entry, &bench.args, &opts)
+                .expect("conformance runs");
             format!("{results:?}")
         };
         let sequential = jit_sweep(1);

@@ -8,8 +8,8 @@
 
 use chls::interp::ArgValue;
 use chls::{
-    backend_by_name, check_conformance_with_jobs, rewrite_and_certify, simulate_design, Compiler,
-    CheckStatus, SynthOptions, Verdict,
+    backend_by_name, check_conformance, rewrite_and_certify, simulate_design, CheckStatus,
+    CompileOptions, Compiler, SynthOptions, Verdict,
 };
 use chls_opt::rewrite::RewriteOptions;
 use std::path::Path;
@@ -135,7 +135,8 @@ fn conformance_sweep(jobs: usize) {
         let src = load(case.file);
         let outcome = rewrite_and_certify(&src, case.entry, &RewriteOptions::default(), None)
             .unwrap_or_else(|e| panic!("{}: {e}", case.file));
-        let verdicts = check_conformance_with_jobs(&outcome.source, case.entry, &case.args, jobs)
+        let opts = CompileOptions::new().jobs(jobs);
+        let verdicts = check_conformance(&outcome.source, case.entry, &case.args, &opts)
             .unwrap_or_else(|e| panic!("{}: interpreter rejected rewrite: {e}", case.file));
         for (backend, verdict) in verdicts {
             match verdict {
