@@ -158,6 +158,29 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "verilog_pointer_swap_handelc_json.golden",
         true,
     ),
+    // One design per backend storage builder: HardwareC's chunk
+    // schedule, Transmogrifier's regions, Handel-C's channels and
+    // Cyber's pipelined loop with its stage shadows.
+    (
+        &["verilog", "--json", "hardwarec", "examples/chl/checksum.chl", "main"],
+        "verilog_checksum_hardwarec_json.golden",
+        true,
+    ),
+    (
+        &["verilog", "--json", "transmogrifier", "examples/chl/gcd.chl", "main"],
+        "verilog_gcd_transmogrifier_json.golden",
+        true,
+    ),
+    (
+        &["verilog", "--json", "handelc", "examples/chl/par_pipeline.chl", "main"],
+        "verilog_par_pipeline_handelc_json.golden",
+        true,
+    ),
+    (
+        &["verilog", "--pipeline", "--json", "cyber", "examples/chl/blend.chl", "main"],
+        "verilog_blend_pipeline_cyber_json.golden",
+        true,
+    ),
     (
         &["flow", "examples/chl/stream_multirate.chl", "main"],
         "flow_stream.golden",
