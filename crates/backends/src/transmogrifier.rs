@@ -177,59 +177,38 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
         });
     }
 
-    // Registers: values used outside their defining region, plus phis at
-    // region heads.
-    let mut needs_reg: BTreeSet<Value> = BTreeSet::new();
-    for (i, inst) in f.insts.iter().enumerate() {
-        let v = Value(i as u32);
-        let def_region = region_of[inst.block.0 as usize];
-        if matches!(inst.kind, InstKind::Phi(_)) && heads.contains(&inst.block) {
-            needs_reg.insert(v);
-            continue;
+    // Registers: values read in a region other than their defining one,
+    // plus phis at region heads. One pass over the uses: an operand is
+    // read in its instruction's region, a phi operand at the end of its
+    // predecessor, a branch condition or return value in its block's.
+    let region = |b: BlockId| region_of[b.0 as usize];
+    let mut needs_reg = vec![false; f.insts.len()];
+    let mut read_in = |v: Value, r: BlockId| {
+        let def = f.inst(v);
+        if !matches!(def.kind, InstKind::Const(_) | InstKind::Param(_)) && region(def.block) != r {
+            needs_reg[v.0 as usize] = true;
         }
-        if matches!(inst.kind, InstKind::Const(_) | InstKind::Param(_)) {
-            continue;
-        }
-        // Used in another region?
-        for (j, other) in f.insts.iter().enumerate() {
-            let mut used = false;
-            match &other.kind {
-                InstKind::Phi(args) => {
-                    for (pred, pv) in args {
-                        if *pv == v && region_of[pred.0 as usize] != def_region {
-                            used = true;
-                        }
-                    }
-                }
-                kind => kind.for_each_operand(|o| used |= o == v),
-            }
-            if used {
-                let use_region = match &other.kind {
-                    InstKind::Phi(_) => def_region, // handled above per-edge
-                    _ => region_of[f.insts[j].block.0 as usize],
-                };
-                if use_region != def_region {
-                    needs_reg.insert(v);
-                }
-            }
-        }
-        // Terminator uses in other regions.
-        for (bi, block) in f.blocks.iter().enumerate() {
-            let r = region_of[bi];
-            if r == def_region {
-                continue;
-            }
-            match &block.term {
-                Term::Br { cond, .. } if *cond == v => {
-                    needs_reg.insert(v);
-                }
-                Term::Ret(Some(rv)) if *rv == v => {
-                    needs_reg.insert(v);
-                }
-                _ => {}
-            }
+    };
+    for inst in &f.insts {
+        match &inst.kind {
+            InstKind::Phi(args) => args.iter().for_each(|(pred, pv)| read_in(*pv, region(*pred))),
+            kind => kind.for_each_operand(|o| read_in(o, region(inst.block))),
         }
     }
+    for (block, &r) in f.blocks.iter().zip(&region_of) {
+        if let Term::Br { cond: v, .. } | Term::Ret(Some(v)) = &block.term {
+            read_in(*v, r);
+        }
+    }
+    for (i, inst) in f.insts.iter().enumerate() {
+        if matches!(inst.kind, InstKind::Phi(_)) && heads.contains(&inst.block) {
+            needs_reg[i] = true;
+        }
+    }
+    let needs_reg: Vec<Value> = (0..f.insts.len() as u32)
+        .map(Value)
+        .filter(|v| needs_reg[v.0 as usize])
+        .collect();
     let mut reg_of: HashMap<Value, RegId> = HashMap::new();
     for &v in &needs_reg {
         let ty = f.inst(v).ty;
@@ -750,6 +729,26 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.mems[0], vec![1, 2, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn value_read_across_regions_through_a_phi_edge_gets_a_register() {
+        // `v1` is computed in the entry region and reaches the second
+        // loop's head phi over an edge from the first loop's exit region:
+        // it must live in a register there.
+        let f = synth(
+            "int main(int a[16], int x, int y) {
+                uint<8> v1 = (uint<8>) (y == x);
+                for (int i6 = 0; i6 < 8; i6++) a[i6] = i6;
+                for (int i7 = 0; i7 < 16; i7++) { v1 ^= v1; }
+                return v1;
+            }",
+            "main",
+        );
+        let args = [ArgValue::Array(vec![9; 16]), ArgValue::Scalar(3), ArgValue::Scalar(3)];
+        let r = simulate(&f, &args, 1000).unwrap();
+        assert_eq!(r.ret, Some(0));
+        assert_eq!(r.mems[0], [0, 1, 2, 3, 4, 5, 6, 7, 9, 9, 9, 9, 9, 9, 9, 9]);
     }
 
     #[test]

@@ -88,6 +88,27 @@ fn conformance_on_extra_inputs() {
     }
 }
 
+/// A value computed before two loops and read by the second loop's head
+/// phi over an edge from the first loop's exit. Transmogrifier gave it
+/// no register (it panicked); every backend must now pass.
+#[test]
+fn value_read_over_a_cross_region_phi_edge_passes_everywhere() {
+    let src = "int main(int a[16], int x, int y) {
+        uint<8> v1 = (uint<8>) (y == x);
+        for (int i6 = 0; i6 < 8; i6++) a[i6] = i6;
+        for (int i7 = 0; i7 < 16; i7++) { v1 ^= v1; }
+        return v1;
+    }";
+    for (x, y) in [(3, 3), (3, 4)] {
+        let args = [ArgValue::Array(vec![9; 16]), ArgValue::Scalar(x), ArgValue::Scalar(y)];
+        let results = check_conformance(src, "main", &args, &CompileOptions::new()).expect("runs");
+        assert_eq!(results.len(), 7);
+        for (backend, verdict) in results {
+            assert!(matches!(verdict, Verdict::Pass { .. }), "{backend}: {verdict:?}");
+        }
+    }
+}
+
 #[test]
 fn cycle_counts_reflect_timing_models() {
     // The same GCD through the three clocked compiler paradigms: the

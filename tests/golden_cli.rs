@@ -241,8 +241,7 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "explore_blend_json.golden",
         true,
     ),
-    // Successive halving, plus infeasible points that include
-    // transmogrifier synthesis panics caught by the executor.
+    // Successive halving, plus infeasible points.
     (
         &["explore", "--budget", "32", "--json", "examples/chl/software/matmul.chl", "matmul"],
         "explore_matmul_budget_json.golden",
