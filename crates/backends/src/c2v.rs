@@ -23,11 +23,11 @@
 
 use crate::common::*;
 use chls_frontend::IntType;
-use chls_ir::ir::{Function, InstKind, MemSource, Term, Value};
-use chls_rtl::fsmd::{Action, Fsmd, FsmdMem, NextState, RegId, Rv, RvKind, StateId};
+use chls_ir::ir::{BlockId, Function, InstKind, Term, Value};
+use chls_ir::BinKind;
+use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, StateId};
 use chls_sched::dfg::dfg_from_block;
 use chls_sched::list_schedule;
-use std::collections::HashMap;
 
 /// The C2Verilog backend.
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,33 +74,10 @@ impl Backend for C2Verilog {
     }
 }
 
-/// Shared FSMD construction from scheduled IR; also used by the
-/// Transmogrifier backend for its in-region datapaths.
+/// Shared FSMD construction from scheduled IR; also used by the Cyber
+/// backend.
 pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd, SynthError> {
-    let mut out = Fsmd::new(f.name.clone());
-
-    // Inputs: one per scalar parameter, discovered from Param insts.
-    let mut input_idx: HashMap<usize, usize> = HashMap::new();
-    for inst in &f.insts {
-        if let InstKind::Param(p) = &inst.kind {
-            input_idx
-                .entry(*p)
-                .or_insert_with(|| out.add_input(format!("arg{p}"), inst.ty, *p));
-        }
-    }
-    // Memories.
-    for m in &f.mems {
-        out.add_mem(FsmdMem {
-            name: m.name.clone(),
-            elem: m.elem,
-            len: m.len,
-            rom: m.rom.clone(),
-            param_index: match m.source {
-                MemSource::Param(p) => Some(p),
-                _ => None,
-            },
-        });
-    }
+    let (mut out, inputs) = SsaInputs::build(f);
 
     // Registers for every value that needs one: phis and every scheduled
     // op result (cross-cycle/cross-block uses read the register; same
@@ -109,24 +86,20 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
     // proves sufficient — transparent to readers because register values
     // are canonical integers.
     let widths = opts.narrow_widths.then(|| chls_opt::width::analyze(f));
-    let mut reg_of: HashMap<Value, RegId> = HashMap::new();
+    let mut ctx = Ctx {
+        f,
+        reg_of: Vec::with_capacity(f.insts.len()),
+        inputs,
+        cycle_of: vec![None; f.insts.len()],
+        widths: widths.as_ref(),
+    };
     for (i, inst) in f.insts.iter().enumerate() {
-        let v = Value(i as u32);
         let needs_reg = !matches!(
             &inst.kind,
             InstKind::Const(_) | InstKind::Param(_) | InstKind::Store { .. }
         );
-        if needs_reg {
-            let ty = match &widths {
-                Some(wa) => {
-                    let w = wa.needed_width(f, v).clamp(1, inst.ty.width);
-                    IntType::new(w, inst.ty.signed)
-                }
-                None => inst.ty,
-            };
-            let r = out.add_reg(format!("v{i}"), ty, 0);
-            reg_of.insert(v, r);
-        }
+        let reg = needs_reg.then(|| out.add_reg(format!("v{i}"), ctx.vty(Value(i as u32)), 0));
+        ctx.reg_of.push(reg);
     }
     let ret_reg = f.ret_ty.map(|ty| out.add_reg("ret_value", ty, 0));
 
@@ -134,23 +107,23 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
     // modulo-scheduled overlapped kernels; their blocks are not emitted
     // by the per-block path below.
     let mut pipelined: Vec<crate::pipeline::PipelinedLoop> = Vec::new();
-    let mut covered: std::collections::HashSet<u32> = std::collections::HashSet::new();
+    let mut covered = vec![false; f.blocks.len()];
     if opts.pipeline_loops {
         let forest = chls_ir::loops::LoopForest::compute(f);
         let max_depth = forest.loops.iter().map(|l| l.depth).max().unwrap_or(0);
-        let ctx = crate::pipeline::PipelineCtx {
+        let pctx = crate::pipeline::PipelineCtx {
             f,
-            reg_of: &reg_of,
-            input_idx: &input_idx,
+            reg_of: &ctx.reg_of,
+            inputs: &ctx.inputs,
             opts,
         };
         for l in forest.loops.iter().filter(|l| l.depth == max_depth) {
-            if l.blocks.iter().any(|b| covered.contains(&b.0)) {
+            if l.blocks.iter().any(|b| covered[b.0 as usize]) {
                 continue;
             }
-            if let Some(p) = crate::pipeline::try_pipeline(&mut out, &ctx, l) {
+            if let Some(p) = crate::pipeline::try_pipeline(&mut out, &pctx, l) {
                 for b in &p.covered {
-                    covered.insert(b.0);
+                    covered[b.0 as usize] = true;
                 }
                 pipelined.push(p);
             }
@@ -159,36 +132,25 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
 
     // Per block: schedule and allocate states.
     let mut sched_of = Vec::with_capacity(f.blocks.len());
-    let mut dfg_of = Vec::with_capacity(f.blocks.len());
     let mut block_states: Vec<Vec<StateId>> = Vec::with_capacity(f.blocks.len());
     for bi in 0..f.blocks.len() {
-        if covered.contains(&(bi as u32)) {
+        if covered[bi] {
             // Covered blocks are entered only through their loop header,
             // which maps to the pipeline's entry state.
             let entry = pipelined
                 .iter()
-                .find(|p| p.covered.first() == Some(&chls_ir::BlockId(bi as u32)))
+                .find(|p| p.covered.first() == Some(&BlockId(bi as u32)))
                 .map(|p| vec![p.entry])
                 .unwrap_or_default();
             block_states.push(entry);
-            sched_of.push((
-                list_schedule(&chls_sched::Dfg::default(), opts.clock_period_ns, &opts.resources),
-                Vec::new(),
-            ));
-            dfg_of.push(chls_sched::Dfg::default());
+            sched_of.push(None);
             continue;
         }
-        let (dfg, vals) = dfg_from_block(
-            f,
-            chls_ir::BlockId(bi as u32),
-            opts.precision,
-            &opts.model,
-        );
+        let (dfg, vals) = dfg_from_block(f, BlockId(bi as u32), opts.precision, &opts.model);
         let sched = list_schedule(&dfg, opts.clock_period_ns, &opts.resources);
         let n_states = sched.length.max(1) as usize;
         block_states.push((0..n_states).map(|_| out.add_state()).collect());
-        sched_of.push((sched, vals));
-        dfg_of.push(dfg);
+        sched_of.push(Some((sched, vals)));
     }
     let done_state = out.add_state();
     out.state_mut(done_state).next = NextState::Done;
@@ -199,168 +161,32 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
         out.state_mut(p.exit_state).next = NextState::Goto(target);
     }
 
-    // Expression construction.
-    struct Ctx<'a> {
-        f: &'a Function,
-        reg_of: &'a HashMap<Value, RegId>,
-        input_idx: &'a HashMap<usize, usize>,
-        /// Cycle of each value in the current block (None = other block).
-        cycle_of: HashMap<Value, u32>,
-        /// When narrowing, the value-range analysis.
-        widths: Option<&'a chls_opt::width::WidthAnalysis>,
-    }
-    impl Ctx<'_> {
-        /// The datapath type for `v`: its IR type, or the proven-narrower
-        /// width under `narrow_widths`. Sound for recomputation of
-        /// low-bit-determined operations (add/sub/mul/logic/shl/not/neg:
-        /// result bits below `w` depend only on operand bits below `w`);
-        /// any width-sensitive wrap forces the analysis range up to the
-        /// full type width, which disables narrowing for that value.
-        fn vty(&self, v: Value) -> IntType {
-            let ty = self.f.inst(v).ty;
-            match self.widths {
-                Some(wa) => {
-                    let w = wa.needed_width(self.f, v).clamp(1, ty.width);
-                    IntType::new(w, ty.signed)
-                }
-                None => ty,
-            }
-        }
-
-        /// The datapath type for ops whose low result bits depend on
-        /// operand *high* bits (right shift, division, remainder): the
-        /// width must cover the operands as well as the result.
-        fn vty_covering(&self, v: Value, a: Value, b: Value) -> IntType {
-            let ty = self.f.inst(v).ty;
-            match self.widths {
-                Some(wa) => {
-                    let w = wa
-                        .needed_width(self.f, v)
-                        .max(wa.needed_width(self.f, a))
-                        .max(wa.needed_width(self.f, b))
-                        .clamp(1, ty.width);
-                    IntType::new(w, ty.signed)
-                }
-                None => ty,
-            }
-        }
-
-        /// The Rv for using `v` from an op scheduled at `cycle`.
-        fn rv_use(&self, v: Value, cycle: u32) -> Rv {
-            let inst = self.f.inst(v);
-            match &inst.kind {
-                InstKind::Const(c) => Rv::konst(*c, inst.ty),
-                InstKind::Param(p) => Rv {
-                    kind: RvKind::Input(self.input_idx[p]),
-                    ty: inst.ty,
-                },
-                _ => {
-                    if self.cycle_of.get(&v) == Some(&cycle) {
-                        // Chained: inline the producing expression.
-                        self.rv_def(v, cycle)
-                    } else {
-                        Rv::reg(self.reg_of[&v], self.vty(v))
-                    }
-                }
-            }
-        }
-
-        /// The Rv computing `v` itself (at its own cycle).
-        fn rv_def(&self, v: Value, cycle: u32) -> Rv {
-            let inst = self.f.inst(v);
-            match &inst.kind {
-                InstKind::Const(c) => Rv::konst(*c, inst.ty),
-                InstKind::Param(p) => Rv {
-                    kind: RvKind::Input(self.input_idx[p]),
-                    ty: inst.ty,
-                },
-                InstKind::Bin(op, a, b) => Rv {
-                    kind: RvKind::Bin(
-                        *op,
-                        Box::new(self.rv_use(*a, cycle)),
-                        Box::new(self.rv_use(*b, cycle)),
-                    ),
-                    ty: if op.is_comparison() {
-                        IntType::new(1, false)
-                    } else if matches!(
-                        op,
-                        chls_ir::BinKind::Shr | chls_ir::BinKind::Div | chls_ir::BinKind::Rem
-                    ) {
-                        self.vty_covering(v, *a, *b)
-                    } else {
-                        self.vty(v)
-                    },
-                },
-                InstKind::Un(op, a) => Rv {
-                    kind: RvKind::Un(*op, Box::new(self.rv_use(*a, cycle))),
-                    ty: self.vty(v),
-                },
-                InstKind::Select { cond, t, f: fv } => Rv {
-                    kind: RvKind::Mux(
-                        Box::new(self.rv_use(*cond, cycle)),
-                        Box::new(self.rv_use(*t, cycle)),
-                        Box::new(self.rv_use(*fv, cycle)),
-                    ),
-                    ty: self.vty(v),
-                },
-                InstKind::Cast { val, .. } => Rv {
-                    kind: RvKind::Cast(Box::new(self.rv_use(*val, cycle))),
-                    ty: self.vty(v),
-                },
-                InstKind::Load { mem, addr } => Rv {
-                    kind: RvKind::MemRead {
-                        mem: chls_rtl::fsmd::MemId(mem.0),
-                        addr: Box::new(self.rv_use(*addr, cycle)),
-                    },
-                    ty: inst.ty,
-                },
-                InstKind::Store { .. } | InstKind::Phi(_) => {
-                    unreachable!("stores/phis are not expression defs")
-                }
-            }
-        }
-    }
-
     // Emit each block.
-    for bi in 0..f.blocks.len() {
-        if covered.contains(&(bi as u32)) {
+    for (bi, scheduled) in sched_of.iter().enumerate() {
+        let Some((sched, vals)) = scheduled else {
             continue;
-        }
-        let b = chls_ir::BlockId(bi as u32);
-        let (sched, vals) = &sched_of[bi];
+        };
+        let b = BlockId(bi as u32);
         let states = &block_states[bi];
         // Value -> completion cycle (start + duration - 1).
-        let mut cycle_of: HashMap<Value, u32> = HashMap::new();
+        let done_at = |ni: usize| sched.cycle[ni] + sched.duration[ni] - 1;
         for (ni, &v) in vals.iter().enumerate() {
-            cycle_of.insert(v, sched.cycle[ni] + sched.duration[ni] - 1);
+            ctx.cycle_of[v.0 as usize] = Some(done_at(ni));
         }
-        let ctx = Ctx {
-            f,
-            reg_of: &reg_of,
-            input_idx: &input_idx,
-            cycle_of,
-            widths: widths.as_ref(),
-        };
 
         // Ops commit their registers at the end of their completion cycle.
         for (ni, &v) in vals.iter().enumerate() {
-            let c = sched.cycle[ni] + sched.duration[ni] - 1;
+            let c = done_at(ni);
             let st = states[c as usize];
-            match &f.inst(v).kind {
-                InstKind::Store { mem, addr, value } => {
-                    out.state_mut(st).actions.push(Action::write(
-                        chls_rtl::fsmd::MemId(mem.0),
-                        ctx.rv_use(*addr, c),
-                        ctx.rv_use(*value, c),
-                    ));
-                }
-                _ => {
-                    let rv = ctx.rv_def(v, c);
-                    out.state_mut(st)
-                        .actions
-                        .push(Action::set(reg_of[&v], rv));
-                }
-            }
+            let action = match &f.inst(v).kind {
+                InstKind::Store { mem, addr, value } => Action::write(
+                    MemId(mem.0),
+                    ctx.rv_use(*addr, c),
+                    ctx.rv_use(*value, c),
+                ),
+                _ => Action::set(ctx.reg(v), ctx.rv_def(v, c)),
+            };
+            out.state_mut(st).actions.push(action);
         }
 
         // Chain the sub-states.
@@ -368,6 +194,7 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
             out.state_mut(w[0]).next = NextState::Goto(w[1]);
         }
         let last = *states.last().expect("at least one state");
+        let last_cycle = (states.len() - 1) as u32;
 
         // Phi updates for successors happen in our last state; the
         // simultaneous-commit semantics make parallel swaps safe.
@@ -376,11 +203,8 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
                 if let InstKind::Phi(args) = &f.inst(pv).kind {
                     for (pred, incoming) in args {
                         if *pred == b {
-                            let last_cycle = (states.len() - 1) as u32;
                             let rv = ctx.rv_use(*incoming, last_cycle);
-                            out.state_mut(last)
-                                .actions
-                                .push(Action::set(reg_of[&pv], rv));
+                            out.state_mut(last).actions.push(Action::set(ctx.reg(pv), rv));
                         }
                     }
                 }
@@ -388,7 +212,6 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
         }
 
         // Terminator.
-        let last_cycle = (states.len() - 1) as u32;
         match &f.block(b).term {
             Term::Jump(t) => {
                 out.state_mut(last).next =
@@ -413,10 +236,90 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
                 out.state_mut(last).next = NextState::Goto(done_state);
             }
         }
+        for &v in vals {
+            ctx.cycle_of[v.0 as usize] = None;
+        }
     }
 
     out.ret = ret_reg.map(|rr| Rv::reg(rr, f.ret_ty.expect("ret reg implies type")));
     Ok(out)
+}
+
+/// Expression construction for one design.
+struct Ctx<'a> {
+    f: &'a Function,
+    /// The register of each value, by `Value`.
+    reg_of: Vec<Option<RegId>>,
+    inputs: SsaInputs,
+    /// Completion cycle of each value of the block being emitted, by
+    /// `Value` (`None` for values of other blocks).
+    cycle_of: Vec<Option<u32>>,
+    /// When narrowing, the value-range analysis.
+    widths: Option<&'a chls_opt::width::WidthAnalysis>,
+}
+
+impl Ctx<'_> {
+    fn reg(&self, v: Value) -> RegId {
+        self.reg_of[v.0 as usize].expect("every op result has a register")
+    }
+
+    /// The datapath type for `v`: its IR type, or the proven-narrower
+    /// width under `narrow_widths`. Sound for recomputation of
+    /// low-bit-determined operations (add/sub/mul/logic/shl/not/neg:
+    /// result bits below `w` depend only on operand bits below `w`);
+    /// any width-sensitive wrap forces the analysis range up to the
+    /// full type width, which disables narrowing for that value.
+    fn vty(&self, v: Value) -> IntType {
+        self.vty_covering(v, &[])
+    }
+
+    /// The datapath type for `v`, also covering operands `ops`: ops whose
+    /// low result bits depend on operand *high* bits (right shift,
+    /// division, remainder) need a width that covers the operands as
+    /// well as the result.
+    fn vty_covering(&self, v: Value, ops: &[Value]) -> IntType {
+        let ty = self.f.inst(v).ty;
+        match self.widths {
+            Some(wa) => {
+                let w = ops
+                    .iter()
+                    .fold(wa.needed_width(self.f, v), |w, &o| w.max(wa.needed_width(self.f, o)))
+                    .clamp(1, ty.width);
+                IntType::new(w, ty.signed)
+            }
+            None => ty,
+        }
+    }
+
+    /// The Rv for using `v` from an op scheduled at `cycle`.
+    fn rv_use(&self, v: Value, cycle: u32) -> Rv {
+        let inst = self.f.inst(v);
+        if let Some(leaf) = self.inputs.leaf(inst) {
+            leaf
+        } else if self.cycle_of[v.0 as usize] == Some(cycle) {
+            // Chained: inline the producing expression.
+            self.rv_def(v, cycle)
+        } else {
+            Rv::reg(self.reg(v), self.vty(v))
+        }
+    }
+
+    /// The Rv computing `v` itself (at its own cycle).
+    fn rv_def(&self, v: Value, cycle: u32) -> Rv {
+        let inst = self.f.inst(v);
+        if let Some(leaf) = self.inputs.leaf(inst) {
+            return leaf;
+        }
+        let ty = match inst.kind {
+            InstKind::Bin(op, ..) if op.is_comparison() => IntType::u1(),
+            InstKind::Bin(BinKind::Shr | BinKind::Div | BinKind::Rem, a, b) => {
+                self.vty_covering(v, &[a, b])
+            }
+            InstKind::Load { .. } => inst.ty,
+            _ => self.vty(v),
+        };
+        op_rv(&inst.kind, ty, |o| self.rv_use(o, cycle))
+    }
 }
 
 #[cfg(test)]

@@ -3,10 +3,13 @@
 //! containers. The shared front half lives in [`crate::prepare`].
 
 pub use crate::prepare::{Prepared, Preparer, Structured};
+use chls_frontend::hir::{HirFunc, HirPlace, HirProgram, LocalId};
 use chls_frontend::{IntType, Type};
+use chls_ir::ir::{Function, InstData, InstKind, MemSource, Value};
+use chls_ir::BinKind;
 use chls_opt::dep::AliasPrecision;
 use chls_rtl::cost::CostModel;
-use chls_rtl::fsmd::Fsmd;
+use chls_rtl::fsmd::{Action, Fsmd, FsmdMem, MemId, NextState, RegId, Rv, RvKind, StateId};
 use chls_rtl::netlist::Netlist;
 use chls_sched::Resources;
 use std::fmt;
@@ -152,6 +155,228 @@ pub fn scalar_ty(ty: &Type) -> IntType {
         Type::Bool => IntType::u1(),
         Type::Int(it) => *it,
         _ => IntType::int(),
+    }
+}
+
+/// Where a structured backend keeps one HIR local.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// A scalar register.
+    Reg(RegId),
+    /// An array memory.
+    Mem(MemId),
+    /// A channel, numbered in declaration order.
+    Chan(u32),
+    /// No storage (`void`).
+    Void,
+}
+
+/// The storage of a structured (HIR) backend's entry function, built
+/// once for Handel-C and HardwareC alike. The tables are indexed by
+/// `LocalId` and `GlobalId`.
+pub(crate) struct HirStorage<'p> {
+    /// The entry function.
+    pub func: &'p HirFunc,
+    /// Each local's storage.
+    pub locals: Vec<Slot>,
+    /// Each global array's ROM (`None` for scalar globals).
+    pub globals: Vec<Option<MemId>>,
+    /// The register holding the return value, for non-`void` functions.
+    pub ret_reg: Option<RegId>,
+}
+
+impl<'p> HirStorage<'p> {
+    /// Starts the design of `prog`'s entry function: in local order a
+    /// register per scalar, a memory per array and a number per channel,
+    /// then a ROM per global array, then `ret_value`.
+    pub fn build(prog: &'p HirProgram) -> Result<(Fsmd, Self), SynthError> {
+        let func = &prog.funcs[0];
+        let mut fsmd = Fsmd::new(func.name.clone());
+        let mut chans = 0u32;
+        let mut locals = Vec::with_capacity(func.locals.len());
+        for (i, local) in func.locals.iter().enumerate() {
+            locals.push(match &local.ty {
+                Type::Bool | Type::Int(_) => Slot::Reg(fsmd.add_reg(
+                    format!("{}_{i}", local.name.replace('$', "t")),
+                    scalar_ty(&local.ty),
+                    0,
+                )),
+                Type::Array(elem, n) => Slot::Mem(fsmd.add_mem(FsmdMem {
+                    name: local.name.clone(),
+                    elem: scalar_ty(elem),
+                    len: *n,
+                    rom: local.rom.clone(),
+                    param_index: local.is_param.then_some(i),
+                })),
+                Type::Chan(_) => {
+                    chans += 1;
+                    Slot::Chan(chans - 1)
+                }
+                Type::Ptr(_) => {
+                    return Err(SynthError::Transform("pointer survived lowering".to_string()))
+                }
+                Type::Void => Slot::Void,
+            });
+        }
+        let globals = prog
+            .globals
+            .iter()
+            .map(|g| match &g.ty {
+                Type::Array(elem, _) => Some(fsmd.add_mem(FsmdMem {
+                    name: g.name.clone(),
+                    elem: scalar_ty(elem),
+                    len: g.values.len(),
+                    rom: Some(g.values.clone()),
+                    param_index: None,
+                })),
+                _ => None,
+            })
+            .collect();
+        let ret_reg = match &func.ret_ty {
+            Type::Void => None,
+            other => Some(fsmd.add_reg("ret_value", scalar_ty(other), 0)),
+        };
+        Ok((fsmd, HirStorage { func, locals, globals, ret_reg }))
+    }
+
+    /// The register of scalar local `id`.
+    pub fn reg(&self, id: LocalId) -> RegId {
+        match self.locals[id.0 as usize] {
+            Slot::Reg(r) => r,
+            other => panic!("local {id} is not a scalar: {other:?}"),
+        }
+    }
+
+    /// The number of channel local `id`.
+    pub fn chan(&self, id: LocalId) -> u32 {
+        match self.locals[id.0 as usize] {
+            Slot::Chan(c) => c,
+            other => panic!("local {id} is not a channel: {other:?}"),
+        }
+    }
+
+    /// The memory an indexed place reads or writes.
+    pub fn place_mem(&self, place: &HirPlace) -> Result<MemId, SynthError> {
+        let mem = match place {
+            HirPlace::Local(id) => match self.locals[id.0 as usize] {
+                Slot::Mem(m) => Some(m),
+                _ => return Err(SynthError::Transform("indexing a scalar".to_string())),
+            },
+            HirPlace::Global(g) => self.globals[g.0 as usize],
+            _ => return Err(SynthError::Transform("bad memory place".to_string())),
+        };
+        mem.ok_or_else(|| SynthError::Transform("unknown global".to_string()))
+    }
+
+    /// Makes `state` latch every scalar parameter from a new primary
+    /// input into its register (structured-language variables are
+    /// mutable, so parameters live in registers).
+    pub fn latch_params(&self, fsmd: &mut Fsmd, state: StateId) {
+        for (i, local) in self.func.locals.iter().enumerate() {
+            if local.is_param && local.ty.is_scalar() {
+                let ty = scalar_ty(&local.ty);
+                let input = fsmd.add_input(format!("arg{i}"), ty, i);
+                let rv = Rv { kind: RvKind::Input(input), ty };
+                let set = Action::set(self.reg(LocalId(i as u32)), rv);
+                fsmd.state_mut(state).actions.push(set);
+            }
+        }
+    }
+
+    /// The design's return value.
+    pub fn ret(&self) -> Option<Rv> {
+        self.ret_reg.map(|r| Rv::reg(r, scalar_ty(&self.func.ret_ty)))
+    }
+}
+
+/// The primary input of each scalar parameter of an SSA function,
+/// indexed by parameter number.
+pub(crate) struct SsaInputs(Vec<Option<usize>>);
+
+impl SsaInputs {
+    /// Starts the design of `f` for the SSA backends (c2v, cyber and
+    /// transmogrifier): one input per scalar parameter in the order of
+    /// its first `Param` instruction, then one memory per IR memory.
+    pub fn build(f: &Function) -> (Fsmd, Self) {
+        let mut fsmd = Fsmd::new(f.name.clone());
+        let mut inputs = Vec::new();
+        for inst in &f.insts {
+            if let InstKind::Param(p) = inst.kind {
+                if inputs.len() <= p {
+                    inputs.resize(p + 1, None);
+                }
+                if inputs[p].is_none() {
+                    inputs[p] = Some(fsmd.add_input(format!("arg{p}"), inst.ty, p));
+                }
+            }
+        }
+        for m in &f.mems {
+            fsmd.add_mem(FsmdMem {
+                name: m.name.clone(),
+                elem: m.elem,
+                len: m.len,
+                rom: m.rom.clone(),
+                param_index: match m.source {
+                    MemSource::Param(p) => Some(p),
+                    _ => None,
+                },
+            });
+        }
+        (fsmd, SsaInputs(inputs))
+    }
+
+    /// The `Rv` of a `Const` or `Param` leaf, and `None` for any other
+    /// instruction.
+    pub fn leaf(&self, inst: &InstData) -> Option<Rv> {
+        match inst.kind {
+            InstKind::Const(c) => Some(Rv::konst(c, inst.ty)),
+            InstKind::Param(p) => Some(Rv {
+                kind: RvKind::Input(self.0[p].expect("every Param has an input")),
+                ty: inst.ty,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// The full-width type of an SSA op's `Rv`: `u1` for a comparison, the
+/// instruction's own type otherwise.
+pub(crate) fn op_ty(inst: &InstData) -> IntType {
+    match inst.kind {
+        InstKind::Bin(op, ..) if op.is_comparison() => IntType::u1(),
+        _ => inst.ty,
+    }
+}
+
+/// The `Rv` of an SSA datapath op (`Bin`, `Un`, `Select`, `Cast` or
+/// `Load`) of type `ty`, with each operand resolved by `operand`. The
+/// one translation every SSA backend shares.
+pub(crate) fn op_rv(kind: &InstKind, ty: IntType, mut operand: impl FnMut(Value) -> Rv) -> Rv {
+    let mut op = |v: &Value| Box::new(operand(*v));
+    let kind = match kind {
+        InstKind::Bin(bin, a, b) => RvKind::Bin(*bin, op(a), op(b)),
+        InstKind::Un(un, a) => RvKind::Un(*un, op(a)),
+        InstKind::Select { cond, t, f } => RvKind::Mux(op(cond), op(t), op(f)),
+        InstKind::Cast { val, .. } => RvKind::Cast(op(val)),
+        InstKind::Load { mem, addr } => RvKind::MemRead { mem: MemId(mem.0), addr: op(addr) },
+        other => unreachable!("not a datapath op: {other:?}"),
+    };
+    Rv { kind, ty }
+}
+
+/// `rv == 0` as a `u1`: the negation of a condition.
+pub(crate) fn is_zero(rv: Rv) -> Rv {
+    Rv::bin(BinKind::Eq, IntType::u1(), rv, Rv::konst(0, IntType::u1()))
+}
+
+/// The next-state of a state leaving through guarded `cases` in
+/// priority order: the last case is the default, and no case at all
+/// goes to `fallback`.
+pub(crate) fn cases_to_next(mut cases: Vec<(Rv, StateId)>, fallback: StateId) -> NextState {
+    match cases.pop() {
+        None => NextState::Goto(fallback),
+        Some((_, only)) if cases.is_empty() => NextState::Goto(only),
+        Some((_, default)) => NextState::Cases { cases, default },
     }
 }
 

@@ -88,13 +88,12 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
     let rpo = f.reverse_postorder();
     let preds = f.predecessors();
 
-    // Memory state per block entry: mems[m] = element cells.
-    let mut mem_in: HashMap<(BlockId, usize), Vec<CellId>> = HashMap::new();
-    let mut mem_out: HashMap<(BlockId, usize), Vec<CellId>> = HashMap::new();
-    // Block and edge predicates.
-    let mut block_pred: HashMap<BlockId, CellId> = HashMap::new();
+    // Memory state at each block's exit, by `BlockId`: mems[m] = element
+    // cells.
+    let mut mem_out: Vec<Vec<Vec<CellId>>> = vec![Vec::new(); f.blocks.len()];
+    // Edge predicates, and each value's cell by `Value`.
     let mut edge_pred: HashMap<(BlockId, BlockId), CellId> = HashMap::new();
-    let mut values: HashMap<Value, CellId> = HashMap::new();
+    let mut values: Vec<Option<CellId>> = vec![None; f.insts.len()];
 
     // Initial memory contents.
     let mut init_mems: Vec<Vec<CellId>> = Vec::new();
@@ -149,9 +148,7 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
             let mut state: Option<Vec<Vec<CellId>>> = None;
             for &p in ps {
                 let ep = edge_pred[&(p, b)];
-                let incoming: Vec<Vec<CellId>> = (0..f.mems.len())
-                    .map(|m| mem_out[&(p, m)].clone())
-                    .collect();
+                let incoming = mem_out[p.0 as usize].clone();
                 state = Some(match state {
                     None => incoming,
                     Some(acc) => acc
@@ -178,15 +175,12 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                 state.unwrap_or_else(|| init_mems.clone()),
             )
         };
-        block_pred.insert(b, pred);
-        for (m, elems) in mem_state.iter().enumerate() {
-            mem_in.insert((b, m), elems.clone());
-        }
         let mut cur_mems = mem_state;
 
         // Evaluate instructions.
         for &v in &f.block(b).insts {
             let inst = f.inst(v);
+            let operand = |v: &Value| values[v.0 as usize].expect("operands precede their uses");
             let cell = match &inst.kind {
                 InstKind::Param(i) => nl.add(
                     CellKind::Input {
@@ -196,26 +190,26 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                 ),
                 InstKind::Const(c) => nl.add(CellKind::Const(*c), inst.ty),
                 InstKind::Bin(op, a, bb) => {
-                    nl.add(CellKind::Bin(*op, values[a], values[bb]), inst.ty)
+                    nl.add(CellKind::Bin(*op, operand(a), operand(bb)), inst.ty)
                 }
-                InstKind::Un(op, a) => nl.add(CellKind::Un(*op, values[a]), inst.ty),
+                InstKind::Un(op, a) => nl.add(CellKind::Un(*op, operand(a)), inst.ty),
                 InstKind::Select { cond, t, f: fv } => nl.add(
                     CellKind::Mux {
-                        sel: values[cond],
-                        a: values[t],
-                        b: values[fv],
+                        sel: operand(cond),
+                        a: operand(t),
+                        b: operand(fv),
                     },
                     inst.ty,
                 ),
                 InstKind::Cast { from, val } => nl.add(
                     CellKind::Cast {
                         from: *from,
-                        val: values[val],
+                        val: operand(val),
                     },
                     inst.ty,
                 ),
                 InstKind::Load { mem, addr } => {
-                    let a = values[addr];
+                    let a = operand(addr);
                     let elems = &cur_mems[mem.0 as usize];
                     // Mux tree indexed by the address.
                     let mut acc = elems[0];
@@ -228,8 +222,8 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                     acc
                 }
                 InstKind::Store { mem, addr, value } => {
-                    let a = values[addr];
-                    let val = values[value];
+                    let a = operand(addr);
+                    let val = operand(value);
                     let aty = nl.cell(a).ty;
                     let mi = mem.0 as usize;
                     let elems = cur_mems[mi].clone();
@@ -250,7 +244,7 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                     let mut acc: Option<CellId> = None;
                     for (p, pv) in args {
                         let ep = edge_pred[&(*p, b)];
-                        let src = values[pv];
+                        let src = operand(pv);
                         acc = Some(match acc {
                             None => src,
                             Some(prev) => nl.add(
@@ -268,11 +262,9 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                     })?
                 }
             };
-            values.insert(v, cell);
+            values[v.0 as usize] = Some(cell);
         }
-        for (m, elems) in cur_mems.iter().enumerate() {
-            mem_out.insert((b, m), elems.clone());
-        }
+        mem_out[b.0 as usize] = cur_mems.clone();
 
         // Terminator: edge predicates / return collection.
         match &f.block(b).term {
@@ -280,7 +272,7 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                 merge_edge_pred(&mut nl, &mut edge_pred, (b, *t), pred);
             }
             Term::Br { cond, then, els } => {
-                let c = values[cond];
+                let c = values[cond.0 as usize].expect("condition precedes its use");
                 let not_c = {
                     let zero = nl.add(CellKind::Const(0), IntType::u1());
                     nl.add(CellKind::Bin(BinKind::Eq, c, zero), IntType::u1())
@@ -291,7 +283,8 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                 merge_edge_pred(&mut nl, &mut edge_pred, (b, *els), pf);
             }
             Term::Ret(v) => {
-                rets.push((pred, v.map(|v| values[&v]), cur_mems.clone()));
+                let ret = v.map(|v| values[v.0 as usize].expect("return value precedes its use"));
+                rets.push((pred, ret, cur_mems.clone()));
                 continue;
             }
             Term::Unreachable => {

@@ -25,10 +25,10 @@
 use crate::common::*;
 use chls_frontend::ast::UnOp;
 use chls_frontend::hir::*;
-use chls_frontend::{IntType, Type};
+use chls_frontend::IntType;
 use chls_ir::{BinKind, UnKind};
 use chls_rtl::fsmd::{
-    Action, BlockedOp, ChanDir, Fsmd, FsmdMem, MemId, NextState, RegId, Rv, RvKind, StateId,
+    Action, BlockedOp, ChanDir, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId,
     StuckState,
 };
 use std::collections::HashMap;
@@ -102,86 +102,20 @@ enum Cfg {
 }
 
 struct Compile<'p> {
-    func: &'p HirFunc,
+    st: HirStorage<'p>,
     nodes: Vec<HcNode>,
     fsmd: Fsmd,
-    reg_of: HashMap<LocalId, RegId>,
-    mem_of: HashMap<LocalId, MemId>,
-    global_mem: HashMap<GlobalId, MemId>,
-    chan_of: HashMap<LocalId, u32>,
-    ret_reg: Option<RegId>,
     /// (continue target, break target) per enclosing loop.
     loop_stack: Vec<(usize, usize)>,
 }
 
 impl<'p> Compile<'p> {
     fn new(prog: &'p HirProgram) -> Result<Self, SynthError> {
-        let func = &prog.funcs[0];
-        let mut fsmd = Fsmd::new(func.name.clone());
-        let mut reg_of = HashMap::new();
-        let mut mem_of = HashMap::new();
-        let mut chan_of = HashMap::new();
-        let mut chan_count = 0u32;
-        for (i, local) in func.locals.iter().enumerate() {
-            let id = LocalId(i as u32);
-            match &local.ty {
-                Type::Bool | Type::Int(_) => {
-                    let r = fsmd.add_reg(
-                        format!("{}_{i}", local.name.replace('$', "t")),
-                        scalar_ty(&local.ty),
-                        0,
-                    );
-                    reg_of.insert(id, r);
-                }
-                Type::Array(elem, n) => {
-                    let m = fsmd.add_mem(FsmdMem {
-                        name: local.name.clone(),
-                        elem: scalar_ty(elem),
-                        len: *n,
-                        rom: local.rom.clone(),
-                        param_index: if local.is_param { Some(i) } else { None },
-                    });
-                    mem_of.insert(id, m);
-                }
-                Type::Chan(_) => {
-                    chan_of.insert(id, chan_count);
-                    chan_count += 1;
-                }
-                Type::Ptr(_) => {
-                    return Err(SynthError::Transform(
-                        "pointer survived lowering".to_string(),
-                    ));
-                }
-                Type::Void => {}
-            }
-        }
-        // Globals become ROMs on demand.
-        let mut global_mem = HashMap::new();
-        for (gi, g) in prog.globals.iter().enumerate() {
-            if let Type::Array(elem, _) = &g.ty {
-                let m = fsmd.add_mem(FsmdMem {
-                    name: g.name.clone(),
-                    elem: scalar_ty(elem),
-                    len: g.values.len(),
-                    rom: Some(g.values.clone()),
-                    param_index: None,
-                });
-                global_mem.insert(GlobalId(gi as u32), m);
-            }
-        }
-        let ret_reg = match &func.ret_ty {
-            Type::Void => None,
-            other => Some(fsmd.add_reg("ret_value", scalar_ty(other), 0)),
-        };
+        let (fsmd, st) = HirStorage::build(prog)?;
         Ok(Compile {
-            func,
+            st,
             nodes: Vec::new(),
             fsmd,
-            reg_of,
-            mem_of,
-            global_mem,
-            chan_of,
-            ret_reg,
             loop_stack: Vec::new(),
         })
     }
@@ -204,14 +138,7 @@ impl<'p> Compile<'p> {
                         kind: RvKind::Un(UnKind::Not, Box::new(ar)),
                         ty,
                     },
-                    UnOp::LogNot => Rv {
-                        kind: RvKind::Bin(
-                            BinKind::Eq,
-                            Box::new(ar),
-                            Box::new(Rv::konst(0, IntType::u1())),
-                        ),
-                        ty: IntType::u1(),
-                    },
+                    UnOp::LogNot => is_zero(ar),
                 }
             }
             HirExprKind::Binary(op, a, b) => {
@@ -242,9 +169,9 @@ impl<'p> Compile<'p> {
 
     fn load_place(&self, place: &HirPlace, ty: IntType) -> Result<Rv, SynthError> {
         Ok(match place {
-            HirPlace::Local(id) => Rv::reg(self.reg_of[id], ty),
+            HirPlace::Local(id) => Rv::reg(self.st.reg(*id), ty),
             HirPlace::Index { base, index } => {
-                let mem = self.place_mem(base)?;
+                let mem = self.st.place_mem(base)?;
                 Rv {
                     kind: RvKind::MemRead {
                         mem,
@@ -259,23 +186,11 @@ impl<'p> Compile<'p> {
         })
     }
 
-    fn place_mem(&self, place: &HirPlace) -> Result<MemId, SynthError> {
-        match place {
-            HirPlace::Local(id) => self.mem_of.get(id).copied().ok_or_else(|| {
-                SynthError::Transform("indexing a scalar".to_string())
-            }),
-            HirPlace::Global(g) => self.global_mem.get(g).copied().ok_or_else(|| {
-                SynthError::Transform("unknown global".to_string())
-            }),
-            _ => Err(SynthError::Transform("bad memory place".to_string())),
-        }
-    }
-
     fn dst(&self, place: &HirPlace) -> Result<Dst, SynthError> {
         Ok(match place {
-            HirPlace::Local(id) => Dst::Reg(self.reg_of[id]),
+            HirPlace::Local(id) => Dst::Reg(self.st.reg(*id)),
             HirPlace::Index { base, index } => {
-                Dst::Mem(self.place_mem(base)?, self.rv(index)?)
+                Dst::Mem(self.st.place_mem(base)?, self.rv(index)?)
             }
             _ => return Err(SynthError::Transform("bad destination".to_string())),
         })
@@ -311,7 +226,7 @@ impl<'p> Compile<'p> {
             HirStmt::Send { chan, value, .. } => {
                 let v = self.rv(value)?;
                 Ok(self.add(HcNode::Send {
-                    chan: self.chan_of[chan],
+                    chan: self.st.chan(*chan),
                     value: v,
                     next,
                 }))
@@ -319,7 +234,7 @@ impl<'p> Compile<'p> {
             HirStmt::Recv { dst, chan, .. } => {
                 let d = self.dst(dst)?;
                 Ok(self.add(HcNode::Recv {
-                    chan: self.chan_of[chan],
+                    chan: self.st.chan(*chan),
                     dst: d,
                     next,
                 }))
@@ -388,7 +303,7 @@ impl<'p> Compile<'p> {
                 self.block(init, dec)
             }
             HirStmt::Return(v) => {
-                match (v, self.ret_reg) {
+                match (v, self.st.ret_reg) {
                     (Some(e), Some(rr)) => {
                         let rv = self.rv(e)?;
                         Ok(self.add(HcNode::Step {
@@ -429,35 +344,20 @@ impl<'p> Compile<'p> {
     // ---- product construction ----
 
     fn run(mut self) -> Result<Fsmd, SynthError> {
-        let entry_node = self.block(&self.func.body.clone(), END)?;
+        let entry_node = self.block(&self.st.func.body, END)?;
 
-        // Entry state: latch scalar parameters.
+        // Entry state: latch scalar parameters. The first decisions
+        // (evaluated while leaving the entry state) must see the latched
+        // parameter values.
         let entry_state = self.fsmd.add_state();
         self.fsmd.entry = entry_state;
-        let mut param_actions = Vec::new();
-        for (i, local) in self.func.locals.iter().enumerate() {
-            if local.is_param && local.ty.is_scalar() {
-                let idx =
-                    self.fsmd
-                        .add_input(format!("arg{i}"), scalar_ty(&local.ty), i);
-                param_actions.push(Action::set(
-                    self.reg_of[&LocalId(i as u32)],
-                    Rv {
-                        kind: RvKind::Input(idx),
-                        ty: scalar_ty(&local.ty),
-                    },
-                ));
-            }
-        }
-        // The first decisions (evaluated while leaving the entry state)
-        // must see the latched parameter values.
+        self.st.latch_params(&mut self.fsmd, entry_state);
         let mut entry_subst = Subst::default();
-        for a in &param_actions {
+        for a in &self.fsmd.state(entry_state).actions {
             if let chls_rtl::fsmd::ActionKind::SetReg(r, rv) = &a.kind {
                 entry_subst.regs.insert(*r, rv.clone());
             }
         }
-        self.fsmd.state_mut(entry_state).actions = param_actions;
 
         let done_state = self.fsmd.add_state();
         self.fsmd.state_mut(done_state).next = NextState::Done;
@@ -594,9 +494,7 @@ impl<'p> Compile<'p> {
             self.fsmd.state_mut(state).next = cases_to_next(cases, done_state);
         }
 
-        self.fsmd.ret = self
-            .ret_reg
-            .map(|rr| Rv::reg(rr, scalar_ty(&self.func.ret_ty)));
+        self.fsmd.ret = self.st.ret();
         Ok(self.fsmd)
     }
 
@@ -634,15 +532,12 @@ impl<'p> Compile<'p> {
         }
     }
 
-    /// The source name of channel `chan` (reverse of `chan_of`).
+    /// The source name of channel `chan`.
     fn chan_name(&self, chan: u32) -> String {
-        self.chan_of
-            .iter()
-            .find(|(_, c)| **c == chan)
-            .map_or_else(
-                || format!("chan{chan}"),
-                |(l, _)| self.func.local(*l).name.clone(),
-            )
+        match self.st.locals.iter().position(|s| *s == Slot::Chan(chan)) {
+            Some(l) => self.st.func.locals[l].name.clone(),
+            None => format!("chan{chan}"),
+        }
     }
 
     /// Successor options of one configuration: stalled leaves stay, active
@@ -725,14 +620,7 @@ impl<'p> Compile<'p> {
             HcNode::Decision { cond, then, els } => {
                 visiting.push(node);
                 let c = subst.apply(cond);
-                let not_c = Rv {
-                    kind: RvKind::Bin(
-                        BinKind::Eq,
-                        Box::new(c.clone()),
-                        Box::new(Rv::konst(0, IntType::u1())),
-                    ),
-                    ty: IntType::u1(),
-                };
+                let not_c = is_zero(c.clone());
                 let mut out = Vec::new();
                 for (gate, target) in [(c, *then), (not_c, *els)] {
                     for (c2, cfg) in self.advance(target, subst, visiting)? {
@@ -867,20 +755,6 @@ fn and_opt(a: Option<Rv>, b: Option<Rv>) -> Option<Rv> {
             kind: RvKind::Mux(Box::new(x), Box::new(y), Box::new(Rv::konst(0, IntType::u1()))),
             ty: IntType::u1(),
         }),
-    }
-}
-
-fn cases_to_next(cases: Vec<(Rv, StateId)>, fallback: StateId) -> NextState {
-    match cases.len() {
-        0 => NextState::Goto(fallback),
-        1 => NextState::Goto(cases[0].1),
-        _ => {
-            let default = cases.last().expect("nonempty").1;
-            NextState::Cases {
-                cases: cases[..cases.len() - 1].to_vec(),
-                default,
-            }
-        }
     }
 }
 

@@ -26,15 +26,14 @@
 use crate::common::*;
 use chls_frontend::ast::UnOp;
 use chls_frontend::hir::*;
-use chls_frontend::{IntType, Type};
+use chls_frontend::IntType;
 use chls_ir::{BinKind, UnKind};
-use chls_rtl::fsmd::{Action, Fsmd, FsmdMem, MemId, NextState, RegId, Rv, RvKind, StateId};
+use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId};
 use chls_sched::dfg::{Dfg, DfgNode, NodeId};
 use chls_sched::schedule::Schedule;
 use chls_sched::{force_directed, list_schedule};
 use chls_rtl::cost::OpClass;
 use chls_rtl::netlist::bin_class;
-use std::collections::HashMap;
 
 /// The HardwareC backend.
 #[derive(Debug, Clone, Copy, Default)]
@@ -99,20 +98,34 @@ struct Chunk {
     payload: Vec<CNode>,
     /// Final register commits: node -> destination register.
     commits: Vec<(In, RegId)>,
-    /// Current symbolic value of each local inside the chunk.
-    cur: HashMap<LocalId, In>,
-    /// Last access node per memory (for ordering edges).
-    last_mem: HashMap<u32, NodeId>,
+    /// Current symbolic value of each local inside the chunk, by `LocalId`.
+    cur: Vec<Option<In>>,
+    /// Last access node per memory, by `MemId` (for ordering edges).
+    last_mem: Vec<Option<NodeId>>,
+}
+
+impl Chunk {
+    fn cur(&self, id: LocalId) -> Option<&In> {
+        self.cur.get(id.0 as usize)?.as_ref()
+    }
+
+    fn set_cur(&mut self, id: LocalId, v: In) {
+        set_dense(&mut self.cur, id.0 as usize, v);
+    }
+}
+
+/// Sets `table[i]`, growing the table as needed.
+fn set_dense<T: Clone>(table: &mut Vec<Option<T>>, i: usize, v: T) {
+    if table.len() <= i {
+        table.resize(i + 1, None);
+    }
+    table[i] = Some(v);
 }
 
 struct Compiler<'p> {
-    prog: &'p HirProgram,
+    st: HirStorage<'p>,
     opts: &'p SynthOptions,
     fsmd: Fsmd,
-    reg_of: HashMap<LocalId, RegId>,
-    mem_of: HashMap<LocalId, MemId>,
-    global_mem: HashMap<GlobalId, MemId>,
-    ret_reg: Option<RegId>,
     done_state: StateId,
     /// Temp registers per emitted chunk node.
     temp_count: u32,
@@ -120,103 +133,33 @@ struct Compiler<'p> {
 
 impl<'p> Compiler<'p> {
     fn new(prog: &'p HirProgram, opts: &'p SynthOptions) -> Result<Self, SynthError> {
-        let func = &prog.funcs[0];
-        let mut fsmd = Fsmd::new(func.name.clone());
-        let mut reg_of = HashMap::new();
-        let mut mem_of = HashMap::new();
-        for (i, local) in func.locals.iter().enumerate() {
-            let id = LocalId(i as u32);
-            match &local.ty {
-                Type::Bool | Type::Int(_) => {
-                    let r = fsmd.add_reg(
-                        format!("{}_{i}", local.name.replace('$', "t")),
-                        scalar_ty(&local.ty),
-                        0,
-                    );
-                    reg_of.insert(id, r);
-                }
-                Type::Array(elem, n) => {
-                    let m = fsmd.add_mem(FsmdMem {
-                        name: local.name.clone(),
-                        elem: scalar_ty(elem),
-                        len: *n,
-                        rom: local.rom.clone(),
-                        param_index: if local.is_param { Some(i) } else { None },
-                    });
-                    mem_of.insert(id, m);
-                }
-                Type::Chan(_) => {
-                    return Err(SynthError::Unsupported {
-                        backend: "hardwarec",
-                        what: "channels (use the handelc backend)".to_string(),
-                    });
-                }
-                Type::Ptr(_) => {
-                    return Err(SynthError::Transform("pointer survived".to_string()));
-                }
-                Type::Void => {}
-            }
+        let (mut fsmd, st) = HirStorage::build(prog)?;
+        if st.locals.iter().any(|s| matches!(s, Slot::Chan(_))) {
+            return Err(SynthError::Unsupported {
+                backend: "hardwarec",
+                what: "channels (use the handelc backend)".to_string(),
+            });
         }
-        let mut global_mem = HashMap::new();
-        for (gi, g) in prog.globals.iter().enumerate() {
-            if let Type::Array(elem, _) = &g.ty {
-                let m = fsmd.add_mem(FsmdMem {
-                    name: g.name.clone(),
-                    elem: scalar_ty(elem),
-                    len: g.values.len(),
-                    rom: Some(g.values.clone()),
-                    param_index: None,
-                });
-                global_mem.insert(GlobalId(gi as u32), m);
-            }
-        }
-        let ret_reg = match &func.ret_ty {
-            Type::Void => None,
-            other => Some(fsmd.add_reg("ret_value", scalar_ty(other), 0)),
-        };
         let done_state = fsmd.add_state();
         fsmd.state_mut(done_state).next = NextState::Done;
         Ok(Compiler {
-            prog,
+            st,
             opts,
             fsmd,
-            reg_of,
-            mem_of,
-            global_mem,
-            ret_reg,
             done_state,
             temp_count: 0,
         })
     }
 
     fn run(mut self) -> Result<Fsmd, SynthError> {
-        let func = &self.prog.funcs[0];
         // Entry state latches parameters.
         let entry_state = self.fsmd.add_state();
         self.fsmd.entry = entry_state;
-        for (i, local) in func.locals.iter().enumerate() {
-            if local.is_param && local.ty.is_scalar() {
-                let idx = self
-                    .fsmd
-                    .add_input(format!("arg{i}"), scalar_ty(&local.ty), i);
-                let r = self.reg_of[&LocalId(i as u32)];
-                let ty = scalar_ty(&local.ty);
-                self.fsmd.state_mut(entry_state).actions.push(Action::set(
-                    r,
-                    Rv {
-                        kind: RvKind::Input(idx),
-                        ty,
-                    },
-                ));
-            }
-        }
-        let body = func.body.clone();
-        let exit = self.compile_block(&body, entry_state, None)?;
+        self.st.latch_params(&mut self.fsmd, entry_state);
+        let exit = self.compile_block(&self.st.func.body, entry_state, None)?;
         // Fall off the end: done.
         self.fsmd.state_mut(exit).next = NextState::Done;
-        self.fsmd.ret = self
-            .ret_reg
-            .map(|rr| Rv::reg(rr, scalar_ty(&func.ret_ty)));
+        self.fsmd.ret = self.st.ret();
         // The placeholder done_state may be unreachable; harmless.
         Ok(self.fsmd)
     }
@@ -346,7 +289,7 @@ impl<'p> Compiler<'p> {
                     cur = exit;
                 }
                 HirStmt::Return(v) => {
-                    if let (Some(e), Some(rr)) = (v, self.ret_reg) {
+                    if let (Some(e), Some(rr)) = (v, self.st.ret_reg) {
                         let val = self.chunk_expr(&mut chunk, e)?;
                         chunk.commits.push((val, rr));
                     }
@@ -448,10 +391,10 @@ impl<'p> Compiler<'p> {
         }
         // Conservative memory ordering.
         if let Some(m) = mem {
-            if let Some(&prev) = chunk.last_mem.get(&m) {
+            if let Some(&Some(prev)) = chunk.last_mem.get(m as usize) {
                 chunk.dfg.add_edge(prev, id);
             }
-            chunk.last_mem.insert(m, id);
+            set_dense(&mut chunk.last_mem, m as usize, id);
         }
         chunk.payload.push(cn);
         id
@@ -465,11 +408,9 @@ impl<'p> Compiler<'p> {
     ) -> Result<(), SynthError> {
         let v = self.chunk_expr(chunk, value)?;
         match place {
-            HirPlace::Local(id) => {
-                chunk.cur.insert(*id, v);
-            }
+            HirPlace::Local(id) => chunk.set_cur(*id, v),
             HirPlace::Index { base, index } => {
-                let mem = self.place_mem(base)?;
+                let mem = self.st.place_mem(base)?;
                 let addr = self.chunk_expr(chunk, index)?;
                 self.add_chunk_node(chunk, CNode::Store(mem, addr, v));
             }
@@ -480,7 +421,7 @@ impl<'p> Compiler<'p> {
 
     fn chunk_par(&mut self, chunk: &mut Chunk, branches: &[HirBlock]) -> Result<(), SynthError> {
         let base = chunk.cur.clone();
-        let mut merged: HashMap<LocalId, In> = HashMap::new();
+        let mut merged: Vec<Option<In>> = Vec::new();
         for b in branches {
             chunk.cur = base.clone();
             for stmt in &b.stmts {
@@ -508,31 +449,21 @@ impl<'p> Compiler<'p> {
                     }
                 }
             }
-            for (k, v) in chunk.cur.clone() {
-                if base.get(&k) != Some(&v) {
-                    merged.insert(k, v);
+            for (k, v) in chunk.cur.iter().enumerate() {
+                if let Some(v) = v {
+                    if base.get(k).and_then(Option::as_ref) != Some(v) {
+                        set_dense(&mut merged, k, v.clone());
+                    }
                 }
             }
         }
         chunk.cur = base;
-        chunk.cur.extend(merged);
-        Ok(())
-    }
-
-    fn place_mem(&self, place: &HirPlace) -> Result<MemId, SynthError> {
-        match place {
-            HirPlace::Local(id) => self
-                .mem_of
-                .get(id)
-                .copied()
-                .ok_or_else(|| SynthError::Transform("indexing a scalar".to_string())),
-            HirPlace::Global(g) => self
-                .global_mem
-                .get(g)
-                .copied()
-                .ok_or_else(|| SynthError::Transform("unknown global".to_string())),
-            _ => Err(SynthError::Transform("bad memory place".to_string())),
+        for (k, v) in merged.into_iter().enumerate() {
+            if let Some(v) = v {
+                chunk.set_cur(LocalId(k as u32), v);
+            }
         }
+        Ok(())
     }
 
     fn chunk_expr(&mut self, chunk: &mut Chunk, e: &HirExpr) -> Result<In, SynthError> {
@@ -540,15 +471,12 @@ impl<'p> Compiler<'p> {
         Ok(match &e.kind {
             HirExprKind::Const(v) => In::Const(*v, ty),
             HirExprKind::Load(place) => match &**place {
-                HirPlace::Local(id) => {
-                    if let Some(cur) = chunk.cur.get(id) {
-                        cur.clone()
-                    } else {
-                        In::Reg(self.reg_of[id], ty)
-                    }
-                }
+                HirPlace::Local(id) => match chunk.cur(*id) {
+                    Some(cur) => cur.clone(),
+                    None => In::Reg(self.st.reg(*id), ty),
+                },
                 HirPlace::Index { base, index } => {
-                    let mem = self.place_mem(base)?;
+                    let mem = self.st.place_mem(base)?;
                     let addr = self.chunk_expr(chunk, index)?;
                     In::Node(self.add_chunk_node(chunk, CNode::Load(mem, addr, ty)))
                 }
@@ -596,10 +524,10 @@ impl<'p> Compiler<'p> {
     /// Final local values commit to their registers, in local order so
     /// the state's actions do not follow hash order.
     fn commit_locals(&self, chunk: &mut Chunk) {
-        let mut cur: Vec<_> = std::mem::take(&mut chunk.cur).into_iter().collect();
-        cur.sort_unstable_by_key(|&(local, _)| local);
-        for (local, v) in cur {
-            chunk.commits.push((v, self.reg_of[&local]));
+        for (i, v) in std::mem::take(&mut chunk.cur).into_iter().enumerate() {
+            if let Some(v) = v {
+                chunk.commits.push((v, self.st.reg(LocalId(i as u32))));
+            }
         }
     }
 
@@ -673,9 +601,10 @@ impl<'p> Compiler<'p> {
         let last = *states.last().expect("nonempty");
 
         // Temp registers per node.
-        let mut temp_of: HashMap<NodeId, RegId> = HashMap::new();
+        let mut temp_of: Vec<Option<RegId>> = Vec::with_capacity(chunk.payload.len());
         for (ni, cn) in chunk.payload.iter().enumerate() {
             if matches!(cn, CNode::Store(..)) {
+                temp_of.push(None);
                 continue;
             }
             let ty = self.in_ty(&In::Node(NodeId(ni as u32)), &chunk);
@@ -683,7 +612,7 @@ impl<'p> Compiler<'p> {
                 .fsmd
                 .add_reg(format!("hc_t{}", self.temp_count), ty, 0);
             self.temp_count += 1;
-            temp_of.insert(NodeId(ni as u32), r);
+            temp_of.push(Some(r));
         }
 
         // Completion cycle per node.
@@ -695,7 +624,7 @@ impl<'p> Compiler<'p> {
         fn in_rv(
             this: &Compiler,
             chunk: &Chunk,
-            temp_of: &HashMap<NodeId, RegId>,
+            temp_of: &[Option<RegId>],
             end_cycle: &[u32],
             i: &In,
             cycle: u32,
@@ -712,7 +641,7 @@ impl<'p> Compiler<'p> {
                         node_rv(this, chunk, temp_of, end_cycle, *n, cycle)
                     } else {
                         let ty = this.in_ty(i, chunk);
-                        Rv::reg(temp_of[n], ty)
+                        Rv::reg(temp_of[n.0 as usize].expect("value node"), ty)
                     }
                 }
             }
@@ -721,7 +650,7 @@ impl<'p> Compiler<'p> {
         fn node_rv(
             this: &Compiler,
             chunk: &Chunk,
-            temp_of: &HashMap<NodeId, RegId>,
+            temp_of: &[Option<RegId>],
             end_cycle: &[u32],
             n: NodeId,
             cycle: u32,
@@ -783,7 +712,7 @@ impl<'p> Compiler<'p> {
                     self.fsmd
                         .state_mut(st)
                         .actions
-                        .push(Action::set(temp_of[&n], rv));
+                        .push(Action::set(temp_of[ni].expect("value node"), rv));
                 }
             }
         }

@@ -20,15 +20,13 @@
 //! the loop-carried registers update, so the issue decision for the next
 //! window is always resolved by the window boundary.
 
-use crate::common::SynthOptions;
+use crate::common::{is_zero, op_rv, op_ty, SsaInputs, SynthOptions};
 use chls_frontend::IntType;
 use chls_ir::ir::{BlockId, Function, InstKind, Term, Value};
 use chls_ir::loops::NaturalLoop;
-use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId};
+use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, StateId};
 use chls_sched::modulo::{loop_dfg, modulo_schedule};
-use chls_sched::NodeId;
 use chls_ir::BinKind;
-use std::collections::HashMap;
 
 
 macro_rules! reject {
@@ -98,8 +96,9 @@ fn recognize_shape(f: &Function, l: &NaturalLoop) -> Option<LoopShape> {
 /// Everything the emitter needs from c2v.
 pub(crate) struct PipelineCtx<'a> {
     pub f: &'a Function,
-    pub reg_of: &'a HashMap<Value, RegId>,
-    pub input_idx: &'a HashMap<usize, usize>,
+    /// c2v's register of each value, by `Value`.
+    pub reg_of: &'a [Option<RegId>],
+    pub inputs: &'a SsaInputs,
     pub opts: &'a SynthOptions,
 }
 
@@ -157,12 +156,13 @@ pub(crate) fn try_pipeline(
         reject!(format!("not profitable: II {ii} vs serial {serial}"));
     }
 
-    let node_of: HashMap<Value, NodeId> = vals
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, NodeId(i as u32)))
-        .collect();
-    let slot = |v: Value| node_of.get(&v).map(|n| sched.slot[n.0 as usize]);
+    // The schedule slot of each kernel value, by `Value`.
+    let mut slot_of: Vec<Option<u32>> = vec![None; f.insts.len()];
+    for (ni, &v) in vals.iter().enumerate() {
+        slot_of[v.0 as usize] = Some(sched.slot[ni]);
+    }
+    let slot = |v: Value| slot_of[v.0 as usize];
+    let reg = |v: Value| ctx.reg_of[v.0 as usize].expect("c2v gives every op result a register");
 
     // Header phis and their latch (in-loop incoming) values.
     let mut phi_latch: Vec<(Value, Value)> = Vec::new();
@@ -224,7 +224,7 @@ pub(crate) fn try_pipeline(
                 InstKind::Phi(_) => f.inst(o).block == shape.header,
                 InstKind::Const(_) | InstKind::Param(_) => true,
                 // Loop-external values are registers stable for the run.
-                _ => !node_of.contains_key(&o),
+                _ => slot(o).is_none(),
             };
             bad_operand |= !ok;
         });
@@ -254,16 +254,15 @@ pub(crate) fn try_pipeline(
         None
     };
     // Per-value shadow depth for same-iteration cross-window lifetimes.
-    let mut value_shadow_depth: HashMap<Value, usize> = HashMap::new();
+    let mut value_shadow_depth = vec![0usize; f.insts.len()];
     for e in &dfg.edges {
         if e.distance == 0 {
             let (t_d, t_u) = (sched.slot[e.from.0 as usize], sched.slot[e.to.0 as usize]);
             match source_index(t_d, t_u) {
                 Some(0) => {}
                 Some(m) => {
-                    let v = vals[e.from.0 as usize];
-                    let entry = value_shadow_depth.entry(v).or_insert(0);
-                    *entry = (*entry).max(m);
+                    let v = vals[e.from.0 as usize].0 as usize;
+                    value_shadow_depth[v] = value_shadow_depth[v].max(m);
                 }
                 None => reject!("no shadow depth covers a value lifetime"),
             }
@@ -274,9 +273,12 @@ pub(crate) fn try_pipeline(
     // expansion), so any reader stage works. A late latch keeps its value
     // in the latch node's own register; readers must come no later in the
     // window than the latch writes (single-register lifetime).
-    let latch_of: HashMap<Value, Value> = phi_latch.iter().cloned().collect();
+    let mut latch_of: Vec<Option<Value>> = vec![None; f.insts.len()];
+    for &(phi, inc) in &phi_latch {
+        latch_of[phi.0 as usize] = Some(inc);
+    }
     let stage_of = |t: u32| (t / ii) as usize;
-    let mut shadow_depth: HashMap<Value, usize> = HashMap::new();
+    let mut shadow_depth = vec![0usize; f.insts.len()];
     for (ni, &v) in vals.iter().enumerate() {
         let t_u = sched.slot[ni];
         let mut bad = false;
@@ -284,10 +286,10 @@ pub(crate) fn try_pipeline(
             if bad {
                 return;
             }
-            if let Some(&l) = latch_of.get(&o) {
+            if let Some(l) = latch_of[o.0 as usize] {
                 match slot(l) {
                     Some(t_l) if stage_of(t_l) == 0 => {
-                        let d = shadow_depth.entry(o).or_insert(0);
+                        let d = &mut shadow_depth[o.0 as usize];
                         *d = (*d).max(stage_of(t_u));
                     }
                     // Late latch: reader must beat the overwrite.
@@ -309,121 +311,59 @@ pub(crate) fn try_pipeline(
     let valids: Vec<RegId> = (1..stages)
         .map(|j| out.add_reg(format!("pipe{}_v{j}", shape.header.0), IntType::u1(), 0))
         .collect();
-    // Stage shadows for boundary-updated phis (modulo variable expansion).
-    let mut shadows: HashMap<Value, Vec<RegId>> = HashMap::new();
-    for (&phi, &depth) in &shadow_depth {
-        if depth == 0 {
-            continue;
+    // Stage shadows for boundary-updated phis (modulo variable
+    // expansion), then shadows for long-lived same-iteration values, each
+    // in `Value` order; indexed by `Value` (empty: no shadow).
+    let mut add_shadows = |depths: &[usize], kind: &str| -> Vec<Vec<RegId>> {
+        let mut regs = vec![Vec::new(); depths.len()];
+        for (v, &depth) in depths.iter().enumerate() {
+            let ty = f.insts[v].ty;
+            regs[v] = (1..=depth)
+                .map(|j| out.add_reg(format!("pipe{}_{kind}{v}_s{j}", shape.header.0), ty, 0))
+                .collect();
         }
-        let ty = f.inst(phi).ty;
-        let regs = (1..=depth)
-            .map(|j| out.add_reg(format!("pipe{}_phi{}_s{j}", shape.header.0, phi.0), ty, 0))
-            .collect();
-        shadows.insert(phi, regs);
-    }
-    // Shadows for long-lived same-iteration values.
-    let mut vshadows: HashMap<Value, Vec<RegId>> = HashMap::new();
-    for (&v, &depth) in &value_shadow_depth {
-        let ty = f.inst(v).ty;
-        let regs = (1..=depth)
-            .map(|j| out.add_reg(format!("pipe{}_v{}_s{j}", shape.header.0, v.0), ty, 0))
-            .collect();
-        vshadows.insert(v, regs);
-    }
+        regs
+    };
+    let shadows = add_shadows(&shadow_depth, "phi");
+    let vshadows = add_shadows(&value_shadow_depth, "v");
 
     // Base resolution ignoring pipeline staging (entry/exit contexts).
     let rv_operand = |v: Value| -> Rv {
         let inst = f.inst(v);
-        match &inst.kind {
-            InstKind::Const(c) => Rv::konst(*c, inst.ty),
-            InstKind::Param(p) => Rv {
-                kind: RvKind::Input(ctx.input_idx[p]),
-                ty: inst.ty,
-            },
-            _ => Rv::reg(ctx.reg_of[&v], inst.ty),
-        }
+        ctx.inputs.leaf(inst).unwrap_or_else(|| Rv::reg(reg(v), inst.ty))
     };
     // In-kernel resolution for a reader at slot `t_u` (stage `ustage`):
     // boundary-updated phis read their stage shadow; late-latched phis
     // read the latch's own register (checked above); long-lived values
     // read their instance-matched shadow; everything else reads its
     // register.
-    let rv_kernel = |v: Value,
-                     t_u: u32,
-                     shadows: &HashMap<Value, Vec<RegId>>,
-                     vshadows: &HashMap<Value, Vec<RegId>>|
-     -> Rv {
+    let rv_kernel = |v: Value, t_u: u32| -> Rv {
         let inst = f.inst(v);
         let ustage = stage_of(t_u);
-        match &inst.kind {
-            InstKind::Const(c) => Rv::konst(*c, inst.ty),
-            InstKind::Param(p) => Rv {
-                kind: RvKind::Input(ctx.input_idx[p]),
-                ty: inst.ty,
-            },
-            InstKind::Phi(_) if inst.block == shape.header => {
-                if let Some(&l) = latch_of.get(&v) {
-                    if let Some(t_l) = slot(l) {
-                        if stage_of(t_l) > 0 {
-                            return Rv::reg(ctx.reg_of[&l], inst.ty);
-                        }
-                    }
+        if let Some(leaf) = ctx.inputs.leaf(inst) {
+            return leaf;
+        }
+        if matches!(inst.kind, InstKind::Phi(_)) && inst.block == shape.header {
+            if let Some(l) = latch_of[v.0 as usize] {
+                if slot(l).is_some_and(|t_l| stage_of(t_l) > 0) {
+                    return Rv::reg(reg(l), inst.ty);
                 }
-                if ustage > 0 {
-                    if let Some(regs) = shadows.get(&v) {
-                        return Rv::reg(regs[ustage - 1], inst.ty);
-                    }
-                }
-                Rv::reg(ctx.reg_of[&v], inst.ty)
             }
-            _ => {
-                if let Some(t_d) = slot(v) {
-                    if let Some(m) = source_index(t_d, t_u) {
-                        if m > 0 {
-                            if let Some(regs) = vshadows.get(&v) {
-                                return Rv::reg(regs[m - 1], inst.ty);
-                            }
-                        }
-                    }
-                }
-                Rv::reg(ctx.reg_of[&v], inst.ty)
+            let regs = &shadows[v.0 as usize];
+            if ustage > 0 && !regs.is_empty() {
+                return Rv::reg(regs[ustage - 1], inst.ty);
+            }
+        } else if let Some(m) = slot(v).and_then(|t_d| source_index(t_d, t_u)) {
+            let regs = &vshadows[v.0 as usize];
+            if m > 0 && !regs.is_empty() {
+                return Rv::reg(regs[m - 1], inst.ty);
             }
         }
+        Rv::reg(reg(v), inst.ty)
     };
-
-    let build_rv_at = |v: Value,
-                       t_u: u32,
-                       shadows: &HashMap<Value, Vec<RegId>>,
-                       vshadows: &HashMap<Value, Vec<RegId>>|
-     -> Rv {
+    let build_rv_at = |v: Value, t_u: u32| -> Rv {
         let inst = f.inst(v);
-        let op_rv = |o: &Value| rv_kernel(*o, t_u, shadows, vshadows);
-        match &inst.kind {
-            InstKind::Bin(op, a, b) => Rv {
-                kind: RvKind::Bin(*op, Box::new(op_rv(a)), Box::new(op_rv(b))),
-                ty: if op.is_comparison() { IntType::u1() } else { inst.ty },
-            },
-            InstKind::Un(op, a) => Rv {
-                kind: RvKind::Un(*op, Box::new(op_rv(a))),
-                ty: inst.ty,
-            },
-            InstKind::Select { cond, t, f: fv } => Rv {
-                kind: RvKind::Mux(Box::new(op_rv(cond)), Box::new(op_rv(t)), Box::new(op_rv(fv))),
-                ty: inst.ty,
-            },
-            InstKind::Cast { val, .. } => Rv {
-                kind: RvKind::Cast(Box::new(op_rv(val))),
-                ty: inst.ty,
-            },
-            InstKind::Load { mem, addr } => Rv {
-                kind: RvKind::MemRead {
-                    mem: MemId(mem.0),
-                    addr: Box::new(op_rv(addr)),
-                },
-                ty: inst.ty,
-            },
-            other => unreachable!("not a datapath op: {other:?}"),
-        }
+        op_rv(&inst.kind, op_ty(inst), |o| rv_kernel(o, t_u))
     };
 
     // States.
@@ -433,18 +373,11 @@ pub(crate) fn try_pipeline(
 
     // Entry: zero-trip check from the current phi registers; prime the
     // pipeline.
-    let cond_entry = build_rv_at(shape.cond, 0, &shadows, &vshadows);
+    let cond_entry = build_rv_at(shape.cond, 0);
     let cond_entry = if shape.enter_on_true {
         cond_entry
     } else {
-        Rv {
-            kind: RvKind::Bin(
-                BinKind::Eq,
-                Box::new(cond_entry),
-                Box::new(Rv::konst(0, IntType::u1())),
-            ),
-            ty: IntType::u1(),
-        }
+        is_zero(cond_entry)
     };
     out.state_mut(entry)
         .actions
@@ -459,10 +392,9 @@ pub(crate) fn try_pipeline(
     for (phi, inc) in &phi_latch {
         if let Some(t_l) = slot(*inc) {
             if stage_of(t_l) > 0 {
-                out.state_mut(entry).actions.push(Action::set(
-                    ctx.reg_of[inc],
-                    Rv::reg(ctx.reg_of[phi], f.inst(*phi).ty),
-                ));
+                out.state_mut(entry)
+                    .actions
+                    .push(Action::set(reg(*inc), Rv::reg(reg(*phi), f.inst(*phi).ty)));
             }
         }
     }
@@ -491,15 +423,13 @@ pub(crate) fn try_pipeline(
                 out.state_mut(st).actions.push(Action::write_if(
                     guard,
                     MemId(mem.0),
-                    rv_kernel(*addr, t, &shadows, &vshadows),
-                    rv_kernel(*value, t, &shadows, &vshadows),
+                    rv_kernel(*addr, t),
+                    rv_kernel(*value, t),
                 ));
             }
             _ => {
-                let rv = build_rv_at(v, t, &shadows, &vshadows);
-                out.state_mut(st)
-                    .actions
-                    .push(Action::set_if(guard, ctx.reg_of[&v], rv));
+                let rv = build_rv_at(v, t);
+                out.state_mut(st).actions.push(Action::set_if(guard, reg(v), rv));
             }
         }
     }
@@ -512,13 +442,13 @@ pub(crate) fn try_pipeline(
                 // New value: the latch register if committed, else its
                 // expression inline (operands committed earlier).
                 let newv = if t_l + 1 < ii {
-                    Rv::reg(ctx.reg_of[inc], f.inst(*inc).ty)
+                    Rv::reg(reg(*inc), f.inst(*inc).ty)
                 } else {
-                    build_rv_at(*inc, t_l, &shadows, &vshadows)
+                    build_rv_at(*inc, t_l)
                 };
                 out.state_mut(boundary)
                     .actions
-                    .push(Action::set_if(stage_valid(0), ctx.reg_of[phi], newv));
+                    .push(Action::set_if(stage_valid(0), reg(*phi), newv));
             }
             Some(t_l) => {
                 // Late latch: readers use the latch register; the phi
@@ -527,43 +457,33 @@ pub(crate) fn try_pipeline(
                 // not yet visible — inline the expression.
                 let j = stage_of(t_l);
                 let newv = if t_l % ii == ii - 1 {
-                    build_rv_at(*inc, t_l, &shadows, &vshadows)
+                    build_rv_at(*inc, t_l)
                 } else {
-                    Rv::reg(ctx.reg_of[inc], f.inst(*inc).ty)
+                    Rv::reg(reg(*inc), f.inst(*inc).ty)
                 };
                 out.state_mut(boundary)
                     .actions
-                    .push(Action::set_if(stage_valid(j), ctx.reg_of[phi], newv));
+                    .push(Action::set_if(stage_valid(j), reg(*phi), newv));
             }
             None => {
-                out.state_mut(boundary).actions.push(Action::set_if(
-                    stage_valid(0),
-                    ctx.reg_of[phi],
-                    rv_operand(*inc),
-                ));
+                out.state_mut(boundary)
+                    .actions
+                    .push(Action::set_if(stage_valid(0), reg(*phi), rv_operand(*inc)));
             }
         }
     }
     // Shadow shifts (simultaneous commit: shadow 1 samples the pre-update
     // phi value).
-    for (&phi, regs) in &shadows {
-        let ty = f.inst(phi).ty;
-        let mut prev_rv = Rv::reg(ctx.reg_of[&phi], ty);
-        for &sreg in regs {
-            out.state_mut(boundary)
-                .actions
-                .push(Action::set(sreg, prev_rv.clone()));
-            prev_rv = Rv::reg(sreg, ty);
-        }
-    }
-    for (&v, regs) in &vshadows {
-        let ty = f.inst(v).ty;
-        let mut prev_rv = Rv::reg(ctx.reg_of[&v], ty);
-        for &sreg in regs {
-            out.state_mut(boundary)
-                .actions
-                .push(Action::set(sreg, prev_rv.clone()));
-            prev_rv = Rv::reg(sreg, ty);
+    for table in [&shadows, &vshadows] {
+        for (v, regs) in table.iter().enumerate().filter(|(_, regs)| !regs.is_empty()) {
+            let ty = f.insts[v].ty;
+            let mut prev_rv = Rv::reg(reg(Value(v as u32)), ty);
+            for &sreg in regs {
+                out.state_mut(boundary)
+                    .actions
+                    .push(Action::set(sreg, prev_rv.clone()));
+                prev_rv = Rv::reg(sreg, ty);
+            }
         }
     }
 
@@ -583,7 +503,7 @@ pub(crate) fn try_pipeline(
                 Some(t_l) if t_l as i64 >= ii as i64 - 1 => {
                     // Commits at the boundary: inline its expression with
                     // register operands (all committed earlier).
-                    build_rv_at(inc, 0, &shadows, &vshadows)
+                    build_rv_at(inc, 0)
                 }
                 _ => rv_operand(inc),
             },
@@ -591,8 +511,6 @@ pub(crate) fn try_pipeline(
     };
     let cond_new = {
         let inst = f.inst(shape.cond);
-        let mut ops: Vec<Value> = Vec::new();
-        inst.kind.for_each_operand(|o| ops.push(o));
         let resolve = |o: Value| -> Rv {
             match &f.inst(o).kind {
                 InstKind::Phi(_) => expand_phi_new(o),
@@ -600,14 +518,7 @@ pub(crate) fn try_pipeline(
             }
         };
         match &inst.kind {
-            InstKind::Bin(op, a, b) => Rv {
-                kind: RvKind::Bin(*op, Box::new(resolve(*a)), Box::new(resolve(*b))),
-                ty: IntType::u1(),
-            },
-            InstKind::Un(op, a) => Rv {
-                kind: RvKind::Un(*op, Box::new(resolve(*a))),
-                ty: IntType::u1(),
-            },
+            InstKind::Bin(..) | InstKind::Un(..) => op_rv(&inst.kind, IntType::u1(), resolve),
             _ => reject!("condition is not a unary/binary op"),
         }
     };
@@ -615,14 +526,7 @@ pub(crate) fn try_pipeline(
     let cond_ok = if shape.enter_on_true {
         cond_new
     } else {
-        Rv {
-            kind: RvKind::Bin(
-                BinKind::Eq,
-                Box::new(cond_new),
-                Box::new(Rv::konst(0, IntType::u1())),
-            ),
-            ty: IntType::u1(),
-        }
+        is_zero(cond_new)
     };
     let next_running = Rv::bin(BinKind::And, IntType::u1(), Rv::reg(running, IntType::u1()), cond_ok);
     out.state_mut(last)
@@ -657,7 +561,7 @@ pub(crate) fn try_pipeline(
                 if *pred == shape.header {
                     out.state_mut(exit_state)
                         .actions
-                        .push(Action::set(ctx.reg_of[&pv], rv_operand(*inc)));
+                        .push(Action::set(reg(pv), rv_operand(*inc)));
                 }
             }
         }

@@ -23,10 +23,10 @@
 
 use crate::common::*;
 use chls_frontend::IntType;
-use chls_ir::ir::{BlockId, Function, InstKind, MemSource, Term, Value};
+use chls_ir::ir::{BlockId, Function, InstKind, Term, Value};
 use chls_ir::BinKind;
-use chls_rtl::fsmd::{Action, Fsmd, FsmdMem, MemId, NextState, RegId, Rv, RvKind, StateId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The Transmogrifier C backend.
 #[derive(Debug, Clone, Copy, Default)]
@@ -153,36 +153,22 @@ fn assign_regions(f: &Function) -> (Vec<BlockId>, Vec<BlockId>) {
 
 fn build(f: &Function) -> Result<Fsmd, SynthError> {
     let (region_of, heads) = assign_regions(f);
-    let mut out = Fsmd::new(f.name.clone());
-
-    // Inputs and memories.
-    let mut input_idx: HashMap<usize, usize> = HashMap::new();
-    for inst in &f.insts {
-        if let InstKind::Param(p) = &inst.kind {
-            input_idx
-                .entry(*p)
-                .or_insert_with(|| out.add_input(format!("arg{p}"), inst.ty, *p));
-        }
+    let mut is_head = vec![false; f.blocks.len()];
+    for h in &heads {
+        is_head[h.0 as usize] = true;
     }
-    for m in &f.mems {
-        out.add_mem(FsmdMem {
-            name: m.name.clone(),
-            elem: m.elem,
-            len: m.len,
-            rom: m.rom.clone(),
-            param_index: match m.source {
-                MemSource::Param(p) => Some(p),
-                _ => None,
-            },
-        });
-    }
+    let (mut out, inputs) = SsaInputs::build(f);
 
     // Registers: values read in a region other than their defining one,
     // plus phis at region heads. One pass over the uses: an operand is
     // read in its instruction's region, a phi operand at the end of its
     // predecessor, a branch condition or return value in its block's.
     let region = |b: BlockId| region_of[b.0 as usize];
-    let mut needs_reg = vec![false; f.insts.len()];
+    let mut needs_reg: Vec<bool> = f
+        .insts
+        .iter()
+        .map(|inst| matches!(inst.kind, InstKind::Phi(_)) && is_head[inst.block.0 as usize])
+        .collect();
     let mut read_in = |v: Value, r: BlockId| {
         let def = f.inst(v);
         if !matches!(def.kind, InstKind::Const(_) | InstKind::Param(_)) && region(def.block) != r {
@@ -200,42 +186,38 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
             read_in(*v, r);
         }
     }
-    for (i, inst) in f.insts.iter().enumerate() {
-        if matches!(inst.kind, InstKind::Phi(_)) && heads.contains(&inst.block) {
-            needs_reg[i] = true;
-        }
-    }
-    let needs_reg: Vec<Value> = (0..f.insts.len() as u32)
-        .map(Value)
-        .filter(|v| needs_reg[v.0 as usize])
+    // Dense by `Value`, created in `Value` order.
+    let reg_of: Vec<Option<RegId>> = f
+        .insts
+        .iter()
+        .enumerate()
+        .map(|(i, inst)| needs_reg[i].then(|| out.add_reg(format!("v{i}"), inst.ty, 0)))
         .collect();
-    let mut reg_of: HashMap<Value, RegId> = HashMap::new();
-    for &v in &needs_reg {
-        let ty = f.inst(v).ty;
-        reg_of.insert(v, out.add_reg(format!("v{}", v.0), ty, 0));
-    }
+    let reg = |v: Value| reg_of[v.0 as usize].expect("a value read across regions has a register");
     let ret_reg = f.ret_ty.map(|ty| out.add_reg("ret_value", ty, 0));
 
     // One state per region + done.
-    let mut state_of: HashMap<BlockId, StateId> = HashMap::new();
+    let mut state_of: Vec<Option<StateId>> = vec![None; f.blocks.len()];
     for &h in &heads {
-        state_of.insert(h, out.add_state());
+        state_of[h.0 as usize] = Some(out.add_state());
     }
+    let state_of = |h: BlockId| state_of[h.0 as usize].expect("a region head has a state");
     let done_state = out.add_state();
     out.state_mut(done_state).next = NextState::Done;
-    out.entry = state_of[&f.entry];
+    out.entry = state_of(f.entry);
 
-    // Flatten each region.
+    // Flatten each region. The value and block-predicate tables are
+    // dense and shared; each region clears the entries it wrote.
     let rpo = f.reverse_postorder();
+    let mut values: Vec<Option<Rv>> = vec![None; f.insts.len()];
+    let mut block_pred: Vec<Option<Rv>> = vec![None; f.blocks.len()];
     for &head in &heads {
         let region_blocks: Vec<BlockId> = rpo
             .iter()
             .copied()
             .filter(|b| region_of[b.0 as usize] == head)
             .collect();
-        let state = state_of[&head];
-        let mut values: HashMap<Value, Rv> = HashMap::new();
-        let mut block_pred: HashMap<BlockId, Rv> = HashMap::new();
+        let state = state_of(head);
         // Ordered: a block predicate ORs its in-edges in iteration order.
         let mut edge_pred: BTreeMap<(BlockId, BlockId), Rv> = BTreeMap::new();
         // Pending (uncommitted) stores for in-region forwarding:
@@ -248,27 +230,13 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
         }
         let mut exits: Vec<Exit> = Vec::new();
 
-        // Helper to read a value inside this region.
-        let rv_of = |v: Value,
-                     values: &HashMap<Value, Rv>,
-                     reg_of: &HashMap<Value, RegId>,
-                     input_idx: &HashMap<usize, usize>|
-         -> Rv {
+        // Reads a value inside this region.
+        let rv_of = |v: Value, values: &[Option<Rv>]| -> Rv {
             let inst = f.inst(v);
-            match &inst.kind {
-                InstKind::Const(c) => Rv::konst(*c, inst.ty),
-                InstKind::Param(p) => Rv {
-                    kind: RvKind::Input(input_idx[p]),
-                    ty: inst.ty,
-                },
-                _ => {
-                    if let Some(rv) = values.get(&v) {
-                        rv.clone()
-                    } else {
-                        Rv::reg(reg_of[&v], inst.ty)
-                    }
-                }
-            }
+            inputs
+                .leaf(inst)
+                .or_else(|| values[v.0 as usize].clone())
+                .unwrap_or_else(|| Rv::reg(reg(v), inst.ty))
         };
 
         for &b in &region_blocks {
@@ -287,7 +255,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                 }
                 acc.unwrap_or_else(|| Rv::konst(0, IntType::u1()))
             };
-            block_pred.insert(b, pred.clone());
+            block_pred[b.0 as usize] = Some(pred.clone());
 
             // Instructions.
             for &v in &f.block(b).insts {
@@ -297,7 +265,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                     InstKind::Phi(args) => {
                         if b == head {
                             // Head phi: lives in its register.
-                            Rv::reg(reg_of[&v], inst.ty)
+                            Rv::reg(reg(v), inst.ty)
                         } else {
                             // Interior join: priority mux over edges.
                             let mut acc: Option<Rv> = None;
@@ -306,7 +274,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                                     .get(&(*p, b))
                                     .cloned()
                                     .unwrap_or_else(|| Rv::konst(0, IntType::u1()));
-                                let src = rv_of(*pv, &values, &reg_of, &input_idx);
+                                let src = rv_of(*pv, &values);
                                 acc = Some(match acc {
                                     None => src,
                                     Some(prev) => Rv {
@@ -324,32 +292,8 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                             })?
                         }
                     }
-                    InstKind::Bin(op, a, bb) => Rv {
-                        kind: RvKind::Bin(
-                            *op,
-                            Box::new(rv_of(*a, &values, &reg_of, &input_idx)),
-                            Box::new(rv_of(*bb, &values, &reg_of, &input_idx)),
-                        ),
-                        ty: if op.is_comparison() { IntType::u1() } else { inst.ty },
-                    },
-                    InstKind::Un(op, a) => Rv {
-                        kind: RvKind::Un(*op, Box::new(rv_of(*a, &values, &reg_of, &input_idx))),
-                        ty: inst.ty,
-                    },
-                    InstKind::Select { cond, t, f: fv } => Rv {
-                        kind: RvKind::Mux(
-                            Box::new(rv_of(*cond, &values, &reg_of, &input_idx)),
-                            Box::new(rv_of(*t, &values, &reg_of, &input_idx)),
-                            Box::new(rv_of(*fv, &values, &reg_of, &input_idx)),
-                        ),
-                        ty: inst.ty,
-                    },
-                    InstKind::Cast { val, .. } => Rv {
-                        kind: RvKind::Cast(Box::new(rv_of(*val, &values, &reg_of, &input_idx))),
-                        ty: inst.ty,
-                    },
                     InstKind::Load { mem, addr } => {
-                        let raw = rv_of(*addr, &values, &reg_of, &input_idx);
+                        let raw = rv_of(*addr, &values);
                         // Loads evaluate speculatively even on not-taken
                         // paths; gate the address so a dead path cannot
                         // read out of bounds (one mux of hardware).
@@ -397,8 +341,8 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                         rv
                     }
                     InstKind::Store { mem, addr, value } => {
-                        let a = rv_of(*addr, &values, &reg_of, &input_idx);
-                        let val = rv_of(*value, &values, &reg_of, &input_idx);
+                        let a = rv_of(*addr, &values);
+                        let val = rv_of(*value, &values);
                         pending.entry(mem.0).or_default().push((
                             pred.clone(),
                             a,
@@ -406,6 +350,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                         ));
                         continue;
                     }
+                    kind => op_rv(kind, op_ty(inst), |o| rv_of(o, &values)),
                 };
                 if rv_nodes_capped(&rv, MAX_RV_NODES).is_none() {
                     return Err(SynthError::Unsupported {
@@ -417,32 +362,25 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                         ),
                     });
                 }
-                values.insert(v, rv);
+                values[v.0 as usize] = Some(rv);
             }
 
             // Terminator: edge predicates within the region, exits across.
             let mk_and = |a: Rv, b: Rv| Rv::bin(BinKind::And, IntType::u1(), a, b);
             match &f.block(b).term {
                 Term::Jump(t) => {
-                    if region_of[t.0 as usize] == head && !heads.contains(t) {
+                    if region_of[t.0 as usize] == head && !is_head[t.0 as usize] {
                         merge_edge(&mut edge_pred, (b, *t), pred.clone());
                     } else {
                         exits.push(Exit::To(*t, pred.clone()));
                     }
                 }
                 Term::Br { cond, then, els } => {
-                    let c = rv_of(*cond, &values, &reg_of, &input_idx);
-                    let not_c = Rv {
-                        kind: RvKind::Bin(
-                            BinKind::Eq,
-                            Box::new(c.clone()),
-                            Box::new(Rv::konst(0, IntType::u1())),
-                        ),
-                        ty: IntType::u1(),
-                    };
+                    let c = rv_of(*cond, &values);
+                    let not_c = is_zero(c.clone());
                     for (target, gate) in [(*then, c), (*els, not_c)] {
                         let ep = mk_and(pred.clone(), gate);
-                        if region_of[target.0 as usize] == head && !heads.contains(&target) {
+                        if region_of[target.0 as usize] == head && !is_head[target.0 as usize] {
                             merge_edge(&mut edge_pred, (b, target), ep);
                         } else {
                             exits.push(Exit::To(target, ep));
@@ -464,17 +402,16 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
         }
         // Commit registers for cross-region values defined here, in
         // value order so the state's actions do not follow hash order.
-        for &v in &needs_reg {
-            let r = reg_of[&v];
-            let inst = f.inst(v);
+        for (i, inst) in f.insts.iter().enumerate() {
+            let Some(r) = reg_of[i] else { continue };
             if region_of[inst.block.0 as usize] != head {
                 continue;
             }
             if matches!(inst.kind, InstKind::Phi(_)) && inst.block == head {
                 continue; // head phis are written by incoming edges below
             }
-            if let Some(rv) = values.get(&v) {
-                let guard = block_pred[&inst.block].clone();
+            if let Some(rv) = &values[i] {
+                let guard = block_pred[inst.block.0 as usize].clone().expect("region block");
                 out.state_mut(state)
                     .actions
                     .push(Action::set_if(guard, r, rv.clone()));
@@ -487,7 +424,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
             match exit {
                 Exit::To(target, guard) => {
                     // The target is a head (or becomes one): write its phis.
-                    let tgt_head = if heads.contains(target) {
+                    let tgt_head = if is_head[target.0 as usize] {
                         *target
                     } else {
                         region_of[target.0 as usize]
@@ -498,21 +435,21 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                                 if region_of[pred_blk.0 as usize] == head
                                     && edge_sources_match(f, *pred_blk, *target)
                                 {
-                                    let src = rv_of(*incoming, &values, &reg_of, &input_idx);
+                                    let src = rv_of(*incoming, &values);
                                     out.state_mut(state).actions.push(Action::set_if(
                                         guard.clone(),
-                                        reg_of[&pv],
+                                        reg(pv),
                                         src,
                                     ));
                                 }
                             }
                         }
                     }
-                    cases.push((guard.clone(), state_of[&tgt_head]));
+                    cases.push((guard.clone(), state_of(tgt_head)));
                 }
                 Exit::Ret(v, guard, _b) => {
                     if let (Some(rr), Some(v)) = (ret_reg, v) {
-                        let src = rv_of(*v, &values, &reg_of, &input_idx);
+                        let src = rv_of(*v, &values);
                         out.state_mut(state)
                             .actions
                             .push(Action::set_if(guard.clone(), rr, src));
@@ -521,17 +458,13 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                 }
             }
         }
-        out.state_mut(state).next = match cases.len() {
-            0 => NextState::Goto(done_state),
-            1 => NextState::Goto(cases[0].1),
-            _ => {
-                let default = cases.last().expect("nonempty").1;
-                NextState::Cases {
-                    cases: cases[..cases.len() - 1].to_vec(),
-                    default,
-                }
+        for &b in &region_blocks {
+            block_pred[b.0 as usize] = None;
+            for &v in &f.block(b).insts {
+                values[v.0 as usize] = None;
             }
-        };
+        }
+        out.state_mut(state).next = cases_to_next(cases, done_state);
     }
 
     out.ret = ret_reg.map(|rr| Rv::reg(rr, f.ret_ty.expect("typed")));
