@@ -319,7 +319,9 @@ pub enum Verdict {
 }
 
 /// One backend's full conformance run: synthesize, simulate, compare
-/// against the golden interpreter result.
+/// against the golden interpreter result. A panic in the backend or the
+/// simulator is that backend's [`Verdict::Error`], so it cannot hide the
+/// other backends' verdicts.
 fn run_one(
     compiler: &Compiler,
     golden: &interp::InterpResult,
@@ -329,7 +331,7 @@ fn run_one(
     opts: &SynthOptions,
     jit: bool,
 ) -> Verdict {
-    match compiler.synthesize(backend, entry, opts) {
+    crate::executor::catch_panic(|| match compiler.synthesize(backend, entry, opts) {
         Err(
             e @ (SynthError::Unsupported { .. } | SynthError::Loop(_) | SynthError::Transform(_)),
         ) => Verdict::Unsupported(e.to_string()),
@@ -352,7 +354,8 @@ fn run_one(
                 }
             }
         },
-    }
+    })
+    .unwrap_or_else(Verdict::Error)
 }
 
 /// The conformance driver's degree of parallelism: the `CHLS_JOBS`
@@ -457,4 +460,44 @@ pub fn check_conformance(
         .into_iter()
         .map(|s| s.expect("every backend index was claimed exactly once"))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chls_backends::{BackendInfo, C2Verilog};
+
+    /// A backend that panics the way an indexing bug does.
+    struct Panics;
+
+    impl Backend for Panics {
+        fn info(&self) -> BackendInfo {
+            C2Verilog.info()
+        }
+
+        fn synthesize(
+            &self,
+            _: &Preparer,
+            _: &str,
+            _: &SynthOptions,
+        ) -> Result<Design, SynthError> {
+            panic!("no entry found for key")
+        }
+    }
+
+    #[test]
+    fn a_panicking_backend_is_an_error_verdict() {
+        let compiler = Compiler::parse("int main(int a) { return a + 1; }").expect("parses");
+        let args = [ArgValue::Scalar(41)];
+        let golden = compiler.interpret("main", &args).expect("runs");
+        let opts = SynthOptions::default();
+        let verdict = run_one(&compiler, &golden, &Panics, "main", &args, &opts, false);
+        assert_eq!(
+            verdict,
+            Verdict::Error("worker panicked: no entry found for key".to_string())
+        );
+        // The same compiler still serves the next backend.
+        let verdict = run_one(&compiler, &golden, &C2Verilog, "main", &args, &opts, false);
+        assert!(matches!(verdict, Verdict::Pass { .. }), "{verdict:?}");
+    }
 }

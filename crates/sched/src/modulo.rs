@@ -313,8 +313,11 @@ pub fn loop_dfg(
         }
     }
     // Data edges: same-iteration for direct operands; loop-carried where a
-    // value flows through a header phi back from the latch.
-    for (&v, &id) in &node_of {
+    // value flows through a header phi back from the latch. Iterate
+    // `values` (body order), not the map: edge insertion order shapes the
+    // topological order and with it the modulo schedule.
+    for (i, &v) in values.iter().enumerate() {
+        let id = NodeId(i as u32);
         f.inst(v).kind.for_each_operand(|o| {
             if let Some(&src) = node_of.get(&o) {
                 dfg.add_edge(src, id);

@@ -176,3 +176,41 @@ fn tapes_are_identical_across_compilations() {
     }
     assert!(designs >= 50, "only {designs} FSMDs compiled");
 }
+
+/// A loop with three values that live across pipeline windows: the
+/// pipeliner gives each a chain of stage shadow registers. The shadows'
+/// order, and the order of the loop DFG's edges that the modulo schedule
+/// follows, once came from hash-map iteration, so the design changed
+/// from run to run. `verilog_three_shadows_pipeline_json.golden` pins
+/// the c2v design.
+const THREE_SHADOWS: &str = include_str!("programs/three_shadows.chl");
+
+#[test]
+fn pipelined_shadows_are_identical_across_syntheses() {
+    let opts = chls::SynthOptions {
+        pipeline_loops: true,
+        ..chls::SynthOptions::default()
+    };
+    for name in ["c2v", "cyber"] {
+        let backend = chls::backend_by_name(name).expect("registered");
+        // A fresh `Compiler` each run, so no memo answers a repeat.
+        let synth = || {
+            Compiler::parse(THREE_SHADOWS)
+                .expect("the three-shadow loop parses")
+                .synthesize(backend.as_ref(), "main", &opts)
+                .expect("the three-shadow loop synthesizes")
+        };
+        let first = synth();
+        let fsmd = first.as_fsmd().expect("an FSMD");
+        assert!(
+            fsmd.regs.iter().filter(|r| r.name.contains("_s1")).count() >= 3,
+            "{name}: the loop did not pipeline with three shadowed values"
+        );
+        for run in 1..16 {
+            assert!(
+                synth() == first,
+                "{name}: synthesis {run} gave a different design"
+            );
+        }
+    }
+}

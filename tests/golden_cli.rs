@@ -181,6 +181,12 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "verilog_blend_pipeline_cyber_json.golden",
         true,
     ),
+    // Three long-lived values: stage shadows in `Value` order.
+    (
+        &["verilog", "--pipeline", "--json", "c2v", "tests/programs/three_shadows.chl", "main"],
+        "verilog_three_shadows_pipeline_json.golden",
+        true,
+    ),
     (
         &["flow", "examples/chl/stream_multirate.chl", "main"],
         "flow_stream.golden",
