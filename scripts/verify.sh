@@ -28,8 +28,9 @@ cargo test -q
 
 echo "== workspace tests (every member crate's unit and integration tests) =="
 # Tier-1 tests only the root package; this runs the member crates' own
-# suites too (the JIT differential tests, the logic tests, and the unit
-# tests of sim, frontend, opt and the rest).
+# suites too (the JIT differential tests, the logic tests, the unit
+# tests of sim, frontend, opt and the rest, and `crates/bench`'s check
+# that every report binary still prints its captured `results/` file).
 cargo test -q --workspace --release
 
 echo "== CLI integration suite =="
