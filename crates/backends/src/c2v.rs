@@ -133,8 +133,8 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
     // Per block: schedule and allocate states.
     let mut sched_of = Vec::with_capacity(f.blocks.len());
     let mut block_states: Vec<Vec<StateId>> = Vec::with_capacity(f.blocks.len());
-    for bi in 0..f.blocks.len() {
-        if covered[bi] {
+    for (bi, &covered) in covered.iter().enumerate() {
+        if covered {
             // Covered blocks are entered only through their loop header,
             // which maps to the pipeline's entry state.
             let entry = pipelined
