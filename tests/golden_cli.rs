@@ -291,6 +291,20 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "synth_gcd_cash_json.golden",
         true,
     ),
+    // A CASH circuit with nested loops, a memory and sticky invariants.
+    (
+        &[
+            "synth",
+            "--json",
+            "cash",
+            "examples/chl/crc8.chl",
+            "main",
+            "9,1,8,2,7,3,6,4,5,0,15,11,14,12,13,10",
+        ],
+        "synth_crc8_cash_json.golden",
+        true,
+    ),
+    (&["ir", "--json", "examples/chl/fir.chl", "main"], "ir_fir_json.golden", true),
     (&["schema"], "schema.golden", true),
     (&["schema", "--json"], "schema_json.golden", true),
 ];
