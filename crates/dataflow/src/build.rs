@@ -17,7 +17,7 @@
 //!
 //! The result is a deterministic Kahn network: see [`crate::sim`].
 
-use crate::graph::{DataflowGraph, NodeId, NodeKind};
+use crate::graph::{out_index, DataflowGraph, NodeId, NodeKind};
 use chls_frontend::IntType;
 use chls_ir::ir::{BlockId, Function, InstKind, Term, Value};
 use std::collections::{BTreeSet, HashMap};
@@ -55,6 +55,58 @@ enum Item {
 /// See [`BuildError`].
 pub fn build_dataflow(f: &Function) -> Result<DataflowGraph, BuildError> {
     Builder::new(f).run()
+}
+
+/// The sticky IR values of `f`, indexed by value: constants, parameters,
+/// and pure operations (`Bin`, `Un`, `Select`, `Cast`) whose operands
+/// are all sticky — the least such set, over every arena instruction.
+///
+/// One worklist pass, as in [`DataflowGraph::compute_sticky`]: each pure
+/// instruction counts its operands not yet known sticky, and a value
+/// turning sticky counts down its pure users.
+pub fn sticky_values(f: &Function) -> Vec<bool> {
+    let n = f.insts.len();
+    let is_pure = |k: &InstKind| {
+        matches!(
+            k,
+            InstKind::Bin(..) | InstKind::Un(..) | InstKind::Select { .. } | InstKind::Cast { .. }
+        )
+    };
+    // (operand, user) for every operand of a pure instruction.
+    let mut uses: Vec<(u32, u32)> = Vec::new();
+    let mut pending = vec![0u32; n];
+    for (i, inst) in f.insts.iter().enumerate() {
+        if is_pure(&inst.kind) {
+            inst.kind.for_each_operand(|o| {
+                uses.push((o.0, i as u32));
+                pending[i] += 1;
+            });
+        }
+    }
+    let (start, users) = out_index(n, uses.iter().copied());
+    let mut sticky = vec![false; n];
+    let mut work: Vec<usize> = Vec::new();
+    for (i, inst) in f.insts.iter().enumerate() {
+        let seed = match inst.kind {
+            InstKind::Const(_) | InstKind::Param(_) => true,
+            ref k => is_pure(k) && pending[i] == 0,
+        };
+        if seed {
+            sticky[i] = true;
+            work.push(i);
+        }
+    }
+    while let Some(i) = work.pop() {
+        for &u in &users[start[i] as usize..start[i + 1] as usize] {
+            let u = u as usize;
+            pending[u] -= 1;
+            if pending[u] == 0 && !sticky[u] {
+                sticky[u] = true;
+                work.push(u);
+            }
+        }
+    }
+    sticky
 }
 
 fn unit_ty() -> IntType {
@@ -101,7 +153,7 @@ impl<'f> Builder<'f> {
             .collect();
         Builder {
             preds: f.predecessors(),
-            sticky_val: vec![false; f.insts.len()],
+            sticky_val: sticky_values(f),
             sticky_node: HashMap::new(),
             inst_node: HashMap::new(),
             mu_node: HashMap::new(),
@@ -119,7 +171,6 @@ impl<'f> Builder<'f> {
     }
 
     fn run(mut self) -> Result<DataflowGraph, BuildError> {
-        self.compute_sticky_values();
         self.compute_liveness();
         self.create_inst_nodes();
         self.create_mus();
@@ -135,37 +186,6 @@ impl<'f> Builder<'f> {
     }
 
     // ---- analysis ----
-
-    fn compute_sticky_values(&mut self) {
-        loop {
-            let mut changed = false;
-            for (i, inst) in self.f.insts.iter().enumerate() {
-                if self.sticky_val[i] {
-                    continue;
-                }
-                let s = match &inst.kind {
-                    InstKind::Const(_) | InstKind::Param(_) => true,
-                    InstKind::Bin(..)
-                    | InstKind::Un(..)
-                    | InstKind::Select { .. }
-                    | InstKind::Cast { .. } => {
-                        let mut all = true;
-                        inst.kind
-                            .for_each_operand(|o| all &= self.sticky_val[o.0 as usize]);
-                        all
-                    }
-                    _ => false,
-                };
-                if s {
-                    self.sticky_val[i] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
 
     fn compute_liveness(&mut self) {
         let f = self.f;

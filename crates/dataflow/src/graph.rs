@@ -89,6 +89,16 @@ pub enum NodeKind {
     InitialToken,
 }
 
+impl NodeKind {
+    /// A pure operation: sticky when every producer feeding it is.
+    fn is_pure(&self) -> bool {
+        matches!(
+            self,
+            NodeKind::Bin(_) | NodeKind::Un(_) | NodeKind::Select | NodeKind::Cast { .. }
+        )
+    }
+}
+
 /// A node with its output type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeData {
@@ -166,61 +176,76 @@ impl DataflowGraph {
 
     /// Number of input ports a node expects.
     pub fn arity(&self, n: NodeId) -> u8 {
-        match &self.nodes[n.0 as usize].kind {
-            NodeKind::Const(_) | NodeKind::Param(_) | NodeKind::InitialToken => 0,
-            NodeKind::Un(_) | NodeKind::Cast { .. } | NodeKind::Result => 1,
-            NodeKind::Bin(_) | NodeKind::EtaTrue | NodeKind::EtaFalse | NodeKind::Load { .. } => 2,
-            NodeKind::Select | NodeKind::Store { .. } => 3,
-            NodeKind::Join { arity } => *arity,
-            // Mu arity is however many edges target it.
-            NodeKind::Mu => self
-                .edges
+        self.fixed_arity(n).unwrap_or_else(|| {
+            self.edges
                 .iter()
                 .chain(self.token_edges.iter())
                 .filter(|e| e.to == n)
                 .map(|e| e.port + 1)
                 .max()
-                .unwrap_or(0),
-        }
+                .unwrap_or(0)
+        })
     }
 
-    /// Computes the sticky set: constants/params and pure ops fed only by
-    /// sticky nodes.
+    /// Every node's [`arity`](Self::arity), from one pass over the edges.
+    pub fn arities(&self) -> Vec<u8> {
+        let mut out: Vec<u8> = (0..self.nodes.len())
+            .map(|i| self.fixed_arity(NodeId(i as u32)).unwrap_or(0))
+            .collect();
+        for e in self.edges.iter().chain(self.token_edges.iter()) {
+            let t = e.to.0 as usize;
+            if matches!(self.nodes[t].kind, NodeKind::Mu) {
+                out[t] = out[t].max(e.port + 1);
+            }
+        }
+        out
+    }
+
+    /// The arity a node's kind fixes; `None` for a `Mu`, whose arity is
+    /// however many edges target it.
+    fn fixed_arity(&self, n: NodeId) -> Option<u8> {
+        Some(match &self.nodes[n.0 as usize].kind {
+            NodeKind::Const(_) | NodeKind::Param(_) | NodeKind::InitialToken => 0,
+            NodeKind::Un(_) | NodeKind::Cast { .. } | NodeKind::Result => 1,
+            NodeKind::Bin(_) | NodeKind::EtaTrue | NodeKind::EtaFalse | NodeKind::Load { .. } => 2,
+            NodeKind::Select | NodeKind::Store { .. } => 3,
+            NodeKind::Join { arity } => *arity,
+            NodeKind::Mu => return None,
+        })
+    }
+
+    /// Computes the sticky set: constants and parameters, and pure ops
+    /// (`Bin`, `Un`, `Select`, `Cast`) with at least one value in-edge
+    /// whose producers are all sticky — the least such set.
+    ///
+    /// One worklist pass: each node counts its value in-edges from
+    /// producers not yet known sticky, and a node turning sticky counts
+    /// down its consumers through an out-edge index built once. A pure
+    /// op whose count reaches zero was reached by an edge, so it has the
+    /// in-edge the definition asks for.
     pub fn compute_sticky(&mut self) {
         let n = self.nodes.len();
+        let mut pending = vec![0u32; n];
+        for e in &self.edges {
+            pending[e.to.0 as usize] += 1;
+        }
+        let (start, succ) = out_index(n, self.edges.iter().map(|e| (e.from.0, e.to.0)));
         let mut sticky = vec![false; n];
-        loop {
-            let mut changed = false;
-            for i in 0..n {
-                if sticky[i] {
-                    continue;
-                }
-                let is = match &self.nodes[i].kind {
-                    NodeKind::Const(_) | NodeKind::Param(_) => true,
-                    NodeKind::Bin(_)
-                    | NodeKind::Un(_)
-                    | NodeKind::Select
-                    | NodeKind::Cast { .. } => {
-                        let id = NodeId(i as u32);
-                        let mut all = true;
-                        let mut any = false;
-                        for e in &self.edges {
-                            if e.to == id {
-                                any = true;
-                                all &= sticky[e.from.0 as usize];
-                            }
-                        }
-                        any && all
-                    }
-                    _ => false,
-                };
-                if is {
-                    sticky[i] = true;
-                    changed = true;
-                }
+        let mut work: Vec<usize> = Vec::new();
+        for (i, nd) in self.nodes.iter().enumerate() {
+            if matches!(nd.kind, NodeKind::Const(_) | NodeKind::Param(_)) {
+                sticky[i] = true;
+                work.push(i);
             }
-            if !changed {
-                break;
+        }
+        while let Some(i) = work.pop() {
+            for &t in &succ[start[i] as usize..start[i + 1] as usize] {
+                let t = t as usize;
+                pending[t] -= 1;
+                if pending[t] == 0 && !sticky[t] && self.nodes[t].kind.is_pure() {
+                    sticky[t] = true;
+                    work.push(t);
+                }
             }
         }
         self.sticky = sticky;
@@ -288,6 +313,30 @@ impl DataflowGraph {
     }
 }
 
+/// The `(from, to)` pairs grouped by `from` in compressed-row form:
+/// node `i`'s targets are `succ[start[i]..start[i + 1]]`, one entry per
+/// pair, in pair order.
+pub(crate) fn out_index(
+    n: usize,
+    pairs: impl Iterator<Item = (u32, u32)> + Clone,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for (from, _) in pairs.clone() {
+        start[from as usize + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut next = start.clone();
+    let mut succ = vec![0u32; start[n] as usize];
+    for (from, to) in pairs {
+        let slot = &mut next[from as usize];
+        succ[*slot as usize] = to;
+        *slot += 1;
+    }
+    (start, succ)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +374,44 @@ mod tests {
         g.connect(c, add, 1);
         g.compute_sticky();
         assert!(!g.sticky[add.0 as usize]);
+    }
+
+    #[test]
+    fn sticky_needs_an_in_edge_and_no_cycle() {
+        let mut g = DataflowGraph::new("t");
+        let c = g.add_node(NodeKind::Const(1), u32t());
+        // A pure op with no in-edge, and two feeding each other.
+        let lonely = g.add_node(NodeKind::Un(UnKind::Not), u32t());
+        let a = g.add_node(NodeKind::Bin(BinKind::Add), u32t());
+        let b = g.add_node(NodeKind::Bin(BinKind::Add), u32t());
+        g.connect(c, a, 0);
+        g.connect(b, a, 1);
+        g.connect(c, b, 0);
+        g.connect(a, b, 1);
+        // Both ports fed by one producer.
+        let sq = g.add_node(NodeKind::Bin(BinKind::Mul), u32t());
+        g.connect(c, sq, 0);
+        g.connect(c, sq, 1);
+        g.compute_sticky();
+        assert_eq!(g.sticky, vec![true, false, false, false, true]);
+    }
+
+    #[test]
+    fn arities_match_arity() {
+        let mut g = DataflowGraph::new("t");
+        let a = g.add_node(NodeKind::Const(1), u32t());
+        let mu = g.add_node(NodeKind::Mu, u32t());
+        let join = g.add_node(NodeKind::Join { arity: 2 }, IntType::new(1, false));
+        let lone_mu = g.add_node(NodeKind::Mu, u32t());
+        g.connect(a, mu, 0);
+        g.connect_token(a, mu, 2);
+        g.connect(mu, join, 0);
+        let all = g.arities();
+        assert_eq!(all, vec![0, 3, 2, 0]);
+        for (i, &k) in all.iter().enumerate() {
+            assert_eq!(g.arity(NodeId(i as u32)), k);
+        }
+        assert_eq!(g.arity(lone_mu), 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod build;
 pub mod graph;
 pub mod sim;
 
-pub use build::build_dataflow;
+pub use build::{build_dataflow, sticky_values};
 pub use graph::{DataflowGraph, Edge, NodeData, NodeId, NodeKind};
 pub use sim::{simulate, TokenSimError, TokenSimResult};
 
