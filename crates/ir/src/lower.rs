@@ -23,7 +23,7 @@ use crate::ir::*;
 use chls_frontend::ast::UnOp;
 use chls_frontend::hir::*;
 use chls_frontend::{IntType, Span, Type};
-use std::collections::HashMap;
+use crate::FastMap;
 use std::fmt;
 
 /// Errors produced when HIR cannot be lowered to sequential IR.
@@ -97,13 +97,17 @@ struct Lower<'a> {
     f: Function,
     cur: BlockId,
     /// Per-block SSA definitions of scalar locals.
-    defs: Vec<HashMap<LocalId, Value>>,
+    defs: Vec<FastMap<LocalId, Value>>,
     sealed: Vec<bool>,
-    incomplete: Vec<HashMap<LocalId, Value>>,
+    /// Per unsealed block, its incomplete phis in creation (= value)
+    /// order. A local gets at most one: its phi becomes the block's
+    /// definition, which later reads find first.
+    incomplete: Vec<Vec<(LocalId, Value)>>,
     /// Known predecessors, maintained incrementally during construction.
     preds: Vec<Vec<BlockId>>,
-    slots: HashMap<LocalId, Slot>,
-    global_mems: HashMap<GlobalId, MemId>,
+    /// What each local maps to, indexed by [`LocalId`].
+    slots: Vec<Slot>,
+    global_mems: FastMap<GlobalId, MemId>,
     /// (continue target, break target) stack.
     loop_stack: Vec<(BlockId, BlockId)>,
     /// Set when the current block already terminated (return/break).
@@ -126,12 +130,12 @@ impl<'a> Lower<'a> {
             hf,
             f,
             cur: entry,
-            defs: vec![HashMap::new()],
+            defs: vec![FastMap::default()],
             sealed: vec![true],
-            incomplete: vec![HashMap::new()],
+            incomplete: vec![Vec::new()],
             preds: vec![Vec::new()],
-            slots: HashMap::new(),
-            global_mems: HashMap::new(),
+            slots: Vec::with_capacity(hf.locals.len()),
+            global_mems: FastMap::default(),
             loop_stack: Vec::new(),
             done: false,
             cur_span: Span::dummy(),
@@ -145,7 +149,7 @@ impl<'a> Lower<'a> {
             match &local.ty {
                 Type::Bool | Type::Int(_) => {
                     let ty = ir_ty(&local.ty)?;
-                    lw.slots.insert(id, Slot::Scalar(ty));
+                    lw.slots.push(Slot::Scalar(ty));
                     lw.f.param_tys.push(ty);
                     if local.is_param {
                         let v = lw.f.add_inst(entry, InstKind::Param(i), ty);
@@ -171,7 +175,7 @@ impl<'a> Lower<'a> {
                         bank: local.bank,
                         source,
                     });
-                    lw.slots.insert(id, Slot::Mem(mem));
+                    lw.slots.push(Slot::Mem(mem));
                     if local.is_param {
                         lw.f.param_tys.push(elem_ty);
                     }
@@ -187,8 +191,8 @@ impl<'a> Lower<'a> {
     }
 
     fn run(&mut self) -> Result<(), LowerError> {
-        let body = self.hf.body.clone();
-        self.lower_block_stmts(&body)?;
+        let hf = self.hf;
+        self.lower_block_stmts(&hf.body)?;
         if !self.done {
             // Implicit return at the end of a void function.
             self.f.block_mut(self.cur).term = Term::Ret(None);
@@ -204,9 +208,9 @@ impl<'a> Lower<'a> {
 
     fn new_block(&mut self) -> BlockId {
         let b = self.f.add_block();
-        self.defs.push(HashMap::new());
+        self.defs.push(FastMap::default());
         self.sealed.push(false);
-        self.incomplete.push(HashMap::new());
+        self.incomplete.push(Vec::new());
         self.preds.push(Vec::new());
         b
     }
@@ -233,11 +237,9 @@ impl<'a> Lower<'a> {
             return;
         }
         self.sealed[b.0 as usize] = true;
-        let mut pending: Vec<(LocalId, Value)> =
-            self.incomplete[b.0 as usize].drain().collect();
-        // Filling a phi can create values; fill in phi order, not the
-        // map's per-process hash order, so numbering is reproducible.
-        pending.sort_unstable_by_key(|&(_, phi)| phi);
+        // Filling a phi can create values; fill in phi order so
+        // numbering is reproducible.
+        let pending = std::mem::take(&mut self.incomplete[b.0 as usize]);
         for (var, phi) in pending {
             self.fill_phi(var, b, phi);
         }
@@ -251,13 +253,13 @@ impl<'a> Lower<'a> {
         if let Some(&v) = self.defs[block.0 as usize].get(&var) {
             return v;
         }
-        let ty = match self.slots[&var] {
+        let ty = match self.slots[var.0 as usize] {
             Slot::Scalar(t) => t,
             Slot::Mem(_) => unreachable!("arrays are not SSA variables"),
         };
         let v = if !self.sealed[block.0 as usize] {
             let phi = self.f.add_phi(block, ty);
-            self.incomplete[block.0 as usize].insert(var, phi);
+            self.incomplete[block.0 as usize].push((var, phi));
             phi
         } else if self.preds[block.0 as usize].len() == 1 {
             let p = self.preds[block.0 as usize][0];
@@ -480,7 +482,7 @@ impl<'a> Lower<'a> {
 
     fn store_place(&mut self, place: &HirPlace, value: Value) -> Result<(), LowerError> {
         match place {
-            HirPlace::Local(id) => match self.slots[id] {
+            HirPlace::Local(id) => match self.slots[id.0 as usize] {
                 Slot::Scalar(_) => {
                     self.write_var(*id, self.cur, value);
                     Ok(())
@@ -508,7 +510,7 @@ impl<'a> Lower<'a> {
 
     fn place_mem(&mut self, place: &HirPlace) -> Result<MemId, LowerError> {
         match place {
-            HirPlace::Local(id) => match self.slots[id] {
+            HirPlace::Local(id) => match self.slots[id.0 as usize] {
                 Slot::Mem(m) => Ok(m),
                 Slot::Scalar(_) => {
                     Err(LowerError::BadType("indexing a scalar".to_string()))
@@ -590,7 +592,7 @@ impl<'a> Lower<'a> {
 
     fn load_place(&mut self, place: &HirPlace, ty: IntType) -> Result<Value, LowerError> {
         match place {
-            HirPlace::Local(id) => match self.slots[id] {
+            HirPlace::Local(id) => match self.slots[id.0 as usize] {
                 Slot::Scalar(_) => Ok(self.read_var(*id, self.cur)),
                 Slot::Mem(_) => Err(LowerError::BadType("array used as a value".to_string())),
             },
