@@ -313,59 +313,74 @@ fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
 }
 
 /// Removes pure instructions with no uses (then compacts).
+///
+/// The first sweep counts uses from every arena instruction, placed or
+/// not, so a value read only by an unplaced instruction survives it.
+/// Only when that sweep removes something does the removal continue to
+/// a fixpoint over placed instructions alone. That fixpoint comes from
+/// one use count: a removed instruction counts down its operands, and
+/// an operand whose count reaches zero is removed in turn.
 fn dce(f: &mut Function, stats: &mut SimplifyStats) -> bool {
     let n = f.insts.len();
-    let mut used = vec![false; n];
-    for inst in &f.insts {
-        inst.kind.for_each_operand(|v| used[v.0 as usize] = true);
+    let mut placed = vec![false; n];
+    for block in &f.blocks {
+        for &v in &block.insts {
+            placed[v.0 as usize] = true;
+        }
+    }
+    // Uses by placed instructions and terminators, and whether any
+    // instruction at all reads the value.
+    let mut uses = vec![0u32; n];
+    let mut read_anywhere = vec![false; n];
+    for (i, inst) in f.insts.iter().enumerate() {
+        inst.kind.for_each_operand(|o| {
+            read_anywhere[o.0 as usize] = true;
+            if placed[i] {
+                uses[o.0 as usize] += 1;
+            }
+        });
     }
     for block in &f.blocks {
         match &block.term {
-            Term::Br { cond, .. } => used[cond.0 as usize] = true,
-            Term::Ret(Some(v)) => used[v.0 as usize] = true,
+            Term::Br { cond: v, .. } | Term::Ret(Some(v)) => uses[v.0 as usize] += 1,
             _ => {}
         }
     }
-    // Iterate: removing one dead inst may kill its operands.
-    let mut removed_any = false;
-    loop {
-        let mut removed = 0;
-        for block in &mut f.blocks {
-            block.insts.retain(|&v| {
-                let inst = &f.insts[v.0 as usize];
-                let side_effect = matches!(inst.kind, InstKind::Store { .. });
-                if side_effect || used[v.0 as usize] {
-                    true
-                } else {
-                    removed += 1;
-                    false
-                }
-            });
-        }
-        if removed == 0 {
-            break;
-        }
-        removed_any = true;
-        stats.dce += removed;
-        // Recompute uses over placed insts only.
-        used.iter_mut().for_each(|u| *u = false);
-        for block in &f.blocks {
-            for &v in &block.insts {
-                f.insts[v.0 as usize]
-                    .kind
-                    .for_each_operand(|o| used[o.0 as usize] = true);
-            }
-            match &block.term {
-                Term::Br { cond, .. } => used[cond.0 as usize] = true,
-                Term::Ret(Some(v)) => used[v.0 as usize] = true,
-                _ => {}
+    let removable =
+        |v: usize, uses: &[u32]| uses[v] == 0 && !matches!(f.insts[v].kind, InstKind::Store { .. });
+    let mut work: Vec<usize> = Vec::new();
+    let mut first_sweep_removes = false;
+    for block in &f.blocks {
+        for &v in &block.insts {
+            let v = v.0 as usize;
+            if removable(v, &uses) {
+                work.push(v);
+                first_sweep_removes |= !read_anywhere[v];
             }
         }
     }
-    if removed_any {
-        f.compact();
+    if !first_sweep_removes {
+        return false;
     }
-    removed_any
+    let mut dead = vec![false; n];
+    let mut removed = 0;
+    while let Some(v) = work.pop() {
+        dead[v] = true;
+        removed += 1;
+        f.insts[v].kind.for_each_operand(|o| {
+            let o = o.0 as usize;
+            uses[o] -= 1;
+            if placed[o] && !dead[o] && removable(o, &uses) {
+                work.push(o);
+            }
+        });
+    }
+    for block in &mut f.blocks {
+        block.insts.retain(|&v| !dead[v.0 as usize]);
+    }
+    stats.dce += removed;
+    f.compact();
+    true
 }
 
 #[cfg(test)]
@@ -512,6 +527,69 @@ mod tests {
         );
         assert!(stats.dce >= 1);
         assert_eq!(f.op_count(), 1, "{f}");
+    }
+
+    /// `v0 = param 0`, `v1 = param 1`, an unplaced `v2 = add v1, v1`,
+    /// and `ret v0`.
+    fn with_unplaced_reader() -> Function {
+        let int = chls_frontend::IntType::new(32, true);
+        let mut f = Function::new("f");
+        let b = f.entry;
+        let v0 = f.add_inst(b, InstKind::Param(0), int);
+        let v1 = f.add_inst(b, InstKind::Param(1), int);
+        let v2 = f.add_inst(b, InstKind::Bin(BinKind::Add, v1, v1), int);
+        f.blocks[0].insts.retain(|&v| v != v2);
+        f.blocks[0].term = Term::Ret(Some(v0));
+        f
+    }
+
+    #[test]
+    fn dce_keeps_a_value_read_only_by_an_unplaced_instruction() {
+        let mut f = with_unplaced_reader();
+        let mut stats = SimplifyStats::default();
+        assert!(!dce(&mut f, &mut stats));
+        assert_eq!(f.blocks[0].insts, vec![Value(0), Value(1)]);
+        assert_eq!(stats.dce, 0);
+    }
+
+    #[test]
+    fn dce_drops_it_once_the_first_sweep_removes_something() {
+        let mut f = with_unplaced_reader();
+        let int = chls_frontend::IntType::new(32, true);
+        let b = f.entry;
+        f.add_inst(b, InstKind::Bin(BinKind::Mul, Value(0), Value(0)), int);
+        let mut stats = SimplifyStats::default();
+        assert!(dce(&mut f, &mut stats));
+        // The unused `mul` goes in the first sweep; `v1`, read only by
+        // the unplaced `add`, in the next.
+        assert_eq!(stats.dce, 2);
+        assert_eq!(f.insts.len(), 1, "{f}");
+        assert_eq!(f.blocks[0].term, Term::Ret(Some(Value(0))));
+    }
+
+    #[test]
+    fn dce_removes_a_dead_chain_but_not_a_dead_cycle() {
+        let (f, _) = simplified(
+            "int f(int a, int n) {
+                int dead = 0;
+                for (int i = 0; i < n; i++) { dead = dead + a; }
+                int chain = ((a * 3) + 1) ^ 5;
+                return a;
+            }",
+            "f",
+        );
+        // `chain` is gone; the loop-carried `dead` feeds its own phi, so
+        // it stays, as it always has.
+        assert_eq!(
+            f.insts.iter().filter(|i| matches!(i.kind, InstKind::Bin(BinKind::Xor, ..))).count(),
+            0,
+            "{f}"
+        );
+        assert_eq!(
+            f.insts.iter().filter(|i| matches!(i.kind, InstKind::Phi(_))).count(),
+            2,
+            "{f}"
+        );
     }
 
     #[test]
