@@ -15,11 +15,11 @@
 //!
 //! Firing rates run to millions of events per run, so the event loop
 //! avoids hashing and per-event allocation: input-port → queue lookups
-//! go through a dense per-node port table, in-flight input values live
-//! in a free-listed slab indexed by the event (recycling each `Vec`'s
-//! capacity), selector streams and merge dependents are per-node
-//! vectors, and comparison operand types are resolved once up front
-//! instead of scanning the edge list at every binary firing.
+//! go through a dense per-node port table, each event carries the (at
+//! most three) operands any node reads inline, selector streams and
+//! merge dependents are per-node vectors, and latencies, arities and
+//! comparison operand types are resolved once up front instead of per
+//! firing. Set-up is linear in the edges.
 
 use crate::graph::{DataflowGraph, NodeId, NodeKind};
 use chls_ir::{eval_bin, eval_cast, eval_un};
@@ -116,6 +116,22 @@ enum EdgeQueue {
     Sticky(Option<i64>),
 }
 
+/// The input tokens one firing reads: the first three it consumed.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Operands {
+    vals: [i64; 3],
+    len: u8,
+}
+
+impl Operands {
+    fn push(&mut self, v: i64) {
+        if let Some(slot) = self.vals.get_mut(self.len as usize) {
+            *slot = v;
+            self.len += 1;
+        }
+    }
+}
+
 /// Simulates `g` with `args` bound by parameter index.
 ///
 /// # Errors
@@ -143,7 +159,7 @@ fn simulate_inner(
     // Dense per-node input-port table: queue index (or `NO_EDGE`) at
     // `in_edge_idx[port_base[node] + port]`.
     const NO_EDGE: u32 = u32::MAX;
-    let arities: Vec<u8> = (0..n).map(|i| g.arity(NodeId(i as u32))).collect();
+    let arities = g.arities();
     let mut port_base: Vec<u32> = Vec::with_capacity(n);
     let mut acc: u32 = 0;
     for &a in &arities {
@@ -229,9 +245,11 @@ fn simulate_inner(
         mems.push(contents);
     }
 
-    // Event queue: (completion time, seq, node, input-slab slot).
+    // Event queue: (completion time, seq, node, operands). No node reads
+    // past its third input port, so a `Join`'s later tokens are
+    // consumed but not carried.
     #[derive(PartialEq, Eq)]
-    struct Ev(u64, u64, NodeId, u32);
+    struct Ev(u64, u64, NodeId, Operands);
     impl Ord for Ev {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
             other.0.cmp(&self.0).then(other.1.cmp(&self.1))
@@ -243,18 +261,16 @@ fn simulate_inner(
         }
     }
     let mut heap: BinaryHeap<Ev> = BinaryHeap::new();
-    // In-flight input values, slab-allocated so each event reuses a
-    // recycled Vec instead of hashing by sequence number.
-    let mut input_slab: Vec<Vec<i64>> = Vec::new();
-    let mut free_slots: Vec<u32> = Vec::new();
     let mut seq: u64 = 0;
     let mut firings: u64 = 0;
     let mut ever_fired = vec![false; n];
 
-    let latency = |node: NodeId| -> u64 {
-        let (class, w) = g.op_class(node);
-        opts.model.async_latency(class, w).max(1) + opts.handshake_overhead
-    };
+    let latency: Vec<u64> = (0..n)
+        .map(|i| {
+            let (class, w) = g.op_class(NodeId(i as u32));
+            opts.model.async_latency(class, w).max(1) + opts.handshake_overhead
+        })
+        .collect();
 
     // Selector queues: the port-consumption order of the governing control
     // mu, one private queue per dependent value mu (deterministic merge
@@ -278,10 +294,10 @@ fn simulate_inner(
         port_base: &[u32],
         in_edge_idx: &[u32],
         arities: &[u8],
-        out: &mut Vec<i64>,
+        out: &mut Operands,
     ) -> Option<Option<u8>> {
         const NO_EDGE: u32 = u32::MAX;
-        out.clear();
+        out.len = 0;
         let ni = node.0 as usize;
         let arity = arities[ni];
         let base = port_base[ni] as usize;
@@ -359,28 +375,27 @@ fn simulate_inner(
             NodeKind::Const(_) | NodeKind::Param(_) | NodeKind::InitialToken
         ) {
             seq += 1;
-            let slot = input_slab.len() as u32;
-            input_slab.push(Vec::new());
-            heap.push(Ev(0, seq, node, slot));
+            heap.push(Ev(0, seq, node, Operands::default()));
         }
     }
 
     // Hoisted per-firing scratch.
-    let mut consume_buf: Vec<i64> = Vec::new();
+    let mut consumed = Operands::default();
     let mut candidates: Vec<NodeId> = Vec::new();
     let mut work: VecDeque<NodeId> = VecDeque::new();
 
     let mut result: Option<(Option<i64>, u64)> = None;
-    while let Some(Ev(t, _ev_seq, node, slot)) = heap.pop() {
+    while let Some(Ev(t, _ev_seq, node, operands)) = heap.pop() {
         firings += 1;
         if firings > opts.event_limit {
             return Err(TokenSimError::EventLimit(opts.event_limit));
         }
         ever_fired[node.0 as usize] = true;
-        let inputs = std::mem::take(&mut input_slab[slot as usize]);
+        let inputs = operands.vals;
         let nd = &g.nodes[node.0 as usize];
         if opts.trace {
-            eprintln!("t={t} fire {node} {:?} inputs={inputs:?}", nd.kind);
+            let shown = &inputs[..operands.len as usize];
+            eprintln!("t={t} fire {node} {:?} inputs={shown:?}", nd.kind);
         }
         // Compute outputs.
         let mut value_out: Option<i64> = None;
@@ -449,11 +464,6 @@ fn simulate_inner(
                 break;
             }
         }
-        // The event's input Vec goes back on the free list, capacity
-        // intact, for a later firing to reuse.
-        input_slab[slot as usize] = inputs;
-        input_slab[slot as usize].clear();
-        free_slots.push(slot);
         // Deliver outputs.
         if let Some(v) = value_out {
             for &qi in &out_edges[node.0 as usize] {
@@ -498,20 +508,10 @@ fn simulate_inner(
                 &port_base,
                 &in_edge_idx,
                 &arities,
-                &mut consume_buf,
+                &mut consumed,
             ) {
                 seq += 1;
-                let slot = match free_slots.pop() {
-                    Some(s) => {
-                        input_slab[s as usize].extend_from_slice(&consume_buf);
-                        s
-                    }
-                    None => {
-                        input_slab.push(consume_buf.clone());
-                        (input_slab.len() - 1) as u32
-                    }
-                };
-                heap.push(Ev(t + latency(c), seq, c, slot));
+                heap.push(Ev(t + latency[c.0 as usize], seq, c, consumed));
                 // A control mu's consumption order drives its dependents.
                 if let (Some(p), true) = (
                     port,
