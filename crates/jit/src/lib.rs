@@ -110,13 +110,14 @@ mod imp {
 
     /// A tape compiled to native code, ready to run any number of times
     /// (including concurrently — all mutable state lives in the per-run
-    /// slot array and environment block).
-    pub struct JitProgram {
+    /// slot array and environment block). It borrows the design it was
+    /// compiled from, which runs read for binding and fallbacks.
+    pub struct JitProgram<'f> {
         buf: ExecBuf,
         /// Per-state entry offsets into `buf`.
         state_offsets: Vec<usize>,
         tape: Tape,
-        f: Fsmd,
+        f: &'f Fsmd,
         extra_slots: usize,
         /// Number of compiled state blocks.
         pub blocks: usize,
@@ -126,17 +127,17 @@ mod imp {
         pub fallback_blocks: usize,
     }
 
-    impl JitProgram {
+    impl<'f> JitProgram<'f> {
         /// Compiles `f`'s tape to native code. `None` when the host
         /// can't run JIT code (caller falls back to the interpreter).
-        pub fn compile(f: &Fsmd) -> Option<JitProgram> {
+        pub fn compile(f: &'f Fsmd) -> Option<JitProgram<'f>> {
             Self::compile_with(f, false)
         }
 
         /// [`JitProgram::compile`], with every state forced through the
         /// interpreter fallback path (for differential testing of the
         /// native↔interpreter handoff).
-        pub fn compile_with(f: &Fsmd, force_fallback: bool) -> Option<JitProgram> {
+        pub fn compile_with(f: &'f Fsmd, force_fallback: bool) -> Option<JitProgram<'f>> {
             if !available() {
                 return None;
             }
@@ -167,7 +168,7 @@ mod imp {
                 bytes: asm.code.len(),
                 fallback_blocks: tr.fallback_states.iter().filter(|&&b| b).count(),
                 tape,
-                f: f.clone(),
+                f,
                 extra_slots: tr.extra_slots,
             })
         }
@@ -193,9 +194,9 @@ mod imp {
             args: &[ArgValue],
             max_cycles: u64,
         ) -> Result<(FsmdSimResult, u64), FsmdSimError> {
-            let inputs = tape::bind_inputs(&self.f, args)?;
-            let mut mems = tape::bind_mems(&self.f, args)?;
-            let mut slots = tape::init_slots(&self.tape, &self.f, &inputs, self.extra_slots);
+            let inputs = tape::bind_inputs(self.f, args)?;
+            let mut mems = tape::bind_mems(self.f, args)?;
+            let mut slots = tape::init_slots(&self.tape, self.f, &inputs, self.extra_slots);
             let mut descs: Vec<MemDesc> = mems
                 .iter_mut()
                 .map(|m| MemDesc {
@@ -259,7 +260,7 @@ mod imp {
                         let si = env.aux as u32;
                         match tape::exec_state(
                             &self.tape,
-                            &self.f,
+                            self.f,
                             si,
                             &mut slots,
                             &mut mems,
@@ -279,7 +280,7 @@ mod imp {
                         let si = env.aux as u32;
                         match tape::exec_state(
                             &self.tape,
-                            &self.f,
+                            self.f,
                             si,
                             &mut slots,
                             &mut mems,
@@ -393,18 +394,19 @@ mod imp {
     }
 
     /// Placeholder on hosts without JIT support; never constructible.
-    pub struct JitProgram {
+    pub struct JitProgram<'f> {
         never: std::convert::Infallible,
+        _design: std::marker::PhantomData<&'f Fsmd>,
     }
 
-    impl JitProgram {
+    impl<'f> JitProgram<'f> {
         /// Always `None` on this host.
-        pub fn compile(_f: &Fsmd) -> Option<JitProgram> {
+        pub fn compile(_f: &'f Fsmd) -> Option<JitProgram<'f>> {
             None
         }
 
         /// Always `None` on this host.
-        pub fn compile_with(_f: &Fsmd, _force_fallback: bool) -> Option<JitProgram> {
+        pub fn compile_with(_f: &'f Fsmd, _force_fallback: bool) -> Option<JitProgram<'f>> {
             None
         }
 
