@@ -99,6 +99,33 @@ pub struct BackendQor {
     pub phases: Vec<(String, f64)>,
 }
 
+impl BackendQor {
+    /// A row with `status` and no metrics yet.
+    fn new(backend: &'static str, status: QorStatus) -> Self {
+        BackendQor {
+            backend,
+            status,
+            style: None,
+            fsm_states: None,
+            registers: None,
+            memories: None,
+            gates: None,
+            area: None,
+            narrowed_area: None,
+            opt_area: None,
+            sched_cycles: None,
+            ii: None,
+            cycles: None,
+            time_units: None,
+            sim_note: None,
+            jit_blocks: None,
+            jit_bytes: None,
+            jit_fallbacks: None,
+            phases: Vec::new(),
+        }
+    }
+}
+
 /// A full per-program QoR report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QorReport {
@@ -257,92 +284,88 @@ fn measure_backends(
     let mut rows = Vec::with_capacity(backends.len());
     for backend in backends {
         col.reset();
-        let name = backend.info().name;
-        let mut q = BackendQor {
-            backend: name,
-            status: QorStatus::Ok,
-            style: None,
-            fsm_states: None,
-            registers: None,
-            memories: None,
-            gates: None,
-            area: None,
-            narrowed_area: None,
-            opt_area: None,
-            sched_cycles: None,
-            ii: None,
-            cycles: None,
-            time_units: None,
-            sim_note: None,
-            jit_blocks: None,
-            jit_bytes: None,
-            jit_fallbacks: None,
-            phases: Vec::new(),
-        };
-        match compiler.synthesize(backend.as_ref(), entry, synth_opts) {
-            Err(
-                e @ (SynthError::Unsupported { .. }
-                | SynthError::Loop(_)
-                | SynthError::Transform(_)),
-            ) => q.status = QorStatus::Unsupported(e.to_string()),
-            Err(e) => q.status = QorStatus::Error(e.to_string()),
-            Ok(design) => {
-                extract_design(&mut q, &design, opts);
-                match sim_args {
-                    None => {
-                        q.sim_note =
-                            Some("no argument vector (pointer/channel parameter)".to_string());
-                    }
-                    Some(a) => match simulate_design_with(&design, a, opts.jit_requested()) {
-                        Ok(out) => {
-                            q.cycles = out.cycles;
-                            q.time_units = out.time_units;
-                        }
-                        Err(e) => q.sim_note = Some(e.to_string()),
-                    },
-                }
-            }
-        }
-        let snap = col.snapshot();
-        q.sched_cycles = snap.counter("sched.cycles").filter(|&c| c > 0);
-        q.ii = snap.gauge("sched.ii");
-        q.jit_blocks = snap.counter("jit.blocks");
-        q.jit_bytes = snap.counter("jit.bytes");
-        q.jit_fallbacks = snap.counter("jit.fallbacks");
-        q.phases = snap
-            .spans
-            .iter()
-            .map(|s| (s.name.to_string(), s.seconds()))
-            .collect();
-        // Width-narrowing area delta: re-synthesize with `narrow_widths`
-        // and cost the result. Done after the phase snapshot so the
-        // second run's spans don't double-count the pipeline timing.
-        if q.area.is_some() {
-            if synth_opts.narrow_widths {
-                q.narrowed_area = q.area;
-            } else {
-                let mut narrow_opts = synth_opts.clone();
-                narrow_opts.narrow_widths = true;
-                if let Ok(design) = compiler.synthesize(backend.as_ref(), entry, &narrow_opts) {
-                    q.narrowed_area = Some(design.area(&narrow_opts.model));
-                }
-            }
-        }
-        // Logic-optimizer area delta, same what-if pattern.
-        if q.area.is_some() {
-            if synth_opts.opt_netlist {
-                q.opt_area = q.area;
-            } else {
-                let mut opt_opts = synth_opts.clone();
-                opt_opts.opt_netlist = true;
-                if let Ok(design) = compiler.synthesize(backend.as_ref(), entry, &opt_opts) {
-                    q.opt_area = Some(design.area(&opt_opts.model));
-                }
-            }
-        }
+        // A panic in one backend is that backend's error row, so it
+        // cannot take down the others' rows.
+        let q = crate::executor::catch_panic(|| {
+            measure_backend(compiler, entry, backend.as_ref(), sim_args, opts, synth_opts, col)
+        })
+        .unwrap_or_else(|msg| BackendQor::new(backend.info().name, QorStatus::Error(msg)));
         rows.push(q);
     }
     (parse_seconds, rows)
+}
+
+/// One backend's row of [`measure_backends`]: synthesis, simulation,
+/// the phase snapshot, and the narrowing and logic-optimizer what-ifs.
+fn measure_backend(
+    compiler: &Compiler,
+    entry: &str,
+    backend: &dyn chls_backends::Backend,
+    sim_args: Option<&[ArgValue]>,
+    opts: &CompileOptions,
+    synth_opts: &chls_backends::SynthOptions,
+    col: &chls_trace::Collector,
+) -> BackendQor {
+    let mut q = BackendQor::new(backend.info().name, QorStatus::Ok);
+    match compiler.synthesize(backend, entry, synth_opts) {
+        Err(
+            e @ (SynthError::Unsupported { .. } | SynthError::Loop(_) | SynthError::Transform(_)),
+        ) => q.status = QorStatus::Unsupported(e.to_string()),
+        Err(e) => q.status = QorStatus::Error(e.to_string()),
+        Ok(design) => {
+            extract_design(&mut q, &design, opts);
+            match sim_args {
+                None => {
+                    q.sim_note = Some("no argument vector (pointer/channel parameter)".to_string());
+                }
+                Some(a) => match simulate_design_with(&design, a, opts.jit_requested()) {
+                    Ok(out) => {
+                        q.cycles = out.cycles;
+                        q.time_units = out.time_units;
+                    }
+                    Err(e) => q.sim_note = Some(e.to_string()),
+                },
+            }
+        }
+    }
+    let snap = col.snapshot();
+    q.sched_cycles = snap.counter("sched.cycles").filter(|&c| c > 0);
+    q.ii = snap.gauge("sched.ii");
+    q.jit_blocks = snap.counter("jit.blocks");
+    q.jit_bytes = snap.counter("jit.bytes");
+    q.jit_fallbacks = snap.counter("jit.fallbacks");
+    q.phases = snap
+        .spans
+        .iter()
+        .map(|s| (s.name.to_string(), s.seconds()))
+        .collect();
+    // Width-narrowing area delta: re-synthesize with `narrow_widths`
+    // and cost the result. Done after the phase snapshot so the
+    // second run's spans don't double-count the pipeline timing.
+    if q.area.is_some() {
+        if synth_opts.narrow_widths {
+            q.narrowed_area = q.area;
+        } else {
+            let mut narrow_opts = synth_opts.clone();
+            narrow_opts.narrow_widths = true;
+            if let Ok(design) = compiler.synthesize(backend, entry, &narrow_opts) {
+                q.narrowed_area = Some(design.area(&narrow_opts.model));
+            }
+        }
+    }
+    // Logic-optimizer area delta, same what-if pattern.
+    if q.area.is_some() {
+        if synth_opts.opt_netlist {
+            q.opt_area = q.area;
+        } else {
+            let mut opt_opts = synth_opts.clone();
+            opt_opts.opt_netlist = true;
+            if let Ok(design) = compiler.synthesize(backend, entry, &opt_opts) {
+                q.opt_area = Some(design.area(&opt_opts.model));
+            }
+        }
+    }
+    q
 }
 
 fn opt_num<T: ToString>(v: Option<T>) -> String {
@@ -617,5 +640,55 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// A backend that panics the way an indexing bug does.
+    struct Panics;
+
+    impl chls_backends::Backend for Panics {
+        fn info(&self) -> chls_backends::BackendInfo {
+            chls_backends::C2Verilog.info()
+        }
+
+        fn synthesize(
+            &self,
+            _: &chls_backends::Preparer,
+            _: &str,
+            _: &chls_backends::SynthOptions,
+        ) -> Result<Design, SynthError> {
+            panic!("no entry found for key")
+        }
+    }
+
+    #[test]
+    fn a_panicking_backend_is_an_error_row() {
+        let compiler = Compiler::parse(GCD).unwrap();
+        let backends: Vec<Box<dyn chls_backends::Backend>> =
+            vec![Box::new(Panics), Box::new(chls_backends::C2Verilog)];
+        let opts = CompileOptions::new();
+        let args = [ArgValue::Scalar(48), ArgValue::Scalar(36)];
+        let col = chls_trace::Collector::new();
+        col.set_enabled(true);
+        let (_, rows) = chls_trace::with_collector(&col, || {
+            measure_backends(
+                &compiler,
+                "gcd",
+                &backends,
+                Some(&args),
+                &opts,
+                &opts.synth_options(),
+                &col,
+            )
+        });
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].backend, "c2v");
+        assert_eq!(
+            rows[0].status,
+            QorStatus::Error("worker panicked: no entry found for key".to_string())
+        );
+        assert_eq!(rows[0].area, None);
+        // The same compiler still serves the next backend.
+        assert_eq!(rows[1].status, QorStatus::Ok);
+        assert!(rows[1].cycles.is_some_and(|c| c > 0), "{:?}", rows[1]);
     }
 }
