@@ -523,23 +523,32 @@ impl Function {
     /// Panics if a placed instruction references an unplaced one.
     pub fn compact(&mut self) {
         let mut map: Vec<Option<Value>> = vec![None; self.insts.len()];
-        let mut new_insts: Vec<InstData> = Vec::new();
-        let mut new_spans: Vec<Span> = Vec::new();
-        for (bi, block) in self.blocks.iter().enumerate() {
+        let mut placed = 0u32;
+        for block in &self.blocks {
             for &v in &block.insts {
-                let nv = Value(new_insts.len() as u32);
-                map[v.0 as usize] = Some(nv);
-                let mut data = self.insts[v.0 as usize].clone();
-                data.block = BlockId(bi as u32);
-                new_insts.push(data);
-                new_spans.push(self.span_of(v));
+                map[v.0 as usize] = Some(Value(placed));
+                placed += 1;
             }
         }
         let remap = |v: Value| -> Value {
             map[v.0 as usize].unwrap_or_else(|| panic!("compact: {v} used but unplaced"))
         };
-        for inst in &mut new_insts {
-            inst.kind.map_operands(remap);
+        // Each placed instruction moves to its new slot; the old arena is
+        // dropped afterwards.
+        let mut new_insts: Vec<InstData> = Vec::with_capacity(placed as usize);
+        let mut new_spans: Vec<Span> = Vec::with_capacity(placed as usize);
+        for (bi, block) in self.blocks.iter().enumerate() {
+            for &v in &block.insts {
+                let old = &mut self.insts[v.0 as usize];
+                let mut kind = std::mem::replace(&mut old.kind, InstKind::Const(0));
+                kind.map_operands(remap);
+                new_insts.push(InstData {
+                    kind,
+                    ty: old.ty,
+                    block: BlockId(bi as u32),
+                });
+                new_spans.push(self.spans.get(v.0 as usize).copied().unwrap_or_else(Span::dummy));
+            }
         }
         for block in &mut self.blocks {
             for v in &mut block.insts {

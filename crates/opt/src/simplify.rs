@@ -221,8 +221,9 @@ fn prune_unreachable(f: &mut Function, stats: &mut SimplifyStats) -> bool {
     changed
 }
 
-/// CSE's scoped table: key → (first value, result width, signedness).
-type CseTable<K> = FastMap<K, (Value, u16, bool)>;
+/// CSE's table: key → (first value, its block, result width,
+/// signedness).
+type CseTable<K> = FastMap<K, (Value, BlockId, u16, bool)>;
 
 /// Dominator-scoped CSE over pure instructions.
 fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
@@ -276,32 +277,35 @@ fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
     // Keys are read from the operands as they stand: a merge found in
     // this sweep does not expose further merges until the next one.
     let mut fwd = Forwarding::new(f);
-    // Iterative preorder: (block, scope snapshot length).
-    let mut table: CseTable<Key> = CseTable::default();
-    let mut undo: Vec<Vec<Key>> = Vec::new();
+    // Iterative preorder. A table entry is in scope while the block that
+    // made it is on the current dominator-tree path; an entry from a
+    // block already left never comes back into scope, so it is simply
+    // overwritten, as the scoped table's removal would have made room.
+    let mut table: CseTable<Key> =
+        CseTable::with_capacity_and_hasher(f.insts.len(), Default::default());
+    let mut on_path = vec![false; f.blocks.len()];
     let mut stack: Vec<(BlockId, bool)> = vec![(f.entry, false)];
     while let Some((b, leaving)) = stack.pop() {
         if leaving {
-            for k in undo.pop().expect("scope pushed on entry") {
-                table.remove(&k);
-            }
+            on_path[b.0 as usize] = false;
             continue;
         }
         stack.push((b, true));
-        undo.push(Vec::new());
+        on_path[b.0 as usize] = true;
         for &v in &f.block(b).insts {
             let inst = f.inst(v);
             let Some(key) = key_of(inst) else { continue };
             match table.get(&key) {
-                Some(&(prev, ty_w, ty_s))
-                    if ty_w == inst.ty.width && ty_s == inst.ty.signed =>
+                Some(&(prev, at, ty_w, ty_s))
+                    if on_path[at.0 as usize]
+                        && ty_w == inst.ty.width
+                        && ty_s == inst.ty.signed =>
                 {
                     fwd.forward(v, prev);
                     stats.cse += 1;
                 }
                 _ => {
-                    table.insert(key, (v, inst.ty.width, inst.ty.signed));
-                    undo.last_mut().expect("scope exists").push(key);
+                    table.insert(key, (v, b, inst.ty.width, inst.ty.signed));
                 }
             }
         }
