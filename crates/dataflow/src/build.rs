@@ -20,7 +20,8 @@
 use crate::graph::{out_index, DataflowGraph, NodeId, NodeKind};
 use chls_frontend::IntType;
 use chls_ir::ir::{BlockId, Function, InstKind, Term, Value};
-use std::collections::{BTreeSet, HashMap};
+use chls_ir::FastMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors during dataflow construction.
@@ -120,27 +121,27 @@ struct Builder<'f> {
     /// Sticky IR values (consts, params, pure ops of them).
     sticky_val: Vec<bool>,
     /// Global node per sticky value.
-    sticky_node: HashMap<Value, NodeId>,
+    sticky_node: Vec<Option<NodeId>>,
     /// Node of each non-sticky instruction (including phis as mus).
-    inst_node: HashMap<Value, NodeId>,
+    inst_node: Vec<Option<NodeId>>,
     /// Mu node per (multi-pred block, live-in item).
-    mu_node: HashMap<(BlockId, Item), NodeId>,
+    mu_node: FastMap<(BlockId, Item), NodeId>,
     /// Block where each value is defined.
     def_block: Vec<BlockId>,
     /// Live-in sets (values only; pseudo-items are live everywhere).
     live_in: Vec<BTreeSet<Value>>,
     /// Per-block token entry point for each memory the block accesses
     /// (a 1-ary Join fed from the incoming chain in the wiring pass).
-    token_in: HashMap<(BlockId, u32), NodeId>,
+    token_in: FastMap<(BlockId, u32), NodeId>,
     /// Per-block final token producer for each memory the block accesses.
-    block_token_out: HashMap<(BlockId, u32), NodeId>,
+    block_token_out: FastMap<(BlockId, u32), NodeId>,
     /// Entry seeds.
     ctrl_seed: NodeId,
     mem_seeds: Vec<NodeId>,
     /// Cached out() results to avoid exponential recursion.
-    out_cache: HashMap<(BlockId, Item), NodeId>,
+    out_cache: FastMap<(BlockId, Item), NodeId>,
     /// Gate cache per (edge source, edge target, item).
-    gate_cache: HashMap<(BlockId, BlockId, Item), NodeId>,
+    gate_cache: FastMap<(BlockId, BlockId, Item), NodeId>,
 }
 
 impl<'f> Builder<'f> {
@@ -154,17 +155,17 @@ impl<'f> Builder<'f> {
         Builder {
             preds: f.predecessors(),
             sticky_val: sticky_values(f),
-            sticky_node: HashMap::new(),
-            inst_node: HashMap::new(),
-            mu_node: HashMap::new(),
+            sticky_node: vec![None; f.insts.len()],
+            inst_node: vec![None; f.insts.len()],
+            mu_node: FastMap::default(),
             def_block: f.insts.iter().map(|i| i.block).collect(),
             live_in: vec![BTreeSet::new(); f.blocks.len()],
-            token_in: HashMap::new(),
-            block_token_out: HashMap::new(),
+            token_in: FastMap::default(),
+            block_token_out: FastMap::default(),
             ctrl_seed,
             mem_seeds,
-            out_cache: HashMap::new(),
-            gate_cache: HashMap::new(),
+            out_cache: FastMap::default(),
+            gate_cache: FastMap::default(),
             f,
             g,
         }
@@ -273,7 +274,7 @@ impl<'f> Builder<'f> {
     // ---- node creation ----
 
     fn sticky_node_for(&mut self, v: Value) -> NodeId {
-        if let Some(&n) = self.sticky_node.get(&v) {
+        if let Some(n) = self.sticky_node[v.0 as usize] {
             return n;
         }
         let inst = self.f.inst(v);
@@ -287,7 +288,7 @@ impl<'f> Builder<'f> {
             other => unreachable!("{other:?} cannot be sticky"),
         };
         let node = self.g.add_node(kind, inst.ty);
-        self.sticky_node.insert(v, node);
+        self.sticky_node[v.0 as usize] = Some(node);
         // Wire sticky operands immediately (they are all sticky too).
         for (port, o) in collect_operands(&inst.kind).into_iter().enumerate() {
             let src = self.sticky_node_for(o);
@@ -298,7 +299,6 @@ impl<'f> Builder<'f> {
 
     fn create_inst_nodes(&mut self) {
         for (i, inst) in self.f.insts.iter().enumerate() {
-            let v = Value(i as u32);
             if self.sticky_val[i] {
                 continue;
             }
@@ -318,7 +318,7 @@ impl<'f> Builder<'f> {
                 }
                 InstKind::Const(_) | InstKind::Param(_) => unreachable!("sticky"),
             };
-            self.inst_node.insert(v, node);
+            self.inst_node[i] = Some(node);
         }
     }
 
@@ -369,9 +369,11 @@ impl<'f> Builder<'f> {
             Item::Val(v) => {
                 if self.sticky_val[v.0 as usize] {
                     self.sticky_node_for(v)
-                } else if self.def_block[v.0 as usize] == b && self.inst_node.contains_key(&v) {
+                } else if let (true, Some(n)) =
+                    (self.def_block[v.0 as usize] == b, self.inst_node[v.0 as usize])
+                {
                     // Defined here (includes phis-as-mus at this block).
-                    self.inst_node[&v]
+                    n
                 } else {
                     self.incoming(b, item)
                 }
@@ -408,7 +410,7 @@ impl<'f> Builder<'f> {
                     return mu;
                 }
                 // A value without a mu here must be defined here as a phi.
-                if let Some(&n) = self.inst_node.get(&v) {
+                if let Some(n) = self.inst_node[v.0 as usize] {
                     return n;
                 }
                 unreachable!("no mu and no def for {v} at {b}");
@@ -435,7 +437,7 @@ impl<'f> Builder<'f> {
         }
         let src = self.out(p, item);
         let sticky_src = matches!(item, Item::Val(v) if self.sticky_val[v.0 as usize]);
-        let node = match self.f.block(p).term.clone() {
+        let node = match self.f.block(p).term {
             Term::Jump(_) => {
                 if sticky_src {
                     // A sticky value entering a merge must arrive once per
@@ -490,21 +492,22 @@ impl<'f> Builder<'f> {
     // ---- wiring ----
 
     fn wire_instructions(&mut self) {
-        for bi in 0..self.f.blocks.len() {
+        let f = self.f;
+        for bi in 0..f.blocks.len() {
             let b = BlockId(bi as u32);
             // Per-memory chain state within this block.
-            let mut last_token: HashMap<u32, NodeId> = HashMap::new();
-            let mut pending_loads: HashMap<u32, Vec<NodeId>> = HashMap::new();
-            for &v in &self.f.block(b).insts.clone() {
+            let mut last_token: FastMap<u32, NodeId> = FastMap::default();
+            let mut pending_loads: FastMap<u32, Vec<NodeId>> = FastMap::default();
+            for &v in &f.block(b).insts {
                 if self.sticky_val[v.0 as usize] {
                     continue;
                 }
-                let kind = self.f.inst(v).kind.clone();
+                let kind = &f.inst(v).kind;
                 if matches!(kind, InstKind::Phi(_)) {
                     continue; // wired with the mus
                 }
-                let node = self.inst_node[&v];
-                match &kind {
+                let node = self.inst_node[v.0 as usize].expect("non-sticky values have nodes");
+                match kind {
                     InstKind::Load { mem, addr } => {
                         let a = self.operand(b, *addr);
                         self.g.connect(a, node, 0);
@@ -574,7 +577,7 @@ impl<'f> Builder<'f> {
         &mut self,
         b: BlockId,
         mem: u32,
-        last_token: &mut HashMap<u32, NodeId>,
+        last_token: &mut FastMap<u32, NodeId>,
     ) -> NodeId {
         if let Some(&t) = last_token.get(&mem) {
             return t;
@@ -605,7 +608,7 @@ impl<'f> Builder<'f> {
         if self.sticky_val[o.0 as usize] {
             self.sticky_node_for(o)
         } else if self.def_block[o.0 as usize] == b {
-            self.inst_node[&o]
+            self.inst_node[o.0 as usize].expect("non-sticky values have nodes")
         } else {
             self.out(b, Item::Val(o))
         }
@@ -623,7 +626,7 @@ impl<'f> Builder<'f> {
             let InstKind::Phi(args) = &inst.kind else {
                 continue;
             };
-            let mu = self.inst_node[&v];
+            let mu = self.inst_node[v.0 as usize].expect("non-sticky values have nodes");
             if let Some(&ctrl_mu) = self.mu_node.get(&(inst.block, Item::Ctrl)) {
                 self.g.mu_ctrl[mu.0 as usize] = Some(ctrl_mu);
             }
