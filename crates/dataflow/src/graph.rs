@@ -174,23 +174,24 @@ impl DataflowGraph {
         self.token_edges.push(Edge { from, to, port });
     }
 
-    /// Number of input ports a node expects.
-    pub fn arity(&self, n: NodeId) -> u8 {
-        self.fixed_arity(n).unwrap_or_else(|| {
-            self.edges
-                .iter()
-                .chain(self.token_edges.iter())
-                .filter(|e| e.to == n)
-                .map(|e| e.port + 1)
-                .max()
-                .unwrap_or(0)
-        })
-    }
-
-    /// Every node's [`arity`](Self::arity), from one pass over the edges.
+    /// Number of input ports each node expects, indexed by node. The
+    /// kind fixes it, except for a `Mu`, whose arity is however many
+    /// edges target it; one pass over the edges finds those.
     pub fn arities(&self) -> Vec<u8> {
-        let mut out: Vec<u8> = (0..self.nodes.len())
-            .map(|i| self.fixed_arity(NodeId(i as u32)).unwrap_or(0))
+        let mut out: Vec<u8> = self
+            .nodes
+            .iter()
+            .map(|nd| match &nd.kind {
+                NodeKind::Const(_) | NodeKind::Param(_) | NodeKind::InitialToken => 0,
+                NodeKind::Un(_) | NodeKind::Cast { .. } | NodeKind::Result => 1,
+                NodeKind::Bin(_)
+                | NodeKind::EtaTrue
+                | NodeKind::EtaFalse
+                | NodeKind::Load { .. } => 2,
+                NodeKind::Select | NodeKind::Store { .. } => 3,
+                NodeKind::Join { arity } => *arity,
+                NodeKind::Mu => 0,
+            })
             .collect();
         for e in self.edges.iter().chain(self.token_edges.iter()) {
             let t = e.to.0 as usize;
@@ -199,19 +200,6 @@ impl DataflowGraph {
             }
         }
         out
-    }
-
-    /// The arity a node's kind fixes; `None` for a `Mu`, whose arity is
-    /// however many edges target it.
-    fn fixed_arity(&self, n: NodeId) -> Option<u8> {
-        Some(match &self.nodes[n.0 as usize].kind {
-            NodeKind::Const(_) | NodeKind::Param(_) | NodeKind::InitialToken => 0,
-            NodeKind::Un(_) | NodeKind::Cast { .. } | NodeKind::Result => 1,
-            NodeKind::Bin(_) | NodeKind::EtaTrue | NodeKind::EtaFalse | NodeKind::Load { .. } => 2,
-            NodeKind::Select | NodeKind::Store { .. } => 3,
-            NodeKind::Join { arity } => *arity,
-            NodeKind::Mu => return None,
-        })
     }
 
     /// Computes the sticky set: constants and parameters, and pure ops
@@ -397,33 +385,19 @@ mod tests {
     }
 
     #[test]
-    fn arities_match_arity() {
-        let mut g = DataflowGraph::new("t");
-        let a = g.add_node(NodeKind::Const(1), u32t());
-        let mu = g.add_node(NodeKind::Mu, u32t());
-        let join = g.add_node(NodeKind::Join { arity: 2 }, IntType::new(1, false));
-        let lone_mu = g.add_node(NodeKind::Mu, u32t());
-        g.connect(a, mu, 0);
-        g.connect_token(a, mu, 2);
-        g.connect(mu, join, 0);
-        let all = g.arities();
-        assert_eq!(all, vec![0, 3, 2, 0]);
-        for (i, &k) in all.iter().enumerate() {
-            assert_eq!(g.arity(NodeId(i as u32)), k);
-        }
-        assert_eq!(g.arity(lone_mu), 0);
-    }
-
-    #[test]
     fn arity_of_mu_follows_edges() {
         let mut g = DataflowGraph::new("t");
         let a = g.add_node(NodeKind::Const(1), u32t());
         let b = g.add_node(NodeKind::Const(2), u32t());
         let mu = g.add_node(NodeKind::Mu, u32t());
+        let join = g.add_node(NodeKind::Join { arity: 2 }, IntType::new(1, false));
+        // A mu no edge reaches.
+        g.add_node(NodeKind::Mu, u32t());
         g.connect(a, mu, 0);
         g.connect(b, mu, 1);
-        assert_eq!(g.arity(mu), 2);
-        assert_eq!(g.arity(a), 0);
+        g.connect_token(a, mu, 3);
+        g.connect(mu, join, 0);
+        assert_eq!(g.arities(), vec![0, 0, 4, 2, 0]);
     }
 
     #[test]
