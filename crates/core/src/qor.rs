@@ -287,7 +287,15 @@ fn measure_backends(
         // A panic in one backend is that backend's error row, so it
         // cannot take down the others' rows.
         let q = crate::executor::catch_panic(|| {
-            measure_backend(compiler, entry, backend.as_ref(), sim_args, opts, synth_opts, col)
+            measure_backend(
+                compiler,
+                entry,
+                backend.as_ref(),
+                sim_args,
+                opts,
+                synth_opts,
+                col,
+            )
         })
         .unwrap_or_else(|msg| BackendQor::new(backend.info().name, QorStatus::Error(msg)));
         rows.push(q);

@@ -369,9 +369,10 @@ impl<'f> Builder<'f> {
             Item::Val(v) => {
                 if self.sticky_val[v.0 as usize] {
                     self.sticky_node_for(v)
-                } else if let (true, Some(n)) =
-                    (self.def_block[v.0 as usize] == b, self.inst_node[v.0 as usize])
-                {
+                } else if let (true, Some(n)) = (
+                    self.def_block[v.0 as usize] == b,
+                    self.inst_node[v.0 as usize],
+                ) {
                     // Defined here (includes phis-as-mus at this block).
                     n
                 } else {

@@ -547,7 +547,7 @@ impl Function {
                     ty: old.ty,
                     block: BlockId(bi as u32),
                 });
-                new_spans.push(self.spans.get(v.0 as usize).copied().unwrap_or_else(Span::dummy));
+                new_spans.push(self.span_of(v));
             }
         }
         for block in &mut self.blocks {

@@ -20,10 +20,10 @@
 //! constraint-driven backend works from HIR instead.
 
 use crate::ir::*;
+use crate::FastMap;
 use chls_frontend::ast::UnOp;
 use chls_frontend::hir::*;
 use chls_frontend::{IntType, Span, Type};
-use crate::FastMap;
 use std::fmt;
 
 /// Errors produced when HIR cannot be lowered to sequential IR.

@@ -584,16 +584,13 @@ mod tests {
         );
         // `chain` is gone; the loop-carried `dead` feeds its own phi, so
         // it stays, as it always has.
+        let count = |pred: fn(&InstKind) -> bool| f.insts.iter().filter(|i| pred(&i.kind)).count();
         assert_eq!(
-            f.insts.iter().filter(|i| matches!(i.kind, InstKind::Bin(BinKind::Xor, ..))).count(),
+            count(|k| matches!(k, InstKind::Bin(BinKind::Xor, ..))),
             0,
             "{f}"
         );
-        assert_eq!(
-            f.insts.iter().filter(|i| matches!(i.kind, InstKind::Phi(_))).count(),
-            2,
-            "{f}"
-        );
+        assert_eq!(count(|k| matches!(k, InstKind::Phi(_))), 2, "{f}");
     }
 
     #[test]

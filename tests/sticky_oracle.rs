@@ -95,7 +95,11 @@ fn programs() -> Vec<(String, String, String)> {
         })
         .collect();
     for b in chls::benchmarks() {
-        out.push((b.name.to_string(), b.source.to_string(), b.entry.to_string()));
+        out.push((
+            b.name.to_string(),
+            b.source.to_string(),
+            b.entry.to_string(),
+        ));
     }
     out
 }
@@ -110,7 +114,8 @@ fn worklist_sticky_sets_equal_the_round_robin_fixpoint() {
             continue;
         };
         let prep = Preparer::new(hir);
-        let prepared = match prep.sequential(&entry, false, opts.narrow_widths, opts.unroll_factor) {
+        let prepared = prep.sequential(&entry, false, opts.narrow_widths, opts.unroll_factor);
+        let prepared = match prepared {
             Ok(p) => p,
             // Concurrent and pointer-swapping programs are not
             // sequential C for this pipeline.
@@ -129,8 +134,15 @@ fn worklist_sticky_sets_equal_the_round_robin_fixpoint() {
             Ok(_) => panic!("{label}: CASH must produce a dataflow circuit"),
             Err(e) => panic!("{label}: CASH refused a prepared program: {e}"),
         };
-        assert_eq!(g.sticky, reference_sticky(&g), "{label}: circuit sticky set");
-        assert!(g.sticky.iter().any(|&s| s), "{label}: no sticky node at all");
+        assert_eq!(
+            g.sticky,
+            reference_sticky(&g),
+            "{label}: circuit sticky set"
+        );
+        assert!(
+            g.sticky.iter().any(|&s| s),
+            "{label}: no sticky node at all"
+        );
         circuits += 1;
     }
     assert!(circuits >= 20, "only {circuits} programs reached CASH");
