@@ -84,7 +84,20 @@ fn reference_sticky_values(f: &Function) -> Vec<bool> {
     }
 }
 
-/// Every example program and benchmark kernel: (label, source, entry).
+/// Loop invariants of every pure kind (`Bin`, `Un`, `Select`, `Cast`),
+/// one built on another, used inside a loop: the corpus has no sticky
+/// select or cast.
+const INVARIANTS: &str = "int main(int a, int b, int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        int m = a > b ? a : b;
+        s += m + (int) (uint<8>) (-a) + ~(m * b);
+    }
+    return s;
+}";
+
+/// Every example program and benchmark kernel, and [`INVARIANTS`]:
+/// (label, source, entry).
 fn programs() -> Vec<(String, String, String)> {
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut out: Vec<(String, String, String)> = common::corpus()
@@ -101,6 +114,11 @@ fn programs() -> Vec<(String, String, String)> {
             b.entry.to_string(),
         ));
     }
+    out.push((
+        "invariants".to_string(),
+        INVARIANTS.to_string(),
+        "main".to_string(),
+    ));
     out
 }
 
