@@ -218,7 +218,8 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
             .filter(|b| region_of[b.0 as usize] == head)
             .collect();
         let state = state_of(head);
-        // Ordered: a block predicate ORs its in-edges in iteration order.
+        // Keyed `(target, source)`: a block predicate ORs its in-edges,
+        // one `range` in source order.
         let mut edge_pred: BTreeMap<(BlockId, BlockId), Rv> = BTreeMap::new();
         // Pending (uncommitted) stores for in-region forwarding:
         // (guard, addr, value) per memory, in program order.
@@ -244,16 +245,11 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
             let pred = if b == head {
                 Rv::konst(1, IntType::u1())
             } else {
-                let mut acc: Option<Rv> = None;
-                for (edge, p) in &edge_pred {
-                    if edge.1 == b {
-                        acc = Some(match acc {
-                            None => p.clone(),
-                            Some(a) => Rv::bin(BinKind::Or, IntType::u1(), a, p.clone()),
-                        });
-                    }
-                }
-                acc.unwrap_or_else(|| Rv::konst(0, IntType::u1()))
+                edge_pred
+                    .range((b, BlockId(0))..=(b, BlockId(u32::MAX)))
+                    .map(|(_, p)| p.clone())
+                    .reduce(|a, p| Rv::bin(BinKind::Or, IntType::u1(), a, p))
+                    .unwrap_or_else(|| Rv::konst(0, IntType::u1()))
             };
             block_pred[b.0 as usize] = Some(pred.clone());
 
@@ -271,7 +267,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                             let mut acc: Option<Rv> = None;
                             for (p, pv) in args {
                                 let ep = edge_pred
-                                    .get(&(*p, b))
+                                    .get(&(b, *p))
                                     .cloned()
                                     .unwrap_or_else(|| Rv::konst(0, IntType::u1()));
                                 let src = rv_of(*pv, &values);
@@ -370,7 +366,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
             match &f.block(b).term {
                 Term::Jump(t) => {
                     if region_of[t.0 as usize] == head && !is_head[t.0 as usize] {
-                        merge_edge(&mut edge_pred, (b, *t), pred.clone());
+                        merge_edge(&mut edge_pred, (*t, b), pred.clone());
                     } else {
                         exits.push(Exit::To(*t, pred.clone()));
                     }
@@ -381,7 +377,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                     for (target, gate) in [(*then, c), (*els, not_c)] {
                         let ep = mk_and(pred.clone(), gate);
                         if region_of[target.0 as usize] == head && !is_head[target.0 as usize] {
-                            merge_edge(&mut edge_pred, (b, target), ep);
+                            merge_edge(&mut edge_pred, (target, b), ep);
                         } else {
                             exits.push(Exit::To(target, ep));
                         }

@@ -1,18 +1,16 @@
-//! Dominator tree and dominance frontiers.
+//! Dominator tree.
 //!
 //! Implements the Cooper–Harvey–Kennedy "simple, fast dominance" algorithm,
 //! which is near-linear on the small CFGs synthesis produces.
 
 use crate::ir::{BlockId, Function};
 
-/// Immediate-dominator tree plus dominance frontiers for a function.
+/// Immediate-dominator tree of a function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomTree {
     /// `idom[b]` is the immediate dominator of `b`; the entry block is its
     /// own idom. Unreachable blocks have `None`.
     pub idom: Vec<Option<BlockId>>,
-    /// Dominance frontier of each block.
-    pub frontier: Vec<Vec<BlockId>>,
     /// Blocks in reverse postorder (reachable only).
     pub rpo: Vec<BlockId>,
 }
@@ -63,36 +61,7 @@ impl DomTree {
             }
         }
 
-        // Dominance frontiers (Cooper et al. fig. 5).
-        let mut frontier = vec![Vec::new(); n];
-        for &b in &rpo {
-            let bp = &preds[b.0 as usize];
-            if bp.len() < 2 {
-                continue;
-            }
-            let Some(b_idom) = idom[b.0 as usize] else {
-                continue;
-            };
-            for &p in bp {
-                if idom[p.0 as usize].is_none() {
-                    continue;
-                }
-                let mut runner = p;
-                while runner != b_idom {
-                    let fr = &mut frontier[runner.0 as usize];
-                    if !fr.contains(&b) {
-                        fr.push(b);
-                    }
-                    runner = idom[runner.0 as usize].expect("reachable");
-                }
-            }
-        }
-
-        DomTree {
-            idom,
-            frontier,
-            rpo,
-        }
+        DomTree { idom, rpo }
     }
 
     /// True when `a` dominates `b` (reflexive).
@@ -146,16 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn diamond_frontiers() {
-        let f = diamond();
-        let dt = DomTree::compute(&f);
-        assert_eq!(dt.frontier[1], vec![BlockId(3)]);
-        assert_eq!(dt.frontier[2], vec![BlockId(3)]);
-        assert!(dt.frontier[0].is_empty());
-        assert!(dt.frontier[3].is_empty());
-    }
-
-    #[test]
     fn dominates_is_reflexive_and_transitive() {
         let f = diamond();
         let dt = DomTree::compute(&f);
@@ -166,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_frontier_contains_header() {
+    fn loop_header_is_idom_of_its_body_and_exit() {
         // b0 -> b1 (header) -> b2 -> b1, b1 -> b3.
         let mut f = Function::new("l");
         let b0 = f.entry;
@@ -183,9 +142,12 @@ mod tests {
         f.block_mut(b2).term = Term::Jump(b1);
         f.block_mut(b3).term = Term::Ret(None);
         let dt = DomTree::compute(&f);
-        // The loop body's frontier contains the header itself.
-        assert_eq!(dt.frontier[2], vec![b1]);
-        assert!(dt.frontier[1].contains(&b1));
+        // The back edge b2 -> b1 does not move the header's idom, and
+        // the header dominates both the body and the exit.
+        assert_eq!(dt.idom[1], Some(b0));
+        assert_eq!(dt.idom[2], Some(b1));
+        assert_eq!(dt.idom[3], Some(b1));
+        assert!(dt.dominates(b1, b2) && !dt.dominates(b2, b1));
     }
 
     #[test]

@@ -141,6 +141,9 @@ mod imp {
             if !available() {
                 return None;
             }
+            // The staged tape, not the interpreter's lowered one: a trap
+            // replays its state from the slots as they were before the
+            // cycle, which an in-place register write would have changed.
             let tape = tape::compile(f);
             let tr = translate::translate(
                 &tape,

@@ -92,75 +92,15 @@ struct Staging {
     flag: Option<u32>,
 }
 
-/// Does `inst` read `s` as an operand?
-fn reads(inst: &TInst, s: u32) -> bool {
-    match *inst {
-        TInst::Un { a, .. } | TInst::Cast { a, .. } | TInst::Copy { a, .. } => a == s,
-        TInst::Bin { a, b, .. }
-        | TInst::Add { a, b, .. }
-        | TInst::Sub { a, b, .. }
-        | TInst::Mul { a, b, .. }
-        | TInst::And { a, b, .. }
-        | TInst::Or { a, b, .. }
-        | TInst::Xor { a, b, .. }
-        | TInst::CmpEq { a, b, .. }
-        | TInst::CmpNe { a, b, .. }
-        | TInst::CmpLtS { a, b, .. }
-        | TInst::CmpLtU { a, b, .. }
-        | TInst::CmpLeS { a, b, .. }
-        | TInst::CmpLeU { a, b, .. }
-        | TInst::CmpGtS { a, b, .. }
-        | TInst::CmpGtU { a, b, .. }
-        | TInst::CmpGeS { a, b, .. }
-        | TInst::CmpGeU { a, b, .. } => a == s || b == s,
-        TInst::Select { cond, t, f, .. } => cond == s || t == s || f == s,
-        TInst::MemRead { addr, .. } => addr == s,
-        TInst::SetImm { .. } | TInst::Skip { .. } => false,
-        TInst::SkipIfZero { cond, .. } => cond == s,
-        TInst::StageReg { val, .. } => val == s,
-        TInst::StageMemWrite { addr, val, .. } => addr == s || val == s,
-    }
-}
-
-/// The slot `inst` (re)defines, if any.
-fn writes(inst: &TInst) -> Option<u32> {
-    match *inst {
-        TInst::Un { dst, .. }
-        | TInst::Bin { dst, .. }
-        | TInst::Add { dst, .. }
-        | TInst::Sub { dst, .. }
-        | TInst::Mul { dst, .. }
-        | TInst::And { dst, .. }
-        | TInst::Or { dst, .. }
-        | TInst::Xor { dst, .. }
-        | TInst::CmpEq { dst, .. }
-        | TInst::CmpNe { dst, .. }
-        | TInst::CmpLtS { dst, .. }
-        | TInst::CmpLtU { dst, .. }
-        | TInst::CmpLeS { dst, .. }
-        | TInst::CmpLeU { dst, .. }
-        | TInst::CmpGtS { dst, .. }
-        | TInst::CmpGtU { dst, .. }
-        | TInst::CmpGeS { dst, .. }
-        | TInst::CmpGeU { dst, .. }
-        | TInst::Cast { dst, .. }
-        | TInst::Select { dst, .. }
-        | TInst::MemRead { dst, .. }
-        | TInst::Copy { dst, .. }
-        | TInst::SetImm { dst, .. } => Some(dst),
-        _ => None,
-    }
-}
-
 /// Distance (in tape instructions) to the next read of `s`, for the
 /// eviction heuristic. A redefinition before any read means the cached
 /// value is dead (`u32::MAX`); `tail` lists slots the epilogue reads.
 fn next_use_dist(code: &[TInst], from: usize, end: usize, tail: &[u32], s: u32) -> u32 {
     for (d, inst) in code[from..end].iter().enumerate() {
-        if reads(inst, s) {
+        if inst.reads().contains(&Some(s)) {
             return d as u32;
         }
-        if writes(inst) == Some(s) {
+        if inst.writes() == Some(s) {
             return u32::MAX;
         }
     }

@@ -16,6 +16,12 @@
 //! computes into its own temp slot at most once per cycle. Building the
 //! tape interns each expression tree once, under a one-multiply hash.
 //!
+//! The tape is then lowered for this loop ([`tape::lower_commits`]):
+//! register writes that nothing later in their state reads commit in
+//! place instead of being staged, and a temp that only carries a value
+//! into a register is computed straight into it. What is left stays
+//! staged: swaps, memory writes and the writes of deadlocked states.
+//!
 //! The per-cycle loop touches only dense arrays: no allocation, no
 //! hashing, no pointer chasing. A cycle runs only a few tape
 //! instructions, so the loop's fixed cost matters as much as theirs:
@@ -24,12 +30,14 @@
 //! canonicalized to their width by a branch-free shift pair.
 //!
 //! The tape representation is shared with the native x86-64 JIT
-//! (`chls-jit`), which compiles the same tapes to machine code and
-//! steps single states through [`tape::exec_state`] when it falls back;
-//! this module remains the reference executor.
+//! (`chls-jit`), which compiles the unlowered tapes to machine code and
+//! steps single states of them through [`tape::exec_state`] when it
+//! falls back. [`tape::run_tape`] and [`tape::exec_state`] are the
+//! reference executors, and this module's loop is the reference
+//! simulator.
 
 use crate::interp::ArgValue;
-use crate::tape::{self, Step};
+use crate::tape::{self, Step, Tape};
 use chls_rtl::fsmd::{BlockedOp, Fsmd};
 use std::fmt;
 
@@ -131,12 +139,22 @@ fn simulate_inner(
     args: &[ArgValue],
     max_cycles: u64,
 ) -> Result<FsmdSimResult, FsmdSimError> {
+    // Compile once; the per-cycle loop is allocation-free.
+    let mut comp = tape::compile(f);
+    tape::lower_commits(&mut comp, f);
+    run(f, &comp, args, max_cycles)
+}
+
+/// Runs `comp`, a tape of `f` (lowered or not), to completion.
+pub(crate) fn run(
+    f: &Fsmd,
+    comp: &Tape,
+    args: &[ArgValue],
+    max_cycles: u64,
+) -> Result<FsmdSimResult, FsmdSimError> {
     let inputs = tape::bind_inputs(f, args)?;
     let mut mems = tape::bind_mems(f, args)?;
-
-    // Compile once; the per-cycle loop is allocation-free.
-    let comp = tape::compile(f);
-    let mut slots = tape::init_slots(&comp, f, &inputs, 0);
+    let mut slots = tape::init_slots(comp, f, &inputs, 0);
     let mut reg_updates: Vec<(u32, i64)> = Vec::new();
     let mut mem_updates: Vec<(u32, i64, i64)> = Vec::new();
 
@@ -148,7 +166,7 @@ fn simulate_inner(
             return Err(FsmdSimError::CycleLimit(max_cycles));
         }
         match tape::exec_state(
-            &comp,
+            comp,
             f,
             state,
             &mut slots,

@@ -26,10 +26,22 @@
 //! false-guarded action are never evaluated, so an out-of-bounds read on
 //! a dead path never fires.
 //!
+//! [`compile`] stages every register and memory write (`StageReg`,
+//! `StageMemWrite`), and [`exec_state`] commits them together after the
+//! transfer is chosen, as the clock edge does. [`lower_commits`] is an
+//! interpreter-only pass over that output: a register write that no
+//! later instruction, transfer or return value of its state reads
+//! commits in place, and a temp that only carries a value into a
+//! register is computed straight into it. What still needs the clock
+//! edge stays staged. The JIT compiles the unlowered tape (see
+//! `chls-jit`), so every JIT-against-interpreter check also checks the
+//! lowering.
+//!
 //! Consumers that execute tapes by other means (the JIT) must preserve
 //! these semantics exactly; [`run_tape`] and [`exec_state`] are the
-//! reference executors, and every arithmetic corner case defers to
-//! [`eval_bin`]/[`eval_un`] so the definitions cannot drift.
+//! reference executors, of staged and lowered tapes alike, and every
+//! arithmetic corner case defers to [`eval_bin`]/[`eval_un`] so the
+//! definitions cannot drift.
 
 use crate::fsmd_sim::FsmdSimError;
 use crate::interp::ArgValue;
@@ -300,6 +312,87 @@ pub enum TInst {
     },
 }
 
+impl TInst {
+    /// The operand slots, in operand order, for reading or renaming.
+    /// One exhaustive match, so a new variant cannot be left out.
+    pub fn reads_mut(&mut self) -> [Option<&mut Slot>; 3] {
+        match self {
+            TInst::Un { a, .. } | TInst::Cast { a, .. } | TInst::Copy { a, .. } => {
+                [Some(a), None, None]
+            }
+            TInst::Bin { a, b, .. }
+            | TInst::Add { a, b, .. }
+            | TInst::Sub { a, b, .. }
+            | TInst::Mul { a, b, .. }
+            | TInst::And { a, b, .. }
+            | TInst::Or { a, b, .. }
+            | TInst::Xor { a, b, .. }
+            | TInst::CmpEq { a, b, .. }
+            | TInst::CmpNe { a, b, .. }
+            | TInst::CmpLtS { a, b, .. }
+            | TInst::CmpLtU { a, b, .. }
+            | TInst::CmpLeS { a, b, .. }
+            | TInst::CmpLeU { a, b, .. }
+            | TInst::CmpGtS { a, b, .. }
+            | TInst::CmpGtU { a, b, .. }
+            | TInst::CmpGeS { a, b, .. }
+            | TInst::CmpGeU { a, b, .. } => [Some(a), Some(b), None],
+            TInst::Select { cond, t, f, .. } => [Some(cond), Some(t), Some(f)],
+            TInst::MemRead { addr, .. } => [Some(addr), None, None],
+            TInst::SetImm { .. } | TInst::Skip { .. } => [None, None, None],
+            TInst::SkipIfZero { cond, .. } => [Some(cond), None, None],
+            TInst::StageReg { val, .. } => [Some(val), None, None],
+            TInst::StageMemWrite { addr, val, .. } => [Some(addr), Some(val), None],
+        }
+    }
+
+    /// The slots this instruction reads, in operand order.
+    pub fn reads(&self) -> [Option<Slot>; 3] {
+        let mut inst = *self;
+        inst.reads_mut().map(|s| s.copied())
+    }
+
+    /// The slot this instruction (re)defines, if any. Staging
+    /// instructions define none: their effect waits for the commit.
+    pub fn writes_mut(&mut self) -> Option<&mut Slot> {
+        match self {
+            TInst::Un { dst, .. }
+            | TInst::Bin { dst, .. }
+            | TInst::Add { dst, .. }
+            | TInst::Sub { dst, .. }
+            | TInst::Mul { dst, .. }
+            | TInst::And { dst, .. }
+            | TInst::Or { dst, .. }
+            | TInst::Xor { dst, .. }
+            | TInst::CmpEq { dst, .. }
+            | TInst::CmpNe { dst, .. }
+            | TInst::CmpLtS { dst, .. }
+            | TInst::CmpLtU { dst, .. }
+            | TInst::CmpLeS { dst, .. }
+            | TInst::CmpLeU { dst, .. }
+            | TInst::CmpGtS { dst, .. }
+            | TInst::CmpGtU { dst, .. }
+            | TInst::CmpGeS { dst, .. }
+            | TInst::CmpGeU { dst, .. }
+            | TInst::Cast { dst, .. }
+            | TInst::Select { dst, .. }
+            | TInst::MemRead { dst, .. }
+            | TInst::Copy { dst, .. }
+            | TInst::SetImm { dst, .. } => Some(dst),
+            TInst::SkipIfZero { .. }
+            | TInst::Skip { .. }
+            | TInst::StageReg { .. }
+            | TInst::StageMemWrite { .. } => None,
+        }
+    }
+
+    /// The slot this instruction (re)defines, if any.
+    pub fn writes(&self) -> Option<Slot> {
+        let mut inst = *self;
+        inst.writes_mut().copied()
+    }
+}
+
 /// Lowers a binary op at evaluation type `ety` to its most specialized
 /// tape instruction (matching [`eval_bin`]'s semantics on canonical
 /// operands).
@@ -433,6 +526,11 @@ struct StateRoots {
 /// Placeholder in [`Compiler::slot`] for a node whose slot is per-state.
 const NO_SLOT: Slot = Slot::MAX;
 
+/// Initial room in the node tables and the code: the corpus designs
+/// intern at most 49 nodes and emit a median of 23 instructions, so
+/// most tapes are built without growing a table.
+const NODES_HINT: usize = 64;
+
 /// The expression compiler: interns every `Rv` tree of the design into
 /// a DAG once, keeping each state's root ids, then emits one tape per
 /// state from those roots.
@@ -476,19 +574,20 @@ struct Compiler<'f> {
 
 impl<'f> Compiler<'f> {
     fn new(f: &'f Fsmd) -> Self {
+        let n_actions = f.states.iter().map(|s| s.actions.len()).sum();
         Compiler {
             f,
-            nodes: Vec::new(),
-            effectful: Vec::new(),
-            slot: Vec::new(),
-            interned: FastMap::default(),
-            consts: FastMap::default(),
-            const_init: Vec::new(),
-            actions: Vec::new(),
-            conds: Vec::new(),
+            nodes: Vec::with_capacity(NODES_HINT),
+            effectful: Vec::with_capacity(NODES_HINT),
+            slot: Vec::with_capacity(NODES_HINT),
+            interned: FastMap::with_capacity_and_hasher(NODES_HINT, Default::default()),
+            consts: FastMap::with_capacity_and_hasher(16, Default::default()),
+            const_init: Vec::with_capacity(16),
+            actions: Vec::with_capacity(n_actions),
+            conds: Vec::with_capacity(f.states.len()),
             roots: Vec::with_capacity(f.states.len()),
             ret: None,
-            code: Vec::new(),
+            code: Vec::with_capacity(NODES_HINT),
             n_regs: f.regs.len() as u32,
             n_inputs: f.inputs.len() as u32,
             temp_base: 0,
@@ -965,6 +1064,337 @@ pub fn compile(f: &Fsmd) -> Tape {
     }
 }
 
+/// Whether every canonical value of `from` is also canonical in `to`.
+fn fits(from: IntType, to: IntType) -> bool {
+    to.width == 64 || from == to || (from.width < to.width && (to.signed || !from.signed))
+}
+
+/// What [`lower_commits`] knows about one slot within the state it is
+/// lowering. An entry is valid only while `epoch` names that state.
+#[derive(Debug, Clone, Copy)]
+struct SlotFacts {
+    epoch: u32,
+    /// Last position that reads the slot; `u32::MAX` when the transfer
+    /// or the return value reads it.
+    last_read: u32,
+    /// Skip region of the slot's last write.
+    region: u32,
+    /// The register of the first `StageReg` that reads this temp, when
+    /// that `StageReg` sits in the temp's skip region; else `NO_SLOT`.
+    feeds: Slot,
+    /// Instructions writing a temp, or `StageReg`s of a register.
+    writes: u16,
+    /// Some `StageReg` reads the slot.
+    staged_use: bool,
+    /// The temp now lives in register `feeds`.
+    coalesced: bool,
+    /// A `StageReg` of this register stays staged.
+    staged: bool,
+    /// A type in which every value written to the slot is canonical.
+    ty: Option<IntType>,
+}
+
+impl SlotFacts {
+    const FRESH: SlotFacts = SlotFacts {
+        epoch: 0,
+        last_read: 0,
+        region: 0,
+        feeds: NO_SLOT,
+        writes: 0,
+        staged_use: false,
+        coalesced: false,
+        staged: false,
+        ty: None,
+    };
+}
+
+/// The working tables of [`lower_commits`], allocated once per tape.
+struct Lowering<'a> {
+    f: &'a Fsmd,
+    n_regs: u32,
+    const_base: u32,
+    temp_base: u32,
+    const_init: &'a [(Slot, i64)],
+    facts: Vec<SlotFacts>,
+    epoch: u32,
+    /// Open skip regions as `(end, id)`, innermost last.
+    open: Vec<(u32, u32)>,
+}
+
+impl Lowering<'_> {
+    fn fact(&mut self, s: Slot) -> &mut SlotFacts {
+        let e = &mut self.facts[s as usize];
+        if e.epoch != self.epoch {
+            *e = SlotFacts {
+                epoch: self.epoch,
+                ..SlotFacts::FRESH
+            };
+        }
+        e
+    }
+
+    /// A type in which the slot's value is canonical, if one is known.
+    fn slot_ty(&self, s: Slot) -> Option<IntType> {
+        if s < self.n_regs {
+            let r = &self.f.regs[s as usize];
+            (r.ty.canonicalize(r.init) == r.init).then_some(r.ty)
+        } else if s < self.const_base {
+            Some(self.f.inputs[(s - self.n_regs) as usize].1)
+        } else if s < self.temp_base {
+            None
+        } else {
+            let e = &self.facts[s as usize];
+            e.ty.filter(|_| e.epoch == self.epoch)
+        }
+    }
+
+    /// Whether the slot's value is canonical in `ty`.
+    fn slot_fits(&self, s: Slot, ty: IntType) -> bool {
+        if (self.const_base..self.temp_base).contains(&s) {
+            let v = self.const_init[(s - self.const_base) as usize].1;
+            ty.canonicalize(v) == v
+        } else {
+            self.slot_ty(s).is_some_and(|t| fits(t, ty))
+        }
+    }
+
+    /// A type in which both slots' values are canonical, if one is known:
+    /// bitwise operations and selections keep that type's canonical form.
+    fn join(&self, a: Slot, b: Slot) -> Option<IntType> {
+        [a, b]
+            .into_iter()
+            .filter_map(|s| self.slot_ty(s))
+            .find(|&t| self.slot_fits(a, t) && self.slot_fits(b, t))
+    }
+
+    /// A type in which the value `inst` writes is canonical, if known.
+    fn result_ty(&self, inst: &TInst) -> Option<IntType> {
+        match *inst {
+            TInst::Bin { op, .. } if op.is_comparison() => Some(IntType::u1()),
+            TInst::Un { ty, .. }
+            | TInst::Bin { ty, .. }
+            | TInst::Add { ty, .. }
+            | TInst::Sub { ty, .. }
+            | TInst::Mul { ty, .. }
+            | TInst::Cast { ty, .. } => Some(ty),
+            TInst::CmpEq { .. }
+            | TInst::CmpNe { .. }
+            | TInst::CmpLtS { .. }
+            | TInst::CmpLtU { .. }
+            | TInst::CmpLeS { .. }
+            | TInst::CmpLeU { .. }
+            | TInst::CmpGtS { .. }
+            | TInst::CmpGtU { .. }
+            | TInst::CmpGeS { .. }
+            | TInst::CmpGeU { .. } => Some(IntType::u1()),
+            TInst::And { a, b, .. } | TInst::Or { a, b, .. } | TInst::Xor { a, b, .. } => {
+                self.join(a, b)
+            }
+            TInst::Select { t, f, .. } => self.join(t, f),
+            TInst::Copy { a, .. } => self.slot_ty(a),
+            TInst::MemRead { .. }
+            | TInst::SetImm { .. }
+            | TInst::SkipIfZero { .. }
+            | TInst::Skip { .. }
+            | TInst::StageReg { .. }
+            | TInst::StageMemWrite { .. } => None,
+        }
+    }
+
+    /// First pass over one state: reads, writes, types and skip regions.
+    fn scan(&mut self, code: &[TInst], st: &CState) {
+        self.open.clear();
+        let (mut regions, mut pending) = (0u32, None);
+        for i in st.tape.0..st.tape.1 {
+            while self.open.last().is_some_and(|&(end, _)| end <= i) {
+                self.open.pop();
+            }
+            if let Some(end) = pending.take() {
+                if end > i {
+                    debug_assert!(
+                        self.open.last().is_none_or(|&(outer, _)| end <= outer),
+                        "skip regions nest"
+                    );
+                    regions += 1;
+                    self.open.push((end, regions));
+                }
+            }
+            let region = self.open.last().map_or(0, |&(_, id)| id);
+            let inst = code[i as usize];
+            for s in inst.reads().into_iter().flatten() {
+                self.fact(s).last_read = i;
+            }
+            match inst {
+                TInst::StageReg { reg, val, .. } => {
+                    let e = self.fact(val);
+                    if !e.staged_use {
+                        e.staged_use = true;
+                        if e.region == region {
+                            e.feeds = reg;
+                        }
+                    }
+                    self.fact(reg).writes += 1;
+                }
+                TInst::SkipIfZero { target, .. } | TInst::Skip { target } => pending = Some(target),
+                _ => {
+                    if let Some(d) = inst.writes() {
+                        let ty = self.result_ty(&inst);
+                        let e = self.fact(d);
+                        e.writes += 1;
+                        e.ty = if e.writes == 1 || e.ty == ty {
+                            ty
+                        } else {
+                            None
+                        };
+                        e.region = region;
+                    }
+                }
+            }
+        }
+        let tail = match &st.next {
+            CNext::Branch { cond, .. } => Some(*cond),
+            CNext::CasesLazy { sel, .. } => Some(*sel),
+            CNext::Cases { conds, .. } => {
+                for &(c, _) in conds.iter() {
+                    self.fact(c).last_read = u32::MAX;
+                }
+                None
+            }
+            CNext::Goto(_) | CNext::Done | CNext::Stuck(_) => None,
+        };
+        for s in tail.into_iter().chain(st.ret) {
+            self.fact(s).last_read = u32::MAX;
+        }
+    }
+
+    /// The register that temp `v`, written at `q`, can be computed into
+    /// in place of its `StageReg`: `v` is written once, its first
+    /// `StageReg` sits in its skip region, and that register has no
+    /// other `StageReg`, is not read after `q` and holds `v`'s values
+    /// canonically.
+    fn coalesce_into(&self, v: Slot, q: u32) -> Option<u32> {
+        let e = &self.facts[v as usize];
+        if v < self.temp_base || e.writes != 1 || e.feeds == NO_SLOT {
+            return None;
+        }
+        let r = &self.facts[e.feeds as usize];
+        let reg_ty = self.f.regs[e.feeds as usize].ty;
+        (r.writes == 1 && r.last_read <= q && e.ty.is_some_and(|t| fits(t, reg_ty)))
+            .then_some(e.feeds)
+    }
+
+    /// The slot that holds `s`'s value after coalescing.
+    fn alias(&self, s: Slot) -> Slot {
+        let e = &self.facts[s as usize];
+        if e.epoch == self.epoch && e.coalesced {
+            e.feeds
+        } else {
+            s
+        }
+    }
+}
+
+/// Lowers a tape for the interpreter: register writes that need no
+/// staging commit in place.
+///
+/// A state's registers all change at the clock edge, so [`compile`]
+/// stages every `StageReg` and [`exec_state`] commits them after the
+/// transfer is chosen. A `StageReg r <- v` becomes an in-place `Copy`
+/// (or a `Cast`, when `v` is not known to be canonical in `r`'s type)
+/// when no later instruction of the state reads `r`, neither the
+/// transfer nor the return value reads `r`, and no earlier `StageReg`
+/// of `r` in the state stays staged. When `v` is a temp written once,
+/// in the `StageReg`'s skip region, with `r` unread from there on, its
+/// producer computes straight into `r`, `v`'s later reads (transfer and
+/// return included) read `r`, and the `StageReg` is deleted. A temp is
+/// coalesced into one register at most; a second `StageReg` of it
+/// copies from the first register. What is left stays staged: swaps,
+/// memory writes and the writes of `Stuck` states.
+///
+/// `tape` must be as [`compile`] emits it: skips go forward and their
+/// regions nest, and a state reads a temp only after writing it.
+/// Linear in the tape, with no allocation per state. The JIT compiles
+/// the unlowered tape: its trap path replays a state from the pre-cycle
+/// slots, which an in-place write would already have changed.
+pub fn lower_commits(tape: &mut Tape, f: &Fsmd) {
+    let const_base = (tape.n_regs + tape.n_inputs) as u32;
+    let mut lw = Lowering {
+        f,
+        n_regs: tape.n_regs as u32,
+        const_base,
+        temp_base: const_base + tape.const_init.len() as u32,
+        const_init: &tape.const_init,
+        facts: vec![SlotFacts::FRESH; tape.n_slots],
+        epoch: 0,
+        open: Vec::new(),
+    };
+    // Positions of deleted `StageReg`s, in order.
+    let mut deleted: Vec<u32> = Vec::new();
+    for st in &mut tape.states {
+        if st.tape.0 == st.tape.1 || matches!(st.next, CNext::Stuck(_)) {
+            continue;
+        }
+        lw.epoch += 1;
+        lw.scan(&tape.code, st);
+        for i in st.tape.0..st.tape.1 {
+            let inst = &mut tape.code[i as usize];
+            if let TInst::StageReg { reg, ty, val } = *inst {
+                let a = lw.alias(val);
+                let r = lw.fact(reg);
+                if a == reg && a != val {
+                    deleted.push(i);
+                } else if r.staged || r.last_read > i {
+                    r.staged = true;
+                    *inst = TInst::StageReg { reg, ty, val: a };
+                } else if lw.slot_fits(val, ty) {
+                    *inst = TInst::Copy { dst: reg, a };
+                } else {
+                    *inst = TInst::Cast { ty, dst: reg, a };
+                }
+                continue;
+            }
+            for s in inst.reads_mut().into_iter().flatten() {
+                *s = lw.alias(*s);
+            }
+            if let Some(d) = inst.writes_mut() {
+                if let Some(r) = lw.coalesce_into(*d, i) {
+                    lw.fact(*d).coalesced = true;
+                    *d = r;
+                }
+            }
+        }
+        match &mut st.next {
+            CNext::Branch { cond, .. } => *cond = lw.alias(*cond),
+            CNext::Cases { conds, .. } => conds.iter_mut().for_each(|(c, _)| *c = lw.alias(*c)),
+            CNext::CasesLazy { sel, .. } => *sel = lw.alias(*sel),
+            CNext::Goto(_) | CNext::Done | CNext::Stuck(_) => {}
+        }
+        st.ret = st.ret.map(|s| lw.alias(s));
+    }
+    if deleted.is_empty() {
+        return;
+    }
+    // Close the gaps; skip targets and state ranges move with the code.
+    let moved = |p: u32| p - deleted.partition_point(|&d| d < p) as u32;
+    let mut gone = deleted.iter().peekable();
+    let mut w = 0;
+    for i in 0..tape.code.len() {
+        if gone.next_if_eq(&&(i as u32)).is_some() {
+            continue;
+        }
+        let mut inst = tape.code[i];
+        if let TInst::SkipIfZero { target, .. } | TInst::Skip { target } = &mut inst {
+            *target = moved(*target);
+        }
+        tape.code[w] = inst;
+        w += 1;
+    }
+    tape.code.truncate(w);
+    for st in &mut tape.states {
+        st.tape = (moved(st.tape.0), moved(st.tape.1));
+    }
+}
+
 /// Runs one state's tape against the slot array, staging updates.
 ///
 /// # Errors
@@ -1291,4 +1721,234 @@ pub fn init_slots(tape: &Tape, f: &Fsmd, inputs: &[i64], extra_slots: usize) -> 
         slots[s as usize] = v;
     }
     slots
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fsmd_sim::{run, simulate, FsmdSimResult};
+    use chls_rtl::builder::FsmdBuilder;
+    use chls_rtl::fsmd::StateId;
+
+    fn ty32() -> IntType {
+        IntType::new(32, true)
+    }
+
+    /// The lowered tape of `f`.
+    fn lowered(f: &Fsmd) -> Tape {
+        let mut t = compile(f);
+        lower_commits(&mut t, f);
+        t
+    }
+
+    /// One state's instructions in the lowered tape.
+    fn state_code(t: &Tape, s: StateId) -> &[TInst] {
+        let (a, b) = t.states[s.0 as usize].tape;
+        &t.code[a as usize..b as usize]
+    }
+
+    fn staged_regs(code: &[TInst]) -> Vec<u32> {
+        code.iter()
+            .filter_map(|i| match i {
+                TInst::StageReg { reg, .. } => Some(*reg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The lowered simulation agrees with the staged tape, bit for bit.
+    fn agree(f: &Fsmd, args: &[ArgValue]) -> Result<FsmdSimResult, FsmdSimError> {
+        let lowered = simulate(f, args, 1000);
+        assert_eq!(
+            lowered,
+            run(f, &compile(f), args, 1000),
+            "lowering changed the result"
+        );
+        lowered
+    }
+
+    #[test]
+    fn swap_keeps_the_write_whose_register_is_read_later_staged() {
+        let mut b = FsmdBuilder::new("swap");
+        let x = b.reg("x", ty32(), 3);
+        let y = b.reg("y", ty32(), 4);
+        let (s0, s1) = (b.state(), b.state());
+        let (gx, gy) = (b.get(x), b.get(y));
+        b.at(s0).set(x, gy).set(y, gx).goto(s1);
+        b.at(s1).done();
+        let f = b.finish();
+        // `y <- x` reads x after `x <- y`, so x's write stays staged;
+        // nothing reads y afterwards, so y's commits in place.
+        let t = lowered(&f);
+        assert_eq!(staged_regs(state_code(&t, s0)), vec![x.0]);
+        assert_eq!(agree(&f, &[]).unwrap().regs, vec![4, 3]);
+    }
+
+    #[test]
+    fn a_guarded_write_of_a_preamble_value_is_not_coalesced() {
+        let mut b = FsmdBuilder::new("guarded");
+        let en = b.input("en", IntType::u1(), 0);
+        let r = b.reg("r", ty32(), 5);
+        let (s0, s1) = (b.state(), b.state());
+        let next = b.add(b.get(r), Rv::konst(1, ty32()));
+        b.at(s0).set_if(en, r, next).goto(s1);
+        b.at(s1).done();
+        let result = b.get(r);
+        let f = b.returning(result).finish();
+        // The add runs in the preamble whatever the guard says, so it
+        // must not compute into r; the guarded copy commits instead.
+        let t = lowered(&f);
+        let code = state_code(&t, s0);
+        assert!(
+            matches!(code[0], TInst::Add { dst, .. } if dst != r.0),
+            "{code:?}"
+        );
+        assert!(matches!(code[1], TInst::SkipIfZero { .. }), "{code:?}");
+        assert!(
+            matches!(code[2], TInst::Copy { dst, .. } if dst == r.0),
+            "{code:?}"
+        );
+        let off = agree(&f, &[ArgValue::Scalar(0)]).unwrap();
+        assert_eq!((off.ret, off.regs), (Some(5), vec![5]));
+        let on = agree(&f, &[ArgValue::Scalar(1)]).unwrap();
+        assert_eq!((on.ret, on.regs), (Some(6), vec![6]));
+    }
+
+    #[test]
+    fn the_branch_condition_samples_the_register_before_commit() {
+        let mut b = FsmdBuilder::new("branch");
+        let r = b.reg("r", ty32(), 0);
+        let out = b.reg("out", ty32(), 0);
+        let [s0, then, els, done] = [b.state(), b.state(), b.state(), b.state()];
+        let inc = b.add(b.get(r), Rv::konst(1, ty32()));
+        let cond = b.get(r);
+        b.at(s0).set(r, inc).branch(cond, then, els);
+        b.at(then).set(out, Rv::konst(1, ty32())).goto(done);
+        b.at(els).set(out, Rv::konst(2, ty32())).goto(done);
+        b.at(done).done();
+        let result = b.get(out);
+        let f = b.returning(result).finish();
+        assert_eq!(staged_regs(state_code(&lowered(&f), s0)), vec![r.0]);
+        // r was 0 when the branch was taken, so the else arm ran.
+        assert_eq!(agree(&f, &[]).unwrap().ret, Some(2));
+    }
+
+    #[test]
+    fn the_return_value_samples_the_register_before_commit() {
+        let mut b = FsmdBuilder::new("ret");
+        let r = b.reg("r", ty32(), 3);
+        let s0 = b.state();
+        b.at(s0).set(r, Rv::konst(7, ty32())).done();
+        let result = b.get(r);
+        let f = b.returning(result).finish();
+        assert_eq!(staged_regs(state_code(&lowered(&f), s0)), vec![r.0]);
+        let out = agree(&f, &[]).unwrap();
+        assert_eq!((out.ret, out.regs), (Some(3), vec![7]));
+    }
+
+    #[test]
+    fn of_two_writes_of_one_register_the_later_wins() {
+        // Both in place: nothing reads r after the first write.
+        let mut b = FsmdBuilder::new("twice");
+        let r = b.reg("r", ty32(), 1);
+        let (s0, s1) = (b.state(), b.state());
+        let plus1 = b.add(b.get(r), Rv::konst(1, ty32()));
+        let plus10 = b.add(b.get(r), Rv::konst(10, ty32()));
+        b.at(s0).set(r, plus1).set(r, plus10).goto(s1);
+        b.at(s1).done();
+        let f = b.finish();
+        assert!(staged_regs(state_code(&lowered(&f), s0)).is_empty());
+        assert_eq!(agree(&f, &[]).unwrap().regs, vec![11]);
+
+        // A lazy read between the writes keeps the first staged, and
+        // then the second too, so the commit order still decides.
+        let mut b = FsmdBuilder::new("twice_staged");
+        let mem = b.rom("tab", ty32(), vec![10, 20, 30]);
+        let r = b.reg("r", ty32(), 1);
+        let q = b.reg("q", ty32(), 0);
+        let (s0, s1) = (b.state(), b.state());
+        let rd = b.read(mem, b.get(r));
+        b.at(s0)
+            .set(r, Rv::konst(2, ty32()))
+            .set(q, rd)
+            .set(r, Rv::konst(0, ty32()))
+            .goto(s1);
+        b.at(s1).done();
+        let f = b.finish();
+        assert_eq!(staged_regs(state_code(&lowered(&f), s0)), vec![r.0, r.0]);
+        assert_eq!(agree(&f, &[]).unwrap().regs, vec![0, 20]);
+    }
+
+    #[test]
+    fn an_out_of_bounds_read_after_an_in_place_write_reports_the_same_error() {
+        let mut b = FsmdBuilder::new("oob");
+        let mem = b.mem("buf", ty32(), 4);
+        let r = b.reg("r", ty32(), 0);
+        let at = b.reg("at", ty32(), 9);
+        let q = b.reg("q", ty32(), 0);
+        let s0 = b.state();
+        let inc = b.add(b.get(r), Rv::konst(1, ty32()));
+        let next = b.add(b.get(at), Rv::konst(1, ty32()));
+        let rd = b.read(mem, b.get(at));
+        b.at(s0).set(r, inc).set(at, next).set(q, rd).done();
+        let f = b.finish();
+        // r commits in place before the read; `at` stays staged, since
+        // the read's address is `at` itself.
+        let t = lowered(&f);
+        let code = state_code(&t, s0);
+        let write = code.iter().position(|i| i.writes() == Some(r.0));
+        let read = code.iter().position(|i| matches!(i, TInst::MemRead { .. }));
+        assert!(
+            matches!((write, read), (Some(w), Some(rd)) if w < rd),
+            "r is not written in place first: {code:?}"
+        );
+        assert_eq!(staged_regs(code), vec![at.0]);
+        assert_eq!(
+            agree(&f, &[]).unwrap_err(),
+            FsmdSimError::OutOfBounds {
+                mem: "buf".into(),
+                addr: 9,
+                len: 4
+            }
+        );
+    }
+
+    #[test]
+    fn a_value_wider_than_its_register_is_cast_in_place() {
+        let mut b = FsmdBuilder::new("narrow");
+        let x = b.input("x", ty32(), 0);
+        let r = b.reg("r", IntType::new(8, false), 0);
+        let s0 = b.state();
+        let v = b.add(x, Rv::konst(1, ty32()));
+        b.at(s0).set(r, v).done();
+        let f = b.finish();
+        let t = lowered(&f);
+        assert!(
+            matches!(state_code(&t, s0), [TInst::Add { .. }, TInst::Cast { dst, .. }] if *dst == r.0),
+            "{:?}",
+            state_code(&t, s0)
+        );
+        assert_eq!(agree(&f, &[ArgValue::Scalar(255)]).unwrap().regs, vec![0]);
+    }
+
+    #[test]
+    fn a_temp_that_feeds_two_registers_is_coalesced_into_the_first() {
+        let mut b = FsmdBuilder::new("fanout");
+        let x = b.input("x", ty32(), 0);
+        let r1 = b.reg("r1", ty32(), 0);
+        let r2 = b.reg("r2", ty32(), 0);
+        let (s0, s1) = (b.state(), b.state());
+        let v = b.add(x, Rv::konst(3, ty32()));
+        b.at(s0).set(r1, v.clone()).set(r2, v).goto(s1);
+        b.at(s1).done();
+        let f = b.finish();
+        let t = lowered(&f);
+        let code = state_code(&t, s0);
+        assert!(
+            matches!(code, [TInst::Add { dst, .. }, TInst::Copy { dst: d2, a }]
+                if *dst == r1.0 && *d2 == r2.0 && *a == r1.0),
+            "{code:?}"
+        );
+        assert_eq!(agree(&f, &[ArgValue::Scalar(4)]).unwrap().regs, vec![7, 7]);
+    }
 }

@@ -141,8 +141,9 @@ fn seven_backends_prepare_at_most_three_times() {
 }
 
 /// Every benchmark kernel's FSMD, on every backend that makes one,
-/// compiles to the same tape twice, and the constant pool comes out in
-/// slot order rather than in the order of a hash table.
+/// compiles to the same tape twice, lowers for the interpreter to the
+/// same tape twice, and the constant pool comes out in slot order
+/// rather than in the order of a hash table.
 #[test]
 fn tapes_are_identical_across_compilations() {
     let mut designs = 0usize;
@@ -157,6 +158,12 @@ fn tapes_are_identical_across_compilations() {
             let label = format!("{} on {}", bench.name, b.info().name);
             let first = chls_sim::tape::compile(&f);
             assert_eq!(chls_sim::tape::compile(&f), first, "{label}: tapes differ");
+            let lower = || {
+                let mut t = chls_sim::tape::compile(&f);
+                chls_sim::tape::lower_commits(&mut t, &f);
+                t
+            };
+            assert_eq!(lower(), lower(), "{label}: lowered tapes differ");
             assert!(
                 first.const_init.windows(2).all(|p| p[0].0 < p[1].0),
                 "{label}: const_init is not in slot order: {:?}",

@@ -1,7 +1,14 @@
 //! Differential bit-exactness: the x86-64 JIT (`chls-jit`) against the
 //! tape interpreter, over every example program with seeded random
-//! inputs, plus targeted edge-case kernels (division by zero, full-width
+//! inputs and every registry kernel, on every backend that makes an
+//! FSMD, plus targeted edge-case kernels (division by zero, full-width
 //! shifts, signed wraparound, single-bit conditions).
+//!
+//! The JIT compiles the staged tape of `chls_sim::tape::compile`; the
+//! interpreter runs that tape after `chls_sim::tape::lower_commits` has
+//! turned register writes into in-place ones. Every check here is
+//! therefore also a staged-against-in-place check of the lowering, and
+//! the forced-fallback runs make it without native code.
 //!
 //! The contract is total equality: return value, cycle count, final
 //! register file, and final memory images — or, when a run traps, the
@@ -124,41 +131,74 @@ fn synth_c2v(compiler: &Compiler, entry: &str) -> Option<Fsmd> {
     }
 }
 
-/// Every `examples/chl/*.chl` program, synthesized through c2v and run
-/// on several seeded random argument vectors per program.
+/// The FSMD of every backend that makes one for `entry`, by backend
+/// name. Backends that refuse the program are skipped, as in
+/// [`synth_c2v`].
+fn fsmd_designs(compiler: &Compiler, entry: &str) -> Vec<(&'static str, Fsmd)> {
+    chls::backends()
+        .iter()
+        .filter_map(
+            |b| match compiler.synthesize(b.as_ref(), entry, &SynthOptions::default()) {
+                Ok(Design::Fsmd(f)) => Some((b.info().name, f)),
+                _ => None,
+            },
+        )
+        .collect()
+}
+
+/// Runs both engines, then the forced-fallback path, on one (design,
+/// args) pair. Returns false when the host has no JIT.
+fn assert_both_bit_exact(f: &Fsmd, args: &[ArgValue], label: &str) -> bool {
+    assert_bit_exact(f, args, label) && assert_fallback_bit_exact(f, args, label)
+}
+
+/// Every `examples/chl` program, including the channel programs under
+/// `flow/` and the kernels under `software/`, synthesized by every
+/// backend that makes an FSMD and run on several seeded random argument
+/// vectors per program, natively and through the one-step fallback.
 #[test]
 fn examples_agree_on_random_inputs() {
-    let dir = std::path::Path::new("examples/chl");
-    let mut checked = 0usize;
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .expect("examples/chl exists")
+    let mut entries: Vec<_> = ["examples/chl", "examples/chl/flow", "examples/chl/software"]
+        .iter()
+        .flat_map(|dir| std::fs::read_dir(dir).expect("example directory exists"))
         .map(|e| e.expect("readable").path())
         .filter(|p| p.extension().is_some_and(|x| x == "chl"))
         .collect();
     entries.sort();
     assert!(!entries.is_empty(), "no example programs found");
+    let mut checked = 0usize;
+    let mut backends = std::collections::BTreeSet::new();
     for path in entries {
         let src = std::fs::read_to_string(&path).expect("readable example");
         let Ok(compiler) = Compiler::parse(&src) else {
             continue;
         };
-        let Some(fsmd) = synth_c2v(&compiler, "main") else {
-            continue;
+        let funcs = &compiler.hir().funcs;
+        let entry = match funcs.iter().find(|f| f.name == "main").or(funcs.last()) {
+            Some(f) => f.name.clone(),
+            None => continue,
         };
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let mut rng = Lcg::new(0xC0FFEE ^ name.len() as u64);
-        for round in 0..4 {
-            let Some(args) = random_args(&compiler, "main", &mut rng) else {
-                break;
-            };
-            if !assert_bit_exact(&fsmd, &args, &format!("{name} round {round}")) {
-                return; // host without JIT: nothing more to learn
+        let name = path.display().to_string();
+        for (backend, fsmd) in fsmd_designs(&compiler, &entry) {
+            let mut rng = Lcg::new(0xC0FFEE ^ name.len() as u64);
+            for round in 0..4 {
+                let Some(args) = random_args(&compiler, &entry, &mut rng) else {
+                    break;
+                };
+                let label = format!("{name} on {backend} round {round}");
+                if !assert_both_bit_exact(&fsmd, &args, &label) {
+                    return; // host without JIT: nothing more to learn
+                }
+                checked += 1;
+                backends.insert(backend);
             }
-            checked += 1;
         }
     }
     if chls_jit::available() {
-        assert!(checked >= 8, "too few example runs exercised ({checked})");
+        assert!(checked >= 100, "too few example runs exercised ({checked})");
+        for b in ["c2v", "cyber", "hardwarec", "handelc", "transmogrifier"] {
+            assert!(backends.contains(b), "no example ran on {b}");
+        }
     }
 }
 
@@ -279,31 +319,33 @@ fn i1_conditions_agree() {
     }
 }
 
-/// The registered benchmark suite, through both engines.
+/// The registered benchmark suite, through both engines, on every
+/// backend that makes an FSMD.
 #[test]
 fn benchmark_suite_agrees() {
     for bench in chls::benchmarks() {
         let compiler = Compiler::parse(bench.source).expect("benchmark parses");
-        let Some(fsmd) = synth_c2v(&compiler, bench.entry) else {
-            continue;
-        };
-        if !assert_bit_exact(&fsmd, &bench.args, bench.name) {
-            return;
+        for (backend, fsmd) in fsmd_designs(&compiler, bench.entry) {
+            let label = format!("{} on {backend}", bench.name);
+            if !assert_bit_exact(&fsmd, &bench.args, &label) {
+                return;
+            }
         }
     }
 }
 
 /// The registered benchmark suite again, with the JIT's every state
-/// falling back to the interpreter's one-step path.
+/// falling back to the interpreter's one-step path: the staged tape,
+/// stepped through `exec_state`, against the interpreter's lowered one.
 #[test]
 fn benchmark_suite_agrees_on_the_fallback_path() {
     for bench in chls::benchmarks() {
         let compiler = Compiler::parse(bench.source).expect("benchmark parses");
-        let Some(fsmd) = synth_c2v(&compiler, bench.entry) else {
-            continue;
-        };
-        if !assert_fallback_bit_exact(&fsmd, &bench.args, bench.name) {
-            return;
+        for (backend, fsmd) in fsmd_designs(&compiler, bench.entry) {
+            let label = format!("{} on {backend}", bench.name);
+            if !assert_fallback_bit_exact(&fsmd, &bench.args, &label) {
+                return;
+            }
         }
     }
 }
