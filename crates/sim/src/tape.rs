@@ -1951,4 +1951,174 @@ mod tests {
         );
         assert_eq!(agree(&f, &[ArgValue::Scalar(4)]).unwrap().regs, vec![7, 7]);
     }
+
+    /// A seeded generator of random designs.
+    struct Gen {
+        x: u64,
+        /// What an expression may read: registers, the input, a constant.
+        leaves: Vec<Rv>,
+        /// The RAM and the ROM, with their element types.
+        mems: Vec<(chls_rtl::fsmd::MemId, IntType)>,
+    }
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.x = self
+                .x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.x >> 33) % n
+        }
+
+        fn ty(&mut self) -> IntType {
+            let (w, s) =
+                [(32, true), (8, false), (8, true), (1, false), (64, true)][self.below(5) as usize];
+            IntType::new(w, s)
+        }
+
+        /// `addr & mask`, mostly inside a four-word memory.
+        fn addr(&mut self, a: Rv) -> Rv {
+            let mask = if self.below(8) == 0 { 7 } else { 3 };
+            let u32t = IntType::new(32, false);
+            Rv::bin(BinKind::And, u32t, a, Rv::konst(mask, u32t))
+        }
+
+        fn expr(&mut self, depth: u32) -> Rv {
+            if depth == 0 || self.below(3) == 0 {
+                let k = self.below(self.leaves.len() as u64) as usize;
+                return self.leaves[k].clone();
+            }
+            let d = depth - 1;
+            let kind = match self.below(6) {
+                0 | 1 => {
+                    let op = [
+                        BinKind::Add,
+                        BinKind::Mul,
+                        BinKind::Xor,
+                        BinKind::Lt,
+                        BinKind::Shr,
+                    ][self.below(5) as usize];
+                    RvKind::Bin(op, Box::new(self.expr(d)), Box::new(self.expr(d)))
+                }
+                2 => RvKind::Mux(
+                    Box::new(self.expr(d)),
+                    Box::new(self.expr(d)),
+                    Box::new(self.expr(d)),
+                ),
+                3 => RvKind::Cast(Box::new(self.expr(d))),
+                4 => RvKind::Un(UnKind::Neg, Box::new(self.expr(d))),
+                _ => {
+                    let k = self.below(2) as usize;
+                    let (mem, elem) = self.mems[k];
+                    let addr = self.expr(d);
+                    let addr = Box::new(self.addr(addr));
+                    return Rv {
+                        kind: RvKind::MemRead { mem, addr },
+                        ty: elem,
+                    };
+                }
+            };
+            let ty = match kind {
+                RvKind::Bin(op, ..) if op.is_comparison() => IntType::u1(),
+                _ => self.ty(),
+            };
+            Rv { kind, ty }
+        }
+    }
+
+    /// A random design: registers of mixed types (some starting outside
+    /// their type), an input, a RAM and a ROM, and states of guarded and
+    /// unguarded register and memory writes and branches.
+    fn random_design(seed: u64) -> (Fsmd, Vec<ArgValue>) {
+        let mut g = Gen {
+            x: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            leaves: Vec::new(),
+            mems: Vec::new(),
+        };
+        let mut b = FsmdBuilder::new("random");
+        let in_ty = g.ty();
+        g.leaves.push(b.input("x", in_ty, 0));
+        g.leaves.push(Rv::konst(5, ty32()));
+        let mut regs = Vec::new();
+        for k in 0..2 + g.below(4) {
+            let ty = g.ty();
+            let init = g.below(600) as i64 - 300;
+            let init = if g.below(4) == 0 {
+                init
+            } else {
+                ty.canonicalize(init)
+            };
+            let r = b.reg(format!("r{k}"), ty, init);
+            regs.push(r);
+            g.leaves.push(Rv::reg(r, ty));
+        }
+        let ram = b.mem("ram", ty32(), 4);
+        g.mems = vec![
+            (ram, ty32()),
+            (
+                b.rom("rom", IntType::new(8, false), vec![1, 2, 300, 4]),
+                IntType::new(8, false),
+            ),
+        ];
+        let states: Vec<_> = (0..2 + g.below(3)).map(|_| b.state()).collect();
+        for &s in &states {
+            let mut edit = b.at(s);
+            for _ in 0..1 + g.below(4) {
+                let reg = regs[g.below(regs.len() as u64) as usize];
+                edit = match g.below(4) {
+                    0 => edit.set_if(g.expr(2), reg, g.expr(3)),
+                    1 => {
+                        let addr = g.expr(2);
+                        edit.write(ram, g.addr(addr), g.expr(2))
+                    }
+                    _ => edit.set(reg, g.expr(3)),
+                };
+            }
+            let target = states[g.below(states.len() as u64) as usize];
+            edit.branch(g.expr(2), target, states[0]);
+        }
+        let ret = g.leaves[2].clone();
+        let args = vec![ArgValue::Scalar(g.below(40) as i64 - 20)];
+        (b.returning(ret).finish(), args)
+    }
+
+    /// The lowered tape and the staged one, stepped side by side through
+    /// `exec_state`, agree on every step's outcome, and after each step
+    /// that succeeds, on the registers and memories. (A failed step
+    /// ends the run with its error alone, so what an in-place write
+    /// left behind is not observable.)
+    #[test]
+    fn lowering_agrees_with_the_staged_tape_on_random_designs() {
+        for seed in 0..3000 {
+            let (f, args) = random_design(seed);
+            let tapes = [compile(&f), lowered(&f)];
+            let inputs = bind_inputs(&f, &args).unwrap();
+            let mut runs: Vec<_> = tapes
+                .iter()
+                .map(|t| (init_slots(t, &f, &inputs, 0), bind_mems(&f, &args).unwrap()))
+                .collect();
+            let (mut ru, mut mu) = (Vec::new(), Vec::new());
+            let mut state = f.entry.0;
+            for cycle in 0..40 {
+                let mut steps = tapes.iter().zip(&mut runs).map(|(t, (slots, mems))| {
+                    exec_state(t, &f, state, slots, mems, &mut ru, &mut mu)
+                });
+                let (staged, lowered) = (steps.next().unwrap(), steps.next().unwrap());
+                assert_eq!(staged, lowered, "seed {seed}, cycle {cycle}");
+                let Ok(step) = staged else { break };
+                let [(a, ma), (b, mb)] = &runs[..] else {
+                    unreachable!("two runs")
+                };
+                assert_eq!(
+                    (&a[..f.regs.len()], ma),
+                    (&b[..f.regs.len()], mb),
+                    "seed {seed}, cycle {cycle}"
+                );
+                match step {
+                    Step::Next(t) => state = t,
+                    Step::Done(_) => break,
+                }
+            }
+        }
+    }
 }
