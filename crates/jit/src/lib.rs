@@ -48,14 +48,27 @@ pub use chls_sim::fsmd_sim::{FsmdSimError, FsmdSimResult};
 mod imp {
     use crate::buf::ExecBuf;
     use crate::translate::{self, EXIT_DONE, EXIT_FALLBACK, EXIT_LIMIT, EXIT_TRAP};
-    use crate::x86;
+    use crate::x86::{self, Asm};
     use chls_frontend::IntType;
     use chls_ir::BinKind;
     use chls_rtl::fsmd::Fsmd;
     use chls_sim::fsmd_sim::{FsmdSimError, FsmdSimResult};
     use chls_sim::interp::ArgValue;
     use chls_sim::tape::{self, Step, Tape};
+    use std::cell::RefCell;
     use std::sync::OnceLock;
+
+    /// The back end's working storage: the translator's tables and the
+    /// assembler's buffers, reused by every compile on this thread.
+    #[derive(Default)]
+    struct Scratch {
+        tr: translate::Scratch,
+        asm: Asm,
+    }
+
+    thread_local! {
+        static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    }
 
     /// One memory's runtime descriptor, as native code sees it.
     #[repr(C)]
@@ -115,7 +128,7 @@ mod imp {
     pub struct JitProgram<'f> {
         buf: ExecBuf,
         /// Per-state entry offsets into `buf`.
-        state_offsets: Vec<usize>,
+        state_offsets: Box<[usize]>,
         tape: Tape,
         f: &'f Fsmd,
         extra_slots: usize,
@@ -145,35 +158,39 @@ mod imp {
             // replays its state from the slots as they were before the
             // cycle, which an in-place register write would have changed.
             let tape = tape::compile(f);
-            let tr = translate::translate(
-                &tape,
-                f,
-                jit_bin_helper as *const () as usize as i64,
-                force_fallback,
-            );
-            let asm = x86::assemble(&tr.insts, tr.n_labels);
-            let mut buf = ExecBuf::new(asm.code.len())?;
-            buf.write(&asm.code);
-            if !buf.seal() {
-                return None;
-            }
-            let state_offsets = tr
-                .state_labels
-                .iter()
-                .map(|&l| asm.label_pos[l as usize])
-                .collect();
+            let helper = jit_bin_helper as *const () as usize as i64;
+            let (buf, state_offsets, tr) = SCRATCH.with_borrow_mut(|s| {
+                let tr = translate::translate(&mut s.tr, &tape, helper, force_fallback);
+                x86::assemble(&mut s.asm, &s.tr.insts, tr.n_labels);
+                let code = s.asm.code();
+                let mut buf = ExecBuf::new(code.len())?;
+                buf.write(code);
+                if !buf.seal() {
+                    return None;
+                }
+                // Labels 0..n_states are the state entries.
+                let state_offsets = s.asm.label_pos[..tape.states.len()].into();
+                Some((buf, state_offsets, tr))
+            })?;
+            let bytes = buf.code().len();
             chls_trace::add("jit.blocks", tape.states.len() as u64);
-            chls_trace::add("jit.bytes", asm.code.len() as u64);
+            chls_trace::add("jit.bytes", bytes as u64);
             Some(JitProgram {
                 buf,
                 state_offsets,
                 blocks: tape.states.len(),
-                bytes: asm.code.len(),
-                fallback_blocks: tr.fallback_states.iter().filter(|&&b| b).count(),
+                bytes,
+                fallback_blocks: tr.fallback_blocks,
                 tape,
                 f,
                 extra_slots: tr.extra_slots,
             })
+        }
+
+        /// The emitted machine code: the first [`JitProgram::bytes`]
+        /// bytes of the sealed mapping.
+        pub fn code(&self) -> &[u8] {
+            self.buf.code()
         }
 
         /// Runs the compiled design. Same contract as
@@ -414,6 +431,11 @@ mod imp {
         }
 
         /// Unreachable (no `JitProgram` value can exist).
+        pub fn code(&self) -> &[u8] {
+            match self.never {}
+        }
+
+        /// Unreachable (no `JitProgram` value can exist).
         pub fn run(
             &self,
             _args: &[ArgValue],
@@ -446,6 +468,23 @@ mod imp {
     }
 }
 
-pub use imp::{available, simulate, JitProgram};
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+pub use buf::{pooled_mappings, trim_pool, POOL_MAPPINGS};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use imp::MemDesc;
+pub use imp::{available, simulate, JitProgram};
+
+/// The most sealed code mappings the page pool keeps (no pool exists on
+/// this host).
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+pub const POOL_MAPPINGS: usize = 0;
+
+/// Number of pooled code mappings: always 0 on this host.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+pub fn pooled_mappings() -> usize {
+    0
+}
+
+/// Unmaps every pooled code mapping: nothing to do on this host.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+pub fn trim_pool() {}

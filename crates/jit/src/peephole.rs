@@ -67,23 +67,24 @@ fn invert(cc: Cc) -> Cc {
     }
 }
 
-/// Runs the peephole patterns to a fixed point (bounded), returning the
-/// optimized stream.
-pub fn optimize(mut insts: Vec<MInst>) -> Vec<MInst> {
+/// Runs the peephole patterns to a fixed point (bounded), rewriting
+/// the stream in place.
+pub fn optimize(insts: &mut Vec<MInst>) {
     for _ in 0..4 {
         let before = insts.len();
-        insts = pass(insts);
+        pass(insts);
         if insts.len() == before {
             break;
         }
     }
-    insts
 }
 
-fn pass(insts: Vec<MInst>) -> Vec<MInst> {
-    let mut out: Vec<MInst> = Vec::with_capacity(insts.len());
+/// One rewrite pass. Every pattern emits no more instructions than it
+/// reads, so the output is written over the input behind the read
+/// position `i` (at `w <= i`) and the stream is truncated at the end.
+fn pass(insts: &mut Vec<MInst>) {
     let n = insts.len();
-    let mut i = 0;
+    let (mut i, mut w) = (0, 0);
     while i < n {
         let cur = insts[i];
 
@@ -108,15 +109,16 @@ fn pass(insts: Vec<MInst>) -> Vec<MInst> {
         // Pattern 2: store followed directly by a reload of the same
         // address becomes a register move.
         if let MInst::Store { base, disp, src } = cur {
-            if let Some(MInst::Load {
+            if let Some(&MInst::Load {
                 dst,
                 base: b2,
                 disp: d2,
             }) = insts.get(i + 1)
             {
-                if *b2 == base && *d2 == disp {
-                    out.push(cur);
-                    out.push(MInst::MovRR { dst: *dst, src });
+                if b2 == base && d2 == disp {
+                    insts[w] = cur;
+                    insts[w + 1] = MInst::MovRR { dst, src };
+                    w += 2;
                     i += 2;
                     continue;
                 }
@@ -143,9 +145,11 @@ fn pass(insts: Vec<MInst>) -> Vec<MInst> {
                 {
                     if td == dst && ts == dst && matches!(jcc, Cc::Ne | Cc::E) {
                         let folded = if jcc == Cc::Ne { cc } else { invert(cc) };
-                        out.push(cur);
-                        out.extend_from_slice(&insts[i + 1..j]);
-                        out.push(MInst::Jcc { cc: folded, label });
+                        insts[w] = cur;
+                        insts.copy_within(i + 1..j, w + 1);
+                        w += j - i;
+                        insts[w] = MInst::Jcc { cc: folded, label };
+                        w += 1;
                         i = j + 2;
                         continue;
                     }
@@ -153,10 +157,11 @@ fn pass(insts: Vec<MInst>) -> Vec<MInst> {
             }
         }
 
-        out.push(cur);
+        insts[w] = cur;
+        w += 1;
         i += 1;
     }
-    out
+    insts.truncate(w);
 }
 
 #[cfg(test)]
@@ -175,7 +180,8 @@ mod tests {
             MInst::Bind(3),
             MInst::Ret,
         ];
-        let out = optimize(insts);
+        let mut out = insts;
+        optimize(&mut out);
         assert_eq!(out, vec![MInst::Bind(3), MInst::Ret]);
     }
 
@@ -193,7 +199,8 @@ mod tests {
                 disp: 16,
             },
         ];
-        let out = optimize(insts);
+        let mut out = insts;
+        optimize(&mut out);
         assert_eq!(
             out,
             vec![
@@ -233,7 +240,8 @@ mod tests {
                 label: 7,
             },
         ];
-        let out = optimize(insts);
+        let mut out = insts;
+        optimize(&mut out);
         assert_eq!(
             out,
             vec![
@@ -265,7 +273,8 @@ mod tests {
             },
             MInst::Jcc { cc: Cc::E, label: 2 },
         ];
-        let out = optimize(insts);
+        let mut out = insts;
+        optimize(&mut out);
         assert_eq!(
             out,
             vec![

@@ -31,9 +31,7 @@ use crate::regalloc::{slot_disp, RegCache, SLOTS};
 use crate::x86::{AluOp, Cc, Label, MInst, Reg, ShiftKind};
 use chls_frontend::IntType;
 use chls_ir::BinKind;
-use chls_rtl::fsmd::Fsmd;
 use chls_sim::tape::{CNext, TInst, Tape};
-use std::collections::HashMap;
 
 /// `JitEnv` field offsets — must match the `#[repr(C)]` struct in
 /// `lib.rs` (asserted there).
@@ -64,19 +62,42 @@ const ENV: Reg = Reg::R14;
 const CYC: Reg = Reg::Rbx;
 const MAXC: Reg = Reg::R13;
 
-/// Result of translating a whole tape.
+/// Result of translating a whole tape. The micro-instruction stream
+/// itself is left in [`Scratch::insts`].
 pub struct Translated {
-    /// The optimized micro-instruction stream (prologue at entry 0).
-    pub insts: Vec<MInst>,
-    /// Number of labels allocated (for the assembler).
+    /// Number of labels allocated (for the assembler). Labels
+    /// `0..tape.states.len()` are the state entries, in state order.
     pub n_labels: u32,
-    /// Per-state entry labels.
-    pub state_labels: Vec<Label>,
     /// Shadow/flag slots appended past `tape.n_slots`.
     pub extra_slots: usize,
-    /// States compiled as interpreter-fallback stubs.
-    pub fallback_states: Vec<bool>,
+    /// How many states compiled as interpreter-fallback stubs.
+    pub fallback_blocks: usize,
 }
+
+/// The translator's working storage. One lives per thread and is reused
+/// by every compile, so a steady stream of compiles allocates nothing
+/// here once the vectors have grown to the largest design's needs.
+#[derive(Default)]
+pub struct Scratch {
+    /// The optimized micro-instruction stream of the last translation
+    /// (prologue at entry 0).
+    pub insts: Vec<MInst>,
+    /// Per block position: inside a forward-skip region?
+    guarded: Vec<bool>,
+    /// The current state's staged updates, in tape order.
+    stagings: Vec<Staging>,
+    /// Per block position, and the block end: the label a skip to it
+    /// binds there, or [`NO_LABEL`].
+    skip_labels: Vec<Label>,
+    /// Slots the current state's epilogue reads.
+    tail: Vec<u32>,
+    /// The current state's edge stubs: (label, target state or `None`
+    /// for done).
+    stubs: Vec<(Label, Option<u32>)>,
+}
+
+/// No skip lands at this block position.
+const NO_LABEL: Label = Label::MAX;
 
 /// What a staged update commits to.
 enum StKind {
@@ -92,22 +113,52 @@ struct Staging {
     flag: Option<u32>,
 }
 
-/// Distance (in tape instructions) to the next read of `s`, for the
-/// eviction heuristic. A redefinition before any read means the cached
-/// value is dead (`u32::MAX`); `tail` lists slots the epilogue reads.
-fn next_use_dist(code: &[TInst], from: usize, end: usize, tail: &[u32], s: u32) -> u32 {
-    for (d, inst) in code[from..end].iter().enumerate() {
-        if inst.reads().contains(&Some(s)) {
-            return d as u32;
+/// One state's tape and the tables its instructions translate against.
+struct Block<'a> {
+    code: &'a [TInst],
+    /// Absolute tape position of `code[0]`.
+    s0: usize,
+    /// Slots the epilogue reads, so the evictor knows they stay live.
+    tail: &'a [u32],
+    skip_labels: &'a [Label],
+    stagings: &'a [Staging],
+    /// The tape's constant slots and values, in slot order.
+    consts: &'a [(u32, i64)],
+}
+
+impl Block<'_> {
+    /// Distance (in tape instructions) from `from` to the next read of
+    /// `s`, for the eviction heuristic. A redefinition before any read
+    /// means the cached value is dead (`u32::MAX`); a slot only the
+    /// epilogue reads is as far away as the block end.
+    fn next_use(&self, from: usize, s: u32) -> u32 {
+        let end = self.code.len();
+        for (d, inst) in self.code[from..].iter().enumerate() {
+            if inst.reads().contains(&Some(s)) {
+                return d as u32;
+            }
+            if inst.writes() == Some(s) {
+                return u32::MAX;
+            }
         }
-        if inst.writes() == Some(s) {
-            return u32::MAX;
+        if self.tail.contains(&s) {
+            (end - from) as u32
+        } else {
+            u32::MAX
         }
     }
-    if tail.contains(&s) {
-        (end - from) as u32
-    } else {
-        u32::MAX
+
+    /// The label bound at absolute tape position `target`.
+    fn skip_label(&self, target: u32) -> Label {
+        self.skip_labels[target as usize - self.s0]
+    }
+
+    /// The constant held in `slot`, if it is a constant slot.
+    fn const_value(&self, slot: u32) -> Option<i64> {
+        self.consts
+            .binary_search_by_key(&slot, |&(s, _)| s)
+            .ok()
+            .map(|k| self.consts[k].1)
     }
 }
 
@@ -159,13 +210,13 @@ pub fn pack_bin(op: BinKind, ty: IntType) -> i64 {
     opc | ((ty.width as i64) << 8) | ((ty.signed as i64) << 24)
 }
 
-struct Tr {
-    out: Vec<MInst>,
+struct Tr<'s> {
+    out: &'s mut Vec<MInst>,
     labels: u32,
     helper_addr: i64,
 }
 
-impl Tr {
+impl Tr<'_> {
     fn fresh(&mut self) -> Label {
         let l = self.labels;
         self.labels += 1;
@@ -187,19 +238,44 @@ impl Tr {
             disp: slot_disp(slot),
         });
     }
+
+    /// The stub label for an edge to `target` (`None`: done), shared by
+    /// every decision branch that takes the same edge.
+    fn stub_for(&mut self, stubs: &mut Vec<(Label, Option<u32>)>, target: Option<u32>) -> Label {
+        if let Some(&(l, _)) = stubs.iter().find(|(_, t)| *t == target) {
+            return l;
+        }
+        let l = self.fresh();
+        stubs.push((l, target));
+        l
+    }
 }
 
-/// Translates every state of `tape` (for `f`) into a micro-instruction
-/// stream, peephole-optimized and ready to assemble.
-pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool) -> Translated {
-    let consts: HashMap<u32, i64> = tape.const_init.iter().map(|&(s, v)| (s, v)).collect();
+/// Translates every state of `tape` into a micro-instruction stream,
+/// peephole-optimized and ready to assemble, left in `scratch.insts`.
+pub fn translate(
+    scratch: &mut Scratch,
+    tape: &Tape,
+    helper_addr: i64,
+    force_fallback: bool,
+) -> Translated {
+    let Scratch {
+        insts,
+        guarded,
+        stagings,
+        skip_labels,
+        tail,
+        stubs,
+    } = scratch;
+    insts.clear();
     let mut tr = Tr {
-        out: Vec::new(),
+        out: &mut *insts,
         labels: 0,
         helper_addr,
     };
     let n_states = tape.states.len();
-    let state_labels: Vec<Label> = (0..n_states).map(|_| tr.fresh()).collect();
+    // Labels 0..n_states are the state entries.
+    tr.labels = n_states as u32;
     let exit_done = tr.fresh();
     let exit_limit = tr.fresh();
     let out_lbl = tr.fresh();
@@ -234,15 +310,14 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
     tr.out.push(MInst::JmpReg(Reg::Rsi));
 
     let mut next_shadow = tape.n_slots as u32;
-    let mut fallback_states = vec![false; n_states];
+    let mut fallback_blocks = 0usize;
 
-    for si in 0..n_states {
-        let st = &tape.states[si];
+    for (si, st) in tape.states.iter().enumerate() {
         let (s0, s1) = (st.tape.0 as usize, st.tape.1 as usize);
         let block = &tape.code[s0..s1];
 
         // Block header: count the cycle, check the limit.
-        tr.out.push(MInst::Bind(state_labels[si]));
+        tr.out.push(MInst::Bind(si as Label));
         tr.out.push(MInst::AddRI { reg: CYC, imm: 1 });
         tr.out.push(MInst::Alu {
             op: AluOp::Cmp,
@@ -258,7 +333,7 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
         // native code cannot produce — replay them through the tape
         // interpreter so the JIT reports the identical Deadlock error.
         if force_fallback || matches!(st.next, CNext::Stuck(_)) {
-            fallback_states[si] = true;
+            fallback_blocks += 1;
             tr.out.push(MInst::MovRI {
                 dst: Reg::Rcx,
                 imm: si as i64,
@@ -278,7 +353,8 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
 
         // Which tape positions sit inside a forward-skip region — their
         // stagings are conditional and need guard flags.
-        let mut guarded = vec![false; block.len()];
+        guarded.clear();
+        guarded.resize(block.len(), false);
         for (i, inst) in block.iter().enumerate() {
             if let TInst::SkipIfZero { target, .. } | TInst::Skip { target } = inst {
                 for g in guarded
@@ -292,7 +368,7 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
         }
 
         // Shadow-slot layout for this state's staged updates.
-        let mut stagings: Vec<Staging> = Vec::new();
+        stagings.clear();
         for (i, inst) in block.iter().enumerate() {
             let mut alloc = || {
                 let s = next_shadow;
@@ -326,25 +402,28 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
         }
 
         // Zero the guard flags for this cycle.
-        for st in stagings.iter().filter(|s| s.flag.is_some()) {
+        for fl in stagings.iter().filter_map(|s| s.flag) {
             tr.out.push(MInst::StoreImm {
                 base: SLOTS,
-                disp: slot_disp(st.flag.unwrap()),
+                disp: slot_disp(fl),
                 imm: 0,
             });
         }
 
-        // Intra-block labels for forward skips.
-        let mut skip_labels: HashMap<usize, Label> = HashMap::new();
+        // Intra-block labels for forward skips, by block position.
+        skip_labels.clear();
+        skip_labels.resize(block.len() + 1, NO_LABEL);
         for inst in block {
             if let TInst::SkipIfZero { target, .. } | TInst::Skip { target } = inst {
-                let t = *target as usize;
-                skip_labels.entry(t).or_insert_with(|| tr.fresh());
+                let l = &mut skip_labels[*target as usize - s0];
+                if *l == NO_LABEL {
+                    *l = tr.fresh();
+                }
             }
         }
 
         // Epilogue-read slots, so the evictor knows they stay live.
-        let mut tail: Vec<u32> = Vec::new();
+        tail.clear();
         match &st.next {
             CNext::Branch { cond, .. } => tail.push(*cond),
             CNext::Cases { conds, .. } => tail.extend(conds.iter().map(|&(c, _)| c)),
@@ -355,88 +434,89 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
             tail.push(r);
         }
 
+        let blk = Block {
+            code: block,
+            s0,
+            tail,
+            skip_labels,
+            stagings,
+            consts: &tape.const_init,
+        };
+
         // Lazily-created trap stub for this state's bounds checks.
         let mut trap_lbl: Option<Label> = None;
 
         let mut cache = RegCache::new();
         let mut staging_idx = 0usize;
         for (i, inst) in block.iter().enumerate() {
-            let abs = s0 + i;
-            if let Some(&l) = skip_labels.get(&abs) {
+            let l = skip_labels[i];
+            if l != NO_LABEL {
                 tr.out.push(MInst::Bind(l));
                 cache.clear();
             }
             translate_inst(
                 &mut tr,
                 &mut cache,
-                &consts,
-                block,
+                &blk,
                 i,
-                &tail,
                 inst,
-                &skip_labels,
-                &stagings,
                 &mut staging_idx,
                 &mut trap_lbl,
             );
             cache.unpin_all();
         }
         // A skip may target the tape end.
-        if let Some(&l) = skip_labels.get(&s1) {
+        let l = skip_labels[block.len()];
+        if l != NO_LABEL {
             tr.out.push(MInst::Bind(l));
             cache.clear();
         }
 
         // Decision: pick the edge from pre-commit values, then each edge
         // stub commits and jumps.
-        let mut stubs: Vec<(Label, Option<u32>)> = Vec::new(); // (label, Some(state) | None=done)
-        let stub_for = |target: Option<u32>, tr: &mut Tr, stubs: &mut Vec<(Label, Option<u32>)>| {
-            if let Some((l, _)) = stubs.iter().find(|(_, t)| *t == target) {
-                return *l;
-            }
-            let l = tr.fresh();
-            stubs.push((l, target));
-            l
-        };
+        stubs.clear();
         let nu_end = |_s: u32| 0u32; // decision loads: any victim is fine
-        match st.next.clone() {
+        match &st.next {
             CNext::Done => {
-                let l = stub_for(None, &mut tr, &mut stubs);
+                let l = tr.stub_for(stubs, None);
                 tr.out.push(MInst::Jmp { label: l });
             }
             CNext::Goto(t) => {
-                let l = stub_for(Some(t), &mut tr, &mut stubs);
+                let l = tr.stub_for(stubs, Some(*t));
                 tr.out.push(MInst::Jmp { label: l });
             }
             CNext::Branch { cond, then, els } => {
-                let rc = cache.get(cond, &mut tr.out, &mut { nu_end });
+                let rc = cache.get(*cond, tr.out, &mut { nu_end });
                 cache.unpin_all();
                 tr.out.push(MInst::Alu {
                     op: AluOp::Test,
                     dst: rc,
                     src: rc,
                 });
-                let lt = stub_for(Some(then), &mut tr, &mut stubs);
+                let lt = tr.stub_for(stubs, Some(*then));
                 tr.out.push(MInst::Jcc {
                     cc: Cc::Ne,
                     label: lt,
                 });
-                let le = stub_for(Some(els), &mut tr, &mut stubs);
+                let le = tr.stub_for(stubs, Some(*els));
                 tr.out.push(MInst::Jmp { label: le });
             }
             CNext::Cases { conds, default } => {
                 for &(c, t) in conds.iter() {
-                    let rc = cache.get(c, &mut tr.out, &mut { nu_end });
+                    let rc = cache.get(c, tr.out, &mut { nu_end });
                     cache.unpin_all();
                     tr.out.push(MInst::Alu {
                         op: AluOp::Test,
                         dst: rc,
                         src: rc,
                     });
-                    let l = stub_for(Some(t), &mut tr, &mut stubs);
-                    tr.out.push(MInst::Jcc { cc: Cc::Ne, label: l });
+                    let l = tr.stub_for(stubs, Some(t));
+                    tr.out.push(MInst::Jcc {
+                        cc: Cc::Ne,
+                        label: l,
+                    });
                 }
-                let l = stub_for(Some(default), &mut tr, &mut stubs);
+                let l = tr.stub_for(stubs, Some(*default));
                 tr.out.push(MInst::Jmp { label: l });
             }
             CNext::CasesLazy {
@@ -444,17 +524,17 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
                 targets,
                 default,
             } => {
-                let rs = cache.get(sel, &mut tr.out, &mut { nu_end });
+                let rs = cache.get(*sel, tr.out, &mut { nu_end });
                 for (k, &t) in targets.iter().enumerate() {
                     tr.out.push(MInst::CmpRI {
                         reg: rs,
                         imm: k as i32,
                     });
-                    let l = stub_for(Some(t), &mut tr, &mut stubs);
+                    let l = tr.stub_for(stubs, Some(t));
                     tr.out.push(MInst::Jcc { cc: Cc::E, label: l });
                 }
                 cache.unpin_all();
-                let l = stub_for(Some(default), &mut tr, &mut stubs);
+                let l = tr.stub_for(stubs, Some(*default));
                 tr.out.push(MInst::Jmp { label: l });
             }
             CNext::Stuck(_) => unreachable!("stuck states are fallback states"),
@@ -462,7 +542,7 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
 
         // Edge stubs: (pre-commit ret sample for Done), commits in tape
         // order, then transfer.
-        for (lbl, target) in stubs {
+        for &(lbl, target) in stubs.iter() {
             tr.out.push(MInst::Bind(lbl));
             if target.is_none() {
                 if let Some(rs) = st.ret {
@@ -479,7 +559,7 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
                     });
                 }
             }
-            for stg in &stagings {
+            for stg in stagings.iter() {
                 let skip = stg.flag.map(|fl| {
                     let l = tr.fresh();
                     tr.load_slot_into(Reg::Rcx, fl);
@@ -488,7 +568,10 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
                         dst: Reg::Rcx,
                         src: Reg::Rcx,
                     });
-                    tr.out.push(MInst::Jcc { cc: Cc::E, label: l });
+                    tr.out.push(MInst::Jcc {
+                        cc: Cc::E,
+                        label: l,
+                    });
                     l
                 });
                 match stg.kind {
@@ -521,9 +604,7 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
                 }
             }
             match target {
-                Some(t) => tr.out.push(MInst::Jmp {
-                    label: state_labels[t as usize],
-                }),
+                Some(t) => tr.out.push(MInst::Jmp { label: t as Label }),
                 None => tr.out.push(MInst::Jmp { label: exit_done }),
             }
         }
@@ -573,13 +654,12 @@ pub fn translate(tape: &Tape, _f: &Fsmd, helper_addr: i64, force_fallback: bool)
     tr.out.push(MInst::Pop(Reg::Rbx));
     tr.out.push(MInst::Ret);
 
-    let insts = crate::peephole::optimize(tr.out);
+    let n_labels = tr.labels;
+    crate::peephole::optimize(insts);
     Translated {
-        insts,
-        n_labels: tr.labels,
-        state_labels,
+        n_labels,
         extra_slots: (next_shadow as usize) - tape.n_slots,
-        fallback_states,
+        fallback_blocks,
     }
 }
 
@@ -620,63 +700,58 @@ fn emit_bounds_check(
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn translate_inst(
     tr: &mut Tr,
     cache: &mut RegCache,
-    consts: &HashMap<u32, i64>,
-    block: &[TInst],
+    blk: &Block,
     i: usize,
-    tail: &[u32],
     inst: &TInst,
-    skip_labels: &HashMap<usize, Label>,
-    stagings: &[Staging],
     staging_idx: &mut usize,
     trap_lbl: &mut Option<Label>,
 ) {
     // Shorthand: furthest-next-use lookahead from the next instruction.
     macro_rules! nu {
         () => {
-            &mut |s: u32| next_use_dist(block, i + 1, block.len(), tail, s)
+            &mut |s: u32| blk.next_use(i + 1, s)
         };
     }
     match *inst {
-        TInst::Add { ty, dst, a, b } => bin_rr(tr, cache, block, i, tail, AluOp::Add, Some(ty), dst, a, b),
-        TInst::Sub { ty, dst, a, b } => bin_rr(tr, cache, block, i, tail, AluOp::Sub, Some(ty), dst, a, b),
-        TInst::Mul { ty, dst, a, b } => bin_rr(tr, cache, block, i, tail, AluOp::Imul, Some(ty), dst, a, b),
-        TInst::And { dst, a, b } => bin_rr(tr, cache, block, i, tail, AluOp::And, None, dst, a, b),
-        TInst::Or { dst, a, b } => bin_rr(tr, cache, block, i, tail, AluOp::Or, None, dst, a, b),
-        TInst::Xor { dst, a, b } => bin_rr(tr, cache, block, i, tail, AluOp::Xor, None, dst, a, b),
-        TInst::CmpEq { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::E, dst, a, b),
-        TInst::CmpNe { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::Ne, dst, a, b),
-        TInst::CmpLtS { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::L, dst, a, b),
-        TInst::CmpLtU { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::B, dst, a, b),
-        TInst::CmpLeS { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::Le, dst, a, b),
-        TInst::CmpLeU { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::Be, dst, a, b),
-        TInst::CmpGtS { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::G, dst, a, b),
-        TInst::CmpGtU { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::A, dst, a, b),
-        TInst::CmpGeS { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::Ge, dst, a, b),
-        TInst::CmpGeU { dst, a, b } => cmp_rr(tr, cache, block, i, tail, Cc::Ae, dst, a, b),
+        TInst::Add { ty, dst, a, b } => bin_rr(tr, cache, blk, i, AluOp::Add, Some(ty), dst, a, b),
+        TInst::Sub { ty, dst, a, b } => bin_rr(tr, cache, blk, i, AluOp::Sub, Some(ty), dst, a, b),
+        TInst::Mul { ty, dst, a, b } => bin_rr(tr, cache, blk, i, AluOp::Imul, Some(ty), dst, a, b),
+        TInst::And { dst, a, b } => bin_rr(tr, cache, blk, i, AluOp::And, None, dst, a, b),
+        TInst::Or { dst, a, b } => bin_rr(tr, cache, blk, i, AluOp::Or, None, dst, a, b),
+        TInst::Xor { dst, a, b } => bin_rr(tr, cache, blk, i, AluOp::Xor, None, dst, a, b),
+        TInst::CmpEq { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::E, dst, a, b),
+        TInst::CmpNe { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::Ne, dst, a, b),
+        TInst::CmpLtS { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::L, dst, a, b),
+        TInst::CmpLtU { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::B, dst, a, b),
+        TInst::CmpLeS { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::Le, dst, a, b),
+        TInst::CmpLeU { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::Be, dst, a, b),
+        TInst::CmpGtS { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::G, dst, a, b),
+        TInst::CmpGtU { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::A, dst, a, b),
+        TInst::CmpGeS { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::Ge, dst, a, b),
+        TInst::CmpGeU { dst, a, b } => cmp_rr(tr, cache, blk, i, Cc::Ae, dst, a, b),
         TInst::Un { op, ty, dst, a } => {
-            let ra = cache.get(a, &mut tr.out, nu!());
+            let ra = cache.get(a, tr.out, nu!());
             let rd = cache.def(dst, nu!());
             tr.out.push(MInst::MovRR { dst: rd, src: ra });
             match op {
                 chls_ir::UnKind::Neg => tr.out.push(MInst::Neg(rd)),
                 chls_ir::UnKind::Not => tr.out.push(MInst::Not(rd)),
             }
-            emit_canon(&mut tr.out, rd, ty);
+            emit_canon(tr.out, rd, ty);
             tr.store_slot(dst, rd);
         }
         TInst::Cast { ty, dst, a } => {
-            let ra = cache.get(a, &mut tr.out, nu!());
+            let ra = cache.get(a, tr.out, nu!());
             let rd = cache.def(dst, nu!());
             tr.out.push(MInst::MovRR { dst: rd, src: ra });
-            emit_canon(&mut tr.out, rd, ty);
+            emit_canon(tr.out, rd, ty);
             tr.store_slot(dst, rd);
         }
         TInst::Copy { dst, a } => {
-            let ra = cache.get(a, &mut tr.out, nu!());
+            let ra = cache.get(a, tr.out, nu!());
             let rd = cache.def(dst, nu!());
             tr.out.push(MInst::MovRR { dst: rd, src: ra });
             tr.store_slot(dst, rd);
@@ -687,9 +762,9 @@ fn translate_inst(
             tr.store_slot(dst, rd);
         }
         TInst::Select { dst, cond, t, f } => {
-            let rc = cache.get(cond, &mut tr.out, nu!());
-            let rt = cache.get(t, &mut tr.out, nu!());
-            let rf = cache.get(f, &mut tr.out, nu!());
+            let rc = cache.get(cond, tr.out, nu!());
+            let rt = cache.get(t, tr.out, nu!());
+            let rf = cache.get(f, tr.out, nu!());
             let rd = cache.def(dst, nu!());
             tr.out.push(MInst::MovRR { dst: rd, src: rf });
             tr.out.push(MInst::Alu {
@@ -708,7 +783,7 @@ fn translate_inst(
             // Constant shift amounts specialize to native shifts with
             // eval_bin's exact clamp semantics.
             let const_sh = matches!(op, BinKind::Shl | BinKind::Shr)
-                .then(|| consts.get(&b).copied())
+                .then(|| blk.const_value(b))
                 .flatten();
             if let Some(cv) = const_sh {
                 let ub = (cv as u64) & ty.mask();
@@ -716,7 +791,7 @@ fn translate_inst(
                 if u16::from(sh) >= ty.width {
                     if op == BinKind::Shr && ty.signed {
                         // Sign fill: -1 when negative, else 0.
-                        let ra = cache.get(a, &mut tr.out, nu!());
+                        let ra = cache.get(a, tr.out, nu!());
                         let rd = cache.def(dst, nu!());
                         tr.out.push(MInst::MovRR { dst: rd, src: ra });
                         tr.out.push(MInst::ShiftI {
@@ -731,7 +806,7 @@ fn translate_inst(
                         tr.store_slot(dst, rd);
                     }
                 } else {
-                    let ra = cache.get(a, &mut tr.out, nu!());
+                    let ra = cache.get(a, tr.out, nu!());
                     let rd = cache.def(dst, nu!());
                     tr.out.push(MInst::MovRR { dst: rd, src: ra });
                     match (op, ty.signed) {
@@ -741,7 +816,7 @@ fn translate_inst(
                                 reg: rd,
                                 amt: sh,
                             });
-                            emit_canon(&mut tr.out, rd, ty);
+                            emit_canon(tr.out, rd, ty);
                         }
                         (BinKind::Shr, true) => tr.out.push(MInst::ShiftI {
                             kind: ShiftKind::Sar,
@@ -776,7 +851,7 @@ fn translate_inst(
             }
         }
         TInst::MemRead { mem, dst, addr } => {
-            let ra = cache.get(addr, &mut tr.out, nu!());
+            let ra = cache.get(addr, tr.out, nu!());
             emit_bounds_check(tr, ra, mem, trap_lbl);
             let rd = cache.def(dst, nu!());
             tr.out.push(MInst::LoadIdx {
@@ -787,7 +862,7 @@ fn translate_inst(
             tr.store_slot(dst, rd);
         }
         TInst::SkipIfZero { cond, target } => {
-            let rc = cache.get(cond, &mut tr.out, nu!());
+            let rc = cache.get(cond, tr.out, nu!());
             tr.out.push(MInst::Alu {
                 op: AluOp::Test,
                 dst: rc,
@@ -796,24 +871,24 @@ fn translate_inst(
             cache.clear();
             tr.out.push(MInst::Jcc {
                 cc: Cc::E,
-                label: skip_labels[&(target as usize)],
+                label: blk.skip_label(target),
             });
         }
         TInst::Skip { target } => {
             cache.clear();
             tr.out.push(MInst::Jmp {
-                label: skip_labels[&(target as usize)],
+                label: blk.skip_label(target),
             });
         }
         TInst::StageReg { ty, val, .. } => {
-            let stg = &stagings[*staging_idx];
+            let stg = &blk.stagings[*staging_idx];
             *staging_idx += 1;
-            let rv = cache.get(val, &mut tr.out, nu!());
+            let rv = cache.get(val, tr.out, nu!());
             tr.out.push(MInst::MovRR {
                 dst: Reg::Rdx,
                 src: rv,
             });
-            emit_canon(&mut tr.out, Reg::Rdx, ty);
+            emit_canon(tr.out, Reg::Rdx, ty);
             tr.store_slot(stg.val_sh, Reg::Rdx);
             if let Some(fl) = stg.flag {
                 tr.out.push(MInst::StoreImm {
@@ -829,17 +904,17 @@ fn translate_inst(
             addr,
             val,
         } => {
-            let stg = &stagings[*staging_idx];
+            let stg = &blk.stagings[*staging_idx];
             *staging_idx += 1;
-            let ra = cache.get(addr, &mut tr.out, nu!());
+            let ra = cache.get(addr, tr.out, nu!());
             emit_bounds_check(tr, ra, mem, trap_lbl);
             tr.store_slot(stg.addr_sh, ra);
-            let rv = cache.get(val, &mut tr.out, nu!());
+            let rv = cache.get(val, tr.out, nu!());
             tr.out.push(MInst::MovRR {
                 dst: Reg::Rdx,
                 src: rv,
             });
-            emit_canon(&mut tr.out, Reg::Rdx, elem);
+            emit_canon(tr.out, Reg::Rdx, elem);
             tr.store_slot(stg.val_sh, Reg::Rdx);
             if let Some(fl) = stg.flag {
                 tr.out.push(MInst::StoreImm {
@@ -858,23 +933,22 @@ fn translate_inst(
 fn bin_rr(
     tr: &mut Tr,
     cache: &mut RegCache,
-    block: &[TInst],
+    blk: &Block,
     i: usize,
-    tail: &[u32],
     op: AluOp,
     ty: Option<IntType>,
     dst: u32,
     a: u32,
     b: u32,
 ) {
-    let nu = &mut |s: u32| next_use_dist(block, i + 1, block.len(), tail, s);
-    let ra = cache.get(a, &mut tr.out, nu);
-    let rb = cache.get(b, &mut tr.out, nu);
+    let nu = &mut |s: u32| blk.next_use(i + 1, s);
+    let ra = cache.get(a, tr.out, nu);
+    let rb = cache.get(b, tr.out, nu);
     let rd = cache.def(dst, nu);
     tr.out.push(MInst::MovRR { dst: rd, src: ra });
     tr.out.push(MInst::Alu { op, dst: rd, src: rb });
     if let Some(ty) = ty {
-        emit_canon(&mut tr.out, rd, ty);
+        emit_canon(tr.out, rd, ty);
     }
     tr.store_slot(dst, rd);
 }
@@ -884,17 +958,16 @@ fn bin_rr(
 fn cmp_rr(
     tr: &mut Tr,
     cache: &mut RegCache,
-    block: &[TInst],
+    blk: &Block,
     i: usize,
-    tail: &[u32],
     cc: Cc,
     dst: u32,
     a: u32,
     b: u32,
 ) {
-    let nu = &mut |s: u32| next_use_dist(block, i + 1, block.len(), tail, s);
-    let ra = cache.get(a, &mut tr.out, nu);
-    let rb = cache.get(b, &mut tr.out, nu);
+    let nu = &mut |s: u32| blk.next_use(i + 1, s);
+    let ra = cache.get(a, tr.out, nu);
+    let rb = cache.get(b, tr.out, nu);
     tr.out.push(MInst::Alu {
         op: AluOp::Cmp,
         dst: ra,

@@ -4,6 +4,8 @@
 //! The translator emits `MInst`s, the peephole pass rewrites the stream
 //! (see [`crate::peephole`]), and only then are bytes produced — so all
 //! pattern matching happens on a typed IR rather than on raw encodings.
+//! An [`Asm`] keeps its buffers between calls, so a compile that fits
+//! in what earlier ones grew allocates nothing.
 //!
 //! Only the instructions the tape translator needs are implemented, all
 //! operating on 64-bit registers (REX.W) unless noted.
@@ -245,33 +247,52 @@ pub enum MInst {
     Ret,
 }
 
-/// Assembled machine code plus label positions.
-pub struct AsmOut {
-    /// The encoded bytes (all rel32 fixups resolved).
-    pub code: Vec<u8>,
+/// The longest encoding of one [`MInst`]: `StoreImm` with a SIB byte,
+/// a 32-bit displacement and a 32-bit immediate takes 12 bytes.
+const MAX_INST_LEN: usize = 16;
+
+/// Assembled machine code plus label positions, reused across calls.
+#[derive(Default)]
+pub struct Asm {
+    /// Output buffer; only `buf[..len]` is the last stream's code. It
+    /// only grows, so a compile that fits needs no zeroing.
+    buf: Vec<u8>,
+    len: usize,
     /// Byte offset of each label.
     pub label_pos: Vec<usize>,
+    /// (patch position, target label) for rel32 fields.
+    fixups: Vec<(usize, Label)>,
 }
 
 fn rex(w: bool, r: u8, x: u8, b: u8) -> u8 {
     0x40 | ((w as u8) << 3) | ((r >> 3) << 2) | ((x >> 3) << 1) | (b >> 3)
 }
 
-struct Enc {
-    out: Vec<u8>,
+/// Writes bytes at a cursor into a buffer sized for the whole stream.
+/// The cursor is a local, not a `Vec` length, so byte stores cannot
+/// force it to be reloaded.
+struct Enc<'a> {
+    out: &'a mut [u8],
+    pos: usize,
 }
 
-impl Enc {
+impl Enc<'_> {
     fn b(&mut self, byte: u8) {
-        self.out.push(byte);
+        self.out[self.pos] = byte;
+        self.pos += 1;
+    }
+
+    fn bytes<const N: usize>(&mut self, v: [u8; N]) {
+        self.out[self.pos..self.pos + N].copy_from_slice(&v);
+        self.pos += N;
     }
 
     fn i32(&mut self, v: i32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.bytes(v.to_le_bytes());
     }
 
     fn i64(&mut self, v: i64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.bytes(v.to_le_bytes());
     }
 
     /// REX + opcode + modrm for a register-to-register form.
@@ -328,17 +349,35 @@ impl Enc {
     }
 }
 
-/// Encodes a micro-instruction stream into bytes, resolving all label
-/// references (rel32).
+impl Asm {
+    /// The code of the last [`assemble`] call.
+    pub fn code(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+/// Encodes a micro-instruction stream into `asm` (see [`Asm::code`]),
+/// resolving all label references (rel32) and recording
+/// [`Asm::label_pos`].
 ///
 /// # Panics
 ///
 /// Panics on a reference to a label that is never bound.
-pub fn assemble(insts: &[MInst], n_labels: u32) -> AsmOut {
-    let mut e = Enc { out: Vec::new() };
-    let mut label_pos = vec![usize::MAX; n_labels as usize];
-    // (patch position, target label) for rel32 fields.
-    let mut fixups: Vec<(usize, Label)> = Vec::new();
+pub fn assemble(asm: &mut Asm, insts: &[MInst], n_labels: u32) {
+    let Asm {
+        buf,
+        len,
+        label_pos,
+        fixups,
+    } = asm;
+    let need = insts.len() * MAX_INST_LEN;
+    if buf.len() < need {
+        buf.resize(need, 0);
+    }
+    label_pos.clear();
+    label_pos.resize(n_labels as usize, usize::MAX);
+    fixups.clear();
+    let mut e = Enc { out: buf, pos: 0 };
 
     for inst in insts {
         match *inst {
@@ -441,12 +480,12 @@ pub fn assemble(insts: &[MInst], n_labels: u32) -> AsmOut {
             MInst::Jcc { cc, label } => {
                 e.b(0x0F);
                 e.b(0x80 + cc as u8);
-                fixups.push((e.out.len(), label));
+                fixups.push((e.pos, label));
                 e.i32(0);
             }
             MInst::Jmp { label } => {
                 e.b(0xE9);
-                fixups.push((e.out.len(), label));
+                fixups.push((e.pos, label));
                 e.i32(0);
             }
             MInst::JmpReg(r) => {
@@ -463,22 +502,18 @@ pub fn assemble(insts: &[MInst], n_labels: u32) -> AsmOut {
                 e.b(0xFF);
                 e.b(0xC0 | (2 << 3) | (r.num() & 7));
             }
-            MInst::Bind(l) => label_pos[l as usize] = e.out.len(),
+            MInst::Bind(l) => label_pos[l as usize] = e.pos,
             MInst::Ret => e.b(0xC3),
         }
     }
 
-    for (pos, label) in fixups {
+    for &(pos, label) in fixups.iter() {
         let target = label_pos[label as usize];
         assert!(target != usize::MAX, "unbound label {label}");
         let rel = (target as i64 - (pos as i64 + 4)) as i32;
         e.out[pos..pos + 4].copy_from_slice(&rel.to_le_bytes());
     }
-
-    AsmOut {
-        code: e.out,
-        label_pos,
-    }
+    *len = e.pos;
 }
 
 #[cfg(test)]
@@ -486,7 +521,9 @@ mod tests {
     use super::*;
 
     fn enc(insts: &[MInst]) -> Vec<u8> {
-        assemble(insts, 8).code
+        let mut asm = Asm::default();
+        assemble(&mut asm, insts, 8);
+        asm.code().to_vec()
     }
 
     #[test]
@@ -596,7 +633,9 @@ mod tests {
     #[test]
     fn labels_resolve_forward_and_backward() {
         // jmp L1; L0: ret; L1: jmp L0
-        let out = assemble(
+        let mut out = Asm::default();
+        assemble(
+            &mut out,
             &[
                 MInst::Jmp { label: 1 },
                 MInst::Bind(0),
@@ -607,10 +646,10 @@ mod tests {
             2,
         );
         // jmp L1 = e9 01 00 00 00 (skip the 1-byte ret)
-        assert_eq!(&out.code[..5], &[0xE9, 0x01, 0x00, 0x00, 0x00]);
-        assert_eq!(out.code[5], 0xC3);
+        assert_eq!(&out.code()[..5], &[0xE9, 0x01, 0x00, 0x00, 0x00]);
+        assert_eq!(out.code()[5], 0xC3);
         // jmp L0: rel = 5 - (6+5) = -6
-        assert_eq!(&out.code[6..], &[0xE9, 0xFA, 0xFF, 0xFF, 0xFF]);
+        assert_eq!(&out.code()[6..], &[0xE9, 0xFA, 0xFF, 0xFF, 0xFF]);
         assert_eq!(out.label_pos, vec![5, 6]);
     }
 

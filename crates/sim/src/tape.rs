@@ -426,7 +426,7 @@ fn bin_inst(op: BinKind, ety: IntType, dst: Slot, a: Slot, b: Slot) -> TInst {
 
 /// Interned expression node: [`RvKind`] with children by id. Structural
 /// identity (including the result type) ⇒ same id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeKind {
     Const(i64),
     Reg(u32),
@@ -436,6 +436,37 @@ enum NodeKind {
     Mux(u32, u32, u32),
     Cast(u32),
     MemRead(u32, u32),
+}
+
+/// A node's interning key: its [`NodeKind`] and result type packed into
+/// two words, so a lookup hashes two integers with
+/// [`chls_ir::FastHasher`] and compares two, instead of walking the
+/// derived `Hash` and `Eq` of the enum field by field.
+///
+/// The first word holds the kind's payload: the constant value, or up
+/// to two ids (first in the low half). The second holds the kind's tag
+/// in bits 0..3, signedness in bit 3, the width in bits 4..20, the
+/// operator in bits 20..25 and a `Mux`'s third id in bits 32..64. Every
+/// field has its own bits, so equal keys mean equal nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct NodeKey(u64, u64);
+
+impl NodeKey {
+    fn new(kind: NodeKind, ty: IntType) -> NodeKey {
+        let pair = |lo: u32, hi: u32| u64::from(lo) | u64::from(hi) << 32;
+        let (tag, op, payload, third) = match kind {
+            NodeKind::Const(v) => (0, 0, v as u64, 0),
+            NodeKind::Reg(r) => (1, 0, u64::from(r), 0),
+            NodeKind::Input(i) => (2, 0, u64::from(i), 0),
+            NodeKind::Un(op, a) => (3, op as u64, u64::from(a), 0),
+            NodeKind::Bin(op, a, b) => (4, op as u64, pair(a, b), 0),
+            NodeKind::Mux(s, a, b) => (5, 0, pair(s, a), u64::from(b)),
+            NodeKind::Cast(a) => (6, 0, u64::from(a), 0),
+            NodeKind::MemRead(m, a) => (7, 0, pair(m, a), 0),
+        };
+        let ty_bits = u64::from(ty.signed) << 3 | u64::from(ty.width) << 4;
+        NodeKey(payload, tag | ty_bits | op << 20 | third << 32)
+    }
 }
 
 /// Compiled control transfer. Condition slots are filled by the state's
@@ -542,7 +573,7 @@ struct Compiler<'f> {
     /// when it is interned; a pure interior node's preamble temp is set
     /// per state and is valid only while `visited[id] == epoch`.
     slot: Vec<Slot>,
-    interned: FastMap<(NodeKind, IntType), u32>,
+    interned: FastMap<NodeKey, u32>,
     consts: FastMap<i64, Slot>,
     /// Constant slots and values, pushed as each slot is allocated.
     const_init: Vec<(Slot, i64)>,
@@ -622,7 +653,7 @@ impl<'f> Compiler<'f> {
             RvKind::MemRead { mem, addr } => NodeKind::MemRead(mem.0, self.intern(addr)),
         };
         let id = self.nodes.len() as u32;
-        match self.interned.entry((kind, rv.ty)) {
+        match self.interned.entry(NodeKey::new(kind, rv.ty)) {
             Entry::Occupied(e) => return *e.get(),
             Entry::Vacant(e) => {
                 e.insert(id);
@@ -1729,6 +1760,42 @@ mod tests {
     use crate::fsmd_sim::{run, simulate, FsmdSimResult};
     use chls_rtl::builder::FsmdBuilder;
     use chls_rtl::fsmd::StateId;
+
+    #[test]
+    fn node_keys_are_equal_exactly_when_nodes_are() {
+        let (s32, u32t, s64) = (
+            IntType::new(32, true),
+            IntType::new(32, false),
+            IntType::new(64, true),
+        );
+        let nodes = [
+            (NodeKind::Const(-1), s64),
+            (NodeKind::Const(-1), s32),
+            (NodeKind::Const(7), s32),
+            (NodeKind::Reg(7), s32),
+            (NodeKind::Reg(7), u32t),
+            (NodeKind::Input(7), s32),
+            (NodeKind::Un(UnKind::Neg, 7), s32),
+            (NodeKind::Un(UnKind::Not, 7), s32),
+            (NodeKind::Cast(7), s32),
+            (NodeKind::Bin(BinKind::Add, 1, 2), s32),
+            (NodeKind::Bin(BinKind::Add, 2, 1), s32),
+            (NodeKind::Bin(BinKind::Ge, 1, 2), s32),
+            (NodeKind::Mux(1, 2, 3), s32),
+            (NodeKind::Mux(1, 2, u32::MAX), s32),
+            (NodeKind::MemRead(1, 2), s32),
+            (NodeKind::MemRead(u32::MAX, u32::MAX), s64),
+        ];
+        for (i, &(ka, ta)) in nodes.iter().enumerate() {
+            for (j, &(kb, tb)) in nodes.iter().enumerate() {
+                assert_eq!(
+                    NodeKey::new(ka, ta) == NodeKey::new(kb, tb),
+                    i == j,
+                    "{ka:?}: {ta:?} against {kb:?}: {tb:?}"
+                );
+            }
+        }
+    }
 
     fn ty32() -> IntType {
         IntType::new(32, true)
