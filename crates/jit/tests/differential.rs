@@ -6,6 +6,9 @@
 //! reference path), plus one hand-built FSMD, and run each design
 //! through both engines. On hosts where JIT execution is unavailable
 //! the tests pass trivially.
+//!
+//! The tests that compile take one lock, so the page-pool test's look
+//! at the process's mappings sees no other test's live programs.
 
 use chls_backends::{Backend, C2Verilog, SynthOptions};
 use chls_frontend::IntType;
@@ -13,10 +16,18 @@ use chls_ir::BinKind;
 use chls_jit::JitProgram;
 use chls_rtl::builder::FsmdBuilder;
 use chls_rtl::fsmd::{Fsmd, Rv};
-use chls_sim::fsmd_sim;
+use chls_sim::fsmd_sim::{self, FsmdSimError, FsmdSimResult};
 use chls_sim::interp::ArgValue;
+use std::sync::{Mutex, MutexGuard};
 
 const MAX_CYCLES: u64 = 5_000_000;
+
+static JIT: Mutex<()> = Mutex::new(());
+
+/// Runs the calling test alone among this file's tests.
+fn serial() -> MutexGuard<'static, ()> {
+    JIT.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn synth(src: &str, entry: &str) -> Fsmd {
     let hir = chls_frontend::compile_to_hir(src).expect("frontend");
@@ -56,6 +67,7 @@ fn differential(f: &Fsmd, args: &[ArgValue], force_fallback: bool) -> Option<u64
 
 #[test]
 fn gcd_agrees_and_never_falls_back() {
+    let _serial = serial();
     let f = synth(
         "int gcd(int a, int b) { while (a != b) { if (a > b) { a = a - b; } else { b = b - a; } } return a; }",
         "gcd",
@@ -70,6 +82,7 @@ fn gcd_agrees_and_never_falls_back() {
 
 #[test]
 fn crc_shift_xor_agrees() {
+    let _serial = serial();
     let f = synth(
         "int crc8(int data[8], int n) {
             int crc = 255;
@@ -95,6 +108,7 @@ fn crc_shift_xor_agrees() {
 
 #[test]
 fn memory_writes_agree() {
+    let _serial = serial();
     let f = synth(
         "void rev(int a[8], int out[8]) {
             for (int i = 0; i < 8; i = i + 1) { out[7 - i] = a[i] * 3 - 1; }
@@ -110,6 +124,7 @@ fn memory_writes_agree() {
 
 #[test]
 fn division_and_dynamic_shifts_agree() {
+    let _serial = serial();
     let f = synth(
         "int mix(int a, int b) {
             int q = a / (b | 1);
@@ -127,6 +142,7 @@ fn division_and_dynamic_shifts_agree() {
 
 #[test]
 fn forced_fallback_matches_native() {
+    let _serial = serial();
     // The same design through the all-native path and the all-fallback
     // path: the native↔interpreter handoff must be invisible.
     let f = synth(
@@ -184,6 +200,7 @@ fn mac_fsmd(n: u64) -> Fsmd {
 
 #[test]
 fn hand_built_mac_agrees_native_and_fallback() {
+    let _serial = serial();
     const CYCLES: u64 = 4_096;
     let f = mac_fsmd(CYCLES);
     if let Some(fb) = differential(&f, &[], false) {
@@ -198,6 +215,7 @@ fn hand_built_mac_agrees_native_and_fallback() {
 
 #[test]
 fn out_of_bounds_traps_identically() {
+    let _serial = serial();
     let f = synth(
         "int peek(int a[8], int i) { return a[i]; }",
         "peek",
@@ -210,6 +228,7 @@ fn out_of_bounds_traps_identically() {
 
 #[test]
 fn cycle_limit_reported_identically() {
+    let _serial = serial();
     let f = synth(
         "int spin(int n) { int i = 0; while (n != 0) { i = i + 1; } return i; }",
         "spin",
@@ -226,6 +245,7 @@ fn cycle_limit_reported_identically() {
 
 #[test]
 fn concurrent_runs_share_one_program() {
+    let _serial = serial();
     let f = synth(
         "int gcd(int a, int b) { while (a != b) { if (a > b) { a = a - b; } else { b = b - a; } } return a; }",
         "gcd",
@@ -250,4 +270,179 @@ fn concurrent_runs_share_one_program() {
             });
         }
     });
+}
+
+/// One registry kernel on one backend: its FSMD, arguments, the
+/// interpreter's result and the size of its machine code.
+struct Kernel {
+    label: String,
+    f: Fsmd,
+    args: Vec<ArgValue>,
+    golden: Result<FsmdSimResult, FsmdSimError>,
+    bytes: usize,
+}
+
+/// Every registry kernel on every backend that makes an FSMD, largest
+/// machine code first.
+fn registry_kernels() -> Vec<Kernel> {
+    let mut out = Vec::new();
+    for bench in chls::benchmarks() {
+        let compiler = chls::Compiler::parse(bench.source).expect("registry kernel parses");
+        for b in &chls::backends() {
+            let Ok(chls::Design::Fsmd(f)) =
+                compiler.synthesize(b.as_ref(), bench.entry, &chls::SynthOptions::default())
+            else {
+                continue;
+            };
+            let golden = fsmd_sim::simulate(&f, &bench.args, MAX_CYCLES);
+            let bytes = JitProgram::compile(&f)
+                .expect("a JIT-capable host compiles")
+                .bytes;
+            out.push(Kernel {
+                label: format!("{} on {}", bench.name, b.info().name),
+                f,
+                args: bench.args.clone(),
+                golden,
+                bytes,
+            });
+        }
+    }
+    out.sort_by_key(|k| std::cmp::Reverse(k.bytes));
+    out
+}
+
+/// Round `r`'s order: largest and smallest alternating, so a small
+/// design follows a large one and the reverse; odd rounds run it
+/// backwards.
+fn round_order(n: usize, r: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n.div_ceil(2))
+        .flat_map(|k| [k, n - 1 - k])
+        .take(n)
+        .collect();
+    order.dedup();
+    if r % 2 == 1 {
+        order.reverse();
+    }
+    order
+}
+
+/// Compiles, runs and checks one kernel; returns the program so the
+/// caller decides when its pages go back to the pool.
+fn compile_and_check(k: &Kernel) -> JitProgram<'_> {
+    let p = JitProgram::compile(&k.f).expect("a JIT-capable host compiles");
+    let got = p.run(&k.args, MAX_CYCLES);
+    assert!(
+        got == k.golden,
+        "{}: JIT {got:?} != interpreter {:?}",
+        k.label,
+        k.golden
+    );
+    p
+}
+
+/// `(rwx mappings, anonymous r-x mappings)` in this process. Adjacent
+/// anonymous mappings with equal permissions show as one line, so the
+/// second count never exceeds the number of such mappings.
+fn exec_mappings() -> (usize, usize) {
+    let maps = std::fs::read_to_string("/proc/self/maps").expect("/proc/self/maps is readable");
+    let (mut rwx, mut anon_rx) = (0, 0);
+    for line in maps.lines() {
+        let mut fields = line.split_whitespace();
+        let perms = fields.nth(1).unwrap_or("");
+        let path = fields.nth(3);
+        rwx += usize::from(perms.starts_with("rwx"));
+        anon_rx += usize::from(perms == "r-xp" && path.is_none());
+    }
+    (rwx, anon_rx)
+}
+
+/// After every program has dropped, the only executable anonymous
+/// mappings left are pooled ones, and no mapping is ever writable and
+/// executable at once.
+fn assert_pool_bounded(when: &str) {
+    let (rwx, anon_rx) = exec_mappings();
+    assert_eq!(rwx, 0, "{when}: a mapping is writable and executable");
+    assert!(
+        chls_jit::pooled_mappings() <= chls_jit::POOL_MAPPINGS,
+        "{when}: the pool holds {} mappings",
+        chls_jit::pooled_mappings()
+    );
+    assert!(
+        anon_rx <= chls_jit::POOL_MAPPINGS,
+        "{when}: {anon_rx} executable anonymous mappings with no live program"
+    );
+}
+
+#[test]
+fn pooled_pages_stay_bit_exact_and_bounded_on_one_thread() {
+    let _serial = serial();
+    if !chls_jit::available() {
+        return;
+    }
+    let kernels = registry_kernels();
+    // The design that last ran from each mapping, to see that pages move
+    // both from larger designs to smaller ones and the reverse.
+    let mut last_user: std::collections::BTreeMap<usize, usize> = Default::default();
+    let (mut to_smaller, mut to_larger) = (0usize, 0usize);
+    for round in 0..200 {
+        // Keep the last 0, 1 or 3 programs alive, so the pool is
+        // sometimes short of small mappings and a small design takes a
+        // large one; every fourth round keeps them all, so dropping them
+        // offers the pool far more mappings than it may keep.
+        let keep = [0, 1, 3, usize::MAX][round % 4];
+        let mut live = std::collections::VecDeque::new();
+        for i in round_order(kernels.len(), round) {
+            let p = compile_and_check(&kernels[i]);
+            let addr = p.code().as_ptr() as usize;
+            if let Some(&prev) = last_user.get(&addr) {
+                to_smaller += usize::from(kernels[prev].bytes > p.bytes);
+                to_larger += usize::from(kernels[prev].bytes < p.bytes);
+            }
+            last_user.insert(addr, i);
+            live.push_back(p);
+            if live.len() > keep {
+                live.pop_front();
+            }
+        }
+        drop(live);
+        assert_pool_bounded(&format!("round {round}"));
+    }
+    assert!(
+        to_smaller > 0,
+        "no small design ran from a larger design's pages"
+    );
+    assert!(
+        to_larger > 0,
+        "no large design ran from a smaller design's pages"
+    );
+}
+
+#[test]
+fn pooled_pages_stay_bit_exact_and_bounded_on_eight_threads() {
+    let _serial = serial();
+    if !chls_jit::available() {
+        return;
+    }
+    let kernels = registry_kernels();
+    // 200 rounds in all, 25 per thread, each thread starting at its own
+    // offset so the threads' sizes interleave.
+    std::thread::scope(|s| {
+        for t in 0..8 {
+            let kernels = &kernels;
+            s.spawn(move || {
+                for round in 0..25 {
+                    let order = round_order(kernels.len(), round + t);
+                    for k in order.iter().cycle().skip(t * 3).take(order.len()) {
+                        drop(compile_and_check(&kernels[*k]));
+                    }
+                    let (rwx, _) = exec_mappings();
+                    assert_eq!(
+                        rwx, 0,
+                        "thread {t} round {round}: a writable and executable mapping"
+                    );
+                }
+            });
+        }
+    });
+    assert_pool_bounded("after eight threads");
 }

@@ -221,3 +221,50 @@ fn pipelined_shadows_are_identical_across_syntheses() {
         }
     }
 }
+
+/// Every benchmark kernel's FSMD, on every backend that makes one,
+/// compiles to the same machine code on a fresh mapping and on a pooled
+/// one that still holds another design's code. The first round keeps
+/// every program alive after emptying the pool, so each maps fresh
+/// pages; the second round, in reverse order, runs from the pages the
+/// first round's programs left in the pool.
+#[test]
+fn jit_code_is_identical_on_fresh_and_reused_pages() {
+    if !chls_jit::available() {
+        return;
+    }
+    let mut designs = Vec::new();
+    for bench in chls::benchmarks() {
+        let compiler = Compiler::parse(bench.source).expect("benchmark parses");
+        for b in &chls::backends() {
+            if let Ok(chls::Design::Fsmd(f)) =
+                compiler.synthesize(b.as_ref(), bench.entry, &chls::SynthOptions::default())
+            {
+                designs.push((format!("{} on {}", bench.name, b.info().name), f));
+            }
+        }
+    }
+    let compile = |f| chls_jit::JitProgram::compile(f).expect("a JIT-capable host compiles");
+
+    chls_jit::trim_pool();
+    let fresh: Vec<_> = designs.iter().map(|(_, f)| compile(f)).collect();
+    let first: Vec<(Vec<u8>, usize, usize)> = fresh
+        .iter()
+        .map(|p| (p.code().to_vec(), p.bytes, p.code().as_ptr() as usize))
+        .collect();
+    drop(fresh);
+
+    let mut reused = 0;
+    for ((label, f), (code, bytes, _)) in designs.iter().zip(&first).rev() {
+        let p = compile(f);
+        let addr = p.code().as_ptr() as usize;
+        reused += usize::from(first.iter().any(|&(_, _, a)| a == addr));
+        assert_eq!(p.bytes, *bytes, "{label}: JitProgram::bytes differs");
+        assert!(
+            p.code() == &code[..],
+            "{label}: machine code differs on a reused mapping"
+        );
+    }
+    assert!(reused > 0, "no design ran from a pooled mapping");
+    assert!(designs.len() >= 50, "only {} FSMDs compiled", designs.len());
+}
