@@ -2,7 +2,8 @@
 //!
 //! The tape compiler in [`chls_sim::tape`] already lowers every FSMD
 //! state to a flat register-machine program over a dense `i64` slot
-//! array. This crate compiles those tapes one step further, to native
+//! array; [`chls_sim::tape::compile`] gives the tape the interpreter
+//! runs. This crate compiles that tape one step further, to native
 //! x86-64 machine code: each state becomes a straight-line block with
 //! the cycle count, datapath, next-state decision, and simultaneous
 //! commit all inlined, dispatched block-to-block with direct jumps.
@@ -15,10 +16,9 @@
 //! * cold operations (division, remainder, dynamic shifts) call
 //!   straight into [`chls_ir::eval_bin`] — the same function the
 //!   interpreter uses;
-//! * memory traps re-run the faulting state in the interpreter
-//!   ([`chls_sim::tape::exec_state`]) to reproduce the exact error
-//!   value, which is sound because tapes are deterministic functions of
-//!   the pre-cycle architectural state;
+//! * a failed bounds check exits through a stub of its own that
+//!   records the memory and the address, from which the driver builds
+//!   the interpreter's error ([`FsmdSimError::out_of_bounds`]);
 //! * any state the translator cannot (or is told not to) compile falls
 //!   back to `exec_state` per cycle, then resumes native execution at
 //!   the next state.
@@ -88,10 +88,13 @@ mod imp {
         mems: *mut MemDesc,
         cycles: u64,
         max_cycles: u64,
-        /// Trap/fallback state id, written by exit stubs.
+        /// Fallback state id or trapping memory index, written by exit
+        /// stubs.
         aux: u64,
         ret_val: i64,
         ret_set: u64,
+        /// The address of an out-of-bounds access, written by its stub.
+        trap_addr: i64,
     }
 
     /// The `eval_bin` trampoline for cold ops. `packed` is produced by
@@ -154,9 +157,6 @@ mod imp {
             if !available() {
                 return None;
             }
-            // The staged tape, not the interpreter's lowered one: a trap
-            // replays its state from the slots as they were before the
-            // cycle, which an in-place register write would have changed.
             let tape = tape::compile(f);
             let helper = jit_bin_helper as *const () as usize as i64;
             let (buf, state_offsets, tr) = SCRATCH.with_borrow_mut(|s| {
@@ -232,6 +232,7 @@ mod imp {
                 aux: 0,
                 ret_val: 0,
                 ret_set: 0,
+                trap_addr: 0,
             };
             // SAFETY: `buf` holds code assembled by `translate`, whose
             // prologue implements exactly this signature (SysV: env in
@@ -245,7 +246,7 @@ mod imp {
             let mut fallbacks: u64 = 0;
             let mut reg_updates: Vec<(u32, i64)> = Vec::new();
             let mut mem_updates: Vec<(u32, i64, i64)> = Vec::new();
-            loop {
+            let ret = loop {
                 // Re-derive the raw pointers each entry: interpreter
                 // fallbacks between native calls take `&mut` borrows of
                 // the same storage.
@@ -256,42 +257,12 @@ mod imp {
                 let entry = self.buf.addr() + self.state_offsets[state as usize];
                 let code = entry_fn(&mut env, entry);
                 match code {
-                    EXIT_DONE => {
-                        let ret = (env.ret_set != 0).then_some(env.ret_val);
-                        let regs = slots[..self.f.regs.len()].to_vec();
-                        chls_trace::add("sim.cycles", env.cycles);
-                        chls_trace::add("jit.fallbacks", fallbacks);
-                        return Ok((
-                            FsmdSimResult {
-                                ret,
-                                cycles: env.cycles,
-                                mems,
-                                regs,
-                            },
-                            fallbacks,
-                        ));
-                    }
+                    EXIT_DONE => break (env.ret_set != 0).then_some(env.ret_val),
                     EXIT_LIMIT => return Err(FsmdSimError::CycleLimit(max_cycles)),
                     EXIT_TRAP => {
-                        // Reproduce the exact interpreter error: tapes
-                        // are deterministic in the pre-cycle register,
-                        // input, and memory state, which the aborted
-                        // native block has not committed to.
-                        let si = env.aux as u32;
-                        match tape::exec_state(
-                            &self.tape,
-                            self.f,
-                            si,
-                            &mut slots,
-                            &mut mems,
-                            &mut reg_updates,
-                            &mut mem_updates,
-                        ) {
-                            Err(e) => return Err(e),
-                            Ok(_) => unreachable!(
-                                "native trap in state {si} did not reproduce in the interpreter"
-                            ),
-                        }
+                        let mem = env.aux as usize;
+                        let len = mems[mem].len();
+                        return Err(FsmdSimError::out_of_bounds(self.f, mem, env.trap_addr, len));
                     }
                     EXIT_FALLBACK => {
                         // The native block counted the cycle, then asked
@@ -313,25 +284,24 @@ mod imp {
                         .map_err(|e| e.at_cycle(env.cycles))?
                         {
                             Step::Next(t) => state = t,
-                            Step::Done(ret) => {
-                                let regs = slots[..self.f.regs.len()].to_vec();
-                                chls_trace::add("sim.cycles", env.cycles);
-                                chls_trace::add("jit.fallbacks", fallbacks);
-                                return Ok((
-                                    FsmdSimResult {
-                                        ret,
-                                        cycles: env.cycles,
-                                        mems,
-                                        regs,
-                                    },
-                                    fallbacks,
-                                ));
-                            }
+                            Step::Done(ret) => break ret,
                         }
                     }
                     other => unreachable!("unknown JIT exit code {other}"),
                 }
-            }
+            };
+            let regs = slots[..self.f.regs.len()].to_vec();
+            chls_trace::add("sim.cycles", env.cycles);
+            chls_trace::add("jit.fallbacks", fallbacks);
+            Ok((
+                FsmdSimResult {
+                    ret,
+                    cycles: env.cycles,
+                    mems,
+                    regs,
+                },
+                fallbacks,
+            ))
         }
     }
 
@@ -359,7 +329,7 @@ mod imp {
     mod tests {
         use super::*;
         use crate::translate::{
-            OFF_AUX, OFF_CYCLES, OFF_MAX, OFF_MEMS, OFF_RET, OFF_RETSET, OFF_SLOTS,
+            OFF_AUX, OFF_CYCLES, OFF_MAX, OFF_MEMS, OFF_RET, OFF_RETSET, OFF_SLOTS, OFF_TRAP_ADDR,
         };
         use std::mem::offset_of;
 
@@ -372,6 +342,7 @@ mod imp {
             assert_eq!(offset_of!(JitEnv, aux), OFF_AUX as usize);
             assert_eq!(offset_of!(JitEnv, ret_val), OFF_RET as usize);
             assert_eq!(offset_of!(JitEnv, ret_set), OFF_RETSET as usize);
+            assert_eq!(offset_of!(JitEnv, trap_addr), OFF_TRAP_ADDR as usize);
             assert_eq!(offset_of!(MemDesc, base), 0);
             assert_eq!(offset_of!(MemDesc, len), 8);
             assert_eq!(std::mem::size_of::<MemDesc>(), 16);

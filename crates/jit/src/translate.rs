@@ -3,8 +3,8 @@
 //! Each FSMD state's micro-op tape becomes one native block. The whole
 //! per-cycle loop — cycle counting, datapath evaluation, next-state
 //! choice, and the simultaneous commit — runs in native code; Rust is
-//! re-entered only to finish (`Done`), to report a cycle-limit stop, to
-//! reproduce a trap's exact error, or to interpret a fallback state.
+//! re-entered only to finish (`Done`), to report a cycle-limit stop or
+//! an out-of-bounds access, or to interpret a fallback state.
 //!
 //! # Register convention
 //!
@@ -17,15 +17,25 @@
 //! | `rsi rdi r8-r12` | slot cache pool ([`crate::regalloc`]) |
 //! | `rax rcx rdx` | fixed scratch (division helper, setcc, commits) |
 //!
-//! # Simultaneous commit
+//! # Commits
 //!
-//! `StageReg`/`StageMemWrite` write their (canonicalized) values into
+//! The tape is `chls_sim::tape::compile`'s lowered one, so most register
+//! writes are plain slot writes, in place. The staged rest,
+//! `StageReg`/`StageMemWrite`, write their (canonicalized) values into
 //! *shadow slots* past the tape's own slot space, plus a guard flag
 //! slot when the staging is inside a lazy skip region (the flags are
 //! zeroed at block entry). The next-state decision is made from
 //! pre-commit values, then a per-edge stub replays the staged updates
 //! in tape order and jumps to the next state's block — exactly the
 //! interpreter's ordering in `chls_sim::tape::exec_state`.
+//!
+//! # Traps
+//!
+//! Each bounds check jumps to a cold stub of its own, placed after the
+//! last state's block. The stub stores the faulting address and the
+//! memory index in the environment and exits with [`EXIT_TRAP`], so the
+//! driver builds the interpreter's error without running the state
+//! again.
 
 use crate::regalloc::{slot_disp, RegCache, SLOTS};
 use crate::x86::{AluOp, Cc, Label, MInst, Reg, ShiftKind};
@@ -42,18 +52,22 @@ pub const OFF_MEMS: i32 = 0x08;
 pub const OFF_CYCLES: i32 = 0x10;
 /// Offset of the cycle limit.
 pub const OFF_MAX: i32 = 0x18;
-/// Offset of the auxiliary word (trap/fallback state id).
+/// Offset of the auxiliary word (fallback state id, or trapping memory
+/// index).
 pub const OFF_AUX: i32 = 0x20;
 /// Offset of the sampled return value.
 pub const OFF_RET: i32 = 0x28;
 /// Offset of the return-value-present flag.
 pub const OFF_RETSET: i32 = 0x30;
+/// Offset of the address an out-of-bounds access tried.
+pub const OFF_TRAP_ADDR: i32 = 0x38;
 
 /// Native exit codes returned in `rax`.
 pub const EXIT_DONE: u64 = 0;
 /// The cycle limit was reached.
 pub const EXIT_LIMIT: u64 = 1;
-/// A memory access trapped; the state id is in the aux field.
+/// A memory access trapped; the memory index is in the aux field and
+/// the address in the trap-address field.
 pub const EXIT_TRAP: u64 = 2;
 /// The state must be interpreted; the state id is in the aux field.
 pub const EXIT_FALLBACK: u64 = 3;
@@ -94,6 +108,9 @@ pub struct Scratch {
     /// The current state's edge stubs: (label, target state or `None`
     /// for done).
     stubs: Vec<(Label, Option<u32>)>,
+    /// The trap stubs: (label, address register, memory index), one per
+    /// bounds check.
+    traps: Vec<(Label, Reg, u32)>,
 }
 
 /// No skip lands at this block position.
@@ -266,8 +283,10 @@ pub fn translate(
         skip_labels,
         tail,
         stubs,
+        traps,
     } = scratch;
     insts.clear();
+    traps.clear();
     let mut tr = Tr {
         out: &mut *insts,
         labels: 0,
@@ -278,6 +297,7 @@ pub fn translate(
     tr.labels = n_states as u32;
     let exit_done = tr.fresh();
     let exit_limit = tr.fresh();
+    let exit_trap = tr.fresh();
     let out_lbl = tr.fresh();
 
     // Prologue: save callee-saved registers (5 pushes also restore the
@@ -330,7 +350,7 @@ pub fn translate(
         });
 
         // Stuck (statically deadlocked) states carry an error payload
-        // native code cannot produce — replay them through the tape
+        // native code cannot produce — run them through the tape
         // interpreter so the JIT reports the identical Deadlock error.
         if force_fallback || matches!(st.next, CNext::Stuck(_)) {
             fallback_blocks += 1;
@@ -443,9 +463,6 @@ pub fn translate(
             consts: &tape.const_init,
         };
 
-        // Lazily-created trap stub for this state's bounds checks.
-        let mut trap_lbl: Option<Label> = None;
-
         let mut cache = RegCache::new();
         let mut staging_idx = 0usize;
         for (i, inst) in block.iter().enumerate() {
@@ -454,15 +471,7 @@ pub fn translate(
                 tr.out.push(MInst::Bind(l));
                 cache.clear();
             }
-            translate_inst(
-                &mut tr,
-                &mut cache,
-                &blk,
-                i,
-                inst,
-                &mut staging_idx,
-                &mut trap_lbl,
-            );
+            translate_inst(&mut tr, &mut cache, &blk, i, inst, &mut staging_idx, traps);
             cache.unpin_all();
         }
         // A skip may target the tape end.
@@ -608,28 +617,31 @@ pub fn translate(
                 None => tr.out.push(MInst::Jmp { label: exit_done }),
             }
         }
+    }
 
-        // Trap stub: record the state id, exit with the trap code.
-        if let Some(l) = trap_lbl {
-            tr.out.push(MInst::Bind(l));
-            tr.out.push(MInst::MovRI {
-                dst: Reg::Rcx,
-                imm: si as i64,
-            });
-            tr.out.push(MInst::Store {
-                base: ENV,
-                disp: OFF_AUX,
-                src: Reg::Rcx,
-            });
-            tr.out.push(MInst::MovRI {
-                dst: Reg::Rax,
-                imm: EXIT_TRAP as i64,
-            });
-            tr.out.push(MInst::Jmp { label: out_lbl });
-        }
+    // Trap stubs: record the address and the memory, then exit.
+    for &(lbl, ra, mem) in traps.iter() {
+        tr.out.push(MInst::Bind(lbl));
+        tr.out.push(MInst::Store {
+            base: ENV,
+            disp: OFF_TRAP_ADDR,
+            src: ra,
+        });
+        tr.out.push(MInst::StoreImm {
+            base: ENV,
+            disp: OFF_AUX,
+            imm: mem as i32,
+        });
+        tr.out.push(MInst::Jmp { label: exit_trap });
     }
 
     // Shared exits.
+    tr.out.push(MInst::Bind(exit_trap));
+    tr.out.push(MInst::MovRI {
+        dst: Reg::Rax,
+        imm: EXIT_TRAP as i64,
+    });
+    tr.out.push(MInst::Jmp { label: out_lbl });
     tr.out.push(MInst::Bind(exit_done));
     tr.out.push(MInst::MovRI {
         dst: Reg::Rax,
@@ -664,14 +676,9 @@ pub fn translate(
 }
 
 /// Emits the bounds check `addr < len(mem)` (unsigned compare also
-/// catches negative addresses), trapping on failure. Leaves the memory
-/// base pointer in `rcx`.
-fn emit_bounds_check(
-    tr: &mut Tr,
-    ra: Reg,
-    mem: u32,
-    trap_lbl: &mut Option<Label>,
-) {
+/// catches negative addresses), jumping on failure to a trap stub of its
+/// own, queued in `traps`. Leaves the memory base pointer in `rcx`.
+fn emit_bounds_check(tr: &mut Tr, ra: Reg, mem: u32, traps: &mut Vec<(Label, Reg, u32)>) {
     tr.out.push(MInst::Load {
         dst: Reg::Rcx,
         base: ENV,
@@ -687,11 +694,8 @@ fn emit_bounds_check(
         dst: ra,
         src: Reg::Rdx,
     });
-    let l = *trap_lbl.get_or_insert_with(|| {
-        let l = tr.labels;
-        tr.labels += 1;
-        l
-    });
+    let l = tr.fresh();
+    traps.push((l, ra, mem));
     tr.out.push(MInst::Jcc { cc: Cc::Ae, label: l });
     tr.out.push(MInst::Load {
         dst: Reg::Rcx,
@@ -707,7 +711,7 @@ fn translate_inst(
     i: usize,
     inst: &TInst,
     staging_idx: &mut usize,
-    trap_lbl: &mut Option<Label>,
+    traps: &mut Vec<(Label, Reg, u32)>,
 ) {
     // Shorthand: furthest-next-use lookahead from the next instruction.
     macro_rules! nu {
@@ -852,7 +856,7 @@ fn translate_inst(
         }
         TInst::MemRead { mem, dst, addr } => {
             let ra = cache.get(addr, tr.out, nu!());
-            emit_bounds_check(tr, ra, mem, trap_lbl);
+            emit_bounds_check(tr, ra, mem, traps);
             let rd = cache.def(dst, nu!());
             tr.out.push(MInst::LoadIdx {
                 dst: rd,
@@ -907,7 +911,7 @@ fn translate_inst(
             let stg = &blk.stagings[*staging_idx];
             *staging_idx += 1;
             let ra = cache.get(addr, tr.out, nu!());
-            emit_bounds_check(tr, ra, mem, trap_lbl);
+            emit_bounds_check(tr, ra, mem, traps);
             tr.store_slot(stg.addr_sh, ra);
             let rv = cache.get(val, tr.out, nu!());
             tr.out.push(MInst::MovRR {

@@ -16,11 +16,11 @@
 //! computes into its own temp slot at most once per cycle. Building the
 //! tape interns each expression tree once, under a one-multiply hash.
 //!
-//! The tape is then lowered for this loop ([`tape::lower_commits`]):
-//! register writes that nothing later in their state reads commit in
-//! place instead of being staged, and a temp that only carries a value
-//! into a register is computed straight into it. What is left stays
-//! staged: swaps, memory writes and the writes of deadlocked states.
+//! [`tape::compile`] lowers that tape before it returns it: register
+//! writes that nothing later in their state reads commit in place
+//! instead of being staged, and a temp that only carries a value into a
+//! register is computed straight into it. What is left stays staged:
+//! swaps, memory writes and the writes of deadlocked states.
 //!
 //! The per-cycle loop touches only dense arrays: no allocation, no
 //! hashing, no pointer chasing. A cycle runs only a few tape
@@ -29,12 +29,13 @@
 //! makes no call and moves no `Result` around, and values are
 //! canonicalized to their width by a branch-free shift pair.
 //!
-//! The tape representation is shared with the native x86-64 JIT
-//! (`chls-jit`), which compiles the unlowered tapes to machine code and
-//! steps single states of them through [`tape::exec_state`] when it
-//! falls back. [`tape::run_tape`] and [`tape::exec_state`] are the
-//! reference executors, and this module's loop is the reference
-//! simulator.
+//! The native x86-64 JIT (`chls-jit`) compiles the same lowered tape to
+//! machine code and steps single states of it through
+//! [`tape::exec_state`] when it falls back. [`tape::run_tape`] and
+//! [`tape::exec_state`] are the reference executors, and this module's
+//! loop is the reference simulator; [`run`] also runs
+//! [`tape::compile_staged`]'s tape, against which the lowering is
+//! checked.
 
 use crate::interp::ArgValue;
 use crate::tape::{self, Step, Tape};
@@ -90,6 +91,17 @@ impl fmt::Display for FsmdSimError {
 impl std::error::Error for FsmdSimError {}
 
 impl FsmdSimError {
+    /// The error for an access at `addr` outside memory `mem` of `f`,
+    /// which holds `len` words.
+    #[cold]
+    pub fn out_of_bounds(f: &Fsmd, mem: usize, addr: i64, len: usize) -> Self {
+        FsmdSimError::OutOfBounds {
+            mem: f.mems[mem].name.clone(),
+            addr,
+            len,
+        }
+    }
+
     /// Stamps a deadlock with the cycle that entered the stuck
     /// configuration; the tape layer has no cycle counter. Other errors
     /// pass through unchanged.
@@ -140,13 +152,15 @@ fn simulate_inner(
     max_cycles: u64,
 ) -> Result<FsmdSimResult, FsmdSimError> {
     // Compile once; the per-cycle loop is allocation-free.
-    let mut comp = tape::compile(f);
-    tape::lower_commits(&mut comp, f);
-    run(f, &comp, args, max_cycles)
+    run(f, &tape::compile(f), args, max_cycles)
 }
 
-/// Runs `comp`, a tape of `f` (lowered or not), to completion.
-pub(crate) fn run(
+/// Runs `comp`, a tape of `f` (lowered or staged), to completion.
+///
+/// # Errors
+///
+/// See [`FsmdSimError`].
+pub fn run(
     f: &Fsmd,
     comp: &Tape,
     args: &[ArgValue],

@@ -26,16 +26,16 @@
 //! false-guarded action are never evaluated, so an out-of-bounds read on
 //! a dead path never fires.
 //!
-//! [`compile`] stages every register and memory write (`StageReg`,
-//! `StageMemWrite`), and [`exec_state`] commits them together after the
-//! transfer is chosen, as the clock edge does. [`lower_commits`] is an
-//! interpreter-only pass over that output: a register write that no
-//! later instruction, transfer or return value of its state reads
-//! commits in place, and a temp that only carries a value into a
-//! register is computed straight into it. What still needs the clock
-//! edge stays staged. The JIT compiles the unlowered tape (see
-//! `chls-jit`), so every JIT-against-interpreter check also checks the
-//! lowering.
+//! [`compile_staged`] stages every register and memory write
+//! (`StageReg`, `StageMemWrite`), and [`exec_state`] commits them
+//! together after the transfer is chosen, as the clock edge does.
+//! [`compile`] then lowers that output: a register write that no later
+//! instruction, transfer or return value of its state reads commits in
+//! place, and a temp that only carries a value into a register is
+//! computed straight into it. What still needs the clock edge stays
+//! staged. Both engines, the interpreter and the JIT (`chls-jit`), run
+//! the lowered tape; the staged one is the reference the lowering is
+//! tested against.
 //!
 //! Consumers that execute tapes by other means (the JIT) must preserve
 //! these semantics exactly; [`run_tape`] and [`exec_state`] are the
@@ -1063,8 +1063,18 @@ impl<'f> Compiler<'f> {
     }
 }
 
-/// Compiles every state of `f`.
+/// Compiles every state of `f` to the tape both engines run: the staged
+/// tape with its in-place commits lowered.
 pub fn compile(f: &Fsmd) -> Tape {
+    let mut tape = compile_staged(f);
+    lower_commits(&mut tape, f);
+    tape
+}
+
+/// Compiles every state of `f`, staging every register write for the
+/// clock edge. This is the reference that [`compile`]'s lowering is
+/// tested against.
+pub fn compile_staged(f: &Fsmd) -> Tape {
     let mut c = Compiler::new(f);
     // Intern the whole design once, keeping every state's roots, so the
     // constant pool (and with it the temp-slot base) is final before any
@@ -1325,29 +1335,27 @@ impl Lowering<'_> {
     }
 }
 
-/// Lowers a tape for the interpreter: register writes that need no
-/// staging commit in place.
+/// Lowers a staged tape: register writes that need no staging commit in
+/// place.
 ///
-/// A state's registers all change at the clock edge, so [`compile`]
-/// stages every `StageReg` and [`exec_state`] commits them after the
-/// transfer is chosen. A `StageReg r <- v` becomes an in-place `Copy`
-/// (or a `Cast`, when `v` is not known to be canonical in `r`'s type)
-/// when no later instruction of the state reads `r`, neither the
-/// transfer nor the return value reads `r`, and no earlier `StageReg`
-/// of `r` in the state stays staged. When `v` is a temp written once,
-/// in the `StageReg`'s skip region, with `r` unread from there on, its
-/// producer computes straight into `r`, `v`'s later reads (transfer and
-/// return included) read `r`, and the `StageReg` is deleted. A temp is
-/// coalesced into one register at most; a second `StageReg` of it
-/// copies from the first register. What is left stays staged: swaps,
-/// memory writes and the writes of `Stuck` states.
+/// A state's registers all change at the clock edge, so
+/// [`compile_staged`] stages every `StageReg` and [`exec_state`]
+/// commits them after the transfer is chosen. A `StageReg r <- v`
+/// becomes an in-place `Copy` (or a `Cast`, when `v` is not known to be
+/// canonical in `r`'s type) when no later instruction of the state reads
+/// `r`, neither the transfer nor the return value reads `r`, and no
+/// earlier `StageReg` of `r` in the state stays staged. When `v` is a
+/// temp written once, in the `StageReg`'s skip region, with `r` unread
+/// from there on, its producer computes straight into `r`, `v`'s later
+/// reads (transfer and return included) read `r`, and the `StageReg` is
+/// deleted. A temp is coalesced into one register at most; a second
+/// `StageReg` of it copies from the first register. What is left stays
+/// staged: swaps, memory writes and the writes of `Stuck` states.
 ///
-/// `tape` must be as [`compile`] emits it: skips go forward and their
-/// regions nest, and a state reads a temp only after writing it.
-/// Linear in the tape, with no allocation per state. The JIT compiles
-/// the unlowered tape: its trap path replays a state from the pre-cycle
-/// slots, which an in-place write would already have changed.
-pub fn lower_commits(tape: &mut Tape, f: &Fsmd) {
+/// `tape` must be as [`compile_staged`] emits it: skips go forward and
+/// their regions nest, and a state reads a temp only after writing it.
+/// Linear in the tape, with no allocation per state.
+fn lower_commits(tape: &mut Tape, f: &Fsmd) {
     let const_base = (tape.n_regs + tape.n_inputs) as u32;
     let mut lw = Lowering {
         f,
@@ -1521,11 +1529,12 @@ pub fn run_tape(
                 let a = slots[addr as usize];
                 let storage = &mems[mem as usize];
                 if a < 0 || a as usize >= storage.len() {
-                    return Err(FsmdSimError::OutOfBounds {
-                        mem: f.mems[mem as usize].name.clone(),
-                        addr: a,
-                        len: storage.len(),
-                    });
+                    return Err(FsmdSimError::out_of_bounds(
+                        f,
+                        mem as usize,
+                        a,
+                        storage.len(),
+                    ));
                 }
                 slots[dst as usize] = storage[a as usize];
             }
@@ -1553,11 +1562,7 @@ pub fn run_tape(
                 let a = slots[addr as usize];
                 let mi = mem as usize;
                 if a < 0 || a as usize >= mems[mi].len() {
-                    return Err(FsmdSimError::OutOfBounds {
-                        mem: f.mems[mi].name.clone(),
-                        addr: a,
-                        len: mems[mi].len(),
-                    });
+                    return Err(FsmdSimError::out_of_bounds(f, mi, a, mems[mi].len()));
                 }
                 mem_updates.push((mem, a, elem.canonicalize(slots[val as usize])));
             }
@@ -1588,7 +1593,7 @@ pub enum Step {
 /// Forced inline: the interpreter's per-cycle loop
 /// ([`crate::fsmd_sim::simulate`]) then pays no call, and moves no
 /// `Result`, per cycle. The JIT calls it for single states, on its
-/// fallback and trap-replay paths.
+/// fallback path.
 ///
 /// # Errors
 ///
@@ -1801,13 +1806,6 @@ mod tests {
         IntType::new(32, true)
     }
 
-    /// The lowered tape of `f`.
-    fn lowered(f: &Fsmd) -> Tape {
-        let mut t = compile(f);
-        lower_commits(&mut t, f);
-        t
-    }
-
     /// One state's instructions in the lowered tape.
     fn state_code(t: &Tape, s: StateId) -> &[TInst] {
         let (a, b) = t.states[s.0 as usize].tape;
@@ -1828,7 +1826,7 @@ mod tests {
         let lowered = simulate(f, args, 1000);
         assert_eq!(
             lowered,
-            run(f, &compile(f), args, 1000),
+            run(f, &compile_staged(f), args, 1000),
             "lowering changed the result"
         );
         lowered
@@ -1846,7 +1844,7 @@ mod tests {
         let f = b.finish();
         // `y <- x` reads x after `x <- y`, so x's write stays staged;
         // nothing reads y afterwards, so y's commits in place.
-        let t = lowered(&f);
+        let t = compile(&f);
         assert_eq!(staged_regs(state_code(&t, s0)), vec![x.0]);
         assert_eq!(agree(&f, &[]).unwrap().regs, vec![4, 3]);
     }
@@ -1864,7 +1862,7 @@ mod tests {
         let f = b.returning(result).finish();
         // The add runs in the preamble whatever the guard says, so it
         // must not compute into r; the guarded copy commits instead.
-        let t = lowered(&f);
+        let t = compile(&f);
         let code = state_code(&t, s0);
         assert!(
             matches!(code[0], TInst::Add { dst, .. } if dst != r.0),
@@ -1895,7 +1893,7 @@ mod tests {
         b.at(done).done();
         let result = b.get(out);
         let f = b.returning(result).finish();
-        assert_eq!(staged_regs(state_code(&lowered(&f), s0)), vec![r.0]);
+        assert_eq!(staged_regs(state_code(&compile(&f), s0)), vec![r.0]);
         // r was 0 when the branch was taken, so the else arm ran.
         assert_eq!(agree(&f, &[]).unwrap().ret, Some(2));
     }
@@ -1908,7 +1906,7 @@ mod tests {
         b.at(s0).set(r, Rv::konst(7, ty32())).done();
         let result = b.get(r);
         let f = b.returning(result).finish();
-        assert_eq!(staged_regs(state_code(&lowered(&f), s0)), vec![r.0]);
+        assert_eq!(staged_regs(state_code(&compile(&f), s0)), vec![r.0]);
         let out = agree(&f, &[]).unwrap();
         assert_eq!((out.ret, out.regs), (Some(3), vec![7]));
     }
@@ -1924,7 +1922,7 @@ mod tests {
         b.at(s0).set(r, plus1).set(r, plus10).goto(s1);
         b.at(s1).done();
         let f = b.finish();
-        assert!(staged_regs(state_code(&lowered(&f), s0)).is_empty());
+        assert!(staged_regs(state_code(&compile(&f), s0)).is_empty());
         assert_eq!(agree(&f, &[]).unwrap().regs, vec![11]);
 
         // A lazy read between the writes keeps the first staged, and
@@ -1942,7 +1940,7 @@ mod tests {
             .goto(s1);
         b.at(s1).done();
         let f = b.finish();
-        assert_eq!(staged_regs(state_code(&lowered(&f), s0)), vec![r.0, r.0]);
+        assert_eq!(staged_regs(state_code(&compile(&f), s0)), vec![r.0, r.0]);
         assert_eq!(agree(&f, &[]).unwrap().regs, vec![0, 20]);
     }
 
@@ -1961,7 +1959,7 @@ mod tests {
         let f = b.finish();
         // r commits in place before the read; `at` stays staged, since
         // the read's address is `at` itself.
-        let t = lowered(&f);
+        let t = compile(&f);
         let code = state_code(&t, s0);
         let write = code.iter().position(|i| i.writes() == Some(r.0));
         let read = code.iter().position(|i| matches!(i, TInst::MemRead { .. }));
@@ -1989,7 +1987,7 @@ mod tests {
         let v = b.add(x, Rv::konst(1, ty32()));
         b.at(s0).set(r, v).done();
         let f = b.finish();
-        let t = lowered(&f);
+        let t = compile(&f);
         assert!(
             matches!(state_code(&t, s0), [TInst::Add { .. }, TInst::Cast { dst, .. }] if *dst == r.0),
             "{:?}",
@@ -2009,7 +2007,7 @@ mod tests {
         b.at(s0).set(r1, v.clone()).set(r2, v).goto(s1);
         b.at(s1).done();
         let f = b.finish();
-        let t = lowered(&f);
+        let t = compile(&f);
         let code = state_code(&t, s0);
         assert!(
             matches!(code, [TInst::Add { dst, .. }, TInst::Copy { dst: d2, a }]
@@ -2158,7 +2156,7 @@ mod tests {
     fn lowering_agrees_with_the_staged_tape_on_random_designs() {
         for seed in 0..3000 {
             let (f, args) = random_design(seed);
-            let tapes = [compile(&f), lowered(&f)];
+            let tapes = [compile_staged(&f), compile(&f)];
             let inputs = bind_inputs(&f, &args).unwrap();
             let mut runs: Vec<_> = tapes
                 .iter()
