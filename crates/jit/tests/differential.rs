@@ -3,7 +3,7 @@
 //! memory contents — on real synthesized designs.
 //!
 //! These tests compile CHL sources with the `c2v` backend (the FSMD
-//! reference path), plus one hand-built FSMD, and run each design
+//! reference path), plus hand-built FSMDs, and run each design
 //! through both engines. On hosts where JIT execution is unavailable
 //! the tests pass trivially.
 //!
@@ -18,6 +18,7 @@ use chls_rtl::builder::FsmdBuilder;
 use chls_rtl::fsmd::{Fsmd, Rv};
 use chls_sim::fsmd_sim::{self, FsmdSimError, FsmdSimResult};
 use chls_sim::interp::ArgValue;
+use chls_sim::tape;
 use std::sync::{Mutex, MutexGuard};
 
 const MAX_CYCLES: u64 = 5_000_000;
@@ -223,6 +224,65 @@ fn out_of_bounds_traps_identically() {
     for idx in [8, 100, -1, -100] {
         let args = [ArgValue::Array(vec![5; 8]), ArgValue::Scalar(idx)];
         differential(&f, &args, false);
+    }
+}
+
+/// Traps in states that write a register in place before the faulting
+/// access, whose address the preamble computed from the register's old
+/// value. Running the state again from the written slots would compute
+/// another address, so the error must come from the access itself.
+#[test]
+fn traps_report_the_access_after_in_place_writes() {
+    let _serial = serial();
+    let ty = IntType::new(32, true);
+    let oob = |mem: &str, addr, len| FsmdSimError::OutOfBounds {
+        mem: mem.into(),
+        addr,
+        len,
+    };
+
+    // `r <- 0` commits in place; the read's address is the old `r + 1`.
+    let mut b = FsmdBuilder::new("read_after_write");
+    let buf = b.mem("buf", ty, 4);
+    let r = b.reg("r", ty, 9);
+    let q = b.reg("q", ty, 0);
+    let s0 = b.state();
+    let (zero, at) = (b.konst(0, ty), b.add(b.get(r), b.konst(1, ty)));
+    let rd = b.read(buf, at);
+    b.at(s0).set(r, zero).set(q, rd).done();
+    let read = (b.finish(), oob("buf", 10, 4));
+
+    // Reads of two memories in one state; the first is in range, the
+    // second traps.
+    let mut b = FsmdBuilder::new("second_read");
+    let a = b.mem("a", ty, 4);
+    let c = b.mem("c", ty, 2);
+    let r = b.reg("r", ty, 1);
+    let (q, p) = (b.reg("q", ty, 0), b.reg("p", ty, 0));
+    let s0 = b.state();
+    let zero = b.konst(0, ty);
+    let ra = b.read(a, b.add(b.get(r), b.konst(1, ty)));
+    let rc = b.read(c, b.add(b.get(r), b.konst(2, ty)));
+    b.at(s0).set(r, zero).set(q, ra).set(p, rc).done();
+    let second = (b.finish(), oob("c", 3, 2));
+
+    // A memory write whose address traps.
+    let mut b = FsmdBuilder::new("write_after_write");
+    let buf = b.mem("buf", ty, 4);
+    let r = b.reg("r", ty, 9);
+    let s0 = b.state();
+    let (zero, at) = (b.konst(0, ty), b.add(b.get(r), b.konst(1, ty)));
+    let val = b.konst(5, ty);
+    b.at(s0).set(r, zero).write(buf, at, val).done();
+    let write = (b.finish(), oob("buf", 10, 4));
+
+    for (f, want) in [read, second, write] {
+        let want = Err(want);
+        assert_eq!(fsmd_sim::simulate(&f, &[], MAX_CYCLES), want, "{}", f.name);
+        let staged = fsmd_sim::run(&f, &tape::compile_staged(&f), &[], MAX_CYCLES);
+        assert_eq!(staged, want, "{}", f.name);
+        differential(&f, &[], false);
+        differential(&f, &[], true);
     }
 }
 

@@ -141,8 +141,8 @@ fn seven_backends_prepare_at_most_three_times() {
 }
 
 /// Every benchmark kernel's FSMD, on every backend that makes one,
-/// compiles to the same tape twice, lowers for the interpreter to the
-/// same tape twice, and the constant pool comes out in slot order
+/// compiles to the same staged tape twice and to the same lowered tape
+/// twice, and the constant pool comes out in slot order
 /// rather than in the order of a hash table.
 #[test]
 fn tapes_are_identical_across_compilations() {
@@ -156,14 +156,18 @@ fn tapes_are_identical_across_compilations() {
                 continue;
             };
             let label = format!("{} on {}", bench.name, b.info().name);
-            let first = chls_sim::tape::compile(&f);
-            assert_eq!(chls_sim::tape::compile(&f), first, "{label}: tapes differ");
-            let lower = || {
-                let mut t = chls_sim::tape::compile(&f);
-                chls_sim::tape::lower_commits(&mut t, &f);
-                t
-            };
-            assert_eq!(lower(), lower(), "{label}: lowered tapes differ");
+            let first = chls_sim::tape::compile_staged(&f);
+            assert_eq!(
+                chls_sim::tape::compile_staged(&f),
+                first,
+                "{label}: staged tapes differ"
+            );
+            let lowered = chls_sim::tape::compile(&f);
+            assert_eq!(
+                chls_sim::tape::compile(&f),
+                lowered,
+                "{label}: lowered tapes differ"
+            );
             assert!(
                 first.const_init.windows(2).all(|p| p[0].0 < p[1].0),
                 "{label}: const_init is not in slot order: {:?}",

@@ -4,11 +4,10 @@
 //! FSMD, plus targeted edge-case kernels (division by zero, full-width
 //! shifts, signed wraparound, single-bit conditions).
 //!
-//! The JIT compiles the staged tape of `chls_sim::tape::compile`; the
-//! interpreter runs that tape after `chls_sim::tape::lower_commits` has
-//! turned register writes into in-place ones. Every check here is
-//! therefore also a staged-against-in-place check of the lowering, and
-//! the forced-fallback runs make it without native code.
+//! Both engines run the lowered tape of `chls_sim::tape::compile`, whose
+//! register writes mostly commit in place. So each native check has a
+//! third leg: the staged tape of `chls_sim::tape::compile_staged`, run
+//! through `fsmd_sim::run`, which keeps the lowering itself checked.
 //!
 //! The contract is total equality: return value, cycle count, final
 //! register file, and final memory images — or, when a run traps, the
@@ -20,7 +19,7 @@ use chls::{backend_by_name, Compiler, Design, SynthOptions};
 use chls_frontend::types::Type;
 use chls_jit::JitProgram;
 use chls_rtl::fsmd::Fsmd;
-use chls_sim::fsmd_sim;
+use chls_sim::{fsmd_sim, tape};
 
 const MAX_CYCLES: u64 = 5_000_000;
 
@@ -67,8 +66,9 @@ fn random_args(compiler: &Compiler, entry: &str, rng: &mut Lcg) -> Option<Vec<Ar
     Some(args)
 }
 
-/// Runs both engines on one (design, args) pair and demands bit-exact
-/// agreement. Returns false when the host has no JIT.
+/// Runs both engines on one (design, args) pair, and the interpreter on
+/// the staged tape too, and demands bit-exact agreement. Returns false
+/// when the host has no JIT.
 fn assert_bit_exact(f: &Fsmd, args: &[ArgValue], label: &str) -> bool {
     let Some(prog) = JitProgram::compile(f) else {
         assert!(
@@ -79,6 +79,8 @@ fn assert_bit_exact(f: &Fsmd, args: &[ArgValue], label: &str) -> bool {
     };
     let jit = prog.run(args, MAX_CYCLES);
     let interp = fsmd_sim::simulate(f, args, MAX_CYCLES);
+    let staged = fsmd_sim::run(f, &tape::compile_staged(f), args, MAX_CYCLES);
+    assert_eq!(staged, interp, "{label}: the lowering changed the result");
     match (jit, interp) {
         (Ok(j), Ok(i)) => {
             assert_eq!(j.ret, i.ret, "{label}: return value diverged");
@@ -331,8 +333,9 @@ fn benchmark_suite_agrees() {
 }
 
 /// The registered benchmark suite again, with the JIT's every state
-/// falling back to the interpreter's one-step path: the staged tape,
-/// stepped through `exec_state`, against the interpreter's lowered one.
+/// falling back to the interpreter's one-step path: the lowered tape,
+/// stepped one state at a time through `exec_state`, against the
+/// interpreter's loop over the same tape.
 #[test]
 fn benchmark_suite_agrees_on_the_fallback_path() {
     for bench in chls::benchmarks() {
