@@ -273,9 +273,7 @@ fn stmt_paths(stmt: &HirStmt, rule: Rule) -> Paths {
             // Transmogrifier: a loop inside either branch puts the branch
             // tail in the loop's region, so the join block is entered from
             // two *different* regions and becomes a region head of its own.
-            if rule == Rule::Transmogrifier
-                && (contains_loop(then) || contains_loop(els))
-            {
+            if rule == Rule::Transmogrifier && (contains_loop(then) || contains_loop(els)) {
                 if let Some(f) = p.fall {
                     p.fall = Some(f + Interval::exact(1));
                 }
@@ -329,10 +327,8 @@ fn loop_paths(
     let straight = b.brk.is_none() && b.cont.is_none() && b.ret.is_none();
     let step_straight = s.is_none_or(|p| p.brk.is_none() && p.cont.is_none() && p.ret.is_none());
     if let (Some(t), true, true) = (trips, straight, step_straight) {
-        let per_trip = b
-            .fall
-            .unwrap_or(Interval::ZERO)
-            + s.and_then(|p| p.fall).unwrap_or(Interval::ZERO);
+        let per_trip =
+            b.fall.unwrap_or(Interval::ZERO) + s.and_then(|p| p.fall).unwrap_or(Interval::ZERO);
         let fall = match rule {
             // t executions of body + step; conditions are free.
             Rule::HandelC => per_trip.times(t),

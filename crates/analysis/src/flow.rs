@@ -253,9 +253,17 @@ impl FlowReport {
                     "  channel `{}`: {} send{} / {} recv{} per activation — {}\n",
                     c.name,
                     c.sends,
-                    if c.sends == Interval::exact(1) { "" } else { "s" },
+                    if c.sends == Interval::exact(1) {
+                        ""
+                    } else {
+                        "s"
+                    },
                     c.recvs,
-                    if c.recvs == Interval::exact(1) { "" } else { "s" },
+                    if c.recvs == Interval::exact(1) {
+                        ""
+                    } else {
+                        "s"
+                    },
                     c.balance,
                 ));
             }
@@ -556,7 +564,9 @@ fn expand_block(block: &HirBlock, out: &mut Vec<Op>) -> Result<(), String> {
 
 fn push_op(out: &mut Vec<Op>, op: Op) -> Result<(), String> {
     if out.len() >= MAX_TRACE {
-        return Err(format!("communication trace exceeds {MAX_TRACE} operations"));
+        return Err(format!(
+            "communication trace exceeds {MAX_TRACE} operations"
+        ));
     }
     out.push(op);
     Ok(())
@@ -797,7 +807,11 @@ fn proc_name(i: usize) -> String {
     format!("arm {i}")
 }
 
-fn analyze_network(arms: &[HirBlock], func: &HirFunc, diags: &mut Vec<Diagnostic>) -> NetworkReport {
+fn analyze_network(
+    arms: &[HirBlock],
+    func: &HirFunc,
+    diags: &mut Vec<Diagnostic>,
+) -> NetworkReport {
     let processes: Vec<String> = (0..arms.len()).map(proc_name).collect();
     let per_arm: Vec<Rates> = arms.iter().map(count_block).collect();
 
@@ -823,8 +837,7 @@ fn analyze_network(arms: &[HirBlock], func: &HirFunc, diags: &mut Vec<Diagnostic
     let mut channels = Vec::new();
     let mut mismatched = false;
     for (chan, (sends, recvs, senders, receivers)) in &totals {
-        let exact =
-            |i: Interval| i.max == Some(i.min);
+        let exact = |i: Interval| i.max == Some(i.min);
         let balance = if exact(*sends) && exact(*recvs) && sends.min == recvs.min {
             Balance::Balanced
         } else if recvs.max.is_some_and(|m| sends.min > m) {
@@ -912,7 +925,10 @@ fn analyze_network(arms: &[HirBlock], func: &HirFunc, diags: &mut Vec<Diagnostic
             };
             let mut d = Diagnostic::error(
                 msg,
-                blocked_eps.first().map(|b| b.span).unwrap_or_else(Span::dummy),
+                blocked_eps
+                    .first()
+                    .map(|b| b.span)
+                    .unwrap_or_else(Span::dummy),
             );
             for b in &blocked_eps {
                 d = d.with_note(
@@ -1160,10 +1176,7 @@ mod tests {
         let net = &r.networks[0];
         assert_eq!(net.processes.len(), 3);
         assert!(net.deadlock.is_none());
-        assert!(net
-            .channels
-            .iter()
-            .all(|c| c.balance == Balance::Balanced));
+        assert!(net.channels.iter().all(|c| c.balance == Balance::Balanced));
         assert_eq!(net.channels[0].sends, Interval::exact(8));
     }
 
@@ -1183,7 +1196,11 @@ mod tests {
         assert_eq!(net.capacities.len(), 1);
         assert_eq!(net.capacities[0].capacity, 1);
         // Diagnostics are span-anchored at the blocked sends.
-        let diag = r.diags.iter().find(|d| d.message.contains("deadlock")).unwrap();
+        let diag = r
+            .diags
+            .iter()
+            .find(|d| d.message.contains("deadlock"))
+            .unwrap();
         assert_eq!(diag.notes.len(), 2);
     }
 
@@ -1289,7 +1306,11 @@ mod tests {
              { for (int k = 0; k < 8; k = k + 1) { out = out + recv(c2); } } } return out; }",
         );
         assert!(!r.has_errors(), "diags: {:?}", r.diags);
-        let c1 = r.networks[0].channels.iter().find(|c| c.name == "c1").unwrap();
+        let c1 = r.networks[0]
+            .channels
+            .iter()
+            .find(|c| c.name == "c1")
+            .unwrap();
         assert_eq!(c1.sends, Interval::exact(16));
         assert_eq!(c1.recvs, Interval::exact(16));
         assert_eq!(c1.balance, Balance::Balanced);

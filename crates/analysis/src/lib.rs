@@ -42,12 +42,12 @@ pub mod repair;
 
 pub use backend_lint::{check_backends, detect_features, BackendFinding, Features};
 pub use callgraph::CallGraph;
-pub use repair::{assess_repairs, RepairAssessment, RepairVerdict};
 pub use cycles::{handelc_block_interval, handelc_interval, transmogrifier_interval, Interval};
 pub use effects::{block_effects, Access, AccessKind, Loc};
 pub use flow::{flow_program, Balance, FlowReport};
 pub use memlint::{check_dead_branches, check_memory, check_uninit_scalars};
 pub use race::find_races;
+pub use repair::{assess_repairs, RepairAssessment, RepairVerdict};
 
 use chls_backends::{construct_support, Preparer};
 use chls_frontend::diag::Diagnostic;
@@ -261,10 +261,7 @@ pub fn lint_program(
     // back to the bare entry function when inlining fails (recursion),
     // which still lints the entry body itself.
     let inlined = chls_opt::inline_program(prog, entry_id).ok();
-    let func: &HirFunc = inlined
-        .as_ref()
-        .map(|p| &p.funcs[0])
-        .unwrap_or(entry_func);
+    let func: &HirFunc = inlined.as_ref().map(|p| &p.funcs[0]).unwrap_or(entry_func);
 
     let pts = points_to(func);
     let races = find_races(func, &pts);
@@ -384,7 +381,8 @@ mod tests {
 
     #[test]
     fn read_write_race_is_detected() {
-        let prog = hir("int main() { int x = 0; int y = 0; par { { x = 1; } { y = x; } } return y; }");
+        let prog =
+            hir("int main() { int x = 0; int y = 0; par { { x = 1; } { y = x; } } return y; }");
         let r = lint_program(&prog, "main", None).unwrap();
         assert_eq!(r.races.len(), 1);
         assert!(r.races[0].message.contains("read/write race on `x`"));
@@ -396,7 +394,11 @@ mod tests {
             "int main(int a) { chan<int> c; int got = 0; par { { send(c, a); } { got = recv(c); } } return got; }",
         );
         let r = lint_program(&prog, "main", None).unwrap();
-        assert!(r.races.is_empty(), "rendezvous is not a race: {:?}", r.races);
+        assert!(
+            r.races.is_empty(),
+            "rendezvous is not a race: {:?}",
+            r.races
+        );
     }
 
     #[test]
@@ -427,8 +429,10 @@ mod tests {
         );
         let r = lint_program(&prog, "main", None).unwrap();
         assert!(
-            r.races.iter().any(|d| d.message.contains("recv/recv")
-                && d.message.contains("nondeterministic merge")),
+            r.races
+                .iter()
+                .any(|d| d.message.contains("recv/recv")
+                    && d.message.contains("nondeterministic merge")),
             "races: {:?}",
             r.races
         );

@@ -459,9 +459,8 @@ mod tests {
 
     #[test]
     fn dead_branch_is_reported() {
-        let f = prepared(
-            "int main(int x) { int m = x & 15; if (m < 100) { return m; } return 0; }",
-        );
+        let f =
+            prepared("int main(int x) { int m = x & 15; if (m < 100) { return m; } return 0; }");
         let ds = check_dead_branches(&f);
         assert_eq!(ds.len(), 1, "diags: {ds:?}");
         assert!(ds[0].message.contains("always true"), "{}", ds[0].message);
@@ -476,33 +475,27 @@ mod tests {
 
     #[test]
     fn one_armed_if_does_not_initialize() {
-        let ds = uninit(
-            "int main(int a) { int x; if (a > 0) { x = 1; } return x; }",
-        );
+        let ds = uninit("int main(int a) { int x; if (a > 0) { x = 1; } return x; }");
         assert_eq!(ds.len(), 1, "diags: {ds:?}");
     }
 
     #[test]
     fn both_arms_initialize() {
-        let ds = uninit(
-            "int main(int a) { int x; if (a > 0) { x = 1; } else { x = 2; } return x; }",
-        );
+        let ds =
+            uninit("int main(int a) { int x; if (a > 0) { x = 1; } else { x = 2; } return x; }");
         assert!(ds.is_empty(), "diags: {ds:?}");
     }
 
     #[test]
     fn loop_body_may_not_run() {
-        let ds = uninit(
-            "int main(int a) { int x; while (a > 0) { x = a; a = a - 1; } return x; }",
-        );
+        let ds = uninit("int main(int a) { int x; while (a > 0) { x = a; a = a - 1; } return x; }");
         assert_eq!(ds.len(), 1, "diags: {ds:?}");
     }
 
     #[test]
     fn do_while_body_always_runs() {
-        let ds = uninit(
-            "int main(int a) { int x; do { x = a; a = a - 1; } while (a > 0); return x; }",
-        );
+        let ds =
+            uninit("int main(int a) { int x; do { x = a; a = a - 1; } while (a > 0); return x; }");
         assert!(ds.is_empty(), "diags: {ds:?}");
     }
 

@@ -179,11 +179,9 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
             let c = done_at(ni);
             let st = states[c as usize];
             let action = match &f.inst(v).kind {
-                InstKind::Store { mem, addr, value } => Action::write(
-                    MemId(mem.0),
-                    ctx.rv_use(*addr, c),
-                    ctx.rv_use(*value, c),
-                ),
+                InstKind::Store { mem, addr, value } => {
+                    Action::write(MemId(mem.0), ctx.rv_use(*addr, c), ctx.rv_use(*value, c))
+                }
                 _ => Action::set(ctx.reg(v), ctx.rv_def(v, c)),
             };
             out.state_mut(st).actions.push(action);
@@ -204,7 +202,9 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
                     for (pred, incoming) in args {
                         if *pred == b {
                             let rv = ctx.rv_use(*incoming, last_cycle);
-                            out.state_mut(last).actions.push(Action::set(ctx.reg(pv), rv));
+                            out.state_mut(last)
+                                .actions
+                                .push(Action::set(ctx.reg(pv), rv));
                         }
                     }
                 }
@@ -214,8 +214,7 @@ pub(crate) fn schedule_to_fsmd(f: &Function, opts: &SynthOptions) -> Result<Fsmd
         // Terminator.
         match &f.block(b).term {
             Term::Jump(t) => {
-                out.state_mut(last).next =
-                    NextState::Goto(block_states[t.0 as usize][0]);
+                out.state_mut(last).next = NextState::Goto(block_states[t.0 as usize][0]);
             }
             Term::Br { cond, then, els } => {
                 let c = ctx.rv_use(*cond, last_cycle);
@@ -283,7 +282,9 @@ impl Ctx<'_> {
             Some(wa) => {
                 let w = ops
                     .iter()
-                    .fold(wa.needed_width(self.f, v), |w, &o| w.max(wa.needed_width(self.f, o)))
+                    .fold(wa.needed_width(self.f, v), |w, &o| {
+                        w.max(wa.needed_width(self.f, o))
+                    })
                     .clamp(1, ty.width);
                 IntType::new(w, ty.signed)
             }
@@ -326,13 +327,15 @@ impl Ctx<'_> {
 mod tests {
     use super::*;
     use chls_frontend::compile_to_hir;
+    use chls_sched::Resources;
     use chls_sim::fsmd_sim::simulate;
     use chls_sim::interp::ArgValue;
-    use chls_sched::Resources;
 
     fn synth(src: &str, entry: &str, opts: &SynthOptions) -> Fsmd {
         let prog = compile_to_hir(src).expect("frontend ok");
-        let d = C2Verilog.synthesize(&Preparer::new(prog), entry, opts).expect("synthesis ok");
+        let d = C2Verilog
+            .synthesize(&Preparer::new(prog), entry, opts)
+            .expect("synthesis ok");
         match d {
             Design::Fsmd(f) => f,
             _ => panic!("c2v must produce an FSMD"),

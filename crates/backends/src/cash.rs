@@ -43,8 +43,7 @@ impl Backend for Cash {
         opts: &SynthOptions,
     ) -> Result<Design, SynthError> {
         let prepared = prep.sequential(entry, false, opts.narrow_widths, opts.unroll_factor)?;
-        let g = build_dataflow(&prepared.func)
-            .map_err(|e| SynthError::Transform(e.to_string()))?;
+        let g = build_dataflow(&prepared.func).map_err(|e| SynthError::Transform(e.to_string()))?;
         Ok(Design::Dataflow(g))
     }
 }

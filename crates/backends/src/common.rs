@@ -213,7 +213,9 @@ impl<'p> HirStorage<'p> {
                     Slot::Chan(chans - 1)
                 }
                 Type::Ptr(_) => {
-                    return Err(SynthError::Transform("pointer survived lowering".to_string()))
+                    return Err(SynthError::Transform(
+                        "pointer survived lowering".to_string(),
+                    ))
                 }
                 Type::Void => Slot::Void,
             });
@@ -236,7 +238,15 @@ impl<'p> HirStorage<'p> {
             Type::Void => None,
             other => Some(fsmd.add_reg("ret_value", scalar_ty(other), 0)),
         };
-        Ok((fsmd, HirStorage { func, locals, globals, ret_reg }))
+        Ok((
+            fsmd,
+            HirStorage {
+                func,
+                locals,
+                globals,
+                ret_reg,
+            },
+        ))
     }
 
     /// The register of scalar local `id`.
@@ -276,7 +286,10 @@ impl<'p> HirStorage<'p> {
             if local.is_param && local.ty.is_scalar() {
                 let ty = scalar_ty(&local.ty);
                 let input = fsmd.add_input(format!("arg{i}"), ty, i);
-                let rv = Rv { kind: RvKind::Input(input), ty };
+                let rv = Rv {
+                    kind: RvKind::Input(input),
+                    ty,
+                };
                 let set = Action::set(self.reg(LocalId(i as u32)), rv);
                 fsmd.state_mut(state).actions.push(set);
             }
@@ -285,7 +298,8 @@ impl<'p> HirStorage<'p> {
 
     /// The design's return value.
     pub fn ret(&self) -> Option<Rv> {
-        self.ret_reg.map(|r| Rv::reg(r, scalar_ty(&self.func.ret_ty)))
+        self.ret_reg
+            .map(|r| Rv::reg(r, scalar_ty(&self.func.ret_ty)))
     }
 }
 
@@ -358,7 +372,10 @@ pub(crate) fn op_rv(kind: &InstKind, ty: IntType, mut operand: impl FnMut(Value)
         InstKind::Un(un, a) => RvKind::Un(*un, op(a)),
         InstKind::Select { cond, t, f } => RvKind::Mux(op(cond), op(t), op(f)),
         InstKind::Cast { val, .. } => RvKind::Cast(op(val)),
-        InstKind::Load { mem, addr } => RvKind::MemRead { mem: MemId(mem.0), addr: op(addr) },
+        InstKind::Load { mem, addr } => RvKind::MemRead {
+            mem: MemId(mem.0),
+            addr: op(addr),
+        },
         other => unreachable!("not a datapath op: {other:?}"),
     };
     Rv { kind, ty }
@@ -639,7 +656,9 @@ pub const CONSTRUCT_MATRIX: &[ConstructSupport] = &[
     },
     ConstructSupport {
         backend: "ocapi",
-        par: Support::Penalized("parallelism is structural: you instantiate it, nothing is inferred"),
+        par: Support::Penalized(
+            "parallelism is structural: you instantiate it, nothing is inferred",
+        ),
         channels: Support::Penalized("hand-built as wires and handshakes"),
         delay: Support::Ok,
         pointers: Support::Rejected("structural descriptions have no memory model for pointers"),

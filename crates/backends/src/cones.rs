@@ -66,7 +66,6 @@ impl Backend for Cones {
     }
 }
 
-
 /// Name of the `i`-th scalar input port.
 pub fn scalar_port(i: usize) -> String {
     format!("arg{i}")
@@ -162,7 +161,14 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                                         o
                                     } else {
                                         let ty = nl.cell(o).ty;
-                                        nl.add(CellKind::Mux { sel: ep, a: nv, b: o }, ty)
+                                        nl.add(
+                                            CellKind::Mux {
+                                                sel: ep,
+                                                a: nv,
+                                                b: o,
+                                            },
+                                            ty,
+                                        )
                                     }
                                 })
                                 .collect()
@@ -217,7 +223,14 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                     for (j, &e) in elems.iter().enumerate().skip(1) {
                         let idx = nl.add(CellKind::Const(j as i64), aty);
                         let eq = nl.add(CellKind::Bin(BinKind::Eq, a, idx), IntType::u1());
-                        acc = nl.add(CellKind::Mux { sel: eq, a: e, b: acc }, inst.ty);
+                        acc = nl.add(
+                            CellKind::Mux {
+                                sel: eq,
+                                a: e,
+                                b: acc,
+                            },
+                            inst.ty,
+                        );
                     }
                     acc
                 }
@@ -233,7 +246,14 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
                         let eq = nl.add(CellKind::Bin(BinKind::Eq, a, idx), IntType::u1());
                         let en = nl.add(CellKind::Bin(BinKind::And, eq, pred), IntType::u1());
                         let ty = nl.cell(e).ty;
-                        new_elems.push(nl.add(CellKind::Mux { sel: en, a: val, b: e }, ty));
+                        new_elems.push(nl.add(
+                            CellKind::Mux {
+                                sel: en,
+                                a: val,
+                                b: e,
+                            },
+                            ty,
+                        ));
                     }
                     cur_mems[mi] = new_elems;
                     // Stores define no value.
@@ -301,9 +321,8 @@ fn flatten(f: &Function) -> Result<Netlist, SynthError> {
     if let Some(rt) = f.ret_ty {
         let mut acc: Option<CellId> = None;
         for (pred, val, _) in &rets {
-            let val = val.ok_or_else(|| {
-                SynthError::Transform("missing return value".to_string())
-            })?;
+            let val =
+                val.ok_or_else(|| SynthError::Transform("missing return value".to_string()))?;
             acc = Some(match acc {
                 None => val,
                 Some(prev) => nl.add(
@@ -461,10 +480,7 @@ mod tests {
 
     #[test]
     fn dynamic_index_builds_mux_tree() {
-        let nl = synth(
-            "int f(int a[4], int i) { return a[i]; }",
-            "f",
-        );
+        let nl = synth("int f(int a[4], int i) { return a[i]; }", "f");
         let mut sim = NetlistSim::new(&nl).unwrap();
         for (j, v) in [10, 20, 30, 40].iter().enumerate() {
             sim.set_input(format!("arg0_{j}"), *v);
@@ -482,7 +498,11 @@ mod tests {
         // Entirely constant: after folding, only a constant drives ret.
         let sim = NetlistSim::new(&nl).unwrap();
         assert_eq!(sim.output("ret").unwrap(), 15);
-        assert!(nl.cells.len() <= 3, "expected tiny netlist, got {}", nl.cells.len());
+        assert!(
+            nl.cells.len() <= 3,
+            "expected tiny netlist, got {}",
+            nl.cells.len()
+        );
     }
 
     #[test]

@@ -94,10 +94,7 @@ mod tests {
 
     #[test]
     fn pointers_rejected_at_the_language_level() {
-        let prog = compile_to_hir(
-            "int f() { int x = 1; int *p = &x; return *p; }",
-        )
-        .unwrap();
+        let prog = compile_to_hir("int f() { int x = 1; int *p = &x; return *p; }").unwrap();
         let err = Cyber
             .synthesize(&Preparer::new(prog), "f", &SynthOptions::default())
             .unwrap_err();

@@ -28,8 +28,7 @@ use chls_frontend::hir::*;
 use chls_frontend::IntType;
 use chls_ir::{BinKind, UnKind};
 use chls_rtl::fsmd::{
-    Action, BlockedOp, ChanDir, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId,
-    StuckState,
+    Action, BlockedOp, ChanDir, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId, StuckState,
 };
 use std::collections::HashMap;
 
@@ -66,7 +65,6 @@ impl Backend for HandelC {
     }
 }
 
-
 /// End-of-program marker.
 const END: usize = usize::MAX;
 
@@ -81,7 +79,10 @@ enum Dst {
 #[derive(Debug, Clone, PartialEq)]
 enum HcNode {
     /// One cycle: commit all actions simultaneously.
-    Step { actions: Vec<(Dst, Rv)>, next: usize },
+    Step {
+        actions: Vec<(Dst, Rv)>,
+        next: usize,
+    },
     /// One idle cycle.
     Delay { next: usize },
     /// Blocking send.
@@ -146,7 +147,11 @@ impl<'p> Compile<'p> {
                 let kind = BinKind::from(*op);
                 Rv {
                     kind: RvKind::Bin(kind, Box::new(ar), Box::new(br)),
-                    ty: if kind.is_comparison() { IntType::u1() } else { ty },
+                    ty: if kind.is_comparison() {
+                        IntType::u1()
+                    } else {
+                        ty
+                    },
                 }
             }
             HirExprKind::Select(c, t, f) => Rv {
@@ -189,9 +194,7 @@ impl<'p> Compile<'p> {
     fn dst(&self, place: &HirPlace) -> Result<Dst, SynthError> {
         Ok(match place {
             HirPlace::Local(id) => Dst::Reg(self.st.reg(*id)),
-            HirPlace::Index { base, index } => {
-                Dst::Mem(self.st.place_mem(base)?, self.rv(index)?)
-            }
+            HirPlace::Index { base, index } => Dst::Mem(self.st.place_mem(base)?, self.rv(index)?),
             _ => return Err(SynthError::Transform("bad destination".to_string())),
         })
     }
@@ -335,9 +338,9 @@ impl<'p> Compile<'p> {
                     next,
                 }))
             }
-            HirStmt::Call { .. } => Err(SynthError::Transform(
-                "call survived inlining".to_string(),
-            )),
+            HirStmt::Call { .. } => {
+                Err(SynthError::Transform("call survived inlining".to_string()))
+            }
         }
     }
 
@@ -366,9 +369,9 @@ impl<'p> Compile<'p> {
         let mut state_of: HashMap<Cfg, StateId> = HashMap::new();
         let mut worklist: Vec<Cfg> = Vec::new();
         let get_state = |cfg: &Cfg,
-                             fsmd: &mut Fsmd,
-                             state_of: &mut HashMap<Cfg, StateId>,
-                             worklist: &mut Vec<Cfg>|
+                         fsmd: &mut Fsmd,
+                         state_of: &mut HashMap<Cfg, StateId>,
+                         worklist: &mut Vec<Cfg>|
          -> StateId {
             if *cfg == Cfg::Leaf(END) {
                 return done_state;
@@ -388,7 +391,10 @@ impl<'p> Compile<'p> {
             .iter()
             .map(|(cond, cfg)| {
                 let st = get_state(cfg, &mut self.fsmd, &mut state_of, &mut worklist);
-                (cond.clone().unwrap_or_else(|| Rv::konst(1, IntType::u1())), st)
+                (
+                    cond.clone().unwrap_or_else(|| Rv::konst(1, IntType::u1())),
+                    st,
+                )
             })
             .collect();
         self.fsmd.state_mut(entry_state).next = cases_to_next(init_cases, done_state);
@@ -475,7 +481,9 @@ impl<'p> Compile<'p> {
             // until the cycle limit.
             let live: Vec<usize> = leaves.iter().copied().filter(|&l| l != END).collect();
             if !live.is_empty()
-                && live.iter().all(|l| !leaf_active.get(l).copied().unwrap_or(false))
+                && live
+                    .iter()
+                    .all(|l| !leaf_active.get(l).copied().unwrap_or(false))
             {
                 let mut blocked = Vec::new();
                 self.collect_blocked(&cfg, &mut Vec::new(), &mut blocked);
@@ -488,7 +496,10 @@ impl<'p> Compile<'p> {
                 .iter()
                 .map(|(cond, next_cfg)| {
                     let st = get_state(next_cfg, &mut self.fsmd, &mut state_of, &mut worklist);
-                    (cond.clone().unwrap_or_else(|| Rv::konst(1, IntType::u1())), st)
+                    (
+                        cond.clone().unwrap_or_else(|| Rv::konst(1, IntType::u1())),
+                        st,
+                    )
                 })
                 .collect();
             self.fsmd.state_mut(state).next = cases_to_next(cases, done_state);
@@ -752,7 +763,11 @@ fn and_opt(a: Option<Rv>, b: Option<Rv>) -> Option<Rv> {
     match (a, b) {
         (None, x) | (x, None) => x,
         (Some(x), Some(y)) => Some(Rv {
-            kind: RvKind::Mux(Box::new(x), Box::new(y), Box::new(Rv::konst(0, IntType::u1()))),
+            kind: RvKind::Mux(
+                Box::new(x),
+                Box::new(y),
+                Box::new(Rv::konst(0, IntType::u1())),
+            ),
             ty: IntType::u1(),
         }),
     }
@@ -956,16 +971,18 @@ mod tests {
             }",
             "f",
         );
-        let fused = synth(
-            "int f(int a, int b) { return (a + b) * 2 - a; }",
-            "f",
-        );
+        let fused = synth("int f(int a, int b) { return (a + b) * 2 - a; }", "f");
         let args = [ArgValue::Scalar(3), ArgValue::Scalar(4)];
         let rn = simulate(&naive, &args, 100).unwrap();
         let rf = simulate(&fused, &args, 100).unwrap();
         assert_eq!(rn.ret, Some(11));
         assert_eq!(rf.ret, Some(11));
-        assert!(rf.cycles < rn.cycles, "fused {} naive {}", rf.cycles, rn.cycles);
+        assert!(
+            rf.cycles < rn.cycles,
+            "fused {} naive {}",
+            rf.cycles,
+            rn.cycles
+        );
         // ... at the cost of a longer critical path.
         let m = chls_rtl::CostModel::new();
         assert!(fused.critical_path(&m) >= naive.critical_path(&m));

@@ -28,12 +28,12 @@ use chls_frontend::ast::UnOp;
 use chls_frontend::hir::*;
 use chls_frontend::IntType;
 use chls_ir::{BinKind, UnKind};
+use chls_rtl::cost::OpClass;
 use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId};
+use chls_rtl::netlist::bin_class;
 use chls_sched::dfg::{Dfg, DfgNode, NodeId};
 use chls_sched::schedule::Schedule;
 use chls_sched::{force_directed, list_schedule};
-use chls_rtl::cost::OpClass;
-use chls_rtl::netlist::bin_class;
 
 /// The HardwareC backend.
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,7 +67,6 @@ impl Backend for HardwareC {
         Ok(Design::Fsmd(fsmd))
     }
 }
-
 
 /// An operand of a chunk node.
 #[derive(Debug, Clone, PartialEq)]
@@ -485,8 +484,12 @@ impl<'p> Compiler<'p> {
             HirExprKind::Unary(op, a) => {
                 let ar = self.chunk_expr(chunk, a)?;
                 match op {
-                    UnOp::Neg => In::Node(self.add_chunk_node(chunk, CNode::Un(UnKind::Neg, ar, ty))),
-                    UnOp::Not => In::Node(self.add_chunk_node(chunk, CNode::Un(UnKind::Not, ar, ty))),
+                    UnOp::Neg => {
+                        In::Node(self.add_chunk_node(chunk, CNode::Un(UnKind::Neg, ar, ty)))
+                    }
+                    UnOp::Not => {
+                        In::Node(self.add_chunk_node(chunk, CNode::Un(UnKind::Not, ar, ty)))
+                    }
                     UnOp::LogNot => In::Node(self.add_chunk_node(
                         chunk,
                         CNode::Bin(BinKind::Eq, ar, In::Const(0, IntType::u1()), IntType::u1()),
@@ -497,7 +500,11 @@ impl<'p> Compiler<'p> {
                 let ar = self.chunk_expr(chunk, a)?;
                 let br = self.chunk_expr(chunk, b)?;
                 let kind = BinKind::from(*op);
-                let rty = if kind.is_comparison() { IntType::u1() } else { ty };
+                let rty = if kind.is_comparison() {
+                    IntType::u1()
+                } else {
+                    ty
+                };
                 In::Node(self.add_chunk_node(chunk, CNode::Bin(kind, ar, br, rty)))
             }
             HirExprKind::Select(c, t, f) => {
@@ -584,11 +591,13 @@ impl<'p> Compiler<'p> {
             }
             None => list_schedule(&chunk.dfg, self.opts.clock_period_ns, &self.opts.resources),
         };
-        let n_states = sched.length.max(if chunk.payload.is_empty() && want.is_none() {
-            0
-        } else {
-            1
-        }) as usize;
+        let n_states = sched
+            .length
+            .max(if chunk.payload.is_empty() && want.is_none() {
+                0
+            } else {
+                1
+            }) as usize;
         if n_states == 0 && chunk.commits.is_empty() {
             return Ok((prev, None));
         }
@@ -608,9 +617,7 @@ impl<'p> Compiler<'p> {
                 continue;
             }
             let ty = self.in_ty(&In::Node(NodeId(ni as u32)), &chunk);
-            let r = self
-                .fsmd
-                .add_reg(format!("hc_t{}", self.temp_count), ty, 0);
+            let r = self.fsmd.add_reg(format!("hc_t{}", self.temp_count), ty, 0);
             self.temp_count += 1;
             temp_of.push(Some(r));
         }
@@ -680,9 +687,7 @@ impl<'p> Compiler<'p> {
                     ty: *t,
                 },
                 CNode::Cast(a, t) => Rv {
-                    kind: RvKind::Cast(Box::new(in_rv(
-                        this, chunk, temp_of, end_cycle, a, cycle,
-                    ))),
+                    kind: RvKind::Cast(Box::new(in_rv(this, chunk, temp_of, end_cycle, a, cycle))),
                     ty: *t,
                 },
                 CNode::Load(m, a, t) => Rv {
@@ -705,7 +710,10 @@ impl<'p> Compiler<'p> {
                 CNode::Store(m, a, v) => {
                     let addr = in_rv(self, &chunk, &temp_of, &end_cycle, a, c);
                     let val = in_rv(self, &chunk, &temp_of, &end_cycle, v, c);
-                    self.fsmd.state_mut(st).actions.push(Action::write(*m, addr, val));
+                    self.fsmd
+                        .state_mut(st)
+                        .actions
+                        .push(Action::write(*m, addr, val));
                 }
                 _ => {
                     let rv = node_rv(self, &chunk, &temp_of, &end_cycle, n, c);
@@ -724,8 +732,7 @@ impl<'p> Compiler<'p> {
             let rv = in_rv(self, &chunk, &temp_of, &end_cycle, &src, last_cycle);
             self.fsmd.state_mut(last).actions.push(Action::set(reg, rv));
         }
-        let want_rv =
-            want.map(|w| in_rv(self, &chunk, &temp_of, &end_cycle, &w, last_cycle));
+        let want_rv = want.map(|w| in_rv(self, &chunk, &temp_of, &end_cycle, &w, last_cycle));
         Ok((last, want_rv))
     }
 }
@@ -739,10 +746,12 @@ mod tests {
 
     fn synth_opts(src: &str, entry: &str, opts: &SynthOptions) -> Result<Fsmd, SynthError> {
         let prog = compile_to_hir(src).expect("frontend ok");
-        HardwareC.synthesize(&Preparer::new(prog), entry, opts).map(|d| match d {
-            Design::Fsmd(f) => f,
-            _ => panic!("hardwarec must produce an FSMD"),
-        })
+        HardwareC
+            .synthesize(&Preparer::new(prog), entry, opts)
+            .map(|d| match d {
+                Design::Fsmd(f) => f,
+                _ => panic!("hardwarec must produce an FSMD"),
+            })
     }
 
     fn synth(src: &str, entry: &str) -> Fsmd {
@@ -822,7 +831,10 @@ mod tests {
         )
         .unwrap_err();
         match err {
-            SynthError::ConstraintInfeasible { requested, achieved } => {
+            SynthError::ConstraintInfeasible {
+                requested,
+                achieved,
+            } => {
                 assert_eq!(requested, 1);
                 assert!(achieved >= 3, "achieved {achieved}");
             }
@@ -934,9 +946,18 @@ mod tests {
             }",
             "f",
         );
-        assert_eq!(simulate(&f, &[ArgValue::Scalar(5)], 100).unwrap().ret, Some(1));
-        assert_eq!(simulate(&f, &[ArgValue::Scalar(50)], 100).unwrap().ret, Some(2));
-        assert_eq!(simulate(&f, &[ArgValue::Scalar(500)], 100).unwrap().ret, Some(3));
+        assert_eq!(
+            simulate(&f, &[ArgValue::Scalar(5)], 100).unwrap().ret,
+            Some(1)
+        );
+        assert_eq!(
+            simulate(&f, &[ArgValue::Scalar(50)], 100).unwrap().ret,
+            Some(2)
+        );
+        assert_eq!(
+            simulate(&f, &[ArgValue::Scalar(500)], 100).unwrap().ret,
+            Some(3)
+        );
     }
 
     #[test]

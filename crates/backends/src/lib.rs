@@ -31,15 +31,15 @@ pub(crate) mod pipeline;
 pub mod prepare;
 pub mod transmogrifier;
 
+pub use c2v::C2Verilog;
+pub use cash::Cash;
 pub use common::{
     construct_support, Backend, BackendInfo, ConcurrencyModel, ConstructSupport, Design, Support,
     SynthError, SynthOptions, TimingModel, CONSTRUCT_MATRIX,
 };
-pub use prepare::{Prepared, Preparer, Structured};
-pub use c2v::C2Verilog;
-pub use cash::Cash;
 pub use cones::Cones;
 pub use cyber::Cyber;
 pub use handelc::HandelC;
 pub use hardwarec::HardwareC;
+pub use prepare::{Prepared, Preparer, Structured};
 pub use transmogrifier::Transmogrifier;

@@ -24,10 +24,9 @@ use crate::common::{is_zero, op_rv, op_ty, SsaInputs, SynthOptions};
 use chls_frontend::IntType;
 use chls_ir::ir::{BlockId, Function, InstKind, Term, Value};
 use chls_ir::loops::NaturalLoop;
+use chls_ir::BinKind;
 use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, StateId};
 use chls_sched::modulo::{loop_dfg, modulo_schedule};
-use chls_ir::BinKind;
-
 
 macro_rules! reject {
     ($why:expr) => {{
@@ -204,7 +203,8 @@ pub(crate) fn try_pipeline(
     {
         let mut other_uses = false;
         for inst in &f.insts {
-            inst.kind.for_each_operand(|o| other_uses |= o == shape.cond);
+            inst.kind
+                .for_each_operand(|o| other_uses |= o == shape.cond);
         }
         for (bi, blk) in f.blocks.iter().enumerate() {
             let _ = bi;
@@ -330,7 +330,9 @@ pub(crate) fn try_pipeline(
     // Base resolution ignoring pipeline staging (entry/exit contexts).
     let rv_operand = |v: Value| -> Rv {
         let inst = f.inst(v);
-        ctx.inputs.leaf(inst).unwrap_or_else(|| Rv::reg(reg(v), inst.ty))
+        ctx.inputs
+            .leaf(inst)
+            .unwrap_or_else(|| Rv::reg(reg(v), inst.ty))
     };
     // In-kernel resolution for a reader at slot `t_u` (stage `ustage`):
     // boundary-updated phis read their stage shadow; late-latched phis
@@ -383,7 +385,9 @@ pub(crate) fn try_pipeline(
         .actions
         .push(Action::set(running, cond_entry.clone()));
     for &vj in &valids {
-        out.state_mut(entry).actions.push(Action::set(vj, Rv::konst(0, IntType::u1())));
+        out.state_mut(entry)
+            .actions
+            .push(Action::set(vj, Rv::konst(0, IntType::u1())));
     }
     // Late-latch phis are *read* through their latch register inside the
     // kernel; on (re-)entry that register still holds the previous run's
@@ -429,7 +433,9 @@ pub(crate) fn try_pipeline(
             }
             _ => {
                 let rv = build_rv_at(v, t);
-                out.state_mut(st).actions.push(Action::set_if(guard, reg(v), rv));
+                out.state_mut(st)
+                    .actions
+                    .push(Action::set_if(guard, reg(v), rv));
             }
         }
     }
@@ -446,9 +452,11 @@ pub(crate) fn try_pipeline(
                 } else {
                     build_rv_at(*inc, t_l)
                 };
-                out.state_mut(boundary)
-                    .actions
-                    .push(Action::set_if(stage_valid(0), reg(*phi), newv));
+                out.state_mut(boundary).actions.push(Action::set_if(
+                    stage_valid(0),
+                    reg(*phi),
+                    newv,
+                ));
             }
             Some(t_l) => {
                 // Late latch: readers use the latch register; the phi
@@ -461,21 +469,29 @@ pub(crate) fn try_pipeline(
                 } else {
                     Rv::reg(reg(*inc), f.inst(*inc).ty)
                 };
-                out.state_mut(boundary)
-                    .actions
-                    .push(Action::set_if(stage_valid(j), reg(*phi), newv));
+                out.state_mut(boundary).actions.push(Action::set_if(
+                    stage_valid(j),
+                    reg(*phi),
+                    newv,
+                ));
             }
             None => {
-                out.state_mut(boundary)
-                    .actions
-                    .push(Action::set_if(stage_valid(0), reg(*phi), rv_operand(*inc)));
+                out.state_mut(boundary).actions.push(Action::set_if(
+                    stage_valid(0),
+                    reg(*phi),
+                    rv_operand(*inc),
+                ));
             }
         }
     }
     // Shadow shifts (simultaneous commit: shadow 1 samples the pre-update
     // phi value).
     for table in [&shadows, &vshadows] {
-        for (v, regs) in table.iter().enumerate().filter(|(_, regs)| !regs.is_empty()) {
+        for (v, regs) in table
+            .iter()
+            .enumerate()
+            .filter(|(_, regs)| !regs.is_empty())
+        {
             let ty = f.insts[v].ty;
             let mut prev_rv = Rv::reg(reg(Value(v as u32)), ty);
             for &sreg in regs {
@@ -528,21 +544,38 @@ pub(crate) fn try_pipeline(
     } else {
         is_zero(cond_new)
     };
-    let next_running = Rv::bin(BinKind::And, IntType::u1(), Rv::reg(running, IntType::u1()), cond_ok);
+    let next_running = Rv::bin(
+        BinKind::And,
+        IntType::u1(),
+        Rv::reg(running, IntType::u1()),
+        cond_ok,
+    );
     out.state_mut(last)
         .actions
         .push(Action::set(running, next_running.clone()));
     // Shift stage valids.
     let mut prev = Rv::reg(running, IntType::u1());
     for &vj in &valids {
-        out.state_mut(last).actions.push(Action::set(vj, prev.clone()));
+        out.state_mut(last)
+            .actions
+            .push(Action::set(vj, prev.clone()));
         prev = Rv::reg(vj, IntType::u1());
     }
     // Keep cycling while anything will be in flight next window.
     let mut any_next = next_running;
-    any_next = Rv::bin(BinKind::Or, IntType::u1(), any_next, Rv::reg(running, IntType::u1()));
+    any_next = Rv::bin(
+        BinKind::Or,
+        IntType::u1(),
+        any_next,
+        Rv::reg(running, IntType::u1()),
+    );
     for &vj in valids.iter().take(stages.saturating_sub(2)) {
-        any_next = Rv::bin(BinKind::Or, IntType::u1(), any_next, Rv::reg(vj, IntType::u1()));
+        any_next = Rv::bin(
+            BinKind::Or,
+            IntType::u1(),
+            any_next,
+            Rv::reg(vj, IntType::u1()),
+        );
     }
     out.state_mut(last).next = NextState::Branch {
         cond: any_next,
@@ -584,9 +617,9 @@ mod tests {
     use crate::common::*;
     use crate::C2Verilog;
     use chls_frontend::compile_to_hir;
+    use chls_sched::Resources;
     use chls_sim::fsmd_sim::simulate;
     use chls_sim::interp::ArgValue;
-    use chls_sched::Resources;
 
     fn synth(src: &str, entry: &str, pipeline: bool) -> chls_rtl::Fsmd {
         let prog = compile_to_hir(src).expect("frontend ok");
@@ -599,7 +632,10 @@ mod tests {
             },
             ..Default::default()
         };
-        match C2Verilog.synthesize(&Preparer::new(prog), entry, &opts).expect("synthesizes") {
+        match C2Verilog
+            .synthesize(&Preparer::new(prog), entry, &opts)
+            .expect("synthesizes")
+        {
             Design::Fsmd(f) => f,
             _ => unreachable!(),
         }
@@ -635,16 +671,24 @@ mod tests {
     #[test]
     fn pipelined_zero_trip_loop() {
         let piped = synth(SUM, "f", true);
-        let r = simulate(&piped, &[ArgValue::Array(vec![0; 64]), ArgValue::Scalar(0)], 1000)
-            .unwrap();
+        let r = simulate(
+            &piped,
+            &[ArgValue::Array(vec![0; 64]), ArgValue::Scalar(0)],
+            1000,
+        )
+        .unwrap();
         assert_eq!(r.ret, Some(0));
     }
 
     #[test]
     fn pipelined_one_trip_loop() {
         let piped = synth(SUM, "f", true);
-        let r = simulate(&piped, &[ArgValue::Array(vec![7; 64]), ArgValue::Scalar(1)], 1000)
-            .unwrap();
+        let r = simulate(
+            &piped,
+            &[ArgValue::Array(vec![7; 64]), ArgValue::Scalar(1)],
+            1000,
+        )
+        .unwrap();
         assert_eq!(r.ret, Some(7));
     }
 
@@ -725,7 +769,9 @@ mod tests {
                 return acc;
             }
         ";
-        let vals: Vec<i64> = vec![-9, 3, 120, 45, -1, 0, 200, 7, 99, 101, -50, 60, 33, 8, 150, 2];
+        let vals: Vec<i64> = vec![
+            -9, 3, 120, 45, -1, 0, 200, 7, 99, 101, -50, 60, 33, 8, 150, 2,
+        ];
         let golden: i64 = vals.iter().map(|&v| v.clamp(0, 100)).sum();
         let args = [
             ArgValue::Array(vals),
@@ -773,7 +819,8 @@ mod tests {
         assert!(v.contains("endmodule"), "{v}");
         // Balanced begin/end (a cheap structural sanity check).
         let begins = v.matches("begin").count();
-        let ends = v.matches("end").count() - v.matches("endmodule").count()
+        let ends = v.matches("end").count()
+            - v.matches("endmodule").count()
             - v.matches("endcase").count();
         assert_eq!(begins, ends, "unbalanced begin/end:\n{v}");
     }
@@ -781,9 +828,15 @@ mod tests {
     #[test]
     fn irregular_loop_falls_back() {
         // GCD's recurrence cannot pipeline; result must still be correct.
-        let src = "int f(int a, int b) { while (b != 0) { int t = b; b = a % b; a = t; } return a; }";
+        let src =
+            "int f(int a, int b) { while (b != 0) { int t = b; b = a % b; a = t; } return a; }";
         let piped = synth(src, "f", true);
-        let r = simulate(&piped, &[ArgValue::Scalar(48), ArgValue::Scalar(36)], 10_000).unwrap();
+        let r = simulate(
+            &piped,
+            &[ArgValue::Scalar(48), ArgValue::Scalar(36)],
+            10_000,
+        )
+        .unwrap();
         assert_eq!(r.ret, Some(12));
     }
 
@@ -801,9 +854,11 @@ mod tests {
                 Ok(d) => d,
                 Err(e) => panic!("c2v+pipeline refused {}: {e}", bench.1),
             };
-            let Design::Fsmd(f) = design else { unreachable!() };
-            let r = simulate(&f, &bench.2, 5_000_000)
-                .unwrap_or_else(|e| panic!("{}: {e}", bench.1));
+            let Design::Fsmd(f) = design else {
+                unreachable!()
+            };
+            let r =
+                simulate(&f, &bench.2, 5_000_000).unwrap_or_else(|e| panic!("{}: {e}", bench.1));
             assert_eq!(r.ret, bench.3, "{} return mismatch", bench.1);
         }
     }

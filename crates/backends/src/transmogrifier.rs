@@ -98,7 +98,6 @@ impl Backend for Transmogrifier {
     }
 }
 
-
 /// Region assignment: every block belongs to the region of exactly one
 /// head. Returns (region head of each block, ordered head list).
 fn assign_regions(f: &Function) -> (Vec<BlockId>, Vec<BlockId>) {
@@ -177,7 +176,9 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
     };
     for inst in &f.insts {
         match &inst.kind {
-            InstKind::Phi(args) => args.iter().for_each(|(pred, pv)| read_in(*pv, region(*pred))),
+            InstKind::Phi(args) => args
+                .iter()
+                .for_each(|(pred, pv)| read_in(*pv, region(*pred))),
             kind => kind.for_each_operand(|o| read_in(o, region(inst.block))),
         }
     }
@@ -283,9 +284,7 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                                     },
                                 });
                             }
-                            acc.ok_or_else(|| {
-                                SynthError::Transform("empty phi".to_string())
-                            })?
+                            acc.ok_or_else(|| SynthError::Transform("empty phi".to_string()))?
                         }
                     }
                     InstKind::Load { mem, addr } => {
@@ -339,11 +338,10 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                     InstKind::Store { mem, addr, value } => {
                         let a = rv_of(*addr, &values);
                         let val = rv_of(*value, &values);
-                        pending.entry(mem.0).or_default().push((
-                            pred.clone(),
-                            a,
-                            val,
-                        ));
+                        pending
+                            .entry(mem.0)
+                            .or_default()
+                            .push((pred.clone(), a, val));
                         continue;
                     }
                     kind => op_rv(kind, op_ty(inst), |o| rv_of(o, &values)),
@@ -407,7 +405,9 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
                 continue; // head phis are written by incoming edges below
             }
             if let Some(rv) = &values[i] {
-                let guard = block_pred[inst.block.0 as usize].clone().expect("region block");
+                let guard = block_pred[inst.block.0 as usize]
+                    .clone()
+                    .expect("region block");
                 out.state_mut(state)
                     .actions
                     .push(Action::set_if(guard, r, rv.clone()));
@@ -474,11 +474,7 @@ fn edge_sources_match(f: &Function, pred_blk: BlockId, target: BlockId) -> bool 
     f.block(pred_blk).term.successors().contains(&target)
 }
 
-fn merge_edge(
-    edge_pred: &mut BTreeMap<(BlockId, BlockId), Rv>,
-    key: (BlockId, BlockId),
-    pred: Rv,
-) {
+fn merge_edge(edge_pred: &mut BTreeMap<(BlockId, BlockId), Rv>, key: (BlockId, BlockId), pred: Rv) {
     match edge_pred.remove(&key) {
         Some(existing) => {
             edge_pred.insert(key, Rv::bin(BinKind::Or, IntType::u1(), existing, pred));
@@ -651,12 +647,7 @@ mod tests {
             }",
             "f",
         );
-        let r = simulate(
-            &f,
-            &[ArgValue::Array(vec![5, 2, 9, 1, 7, 3])],
-            100_000,
-        )
-        .unwrap();
+        let r = simulate(&f, &[ArgValue::Array(vec![5, 2, 9, 1, 7, 3])], 100_000).unwrap();
         assert_eq!(r.mems[0], vec![1, 2, 3, 5, 7, 9]);
     }
 
@@ -674,7 +665,11 @@ mod tests {
             }",
             "main",
         );
-        let args = [ArgValue::Array(vec![9; 16]), ArgValue::Scalar(3), ArgValue::Scalar(3)];
+        let args = [
+            ArgValue::Array(vec![9; 16]),
+            ArgValue::Scalar(3),
+            ArgValue::Scalar(3),
+        ];
         let r = simulate(&f, &args, 1000).unwrap();
         assert_eq!(r.ret, Some(0));
         assert_eq!(r.mems[0], [0, 1, 2, 3, 4, 5, 6, 7, 9, 9, 9, 9, 9, 9, 9, 9]);

@@ -65,7 +65,12 @@ fn main() {
     let (c2v_wide, _) = run_clocked("c2v", FUSED, "f", &args, &wide);
     let (cash_t, _) = run_clocked("cash", SEQ, "f", &args, &opts);
 
-    let mut t = Table::new(vec!["approach", "writes par?", "cycles/time", "speedup vs base"]);
+    let mut t = Table::new(vec![
+        "approach",
+        "writes par?",
+        "cycles/time",
+        "speedup vs base",
+    ]);
     t.row(vec![
         "handelc, sequential source".to_string(),
         "no".into(),

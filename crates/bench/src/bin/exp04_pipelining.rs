@@ -53,8 +53,16 @@ fn main() {
         r
     };
     let mut t = Table::new(vec![
-        "benchmark", "loop kind", "body ops", "ResMII", "RecMII", "II", "serial len",
-        "speedup", "II (wide HW)", "speedup (wide HW)",
+        "benchmark",
+        "loop kind",
+        "body ops",
+        "ResMII",
+        "RecMII",
+        "II",
+        "serial len",
+        "speedup",
+        "II (wide HW)",
+        "speedup (wide HW)",
     ]);
     let mut regular_speedups = Vec::new();
     let mut irregular_speedups = Vec::new();
@@ -108,7 +116,12 @@ fn main() {
         let Some(l) = forest.loops.iter().max_by_key(|l| l.depth) else {
             continue;
         };
-        let body: Vec<_> = l.blocks.iter().copied().filter(|b| *b != l.header).collect();
+        let body: Vec<_> = l
+            .blocks
+            .iter()
+            .copied()
+            .filter(|b| *b != l.header)
+            .collect();
         let (dfg, _) = loop_dfg(&f, l.header, &body, AliasPrecision::Basic, &model);
         if dfg.nodes.is_empty() {
             continue;
@@ -132,7 +145,12 @@ fn main() {
         chls_opt::simplify::simplify(&mut f);
         let forest = chls_ir::loops::LoopForest::compute(&f);
         let l = forest.loops.iter().max_by_key(|l| l.depth).expect("loop");
-        let body: Vec<_> = l.blocks.iter().copied().filter(|b| *b != l.header).collect();
+        let body: Vec<_> = l
+            .blocks
+            .iter()
+            .copied()
+            .filter(|b| *b != l.header)
+            .collect();
         let (dfg, _) = loop_dfg(&f, l.header, &body, AliasPrecision::Basic, &model);
         add_row(
             &mut t,
@@ -153,7 +171,12 @@ fn main() {
     // with `pipeline_loops` emitstrue overlapped kernels for canonical
     // streaming loops; measure actual cycle counts.
     println!("\nHardware pipelining (c2v backend, measured cycles):\n");
-    let mut hw = Table::new(vec!["kernel", "plain cycles", "pipelined cycles", "speedup"]);
+    let mut hw = Table::new(vec![
+        "kernel",
+        "plain cycles",
+        "pipelined cycles",
+        "speedup",
+    ]);
     let hw_cases: &[(&str, &str, Vec<chls::interp::ArgValue>)] = &[
         (
             "dot64",
@@ -178,38 +201,39 @@ fn main() {
             ],
         ),
     ];
-    let measure = |name: &str, src: &str, entry: &str, args: &[chls::interp::ArgValue], hw: &mut Table| {
-        let compiler = chls::Compiler::parse(src).expect("parses");
-        let backend = chls::backend_by_name("c2v").expect("registered");
-        let plain = compiler
-            .synthesize(backend.as_ref(), entry, &chls::SynthOptions::default())
-            .expect("plain");
-        let piped = compiler
-            .synthesize(
-                backend.as_ref(),
-                entry,
-                &chls::SynthOptions {
-                    pipeline_loops: true,
-                    ..Default::default()
+    let measure =
+        |name: &str, src: &str, entry: &str, args: &[chls::interp::ArgValue], hw: &mut Table| {
+            let compiler = chls::Compiler::parse(src).expect("parses");
+            let backend = chls::backend_by_name("c2v").expect("registered");
+            let plain = compiler
+                .synthesize(backend.as_ref(), entry, &chls::SynthOptions::default())
+                .expect("plain");
+            let piped = compiler
+                .synthesize(
+                    backend.as_ref(),
+                    entry,
+                    &chls::SynthOptions {
+                        pipeline_loops: true,
+                        ..Default::default()
+                    },
+                )
+                .expect("pipelined");
+            let rp = chls::simulate_design(&plain, args).expect("sim");
+            let rq = chls::simulate_design(&piped, args).expect("sim");
+            assert_eq!(rp.ret, rq.ret, "{name}: pipelined result diverges");
+            assert_eq!(rp.arrays, rq.arrays, "{name}: pipelined arrays diverge");
+            let (cp, cq) = (rp.cycles.unwrap(), rq.cycles.unwrap());
+            hw.row(vec![
+                name.to_string(),
+                cp.to_string(),
+                cq.to_string(),
+                if cq < cp {
+                    fnum(cp as f64 / cq as f64)
+                } else {
+                    "fallback".to_string()
                 },
-            )
-            .expect("pipelined");
-        let rp = chls::simulate_design(&plain, args).expect("sim");
-        let rq = chls::simulate_design(&piped, args).expect("sim");
-        assert_eq!(rp.ret, rq.ret, "{name}: pipelined result diverges");
-        assert_eq!(rp.arrays, rq.arrays, "{name}: pipelined arrays diverge");
-        let (cp, cq) = (rp.cycles.unwrap(), rq.cycles.unwrap());
-        hw.row(vec![
-            name.to_string(),
-            cp.to_string(),
-            cq.to_string(),
-            if cq < cp {
-                fnum(cp as f64 / cq as f64)
-            } else {
-                "fallback".to_string()
-            },
-        ]);
-    };
+            ]);
+        };
     for (name, src, args) in hw_cases {
         measure(name, src, "f", args, &mut hw);
     }

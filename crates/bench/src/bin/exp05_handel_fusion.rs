@@ -42,7 +42,11 @@ fn main() {
     let model = CostModel::new();
     let opts = SynthOptions::default();
     let mut t = Table::new(vec![
-        "coding", "backend", "cycles", "min clock (ns)", "wall (ns)",
+        "coding",
+        "backend",
+        "cycles",
+        "min clock (ns)",
+        "wall (ns)",
     ]);
     for (coding, src) in [
         ("6 assignments", THREE_TEMPS),

@@ -32,7 +32,12 @@ fn main() {
     let backend = backend_by_name("transmogrifier").expect("registered");
     let opts = SynthOptions::default();
     let mut t = Table::new(vec![
-        "unroll", "cycles", "min clock (ns)", "wall (ns)", "area (gates)", "mem read ports",
+        "unroll",
+        "cycles",
+        "min clock (ns)",
+        "wall (ns)",
+        "area (gates)",
+        "mem read ports",
     ]);
     for unroll in [1u32, 2, 4, 8, 16] {
         let src = source(unroll);
@@ -44,7 +49,12 @@ fn main() {
         assert_eq!(out.ret, Some(816));
         let fsmd = d.as_fsmd().expect("clocked");
         let period = fsmd.critical_path(&model) + model.sequential_overhead_ns;
-        let ports = fsmd.mem_port_usage().iter().map(|(r, _)| *r).max().unwrap_or(0);
+        let ports = fsmd
+            .mem_port_usage()
+            .iter()
+            .map(|(r, _)| *r)
+            .max()
+            .unwrap_or(0);
         t.row(vec![
             format!("x{unroll}"),
             out.cycles.unwrap().to_string(),

@@ -26,7 +26,9 @@ fn main() {
             .synthesize(backend.as_ref(), "f", &opts)
             .expect("synthesizes");
         let out = simulate_design(&d, &[ArgValue::Scalar(3)]).expect("simulates");
-        let golden = compiler.interpret("f", &[ArgValue::Scalar(3)]).expect("golden");
+        let golden = compiler
+            .interpret("f", &[ArgValue::Scalar(3)])
+            .expect("golden");
         assert_eq!(out.ret, golden.ret);
         let nl = d.as_netlist().expect("combinational");
         t.row(vec![

@@ -50,9 +50,17 @@ fn main() {
     // Handel-C maps each declared variable to a register of its declared
     // width and each expression to dedicated logic — source typing shows
     // up in the area directly.
-    let mut t = Table::new(vec!["source typing", "result", "datapath area (gates)", "vs C int"]);
+    let mut t = Table::new(vec![
+        "source typing",
+        "result",
+        "datapath area (gates)",
+        "vs C int",
+    ]);
     let mut base_area = 0.0;
-    for (name, src) in [("C `int` everywhere", C_INT), ("bit-precise uint<N>", BIT_PRECISE)] {
+    for (name, src) in [
+        ("C `int` everywhere", C_INT),
+        ("bit-precise uint<N>", BIT_PRECISE),
+    ] {
         let compiler = Compiler::parse(src).expect("parses");
         let d = compiler
             .synthesize(backend.as_ref(), "blend", &opts)

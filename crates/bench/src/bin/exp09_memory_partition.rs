@@ -71,11 +71,19 @@ fn main() {
     let model = CostModel::new();
     let backend = backend_by_name("c2v").expect("registered");
     let mut t = Table::new(vec![
-        "memory discipline", "memories", "cycles", "area (gates)", "speedup",
+        "memory discipline",
+        "memories",
+        "cycles",
+        "area (gates)",
+        "speedup",
     ]);
     let mut base = 0u64;
     for (name, src, opts) in [
-        ("monolithic (C's model)", MONOLITHIC, SynthOptions::default()),
+        (
+            "monolithic (C's model)",
+            MONOLITHIC,
+            SynthOptions::default(),
+        ),
         ("one memory per array", PER_ARRAY, SynthOptions::default()),
         (
             "per array + unroll x2 (2 ports)",

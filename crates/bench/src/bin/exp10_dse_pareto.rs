@@ -58,7 +58,11 @@ fn constraint_sweep() {
     let backend = backend_by_name("hardwarec").expect("registered");
     let opts = SynthOptions::default();
     let mut t = Table::new(vec![
-        "constraint (cycles)", "feasible?", "total cycles", "multipliers", "adders",
+        "constraint (cycles)",
+        "feasible?",
+        "total cycles",
+        "multipliers",
+        "adders",
         "area (gates)",
     ]);
     for budget in [1u32, 2, 3, 4, 6, 8] {

@@ -31,8 +31,12 @@ fn main() {
     let c2v = backend_by_name("c2v").expect("registered");
 
     let mut t = Table::new(vec![
-        "divider slowdown", "sync clock (ns)", "sync cycles", "sync wall (ns)",
-        "async wall (ns)", "async speedup",
+        "divider slowdown",
+        "sync clock (ns)",
+        "sync cycles",
+        "sync wall (ns)",
+        "async wall (ns)",
+        "async speedup",
     ]);
     for scale in [1.0f64, 2.0, 4.0, 8.0] {
         let model = CostModel {
@@ -53,7 +57,9 @@ fn main() {
         let sync_ns = r_sync.cycles.unwrap() as f64 * period;
 
         // Asynchronous, same skewed cost model.
-        let d_async = compiler.synthesize(cash.as_ref(), "f", &opts).expect("async");
+        let d_async = compiler
+            .synthesize(cash.as_ref(), "f", &opts)
+            .expect("async");
         let g = match &d_async {
             chls::Design::Dataflow(g) => g,
             _ => unreachable!(),

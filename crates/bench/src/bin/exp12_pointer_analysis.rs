@@ -33,7 +33,11 @@ fn chains(n: usize) -> String {
 fn main() {
     // Part 1: analysis cost scaling.
     let mut t = Table::new(vec![
-        "pointer chains", "pointers", "analysis iterations", "resolved", "time (us)",
+        "pointer chains",
+        "pointers",
+        "analysis iterations",
+        "resolved",
+        "time (us)",
     ]);
     for n in [2usize, 8, 32, 128] {
         let src = chains(n);
@@ -79,17 +83,30 @@ fn main() {
     ";
     let backend = backend_by_name("c2v").expect("registered");
     let opts = SynthOptions::default();
-    let mut t = Table::new(vec!["kernel", "pointers resolve?", "memories used", "loop cycles"]);
+    let mut t = Table::new(vec![
+        "kernel",
+        "pointers resolve?",
+        "memories used",
+        "loop cycles",
+    ]);
     {
         let compiler = Compiler::parse(RESOLVED).expect("parses");
-        let d = compiler.synthesize(backend.as_ref(), "f", &opts).expect("synth");
+        let d = compiler
+            .synthesize(backend.as_ref(), "f", &opts)
+            .expect("synth");
         let args = [
             ArgValue::Array((1..=16).collect()),
             ArgValue::Array((1..=16).rev().collect()),
         ];
         let out = simulate_design(&d, &args).expect("sim");
         assert_eq!(out.ret, Some(816));
-        let mems = d.as_fsmd().unwrap().mems.iter().filter(|m| m.len > 0).count();
+        let mems = d
+            .as_fsmd()
+            .unwrap()
+            .mems
+            .iter()
+            .filter(|m| m.len > 0)
+            .count();
         t.row(vec![
             "dot16 via pointers".to_string(),
             "yes -> direct arrays".into(),
@@ -99,10 +116,18 @@ fn main() {
     }
     {
         let compiler = Compiler::parse(AMBIGUOUS).expect("parses");
-        let d = compiler.synthesize(backend.as_ref(), "f", &opts).expect("synth");
+        let d = compiler
+            .synthesize(backend.as_ref(), "f", &opts)
+            .expect("synth");
         let out = simulate_design(&d, &[ArgValue::Scalar(1)]).expect("sim");
         assert_eq!(out.ret, Some((0..16).map(|i| i * i * 2).sum::<i64>()));
-        let mems = d.as_fsmd().unwrap().mems.iter().filter(|m| m.len > 0).count();
+        let mems = d
+            .as_fsmd()
+            .unwrap()
+            .mems
+            .iter()
+            .filter(|m| m.len > 0)
+            .count();
         t.row(vec![
             "dot16, data-dependent pointers".to_string(),
             "no -> monolithic memory".into(),
@@ -128,7 +153,10 @@ fn main() {
     let mut t = Table::new(vec!["alias precision", "cycles"]);
     for (name, precision) in [
         ("none (all accesses conflict)", AliasPrecision::None),
-        ("basic (constant offsets disambiguated)", AliasPrecision::Basic),
+        (
+            "basic (constant offsets disambiguated)",
+            AliasPrecision::Basic,
+        ),
     ] {
         let o = SynthOptions {
             precision,
@@ -140,7 +168,9 @@ fn main() {
             ..Default::default()
         };
         let compiler = Compiler::parse(STREAMS).expect("parses");
-        let d = compiler.synthesize(backend.as_ref(), "f", &o).expect("synth");
+        let d = compiler
+            .synthesize(backend.as_ref(), "f", &o)
+            .expect("synth");
         let args = [
             ArgValue::Array((1..=8).collect()),
             ArgValue::Array((1..=8).collect()),

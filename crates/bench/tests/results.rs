@@ -15,14 +15,32 @@ const BINS: [(&str, &str); 13] = [
     ("exp02_concurrency", env!("CARGO_BIN_EXE_exp02_concurrency")),
     ("exp03_ilp_limits", env!("CARGO_BIN_EXE_exp03_ilp_limits")),
     ("exp04_pipelining", env!("CARGO_BIN_EXE_exp04_pipelining")),
-    ("exp05_handel_fusion", env!("CARGO_BIN_EXE_exp05_handel_fusion")),
-    ("exp06_transmogrifier_unroll", env!("CARGO_BIN_EXE_exp06_transmogrifier_unroll")),
-    ("exp07_cones_explosion", env!("CARGO_BIN_EXE_exp07_cones_explosion")),
+    (
+        "exp05_handel_fusion",
+        env!("CARGO_BIN_EXE_exp05_handel_fusion"),
+    ),
+    (
+        "exp06_transmogrifier_unroll",
+        env!("CARGO_BIN_EXE_exp06_transmogrifier_unroll"),
+    ),
+    (
+        "exp07_cones_explosion",
+        env!("CARGO_BIN_EXE_exp07_cones_explosion"),
+    ),
     ("exp08_bitwidth", env!("CARGO_BIN_EXE_exp08_bitwidth")),
-    ("exp09_memory_partition", env!("CARGO_BIN_EXE_exp09_memory_partition")),
+    (
+        "exp09_memory_partition",
+        env!("CARGO_BIN_EXE_exp09_memory_partition"),
+    ),
     ("exp10_dse_pareto", env!("CARGO_BIN_EXE_exp10_dse_pareto")),
-    ("exp11_async_vs_sync", env!("CARGO_BIN_EXE_exp11_async_vs_sync")),
-    ("exp12_pointer_analysis", env!("CARGO_BIN_EXE_exp12_pointer_analysis")),
+    (
+        "exp11_async_vs_sync",
+        env!("CARGO_BIN_EXE_exp11_async_vs_sync"),
+    ),
+    (
+        "exp12_pointer_analysis",
+        env!("CARGO_BIN_EXE_exp12_pointer_analysis"),
+    ),
 ];
 
 /// Replaces every cell of a table column headed `time (us)` with `#`.
@@ -51,7 +69,10 @@ fn mask_timings(text: &str) -> String {
 #[test]
 fn masking_touches_only_the_time_column() {
     let table = "E\n| n | time (us) |\n|---|-----------|\n| 2 | 30        |\n\n| time |\n| 5 |";
-    assert_eq!(mask_timings(table), "E\n| n |#|\n|---|#|\n| 2 |#|\n\n| time |\n| 5 |");
+    assert_eq!(
+        mask_timings(table),
+        "E\n| n |#|\n|---|#|\n| 2 |#|\n\n| time |\n| 5 |"
+    );
 }
 
 #[test]
@@ -60,7 +81,11 @@ fn every_report_binary_reproduces_its_captured_result() {
     let mut captured: Vec<String> = std::fs::read_dir(&results)
         .expect("results/ exists")
         .filter_map(|e| {
-            let name = e.expect("dir entry").file_name().to_string_lossy().into_owned();
+            let name = e
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned();
             name.strip_suffix(".txt").map(str::to_string)
         })
         .collect();
@@ -85,7 +110,10 @@ fn every_report_binary_reproduces_its_captured_result() {
             .enumerate()
             .find(|(_, (g, w))| g != w)
         {
-            stale.push(format!("{name}.txt line {}:\n  got  {g}\n  want {w}", line + 1));
+            stale.push(format!(
+                "{name}.txt line {}:\n  got  {g}\n  want {w}",
+                line + 1
+            ));
         } else if got.lines().count() != want.lines().count() {
             stale.push(format!(
                 "{name}.txt: {} lines, captured {}",

@@ -98,12 +98,7 @@ fn parse_verb_args(spec: &Verb, argv: &[String]) -> Result<Parsed, String> {
                 Takes::Nothing => None,
                 Takes::Value => match it.next() {
                     Some(v) => Some(v.clone()),
-                    None => {
-                        return Err(format!(
-                            "flag `{a}` needs a value\nusage: {}",
-                            spec.usage
-                        ))
-                    }
+                    None => return Err(format!("flag `{a}` needs a value\nusage: {}", spec.usage)),
                 },
             };
             parsed.flags.push((flag.name, value));
@@ -191,7 +186,11 @@ fn build_request(spec: &Verb, p: &Parsed) -> Result<Request, String> {
     // `--backend` narrows the verb to one.
     let mut backend = p.value("--backend");
     if spec.name == "equiv" {
-        req.backends = p.values("--backend").iter().map(ToString::to_string).collect();
+        req.backends = p
+            .values("--backend")
+            .iter()
+            .map(ToString::to_string)
+            .collect();
         if req.backends.len() != 2 {
             return Err(format!(
                 "`chls equiv` needs exactly two --backend flags, got {}",
@@ -310,7 +309,11 @@ fn render_remote(line: &str, json: bool) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let ok = v.get("ok").and_then(Value::as_bool).unwrap_or(false);
-    for w in v.get("warnings").and_then(Value::as_arr).unwrap_or_default() {
+    for w in v
+        .get("warnings")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+    {
         if let Some(w) = w.as_str() {
             eprintln!("{w}");
         }
@@ -360,7 +363,9 @@ fn main() -> ExitCode {
         };
         return run_client(&addr, &argv);
     }
-    let Some(cmd) = argv.first() else { return usage() };
+    let Some(cmd) = argv.first() else {
+        return usage();
+    };
     let Some(spec) = verbs::find(cmd) else {
         eprintln!("unknown verb `{cmd}`");
         return usage();

@@ -84,9 +84,7 @@ impl Artifact {
                 Artifact::Compiler(c) => c.source().len() * 8,
                 Artifact::Design(d) => design_bytes(d),
                 Artifact::Response(r) => {
-                    r.data.len()
-                        + r.text.len()
-                        + r.warnings.iter().map(String::len).sum::<usize>()
+                    r.data.len() + r.text.len() + r.warnings.iter().map(String::len).sum::<usize>()
                 }
                 Artifact::Eval(e) => e.approx_bytes(),
             }
@@ -215,7 +213,14 @@ impl ArtifactCache {
         let mut g = self.inner.lock().expect("cache lock");
         g.clock += 1;
         let stamp = g.clock;
-        if let Some(old) = g.map.insert(key.to_string(), Entry { value, bytes, stamp }) {
+        if let Some(old) = g.map.insert(
+            key.to_string(),
+            Entry {
+                value,
+                bytes,
+                stamp,
+            },
+        ) {
             g.bytes -= old.bytes;
         }
         g.bytes += bytes;

@@ -394,9 +394,7 @@ pub fn check_conformance(
     let jobs = opts.effective_jobs();
     let jit = opts.jit_requested();
     let compiler = Compiler::parse(source).map_err(|e| e.to_string())?;
-    let golden = compiler
-        .interpret(entry, args)
-        .map_err(|e| e.to_string())?;
+    let golden = compiler.interpret(entry, args).map_err(|e| e.to_string())?;
     let opts = opts.synth_options();
     let backends = crate::registry::backends();
     let n = backends.len();

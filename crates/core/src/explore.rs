@@ -327,7 +327,8 @@ pub fn resolve_entry(compiler: &Compiler, entry: &str) -> Result<(String, Option
     let funcs = &compiler.hir().funcs;
     if let [only] = funcs.as_slice() {
         let name = only.name.clone();
-        let note = format!("note: no function named `{entry}`; exploring the sole function `{name}`");
+        let note =
+            format!("note: no function named `{entry}`; exploring the sole function `{name}`");
         return Ok((name, Some(note)));
     }
     Err(format!(
@@ -490,7 +491,14 @@ fn design_of(
     digest: u64,
 ) -> Held {
     held.unwrap_or_else(|| {
-        crate::service::design_for(ctx, compiler, digest, cfg.backend, entry, &cfg.compile_options())
+        crate::service::design_for(
+            ctx,
+            compiler,
+            digest,
+            cfg.backend,
+            entry,
+            &cfg.compile_options(),
+        )
     })
 }
 
@@ -734,7 +742,10 @@ pub fn explore(
             Some(b) => vec![b.info().name],
             None => return Err(format!("unknown backend `{name}` (try `chls backends`)")),
         },
-        None => crate::registry::backends().iter().map(|b| b.info().name).collect(),
+        None => crate::registry::backends()
+            .iter()
+            .map(|b| b.info().name)
+            .collect(),
     };
     let points = lattice(&backends);
     let exec = Executor::new(opts.jobs.max(1));
@@ -779,7 +790,11 @@ pub fn explore(
         };
         for &i in members {
             let cfg = &points[i];
-            let (rec, design) = if cfg.opt_netlist { twin.clone() } else { plain.clone() };
+            let (rec, design) = if cfg.opt_netlist {
+                twin.clone()
+            } else {
+                plain.clone()
+            };
             // Cache what was synthesized. A panic holds nothing and is
             // never cached, so a warm sweep retries it.
             if let (Some(cache), Some(design)) = (&ctx.cache, &design) {
@@ -853,7 +868,16 @@ pub fn explore(
                 held[i].clone(),
             );
             exec.submit(move || {
-                full_eval(&compiler, &entry, &cfg, &rec, design, args.as_deref(), &ctx, digest)
+                full_eval(
+                    &compiler,
+                    &entry,
+                    &cfg,
+                    &rec,
+                    design,
+                    args.as_deref(),
+                    &ctx,
+                    digest,
+                )
             })
         })
         .collect();
@@ -876,7 +900,7 @@ pub fn explore(
     for (k, &(i, obj)) in evaluated_points.iter().enumerate() {
         let dominated = evaluated_points
             .iter()
-            .any(|&(_, other)| dominates(other, obj) );
+            .any(|&(_, other)| dominates(other, obj));
         let duplicate = evaluated_points[..k].iter().any(|&(j, other)| {
             points[j].backend == points[i].backend
                 && other.0.to_bits() == obj.0.to_bits()
@@ -894,8 +918,12 @@ pub fn explore(
     let tickets: Vec<_> = frontier_idx
         .iter()
         .map(|&(i, _)| {
-            let (compiler, entry, cfg, ctx) =
-                (compiler.clone(), entry.clone(), points[i].clone(), ctx.clone());
+            let (compiler, entry, cfg, ctx) = (
+                compiler.clone(),
+                entry.clone(),
+                points[i].clone(),
+                ctx.clone(),
+            );
             let design = held[i].clone();
             let reference = points
                 .iter()
@@ -923,7 +951,9 @@ pub fn explore(
         .collect();
     let mut frontier = Vec::new();
     for (&(i, full_idx), t) in frontier_idx.iter().zip(tickets) {
-        let (cert, emit) = t.wait().map_err(|e| format!("certification worker died: {e}"))?;
+        let (cert, emit) = t
+            .wait()
+            .map_err(|e| format!("certification worker died: {e}"))?;
         frontier.push(Point {
             config: points[i].clone(),
             eval: full[full_idx].clone(),
@@ -972,7 +1002,10 @@ impl ExploreReport {
             self.evaluated,
         );
         if let Some(b) = self.budget {
-            let _ = writeln!(out, "budget: {b} (successive halving on area x scheduled cycles)");
+            let _ = writeln!(
+                out,
+                "budget: {b} (successive halving on area x scheduled cycles)"
+            );
         }
         let _ = writeln!(
             out,
@@ -980,7 +1013,11 @@ impl ExploreReport {
             self.frontier.len(),
             if self.frontier.len() == 1 { "" } else { "s" },
             self.frontier_backends(),
-            if self.frontier_backends() == 1 { "" } else { "s" },
+            if self.frontier_backends() == 1 {
+                ""
+            } else {
+                "s"
+            },
         );
         let mut t = Table::new(vec![
             "backend", "knobs", "style", "area", "latency", "II", "tier", "proof",
@@ -990,15 +1027,17 @@ impl ExploreReport {
                 p.config.backend.to_string(),
                 p.config.knobs(),
                 p.eval.style.unwrap_or("-").to_string(),
-                p.eval.area.map_or_else(|| "-".to_string(), |a| format!("{a:.1}")),
+                p.eval
+                    .area
+                    .map_or_else(|| "-".to_string(), |a| format!("{a:.1}")),
                 opt_u64(p.eval.latency),
                 opt_u64(p.eval.ii),
                 p.cert.tier.name().to_string(),
                 match (&p.cert.method, p.cert.vectors) {
-                    (Some(m), _) => p.cert.bound.map_or_else(
-                        || m.clone(),
-                        |k| format!("{m} (bound {k})"),
-                    ),
+                    (Some(m), _) => p
+                        .cert
+                        .bound
+                        .map_or_else(|| m.clone(), |k| format!("{m} (bound {k})")),
                     (None, Some(v)) => format!("{v} vectors"),
                     (None, None) => "-".to_string(),
                 },
@@ -1007,10 +1046,17 @@ impl ExploreReport {
         let _ = write!(out, "{t}");
         for p in &self.frontier {
             if let Some(d) = &p.cert.detail {
-                let _ = writeln!(out, "note: {} [{}]: {d}", p.config.backend, p.config.knobs());
+                let _ = writeln!(
+                    out,
+                    "note: {} [{}]: {d}",
+                    p.config.backend,
+                    p.config.knobs()
+                );
             }
             match &p.emit {
-                Some(Emit::Written { aiger, roundtrip, .. }) => {
+                Some(Emit::Written {
+                    aiger, roundtrip, ..
+                }) => {
                     let _ = writeln!(
                         out,
                         "emitted: {aiger} (+ .blif), round-trip re-proved by {roundtrip}"
@@ -1111,7 +1157,10 @@ mod tests {
 
     #[test]
     fn full_lattice_folds_to_64_distinct_syntheses() {
-        let all: Vec<&'static str> = crate::registry::backends().iter().map(|b| b.info().name).collect();
+        let all: Vec<&'static str> = crate::registry::backends()
+            .iter()
+            .map(|b| b.info().name)
+            .collect();
         let points = lattice(&all);
         assert_eq!(points.len(), 224);
         let bases = fold_bases(&points);
@@ -1249,7 +1298,10 @@ mod tests {
         assert!(
             r.frontier.iter().any(|p| p.cert.tier == Tier::Certified),
             "no certified point: {:?}",
-            r.frontier.iter().map(|p| p.cert.clone()).collect::<Vec<_>>()
+            r.frontier
+                .iter()
+                .map(|p| p.cert.clone())
+                .collect::<Vec<_>>()
         );
         for p in &r.frontier {
             if p.cert.tier == Tier::Certified {

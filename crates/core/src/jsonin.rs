@@ -36,7 +36,9 @@ pub struct Number(String);
 
 impl Number {
     pub fn as_f64(&self) -> f64 {
-        self.0.parse().expect("a Number holds valid JSON number text")
+        self.0
+            .parse()
+            .expect("a Number holds valid JSON number text")
     }
 }
 
@@ -271,7 +273,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -436,8 +442,7 @@ impl Parser<'_> {
                                 hi
                             };
                             s.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("invalid code point"))?,
+                                char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?,
                             );
                         }
                         _ => return Err(self.err("unknown escape")),
@@ -530,7 +535,10 @@ mod tests {
     fn unicode_escapes_and_surrogates() {
         assert_eq!(parse(r#""A""#).unwrap(), Value::Str("A".into()));
         assert_eq!(parse(r#""😀""#).unwrap(), Value::Str("😀".into()));
-        assert_eq!(parse("\"héllo—🦀\"").unwrap(), Value::Str("héllo—🦀".into()));
+        assert_eq!(
+            parse("\"héllo—🦀\"").unwrap(),
+            Value::Str("héllo—🦀".into())
+        );
     }
 
     #[test]
@@ -546,7 +554,10 @@ mod tests {
     fn objects_keep_insertion_order_and_last_duplicate_wins() {
         let v = parse(r#"{"z":1,"a":2,"z":3}"#).unwrap();
         let Value::Obj(m) = &v else { panic!("object") };
-        assert_eq!(m.keys().map(String::as_str).collect::<Vec<_>>(), ["z", "a", "z"]);
+        assert_eq!(
+            m.keys().map(String::as_str).collect::<Vec<_>>(),
+            ["z", "a", "z"]
+        );
         assert_eq!(v.get("z").and_then(Value::as_u64), Some(3));
     }
 

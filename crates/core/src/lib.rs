@@ -47,18 +47,18 @@ pub mod serve;
 pub mod service;
 pub mod verbs;
 
+pub use cache::{ArtifactCache, CacheStats};
 pub use chls_analysis::{flow_program, lint_program, FlowReport, LintError, LintReport};
 pub use chls_backends::{Backend, BackendInfo, Design, SynthError, SynthOptions};
 pub use chls_sim::interp;
 pub use driver::{
-    check_conformance, conformance_jobs, simulate_design, simulate_design_with,
-    Compiler, SimOutcome, SimulateError, Verdict,
+    check_conformance, conformance_jobs, simulate_design, simulate_design_with, Compiler,
+    SimOutcome, SimulateError, Verdict,
 };
 pub use error::Error;
 pub use options::CompileOptions;
 pub use programs::{benchmark, benchmarks, Benchmark};
 pub use qor::{default_args, qor_report, BackendQor, QorReport, QorStatus};
-pub use cache::{ArtifactCache, CacheStats};
 pub use registry::{backend_by_name, backends, taxonomy_table};
 pub use report::{fnum, Table};
 pub use rewriter::{rewrite_and_certify, CertCheck, CheckStatus, RewriteOutcome};
@@ -72,8 +72,8 @@ pub use service::{Request, Response, ServiceCtx};
 /// pass entry points, simulator internals) is deliberately excluded.
 pub mod prelude {
     pub use crate::driver::{
-        check_conformance, conformance_jobs, simulate_design, simulate_design_with,
-        Compiler, SimOutcome, Verdict,
+        check_conformance, conformance_jobs, simulate_design, simulate_design_with, Compiler,
+        SimOutcome, Verdict,
     };
     pub use crate::error::Error;
     pub use crate::interp::ArgValue;

@@ -154,7 +154,8 @@ impl CompileOptions {
             u8::from(self.narrow),
             u8::from(self.opt_netlist),
             u8::from(self.pipeline),
-            self.unroll.map_or_else(|| "-".to_string(), |u| u.to_string()),
+            self.unroll
+                .map_or_else(|| "-".to_string(), |u| u.to_string()),
             u8::from(self.jit_requested()),
         )
     }
@@ -233,7 +234,11 @@ mod tests {
                 .unroll(Some(4))
                 .jit(false)
         };
-        assert_eq!(base().cache_key(), base().cache_key(), "identical sets collide");
+        assert_eq!(
+            base().cache_key(),
+            base().cache_key(),
+            "identical sets collide"
+        );
         assert_eq!(base().cache_hash(), base().cache_hash());
 
         // Every artifact-relevant single-field change must change the key.
@@ -254,7 +259,11 @@ mod tests {
         }
         keys.sort();
         keys.dedup();
-        assert_eq!(keys.len(), variants.len() + 1, "all variants pairwise distinct");
+        assert_eq!(
+            keys.len(),
+            variants.len() + 1,
+            "all variants pairwise distinct"
+        );
 
         // jobs and trace shape wall-clock, not artifacts: same key.
         assert_eq!(base().jobs(7).trace(true).cache_key(), base().cache_key());

@@ -230,9 +230,11 @@ pub fn qor_report(
         None => crate::registry::backends(),
         Some(name) => match crate::registry::backend_by_name(name) {
             Some(b) => vec![b],
-            None => return Err(Error::Other(format!(
-                "unknown backend `{name}` (try `chls backends`)"
-            ))),
+            None => {
+                return Err(Error::Other(format!(
+                    "unknown backend `{name}` (try `chls backends`)"
+                )))
+            }
         },
     };
     let synth_opts = opts.synth_options();
@@ -250,7 +252,15 @@ pub fn qor_report(
     let col = chls_trace::Collector::new();
     col.set_enabled(true);
     let (parse_seconds, rows) = chls_trace::with_collector(&col, || {
-        measure_backends(compiler, entry, &backends, sim_args, opts, &synth_opts, &col)
+        measure_backends(
+            compiler,
+            entry,
+            &backends,
+            sim_args,
+            opts,
+            &synth_opts,
+            &col,
+        )
     });
 
     Ok(QorReport {
@@ -481,7 +491,10 @@ impl QorReport {
             if let Some(reason) = q.status.reason() {
                 out.push_str(&format!("note: {}: {reason}\n", q.backend));
             } else if let Some(note) = &q.sim_note {
-                out.push_str(&format!("note: {}: simulation skipped: {note}\n", q.backend));
+                out.push_str(&format!(
+                    "note: {}: simulation skipped: {note}\n",
+                    q.backend
+                ));
             }
             if let Some(blocks) = q.jit_blocks {
                 out.push_str(&format!(
@@ -565,13 +578,9 @@ mod tests {
 
     #[test]
     fn default_args_fill_zeros() {
-        let compiler =
-            Compiler::parse("int f(int a, int b[4]) { return a + b[0]; }").unwrap();
+        let compiler = Compiler::parse("int f(int a, int b[4]) { return a + b[0]; }").unwrap();
         let args = default_args(&compiler, "f").unwrap();
-        assert_eq!(
-            args,
-            vec![ArgValue::Scalar(0), ArgValue::Array(vec![0; 4])]
-        );
+        assert_eq!(args, vec![ArgValue::Scalar(0), ArgValue::Array(vec![0; 4])]);
         let r = qor_report(&compiler, "f", None, None, &CompileOptions::new()).unwrap();
         assert_eq!(r.args_used.as_deref(), Some("0 0,0,0,0"));
     }
@@ -579,14 +588,7 @@ mod tests {
     #[test]
     fn single_backend_filter_and_unknown() {
         let compiler = Compiler::parse(GCD).unwrap();
-        let r = qor_report(
-            &compiler,
-            "gcd",
-            Some("c2v"),
-            None,
-            &CompileOptions::new(),
-        )
-        .unwrap();
+        let r = qor_report(&compiler, "gcd", Some("c2v"), None, &CompileOptions::new()).unwrap();
         assert_eq!(r.backends.len(), 1);
         assert!(qor_report(&compiler, "gcd", Some("nope"), None, &CompileOptions::new()).is_err());
         assert!(qor_report(&compiler, "nope", None, None, &CompileOptions::new()).is_err());

@@ -193,11 +193,7 @@ fn fmt_args(args: &[ArgValue]) -> String {
 }
 
 /// Rung 3: side-by-side interpretation on the seeded vectors.
-fn differential_check(
-    orig: &HirProgram,
-    new: &HirProgram,
-    entry: &str,
-) -> CertCheck {
+fn differential_check(orig: &HirProgram, new: &HirProgram, entry: &str) -> CertCheck {
     let Some(vectors) = seed_vectors(orig, entry) else {
         return CertCheck {
             name: "differential",
@@ -279,7 +275,9 @@ fn equiv_check(orig_src: &str, new_src: &str, entry: &str, orig: &HirProgram) ->
     for (_, p) in func.params() {
         match &p.ty {
             Type::Array(..) => {
-                return skip("entry takes array parameters; differential rung covers it".to_string())
+                return skip(
+                    "entry takes array parameters; differential rung covers it".to_string(),
+                )
             }
             Type::Bool => bits += 1,
             Type::Int(it) => bits += u32::from(it.width),
@@ -298,8 +296,11 @@ fn equiv_check(orig_src: &str, new_src: &str, entry: &str, orig: &HirProgram) ->
         let compiler = crate::Compiler::parse(src).map_err(|e| e.to_string())?;
         let backend =
             crate::registry::backend_by_name("c2v").ok_or_else(|| "no c2v backend".to_string())?;
-        match compiler.synthesize(backend.as_ref(), entry, &chls_backends::SynthOptions::default())
-        {
+        match compiler.synthesize(
+            backend.as_ref(),
+            entry,
+            &chls_backends::SynthOptions::default(),
+        ) {
             Ok(crate::Design::Fsmd(f)) => Ok(f),
             Ok(_) => Err("not an FSMD design".to_string()),
             Err(e) => Err(e.to_string()),
@@ -311,7 +312,11 @@ fn equiv_check(orig_src: &str, new_src: &str, entry: &str, orig: &HirProgram) ->
     };
     let b = match synth(new_src) {
         Ok(f) => f,
-        Err(e) => return skip(format!("rewritten program does not synthesize to an FSMD: {e}")),
+        Err(e) => {
+            return skip(format!(
+                "rewritten program does not synthesize to an FSMD: {e}"
+            ))
+        }
     };
     match chls_logic::check_seq_equiv(&a, &b, EQUIV_BOUND, &chls_logic::EquivOptions::default()) {
         Err(e) => skip(format!("checker error: {e}")),
@@ -403,7 +408,11 @@ pub fn rewrite_and_certify(
             accepted_after = accepted_backends(&report, backend).0;
             checks.push(CertCheck {
                 name: "backend-lint",
-                status: if clean { CheckStatus::Pass } else { CheckStatus::Fail },
+                status: if clean {
+                    CheckStatus::Pass
+                } else {
+                    CheckStatus::Fail
+                },
                 detail: format!(
                     "lint {}; {accepted_after}/{backends_total} backends accept (was \
                      {accepted_before}/{backends_total})",

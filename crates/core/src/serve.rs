@@ -120,7 +120,11 @@ impl Metrics {
         if sorted.is_empty() {
             return 0.0;
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            clippy::cast_precision_loss
+        )]
         let i = (((sorted.len() - 1) as f64) * p).round() as usize;
         #[allow(clippy::cast_precision_loss)]
         {
@@ -214,8 +218,8 @@ pub struct Server {
 impl Server {
     /// Binds `cfg.addr` and starts accepting in a background thread.
     pub fn start(cfg: &ServeConfig) -> Result<Server, String> {
-        let listener = TcpListener::bind(&cfg.addr)
-            .map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
+        let listener =
+            TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
@@ -338,7 +342,9 @@ fn handle_conn(stream: TcpStream, state: &Arc<State>) {
     // delayed ACKs costs ~40ms per round trip on loopback.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
-    let Ok(reader_half) = stream.try_clone() else { return };
+    let Ok(reader_half) = stream.try_clone() else {
+        return;
+    };
     let mut reader = BufReader::new(reader_half);
     let mut writer = stream;
     let mut line = String::new();
@@ -405,7 +411,15 @@ struct Reply {
 
 fn respond(state: &Arc<State>, line: &str) -> Reply {
     let fail = |verb: &str, msg: &str, id: Option<u64>| Reply {
-        line: reply_line(verb, false, &obj! { "error": msg }.to_string(), "", &[], false, id),
+        line: reply_line(
+            verb,
+            false,
+            &obj! { "error": msg }.to_string(),
+            "",
+            &[],
+            false,
+            id,
+        ),
         verb: verb.to_string(),
         ok: false,
         cached: false,
@@ -465,7 +479,9 @@ fn respond(state: &Arc<State>, line: &str) -> Reply {
                 .min(MAX_TIMEOUT);
             let ctx = ServiceCtx::with_cache(state.cache.clone());
             let job_req = req.clone();
-            let ticket = state.executor.submit(move || service::handle(&job_req, &ctx));
+            let ticket = state
+                .executor
+                .submit(move || service::handle(&job_req, &ctx));
             match ticket.wait_timeout(timeout) {
                 Ok(Ok(handled)) => {
                     let r = &handled.response;

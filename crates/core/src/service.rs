@@ -275,8 +275,16 @@ fn compiler_for(ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Arc<Compiler
 /// The design cache's content address; `explore` writes freshly
 /// synthesized designs under the same key [`design_for`] reads, so the
 /// two never duplicate work.
-pub(crate) fn design_key(digest: u64, entry: &str, backend_name: &str, opts: &CompileOptions) -> String {
-    format!("design|{digest:016x}|{entry}|{backend_name}|{}", opts.cache_key())
+pub(crate) fn design_key(
+    digest: u64,
+    entry: &str,
+    backend_name: &str,
+    opts: &CompileOptions,
+) -> String {
+    format!(
+        "design|{digest:016x}|{entry}|{backend_name}|{}",
+        opts.cache_key()
+    )
 }
 
 /// Synthesizes (or fetches) one design. The error is the bare
@@ -335,7 +343,11 @@ pub(crate) fn verb_backends(
     let rows = crate::registry::backends()
         .iter()
         .map(|b| info(&b.info(), "compiler"))
-        .chain(crate::registry::structural_rows().iter().map(|i| info(i, "structural")))
+        .chain(
+            crate::registry::structural_rows()
+                .iter()
+                .map(|i| info(i, "structural")),
+        )
         .collect::<Vec<_>>();
     Ok(Output {
         ok: true,
@@ -466,7 +478,12 @@ pub(crate) fn verb_check(
     }
     Ok(Output {
         ok: !bad,
-        data: check_data(&req.entry, opts.effective_jobs(), opts.jit_requested(), &results),
+        data: check_data(
+            &req.entry,
+            opts.effective_jobs(),
+            opts.jit_requested(),
+            &results,
+        ),
         text,
         warnings,
     })
@@ -479,7 +496,9 @@ pub(crate) fn verb_ir(
     digest: u64,
 ) -> Result<Output, String> {
     let compiler = compiler_for(ctx, src, digest)?;
-    let ir = compiler.prepared_ir(&req.entry).map_err(|e| e.to_string())?;
+    let ir = compiler
+        .prepared_ir(&req.entry)
+        .map_err(|e| e.to_string())?;
     Ok(Output {
         ok: true,
         text: format!("{ir}\n"),
@@ -622,7 +641,13 @@ pub(crate) fn verb_rewrite(
     }
     let _ = writeln!(text, "certification:");
     for c in &outcome.checks {
-        let _ = writeln!(text, "  {:<18} {:<4} {}", c.name, c.status.label(), c.detail);
+        let _ = writeln!(
+            text,
+            "  {:<18} {:<4} {}",
+            c.name,
+            c.status.label(),
+            c.detail
+        );
     }
     let _ = writeln!(
         text,
@@ -787,8 +812,15 @@ pub(crate) fn verb_synth(
     let backend = backend_by_name(&backend_name)
         .ok_or_else(|| format!("unknown backend `{backend_name}` (try `chls backends`)"))?;
     let compiler = compiler_for(ctx, src, digest)?;
-    let design = design_for(ctx, &compiler, digest, &backend_name, &req.entry, &req.options)
-        .map_err(|e| format!("synthesis failed: {e}"))?;
+    let design = design_for(
+        ctx,
+        &compiler,
+        digest,
+        &backend_name,
+        &req.entry,
+        &req.options,
+    )
+    .map_err(|e| format!("synthesis failed: {e}"))?;
     let model = CostModel::new();
     let area = design.area(&model);
     let mut text = String::new();
@@ -829,7 +861,11 @@ pub(crate) fn verb_synth(
             members.push("fmax_mhz", Value::fixed(f.fmax_mhz(&model), 1));
         }
         Design::Dataflow(g) => {
-            let _ = writeln!(text, "style:    asynchronous dataflow ({} nodes)", g.nodes.len());
+            let _ = writeln!(
+                text,
+                "style:    asynchronous dataflow ({} nodes)",
+                g.nodes.len()
+            );
             let _ = writeln!(text, "nodes:    {:?}", g.histogram());
             members.push("style", "dataflow");
             members.push("nodes", g.nodes.len());
@@ -839,8 +875,7 @@ pub(crate) fn verb_synth(
     let mut result = Value::Null;
     if !req.args.is_empty() {
         let args = parse_args(&req.args)?;
-        let out =
-            simulate_design(&design, &args).map_err(|e| format!("simulation failed: {e}"))?;
+        let out = simulate_design(&design, &args).map_err(|e| format!("simulation failed: {e}"))?;
         let _ = writeln!(text, "result:   {:?}", out.ret);
         if let Some(c) = out.cycles {
             let _ = writeln!(text, "cycles:   {c}");
@@ -871,11 +906,20 @@ pub(crate) fn verb_verilog(
         .ok_or("`verilog` needs a backend")?
         .to_string();
     if backend_by_name(&backend_name).is_none() {
-        return Err(format!("unknown backend `{backend_name}` (try `chls backends`)"));
+        return Err(format!(
+            "unknown backend `{backend_name}` (try `chls backends`)"
+        ));
     }
     let compiler = compiler_for(ctx, src, digest)?;
-    let design = design_for(ctx, &compiler, digest, &backend_name, &req.entry, &req.options)
-        .map_err(|e| format!("synthesis failed: {e}"))?;
+    let design = design_for(
+        ctx,
+        &compiler,
+        digest,
+        &backend_name,
+        &req.entry,
+        &req.options,
+    )
+    .map_err(|e| format!("synthesis failed: {e}"))?;
     let v = match design.as_ref() {
         Design::Comb(nl) => chls_rtl::netlist_to_verilog(nl),
         Design::Fsmd(f) => chls_rtl::fsmd_to_verilog(f),
@@ -955,14 +999,13 @@ pub(crate) fn verb_equiv(
     // Historically `equiv` synthesizes with default options.
     let default_opts = CompileOptions::new();
     let synth = |name: &str, entry: &str| -> Result<Arc<Design>, String> {
-        design_for(ctx, &compiler, digest, name, entry, &default_opts)
-            .map_err(|e| {
-                if e.starts_with("unknown backend") {
-                    e
-                } else {
-                    format!("{name}:{entry}: synthesis failed: {e}")
-                }
-            })
+        design_for(ctx, &compiler, digest, name, entry, &default_opts).map_err(|e| {
+            if e.starts_with("unknown backend") {
+                e
+            } else {
+                format!("{name}:{entry}: synthesis failed: {e}")
+            }
+        })
     };
     let da = synth(&req.backends[0], entry)?;
     let db = synth(&req.backends[1], entry_b)?;
@@ -1220,7 +1263,11 @@ impl Request {
             options = options
                 .backend(o.str_of("backend"))
                 .narrow(o.get("narrow").and_then(Value::as_bool).unwrap_or(false))
-                .opt_netlist(o.get("opt_netlist").and_then(Value::as_bool).unwrap_or(false))
+                .opt_netlist(
+                    o.get("opt_netlist")
+                        .and_then(Value::as_bool)
+                        .unwrap_or(false),
+                )
                 .pipeline(o.get("pipeline").and_then(Value::as_bool).unwrap_or(false))
                 .trace(o.get("trace").and_then(Value::as_bool).unwrap_or(false));
             #[allow(clippy::cast_possible_truncation)]
@@ -1278,7 +1325,11 @@ mod tests {
         assert!(h.response.ok);
         assert!(!h.cached);
         assert_eq!(h.response.text, "ret = 12\n");
-        assert!(h.response.data.contains(r#""ret":12"#), "{}", h.response.data);
+        assert!(
+            h.response.data.contains(r#""ret":12"#),
+            "{}",
+            h.response.data
+        );
     }
 
     #[test]
@@ -1286,7 +1337,11 @@ mod tests {
         let h = handle(&req("check"), &ServiceCtx::uncached()).unwrap();
         assert!(h.response.ok);
         for b in ["cones", "c2v", "cash"] {
-            assert!(h.response.text.contains(b), "missing {b}:\n{}", h.response.text);
+            assert!(
+                h.response.text.contains(b),
+                "missing {b}:\n{}",
+                h.response.text
+            );
         }
     }
 
@@ -1310,9 +1365,14 @@ mod tests {
             ),
         ];
         let j = check_data("gcd", 2, false, &results).to_string();
-        assert!(j.starts_with(r#"{"entry":"gcd","jobs":2,"jit":false,"results":["#), "{j}");
         assert!(
-            j.contains(r#"{"backend":"c2v","verdict":"pass","cycles":37,"time_units":null,"detail":null}"#),
+            j.starts_with(r#"{"entry":"gcd","jobs":2,"jit":false,"results":["#),
+            "{j}"
+        );
+        assert!(
+            j.contains(
+                r#"{"backend":"c2v","verdict":"pass","cycles":37,"time_units":null,"detail":null}"#
+            ),
             "{j}"
         );
         assert!(
@@ -1332,7 +1392,10 @@ mod tests {
         let cold = handle(&req("run"), &ctx).unwrap();
         let warm = handle(&req("run"), &ctx).unwrap();
         assert!(!cold.cached && warm.cached);
-        assert!(Arc::ptr_eq(&cold.response, &warm.response), "hit is a pointer clone");
+        assert!(
+            Arc::ptr_eq(&cold.response, &warm.response),
+            "hit is a pointer clone"
+        );
         // One byte of source, one different response.
         let mut r2 = req("run");
         r2.source = Source::Text(format!("{GCD} "));

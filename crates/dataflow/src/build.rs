@@ -222,16 +222,16 @@ impl<'f> Builder<'f> {
             match &block.term {
                 Term::Br { cond, .. }
                     if !self.sticky_val[cond.0 as usize]
-                        && self.def_block[cond.0 as usize].0 as usize != bi
-                    => {
-                        uses[bi].insert(*cond);
-                    }
+                        && self.def_block[cond.0 as usize].0 as usize != bi =>
+                {
+                    uses[bi].insert(*cond);
+                }
                 Term::Ret(Some(v))
                     if !self.sticky_val[v.0 as usize]
-                        && self.def_block[v.0 as usize].0 as usize != bi
-                    => {
-                        uses[bi].insert(*v);
-                    }
+                        && self.def_block[v.0 as usize].0 as usize != bi =>
+                {
+                    uses[bi].insert(*v);
+                }
                 _ => {}
             }
         }
@@ -583,9 +583,10 @@ impl<'f> Builder<'f> {
         if let Some(&t) = last_token.get(&mem) {
             return t;
         }
-        let t = *self.token_in.entry((b, mem)).or_insert_with(|| {
-            self.g.add_node(NodeKind::Join { arity: 1 }, unit_ty())
-        });
+        let t = *self
+            .token_in
+            .entry((b, mem))
+            .or_insert_with(|| self.g.add_node(NodeKind::Join { arity: 1 }, unit_ty()));
         last_token.insert(mem, t);
         t
     }

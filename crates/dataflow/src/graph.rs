@@ -244,9 +244,7 @@ impl DataflowGraph {
         let nd = &self.nodes[n.0 as usize];
         let w = nd.ty.width;
         match &nd.kind {
-            NodeKind::Const(_) | NodeKind::Param(_) | NodeKind::InitialToken => {
-                (OpClass::Const, w)
-            }
+            NodeKind::Const(_) | NodeKind::Param(_) | NodeKind::InitialToken => (OpClass::Const, w),
             NodeKind::Bin(op) => (bin_class(*op), w.max(1)),
             NodeKind::Un(UnKind::Neg) => (OpClass::AddSub, w),
             NodeKind::Un(UnKind::Not) => (OpClass::Logic, w),

@@ -29,7 +29,10 @@ mod conformance {
         let mut f = chls_ir::lower_function(&hir, id).expect("lowers");
         chls_opt::simplify::simplify(&mut f);
         let golden = execute(&f, args, &ExecOptions::default()).expect("executes");
-        assert_eq!(golden.ret, expect, "IR golden disagrees with test expectation");
+        assert_eq!(
+            golden.ret, expect,
+            "IR golden disagrees with test expectation"
+        );
         let g = build_dataflow(&f).expect("builds");
         let r = simulate(&g, args, &TokenSimOptions::default())
             .unwrap_or_else(|e| panic!("token sim failed: {e}\nhistogram: {:?}", g.histogram()));
@@ -49,7 +52,8 @@ mod conformance {
 
     #[test]
     fn diamond_control_flow() {
-        let src = "int f(int a) { int x; if (a > 10) { x = a * 2; } else { x = a + 100; } return x; }";
+        let src =
+            "int f(int a) { int x; if (a > 10) { x = a * 2; } else { x = a + 100; } return x; }";
         check(src, &[ArgValue::Scalar(20)], Some(40));
         check(src, &[ArgValue::Scalar(5)], Some(105));
     }

@@ -415,7 +415,10 @@ mod tests {
     #[test]
     fn pragma_parse_constraint_and_clock() {
         assert_eq!(Pragma::parse("constraint 2"), Pragma::Constraint(2));
-        assert_eq!(Pragma::parse("clock_period 5000"), Pragma::ClockPeriod(5000));
+        assert_eq!(
+            Pragma::parse("clock_period 5000"),
+            Pragma::ClockPeriod(5000)
+        );
     }
 
     #[test]

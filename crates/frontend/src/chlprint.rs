@@ -79,11 +79,28 @@ fn print_global(out: &mut String, g: &HirGlobal) {
     let Type::Array(elem, n) = &g.ty else {
         // Scalar globals are folded to constants during sema and never
         // reach HIR; tolerate one anyway.
-        let _ = writeln!(out, "const {} {} = {};", g.ty, sanitize(&g.name), g.values[0]);
+        let _ = writeln!(
+            out,
+            "const {} {} = {};",
+            g.ty,
+            sanitize(&g.name),
+            g.values[0]
+        );
         return;
     };
-    let vals = g.values.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ");
-    let _ = writeln!(out, "const {} {}[{}] = {{{vals}}};", elem, sanitize(&g.name), n);
+    let vals = g
+        .values
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(", ");
+    let _ = writeln!(
+        out,
+        "const {} {}[{}] = {{{vals}}};",
+        elem,
+        sanitize(&g.name),
+        n
+    );
 }
 
 /// CHL keywords an identifier must not collide with.
@@ -98,7 +115,13 @@ const KEYWORDS: &[&str] = &[
 fn sanitize(name: &str) -> String {
     let mut s: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if s.is_empty() || s.starts_with(|c: char| c.is_ascii_digit()) {
         s.insert(0, '_');
@@ -192,7 +215,11 @@ fn print_func(out: &mut String, prog: &HirProgram, func: &HirFunc) {
                 let Type::Array(elem, n) = &l.ty else {
                     unreachable!("ROM locals are arrays");
                 };
-                let vals = vals.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ");
+                let vals = vals
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join(", ");
                 let _ = writeln!(out, "    const {elem} {name}[{n}] = {{{vals}}};");
             }
             None => {
@@ -259,9 +286,11 @@ fn print_braced(out: &mut String, ctx: &Ctx, block: &HirBlock, depth: usize) {
 /// block is exactly that (the `for`-header form).
 fn single_assign(ctx: &Ctx, block: &HirBlock) -> Option<String> {
     match block.stmts.as_slice() {
-        [HirStmt::Assign { place, value, .. }] => {
-            Some(format!("{} = {}", print_place(ctx, place), print_expr(ctx, value)))
-        }
+        [HirStmt::Assign { place, value, .. }] => Some(format!(
+            "{} = {}",
+            print_place(ctx, place),
+            print_expr(ctx, value)
+        )),
         _ => None,
     }
 }
@@ -280,7 +309,13 @@ fn repair_continue(ctx: &Ctx, out: &mut String, body: &HirBlock, step: &HirBlock
     out.push('}');
 }
 
-fn print_stmt_with_continue(out: &mut String, ctx: &Ctx, s: &HirStmt, step: &HirBlock, depth: usize) {
+fn print_stmt_with_continue(
+    out: &mut String,
+    ctx: &Ctx,
+    s: &HirStmt,
+    step: &HirBlock,
+    depth: usize,
+) {
     match s {
         HirStmt::Continue => {
             indent(out, depth);
@@ -330,9 +365,16 @@ fn print_stmt(out: &mut String, ctx: &Ctx, s: &HirStmt, depth: usize) {
     match s {
         HirStmt::Assign { place, value, .. } => {
             indent(out, depth);
-            let _ = writeln!(out, "{} = {};", print_place(ctx, place), print_expr(ctx, value));
+            let _ = writeln!(
+                out,
+                "{} = {};",
+                print_place(ctx, place),
+                print_expr(ctx, value)
+            );
         }
-        HirStmt::Call { dst, func, args, .. } => {
+        HirStmt::Call {
+            dst, func, args, ..
+        } => {
             indent(out, depth);
             let callee = sanitize(&ctx.prog.func(*func).name);
             let args = args
@@ -354,11 +396,21 @@ fn print_stmt(out: &mut String, ctx: &Ctx, s: &HirStmt, depth: usize) {
         }
         HirStmt::Recv { dst, chan, .. } => {
             indent(out, depth);
-            let _ = writeln!(out, "{} = recv({});", print_place(ctx, dst), ctx.namer.name(*chan));
+            let _ = writeln!(
+                out,
+                "{} = recv({});",
+                print_place(ctx, dst),
+                ctx.namer.name(*chan)
+            );
         }
         HirStmt::Send { chan, value, .. } => {
             indent(out, depth);
-            let _ = writeln!(out, "send({}, {});", ctx.namer.name(*chan), print_expr(ctx, value));
+            let _ = writeln!(
+                out,
+                "send({}, {});",
+                ctx.namer.name(*chan),
+                print_expr(ctx, value)
+            );
         }
         HirStmt::If { cond, then, els } => {
             indent(out, depth);
@@ -386,7 +438,13 @@ fn print_stmt(out: &mut String, ctx: &Ctx, s: &HirStmt, depth: usize) {
             print_braced(out, ctx, body, depth);
             let _ = writeln!(out, " while ({});", print_expr(ctx, cond));
         }
-        HirStmt::For { init, cond, step, body, unroll } => {
+        HirStmt::For {
+            init,
+            cond,
+            step,
+            body,
+            unroll,
+        } => {
             if let Some(n) = unroll {
                 indent(out, depth);
                 let _ = writeln!(out, "#pragma unroll {n}");
@@ -515,8 +573,12 @@ mod tests {
     fn roundtrip(src: &str) -> (HirProgram, HirProgram, String) {
         let a = compile_to_hir(src).expect("original compiles");
         let printed = print_program(&a, None);
-        let b = compile_to_hir(&printed)
-            .unwrap_or_else(|e| panic!("printed source fails sema:\n{printed}\n{}", e.render(&printed)));
+        let b = compile_to_hir(&printed).unwrap_or_else(|e| {
+            panic!(
+                "printed source fails sema:\n{printed}\n{}",
+                e.render(&printed)
+            )
+        });
         (a, b, printed)
     }
 

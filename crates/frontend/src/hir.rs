@@ -200,7 +200,10 @@ impl HirBlock {
     /// condition; a `for` visits init, condition, step, then body.
     /// Expressions nested inside a visited expression are the caller's
     /// to walk.
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a HirExpr)) {
         for s in &self.stmts {
             match s {
@@ -322,7 +325,10 @@ impl HirPlace {
 
     /// Visits the index and deref expressions of this place, in source
     /// order (`a[i][j]` visits `i`, then `j`).
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a HirExpr)) {
         match self {
             HirPlace::Local(_) | HirPlace::Global(_) => {}
@@ -335,7 +341,10 @@ impl HirPlace {
     }
 
     /// Visits the base place, then the index or deref expression.
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn walk_mut<V: VisitMut + ?Sized>(&mut self, v: &mut V) {
         match self {
             HirPlace::Local(_) | HirPlace::Global(_) => {}
@@ -458,7 +467,10 @@ pub enum HirStmt {
 impl HirStmt {
     /// The blocks nested directly in this statement, in source order
     /// (`for`: init, step, body; `par`: its arms).
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn blocks(&self) -> impl Iterator<Item = &HirBlock> {
         let (fixed, arms): ([Option<&HirBlock>; 3], &[HirBlock]) = match self {
             HirStmt::If { then, els, .. } => ([Some(then), Some(els), None], &[]),
@@ -483,7 +495,10 @@ impl HirStmt {
     }
 
     /// [`Self::blocks`], mutably: the same blocks in the same order.
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn blocks_mut(&mut self) -> impl Iterator<Item = &mut HirBlock> {
         let (fixed, arms): ([Option<&mut HirBlock>; 3], &mut [HirBlock]) = match self {
             HirStmt::If { then, els, .. } => ([Some(then), Some(els), None], &mut []),
@@ -511,7 +526,10 @@ impl HirStmt {
     /// nested blocks in [`HirBlock::for_each_expr`] order: a `for` visits
     /// init, condition, step, then body; a `do` visits its body before
     /// its condition.
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn walk_mut<V: VisitMut + ?Sized>(&mut self, v: &mut V) {
         match self {
             HirStmt::Assign { place, value, .. } => {
@@ -632,7 +650,10 @@ impl HirExpr {
     }
 
     /// Walks all places read by this expression.
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn for_each_place<'a>(&'a self, f: &mut impl FnMut(&'a HirPlace)) {
         match &self.kind {
             HirExprKind::Const(_) => {}
@@ -652,7 +673,10 @@ impl HirExpr {
 
     /// Visits the operands in order, or the place a load or address-of
     /// names.
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn walk_mut<V: VisitMut + ?Sized>(&mut self, v: &mut V) {
         match &mut self.kind {
             HirExprKind::Const(_) => {}
@@ -1015,7 +1039,11 @@ mod tests {
         assert_eq!(seen, (1..=n).collect::<Vec<_>>());
         let mut rec = Recorder::default();
         b.walk_mut(&mut rec);
-        let seen: Vec<i64> = rec.exprs.iter().map(|e| e.as_const().expect("numbered")).collect();
+        let seen: Vec<i64> = rec
+            .exprs
+            .iter()
+            .map(|e| e.as_const().expect("numbered"))
+            .collect();
         assert_eq!(seen, (1..=n).collect::<Vec<_>>());
         assert_eq!(rec.chans, [LocalId(1), LocalId(1)]);
     }
@@ -1044,7 +1072,10 @@ mod tests {
             ty: Type::int(),
         };
         let mut b = block(vec![HirStmt::Assign {
-            place: idx(LocalId(0), load(idx(LocalId(1), load(HirPlace::Local(LocalId(2)))))),
+            place: idx(
+                LocalId(0),
+                load(idx(LocalId(1), load(HirPlace::Local(LocalId(2))))),
+            ),
             value: load(HirPlace::Deref(Box::new(addr))),
             span: Span::dummy(),
         }]);

@@ -235,12 +235,7 @@ impl<'a> Lexer<'a> {
     fn lex_operator(&mut self, start: usize) -> Result<(), Diagnostic> {
         use TokenKind::*;
         let c = self.bump().expect("caller checked peek");
-        let three = |l: &Lexer| {
-            (
-                l.bytes.get(l.pos).copied(),
-                l.bytes.get(l.pos + 1).copied(),
-            )
-        };
+        let three = |l: &Lexer| (l.bytes.get(l.pos).copied(), l.bytes.get(l.pos + 1).copied());
         let kind = match c {
             b'(' => LParen,
             b')' => RParen,
@@ -413,7 +408,10 @@ mod tests {
 
     #[test]
     fn integer_suffixes_are_ignored() {
-        assert_eq!(kinds("1u 2UL 3ll"), vec![IntLit(1), IntLit(2), IntLit(3), Eof]);
+        assert_eq!(
+            kinds("1u 2UL 3ll"),
+            vec![IntLit(1), IntLit(2), IntLit(3), Eof]
+        );
     }
 
     #[test]
@@ -462,7 +460,13 @@ mod tests {
     fn char_literals_and_escapes() {
         assert_eq!(
             kinds(r"'a' '\n' '\0' '\\'"),
-            vec![CharLit(b'a'), CharLit(b'\n'), CharLit(0), CharLit(b'\\'), Eof]
+            vec![
+                CharLit(b'a'),
+                CharLit(b'\n'),
+                CharLit(0),
+                CharLit(b'\\'),
+                Eof
+            ]
         );
     }
 

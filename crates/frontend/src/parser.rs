@@ -95,7 +95,11 @@ impl Parser {
             Ok(self.bump())
         } else {
             Err(Diagnostic::error(
-                format!("expected {}, found {}", kind.describe(), self.peek().describe()),
+                format!(
+                    "expected {}, found {}",
+                    kind.describe(),
+                    self.peek().describe()
+                ),
                 self.span(),
             ))
         }
@@ -457,9 +461,9 @@ impl Parser {
         // Additive precedence and tighter only: a full expression parse
         // would consume the closing `>` as a comparison.
         let e = self.binary(8)?;
-        let w = self.try_const_eval(&e).ok_or_else(|| {
-            Diagnostic::error("bit width must be a compile-time constant", span)
-        })?;
+        let w = self
+            .try_const_eval(&e)
+            .ok_or_else(|| Diagnostic::error("bit width must be a compile-time constant", span))?;
         self.expect_gt()?;
         if w < 1 || w > MAX_WIDTH as i64 {
             return Err(Diagnostic::error(
@@ -475,9 +479,8 @@ impl Parser {
     fn const_expr(&mut self) -> PResult<i64> {
         let span = self.span();
         let e = self.expr()?;
-        self.try_const_eval(&e).ok_or_else(|| {
-            Diagnostic::error("expression is not a compile-time constant", span)
-        })
+        self.try_const_eval(&e)
+            .ok_or_else(|| Diagnostic::error("expression is not a compile-time constant", span))
     }
 
     fn try_const_eval(&self, e: &Expr) -> Option<i64> {
@@ -551,11 +554,7 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
-        let pragmas: Vec<Pragma> = self
-            .collect_pragmas()
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect();
+        let pragmas: Vec<Pragma> = self.collect_pragmas().into_iter().map(|(p, _)| p).collect();
         let start = self.span();
         let kind = self.stmt_kind()?;
         Ok(Stmt {
@@ -1241,7 +1240,9 @@ mod tests {
         let p = parse_ok("int f() { int t[3] = {1, 2, 3}; return t[0]; }");
         let f = first_func(&p);
         match &f.body.as_ref().unwrap().stmts[0].kind {
-            StmtKind::Decl(d) => assert!(matches!(d.init, Some(Init::List(ref v, _)) if v.len() == 3)),
+            StmtKind::Decl(d) => {
+                assert!(matches!(d.init, Some(Init::List(ref v, _)) if v.len() == 3))
+            }
             _ => panic!("expected decl"),
         }
     }
@@ -1264,7 +1265,10 @@ mod tests {
     #[test]
     fn clock_period_pragma_is_item() {
         let p = parse_ok("#pragma clock_period 5000\nint f() { return 0; }");
-        assert!(matches!(p.items[0], Item::Pragma(Pragma::ClockPeriod(5000), _)));
+        assert!(matches!(
+            p.items[0],
+            Item::Pragma(Pragma::ClockPeriod(5000), _)
+        ));
     }
 
     #[test]

@@ -266,11 +266,7 @@ impl SemaCtx {
                         }
                         if prev.ret_ty != f.ret_ty
                             || prev.params.len() != f.params.len()
-                            || prev
-                                .params
-                                .iter()
-                                .zip(&f.params)
-                                .any(|(a, b)| a.ty != b.ty)
+                            || prev.params.iter().zip(&f.params).any(|(a, b)| a.ty != b.ty)
                         {
                             return Err(err(
                                 format!(
@@ -475,10 +471,7 @@ impl<'a> FnLower<'a> {
     fn lower(mut self, decl: &ast::FuncDecl) -> Result<HirFunc, FrontendError> {
         self.ret_ty = decl.ret_ty.clone();
         if !matches!(decl.ret_ty, Type::Void | Type::Bool | Type::Int(_)) {
-            return Err(err(
-                "functions must return void or a scalar",
-                decl.span,
-            ));
+            return Err(err("functions must return void or a scalar", decl.span));
         }
         for p in &decl.params {
             if matches!(p.ty, Type::Void | Type::Chan(_)) {
@@ -534,7 +527,10 @@ impl<'a> FnLower<'a> {
     fn bind(&mut self, name: &str, binding: Binding, span: Span) -> Result<(), FrontendError> {
         let scope = self.scopes.last_mut().expect("scope stack never empty");
         if scope.contains_key(name) {
-            return Err(err(format!("`{name}` is already defined in this scope"), span));
+            return Err(err(
+                format!("`{name}` is already defined in this scope"),
+                span,
+            ));
         }
         scope.insert(name.to_string(), binding);
         Ok(())
@@ -737,7 +733,11 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    fn lower_decl(&mut self, decl: &ast::VarDecl, out: &mut Vec<HirStmt>) -> Result<(), FrontendError> {
+    fn lower_decl(
+        &mut self,
+        decl: &ast::VarDecl,
+        out: &mut Vec<HirStmt>,
+    ) -> Result<(), FrontendError> {
         let bank = bank_from_pragmas(&decl.pragmas);
         let ii = decl.pragmas.iter().find_map(|p| match p {
             Pragma::Ii(n) => Some(*n),
@@ -972,9 +972,7 @@ impl<'a> FnLower<'a> {
                         }
                         other => {
                             return Err(err(
-                                format!(
-                                    "argument for `{pname}` must be `{pty}`, got `{other}`"
-                                ),
+                                format!("argument for `{pname}` must be `{pty}`, got `{other}`"),
                                 arg.span,
                             ));
                         }
@@ -1024,15 +1022,15 @@ impl<'a> FnLower<'a> {
             HirPlace::Global(id) => Ok(self.ctx.globals[id.0 as usize].ty.clone()),
             HirPlace::Index { base, .. } => {
                 let bty = self.place_type(base, span)?;
-                bty.element().cloned().ok_or_else(|| {
-                    err(format!("cannot index into `{bty}`"), span)
-                })
+                bty.element()
+                    .cloned()
+                    .ok_or_else(|| err(format!("cannot index into `{bty}`"), span))
             }
-            HirPlace::Deref(e) => e
-                .ty
-                .element()
-                .cloned()
-                .ok_or_else(|| err("cannot dereference a non-pointer", span)),
+            HirPlace::Deref(e) => {
+                e.ty.element()
+                    .cloned()
+                    .ok_or_else(|| err("cannot dereference a non-pointer", span))
+            }
         }
     }
 
@@ -1052,10 +1050,7 @@ impl<'a> FnLower<'a> {
                 let base_is_array_place = {
                     let mut probe = Vec::new();
                     match self.lower_place(base, &mut probe) {
-                        Ok(p) => matches!(
-                            self.place_type(&p, base.span),
-                            Ok(Type::Array(..))
-                        ),
+                        Ok(p) => matches!(self.place_type(&p, base.span), Ok(Type::Array(..))),
                         Err(_) => false,
                     }
                 };
@@ -1071,10 +1066,7 @@ impl<'a> FnLower<'a> {
                     // p[i] == *(p + i)
                     let ptr = self.lower_expr(base, out)?;
                     if !matches!(ptr.ty, Type::Ptr(_)) {
-                        return Err(err(
-                            format!("cannot index into `{}`", ptr.ty),
-                            e.span,
-                        ));
+                        return Err(err(format!("cannot index into `{}`", ptr.ty), e.span));
                     }
                     let idx = self.lower_expr(index, out)?;
                     let idx = self.index_expr(idx, index.span)?;
@@ -1089,10 +1081,7 @@ impl<'a> FnLower<'a> {
             ExprKind::Deref(inner) => {
                 let ptr = self.lower_expr(inner, out)?;
                 if !matches!(ptr.ty, Type::Ptr(_)) {
-                    return Err(err(
-                        format!("cannot dereference `{}`", ptr.ty),
-                        e.span,
-                    ));
+                    return Err(err(format!("cannot dereference `{}`", ptr.ty), e.span));
                 }
                 Ok(HirPlace::Deref(Box::new(ptr)))
             }
@@ -1104,7 +1093,10 @@ impl<'a> FnLower<'a> {
         match idx.ty {
             Type::Int(_) => Ok(idx),
             Type::Bool => self.coerce(idx, &Type::int(), span),
-            ref other => Err(err(format!("array index must be an integer, got `{other}`"), span)),
+            ref other => Err(err(
+                format!("array index must be an integer, got `{other}`"),
+                span,
+            )),
         }
     }
 
@@ -1283,10 +1275,7 @@ impl<'a> FnLower<'a> {
                 }
                 let ty = self.place_type(&place, inner.span)?;
                 if !ty.is_scalar() && !matches!(ty, Type::Ptr(_)) {
-                    return Err(err(
-                        format!("cannot take the address of a `{ty}`"),
-                        e.span,
-                    ));
+                    return Err(err(format!("cannot take the address of a `{ty}`"), e.span));
                 }
                 Ok(HirExpr {
                     ty: Type::Ptr(Box::new(ty)),
@@ -1374,8 +1363,9 @@ impl<'a> FnLower<'a> {
                     .ok_or_else(|| err(format!("cannot shift `{}`", a.ty), span))?;
                 let ty = Type::Int(it);
                 let a = self.coerce(a, &ty, span)?;
-                let bit = Type::promote(&b.ty)
-                    .ok_or_else(|| err(format!("shift amount `{}` is not an integer", b.ty), span))?;
+                let bit = Type::promote(&b.ty).ok_or_else(|| {
+                    err(format!("shift amount `{}` is not an integer", b.ty), span)
+                })?;
                 let b = self.coerce(b, &Type::Int(bit), span)?;
                 Ok(HirExpr {
                     ty,
@@ -1392,7 +1382,11 @@ impl<'a> FnLower<'a> {
                 let common = Type::Int(it);
                 let a = self.coerce(a, &common, span)?;
                 let b = self.coerce(b, &common, span)?;
-                let ty = if op.is_comparison() { Type::Bool } else { common };
+                let ty = if op.is_comparison() {
+                    Type::Bool
+                } else {
+                    common
+                };
                 Ok(HirExpr {
                     ty,
                     kind: HirExprKind::Binary(op, Box::new(a), Box::new(b)),
@@ -1494,7 +1488,9 @@ pub fn recursion_cycles(prog: &HirProgram) -> Vec<Vec<FuncId>> {
                         }
                     }
                     let cyclic = comp.len() > 1
-                        || prog.funcs[comp[0]].callees.contains(&FuncId(comp[0] as u32));
+                        || prog.funcs[comp[0]]
+                            .callees
+                            .contains(&FuncId(comp[0] as u32));
                     if cyclic {
                         comp.sort_unstable();
                         sccs.push(comp);
@@ -1704,7 +1700,10 @@ mod tests {
         // The forward declaration merges with the later definition, so
         // the diagnostic names the actual cycle, not a missing body.
         assert!(msg.contains("recursion"), "{msg}");
-        assert!(msg.contains("f -> g -> f") || msg.contains("g -> f -> g"), "{msg}");
+        assert!(
+            msg.contains("f -> g -> f") || msg.contains("g -> f -> g"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -1738,7 +1737,10 @@ mod tests {
         let e = compile_to_hir("int f(int n) { return n == 0 ? 1 : n * f(n - 1); }")
             .expect_err("expected recursion error");
         let d = e.diagnostics.first().expect("one diagnostic");
-        assert!(!d.span.is_dummy(), "cycle diagnostic should anchor at the call site");
+        assert!(
+            !d.span.is_dummy(),
+            "cycle diagnostic should anchor at the call site"
+        );
     }
 
     #[test]
@@ -1876,7 +1878,13 @@ mod tests {
         );
         let (_, f) = p.func_by_name("f").unwrap();
         let has_unrolled_for = f.body.stmts.iter().any(|s| {
-            matches!(s, HirStmt::For { unroll: Some(2), .. })
+            matches!(
+                s,
+                HirStmt::For {
+                    unroll: Some(2),
+                    ..
+                }
+            )
         });
         assert!(has_unrolled_for);
     }

@@ -687,9 +687,7 @@ impl Domain for Intervals {
                 (None, None) => return None,
             },
             InstKind::Cast { val, .. } => clamp(ctx.get(*val)?, inst.ty),
-            InstKind::Load { mem, .. } => {
-                self.rom_ranges.get(&mem.0).copied().unwrap_or(declared)
-            }
+            InstKind::Load { mem, .. } => self.rom_ranges.get(&mem.0).copied().unwrap_or(declared),
             InstKind::Store { .. } => declared,
         };
         // Canonical form never leaves the declared range.
@@ -919,10 +917,7 @@ pub fn known_bits(f: &Function) -> Vec<Bits> {
 /// stored to on some path reaching the block's entry. `None` means the
 /// memory is definitely still untouched (no store on any path) — the
 /// signal the uninitialized-read lint keys on.
-pub fn may_written_on_entry(
-    f: &Function,
-    addr_ranges: &[Range],
-) -> Vec<Vec<Option<Range>>> {
+pub fn may_written_on_entry(f: &Function, addr_ranges: &[Range]) -> Vec<Vec<Option<Range>>> {
     let nb = f.blocks.len();
     let nm = f.mems.len();
     let rpo = f.reverse_postorder();
@@ -970,8 +965,8 @@ pub fn may_written_on_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chls_frontend::compile_to_hir;
     use crate::lower::lower_function;
+    use chls_frontend::compile_to_hir;
 
     fn lowered(src: &str, name: &str) -> Function {
         let hir = compile_to_hir(src).expect("frontend ok");
@@ -1035,7 +1030,10 @@ mod tests {
 
     #[test]
     fn provable_comparison_folds_to_constant() {
-        let f = lowered("int f(uint<4> x) { if (x < 100) { return 1; } return 2; }", "f");
+        let f = lowered(
+            "int f(uint<4> x) { if (x < 100) { return 1; } return 2; }",
+            "f",
+        );
         let ranges = value_ranges(&f);
         let mut found = false;
         for b in &f.blocks {
@@ -1080,10 +1078,7 @@ mod tests {
 
     #[test]
     fn entry_block_has_nothing_written() {
-        let f = lowered(
-            "int f() { int a[4]; a[0] = 1; return a[0]; }",
-            "f",
-        );
+        let f = lowered("int f() { int a[4]; a[0] = 1; return a[0]; }", "f");
         let ranges = value_ranges(&f);
         let written = may_written_on_entry(&f, &ranges);
         assert!(written[f.entry.0 as usize].iter().all(Option::is_none));
@@ -1095,10 +1090,7 @@ mod tests {
         let b = Range { lo: 5, hi: 20 };
         assert_eq!(a.union(b), Range { lo: 0, hi: 20 });
         assert_eq!(a.intersect(b), Some(Range { lo: 5, hi: 10 }));
-        assert_eq!(
-            a.intersect(Range { lo: 11, hi: 12 }),
-            None
-        );
+        assert_eq!(a.intersect(Range { lo: 11, hi: 12 }), None);
         assert!(Range::exact(3).is_const());
     }
 }

@@ -28,17 +28,18 @@ impl DomTree {
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         idom[f.entry.0 as usize] = Some(f.entry);
 
-        let intersect = |idom: &[Option<BlockId>], rpo_index: &[usize], mut a: BlockId, mut b: BlockId| {
-            while a != b {
-                while rpo_index[a.0 as usize] > rpo_index[b.0 as usize] {
-                    a = idom[a.0 as usize].expect("processed in rpo order");
+        let intersect =
+            |idom: &[Option<BlockId>], rpo_index: &[usize], mut a: BlockId, mut b: BlockId| {
+                while a != b {
+                    while rpo_index[a.0 as usize] > rpo_index[b.0 as usize] {
+                        a = idom[a.0 as usize].expect("processed in rpo order");
+                    }
+                    while rpo_index[b.0 as usize] > rpo_index[a.0 as usize] {
+                        b = idom[b.0 as usize].expect("processed in rpo order");
+                    }
                 }
-                while rpo_index[b.0 as usize] > rpo_index[a.0 as usize] {
-                    b = idom[b.0 as usize].expect("processed in rpo order");
-                }
-            }
-            a
-        };
+                a
+            };
 
         let mut changed = true;
         while changed {

@@ -46,7 +46,10 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::OutOfBounds { mem, index, len } => {
-                write!(f, "index {index} out of bounds for memory `{mem}` (len {len})")
+                write!(
+                    f,
+                    "index {index} out of bounds for memory `{mem}` (len {len})"
+                )
             }
             ExecError::StepLimit(n) => write!(f, "exceeded step limit of {n} instructions"),
             ExecError::BadArgument(i) => write!(f, "missing or mistyped argument {i}"),
@@ -104,7 +107,11 @@ impl Default for ExecOptions {
 ///
 /// Returns [`ExecError`] on out-of-bounds memory access, argument mismatch,
 /// step-limit overrun, or malformed IR.
-pub fn execute(f: &Function, args: &[ArgValue], opts: &ExecOptions) -> Result<ExecResult, ExecError> {
+pub fn execute(
+    f: &Function,
+    args: &[ArgValue],
+    opts: &ExecOptions,
+) -> Result<ExecResult, ExecError> {
     // Bind memories.
     let mut mems: Vec<Vec<i64>> = Vec::with_capacity(f.mems.len());
     for m in &f.mems {
@@ -194,7 +201,12 @@ pub fn execute(f: &Function, args: &[ArgValue], opts: &ExecOptions) -> Result<Ex
                     } else {
                         inst.ty
                     };
-                    Some(eval_bin(*op, ety, values[a.0 as usize], values[b.0 as usize]))
+                    Some(eval_bin(
+                        *op,
+                        ety,
+                        values[a.0 as usize],
+                        values[b.0 as usize],
+                    ))
                 }
                 InstKind::Un(op, a) => {
                     if opts.record_trace {

@@ -460,7 +460,10 @@ impl Function {
     /// The source span of `v`, or [`Span::dummy`] when none was recorded
     /// (synthesized instructions, passes that bypass [`Function::add_inst`]).
     pub fn span_of(&self, v: Value) -> Span {
-        self.spans.get(v.0 as usize).copied().unwrap_or_else(Span::dummy)
+        self.spans
+            .get(v.0 as usize)
+            .copied()
+            .unwrap_or_else(Span::dummy)
     }
 
     /// Records the source span of `v`, growing the table as needed.

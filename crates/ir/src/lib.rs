@@ -44,9 +44,9 @@ pub mod loops;
 pub mod lower;
 pub mod verify;
 
+pub use fasthash::{FastHasher, FastMap};
 pub use ir::{
     eval_bin, eval_cast, eval_un, BinKind, BlockId, Forwarding, Function, InstData, InstKind,
     MemId, MemInfo, MemSource, Term, UnKind, Value,
 };
-pub use fasthash::{FastHasher, FastMap};
 pub use lower::{lower_function, LowerError};

@@ -114,7 +114,6 @@ mod tests {
     use crate::ir::{InstKind, Term};
     use chls_frontend::IntType;
 
-
     /// b0 -> b1(h) -> b2 -> b1 ; b1 -> b3
     fn single_loop() -> Function {
         let mut f = Function::new("l");

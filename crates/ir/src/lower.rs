@@ -43,13 +43,22 @@ impl fmt::Display for LowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LowerError::NeedsInlining(name) => {
-                write!(f, "call to `{name}` survives; inline functions before lowering")
+                write!(
+                    f,
+                    "call to `{name}` survives; inline functions before lowering"
+                )
             }
             LowerError::NeedsPointerLowering => {
-                write!(f, "pointer operations survive; resolve pointers before lowering")
+                write!(
+                    f,
+                    "pointer operations survive; resolve pointers before lowering"
+                )
             }
             LowerError::Concurrency(what) => {
-                write!(f, "`{what}` is not sequential C; this backend cannot accept it")
+                write!(
+                    f,
+                    "`{what}` is not sequential C; this backend cannot accept it"
+                )
             }
             LowerError::BadType(t) => write!(f, "type `{t}` has no IR representation"),
         }
@@ -493,14 +502,7 @@ impl<'a> Lower<'a> {
                 let mem = self.place_mem(base)?;
                 let addr = self.lower_expr(index)?;
                 let elem = self.f.mem(mem).elem;
-                self.emit(
-                    InstKind::Store {
-                        mem,
-                        addr,
-                        value,
-                    },
-                    elem,
-                );
+                self.emit(InstKind::Store { mem, addr, value }, elem);
                 Ok(())
             }
             HirPlace::Global(_) => Err(LowerError::BadType("store to ROM".to_string())),
@@ -512,9 +514,7 @@ impl<'a> Lower<'a> {
         match place {
             HirPlace::Local(id) => match self.slots[id.0 as usize] {
                 Slot::Mem(m) => Ok(m),
-                Slot::Scalar(_) => {
-                    Err(LowerError::BadType("indexing a scalar".to_string()))
-                }
+                Slot::Scalar(_) => Err(LowerError::BadType("indexing a scalar".to_string())),
             },
             HirPlace::Global(gid) => {
                 if let Some(&m) = self.global_mems.get(gid) {
@@ -723,10 +723,7 @@ mod tests {
 
     #[test]
     fn arrays_become_memories() {
-        let f = lower_src(
-            "int f(int a[4]) { a[0] = 5; return a[0] + a[1]; }",
-            "f",
-        );
+        let f = lower_src("int f(int a[4]) { a[0] = 5; return a[0] + a[1]; }", "f");
         assert_eq!(f.mems.len(), 1);
         assert_eq!(f.mems[0].len, 4);
         assert_eq!(f.mems[0].source, MemSource::Param(0));
@@ -788,10 +785,7 @@ mod tests {
 
     #[test]
     fn early_return_in_branch() {
-        let f = lower_src(
-            "int f(int a) { if (a > 0) { return 1; } return 2; }",
-            "f",
-        );
+        let f = lower_src("int f(int a) { if (a > 0) { return 1; } return 2; }", "f");
         let rets = f
             .blocks
             .iter()

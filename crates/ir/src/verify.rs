@@ -52,7 +52,10 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
             }
             seen[v.0 as usize] = true;
             if f.inst(v).block.0 as usize != bi {
-                return fail(format!("{v} recorded in {} but listed in b{bi}", f.inst(v).block));
+                return fail(format!(
+                    "{v} recorded in {} but listed in b{bi}",
+                    f.inst(v).block
+                ));
             }
         }
         // Phis must be a prefix of the block.
@@ -132,7 +135,9 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
                 let (ta, tb) = (f.inst(*a).ty, f.inst(*b).ty);
                 if op.is_comparison() {
                     if ta != tb {
-                        return fail(format!("{v}: comparison operand types differ ({ta} vs {tb})"));
+                        return fail(format!(
+                            "{v}: comparison operand types differ ({ta} vs {tb})"
+                        ));
                     }
                     if inst.ty.width != 1 {
                         return fail(format!("{v}: comparison result must be u1"));
@@ -238,7 +243,11 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
                 }
                 match position.get(&o) {
                     Some(&(db, dpos)) => {
-                        let ok = if db == b { dpos < pos } else { dt.dominates(db, b) };
+                        let ok = if db == b {
+                            dpos < pos
+                        } else {
+                            dt.dominates(db, b)
+                        };
                         if !ok {
                             bad = Some(format!("{v}: use of {o} not dominated by its definition"));
                         }
@@ -319,7 +328,11 @@ mod tests {
         let b = f.entry;
         let a = f.add_inst(b, InstKind::Const(1), IntType::new(8, false));
         let c = f.add_inst(b, InstKind::Const(1), IntType::new(16, false));
-        let s = f.add_inst(b, InstKind::Bin(BinKind::Add, a, c), IntType::new(16, false));
+        let s = f.add_inst(
+            b,
+            InstKind::Bin(BinKind::Add, a, c),
+            IntType::new(16, false),
+        );
         f.ret_ty = Some(IntType::new(16, false));
         f.block_mut(b).term = Term::Ret(Some(s));
         let err = verify(&f).unwrap_err();

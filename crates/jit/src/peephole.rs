@@ -254,7 +254,10 @@ mod tests {
                     disp: 8,
                     src: Reg::Rsi,
                 },
-                MInst::Jcc { cc: Cc::L, label: 7 },
+                MInst::Jcc {
+                    cc: Cc::L,
+                    label: 7
+                },
             ]
         );
     }
@@ -271,7 +274,10 @@ mod tests {
                 dst: Reg::R8,
                 src: Reg::R8,
             },
-            MInst::Jcc { cc: Cc::E, label: 2 },
+            MInst::Jcc {
+                cc: Cc::E,
+                label: 2,
+            },
         ];
         let mut out = insts;
         optimize(&mut out);
@@ -282,7 +288,10 @@ mod tests {
                     cc: Cc::Ae,
                     dst: Reg::R8,
                 },
-                MInst::Jcc { cc: Cc::B, label: 2 },
+                MInst::Jcc {
+                    cc: Cc::B,
+                    label: 2
+                },
             ]
         );
     }

@@ -74,11 +74,7 @@ impl RegCache {
     /// Picks a register for a new value: a free one if any, else the
     /// unpinned register whose slot's next use is furthest away.
     fn victim(&self, next_use: &mut dyn FnMut(u32) -> u32) -> usize {
-        if let Some(free) = self
-            .held
-            .iter()
-            .position(|&s| s.is_none())
-        {
+        if let Some(free) = self.held.iter().position(|&s| s.is_none()) {
             return free;
         }
         let mut best = usize::MAX;
@@ -124,11 +120,7 @@ impl RegCache {
     /// Allocates a register to hold a new definition of `slot` (no load)
     /// and pins it. The caller computes into it and must then emit the
     /// write-through store `mov [SLOTS + slot*8], reg`.
-    pub fn def(
-        &mut self,
-        slot: u32,
-        next_use: &mut dyn FnMut(u32) -> u32,
-    ) -> Reg {
+    pub fn def(&mut self, slot: u32, next_use: &mut dyn FnMut(u32) -> u32) -> Reg {
         // A stale mapping for this slot (pre-redefinition value) dies.
         if let Some(old) = self.lookup(slot) {
             self.held[old] = None;

@@ -540,7 +540,10 @@ pub fn translate(
                         imm: k as i32,
                     });
                     let l = tr.stub_for(stubs, Some(t));
-                    tr.out.push(MInst::Jcc { cc: Cc::E, label: l });
+                    tr.out.push(MInst::Jcc {
+                        cc: Cc::E,
+                        label: l,
+                    });
                 }
                 cache.unpin_all();
                 let l = tr.stub_for(stubs, Some(*default));
@@ -696,7 +699,10 @@ fn emit_bounds_check(tr: &mut Tr, ra: Reg, mem: u32, traps: &mut Vec<(Label, Reg
     });
     let l = tr.fresh();
     traps.push((l, ra, mem));
-    tr.out.push(MInst::Jcc { cc: Cc::Ae, label: l });
+    tr.out.push(MInst::Jcc {
+        cc: Cc::Ae,
+        label: l,
+    });
     tr.out.push(MInst::Load {
         dst: Reg::Rcx,
         base: Reg::Rcx,
@@ -950,7 +956,11 @@ fn bin_rr(
     let rb = cache.get(b, tr.out, nu);
     let rd = cache.def(dst, nu);
     tr.out.push(MInst::MovRR { dst: rd, src: ra });
-    tr.out.push(MInst::Alu { op, dst: rd, src: rb });
+    tr.out.push(MInst::Alu {
+        op,
+        dst: rd,
+        src: rb,
+    });
     if let Some(ty) = ty {
         emit_canon(tr.out, rd, ty);
     }

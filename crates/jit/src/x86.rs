@@ -415,7 +415,9 @@ pub fn assemble(asm: &mut Asm, insts: &[MInst], n_labels: u32) {
                 }
             }
             MInst::Load { dst, base, disp } => e.rm_mem(true, &[0x8B], dst.num(), base.num(), disp),
-            MInst::Store { base, disp, src } => e.rm_mem(true, &[0x89], src.num(), base.num(), disp),
+            MInst::Store { base, disp, src } => {
+                e.rm_mem(true, &[0x89], src.num(), base.num(), disp)
+            }
             MInst::StoreImm { base, disp, imm } => {
                 e.rm_mem(true, &[0xC7], 0, base.num(), disp);
                 e.i32(imm);

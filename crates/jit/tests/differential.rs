@@ -33,7 +33,11 @@ fn serial() -> MutexGuard<'static, ()> {
 fn synth(src: &str, entry: &str) -> Fsmd {
     let hir = chls_frontend::compile_to_hir(src).expect("frontend");
     let design = C2Verilog
-        .synthesize(&chls_backends::Preparer::new(hir), entry, &SynthOptions::default())
+        .synthesize(
+            &chls_backends::Preparer::new(hir),
+            entry,
+            &SynthOptions::default(),
+        )
         .expect("synthesizes");
     design.as_fsmd().expect("c2v produces an FSMD").clone()
 }
@@ -136,7 +140,14 @@ fn division_and_dynamic_shifts_agree() {
         }",
         "mix",
     );
-    for (a, b) in [(100, 7), (-100, 7), (100, -7), (i64::from(i32::MIN), -1), (0, 0), (7, 64)] {
+    for (a, b) in [
+        (100, 7),
+        (-100, 7),
+        (100, -7),
+        (i64::from(i32::MIN), -1),
+        (0, 0),
+        (7, 64),
+    ] {
         differential(&f, &[ArgValue::Scalar(a), ArgValue::Scalar(b)], false);
     }
 }
@@ -160,10 +171,9 @@ fn forced_fallback_matches_native() {
         assert!(fb > 0, "forced fallback must route through the interpreter");
     }
     // And the two JIT configurations agree with each other.
-    if let (Some(native), Some(forced)) = (
-        JitProgram::compile(&f),
-        JitProgram::compile_with(&f, true),
-    ) {
+    if let (Some(native), Some(forced)) =
+        (JitProgram::compile(&f), JitProgram::compile_with(&f, true))
+    {
         let a = native.run(&args, MAX_CYCLES).expect("native runs");
         let b = forced.run(&args, MAX_CYCLES).expect("fallback runs");
         assert_eq!(a, b);
@@ -211,16 +221,17 @@ fn hand_built_mac_agrees_native_and_fallback() {
         assert!(fb > 0, "forced fallback must route through the interpreter");
     }
     let r = fsmd_sim::simulate(&f, &[], MAX_CYCLES).expect("interp");
-    assert_eq!(r.cycles, CYCLES + 1, "one cycle per iteration plus the done state");
+    assert_eq!(
+        r.cycles,
+        CYCLES + 1,
+        "one cycle per iteration plus the done state"
+    );
 }
 
 #[test]
 fn out_of_bounds_traps_identically() {
     let _serial = serial();
-    let f = synth(
-        "int peek(int a[8], int i) { return a[i]; }",
-        "peek",
-    );
+    let f = synth("int peek(int a[8], int i) { return a[i]; }", "peek");
     for idx in [8, 100, -1, -100] {
         let args = [ArgValue::Array(vec![5; 8]), ArgValue::Scalar(idx)];
         differential(&f, &args, false);
@@ -314,8 +325,12 @@ fn concurrent_runs_share_one_program() {
         return;
     };
     let prog = std::sync::Arc::new(prog);
-    let golden = fsmd_sim::simulate(&f, &[ArgValue::Scalar(1071), ArgValue::Scalar(462)], MAX_CYCLES)
-        .expect("interp");
+    let golden = fsmd_sim::simulate(
+        &f,
+        &[ArgValue::Scalar(1071), ArgValue::Scalar(462)],
+        MAX_CYCLES,
+    )
+    .expect("interp");
     std::thread::scope(|s| {
         for t in 0..8 {
             let prog = std::sync::Arc::clone(&prog);

@@ -73,7 +73,13 @@ impl Word {
         let c = ty.canonicalize(v) as u64;
         Word {
             bits: (0..ty.width as usize)
-                .map(|i| if (c >> i) & 1 != 0 { Lit::TRUE } else { Lit::FALSE })
+                .map(|i| {
+                    if (c >> i) & 1 != 0 {
+                        Lit::TRUE
+                    } else {
+                        Lit::FALSE
+                    }
+                })
                 .collect(),
             ty,
         }
@@ -153,7 +159,11 @@ fn uge_const(g: &mut Aig, bits: &[Lit], k: u64) -> Lit {
         .collect();
     let kv: Vec<Lit> = (0..n)
         .map(|i| {
-            if i < 64 && (k >> i) & 1 != 0 { Lit::TRUE } else { Lit::FALSE }
+            if i < 64 && (k >> i) & 1 != 0 {
+                Lit::TRUE
+            } else {
+                Lit::FALSE
+            }
         })
         .collect();
     !ult(g, &a, &kv)
@@ -226,7 +236,11 @@ fn barrel64(g: &mut Aig, v: &[Lit], amt: &[Lit; 6], left: bool, fill: Lit) -> Ve
         let shifted: Vec<Lit> = (0..64)
             .map(|i| {
                 if left {
-                    if i >= dist { cur[i - dist] } else { fill }
+                    if i >= dist {
+                        cur[i - dist]
+                    } else {
+                        fill
+                    }
                 } else if i + dist < 64 {
                     cur[i + dist]
                 } else {
@@ -251,12 +265,22 @@ fn eff_signed_width(t: IntType) -> usize {
 
 /// `eval_bin` on symbolic words: evaluation type `ety`, result
 /// canonicalized to `out_ty` (the cell type).
-pub fn sym_bin(g: &mut Aig, op: BinKind, ety: IntType, a: &Word, b: &Word, out_ty: IntType) -> Word {
+pub fn sym_bin(
+    g: &mut Aig,
+    op: BinKind,
+    ety: IntType,
+    a: &Word,
+    b: &Word,
+    out_ty: IntType,
+) -> Word {
     let w = ety.width as usize;
     let ra = a.resize(ety);
     let rb = b.resize(ety);
     let word = |bits: Vec<Lit>| Word { bits, ty: ety };
-    let bit = |_g: &mut Aig, l: Lit| Word { bits: vec![l], ty: IntType::new(1, false) };
+    let bit = |_g: &mut Aig, l: Lit| Word {
+        bits: vec![l],
+        ty: IntType::new(1, false),
+    };
     let out = match op {
         BinKind::Add => word(ripple_add(g, &ra.bits, &rb.bits, Lit::FALSE)),
         BinKind::Sub => {
@@ -264,9 +288,27 @@ pub fn sym_bin(g: &mut Aig, op: BinKind, ety: IntType, a: &Word, b: &Word, out_t
             word(ripple_add(g, &ra.bits, &inv, Lit::TRUE))
         }
         BinKind::Mul => word(mul_bits(g, &ra.bits, &rb.bits)),
-        BinKind::And => word(ra.bits.iter().zip(&rb.bits).map(|(&x, &y)| g.and(x, y)).collect()),
-        BinKind::Or => word(ra.bits.iter().zip(&rb.bits).map(|(&x, &y)| g.or(x, y)).collect()),
-        BinKind::Xor => word(ra.bits.iter().zip(&rb.bits).map(|(&x, &y)| g.xor(x, y)).collect()),
+        BinKind::And => word(
+            ra.bits
+                .iter()
+                .zip(&rb.bits)
+                .map(|(&x, &y)| g.and(x, y))
+                .collect(),
+        ),
+        BinKind::Or => word(
+            ra.bits
+                .iter()
+                .zip(&rb.bits)
+                .map(|(&x, &y)| g.or(x, y))
+                .collect(),
+        ),
+        BinKind::Xor => word(
+            ra.bits
+                .iter()
+                .zip(&rb.bits)
+                .map(|(&x, &y)| g.xor(x, y))
+                .collect(),
+        ),
         BinKind::Eq => {
             let e = eq_bits(g, &ra.bits, &rb.bits);
             bit(g, e)
@@ -289,7 +331,11 @@ pub fn sym_bin(g: &mut Aig, op: BinKind, ety: IntType, a: &Word, b: &Word, out_t
                 // a width that holds both, then flip the sign bit and
                 // compare unsigned. `x`/`y` are views of `a`/`b`, so
                 // extend from the original operand words.
-                let (oa, ob) = if matches!(op, BinKind::Lt | BinKind::Le) { (a, b) } else { (b, a) };
+                let (oa, ob) = if matches!(op, BinKind::Lt | BinKind::Le) {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
                 let m = eff_signed_width(oa.ty).max(eff_signed_width(ob.ty));
                 let mut va: Vec<Lit> = (0..m).map(|i| oa.bit64(i)).collect();
                 let mut vb: Vec<Lit> = (0..m).map(|i| ob.bit64(i)).collect();
@@ -332,7 +378,10 @@ pub fn sym_bin(g: &mut Aig, op: BinKind, ety: IntType, a: &Word, b: &Word, out_t
                 let bzero = or_all(g, &vb);
                 let zeros = vec![Lit::FALSE; m];
                 let bits = mux_bits(g, !bzero, &zeros, &picked);
-                Word { bits, ty: IntType::new(m as u16, true) }
+                Word {
+                    bits,
+                    ty: IntType::new(m as u16, true),
+                }
             } else {
                 let (q, r) = udivrem(g, &ra.bits, &rb.bits);
                 let picked = if op == BinKind::Div { q } else { r };
@@ -348,7 +397,11 @@ pub fn sym_bin(g: &mut Aig, op: BinKind, ety: IntType, a: &Word, b: &Word, out_t
             let ge63 = uge_const(g, sbits, 63);
             let mut amt = [Lit::FALSE; 6];
             for (i, slot) in amt.iter_mut().enumerate() {
-                let b = if i < sbits.len() { sbits[i] } else { Lit::FALSE };
+                let b = if i < sbits.len() {
+                    sbits[i]
+                } else {
+                    Lit::FALSE
+                };
                 *slot = g.or(ge63, b);
             }
             let (view, fill): (Vec<Lit>, Lit) = if op == BinKind::Shl {
@@ -550,7 +603,12 @@ impl<'n> SymMachine<'n> {
             };
             rams.push(words);
         }
-        Ok(SymMachine { nl, topo, regs, rams })
+        Ok(SymMachine {
+            nl,
+            topo,
+            regs,
+            rams,
+        })
     }
 
     /// Replaces the committed cycle-0 state (every register word and
@@ -576,7 +634,10 @@ impl<'n> SymMachine<'n> {
                     l
                 })
                 .collect();
-            Word { bits: lits, ty: w.ty }
+            Word {
+                bits: lits,
+                ty: w.ty,
+            }
         };
         for (i, cell) in self.nl.cells.iter().enumerate() {
             if let CellKind::Reg { init, .. } = cell.kind {
@@ -602,7 +663,14 @@ impl<'n> SymMachine<'n> {
         let mut out = Vec::new();
         for (i, cell) in self.nl.cells.iter().enumerate() {
             if matches!(cell.kind, CellKind::Reg { .. }) {
-                out.extend(self.regs[i].as_ref().expect("reg state").bits.iter().copied());
+                out.extend(
+                    self.regs[i]
+                        .as_ref()
+                        .expect("reg state")
+                        .bits
+                        .iter()
+                        .copied(),
+                );
             }
         }
         for words in &self.rams {
@@ -637,7 +705,10 @@ impl<'n> SymMachine<'n> {
                     let s = or_all(g, &val(&vals[sel.0 as usize]).bits);
                     let wa = val(&vals[a.0 as usize]).resize(cell.ty);
                     let wb = val(&vals[b.0 as usize]).resize(cell.ty);
-                    Word { bits: mux_bits(g, s, &wa.bits, &wb.bits), ty: cell.ty }
+                    Word {
+                        bits: mux_bits(g, s, &wa.bits, &wb.bits),
+                        ty: cell.ty,
+                    }
                 }
                 CellKind::Cast { val: v, .. } => val(&vals[v.0 as usize]).resize(cell.ty),
                 CellKind::Reg { .. } => self.regs[id.0 as usize].clone().expect("reg state"),
@@ -648,7 +719,10 @@ impl<'n> SymMachine<'n> {
                     let mut acc = Word::constant(elem, 0);
                     for (j, wj) in words.iter().enumerate() {
                         let hit = eq_const64(g, &a, j as u64);
-                        acc = Word { bits: mux_bits(g, hit, &wj.bits, &acc.bits), ty: elem };
+                        acc = Word {
+                            bits: mux_bits(g, hit, &wj.bits, &acc.bits),
+                            ty: elem,
+                        };
                     }
                     acc.resize(cell.ty)
                 }
@@ -656,7 +730,10 @@ impl<'n> SymMachine<'n> {
             };
             vals[id.0 as usize] = Some(w);
         }
-        Ok(vals.into_iter().map(|v| v.expect("all cells evaluated")).collect())
+        Ok(vals
+            .into_iter()
+            .map(|v| v.expect("all cells evaluated"))
+            .collect())
     }
 
     /// One clock edge: evaluate, then commit RAM writes (in cell order)
@@ -665,7 +742,13 @@ impl<'n> SymMachine<'n> {
         let vals = self.eval(g, env)?;
         let nl = self.nl;
         for cell in nl.cells.iter() {
-            if let CellKind::RamWrite { ram, addr, data, en } = cell.kind {
+            if let CellKind::RamWrite {
+                ram,
+                addr,
+                data,
+                en,
+            } = cell.kind
+            {
                 let elem = nl.rams[ram.0 as usize].elem;
                 let en_nz = or_all(g, &vals[en.0 as usize].bits);
                 let a = &vals[addr.0 as usize];
@@ -674,7 +757,10 @@ impl<'n> SymMachine<'n> {
                 for (j, wj) in words.iter_mut().enumerate() {
                     let hit0 = eq_const64(g, a, j as u64);
                     let hit = g.and(en_nz, hit0);
-                    *wj = Word { bits: mux_bits(g, hit, &d.bits, &wj.bits), ty: elem };
+                    *wj = Word {
+                        bits: mux_bits(g, hit, &d.bits, &wj.bits),
+                        ty: elem,
+                    };
                 }
             }
         }
@@ -685,7 +771,10 @@ impl<'n> SymMachine<'n> {
                 let new = match en {
                     Some(e) => {
                         let en_nz = or_all(g, &vals[e.0 as usize].bits);
-                        Word { bits: mux_bits(g, en_nz, &nw.bits, &old.bits), ty: cell.ty }
+                        Word {
+                            bits: mux_bits(g, en_nz, &nw.bits, &old.bits),
+                            ty: cell.ty,
+                        }
                     }
                     None => nw,
                 };

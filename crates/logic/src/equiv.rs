@@ -31,8 +31,8 @@ use crate::aig::{Aig, Lit};
 use crate::blast::{RamSpec, SymEnv, SymError, SymMachine, Word};
 use crate::sat::{Cnf, Outcome, Solver};
 use chls_frontend::IntType;
-use chls_rtl::{fsmd_to_netlist, Fsmd, Netlist};
 use chls_rtl::netlist::CellKind;
+use chls_rtl::{fsmd_to_netlist, Fsmd, Netlist};
 use chls_sim::netlist_sim::NetlistSim;
 use std::collections::{BTreeMap, HashMap};
 
@@ -136,7 +136,10 @@ impl std::fmt::Display for EquivError {
             EquivError::Sym(e) => write!(f, "symbolic evaluation failed: {e}"),
             EquivError::Sim(m) => write!(f, "counterexample replay failed: {m}"),
             EquivError::ReplayMismatch(m) => {
-                write!(f, "SOUNDNESS BUG: solver counterexample did not replay: {m}")
+                write!(
+                    f,
+                    "SOUNDNESS BUG: solver counterexample did not replay: {m}"
+                )
             }
         }
     }

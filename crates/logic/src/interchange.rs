@@ -162,7 +162,11 @@ pub fn from_netlist(nl: &Netlist) -> Result<AigerDoc, InterchangeError> {
         .iter()
         .filter(|v| !state_vars.contains(v))
         .map(|&v| {
-            let name = env.labels.get(&v).cloned().unwrap_or_else(|| format!("i{v}"));
+            let name = env
+                .labels
+                .get(&v)
+                .cloned()
+                .unwrap_or_else(|| format!("i{v}"));
             (v, name)
         })
         .collect();
@@ -240,7 +244,9 @@ pub fn write_aiger(doc: &AigerDoc) -> Result<Vec<u8>, InterchangeError> {
     let enc = |l: Lit| -> u32 { 2 * index[l.var() as usize] + u32::from(l.is_compl()) };
 
     let mut out = Vec::new();
-    out.extend_from_slice(format!("aig {m} {ni} {nl} {} {}\n", doc.outputs.len(), ands.len()).as_bytes());
+    out.extend_from_slice(
+        format!("aig {m} {ni} {nl} {} {}\n", doc.outputs.len(), ands.len()).as_bytes(),
+    );
     for la in &doc.latches {
         if la.init {
             out.extend_from_slice(format!("{} 1\n", enc(la.next)).as_bytes());
@@ -305,7 +311,9 @@ fn read_delta(bytes: &[u8], pos: &mut usize) -> Result<u32, InterchangeError> {
             .ok_or_else(|| InterchangeError::Malformed("truncated AND section".to_string()))?;
         *pos += 1;
         if shift >= 32 {
-            return Err(InterchangeError::Malformed("delta overflows 32 bits".to_string()));
+            return Err(InterchangeError::Malformed(
+                "delta overflows 32 bits".to_string(),
+            ));
         }
         x |= u32::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
@@ -400,9 +408,9 @@ pub fn read_aiger(bytes: &[u8]) -> Result<AigerDoc, InterchangeError> {
             )));
         }
         let e0 = lhs - d0;
-        let e1 = e0
-            .checked_sub(d1)
-            .ok_or_else(|| InterchangeError::Malformed(format!("AND {idx}: delta1 {d1} underflows")))?;
+        let e1 = e0.checked_sub(d1).ok_or_else(|| {
+            InterchangeError::Malformed(format!("AND {idx}: delta1 {d1} underflows"))
+        })?;
         let a0 = decode(&lits, e0)?;
         let a1 = decode(&lits, e1)?;
         lits.push(g.and(a0, a1));
@@ -488,9 +496,9 @@ pub fn read_aiger(bytes: &[u8]) -> Result<AigerDoc, InterchangeError> {
 /// Decodes an AIGER literal against the variables defined so far.
 fn decode(lits: &[Lit], e: u32) -> Result<Lit, InterchangeError> {
     let v = (e >> 1) as usize;
-    let base = *lits
-        .get(v)
-        .ok_or_else(|| InterchangeError::Malformed(format!("literal {e} references undefined variable")))?;
+    let base = *lits.get(v).ok_or_else(|| {
+        InterchangeError::Malformed(format!("literal {e} references undefined variable"))
+    })?;
     Ok(if e & 1 == 1 { !base } else { base })
 }
 
@@ -638,7 +646,13 @@ pub fn roundtrip_aiger(doc: &AigerDoc) -> Result<(Vec<u8>, &'static str), Interc
 /// Replaces characters BLIF treats as separators.
 fn blif_ident(s: &str) -> String {
     s.chars()
-        .map(|c| if c.is_whitespace() || c == '\\' || c == '#' || c == '=' { '_' } else { c })
+        .map(|c| {
+            if c.is_whitespace() || c == '\\' || c == '#' || c == '=' {
+                '_'
+            } else {
+                c
+            }
+        })
         .collect()
 }
 
@@ -754,8 +768,18 @@ mod tests {
     /// `sum = a + b`, 4-bit: purely combinational.
     fn adder() -> Netlist {
         let mut nl = Netlist::new("adder");
-        let a = nl.add(CellKind::Input { name: "a".to_string() }, u(4));
-        let b = nl.add(CellKind::Input { name: "b".to_string() }, u(4));
+        let a = nl.add(
+            CellKind::Input {
+                name: "a".to_string(),
+            },
+            u(4),
+        );
+        let b = nl.add(
+            CellKind::Input {
+                name: "b".to_string(),
+            },
+            u(4),
+        );
         let s = nl.add(CellKind::Bin(BinKind::Add, a, b), u(4));
         nl.set_output("sum", s);
         nl
@@ -764,8 +788,20 @@ mod tests {
     /// A 4-bit accumulator register with a nonzero reset.
     fn accumulator() -> Netlist {
         let mut nl = Netlist::new("acc");
-        let x = nl.add(CellKind::Input { name: "x".to_string() }, u(4));
-        let reg = nl.add(CellKind::Reg { next: chls_rtl::CellId(2), init: 5, en: None }, u(4));
+        let x = nl.add(
+            CellKind::Input {
+                name: "x".to_string(),
+            },
+            u(4),
+        );
+        let reg = nl.add(
+            CellKind::Reg {
+                next: chls_rtl::CellId(2),
+                init: 5,
+                en: None,
+            },
+            u(4),
+        );
         let _sum = nl.add(CellKind::Bin(BinKind::Add, reg, x), u(4));
         nl.set_output("acc", reg);
         nl
@@ -780,7 +816,12 @@ mod tests {
             len: 4,
             init: Some(vec![3, 1, 4, 1]),
         });
-        let addr = nl.add(CellKind::Input { name: "addr".to_string() }, u(2));
+        let addr = nl.add(
+            CellKind::Input {
+                name: "addr".to_string(),
+            },
+            u(2),
+        );
         let val = nl.add(CellKind::RamRead { ram, addr }, u(8));
         nl.set_output("val", val);
         nl
@@ -821,7 +862,10 @@ mod tests {
     fn ram_words_become_latches() {
         let doc = from_netlist(&rom_reader()).unwrap();
         assert_eq!(doc.latches.len(), 4 * 8, "4 words x 8 bits");
-        assert!(doc.latches.iter().any(|l| l.init), "ROM contents seed resets");
+        assert!(
+            doc.latches.iter().any(|l| l.init),
+            "ROM contents seed resets"
+        );
         roundtrip_aiger(&doc).unwrap();
     }
 

@@ -67,7 +67,10 @@ fn rewrite(nl: &mut Netlist) -> usize {
     for i in 0..n {
         let id = CellId(i as u32);
         let t = nl.cell(id).ty;
-        let cast_of = |nl: &Netlist, x: CellId| CellKind::Cast { from: nl.cell(x).ty, val: x };
+        let cast_of = |nl: &Netlist, x: CellId| CellKind::Cast {
+            from: nl.cell(x).ty,
+            val: x,
+        };
         let new_kind: Option<CellKind> = match nl.cell(id).kind.clone() {
             CellKind::Bin(op, a, b) => {
                 let (ca, cb) = (konst(nl, a), konst(nl, b));
@@ -82,7 +85,10 @@ fn rewrite(nl: &mut Netlist) -> usize {
                         let mid_ty = IntType::new(k as u16, false);
                         let inner = cast_of(nl, x);
                         let mid = nl.add(inner, mid_ty);
-                        CellKind::Cast { from: mid_ty, val: mid }
+                        CellKind::Cast {
+                            from: mid_ty,
+                            val: mid,
+                        }
                     }
                 })
             }
@@ -105,7 +111,10 @@ fn rewrite(nl: &mut Netlist) -> usize {
                 } else if let CellKind::Cast { val: y, .. } = nl.cell(x).kind {
                     // Outer cast only narrows further: drop the middle.
                     if nl.cell(x).ty.width >= t.width {
-                        Some(CellKind::Cast { from: nl.cell(y).ty, val: y })
+                        Some(CellKind::Cast {
+                            from: nl.cell(y).ty,
+                            val: y,
+                        })
                     } else {
                         None
                     }
@@ -394,7 +403,8 @@ pub fn optimize_fsmd(f: &Fsmd) -> Fsmd {
     // Guard pruning: a constant-false guard kills the action, a
     // constant-true guard becomes unconditional.
     for st in &mut f.states {
-        st.actions.retain(|a| !matches!(&a.guard, Some(g) if rv_const(g) == Some(0)));
+        st.actions
+            .retain(|a| !matches!(&a.guard, Some(g) if rv_const(g) == Some(0)));
         for a in &mut st.actions {
             if matches!(&a.guard, Some(g) if rv_const(g).is_some_and(|c| c != 0)) {
                 a.guard = None;
@@ -403,8 +413,9 @@ pub fn optimize_fsmd(f: &Fsmd) -> Fsmd {
         }
         // Branch folding on constant conditions.
         let folded: Option<NextState> = match &st.next {
-            NextState::Branch { cond, then, els } => rv_const(cond)
-                .map(|c| NextState::Goto(if c != 0 { *then } else { *els })),
+            NextState::Branch { cond, then, els } => {
+                rv_const(cond).map(|c| NextState::Goto(if c != 0 { *then } else { *els }))
+            }
             NextState::Cases { cases, default } => {
                 let mut kept = Vec::new();
                 let mut def = *default;
@@ -427,7 +438,10 @@ pub fn optimize_fsmd(f: &Fsmd) -> Fsmd {
                 } else if kept.is_empty() {
                     Some(NextState::Goto(def))
                 } else {
-                    Some(NextState::Cases { cases: kept, default: def })
+                    Some(NextState::Cases {
+                        cases: kept,
+                        default: def,
+                    })
                 }
             }
             _ => None,
@@ -473,7 +487,10 @@ fn simp_rv(rv: &mut Rv, count: &mut usize) {
             if let (Some(x), Some(y)) = (ca, cb) {
                 let ety = if op.is_comparison() { a.ty } else { t };
                 let v = eval_bin(*op, ety, x, y);
-                Some(Rv { kind: RvKind::Const(t.canonicalize(v)), ty: t })
+                Some(Rv {
+                    kind: RvKind::Const(t.canonicalize(v)),
+                    ty: t,
+                })
             } else {
                 // Reuse the table; `Mul` strength reduction is netlist
                 // only (a shifter is a different FU class here).
@@ -481,19 +498,34 @@ fn simp_rv(rv: &mut Rv, count: &mut usize) {
                 let fake_b = CellId(if **a == **b { 0 } else { 1 });
                 rewrite_bin(*op, t, fake_a, fake_b, ca, cb).and_then(|r| match r {
                     BinRewrite::CastOf(x) => {
-                        let src = if x == fake_a { (**a).clone() } else { (**b).clone() };
-                        Some(Rv { kind: RvKind::Cast(Box::new(src)), ty: t })
+                        let src = if x == fake_a {
+                            (**a).clone()
+                        } else {
+                            (**b).clone()
+                        };
+                        Some(Rv {
+                            kind: RvKind::Cast(Box::new(src)),
+                            ty: t,
+                        })
                     }
-                    BinRewrite::Constant(v) => {
-                        Some(Rv { kind: RvKind::Const(t.canonicalize(v)), ty: t })
-                    }
+                    BinRewrite::Constant(v) => Some(Rv {
+                        kind: RvKind::Const(t.canonicalize(v)),
+                        ty: t,
+                    }),
                     BinRewrite::MaskCast(x, k) => {
-                        let src = if x == fake_a { (**a).clone() } else { (**b).clone() };
+                        let src = if x == fake_a {
+                            (**a).clone()
+                        } else {
+                            (**b).clone()
+                        };
                         let mid = Rv {
                             kind: RvKind::Cast(Box::new(src)),
                             ty: IntType::new(k as u16, false),
                         };
-                        Some(Rv { kind: RvKind::Cast(Box::new(mid)), ty: t })
+                        Some(Rv {
+                            kind: RvKind::Cast(Box::new(mid)),
+                            ty: t,
+                        })
                     }
                     // A shifter is a different FU class than a multiplier;
                     // strength reduction could change the shared-FU area.
@@ -514,10 +546,15 @@ fn simp_rv(rv: &mut Rv, count: &mut usize) {
         RvKind::Un(op, x) => {
             if let RvKind::Const(v) = x.kind {
                 let v = eval_un(*op, t, x.ty.canonicalize(v));
-                Some(Rv { kind: RvKind::Const(t.canonicalize(v)), ty: t })
+                Some(Rv {
+                    kind: RvKind::Const(t.canonicalize(v)),
+                    ty: t,
+                })
             } else if let RvKind::Un(inner, y) = &x.kind {
-                (*inner == *op && x.ty == t)
-                    .then(|| Rv { kind: RvKind::Cast(y.clone()), ty: t })
+                (*inner == *op && x.ty == t).then(|| Rv {
+                    kind: RvKind::Cast(y.clone()),
+                    ty: t,
+                })
             } else {
                 None
             }
@@ -526,9 +563,15 @@ fn simp_rv(rv: &mut Rv, count: &mut usize) {
             if x.ty == t {
                 Some((**x).clone())
             } else if let RvKind::Cast(y) = &x.kind {
-                (x.ty.width >= t.width).then(|| Rv { kind: RvKind::Cast(y.clone()), ty: t })
+                (x.ty.width >= t.width).then(|| Rv {
+                    kind: RvKind::Cast(y.clone()),
+                    ty: t,
+                })
             } else if let RvKind::Const(v) = x.kind {
-                Some(Rv { kind: RvKind::Const(t.canonicalize(x.ty.canonicalize(v))), ty: t })
+                Some(Rv {
+                    kind: RvKind::Const(t.canonicalize(x.ty.canonicalize(v))),
+                    ty: t,
+                })
             } else {
                 None
             }

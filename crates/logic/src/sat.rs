@@ -152,7 +152,10 @@ impl Solver {
         // Dedupe, drop false literals, detect tautologies/satisfied.
         let mut cl: Vec<SLit> = Vec::with_capacity(lits.len());
         for &l in lits {
-            debug_assert!((svar(l) as usize) < self.assign.len(), "literal out of range");
+            debug_assert!(
+                (svar(l) as usize) < self.assign.len(),
+                "literal out of range"
+            );
             if self.lit_value(l) == 1 || cl.contains(&snot(l)) {
                 return true; // already satisfied / tautology
             }
@@ -184,7 +187,12 @@ impl Solver {
         let idx = self.clauses.len() as u32;
         self.watches[lits[0] as usize].push(idx);
         self.watches[lits[1] as usize].push(idx);
-        self.clauses.push(Clause { lits, learnt, deleted: false, activity: self.cla_inc });
+        self.clauses.push(Clause {
+            lits,
+            learnt,
+            deleted: false,
+            activity: self.cla_inc,
+        });
         idx
     }
 
@@ -491,7 +499,11 @@ impl Solver {
                     match self.pop_decision_var() {
                         Some(v) => {
                             self.trail_lim.push(self.trail.len());
-                            let l = if self.phase[v as usize] { pos(v) } else { neg(v) };
+                            let l = if self.phase[v as usize] {
+                                pos(v)
+                            } else {
+                                neg(v)
+                            };
                             self.enqueue(l, None);
                         }
                         None => {

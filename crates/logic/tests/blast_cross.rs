@@ -90,7 +90,11 @@ fn random_netlist(n: usize, seed: u64) -> (Netlist, Vec<(String, IntType)>) {
                 nl.add(CellKind::Const(ty.canonicalize(v)), ty)
             }
             1 => {
-                let op = if rng.next().is_multiple_of(2) { UnKind::Neg } else { UnKind::Not };
+                let op = if rng.next().is_multiple_of(2) {
+                    UnKind::Neg
+                } else {
+                    UnKind::Not
+                };
                 nl.add(CellKind::Un(op, x), ty)
             }
             2 => {
@@ -101,7 +105,11 @@ fn random_netlist(n: usize, seed: u64) -> (Netlist, Vec<(String, IntType)>) {
             _ => {
                 let op = rng.pick(BINS);
                 // Comparisons drive 1-bit nets, like the frontends emit.
-                let ty = if op.is_comparison() { IntType::new(1, false) } else { ty };
+                let ty = if op.is_comparison() {
+                    IntType::new(1, false)
+                } else {
+                    ty
+                };
                 nl.add(CellKind::Bin(op, x, y), ty)
             }
         };
@@ -135,7 +143,9 @@ fn symbolic_outputs(nl: &Netlist, values: &[(String, i64)]) -> Vec<(String, i64)
         }
     }
     let bitvals = g.eval(&assign);
-    outs.into_iter().map(|(n, w)| (n, w.decode(&bitvals))).collect()
+    outs.into_iter()
+        .map(|(n, w)| (n, w.decode(&bitvals)))
+        .collect()
 }
 
 proptest! {
@@ -249,23 +259,52 @@ fn blast_matches_sequential_sim() {
     });
     // Placeholder next-state nets patched below.
     let zero = nl.add(CellKind::Const(0), u8t);
-    let acc = nl.add(CellKind::Reg { next: zero, init: 0, en: None }, u8t);
-    let idx = nl.add(CellKind::Reg { next: zero, init: 0, en: None }, u2t);
+    let acc = nl.add(
+        CellKind::Reg {
+            next: zero,
+            init: 0,
+            en: None,
+        },
+        u8t,
+    );
+    let idx = nl.add(
+        CellKind::Reg {
+            next: zero,
+            init: 0,
+            en: None,
+        },
+        u2t,
+    );
     let read = nl.add(CellKind::RamRead { ram, addr: idx }, u8t);
     let acc_next = nl.add(CellKind::Bin(BinKind::Add, acc, read), u8t);
     let one = nl.add(CellKind::Const(1), u2t);
     let idx_next = nl.add(CellKind::Bin(BinKind::Add, idx, one), u2t);
     let wen = nl.add(CellKind::Const(1), IntType::new(1, false));
-    nl.add(CellKind::RamWrite { ram, addr: idx, data: acc_next, en: wen }, u8t);
-    nl.cells[acc.0 as usize].kind = CellKind::Reg { next: acc_next, init: 0, en: None };
-    nl.cells[idx.0 as usize].kind = CellKind::Reg { next: idx_next, init: 0, en: None };
+    nl.add(
+        CellKind::RamWrite {
+            ram,
+            addr: idx,
+            data: acc_next,
+            en: wen,
+        },
+        u8t,
+    );
+    nl.cells[acc.0 as usize].kind = CellKind::Reg {
+        next: acc_next,
+        init: 0,
+        en: None,
+    };
+    nl.cells[idx.0 as usize].kind = CellKind::Reg {
+        next: idx_next,
+        init: 0,
+        en: None,
+    };
     nl.set_output("acc", acc);
 
     let mut sim = NetlistSim::new(&nl).expect("builds");
     let mut g = Aig::new();
     let mut env = SymEnv::new();
-    let mut machine =
-        SymMachine::new(&mut g, &mut env, &nl, &[RamSpec::Concrete]).expect("blasts");
+    let mut machine = SymMachine::new(&mut g, &mut env, &nl, &[RamSpec::Concrete]).expect("blasts");
     let no_inputs = HashMap::new();
     for cycle in 0..6 {
         let cv = sim.output("acc").expect("evaluates");

@@ -31,8 +31,8 @@ fn equiv_and_optimize_record_trace_counters() {
     let opt = optimize(&good);
     let report = check_comb_equiv(&good, &opt, &EquivOptions::default()).expect("check runs");
     assert!(matches!(report.verdict, Verdict::Equivalent));
-    let differ = check_comb_equiv(&good, &build(BinKind::Or), &EquivOptions::default())
-        .expect("check runs");
+    let differ =
+        check_comb_equiv(&good, &build(BinKind::Or), &EquivOptions::default()).expect("check runs");
     assert!(matches!(differ.verdict, Verdict::Differ(_)));
 
     let snap = chls_trace::snapshot();

@@ -98,15 +98,7 @@ fn rewrite_join_phis(
             vt
         } else {
             // The Select is appended to `b`, after both absorbed arms.
-            f.add_inst(
-                b,
-                InstKind::Select {
-                    cond,
-                    t: vt,
-                    f: ve,
-                },
-                ty,
-            )
+            f.add_inst(b, InstKind::Select { cond, t: vt, f: ve }, ty)
         };
         rest.push((b, merged));
         f.inst_mut(pv).kind = InstKind::Phi(rest);
@@ -140,7 +132,10 @@ fn arm_chain(
         }
         // The join is the first jump target that is either multi-pred or
         // impure — the chain cannot absorb it.
-        if single_pred(preds, next) && block_is_pure(f, next) && matches!(f.block(next).term, Term::Jump(_)) {
+        if single_pred(preds, next)
+            && block_is_pure(f, next)
+            && matches!(f.block(next).term, Term::Jump(_))
+        {
             cur = next;
         } else {
             return Some((chain, next));
@@ -157,10 +152,9 @@ fn convert_at(f: &mut Function, b: BlockId, preds: &[Vec<BlockId>]) -> Option<bo
         return None;
     }
     // Diamond: both arms are pure chains converging on the same join.
-    if let (Some((ct, jt)), Some((ce, je))) = (
-        arm_chain(f, preds, b, then),
-        arm_chain(f, preds, b, els),
-    ) {
+    if let (Some((ct, jt)), Some((ce, je))) =
+        (arm_chain(f, preds, b, then), arm_chain(f, preds, b, els))
+    {
         if jt == je && !ct.contains(&je) && !ce.contains(&jt) {
             let (last_t, last_e) = (*ct.last().unwrap(), *ce.last().unwrap());
             for &blk in ct.iter().chain(&ce) {
@@ -249,9 +243,19 @@ mod tests {
         chls_opt_selftest_simplify(&mut f);
         assert_eq!(stats.triangles + stats.diamonds, 1);
         assert!(branch_count(&f) < before);
-        let r = execute(&f, &[ArgValue::Scalar(3), ArgValue::Scalar(9)], &ExecOptions::default()).unwrap();
+        let r = execute(
+            &f,
+            &[ArgValue::Scalar(3), ArgValue::Scalar(9)],
+            &ExecOptions::default(),
+        )
+        .unwrap();
         assert_eq!(r.ret, Some(9));
-        let r = execute(&f, &[ArgValue::Scalar(9), ArgValue::Scalar(3)], &ExecOptions::default()).unwrap();
+        let r = execute(
+            &f,
+            &[ArgValue::Scalar(9), ArgValue::Scalar(3)],
+            &ExecOptions::default(),
+        )
+        .unwrap();
         assert_eq!(r.ret, Some(9));
     }
 
@@ -265,7 +269,12 @@ mod tests {
         assert!(stats.diamonds >= 1 || stats.triangles >= 1);
         assert_eq!(branch_count(&f), 0);
         for (a, b, want) in [(3, 9, 6), (9, 3, 6), (5, 5, 0)] {
-            let r = execute(&f, &[ArgValue::Scalar(a), ArgValue::Scalar(b)], &ExecOptions::default()).unwrap();
+            let r = execute(
+                &f,
+                &[ArgValue::Scalar(a), ArgValue::Scalar(b)],
+                &ExecOptions::default(),
+            )
+            .unwrap();
             assert_eq!(r.ret, Some(want));
         }
     }
@@ -285,7 +294,11 @@ mod tests {
         for (v, want) in [(-5, 0), (50, 50), (200, 100)] {
             let r = execute(
                 &f,
-                &[ArgValue::Scalar(v), ArgValue::Scalar(0), ArgValue::Scalar(100)],
+                &[
+                    ArgValue::Scalar(v),
+                    ArgValue::Scalar(0),
+                    ArgValue::Scalar(100),
+                ],
                 &ExecOptions::default(),
             )
             .unwrap();
@@ -352,7 +365,11 @@ mod tests {
             ];
             leaf.prop_recursive(depth, 10, 2, |inner| {
                 prop_oneof![
-                    (inner.clone(), inner.clone(), "[-+*&|^]".prop_map(|s: String| s))
+                    (
+                        inner.clone(),
+                        inner.clone(),
+                        "[-+*&|^]".prop_map(|s: String| s)
+                    )
                         .prop_map(|(l, r, op)| format!("({l} {op} {r})")),
                     (inner, 0u8..4).prop_map(|(l, s)| format!("({l} >> {s})")),
                 ]

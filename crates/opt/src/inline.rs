@@ -122,7 +122,13 @@ struct Inliner<'p> {
 }
 
 impl Inliner<'_> {
-    fn fresh_local(&mut self, name: String, ty: Type, rom: Option<Vec<i64>>, bank: MemBank) -> LocalId {
+    fn fresh_local(
+        &mut self,
+        name: String,
+        ty: Type,
+        rom: Option<Vec<i64>>,
+        bank: MemBank,
+    ) -> LocalId {
         self.fresh_local_ii(name, ty, rom, bank, None)
     }
 
@@ -243,7 +249,12 @@ impl Inliner<'_> {
         }
 
         // General case: guard transformation.
-        let done = self.fresh_local(format!("{}$done", callee.name), Type::Bool, None, MemBank::Auto);
+        let done = self.fresh_local(
+            format!("{}$done", callee.name),
+            Type::Bool,
+            None,
+            MemBank::Auto,
+        );
         let ret_local = if callee.ret_ty == Type::Void {
             None
         } else {

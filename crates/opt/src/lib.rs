@@ -13,23 +13,19 @@
 //! * [`dep`] — memory-dependence tests used by the schedulers;
 //! * [`subst`] — shared HIR rewriting machinery.
 
-
 pub mod dep;
 pub mod ifconv;
-pub mod loadcse;
 pub mod inline;
+pub mod loadcse;
 pub mod memory;
 pub mod narrow;
-
 
 pub mod ptr;
 pub mod rewrite;
 pub mod simplify;
-pub mod width;
 pub mod subst;
 pub mod unroll;
-
-
+pub mod width;
 
 pub use inline::{inline_program, InlineError};
 pub use ptr::{points_to, uses_pointers, PointsTo};

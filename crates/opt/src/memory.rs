@@ -69,7 +69,11 @@ pub fn merge_monolithic(f: &mut Function) -> usize {
             len: total.max(1),
             rom: if any_rom_data { Some(init) } else { None },
             bank: MemBank::Monolithic,
-            source: if all_rom { MemSource::Rom } else { MemSource::Local },
+            source: if all_rom {
+                MemSource::Rom
+            } else {
+                MemSource::Local
+            },
         });
         // Rewrite accesses: addr' = addr + base(mem).
         for bi in 0..f.blocks.len() {
@@ -189,11 +193,7 @@ pub fn split_banks(f: &mut Function) -> usize {
         let m = &f.mems[mi];
         let MemBank::Banked(k) = m.bank else { continue };
         let k = k as usize;
-        if k < 2
-            || !k.is_power_of_two()
-            || matches!(m.source, MemSource::Param(_))
-            || m.len == 0
-        {
+        if k < 2 || !k.is_power_of_two() || matches!(m.source, MemSource::Param(_)) || m.len == 0 {
             continue;
         }
         let shift = k.trailing_zeros() as i64;
@@ -222,13 +222,23 @@ pub fn split_banks(f: &mut Function) -> usize {
         // Create the banks: bank b holds elements b, b+K, b+2K, ...
         let (name, elem, len, rom, source) = {
             let m = f.mem(mem_id);
-            (m.name.clone(), m.elem, m.len, m.rom.clone(), m.source.clone())
+            (
+                m.name.clone(),
+                m.elem,
+                m.len,
+                m.rom.clone(),
+                m.source.clone(),
+            )
         };
         let banks: Vec<MemId> = (0..k)
             .map(|b| {
                 let count = (len + k - 1 - b) / k;
                 let bank_rom = rom.as_ref().map(|data| {
-                    data.iter().skip(b).step_by(k).copied().collect::<Vec<i64>>()
+                    data.iter()
+                        .skip(b)
+                        .step_by(k)
+                        .copied()
+                        .collect::<Vec<i64>>()
                 });
                 f.add_mem(MemInfo {
                     name: format!("{name}#b{b}"),

@@ -158,11 +158,7 @@ pub fn narrow(f: &mut Function) -> NarrowStats {
                 InstKind::Select { cond, t, f: fv } => {
                     let t2 = coerce(f, &nty, &mut out, b, t, want, span, &mut stats);
                     let f2 = coerce(f, &nty, &mut out, b, fv, want, span, &mut stats);
-                    f.inst_mut(v).kind = InstKind::Select {
-                        cond,
-                        t: t2,
-                        f: f2,
-                    };
+                    f.inst_mut(v).kind = InstKind::Select { cond, t: t2, f: f2 };
                 }
                 InstKind::Cast { val, .. } => {
                     f.inst_mut(v).kind = InstKind::Cast {
@@ -245,7 +241,13 @@ pub fn narrow(f: &mut Function) -> NarrowStats {
 }
 
 /// Creates an instruction without placing it in a block's list.
-fn new_inst(f: &mut Function, b: BlockId, kind: InstKind, ty: IntType, span: chls_frontend::Span) -> Value {
+fn new_inst(
+    f: &mut Function,
+    b: BlockId,
+    kind: InstKind,
+    ty: IntType,
+    span: chls_frontend::Span,
+) -> Value {
     let v = Value(f.insts.len() as u32);
     f.insts.push(InstData { kind, ty, block: b });
     f.set_span(v, span);
@@ -269,13 +271,7 @@ fn coerce(
     if have == want {
         return a;
     }
-    let c = new_inst(
-        f,
-        b,
-        InstKind::Cast { from: have, val: a },
-        want,
-        span,
-    );
+    let c = new_inst(f, b, InstKind::Cast { from: have, val: a }, want, span);
     stats.casts_inserted += 1;
     out.push(c);
     c
@@ -456,20 +452,14 @@ mod tests {
             assert_same_result(
                 &f0,
                 &f1,
-                &[
-                    ArgValue::Scalar(i),
-                    ArgValue::Array(vec![0, 0, 0, 0]),
-                ],
+                &[ArgValue::Scalar(i), ArgValue::Array(vec![0, 0, 0, 0])],
             );
         }
     }
 
     #[test]
     fn signed_negatives_survive_narrowing() {
-        let (f0, f1, _) = narrowed(
-            "int f(int x) { int a = x & 7; return -a + (a - 12); }",
-            "f",
-        );
+        let (f0, f1, _) = narrowed("int f(int x) { int a = x & 7; return -a + (a - 12); }", "f");
         for x in [0, 7, -8, 100, i64::MIN] {
             assert_same_result(&f0, &f1, &[ArgValue::Scalar(x)]);
         }

@@ -626,11 +626,8 @@ mod tests {
         .unwrap();
         let (_, f) = hir.func_by_name("f").unwrap();
         let q = points_to(f);
-        let lid = |name: &str| {
-            LocalId(
-                f.locals.iter().position(|l| l.name == name).unwrap() as u32
-            )
-        };
+        let lid =
+            |name: &str| LocalId(f.locals.iter().position(|l| l.name == name).unwrap() as u32);
         let targets: Vec<LocalId> = q.targets(lid("p")).collect();
         assert_eq!(targets, vec![lid("x"), lid("y")]);
         // Multi-target pointer → both targets heapified by the cascade.
@@ -826,7 +823,11 @@ mod tests {
 
     #[test]
     fn no_pointers_is_noop() {
-        let (ret, stats) = run_lowered("int f(int a) { return a + 1; }", "f", &[ArgValue::Scalar(1)]);
+        let (ret, stats) = run_lowered(
+            "int f(int a) { return a + 1; }",
+            "f",
+            &[ArgValue::Scalar(1)],
+        );
         assert_eq!(ret, Some(2));
         assert_eq!(stats.pointers, 0);
     }

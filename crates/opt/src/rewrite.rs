@@ -308,10 +308,9 @@ fn addr_taken(block: &HirBlock, x: LocalId) -> bool {
     block.for_each_expr(&mut |e| {
         fn scan(e: &HirExpr, x: LocalId, hit: &mut bool) {
             match &e.kind {
-                HirExprKind::AddrOf(p)
-                    if p.root_local() == Some(x) => {
-                        *hit = true;
-                    }
+                HirExprKind::AddrOf(p) if p.root_local() == Some(x) => {
+                    *hit = true;
+                }
                 HirExprKind::Unary(_, a) | HirExprKind::Cast(a) => scan(a, x, hit),
                 HirExprKind::Binary(_, a, b) => {
                     scan(a, x, hit);
@@ -386,9 +385,7 @@ fn entry_param_ranges(
             scc_of.insert(*f, i);
         }
     }
-    let same_cycle = |a: FuncId, b: FuncId| {
-        matches!((scc_of.get(&a), scc_of.get(&b)), (Some(x), Some(y)) if x == y)
-    };
+    let same_cycle = |a: FuncId, b: FuncId| matches!((scc_of.get(&a), scc_of.get(&b)), (Some(x), Some(y)) if x == y);
     let mut ranges: Vec<Vec<Option<Range>>> = prog
         .funcs
         .iter()
@@ -827,7 +824,9 @@ fn infer_data_dep(
         }
         (Update::ClearLow, BinOp::Ne) => {
             if !matches!(rhs, Rhs::Cst(0)) {
-                return Err(format!("`{xname} & ({xname}-1)` needs an exit test against 0"));
+                return Err(format!(
+                    "`{xname} & ({xname}-1)` needs an exit test against 0"
+                ));
             }
             return finish_bound(
                 width as i128,
@@ -865,7 +864,9 @@ fn infer_data_dep(
                 return Err("`!=` exit against a variable bound is not supported".to_string());
             };
             if c != 1 {
-                return Err(format!("`{xname} -= {c}` with `!=` exit may step over the bound"));
+                return Err(format!(
+                    "`{xname} -= {c}` with `!=` exit may step over the bound"
+                ));
             }
             if v == xr.lo {
                 x0.unwrap_or(xr.hi) - v
@@ -904,7 +905,9 @@ fn infer_data_dep(
                 return Err("`!=` exit against a variable bound is not supported".to_string());
             };
             if c != 1 {
-                return Err(format!("`{xname} += {c}` with `!=` exit may step over the bound"));
+                return Err(format!(
+                    "`{xname} += {c}` with `!=` exit may step over the bound"
+                ));
             }
             if v == xr.hi {
                 v - x0.unwrap_or(xr.lo)
@@ -926,7 +929,10 @@ fn infer_data_dep(
         Update::Inc(c) => format!("increases by {c}"),
         _ => unreachable!("shift/clear handled above"),
     };
-    let why = format!("`{xname}` ({}) {dir} per trip toward the exit; ≤ {trips} trips", Type::Int(it));
+    let why = format!(
+        "`{xname}` ({}) {dir} per trip toward the exit; ≤ {trips} trips",
+        Type::Int(it)
+    );
     finish_bound(trips, why)
 }
 
@@ -1001,14 +1007,12 @@ fn infer_halving(func: &HirFunc, cond: &HirExpr, body: &HirBlock) -> Option<Trip
                     ok = false;
                 }
             }
-            HirStmt::Call { dst: Some(d), .. }
-                if [lo, hi, mid].iter().any(|v| writes(d, *v)) => {
-                    ok = false;
-                }
-            HirStmt::Recv { dst, .. }
-                if [lo, hi, mid].iter().any(|v| writes(dst, *v)) => {
-                    ok = false;
-                }
+            HirStmt::Call { dst: Some(d), .. } if [lo, hi, mid].iter().any(|v| writes(d, *v)) => {
+                ok = false;
+            }
+            HirStmt::Recv { dst, .. } if [lo, hi, mid].iter().any(|v| writes(dst, *v)) => {
+                ok = false;
+            }
             _ => {}
         }
     });
@@ -1088,17 +1092,10 @@ fn counted_shell(
             step: HirBlock {
                 stmts: vec![s_set(
                     i,
-                    e_bin(
-                        BinOp::Add,
-                        e_load(i, Type::int()),
-                        e_int(1),
-                        Type::int(),
-                    ),
+                    e_bin(BinOp::Add, e_load(i, Type::int()), e_int(1), Type::int()),
                 )],
             },
-            body: HirBlock {
-                stmts: vec![guard],
-            },
+            body: HirBlock { stmts: vec![guard] },
             unroll: None,
         },
     ]
@@ -1905,7 +1902,13 @@ fn lower_returns(
     out
 }
 
-fn seg_code(prog: &HirProgram, plan: &RecursionPlan, m: &Machine, fpos: usize, si: usize) -> Vec<HirStmt> {
+fn seg_code(
+    prog: &HirProgram,
+    plan: &RecursionPlan,
+    m: &Machine,
+    fpos: usize,
+    si: usize,
+) -> Vec<HirStmt> {
     let fid = plan.order[fpos];
     let f = prog.func(fid);
     let segs = &plan.segments[fpos];
@@ -2015,10 +2018,7 @@ fn emit_stack_machine(prog: &mut HirProgram, plan: &RecursionPlan, opts: &Rewrit
 
     // One dispatch iteration.
     let mut iter = Vec::new();
-    iter.push(s_set(
-        m.st,
-        e_idx(m.state_arr, m.sp_minus_1(), Type::int()),
-    ));
+    iter.push(s_set(m.st, e_idx(m.state_arr, m.sp_minus_1(), Type::int())));
     for (fpos, &fid) in plan.order.iter().enumerate() {
         for (li, l) in prog.func(fid).locals.iter().enumerate() {
             if l.ty.is_scalar() {
@@ -2093,10 +2093,7 @@ fn emit_stack_machine(prog: &mut HirProgram, plan: &RecursionPlan, opts: &Rewrit
 
 /// Inlines the whole program into `entry` and lowers every pointer to an
 /// indexed array access.
-pub fn repair_pointers(
-    prog: &HirProgram,
-    entry: FuncId,
-) -> Result<(HirProgram, PtrStats), String> {
+pub fn repair_pointers(prog: &HirProgram, entry: FuncId) -> Result<(HirProgram, PtrStats), String> {
     let mut p2 = inline_program(prog, entry).map_err(|e| e.to_string())?;
     let mut stats = PtrStats::default();
     lower_pointers(&mut p2.funcs[0], &mut stats).map_err(|e| e.to_string())?;
@@ -2354,7 +2351,10 @@ mod tests {
             res.actions[0].detail
         );
         let (_, f) = res.prog.func_by_name("fact").expect("fact exists");
-        assert!(!has_data_dep_loop(f), "counted machine must not keep a while");
+        assert!(
+            !has_data_dep_loop(f),
+            "counted machine must not keep a while"
+        );
         let sets: Vec<Vec<ArgValue>> = (0..16).map(|n| vec![ArgValue::Scalar(n)]).collect();
         check_same(&orig, &res.prog, "fact", &sets);
     }
@@ -2385,7 +2385,11 @@ mod tests {
         }";
         let orig = compile_to_hir(src).expect("frontend ok");
         let res = rewrite_program(&orig, "bitcount", &RewriteOptions::default()).expect("ok");
-        let act = res.actions.iter().find(|a| a.pass == "loop-bound").expect("loop action");
+        let act = res
+            .actions
+            .iter()
+            .find(|a| a.pass == "loop-bound")
+            .expect("loop action");
         assert!(act.applied, "{}", act.detail);
         assert!(act.detail.contains("≤ 8 trips"), "{}", act.detail);
         let (_, f) = res.prog.func_by_name("bitcount").expect("exists");
@@ -2408,7 +2412,11 @@ mod tests {
         }";
         let orig = compile_to_hir(src).expect("frontend ok");
         let res = rewrite_program(&orig, "bsearch", &RewriteOptions::default()).expect("ok");
-        let act = res.actions.iter().find(|a| a.pass == "loop-bound").expect("loop action");
+        let act = res
+            .actions
+            .iter()
+            .find(|a| a.pass == "loop-bound")
+            .expect("loop action");
         assert!(act.applied, "{}", act.detail);
         assert!(act.detail.contains("halving"), "{}", act.detail);
         let arr: Vec<i64> = (0..16).map(|i| i * 3).collect();
@@ -2429,8 +2437,14 @@ mod tests {
         }";
         let orig = compile_to_hir(src).expect("frontend ok");
         let res = rewrite_program(&orig, "memcpy_walk", &RewriteOptions::default()).expect("ok");
-        assert!(res.actions.iter().any(|a| a.pass == "ptr-to-index" && a.applied));
-        assert!(res.actions.iter().any(|a| a.pass == "loop-bound" && a.applied));
+        assert!(res
+            .actions
+            .iter()
+            .any(|a| a.pass == "ptr-to-index" && a.applied));
+        assert!(res
+            .actions
+            .iter()
+            .any(|a| a.pass == "loop-bound" && a.applied));
         let (_, f) = res.prog.func_by_name("memcpy_walk").expect("exists");
         assert!(!uses_pointers(f));
         assert!(!has_data_dep_loop(f));
@@ -2468,7 +2482,10 @@ mod tests {
         }";
         let orig = compile_to_hir(src).expect("frontend ok");
         let res = rewrite_program(&orig, "walk", &RewriteOptions::default()).expect("ok");
-        assert!(res.actions.iter().any(|a| a.pass == "ptr-to-index" && a.applied));
+        assert!(res
+            .actions
+            .iter()
+            .any(|a| a.pass == "ptr-to-index" && a.applied));
         let loops: Vec<(&str, bool, &str)> = res
             .actions
             .iter()
@@ -2479,7 +2496,11 @@ mod tests {
         let targets: Vec<&str> = loops.iter().map(|l| l.0).collect();
         assert_eq!(
             targets,
-            ["walk: while loop #1", "walk: for loop #0", "walk: while loop #2"],
+            [
+                "walk: while loop #1",
+                "walk: for loop #0",
+                "walk: while loop #2"
+            ],
             "{loops:?}"
         );
         assert!(loops[0].1 && loops[0].2.contains("`nudge$k`"), "{loops:?}");
@@ -2497,7 +2518,11 @@ mod tests {
         let src = "int f(int a) { int x = a; int y = a; return &x == &y; }";
         let orig = compile_to_hir(src).expect("frontend ok");
         let res = rewrite_program(&orig, "f", &RewriteOptions::default()).expect("ok");
-        let act = res.actions.iter().find(|a| a.pass == "ptr-to-index").expect("ptr action");
+        let act = res
+            .actions
+            .iter()
+            .find(|a| a.pass == "ptr-to-index")
+            .expect("ptr action");
         assert!(!act.applied, "{}", act.detail);
         assert!(!res.changed);
         assert_eq!(res.prog, orig);
@@ -2511,7 +2536,11 @@ mod tests {
         }";
         let orig = compile_to_hir(src).expect("frontend ok");
         let res = rewrite_program(&orig, "gcd", &RewriteOptions::default()).expect("ok");
-        let act = res.actions.iter().find(|a| a.pass == "loop-bound").expect("loop action");
+        let act = res
+            .actions
+            .iter()
+            .find(|a| a.pass == "loop-bound")
+            .expect("loop action");
         assert!(!act.applied);
         assert!(!res.changed);
         let (_, f) = res.prog.func_by_name("gcd").expect("exists");
@@ -2531,7 +2560,11 @@ mod tests {
         }";
         let orig = compile_to_hir(src).expect("frontend ok");
         let res = rewrite_program(&orig, "f", &RewriteOptions::default()).expect("ok");
-        let act = res.actions.iter().find(|a| a.pass == "loop-bound").expect("loop action");
+        let act = res
+            .actions
+            .iter()
+            .find(|a| a.pass == "loop-bound")
+            .expect("loop action");
         assert!(!act.applied);
         assert!(act.detail.contains("continue"), "{}", act.detail);
     }
@@ -2572,7 +2605,11 @@ mod tests {
         }";
         let orig = compile_to_hir(src).expect("frontend ok");
         let res = rewrite_program(&orig, "sum_to", &RewriteOptions::default()).expect("ok");
-        let act = res.actions.iter().find(|a| a.pass == "loop-bound").expect("loop action");
+        let act = res
+            .actions
+            .iter()
+            .find(|a| a.pass == "loop-bound")
+            .expect("loop action");
         assert!(act.applied, "{}", act.detail);
         let arr: Vec<i64> = (0..32).collect();
         let sets: Vec<Vec<ArgValue>> = [0i64, 1, 13, 31]

@@ -249,9 +249,13 @@ fn cse(f: &mut Function, stats: &mut SimplifyStats) -> bool {
             }
             InstKind::Un(op, x) => (2, x.0, 0, 0, *op as u64),
             InstKind::Select { cond, t, f } => (3, cond.0, t.0, f.0, 0),
-            InstKind::Cast { from, val } => {
-                (4, val.0, 0, 0, ((from.width as u64) << 1) | from.signed as u64)
-            }
+            InstKind::Cast { from, val } => (
+                4,
+                val.0,
+                0,
+                0,
+                ((from.width as u64) << 1) | from.signed as u64,
+            ),
             // Params, phis, and memory ops are not CSE candidates.
             _ => return None,
         };

@@ -120,7 +120,9 @@ mod tests {
         let HirStmt::Return(Some(e)) = &body.stmts[0] else {
             panic!()
         };
-        let HirExprKind::Load(p) = &e.kind else { panic!() };
+        let HirExprKind::Load(p) = &e.kind else {
+            panic!()
+        };
         let HirPlace::Index { index, .. } = &**p else {
             panic!()
         };
@@ -129,10 +131,8 @@ mod tests {
 
     #[test]
     fn writes_detection() {
-        let hir = compile_to_hir(
-            "int f(int a) { int x = 0; if (a > 0) { x = 1; } return x; }",
-        )
-        .unwrap();
+        let hir =
+            compile_to_hir("int f(int a) { int x = 0; if (a > 0) { x = 1; } return x; }").unwrap();
         let (_, f) = hir.func_by_name("f").unwrap();
         let x = LocalId(1);
         assert!(block_writes_local(&f.body, x));
@@ -167,7 +167,9 @@ mod tests {
         let HirStmt::Return(Some(e)) = &body.stmts[0] else {
             panic!()
         };
-        let HirExprKind::Load(p) = &e.kind else { panic!() };
+        let HirExprKind::Load(p) = &e.kind else {
+            panic!()
+        };
         let HirPlace::Index { base, .. } = &**p else {
             panic!()
         };

@@ -107,9 +107,7 @@ pub fn recognize(
         }] if *v == var => match &value.kind {
             HirExprKind::Binary(dir @ (BinOp::Add | BinOp::Sub), a, b) => {
                 match (&a.kind, b.as_const()) {
-                    (HirExprKind::Load(p), Some(c))
-                        if matches!(&**p, HirPlace::Local(x) if *x == var) =>
-                    {
+                    (HirExprKind::Load(p), Some(c)) if matches!(&**p, HirPlace::Local(x) if *x == var) => {
                         if *dir == BinOp::Add {
                             c
                         } else {

@@ -62,9 +62,9 @@ impl WidthAnalysis {
                 _ => inst.ty.width,
             };
             let narrowed_w = match &inst.kind {
-                InstKind::Bin(op, a, b) if op.is_comparison() => self
-                    .needed_width(f, *a)
-                    .max(self.needed_width(f, *b)),
+                InstKind::Bin(op, a, b) if op.is_comparison() => {
+                    self.needed_width(f, *a).max(self.needed_width(f, *b))
+                }
                 InstKind::Bin(_, a, b) => self
                     .needed_width(f, v)
                     .max(self.needed_width(f, *a))
@@ -110,10 +110,7 @@ mod tests {
     #[test]
     fn bounded_sum_is_narrow() {
         // Sum of eight values in [0, 15] fits in 7 bits.
-        let (f, wa) = analyzed(
-            "int f(uint<4> a, uint<4> b) { return a + b; }",
-            "f",
-        );
+        let (f, wa) = analyzed("int f(uint<4> a, uint<4> b) { return a + b; }", "f");
         // a + b in [0, 30]: 5 bits unsigned; as returned int (signed), 6.
         let w = width_of_ret(&f, &wa);
         assert!(w <= 6, "width {w}");

@@ -583,7 +583,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             *__l != *__r,
             "assertion failed: `{} != {}`\n  both: {:?}",
-            stringify!($a), stringify!($b), __l
+            stringify!($a),
+            stringify!($b),
+            __l
         );
     }};
 }

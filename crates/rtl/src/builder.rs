@@ -288,10 +288,7 @@ mod tests {
         let s = b.state();
         let val = b.read(rom, Rv::konst(2, ty));
         let zero = Rv::konst(0, ty);
-        b.at(s)
-            .set(r, val.clone())
-            .write(ram, zero, val)
-            .done();
+        b.at(s).set(r, val.clone()).write(ram, zero, val).done();
         let f = b.finish();
         assert_eq!(f.mems.len(), 2);
         assert_eq!(f.mems[0].rom.as_deref(), Some(&[1, 2, 3, 4][..]));

@@ -231,8 +231,7 @@ pub enum ActionKind {
 }
 
 /// Control transfer out of a state.
-#[derive(Debug, Clone, PartialEq)]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum NextState {
     /// Unconditional.
     Goto(StateId),
@@ -266,7 +265,6 @@ pub struct State {
     /// Where to go next.
     pub next: NextState,
 }
-
 
 /// Direction of a blocked channel endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,9 +456,7 @@ impl Fsmd {
                 match &a.kind {
                     ActionKind::SetReg(_, rv) => worst = worst.max(self.rv_delay(rv, model)),
                     ActionKind::MemWrite { addr, value, .. } => {
-                        let t = self
-                            .rv_delay(addr, model)
-                            .max(self.rv_delay(value, model))
+                        let t = self.rv_delay(addr, model).max(self.rv_delay(value, model))
                             + model.delay(OpClass::MemWrite, 1);
                         worst = worst.max(t);
                     }
@@ -515,8 +511,7 @@ impl Fsmd {
                     + model.delay(OpClass::Mux, rv.ty.width)
             }
             RvKind::MemRead { mem, addr } => {
-                self.rv_delay(addr, model)
-                    + model.ram_read_delay(self.mems[mem.0 as usize].len)
+                self.rv_delay(addr, model) + model.ram_read_delay(self.mems[mem.0 as usize].len)
             }
         }
     }
@@ -583,11 +578,7 @@ mod tests {
         f.state_mut(s0).actions.push(Action::set(r, next));
         let five = Rv::konst(5, i32t());
         let done = Rv {
-            kind: RvKind::Bin(
-                BinKind::Eq,
-                Box::new(Rv::reg(r, i32t())),
-                Box::new(five),
-            ),
+            kind: RvKind::Bin(BinKind::Eq, Box::new(Rv::reg(r, i32t())), Box::new(five)),
             ty: IntType::new(1, false),
         };
         let s1 = f.add_state();
@@ -679,15 +670,9 @@ mod tests {
                 Rv::konst(1, i32t()),
             )
         };
-        two_states
-            .state_mut(s0)
-            .actions
-            .push(Action::set(r, add()));
+        two_states.state_mut(s0).actions.push(Action::set(r, add()));
         two_states.state_mut(s0).next = NextState::Goto(s1);
-        two_states
-            .state_mut(s1)
-            .actions
-            .push(Action::set(r, add()));
+        two_states.state_mut(s1).actions.push(Action::set(r, add()));
         two_states.state_mut(s1).next = NextState::Done;
 
         // The same two adds in one state need two adders.
@@ -695,14 +680,8 @@ mod tests {
         let q = one_state.add_reg("q", i32t(), 0);
         let p = one_state.add_reg("p", i32t(), 0);
         let s = one_state.add_state();
-        one_state
-            .state_mut(s)
-            .actions
-            .push(Action::set(q, add()));
-        one_state
-            .state_mut(s)
-            .actions
-            .push(Action::set(p, add()));
+        one_state.state_mut(s).actions.push(Action::set(q, add()));
+        one_state.state_mut(s).actions.push(Action::set(p, add()));
         one_state.state_mut(s).next = NextState::Done;
 
         assert_eq!(

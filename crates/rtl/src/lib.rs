@@ -21,6 +21,6 @@ pub mod verilog;
 
 pub use cost::{CostModel, OpClass};
 pub use fsmd::{Action, Fsmd, FsmdMem, NextState, RegId, Rv, RvKind, State, StateId};
-pub use netlist::{bin_class, CellData, CellId, CellKind, Netlist, Ram, RamId};
 pub use lower::fsmd_to_netlist;
+pub use netlist::{bin_class, CellData, CellId, CellKind, Netlist, Ram, RamId};
 pub use verilog::{fsmd_to_verilog, netlist_to_verilog};

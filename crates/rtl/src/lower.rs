@@ -16,7 +16,6 @@ use chls_frontend::IntType;
 use chls_ir::BinKind;
 use std::collections::HashMap;
 
-
 /// Lowers an FSMD to a structural netlist.
 ///
 /// Outputs: `done` (1 bit) and, when the design returns a value, `ret`.
@@ -136,7 +135,14 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
                 let sv = build_rv(nl, regs, rams, inputs, gate, s);
                 let av = build_rv(nl, regs, rams, inputs, gate, a);
                 let bv = build_rv(nl, regs, rams, inputs, gate, b);
-                nl.add(CellKind::Mux { sel: sv, a: av, b: bv }, rv.ty)
+                nl.add(
+                    CellKind::Mux {
+                        sel: sv,
+                        a: av,
+                        b: bv,
+                    },
+                    rv.ty,
+                )
             }
             RvKind::Cast(a) => {
                 let av = build_rv(nl, regs, rams, inputs, gate, a);
@@ -147,7 +153,14 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
                 let av = build_rv(nl, regs, rams, inputs, gate, addr);
                 let aty = nl.cell(av).ty;
                 let z = nl.add(CellKind::Const(0), aty);
-                let gated = nl.add(CellKind::Mux { sel: gate, a: av, b: z }, aty);
+                let gated = nl.add(
+                    CellKind::Mux {
+                        sel: gate,
+                        a: av,
+                        b: z,
+                    },
+                    aty,
+                );
                 nl.add(
                     CellKind::RamRead {
                         ram: rams[mem.0 as usize],
@@ -167,7 +180,10 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
 
     for (si, st) in f.states.iter().enumerate() {
         let in_state = eq_state(&mut nl, si as u32);
-        let active = nl.add(CellKind::Bin(BinKind::And, in_state, not_done), IntType::u1());
+        let active = nl.add(
+            CellKind::Bin(BinKind::And, in_state, not_done),
+            IntType::u1(),
+        );
         for action in &st.actions {
             let guard = match &action.guard {
                 None => active,
@@ -221,7 +237,14 @@ pub fn fsmd_to_netlist(f: &Fsmd) -> Netlist {
                 let cv = build_rv(&mut nl, &regs, &rams, &inputs, active, cond);
                 let tv = nl.add(CellKind::Const(then.0 as i64), state_ty);
                 let ev = nl.add(CellKind::Const(els.0 as i64), state_ty);
-                let pick = nl.add(CellKind::Mux { sel: cv, a: tv, b: ev }, state_ty);
+                let pick = nl.add(
+                    CellKind::Mux {
+                        sel: cv,
+                        a: tv,
+                        b: ev,
+                    },
+                    state_ty,
+                );
                 state_next = nl.add(
                     CellKind::Mux {
                         sel: active,
@@ -324,11 +347,7 @@ mod tests {
         let s1 = b.state();
         let bump = b.add(b.get(r), Rv::konst(1, ty));
         let done = Rv {
-            kind: RvKind::Bin(
-                BinKind::Ge,
-                Box::new(b.get(r)),
-                Box::new(limit),
-            ),
+            kind: RvKind::Bin(BinKind::Ge, Box::new(b.get(r)), Box::new(limit)),
             ty: IntType::new(1, false),
         };
         b.at(s0).set(r, bump).branch(done, s1, s0);

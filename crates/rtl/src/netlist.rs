@@ -371,8 +371,9 @@ impl Netlist {
                             _ => None,
                         }
                     }
-                    CellKind::Un(op, a) => const_of(*a, &self.cells)
-                        .map(|x| CellKind::Const(eval_un(*op, cell.ty, x))),
+                    CellKind::Un(op, a) => {
+                        const_of(*a, &self.cells).map(|x| CellKind::Const(eval_un(*op, cell.ty, x)))
+                    }
                     CellKind::Mux { sel, a, b } => match const_of(*sel, &self.cells) {
                         Some(0) => Some(self.cells[b.0 as usize].kind.clone())
                             .filter(|k| matches!(k, CellKind::Const(_)))

@@ -182,12 +182,7 @@ pub fn netlist_to_verilog(nl: &Netlist) -> String {
                 let _ = writeln!(s, "  always @(posedge clk)");
                 match en {
                     Some(e) => {
-                        let _ = writeln!(
-                            s,
-                            "    if ({}) n{i} <= {};",
-                            name_of(*e),
-                            name_of(*next)
-                        );
+                        let _ = writeln!(s, "    if ({}) n{i} <= {};", name_of(*e), name_of(*next));
                     }
                     None => {
                         let _ = writeln!(s, "    n{i} <= {};", name_of(*next));
@@ -197,7 +192,12 @@ pub fn netlist_to_verilog(nl: &Netlist) -> String {
             CellKind::RamRead { ram, addr } => {
                 let _ = writeln!(s, "  assign n{i} = ram{}[{}];", ram.0, name_of(*addr));
             }
-            CellKind::RamWrite { ram, addr, data, en } => {
+            CellKind::RamWrite {
+                ram,
+                addr,
+                data,
+                en,
+            } => {
                 let _ = writeln!(s, "  always @(posedge clk)");
                 let _ = writeln!(
                     s,
@@ -334,7 +334,13 @@ pub fn fsmd_to_verilog(f: &Fsmd) -> String {
 fn sanitize(name: &str) -> String {
     let mut out: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if out
         .chars()

@@ -250,11 +250,7 @@ mod tests {
         let topo = dfg.topo_order();
         assert_eq!(topo.len(), 3);
         // mul must come last.
-        let mul_idx = dfg
-            .nodes
-            .iter()
-            .position(|n| n.op == OpClass::Mul)
-            .unwrap();
+        let mul_idx = dfg.nodes.iter().position(|n| n.op == OpClass::Mul).unwrap();
         assert_eq!(topo.last().unwrap().0 as usize, mul_idx);
     }
 
@@ -277,12 +273,11 @@ mod tests {
 
     #[test]
     fn division_has_large_delay() {
-        let dfg = block_dfg("int f(int a, int b) { return a / b + a; }", AliasPrecision::Basic);
-        let div = dfg
-            .nodes
-            .iter()
-            .find(|n| n.op == OpClass::DivRem)
-            .unwrap();
+        let dfg = block_dfg(
+            "int f(int a, int b) { return a / b + a; }",
+            AliasPrecision::Basic,
+        );
+        let div = dfg.nodes.iter().find(|n| n.op == OpClass::DivRem).unwrap();
         let add = dfg.nodes.iter().find(|n| n.op == OpClass::AddSub).unwrap();
         assert!(div.delay_ns > add.delay_ns * 5.0);
     }

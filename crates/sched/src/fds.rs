@@ -80,10 +80,7 @@ fn force_directed_inner(dfg: &Dfg, period_ns: f64, deadline: u32) -> Schedule {
             }
             let class_dg = &dg[&dfg.nodes[i].op];
             let frame = (hi[i] - lo[i] + 1) as f64;
-            let avg: f64 = (lo[i]..=hi[i])
-                .map(|c| class_dg[c as usize])
-                .sum::<f64>()
-                / frame;
+            let avg: f64 = (lo[i]..=hi[i]).map(|c| class_dg[c as usize]).sum::<f64>() / frame;
             for c in lo[i]..=hi[i] {
                 // Self force: moving the whole probability mass to c.
                 let force = class_dg[c as usize] - avg;
@@ -214,8 +211,16 @@ mod tests {
         let fds = force_directed(&d, 1.0, 0);
         let ls = crate::schedule::list_schedule(&d, 1.0, &Resources::unlimited());
         assert_eq!(
-            fds.cycle.iter().zip(&fds.duration).map(|(c, du)| c + du).max(),
-            ls.cycle.iter().zip(&ls.duration).map(|(c, du)| c + du).max()
+            fds.cycle
+                .iter()
+                .zip(&fds.duration)
+                .map(|(c, du)| c + du)
+                .max(),
+            ls.cycle
+                .iter()
+                .zip(&ls.duration)
+                .map(|(c, du)| c + du)
+                .max()
         );
     }
 
@@ -231,7 +236,10 @@ mod tests {
                 .get(&OpClass::Mul)
                 .copied()
                 .unwrap_or(0);
-            assert!(peak <= prev_peak, "deadline {deadline}: {peak} > {prev_peak}");
+            assert!(
+                peak <= prev_peak,
+                "deadline {deadline}: {peak} > {prev_peak}"
+            );
             prev_peak = peak;
         }
     }

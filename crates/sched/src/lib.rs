@@ -22,8 +22,8 @@ pub mod modulo;
 pub mod schedule;
 
 pub use dfg::{dfg_from_block, Dfg, DfgEdge, DfgNode, NodeId};
-pub use ii::{check_contract, ContractVerdict};
 pub use fds::force_directed;
+pub use ii::{check_contract, ContractVerdict};
 pub use ilp::{ilp_sweep, measure_ilp, IlpResult};
 pub use modulo::{loop_dfg, modulo_schedule, ModuloSchedule};
 pub use schedule::{alap, asap, list_schedule, Resources, Schedule};

@@ -286,9 +286,7 @@ pub fn loop_dfg(
             let delay = match op {
                 OpClass::MemRead | OpClass::MemWrite => {
                     let len = match &f.inst(v).kind {
-                        InstKind::Load { mem, .. } | InstKind::Store { mem, .. } => {
-                            f.mem(*mem).len
-                        }
+                        InstKind::Load { mem, .. } | InstKind::Store { mem, .. } => f.mem(*mem).len,
                         _ => 64,
                     };
                     model.ram_read_delay(len)
@@ -344,12 +342,8 @@ pub fn loop_dfg(
         if let InstKind::Phi(args) = &f.inst(pv).kind {
             for (_, inc) in args {
                 let stride = match &f.inst(*inc).kind {
-                    InstKind::Bin(chls_ir::BinKind::Add, x, y) if *x == pv => {
-                        constant_of(f, *y)
-                    }
-                    InstKind::Bin(chls_ir::BinKind::Add, x, y) if *y == pv => {
-                        constant_of(f, *x)
-                    }
+                    InstKind::Bin(chls_ir::BinKind::Add, x, y) if *x == pv => constant_of(f, *y),
+                    InstKind::Bin(chls_ir::BinKind::Add, x, y) if *y == pv => constant_of(f, *x),
                     InstKind::Bin(chls_ir::BinKind::Sub, x, y) if *x == pv => {
                         constant_of(f, *y).map(|c| -c)
                     }

@@ -458,12 +458,8 @@ mod tests {
         let (id, _) = hir.func_by_name("f").unwrap();
         let f = chls_ir::lower_function(&hir, id).unwrap();
         let model = CostModel::new();
-        let (dfg, _) = crate::dfg::dfg_from_block(
-            &f,
-            f.entry,
-            chls_opt::dep::AliasPrecision::Basic,
-            &model,
-        );
+        let (dfg, _) =
+            crate::dfg::dfg_from_block(&f, f.entry, chls_opt::dep::AliasPrecision::Basic, &model);
         let a = asap(&dfg, 2.0);
         let l = list_schedule(&dfg, 2.0, &Resources::unlimited());
         assert_eq!(a.length, l.length);
@@ -528,7 +524,11 @@ mod proptests {
                     op: class,
                     width: 32,
                     delay_ns: delay,
-                    mem: if class == OpClass::MemRead { Some((next() % 2) as u32) } else { None },
+                    mem: if class == OpClass::MemRead {
+                        Some((next() % 2) as u32)
+                    } else {
+                        None
+                    },
                     chainable: class != OpClass::MemRead,
                     tag: i as u32,
                 });

@@ -72,7 +72,10 @@ impl fmt::Display for FsmdSimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FsmdSimError::OutOfBounds { mem, addr, len } => {
-                write!(f, "address {addr} out of range for memory `{mem}` (len {len})")
+                write!(
+                    f,
+                    "address {addr} out of range for memory `{mem}` (len {len})"
+                )
             }
             FsmdSimError::CycleLimit(n) => write!(f, "exceeded cycle limit of {n}"),
             FsmdSimError::BadArgument(i) => write!(f, "missing or mistyped argument {i}"),

@@ -537,7 +537,12 @@ impl<'p> Interp<'p> {
                 self.store(func, frame, place, v)?;
                 Ok(Flow::Normal)
             }
-            HirStmt::Call { dst, func: callee, args, .. } => {
+            HirStmt::Call {
+                dst,
+                func: callee,
+                args,
+                ..
+            } => {
                 let ret = self.call(func, frame, *callee, args)?;
                 if let (Some(dst), Some(v)) = (dst, ret) {
                     self.store(func, frame, dst, V::Int(v))?;
@@ -647,47 +652,40 @@ impl<'p> Interp<'p> {
                         // blocked sibling set is recognized as deadlock.
                         let parent = current_process();
                         self.monitor.enter_par(branches.len());
-                        let results: Vec<Result<Flow, InterpError>> =
-                            std::thread::scope(|scope| {
-                                let handles: Vec<_> = branches
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, branch)| {
-                                        let label = if parent == "main" {
-                                            format!("arm {i}")
-                                        } else {
-                                            format!("{parent}.{i}")
-                                        };
-                                        scope.spawn(move || {
-                                            PROC_LABEL
-                                                .with(|l| *l.borrow_mut() = label);
-                                            let r = self
-                                                .exec_block(func, frame, branch, true);
-                                            self.monitor.exit_arm();
-                                            r
-                                        })
+                        let results: Vec<Result<Flow, InterpError>> = std::thread::scope(|scope| {
+                            let handles: Vec<_> = branches
+                                .iter()
+                                .enumerate()
+                                .map(|(i, branch)| {
+                                    let label = if parent == "main" {
+                                        format!("arm {i}")
+                                    } else {
+                                        format!("{parent}.{i}")
+                                    };
+                                    scope.spawn(move || {
+                                        PROC_LABEL.with(|l| *l.borrow_mut() = label);
+                                        let r = self.exec_block(func, frame, branch, true);
+                                        self.monitor.exit_arm();
+                                        r
                                     })
-                                    .collect();
-                                handles
-                                    .into_iter()
-                                    .map(|h| {
-                                        h.join().unwrap_or_else(|_| {
-                                            Err(InterpError::ParFailure(
-                                                "panic".to_string(),
-                                            ))
-                                        })
+                                })
+                                .collect();
+                            handles
+                                .into_iter()
+                                .map(|h| {
+                                    h.join().unwrap_or_else(|_| {
+                                        Err(InterpError::ParFailure("panic".to_string()))
                                     })
-                                    .collect()
-                            });
+                                })
+                                .collect()
+                        });
                         self.monitor.exit_par();
                         // An arm that died of a real error (step limit,
                         // bounds) strands its siblings' rendezvous as a
                         // side effect; report the root cause, not the
                         // echo.
                         if let Some(e) = results.iter().find_map(|r| match r {
-                            Err(e) if !matches!(e, InterpError::Deadlock { .. }) => {
-                                Some(e.clone())
-                            }
+                            Err(e) if !matches!(e, InterpError::Deadlock { .. }) => Some(e.clone()),
                             _ => None,
                         }) {
                             return Err(e);
@@ -726,16 +724,13 @@ impl<'p> Interp<'p> {
         let mut frame = self.make_frame(callee)?;
         for (i, arg) in args.iter().enumerate() {
             match arg {
-                HirArg::Value(e) => {
-                    match self.eval(caller, caller_frame, e)? {
-                        V::Int(x) => {
-                            *frame.slots[i].lock().expect("slot") = SlotVal::Scalar(
-                                canonical_for(&cfunc.local(LocalId(i as u32)).ty, x),
-                            );
-                        }
-                        V::Ptr { slot, offset } => frame.set_ptr(i, slot, offset),
+                HirArg::Value(e) => match self.eval(caller, caller_frame, e)? {
+                    V::Int(x) => {
+                        *frame.slots[i].lock().expect("slot") =
+                            SlotVal::Scalar(canonical_for(&cfunc.local(LocalId(i as u32)).ty, x));
                     }
-                }
+                    V::Ptr { slot, offset } => frame.set_ptr(i, slot, offset),
+                },
                 HirArg::Array(place) => {
                     // Arrays pass by reference: alias the caller's slot.
                     frame.slots[i] = self.place_array_slot(caller, caller_frame, place)?;
@@ -894,12 +889,20 @@ impl<'p> Interp<'p> {
                             slot: slot.clone(),
                             offset: offset - k,
                         }),
-                        (BinOp::Eq, V::Ptr { slot: s2, offset: o2 }) => {
-                            Ok(V::Int((Arc::ptr_eq(slot, s2) && offset == o2) as i64))
-                        }
-                        (BinOp::Ne, V::Ptr { slot: s2, offset: o2 }) => {
-                            Ok(V::Int(!(Arc::ptr_eq(slot, s2) && offset == o2) as i64))
-                        }
+                        (
+                            BinOp::Eq,
+                            V::Ptr {
+                                slot: s2,
+                                offset: o2,
+                            },
+                        ) => Ok(V::Int((Arc::ptr_eq(slot, s2) && offset == o2) as i64)),
+                        (
+                            BinOp::Ne,
+                            V::Ptr {
+                                slot: s2,
+                                offset: o2,
+                            },
+                        ) => Ok(V::Int(!(Arc::ptr_eq(slot, s2) && offset == o2) as i64)),
                         _ => Err(InterpError::BadPointer),
                     };
                 }

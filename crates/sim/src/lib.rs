@@ -218,7 +218,16 @@ mod interp_tests {
     #[test]
     fn step_limit_enforced() {
         let hir = compile_to_hir("void f() { while (true) { } }").unwrap();
-        let err = run(&hir, "f", &[], &InterpOptions { step_limit: 100, ..InterpOptions::default() }).unwrap_err();
+        let err = run(
+            &hir,
+            "f",
+            &[],
+            &InterpOptions {
+                step_limit: 100,
+                ..InterpOptions::default()
+            },
+        )
+        .unwrap_err();
         assert!(matches!(err, InterpError::StepLimit(_)));
     }
 

@@ -119,7 +119,12 @@ impl<'n> NetlistSim<'n> {
                         en: en.map_or(u32::MAX, |e| e.0),
                     });
                 }
-                CellKind::RamWrite { ram, addr, data, en } => {
+                CellKind::RamWrite {
+                    ram,
+                    addr,
+                    data,
+                    en,
+                } => {
                     write_ports.push(WritePort {
                         ram: ram.0,
                         addr: addr.0,
@@ -173,11 +178,8 @@ impl<'n> NetlistSim<'n> {
         for &id in &self.topo {
             let cell = self.nl.cell(id);
             let v = match &cell.kind {
-                CellKind::Input { name } => {
-                    self.input_vals[id.0 as usize].ok_or_else(|| {
-                        NetlistSimError::MissingInput(name.clone())
-                    })?
-                }
+                CellKind::Input { name } => self.input_vals[id.0 as usize]
+                    .ok_or_else(|| NetlistSimError::MissingInput(name.clone()))?,
                 CellKind::Const(c) => *c,
                 CellKind::Un(op, a) => eval_un(*op, cell.ty, values[a.0 as usize]),
                 CellKind::Bin(op, a, b) => {
@@ -195,9 +197,7 @@ impl<'n> NetlistSim<'n> {
                         values[b.0 as usize]
                     }
                 }
-                CellKind::Cast { from, val } => {
-                    eval_cast(*from, cell.ty, values[val.0 as usize])
-                }
+                CellKind::Cast { from, val } => eval_cast(*from, cell.ty, values[val.0 as usize]),
                 CellKind::Reg { .. } => self.reg_state[id.0 as usize],
                 CellKind::RamRead { ram, addr } => {
                     let a = values[addr.0 as usize];
@@ -457,8 +457,18 @@ mod tests {
             len: 4,
             init: None,
         });
-        let addr = nl.add(CellKind::Input { name: "addr".into() }, u(8));
-        let data = nl.add(CellKind::Input { name: "data".into() }, u(8));
+        let addr = nl.add(
+            CellKind::Input {
+                name: "addr".into(),
+            },
+            u(8),
+        );
+        let data = nl.add(
+            CellKind::Input {
+                name: "data".into(),
+            },
+            u(8),
+        );
         let we = nl.add(CellKind::Input { name: "we".into() }, u(1));
         nl.add(
             CellKind::RamWrite {
@@ -493,7 +503,12 @@ mod tests {
             len: 3,
             init: Some(vec![5, 6, 7]),
         });
-        let addr = nl.add(CellKind::Input { name: "addr".into() }, u(8));
+        let addr = nl.add(
+            CellKind::Input {
+                name: "addr".into(),
+            },
+            u(8),
+        );
         let rd = nl.add(CellKind::RamRead { ram: rom, addr }, u(8));
         nl.set_output("rd", rd);
         let mut sim = NetlistSim::new(&nl).unwrap();

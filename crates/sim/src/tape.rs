@@ -878,7 +878,10 @@ impl<'f> Compiler<'f> {
                 let sc = self.emit(s);
                 let dst = self.alloc_temp();
                 let skip_at = self.code.len();
-                self.code.push(TInst::SkipIfZero { cond: sc, target: 0 });
+                self.code.push(TInst::SkipIfZero {
+                    cond: sc,
+                    target: 0,
+                });
                 self.cur_ctx = self.new_ctx(def_ctx);
                 let sa = self.emit(a);
                 self.code.push(TInst::Copy { dst, a: sa });
@@ -956,7 +959,10 @@ impl<'f> Compiler<'f> {
             let skip_at = g.map(|g| {
                 let gs = self.emit(g);
                 let at = self.code.len();
-                self.code.push(TInst::SkipIfZero { cond: gs, target: 0 });
+                self.code.push(TInst::SkipIfZero {
+                    cond: gs,
+                    target: 0,
+                });
                 at
             });
             let saved = self.cur_ctx;
@@ -1022,7 +1028,10 @@ impl<'f> Compiler<'f> {
                     for (k, ci) in conds.enumerate() {
                         let cs = self.emit(self.conds[ci]);
                         let skip_at = self.code.len();
-                        self.code.push(TInst::SkipIfZero { cond: cs, target: 0 });
+                        self.code.push(TInst::SkipIfZero {
+                            cond: cs,
+                            target: 0,
+                        });
                         self.code.push(TInst::SetImm {
                             dst: sel,
                             val: k as i64,

@@ -87,7 +87,11 @@ pub struct TraceMetrics {
 /// deepest dependence. Traces run to millions of entries, so the two
 /// per-entry arrays are folded into one and filled in the same sweep
 /// instead of walking the trace once per metric.
-pub fn trace_metrics(f: &Function, trace: &[TraceEntry], model: &impl LatencyModel) -> TraceMetrics {
+pub fn trace_metrics(
+    f: &Function,
+    trace: &[TraceEntry],
+    model: &impl LatencyModel,
+) -> TraceMetrics {
     // (finish time, chain depth) per entry.
     let mut scores: Vec<(u64, u64)> = Vec::with_capacity(trace.len());
     let mut completion: u64 = 0;
@@ -113,11 +117,7 @@ pub fn trace_metrics(f: &Function, trace: &[TraceEntry], model: &impl LatencyMod
 
 /// Completion time of a dynamic trace on an ideal asynchronous dataflow
 /// machine. Thin wrapper over [`trace_metrics`].
-pub fn trace_completion_time(
-    f: &Function,
-    trace: &[TraceEntry],
-    model: &impl LatencyModel,
-) -> u64 {
+pub fn trace_completion_time(f: &Function, trace: &[TraceEntry], model: &impl LatencyModel) -> u64 {
     trace_metrics(f, trace, model).completion_time
 }
 
@@ -127,13 +127,7 @@ pub fn trace_critical_path_len(trace: &[TraceEntry]) -> u64 {
     let mut depth: Vec<u64> = Vec::with_capacity(trace.len());
     let mut worst = 0;
     for e in trace {
-        let d = e
-            .deps
-            .iter()
-            .map(|&x| depth[x as usize])
-            .max()
-            .unwrap_or(0)
-            + 1;
+        let d = e.deps.iter().map(|&x| depth[x as usize]).max().unwrap_or(0) + 1;
         depth.push(d);
         worst = worst.max(d);
     }
@@ -222,6 +216,9 @@ mod tests {
         // Synchronous: every op takes one clock at the divider's latency.
         let div = model.async_latency(OpClass::DivRem, 32);
         let sync_t = trace_critical_path_len(&trace) * div;
-        assert!(async_t < sync_t, "async {async_t} should beat sync {sync_t}");
+        assert!(
+            async_t < sync_t,
+            "async {async_t} should beat sync {sync_t}"
+        );
     }
 }

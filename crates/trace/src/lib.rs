@@ -94,7 +94,10 @@ pub struct Snapshot {
 impl Snapshot {
     /// The value of a counter, if it was registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+        self.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
     }
 
     /// The last value of a gauge, if it was recorded.
@@ -196,7 +199,12 @@ impl Collector {
     pub fn reset(&self) {
         self.spans.lock().expect("trace spans poisoned").clear();
         self.gauges.lock().expect("trace gauges poisoned").clear();
-        for (_, cell) in self.counters.lock().expect("trace counters poisoned").iter() {
+        for (_, cell) in self
+            .counters
+            .lock()
+            .expect("trace counters poisoned")
+            .iter()
+        {
             cell.store(0, Ordering::Relaxed);
         }
     }

@@ -23,7 +23,10 @@ const SRC: &str = "
 ";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = [ArgValue::Array((1..=8).map(|i| i * 11).collect()), ArgValue::Scalar(8)];
+    let args = [
+        ArgValue::Array((1..=8).map(|i| i * 11).collect()),
+        ArgValue::Scalar(8),
+    ];
     let compiler = Compiler::parse(SRC)?;
     let golden = compiler.interpret("kernel", &args)?;
     let opts = SynthOptions::default();

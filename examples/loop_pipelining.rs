@@ -36,7 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("1. FIR-64, sequential vs. pipelined c2v\n");
     let compiler = Compiler::parse(fir)?;
-    let mut t = Table::new(vec!["schedule", "cycles", "clock (ns)", "area (gates)", "speedup"]);
+    let mut t = Table::new(vec![
+        "schedule",
+        "cycles",
+        "clock (ns)",
+        "area (gates)",
+        "speedup",
+    ]);
     let mut base_cycles = 0;
     for (label, pipeline) in [("sequential", false), ("pipelined", true)] {
         let opts = SynthOptions {

@@ -47,7 +47,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fsmd = b.returning(result).finish();
 
     // Simulate.
-    let r = simulate(&fsmd, &[ArgValue::Scalar(1071), ArgValue::Scalar(462)], 10_000)?;
+    let r = simulate(
+        &fsmd,
+        &[ArgValue::Scalar(1071), ArgValue::Scalar(462)],
+        10_000,
+    )?;
     println!("gcd(1071, 462) = {} in {} cycles", r.ret.unwrap(), r.cycles);
 
     // Cost report.
@@ -60,6 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Emit Verilog.
-    println!("\n// ---- generated Verilog ----\n{}", fsmd_to_verilog(&fsmd));
+    println!(
+        "\n// ---- generated Verilog ----\n{}",
+        fsmd_to_verilog(&fsmd)
+    );
     Ok(())
 }

@@ -32,7 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = CostModel::new();
     let opts = SynthOptions::default();
     let mut table = Table::new(vec![
-        "backend", "result", "cycles", "async time", "area (gates)", "verdict",
+        "backend",
+        "result",
+        "cycles",
+        "async time",
+        "area (gates)",
+        "verdict",
     ]);
     for backend in backends() {
         let name = backend.info().name;
@@ -47,11 +52,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]),
             Ok(design) => {
                 let out = simulate_design(&design, &args)?;
-                let verdict = if out.ret == golden.ret { "matches golden" } else { "MISMATCH" };
+                let verdict = if out.ret == golden.ret {
+                    "matches golden"
+                } else {
+                    "MISMATCH"
+                };
                 table.row(vec![
                     name.to_string(),
                     format!("{:?}", out.ret.unwrap_or(0)),
-                    out.cycles.map(|c| c.to_string()).unwrap_or_else(|| "-".into()),
+                    out.cycles
+                        .map(|c| c.to_string())
+                        .unwrap_or_else(|| "-".into()),
                     out.time_units
                         .map(|t| format!("{t} units"))
                         .unwrap_or_else(|| "-".into()),

@@ -71,15 +71,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "wall time (ns)",
         "area",
     ]);
-    let expected = Compiler::parse(NAIVE)?.interpret("fir", &args)?.arrays[1].1.clone();
+    let expected = Compiler::parse(NAIVE)?.interpret("fir", &args)?.arrays[1]
+        .1
+        .clone();
 
-    for (coding, src) in [("naive", NAIVE), ("fused", FUSED), ("unrolled x8", UNROLLED)] {
+    for (coding, src) in [
+        ("naive", NAIVE),
+        ("fused", FUSED),
+        ("unrolled x8", UNROLLED),
+    ] {
         let compiler = Compiler::parse(src)?;
         for backend_name in ["handelc", "transmogrifier", "c2v"] {
             let backend = backend_by_name(backend_name).expect("registered");
             let design = compiler.synthesize(backend.as_ref(), "fir", &opts)?;
             let out = simulate_design(&design, &args)?;
-            assert_eq!(out.arrays[1].1, expected, "{backend_name} wrong on {coding}");
+            assert_eq!(
+                out.arrays[1].1, expected,
+                "{backend_name} wrong on {coding}"
+            );
             let cycles = out.cycles.unwrap();
             let fsmd = design.as_fsmd().expect("clocked");
             let period = fsmd.critical_path(&model) + model.sequential_overhead_ns;

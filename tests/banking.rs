@@ -76,9 +76,8 @@ fn dynamic_banking_falls_back_correctly() {
             return a[k];
         }
     ";
-    let results =
-        check_conformance(src, "f", &[ArgValue::Scalar(5)], &CompileOptions::new())
-            .expect("golden runs");
+    let results = check_conformance(src, "f", &[ArgValue::Scalar(5)], &CompileOptions::new())
+        .expect("golden runs");
     for (backend, verdict) in results {
         match verdict {
             Verdict::Pass { .. } | Verdict::Unsupported(_) => {}

@@ -195,8 +195,13 @@ impl<'a> Parser<'a> {
 
 fn parse_json(s: &str) -> Json {
     let s = s.trim();
-    let mut p = Parser { s: s.as_bytes(), i: 0 };
-    let v = p.value().unwrap_or_else(|e| panic!("invalid JSON: {e}\n{s}"));
+    let mut p = Parser {
+        s: s.as_bytes(),
+        i: 0,
+    };
+    let v = p
+        .value()
+        .unwrap_or_else(|e| panic!("invalid JSON: {e}\n{s}"));
     p.ws();
     assert_eq!(p.i, s.len(), "trailing garbage after JSON:\n{s}");
     v
@@ -300,7 +305,9 @@ fn check_passes_and_reports_timing_in_json() {
     assert!(results.len() >= 7, "all registered backends appear");
     // Per-design timing: at least one clocked backend reports cycles.
     assert!(
-        results.iter().any(|r| matches!(r.get("cycles"), Some(Json::Num(n)) if *n > 0.0)),
+        results
+            .iter()
+            .any(|r| matches!(r.get("cycles"), Some(Json::Num(n)) if *n > 0.0)),
         "cycles present in check --json"
     );
     // And the dataflow backend reports async time units.
@@ -332,7 +339,10 @@ fn misplaced_flags_are_rejected() {
     let o = chls(&["run", "--jobs", "4", GCD, "main", "1", "2"]);
     assert!(!o.status.success());
     let err = stderr(&o);
-    assert!(err.contains("unknown flag `--jobs` for `chls run`"), "{err}");
+    assert!(
+        err.contains("unknown flag `--jobs` for `chls run`"),
+        "{err}"
+    );
     assert!(err.contains("usage: chls run"), "{err}");
 
     // `--backend` belongs to lint/report, not check.
@@ -347,7 +357,11 @@ fn misplaced_flags_are_rejected() {
     // `--pipeline` belongs to synth/verilog, not report.
     let o = chls(&["report", "--pipeline", GCD, "main"]);
     assert!(!o.status.success());
-    assert!(stderr(&o).contains("unknown flag `--pipeline`"), "{}", stderr(&o));
+    assert!(
+        stderr(&o).contains("unknown flag `--pipeline`"),
+        "{}",
+        stderr(&o)
+    );
 }
 
 #[test]
@@ -437,7 +451,15 @@ fn report_carries_narrowed_area() {
 
     // With `--narrow` the main synthesis already narrows, so the what-if
     // column equals the baseline.
-    let o = chls(&["report", "--backend", "c2v", "--narrow", "--json", FIR, "main"]);
+    let o = chls(&[
+        "report",
+        "--backend",
+        "c2v",
+        "--narrow",
+        "--json",
+        FIR,
+        "main",
+    ]);
     let (ok, data) = envelope(&o, "report");
     assert!(ok);
     let row = &data.get("backends").unwrap().as_arr()[0];
@@ -485,11 +507,19 @@ fn lint_json_uses_envelope() {
 
 #[test]
 fn flow_json_uses_envelope() {
-    let o = chls(&["flow", "--json", "examples/chl/stream_multirate.chl", "main"]);
+    let o = chls(&[
+        "flow",
+        "--json",
+        "examples/chl/stream_multirate.chl",
+        "main",
+    ]);
     assert!(o.status.success(), "{}", stderr(&o));
     let (ok, data) = envelope(&o, "flow");
     assert!(ok);
-    assert!(data.get("networks").is_some(), "flow payload inside envelope");
+    assert!(
+        data.get("networks").is_some(),
+        "flow payload inside envelope"
+    );
     assert!(data.get("contracts").is_some());
     assert!(data.get("diags").is_some());
 }
@@ -566,10 +596,22 @@ fn equiv_requires_exactly_two_backends() {
 
 #[test]
 fn equiv_rejects_undeclared_flags_via_verb_table() {
-    let o = chls(&["equiv", "--narrow", "--backend", "handelc", "--backend", "c2v", FIR, "main"]);
+    let o = chls(&[
+        "equiv",
+        "--narrow",
+        "--backend",
+        "handelc",
+        "--backend",
+        "c2v",
+        FIR,
+        "main",
+    ]);
     assert!(!o.status.success());
     let err = stderr(&o);
-    assert!(err.contains("unknown flag `--narrow` for `chls equiv`"), "{err}");
+    assert!(
+        err.contains("unknown flag `--narrow` for `chls equiv`"),
+        "{err}"
+    );
     assert!(err.contains("usage: chls equiv"), "{err}");
 }
 
@@ -597,8 +639,15 @@ fn opt_netlist_is_rejected_on_wrong_verbs() {
 #[test]
 fn equiv_proves_two_backends_agree_on_blend() {
     let o = chls(&[
-        "equiv", "--backend", "handelc", "--backend", "transmogrifier", "--bound", "70",
-        "examples/chl/blend.chl", "main",
+        "equiv",
+        "--backend",
+        "handelc",
+        "--backend",
+        "transmogrifier",
+        "--bound",
+        "70",
+        "examples/chl/blend.chl",
+        "main",
     ]);
     assert!(o.status.success(), "{}", stdout(&o));
     let out = stdout(&o);
@@ -630,8 +679,16 @@ fn equiv_json_envelope_and_refutation_exit_code() {
 
     // Proof: same entry on both sides, JSON envelope, exit 0.
     let o = chls(&[
-        "equiv", "--backend", "handelc", "--backend", "transmogrifier", "--bound", "24",
-        "--json", path, "main",
+        "equiv",
+        "--backend",
+        "handelc",
+        "--backend",
+        "transmogrifier",
+        "--bound",
+        "24",
+        "--json",
+        path,
+        "main",
     ]);
     assert!(o.status.success(), "{}", stdout(&o));
     let (ok, data) = envelope(&o, "equiv");
@@ -644,15 +701,27 @@ fn equiv_json_envelope_and_refutation_exit_code() {
 
     // Refutation: seeded miscompile, exit 1, counterexample in JSON.
     let o = chls(&[
-        "equiv", "--backend", "handelc", "--backend", "transmogrifier", "--bound", "24",
-        "--json", path, "main", "main_bug",
+        "equiv",
+        "--backend",
+        "handelc",
+        "--backend",
+        "transmogrifier",
+        "--bound",
+        "24",
+        "--json",
+        path,
+        "main",
+        "main_bug",
     ]);
     assert!(!o.status.success());
     let (ok, data) = envelope(&o, "equiv");
     assert!(!ok);
     assert_eq!(data.get("verdict").unwrap().as_str(), "differ");
     let detail = data.get("detail").unwrap();
-    assert!(detail.get("inputs").is_some(), "counterexample inputs present");
+    assert!(
+        detail.get("inputs").is_some(),
+        "counterexample inputs present"
+    );
     assert!(
         detail.get("a_value") != detail.get("b_value"),
         "replayed values differ"
@@ -663,16 +732,34 @@ fn equiv_json_envelope_and_refutation_exit_code() {
 fn equiv_rejects_dataflow_and_bad_bound() {
     // The cash backend emits dataflow circuits — not comparable.
     let o = chls(&[
-        "equiv", "--backend", "cash", "--backend", "c2v", FIR, "main",
+        "equiv",
+        "--backend",
+        "cash",
+        "--backend",
+        "c2v",
+        FIR,
+        "main",
     ]);
     assert!(!o.status.success());
     assert!(stderr(&o).contains("dataflow"), "{}", stderr(&o));
 
     let o = chls(&[
-        "equiv", "--backend", "handelc", "--backend", "c2v", "--bound", "zero", FIR, "main",
+        "equiv",
+        "--backend",
+        "handelc",
+        "--backend",
+        "c2v",
+        "--bound",
+        "zero",
+        FIR,
+        "main",
     ]);
     assert!(!o.status.success());
-    assert!(stderr(&o).contains("--bound needs a positive integer"), "{}", stderr(&o));
+    assert!(
+        stderr(&o).contains("--bound needs a positive integer"),
+        "{}",
+        stderr(&o)
+    );
 }
 
 #[test]
@@ -699,15 +786,25 @@ fn report_carries_opt_area() {
 
     // With --opt-netlist the main synthesis is already optimized, so the
     // what-if column equals the baseline.
-    let o = chls(&["report", "--backend", "c2v", "--opt-netlist", "--json", FIR, "main"]);
+    let o = chls(&[
+        "report",
+        "--backend",
+        "c2v",
+        "--opt-netlist",
+        "--json",
+        FIR,
+        "main",
+    ]);
     let (ok, data) = envelope(&o, "report");
     assert!(ok);
     let row = &data.get("backends").unwrap().as_arr()[0];
-    let (Some(Json::Num(a)), Some(Json::Num(n))) = (row.get("area"), row.get("opt_area"))
-    else {
+    let (Some(Json::Num(a)), Some(Json::Num(n))) = (row.get("area"), row.get("opt_area")) else {
         panic!("area/opt_area missing");
     };
-    assert_eq!(a, n, "--opt-netlist makes the baseline the optimized design");
+    assert_eq!(
+        a, n,
+        "--opt-netlist makes the baseline the optimized design"
+    );
 }
 
 #[test]

@@ -36,8 +36,15 @@ pub fn corpus() -> Vec<(String, String)> {
             let p = e.expect("dir entry").path();
             if p.extension().is_some_and(|x| x == "chl") {
                 let stem = p.file_stem().unwrap().to_string_lossy().into_owned();
-                let entry = if sub.ends_with("software") { stem } else { "main".to_string() };
-                out.push((format!("{sub}/{}", p.file_name().unwrap().to_string_lossy()), entry));
+                let entry = if sub.ends_with("software") {
+                    stem
+                } else {
+                    "main".to_string()
+                };
+                out.push((
+                    format!("{sub}/{}", p.file_name().unwrap().to_string_lossy()),
+                    entry,
+                ));
             }
         }
     }

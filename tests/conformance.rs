@@ -37,19 +37,14 @@ fn every_backend_on_every_benchmark() {
                     if refusal_allowed(backend, &bench) {
                         refusals += 1;
                     } else {
-                        failures.push(format!(
-                            "{backend} refused {}: {why}",
-                            bench.name
-                        ));
+                        failures.push(format!("{backend} refused {}: {why}", bench.name));
                     }
                 }
                 Verdict::Mismatch { got, expected } => failures.push(format!(
                     "{backend} on {}: got {got}, expected {expected}",
                     bench.name
                 )),
-                Verdict::Error(e) => {
-                    failures.push(format!("{backend} on {}: {e}", bench.name))
-                }
+                Verdict::Error(e) => failures.push(format!("{backend} on {}: {e}", bench.name)),
             }
         }
     }
@@ -100,11 +95,18 @@ fn value_read_over_a_cross_region_phi_edge_passes_everywhere() {
         return v1;
     }";
     for (x, y) in [(3, 3), (3, 4)] {
-        let args = [ArgValue::Array(vec![9; 16]), ArgValue::Scalar(x), ArgValue::Scalar(y)];
+        let args = [
+            ArgValue::Array(vec![9; 16]),
+            ArgValue::Scalar(x),
+            ArgValue::Scalar(y),
+        ];
         let results = check_conformance(src, "main", &args, &CompileOptions::new()).expect("runs");
         assert_eq!(results.len(), 7);
         for (backend, verdict) in results {
-            assert!(matches!(verdict, Verdict::Pass { .. }), "{backend}: {verdict:?}");
+            assert!(
+                matches!(verdict, Verdict::Pass { .. }),
+                "{backend}: {verdict:?}"
+            );
         }
     }
 }
@@ -153,7 +155,9 @@ fn pointer_comparisons_never_mismatch() {
                 "{backend} on `{src}`: {verdict:?}"
             );
         }
-        let passes = results.iter().filter(|(_, v)| matches!(v, Verdict::Pass { .. }));
+        let passes = results
+            .iter()
+            .filter(|(_, v)| matches!(v, Verdict::Pass { .. }));
         if src == same {
             assert!(passes.count() >= 5, "{results:?}");
         } else {
@@ -173,12 +177,14 @@ fn pipelined_c2v_matches_golden_on_all_benchmarks() {
     let mut pipelined_faster = 0;
     for bench in benchmarks() {
         let compiler = Compiler::parse(bench.source).expect("parses");
-        let golden = compiler.interpret(bench.entry, &bench.args).expect("golden");
+        let golden = compiler
+            .interpret(bench.entry, &bench.args)
+            .expect("golden");
         let design = compiler
             .synthesize(backend.as_ref(), bench.entry, &opts)
             .unwrap_or_else(|e| panic!("c2v+pipeline refused {}: {e}", bench.name));
-        let out = simulate_design(&design, &bench.args)
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        let out =
+            simulate_design(&design, &bench.args).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         assert_eq!(out.ret, golden.ret, "{} return mismatch", bench.name);
         assert_eq!(out.arrays, golden.arrays, "{} array mismatch", bench.name);
         // Compare against non-pipelined cycles.

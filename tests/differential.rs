@@ -5,8 +5,8 @@
 //! the dataflow machine) must agree on arbitrary expression/control
 //! structures.
 
-use chls::{check_conformance, CompileOptions, Verdict};
 use chls::interp::ArgValue;
+use chls::{check_conformance, CompileOptions, Verdict};
 use proptest::prelude::*;
 
 /// A random side-effect-free integer expression over `a`, `b`, `c`.
@@ -20,7 +20,11 @@ fn arb_expr(depth: u32) -> BoxedStrategy<String> {
     ];
     leaf.prop_recursive(depth, 24, 3, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone(), "[-+*&|^]".prop_map(|s: String| s))
+            (
+                inner.clone(),
+                inner.clone(),
+                "[-+*&|^]".prop_map(|s: String| s)
+            )
                 .prop_map(|(l, r, op)| format!("({l} {op} {r})")),
             (inner.clone(), inner.clone()).prop_map(|(l, r)| format!("({l} / ({r} | 1))")),
             (inner.clone(), 0u8..5).prop_map(|(l, s)| format!("({l} >> {s})")),

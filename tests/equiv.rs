@@ -157,8 +157,7 @@ fn synth_fsmd(src: &str, backend: &str, entry: &str) -> chls_rtl::Fsmd {
 fn two_backends_prove_bounded_equivalent() {
     let a = synth_fsmd(SUMSQ, "handelc", "sumsq");
     let b = synth_fsmd(SUMSQ, "transmogrifier", "sumsq");
-    let report =
-        check_seq_equiv(&a, &b, 24, &EquivOptions::default()).expect("check runs");
+    let report = check_seq_equiv(&a, &b, 24, &EquivOptions::default()).expect("check runs");
     assert!(
         matches!(report.verdict, Verdict::Equivalent),
         "backends disagree: {:?}",
@@ -172,8 +171,7 @@ fn two_backends_prove_bounded_equivalent() {
 fn vacuous_bound_is_unknown_not_equivalent() {
     let a = synth_fsmd(SUMSQ, "handelc", "sumsq");
     let b = synth_fsmd(SUMSQ, "transmogrifier", "sumsq");
-    let report =
-        check_seq_equiv(&a, &b, 1, &EquivOptions::default()).expect("check runs");
+    let report = check_seq_equiv(&a, &b, 1, &EquivOptions::default()).expect("check runs");
     assert!(
         matches!(report.verdict, Verdict::Unknown(_)),
         "vacuous bound must be Unknown: {:?}",
@@ -209,8 +207,7 @@ const SEEDED_BUG: &str = "
 fn seeded_miscompile_refuted_with_interpreter_confirmed_cex() {
     let a = synth_fsmd(SEEDED_BUG, "handelc", "main");
     let b = synth_fsmd(SEEDED_BUG, "transmogrifier", "main_bug");
-    let report =
-        check_seq_equiv(&a, &b, 24, &EquivOptions::default()).expect("check runs");
+    let report = check_seq_equiv(&a, &b, 24, &EquivOptions::default()).expect("check runs");
     let Verdict::Differ(cex) = report.verdict else {
         panic!("seeded miscompile not refuted: {:?}", report.verdict);
     };
@@ -250,7 +247,14 @@ fn interface_mismatch_is_an_error() {
     let ty = IntType::new(32, true);
     let mut seq = Netlist::new("seq");
     let x = seq.add(CellKind::Input { name: "x".into() }, ty);
-    let r = seq.add(CellKind::Reg { next: x, init: 0, en: None }, ty);
+    let r = seq.add(
+        CellKind::Reg {
+            next: x,
+            init: 0,
+            en: None,
+        },
+        ty,
+    );
     seq.set_output("q", r);
     assert!(matches!(
         check_comb_equiv(&seq, &seq, &EquivOptions::default()),
@@ -294,7 +298,11 @@ fn reachable_bound_is_settled_by_simulation() {
     let a = synth_fsmd(&src, "c2v", "main");
     let b = synth_fsmd(&src, "cyber", "main");
     let (report, snap) = traced_seq_equiv(&a, &b, 16);
-    assert!(matches!(report.verdict, Verdict::Equivalent), "{:?}", report.verdict);
+    assert!(
+        matches!(report.verdict, Verdict::Equivalent),
+        "{:?}",
+        report.verdict
+    );
     assert_eq!(report.sat_conflicts, 0);
     assert_eq!(snap.counter("logic.vacuity_sim"), Some(1));
     assert_eq!(snap.counter("logic.vacuity_sat"), None);
@@ -317,7 +325,10 @@ fn unreachable_bound_still_needs_sat() {
         }
         other => panic!("expected Unknown, got {other:?}"),
     }
-    assert!(report.sat_conflicts > 0, "the unreachability proof is SAT's");
+    assert!(
+        report.sat_conflicts > 0,
+        "the unreachability proof is SAT's"
+    );
     assert_eq!(snap.counter("logic.vacuity_sat"), Some(1));
     assert_eq!(snap.counter("logic.vacuity_sim"), None);
 }

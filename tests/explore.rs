@@ -96,7 +96,10 @@ fn budget_prunes_but_keeps_json_shape() {
         "budget must cap full evaluations: {}",
         h.response.data
     );
-    let frontier = v.get("frontier").and_then(Value::as_arr).expect("frontier array");
+    let frontier = v
+        .get("frontier")
+        .and_then(Value::as_arr)
+        .expect("frontier array");
     assert!(!frontier.is_empty() && frontier.len() <= 3);
 }
 
@@ -128,7 +131,11 @@ fn daemon_explore_matches_one_shot() {
     // Warm repeat through the daemon: cached and identical.
     let again = client.call(&req).expect("warm daemon call succeeds");
     let w = parse(&again).expect("parses");
-    assert_eq!(w.get("cached").and_then(Value::as_bool), Some(true), "{again}");
+    assert_eq!(
+        w.get("cached").and_then(Value::as_bool),
+        Some(true),
+        "{again}"
+    );
     assert_eq!(
         w.str_of("text").map(str::to_string),
         v.str_of("text").map(str::to_string)
@@ -142,7 +149,10 @@ fn certified_points_carry_proof_metadata_and_no_refutations() {
         .expect("explore handles");
     assert!(h.response.ok, "a refuted point would flip ok=false");
     let v = parse(&h.response.data).expect("data is JSON");
-    let frontier = v.get("frontier").and_then(Value::as_arr).expect("frontier array");
+    let frontier = v
+        .get("frontier")
+        .and_then(Value::as_arr)
+        .expect("frontier array");
     assert!(frontier.len() >= 2, "expected a multi-point frontier");
     let mut certified = 0;
     for p in frontier {
@@ -151,14 +161,20 @@ fn certified_points_carry_proof_metadata_and_no_refutations() {
         assert_ne!(tier, "refuted", "{}", h.response.data);
         if tier == "certified" {
             certified += 1;
-            let method = cert.str_of("method").expect("certified points name a method");
+            let method = cert
+                .str_of("method")
+                .expect("certified points name a method");
             assert!(
                 ["strash", "exhaustive", "sat"].contains(&method),
                 "unexpected proof method {method}"
             );
         }
     }
-    assert!(certified >= 1, "expected at least one certified point: {}", h.response.data);
+    assert!(
+        certified >= 1,
+        "expected at least one certified point: {}",
+        h.response.data
+    );
 }
 
 /// What one synthesis produced, in the terms `explore` records: the
@@ -175,7 +191,12 @@ enum Outcome {
     },
 }
 
-fn outcome(compiler: &Compiler, backend: &dyn Backend, entry: &str, opts: &SynthOptions) -> Outcome {
+fn outcome(
+    compiler: &Compiler,
+    backend: &dyn Backend,
+    entry: &str,
+    opts: &SynthOptions,
+) -> Outcome {
     let col = chls_trace::Collector::new();
     col.set_enabled(true);
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -217,7 +238,9 @@ fn backends_ignore_the_knobs_they_declare_unread() {
     for (path, entry) in corpus() {
         let src = std::fs::read_to_string(root.join(&path)).expect("corpus file reads");
         // Recursive programs parse only after `chls rewrite`.
-        let Ok(compiler) = Compiler::parse(&src) else { continue };
+        let Ok(compiler) = Compiler::parse(&src) else {
+            continue;
+        };
         if compiler.hir().func_by_name(&entry).is_none() {
             continue;
         }
@@ -233,7 +256,9 @@ fn backends_ignore_the_knobs_they_declare_unread() {
                     };
                     outcome(&compiler, backend.as_ref(), &entry, &opts)
                 };
-                for (pipeline, narrow) in [(false, false), (false, true), (true, false), (true, true)] {
+                for (pipeline, narrow) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
                     let base = (pipeline && info.reads_pipeline, narrow && info.reads_narrow);
                     if base == (pipeline, narrow) {
                         continue;

@@ -164,7 +164,10 @@ fn rate_mismatch_verdict_matches_the_interpreter() {
     assert_eq!(net.channels[0].balance, Balance::Accumulates);
     let dl = net.deadlock.as_ref().expect("deadlock proved");
     assert!(dl.cycle.is_empty(), "partner exhaustion has no cycle");
-    assert!(net.capacities.is_empty(), "no finite buffer fixes a rate mismatch");
+    assert!(
+        net.capacities.is_empty(),
+        "no finite buffer fixes a rate mismatch"
+    );
     assert_eq!(
         flow_endpoints(&report),
         BTreeSet::from([("c".into(), "send")])

@@ -136,7 +136,11 @@ mod properties {
         ];
         leaf.prop_recursive(depth, 10, 2, |inner| {
             prop_oneof![
-                (inner.clone(), inner.clone(), "[-+&|^]".prop_map(|s: String| s))
+                (
+                    inner.clone(),
+                    inner.clone(),
+                    "[-+&|^]".prop_map(|s: String| s)
+                )
                     .prop_map(|(l, r, op)| format!("({l} {op} {r})")),
                 (inner.clone(), 0u8..5).prop_map(|(l, s)| format!("({l} >> {s})")),
                 (inner.clone(), 0u8..5).prop_map(|(l, s)| format!("({l} << {s})")),

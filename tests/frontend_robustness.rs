@@ -81,7 +81,10 @@ fn diagnostics_are_specific() {
             "can only be used with send/recv",
         ),
         ("uint<0> f() { return 0; }", "bit width must be 1..=64"),
-        ("int f() { int x = 1; int x = 2; return x; }", "already defined"),
+        (
+            "int f() { int x = 1; int x = 2; return x; }",
+            "already defined",
+        ),
         (
             "void f() { while (true) { par { return; } } }",
             "`return` inside `par`",

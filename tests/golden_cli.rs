@@ -85,18 +85,43 @@ fn normalize(s: &str) -> String {
 /// One pinned invocation: args, golden file, expected exit success.
 const CASES: &[(&[&str], &str, bool)] = &[
     (&["backends"], "backends.golden", true),
-    (&["run", "examples/chl/gcd.chl", "main", "1071", "462"], "run_gcd.golden", true),
     (
-        &["check", "--jobs", "2", "examples/chl/gcd.chl", "main", "48", "36"],
+        &["run", "examples/chl/gcd.chl", "main", "1071", "462"],
+        "run_gcd.golden",
+        true,
+    ),
+    (
+        &[
+            "check",
+            "--jobs",
+            "2",
+            "examples/chl/gcd.chl",
+            "main",
+            "48",
+            "36",
+        ],
         "check_gcd.golden",
         true,
     ),
     (
-        &["check", "--jobs", "2", "--json", "examples/chl/gcd.chl", "main", "48", "36"],
+        &[
+            "check",
+            "--jobs",
+            "2",
+            "--json",
+            "examples/chl/gcd.chl",
+            "main",
+            "48",
+            "36",
+        ],
         "check_gcd_json.golden",
         true,
     ),
-    (&["ir", "examples/chl/gcd.chl", "main"], "ir_gcd.golden", true),
+    (
+        &["ir", "examples/chl/gcd.chl", "main"],
+        "ir_gcd.golden",
+        true,
+    ),
     (
         &["lint", "examples/chl/par_pipeline.chl", "main"],
         "lint_par_pipeline.golden",
@@ -113,26 +138,46 @@ const CASES: &[(&[&str], &str, bool)] = &[
         true,
     ),
     (
-        &["rewrite", "--json", "examples/chl/software/bitcount.chl", "bitcount"],
+        &[
+            "rewrite",
+            "--json",
+            "examples/chl/software/bitcount.chl",
+            "bitcount",
+        ],
         "rewrite_bitcount_json.golden",
         true,
     ),
     // Pointers, a data-dependent loop and the rewriter's address-taken,
     // write-count and loop-scan walks, all on one program.
     (
-        &["lint", "--json", "examples/chl/software/memcpy_walk.chl", "memcpy_walk"],
+        &[
+            "lint",
+            "--json",
+            "examples/chl/software/memcpy_walk.chl",
+            "memcpy_walk",
+        ],
         "lint_memcpy_walk_json.golden",
         true,
     ),
     (
-        &["rewrite", "--json", "examples/chl/software/memcpy_walk.chl", "memcpy_walk"],
+        &[
+            "rewrite",
+            "--json",
+            "examples/chl/software/memcpy_walk.chl",
+            "memcpy_walk",
+        ],
         "rewrite_memcpy_walk_json.golden",
         true,
     ),
     // Halving-loop bounding, recursion to a stack machine, and a counted
     // nest: the rewriter's in-place loop and continue rewrites.
     (
-        &["rewrite", "--json", "examples/chl/software/bsearch.chl", "bsearch"],
+        &[
+            "rewrite",
+            "--json",
+            "examples/chl/software/bsearch.chl",
+            "bsearch",
+        ],
         "rewrite_bsearch_json.golden",
         true,
     ),
@@ -142,19 +187,38 @@ const CASES: &[(&[&str], &str, bool)] = &[
         true,
     ),
     (
-        &["rewrite", "--json", "examples/chl/software/matmul.chl", "matmul"],
+        &[
+            "rewrite",
+            "--json",
+            "examples/chl/software/matmul.chl",
+            "matmul",
+        ],
         "rewrite_matmul_json.golden",
         true,
     ),
     // Partial unrolling substitutes the induction variable into copies.
     (
-        &["verilog", "--unroll", "2", "--json", "c2v", "examples/chl/fir.chl", "main"],
+        &[
+            "verilog",
+            "--unroll",
+            "2",
+            "--json",
+            "c2v",
+            "examples/chl/fir.chl",
+            "main",
+        ],
         "verilog_fir_unroll2_json.golden",
         true,
     ),
     // Pointer lowering through the arms of a `par`.
     (
-        &["verilog", "--json", "handelc", "examples/chl/pointer_swap.chl", "main"],
+        &[
+            "verilog",
+            "--json",
+            "handelc",
+            "examples/chl/pointer_swap.chl",
+            "main",
+        ],
         "verilog_pointer_swap_handelc_json.golden",
         true,
     ),
@@ -162,28 +226,60 @@ const CASES: &[(&[&str], &str, bool)] = &[
     // schedule, Transmogrifier's regions, Handel-C's channels and
     // Cyber's pipelined loop with its stage shadows.
     (
-        &["verilog", "--json", "hardwarec", "examples/chl/checksum.chl", "main"],
+        &[
+            "verilog",
+            "--json",
+            "hardwarec",
+            "examples/chl/checksum.chl",
+            "main",
+        ],
         "verilog_checksum_hardwarec_json.golden",
         true,
     ),
     (
-        &["verilog", "--json", "transmogrifier", "examples/chl/gcd.chl", "main"],
+        &[
+            "verilog",
+            "--json",
+            "transmogrifier",
+            "examples/chl/gcd.chl",
+            "main",
+        ],
         "verilog_gcd_transmogrifier_json.golden",
         true,
     ),
     (
-        &["verilog", "--json", "handelc", "examples/chl/par_pipeline.chl", "main"],
+        &[
+            "verilog",
+            "--json",
+            "handelc",
+            "examples/chl/par_pipeline.chl",
+            "main",
+        ],
         "verilog_par_pipeline_handelc_json.golden",
         true,
     ),
     (
-        &["verilog", "--pipeline", "--json", "cyber", "examples/chl/blend.chl", "main"],
+        &[
+            "verilog",
+            "--pipeline",
+            "--json",
+            "cyber",
+            "examples/chl/blend.chl",
+            "main",
+        ],
         "verilog_blend_pipeline_cyber_json.golden",
         true,
     ),
     // Three long-lived values: stage shadows in `Value` order.
     (
-        &["verilog", "--pipeline", "--json", "c2v", "tests/programs/three_shadows.chl", "main"],
+        &[
+            "verilog",
+            "--pipeline",
+            "--json",
+            "c2v",
+            "tests/programs/three_shadows.chl",
+            "main",
+        ],
         "verilog_three_shadows_pipeline_json.golden",
         true,
     ),
@@ -193,12 +289,22 @@ const CASES: &[(&[&str], &str, bool)] = &[
         true,
     ),
     (
-        &["flow", "--json", "examples/chl/stream_multirate.chl", "main"],
+        &[
+            "flow",
+            "--json",
+            "examples/chl/stream_multirate.chl",
+            "main",
+        ],
         "flow_stream_json.golden",
         true,
     ),
     (
-        &["flow", "--json", "examples/chl/flow/deadlock_order.chl", "main"],
+        &[
+            "flow",
+            "--json",
+            "examples/chl/flow/deadlock_order.chl",
+            "main",
+        ],
         "flow_deadlock_json.golden",
         false,
     ),
@@ -208,22 +314,43 @@ const CASES: &[(&[&str], &str, bool)] = &[
         true,
     ),
     (
-        &["verilog", "--pipeline", "c2v", "examples/chl/fir.chl", "main"],
+        &[
+            "verilog",
+            "--pipeline",
+            "c2v",
+            "examples/chl/fir.chl",
+            "main",
+        ],
         "verilog_fir.golden",
         true,
     ),
     (
         &[
-            "equiv", "--backend", "handelc", "--backend", "transmogrifier", "--bound", "60",
-            "examples/chl/checksum.chl", "main",
+            "equiv",
+            "--backend",
+            "handelc",
+            "--backend",
+            "transmogrifier",
+            "--bound",
+            "60",
+            "examples/chl/checksum.chl",
+            "main",
         ],
         "equiv_checksum.golden",
         true,
     ),
     (
         &[
-            "equiv", "--backend", "handelc", "--backend", "transmogrifier", "--bound", "60",
-            "--json", "examples/chl/checksum.chl", "main",
+            "equiv",
+            "--backend",
+            "handelc",
+            "--backend",
+            "transmogrifier",
+            "--bound",
+            "60",
+            "--json",
+            "examples/chl/checksum.chl",
+            "main",
         ],
         "equiv_checksum_json.golden",
         true,
@@ -231,25 +358,55 @@ const CASES: &[(&[&str], &str, bool)] = &[
     // A 216,696-node miter that strash folds; its bound is reachable.
     (
         &[
-            "equiv", "--json", "--backend", "c2v", "--backend", "cyber", "--bound", "16",
-            "examples/chl/gcd.chl", "main",
+            "equiv",
+            "--json",
+            "--backend",
+            "c2v",
+            "--backend",
+            "cyber",
+            "--bound",
+            "16",
+            "examples/chl/gcd.chl",
+            "main",
         ],
         "equiv_gcd_c2v_cyber_json.golden",
         true,
     ),
     (
-        &["explore", "--all", "--seq-bound", "24", "examples/chl/blend.chl", "main"],
+        &[
+            "explore",
+            "--all",
+            "--seq-bound",
+            "24",
+            "examples/chl/blend.chl",
+            "main",
+        ],
         "explore_blend.golden",
         true,
     ),
     (
-        &["explore", "--all", "--seq-bound", "24", "--json", "examples/chl/blend.chl", "main"],
+        &[
+            "explore",
+            "--all",
+            "--seq-bound",
+            "24",
+            "--json",
+            "examples/chl/blend.chl",
+            "main",
+        ],
         "explore_blend_json.golden",
         true,
     ),
     // Successive halving, plus infeasible points.
     (
-        &["explore", "--budget", "32", "--json", "examples/chl/software/matmul.chl", "matmul"],
+        &[
+            "explore",
+            "--budget",
+            "32",
+            "--json",
+            "examples/chl/software/matmul.chl",
+            "matmul",
+        ],
         "explore_matmul_budget_json.golden",
         true,
     ),
@@ -259,7 +416,14 @@ const CASES: &[(&[&str], &str, bool)] = &[
         true,
     ),
     (
-        &["report", "--backend", "c2v", "--json", "examples/chl/fir.chl", "main"],
+        &[
+            "report",
+            "--backend",
+            "c2v",
+            "--json",
+            "examples/chl/fir.chl",
+            "main",
+        ],
         "report_fir_json.golden",
         true,
     ),
@@ -269,7 +433,11 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "run_checksum_json.golden",
         true,
     ),
-    (&["ir", "--json", "examples/chl/gcd.chl", "main"], "ir_gcd_json.golden", true),
+    (
+        &["ir", "--json", "examples/chl/gcd.chl", "main"],
+        "ir_gcd_json.golden",
+        true,
+    ),
     (
         &["verilog", "--json", "c2v", "examples/chl/gcd.chl", "main"],
         "verilog_gcd_json.golden",
@@ -277,17 +445,40 @@ const CASES: &[(&[&str], &str, bool)] = &[
     ),
     // One golden per `synth` data shape: combinational, FSMD, dataflow.
     (
-        &["synth", "--json", "cones", "examples/chl/checksum.chl", "main", A16],
+        &[
+            "synth",
+            "--json",
+            "cones",
+            "examples/chl/checksum.chl",
+            "main",
+            A16,
+        ],
         "synth_checksum_cones_json.golden",
         true,
     ),
     (
-        &["synth", "--json", "c2v", "examples/chl/gcd.chl", "main", "48", "36"],
+        &[
+            "synth",
+            "--json",
+            "c2v",
+            "examples/chl/gcd.chl",
+            "main",
+            "48",
+            "36",
+        ],
         "synth_gcd_c2v_json.golden",
         true,
     ),
     (
-        &["synth", "--json", "cash", "examples/chl/gcd.chl", "main", "48", "36"],
+        &[
+            "synth",
+            "--json",
+            "cash",
+            "examples/chl/gcd.chl",
+            "main",
+            "48",
+            "36",
+        ],
         "synth_gcd_cash_json.golden",
         true,
     ),
@@ -304,7 +495,11 @@ const CASES: &[(&[&str], &str, bool)] = &[
         "synth_crc8_cash_json.golden",
         true,
     ),
-    (&["ir", "--json", "examples/chl/fir.chl", "main"], "ir_fir_json.golden", true),
+    (
+        &["ir", "--json", "examples/chl/fir.chl", "main"],
+        "ir_fir_json.golden",
+        true,
+    ),
     (&["schema"], "schema.golden", true),
     (&["schema", "--json"], "schema_json.golden", true),
 ];
@@ -328,7 +523,8 @@ fn every_verb_matches_its_pre_refactor_golden() {
             .unwrap_or_else(|e| panic!("missing golden {golden}: {e}"));
         let want = normalize(&want_raw);
         assert_eq!(
-            got, want,
+            got,
+            want,
             "`chls {}` diverged from tests/golden/{golden}",
             args.join(" ")
         );
@@ -348,7 +544,10 @@ fn normalizer_touches_only_wall_clock_fields() {
         r#"{"phase":"sim.fsmd","seconds":0}"#
     );
     // Not times: integers, one/two-decimal figures, comma lists.
-    assert_eq!(normalize("area 15740 gates 14276.5"), "area 15740 gates 14276.5");
+    assert_eq!(
+        normalize("area 15740 gates 14276.5"),
+        "area 15740 gates 14276.5"
+    );
     assert_eq!(normalize("args [1,2,3]"), "args [1,2,3]");
     assert_eq!(normalize("1.2345"), "1.2345");
     assert_eq!(normalize("clock: 2.00 ns"), "clock: 2.00 ns");

@@ -204,10 +204,9 @@ fn examples_agree_on_random_inputs() {
 /// must match the interpreter's defined semantics exactly.
 #[test]
 fn division_by_zero_agrees() {
-    let compiler = Compiler::parse(
-        "int f(int a, int b) { return (a / b) ^ (a % b) ^ (a / (b - b)); }",
-    )
-    .expect("parses");
+    let compiler =
+        Compiler::parse("int f(int a, int b) { return (a / b) ^ (a % b) ^ (a / (b - b)); }")
+            .expect("parses");
     let Some(fsmd) = synth_c2v(&compiler, "f") else {
         panic!("c2v must synthesize a straight-line kernel")
     };
@@ -233,10 +232,8 @@ fn division_by_zero_agrees() {
 /// interpreter implements must be reproduced bit for bit.
 #[test]
 fn full_width_shifts_agree() {
-    let compiler = Compiler::parse(
-        "int f(int a, int s) { return (a << s) ^ (a >> s); }",
-    )
-    .expect("parses");
+    let compiler =
+        Compiler::parse("int f(int a, int s) { return (a << s) ^ (a >> s); }").expect("parses");
     let Some(fsmd) = synth_c2v(&compiler, "f") else {
         panic!("c2v must synthesize a straight-line kernel")
     };

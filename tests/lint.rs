@@ -176,10 +176,7 @@ fn race_free_programs_are_order_independent() {
 fn racy_corpus_is_flagged_by_lint() {
     for (name, src) in RACY {
         let r = lint(src, "main");
-        assert!(
-            !r.races.is_empty(),
-            "{name}: lint missed the race"
-        );
+        assert!(!r.races.is_empty(), "{name}: lint missed the race");
         assert!(r.has_errors(), "{name}: races must fail the lint");
         for d in &r.races {
             assert!(
@@ -227,7 +224,9 @@ fn assert_interval_contains_simulation(
         .synthesize(backend.as_ref(), entry, &SynthOptions::default())
         .unwrap_or_else(|e| panic!("{name}: synthesis failed: {e}"));
     let out = simulate_design(&design, args).unwrap_or_else(|e| panic!("{name}: sim failed: {e}"));
-    let cycles = out.cycles.unwrap_or_else(|| panic!("{name}: no cycle count"));
+    let cycles = out
+        .cycles
+        .unwrap_or_else(|| panic!("{name}: no cycle count"));
     assert!(
         bound.interval.contains(cycles),
         "{name}/{backend_name}: simulated {cycles} cycles outside static {}",
@@ -374,7 +373,11 @@ fn handelc_straight_line_bound_is_exact() {
         .synthesize(backend.as_ref(), "f", &SynthOptions::default())
         .expect("synth");
     let out = simulate_design(&design, &[ArgValue::Scalar(4)]).expect("sim");
-    assert_eq!(interval.min, interval.max.unwrap(), "straight-line is exact");
+    assert_eq!(
+        interval.min,
+        interval.max.unwrap(),
+        "straight-line is exact"
+    );
     assert_eq!(Some(interval.min), out.cycles);
 }
 
@@ -386,7 +389,9 @@ fn sema_warnings_surface_through_the_driver() {
     let compiler = Compiler::parse(src).expect("parse");
     let rendered = compiler.rendered_warnings();
     assert!(
-        rendered.iter().any(|w| w.starts_with("warning:") && w.contains("`dead`")),
+        rendered
+            .iter()
+            .any(|w| w.starts_with("warning:") && w.contains("`dead`")),
         "expected an unused-local warning, got {rendered:?}"
     );
     // And the lint report carries the same warnings.

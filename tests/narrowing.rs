@@ -23,7 +23,9 @@ fn narrowing_conforms_on_every_benchmark() {
     let backend = backend_by_name("c2v").expect("registered");
     for bench in benchmarks() {
         let compiler = Compiler::parse(bench.source).expect("parses");
-        let golden = compiler.interpret(bench.entry, &bench.args).expect("golden");
+        let golden = compiler
+            .interpret(bench.entry, &bench.args)
+            .expect("golden");
         for pipeline in [false, true] {
             let design = compiler
                 .synthesize(backend.as_ref(), bench.entry, &narrow_opts(pipeline))
@@ -31,7 +33,11 @@ fn narrowing_conforms_on_every_benchmark() {
             let out = simulate_design(&design, &bench.args)
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
             assert_eq!(out.ret, golden.ret, "{} (pipeline={pipeline})", bench.name);
-            assert_eq!(out.arrays, golden.arrays, "{} (pipeline={pipeline})", bench.name);
+            assert_eq!(
+                out.arrays, golden.arrays,
+                "{} (pipeline={pipeline})",
+                bench.name
+            );
         }
     }
 }
@@ -146,20 +152,17 @@ proptest! {
 /// array elements come from a small LCG so masked datapaths see varied
 /// bit patterns, not just zeros.
 fn example_args(compiler: &Compiler, entry: &str) -> Vec<ArgValue> {
-    let (_, f) = compiler
-        .hir()
-        .func_by_name(entry)
-        .expect("entry exists");
+    let (_, f) = compiler.hir().func_by_name(entry).expect("entry exists");
     let mut seed = 0x2545_f491u64;
     let mut next = move || {
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((seed >> 33) & 0xFF) as i64
     };
     f.params()
         .map(|(_, l)| match &l.ty {
-            chls_frontend::Type::Array(_, n) => {
-                ArgValue::Array((0..*n).map(|_| next()).collect())
-            }
+            chls_frontend::Type::Array(_, n) => ArgValue::Array((0..*n).map(|_| next()).collect()),
             _ => ArgValue::Scalar(next().max(1)),
         })
         .collect()

@@ -81,8 +81,7 @@ fn crossval(backend_name: &str, bench_name: &str) {
             } else {
                 None
             };
-            let rams: Vec<Vec<i64>> =
-                (0..nl.rams.len()).map(|i| sim.ram(i).to_vec()).collect();
+            let rams: Vec<Vec<i64>> = (0..nl.rams.len()).map(|i| sim.ram(i).to_vec()).collect();
             finished = Some((cycle, ret, rams));
             break;
         }
@@ -154,7 +153,9 @@ fn pipelined_c2v_netlists_match_fsmd() {
         let design = compiler
             .synthesize(backend.as_ref(), bench.entry, &opts)
             .unwrap_or_else(|e| panic!("{bench_name}: {e}"));
-        let Design::Fsmd(fsmd) = &design else { unreachable!() };
+        let Design::Fsmd(fsmd) = &design else {
+            unreachable!()
+        };
         let fsmd_result =
             chls_sim::fsmd_sim::simulate(fsmd, &bench.args, 5_000_000).expect("fsmd simulates");
         let mut nl = fsmd_to_netlist(fsmd);

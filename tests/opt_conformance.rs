@@ -9,20 +9,17 @@ use chls::{check_conformance, CompileOptions, Compiler, Verdict};
 /// Deterministic non-zero arguments for an example entry (same LCG the
 /// narrowing sweep uses, so failures reproduce across suites).
 fn example_args(compiler: &Compiler, entry: &str) -> Vec<ArgValue> {
-    let (_, f) = compiler
-        .hir()
-        .func_by_name(entry)
-        .expect("entry exists");
+    let (_, f) = compiler.hir().func_by_name(entry).expect("entry exists");
     let mut seed = 0x2545_f491u64;
     let mut next = move || {
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((seed >> 33) & 0xFF) as i64
     };
     f.params()
         .map(|(_, l)| match &l.ty {
-            chls_frontend::Type::Array(_, n) => {
-                ArgValue::Array((0..*n).map(|_| next()).collect())
-            }
+            chls_frontend::Type::Array(_, n) => ArgValue::Array((0..*n).map(|_| next()).collect()),
             _ => ArgValue::Scalar(next().max(1)),
         })
         .collect()
@@ -81,9 +78,13 @@ fn opt_netlist_composes_with_narrow_and_pipeline() {
         let compiler = Compiler::parse(&src).expect("example parses");
         let args = example_args(&compiler, "main");
         let name = path.display();
-        let opts = CompileOptions::new().jobs(1).opt_netlist(true).narrow(true).pipeline(true);
-        let stacked = check_conformance(&src, "main", &args, &opts)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let opts = CompileOptions::new()
+            .jobs(1)
+            .opt_netlist(true)
+            .narrow(true)
+            .pipeline(true);
+        let stacked =
+            check_conformance(&src, "main", &args, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (bk, v) in &stacked {
             assert!(
                 !matches!(v, Verdict::Mismatch { .. } | Verdict::Error(_)),

@@ -5,9 +5,7 @@
 //! one-port-at-a-time `output` reference.
 
 use chls::interp::ArgValue;
-use chls::{
-    backend_by_name, check_conformance, CompileOptions, Compiler, Design, SynthOptions,
-};
+use chls::{backend_by_name, check_conformance, CompileOptions, Compiler, Design, SynthOptions};
 use chls_rtl::fsmd_to_netlist;
 use chls_sim::netlist_sim::NetlistSim;
 
@@ -15,8 +13,8 @@ use chls_sim::netlist_sim::NetlistSim;
 fn sweep(bench_name: &str, jobs: usize) -> String {
     let bench = chls::benchmark(bench_name).expect("benchmark exists");
     let opts = CompileOptions::new().jobs(jobs);
-    let results = check_conformance(bench.source, bench.entry, &bench.args, &opts)
-        .expect("conformance runs");
+    let results =
+        check_conformance(bench.source, bench.entry, &bench.args, &opts).expect("conformance runs");
     format!("{results:?}")
 }
 

@@ -19,7 +19,11 @@ fn arb_body_expr(depth: u32) -> BoxedStrategy<String> {
     ];
     leaf.prop_recursive(depth, 12, 2, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone(), "[-+*&|^]".prop_map(|s: String| s))
+            (
+                inner.clone(),
+                inner.clone(),
+                "[-+*&|^]".prop_map(|s: String| s)
+            )
                 .prop_map(|(l, r, op)| format!("({l} {op} {r})")),
             (inner.clone(), 0u8..4).prop_map(|(l, s)| format!("({l} >> {s})")),
             (inner, 0u8..4).prop_map(|(l, s)| format!("({l} << {s})")),
@@ -45,7 +49,10 @@ fn assert_pipeline_agrees(src: &str, args: &[ArgValue]) {
         .unwrap_or_else(|e| panic!("pipelined c2v refused:\n{src}\n{e}"));
     let rq = simulate_design(&piped, args).unwrap_or_else(|e| panic!("{src}\n{e}"));
     assert_eq!(rq.ret, golden.ret, "pipelined return diverges on:\n{src}");
-    assert_eq!(rq.arrays, golden.arrays, "pipelined arrays diverge on:\n{src}");
+    assert_eq!(
+        rq.arrays, golden.arrays,
+        "pipelined arrays diverge on:\n{src}"
+    );
     let plain = compiler
         .synthesize(backend.as_ref(), "f", &SynthOptions::default())
         .expect("plain synthesizes");

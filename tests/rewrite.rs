@@ -98,7 +98,11 @@ fn corpus_rewrites_are_certified() {
         let src = load(case.file);
         let outcome = rewrite_and_certify(&src, case.entry, &RewriteOptions::default(), None)
             .unwrap_or_else(|e| panic!("{}: {e}", case.file));
-        assert!(outcome.changed, "{}: rewriter left the program alone", case.file);
+        assert!(
+            outcome.changed,
+            "{}: rewriter left the program alone",
+            case.file
+        );
         assert!(
             outcome.certified,
             "{}: not certified: {:?}",
@@ -148,7 +152,10 @@ fn conformance_sweep(jobs: usize) {
                         case.file
                     );
                 }
-                other => panic!("{}: {backend} diverged on the rewrite: {other:?}", case.file),
+                other => panic!(
+                    "{}: {backend} diverged on the rewrite: {other:?}",
+                    case.file
+                ),
             }
         }
     }
@@ -189,10 +196,18 @@ fn equiv_rung_fires_where_bounded() {
 
     // Recursive originals cannot be synthesized for comparison, so the
     // equiv rung must honestly skip — never silently pass.
-    let fib = rewrite_and_certify(&load("fib.chl"), "fib", &RewriteOptions::default(), None)
-        .unwrap();
-    let equiv = fib.checks.iter().find(|c| c.name == "equiv").expect("equiv rung present");
-    assert!(matches!(equiv.status, CheckStatus::Skip), "{}", equiv.detail);
+    let fib =
+        rewrite_and_certify(&load("fib.chl"), "fib", &RewriteOptions::default(), None).unwrap();
+    let equiv = fib
+        .checks
+        .iter()
+        .find(|c| c.name == "equiv")
+        .expect("equiv rung present");
+    assert!(
+        matches!(equiv.status, CheckStatus::Skip),
+        "{}",
+        equiv.detail
+    );
 }
 
 /// The seeded wrong rewrite: capping fib's stack one frame short of the
@@ -208,7 +223,10 @@ fn off_by_one_stack_cap_is_refuted_and_simulator_confirmed() {
         ..RewriteOptions::default()
     };
     let outcome = rewrite_and_certify(&src, "fib", &broken_opts, None).unwrap();
-    assert!(!outcome.certified, "off-by-one stack bound slipped through certification");
+    assert!(
+        !outcome.certified,
+        "off-by-one stack bound slipped through certification"
+    );
     let diff = outcome
         .checks
         .iter()

@@ -215,9 +215,13 @@ fn check(v: &Value, shape: &Shape, path: &str) -> Result<(), String> {
 
 /// Checks one envelope's `data` against its verb's row.
 fn check_envelope(env: &Value, origin: &str) {
-    let verb = env.str_of("verb").unwrap_or_else(|| panic!("{origin}: no verb"));
+    let verb = env
+        .str_of("verb")
+        .unwrap_or_else(|| panic!("{origin}: no verb"));
     let row = verbs::find(verb).unwrap_or_else(|| panic!("{origin}: no row for `{verb}`"));
-    let data = env.get("data").unwrap_or_else(|| panic!("{origin}: no data"));
+    let data = env
+        .get("data")
+        .unwrap_or_else(|| panic!("{origin}: no data"));
     if let Err(e) = check(data, &ShapeParser::parse(row.shape), verb) {
         panic!("{origin}: `{verb}` data drifted from its schema row:\n  {e}");
     }
@@ -261,7 +265,11 @@ fn golden_envelopes() -> Vec<(PathBuf, String)> {
         })
         .collect();
     files.sort();
-    assert!(files.len() >= 14, "expected the JSON goldens, found {}", files.len());
+    assert!(
+        files.len() >= 14,
+        "expected the JSON goldens, found {}",
+        files.len()
+    );
     files
 }
 
@@ -269,7 +277,12 @@ fn golden_envelopes() -> Vec<(PathBuf, String)> {
 fn golden_envelopes_round_trip_byte_for_byte() {
     for (path, text) in golden_envelopes() {
         let v = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(v.to_string(), text, "{} does not round-trip", path.display());
+        assert_eq!(
+            v.to_string(),
+            text,
+            "{} does not round-trip",
+            path.display()
+        );
     }
 }
 
@@ -285,13 +298,19 @@ fn golden_envelopes_match_their_schema_rows() {
 /// All-zero arguments for `entry`, in CLI spelling.
 fn zero_args(file: &str, entry: &str) -> Vec<String> {
     let src = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(file)).unwrap();
-    let Ok(compiler) = Compiler::parse(&src) else { return Vec::new() };
+    let Ok(compiler) = Compiler::parse(&src) else {
+        return Vec::new();
+    };
     chls::default_args(&compiler, entry)
         .unwrap_or_default()
         .iter()
         .map(|a| match a {
             ArgValue::Scalar(v) => v.to_string(),
-            ArgValue::Array(vs) => vs.iter().map(ToString::to_string).collect::<Vec<_>>().join(","),
+            ArgValue::Array(vs) => vs
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(","),
         })
         .collect()
 }
@@ -299,7 +318,14 @@ fn zero_args(file: &str, entry: &str) -> Vec<String> {
 /// Flags that keep a verb's corpus run small or that the verb requires.
 fn extra_flags(verb: &str) -> &'static [&'static str] {
     match verb {
-        "equiv" => &["--backend", "handelc", "--backend", "transmogrifier", "--bound", "8"],
+        "equiv" => &[
+            "--backend",
+            "handelc",
+            "--backend",
+            "transmogrifier",
+            "--bound",
+            "8",
+        ],
         "explore" => &["--backend", "c2v", "--budget", "1", "--seq-bound", "4"],
         "report" => &["--backend", "c2v"],
         _ => &[],
@@ -356,7 +382,10 @@ fn every_verb_output_over_the_corpus_matches_its_schema_row() {
             }
         }
     }
-    for row in verbs::TABLE.iter().filter(|v| matches!(v.run, Run::Service(_))) {
+    for row in verbs::TABLE
+        .iter()
+        .filter(|v| matches!(v.run, Run::Service(_)))
+    {
         assert!(
             checked.contains(&row.name),
             "no `{}` output over the corpus was checked",
@@ -380,7 +409,10 @@ fn live_daemon_replies_round_trip_and_match_their_rows() {
         verb: "backends".to_string(),
         ..chls::Request::default()
     };
-    check_envelope(&parse(&client.call(&backends).unwrap()).unwrap(), "backends");
+    check_envelope(
+        &parse(&client.call(&backends).unwrap()).unwrap(),
+        "backends",
+    );
     for verb in ["stats", "shutdown"] {
         let line = client.call_bare(verb).expect("daemon replies");
         let v = parse(&line).unwrap_or_else(|e| panic!("{verb}: {e}"));

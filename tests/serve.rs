@@ -70,7 +70,9 @@ fn ok_of(v: &Value) -> bool {
 }
 
 fn cached_of(v: &Value) -> bool {
-    v.get("cached").and_then(Value::as_bool).expect("cached is bool")
+    v.get("cached")
+        .and_then(Value::as_bool)
+        .expect("cached is bool")
 }
 
 fn text_of(v: &Value) -> String {
@@ -143,31 +145,49 @@ fn cache_hit_is_bit_identical_and_mutations_invalidate() {
     let server = server();
     let mut client = Client::connect(&server.addr.to_string()).expect("connects");
 
-    let cold = client.call(&req("check", GCD, "gcd", &["48", "36"])).unwrap();
-    let warm = client.call(&req("check", GCD, "gcd", &["48", "36"])).unwrap();
+    let cold = client
+        .call(&req("check", GCD, "gcd", &["48", "36"]))
+        .unwrap();
+    let warm = client
+        .call(&req("check", GCD, "gcd", &["48", "36"]))
+        .unwrap();
     let (vc, vw) = (envelope(&cold), envelope(&warm));
     assert!(!cached_of(&vc), "first request must be a miss");
     assert!(cached_of(&vw), "second identical request must hit");
-    assert_eq!(data_slice(&cold), data_slice(&warm), "hit must be bit-identical");
+    assert_eq!(
+        data_slice(&cold),
+        data_slice(&warm),
+        "hit must be bit-identical"
+    );
     assert_eq!(text_of(&vc), text_of(&vw));
 
     // One byte of source: miss.
     let touched = format!("{GCD} ");
-    let line = client.call(&req("check", &touched, "gcd", &["48", "36"])).unwrap();
-    assert!(!cached_of(&envelope(&line)), "source mutation must invalidate");
+    let line = client
+        .call(&req("check", &touched, "gcd", &["48", "36"]))
+        .unwrap();
+    assert!(
+        !cached_of(&envelope(&line)),
+        "source mutation must invalidate"
+    );
 
     // One option flips: miss (the response key covers CompileOptions).
     let mut narrow = req("check", GCD, "gcd", &["48", "36"]);
     narrow.options = chls::CompileOptions::new().narrow(true);
     let line = client.call(&narrow).unwrap();
-    assert!(!cached_of(&envelope(&line)), "option change must invalidate");
+    assert!(
+        !cached_of(&envelope(&line)),
+        "option change must invalidate"
+    );
 
     // Different args: miss.
     let line = client.call(&req("check", GCD, "gcd", &["7", "3"])).unwrap();
     assert!(!cached_of(&envelope(&line)), "arg change must invalidate");
 
     // And the original is still warm after all of that.
-    let line = client.call(&req("check", GCD, "gcd", &["48", "36"])).unwrap();
+    let line = client
+        .call(&req("check", GCD, "gcd", &["48", "36"]))
+        .unwrap();
     assert!(cached_of(&envelope(&line)));
 }
 
@@ -181,8 +201,14 @@ fn daemon_text_is_one_shot_text_for_every_verb() {
     let mut verilog = req("verilog", GCD, "gcd", &[]);
     verilog.options = chls::CompileOptions::new().backend(Some("c2v"));
     let requests = vec![
-        Request { verb: "backends".to_string(), ..Request::default() },
-        Request { verb: "schema".to_string(), ..Request::default() },
+        Request {
+            verb: "backends".to_string(),
+            ..Request::default()
+        },
+        Request {
+            verb: "schema".to_string(),
+            ..Request::default()
+        },
         req("run", GCD, "gcd", &["48", "36"]),
         req("check", GCD, "gcd", &["48", "36"]),
         req("ir", MAC4, "mac4", &[]),
@@ -198,8 +224,18 @@ fn daemon_text_is_one_shot_text_for_every_verb() {
         let v = envelope(&line);
         assert_eq!(v.str_of("verb"), Some(r.verb.as_str()));
         assert_eq!(ok_of(&v), local.response.ok, "{}", r.verb);
-        assert_eq!(text_of(&v), local.response.text, "text drift on `{}`", r.verb);
-        assert_eq!(data_slice(&line), local.response.data, "data drift on `{}`", r.verb);
+        assert_eq!(
+            text_of(&v),
+            local.response.text,
+            "text drift on `{}`",
+            r.verb
+        );
+        assert_eq!(
+            data_slice(&line),
+            local.response.data,
+            "data drift on `{}`",
+            r.verb
+        );
     }
     // `report` carries wall-clock phase timings, so only the verdict is
     // compared, not the bytes.
@@ -237,7 +273,9 @@ fn worker_panic_is_isolated_from_the_daemon() {
     let server = server();
     let mut client = Client::connect(&server.addr.to_string()).expect("connects");
     // `__panic` is the test-only poison pill: it panics inside a worker.
-    let line = client.call_bare("__panic").expect("daemon replies despite the panic");
+    let line = client
+        .call_bare("__panic")
+        .expect("daemon replies despite the panic");
     let v = envelope(&line);
     assert!(!ok_of(&v));
     assert!(line.contains("panicked"), "{line}");
@@ -293,7 +331,10 @@ fn emit_dir_requests_bypass_the_response_memo() {
     // again rather than replay a reply naming files that are gone.
     std::fs::remove_dir_all(&dir).unwrap();
     let second = envelope(&client.call(&r).unwrap());
-    assert!(!cached_of(&second), "an --emit-dir request was served from the memo");
+    assert!(
+        !cached_of(&second),
+        "an --emit-dir request was served from the memo"
+    );
     assert!(emitted() > 0, "the repeated sweep re-emits its files");
     assert_eq!(first.get("data"), second.get("data"));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -307,11 +348,15 @@ fn shutdown_acks_then_stops_accepting() {
     let v = envelope(&client.call(&req("run", GCD, "gcd", &["48", "36"])).unwrap());
     assert!(ok_of(&v));
     // The shutdown request is acknowledged *before* the listener dies.
-    let line = client.call_bare("shutdown").expect("shutdown is acknowledged");
+    let line = client
+        .call_bare("shutdown")
+        .expect("shutdown is acknowledged");
     let v = envelope(&line);
     assert!(ok_of(&v));
     assert_eq!(
-        v.get("data").and_then(|d| d.get("shutting_down")).and_then(Value::as_bool),
+        v.get("data")
+            .and_then(|d| d.get("shutting_down"))
+            .and_then(Value::as_bool),
         Some(true),
         "{line}"
     );

@@ -13,8 +13,8 @@ use chls_rtl::builder::FsmdBuilder;
 use chls_rtl::fsmd::Rv;
 use chls_rtl::netlist::{CellId, CellKind, Netlist, Ram};
 use chls_sim::fsmd_sim::{simulate, FsmdSimError};
-use chls_sim::netlist_sim::{NetlistSim, NetlistSimError};
 use chls_sim::interp::ArgValue;
+use chls_sim::netlist_sim::{NetlistSim, NetlistSimError};
 
 fn u(w: u16) -> IntType {
     IntType::new(w, false)
@@ -106,7 +106,11 @@ fn netlist_enable_gates_register_commit() {
     assert_eq!(sim.output("q").unwrap(), 6);
     sim.set_input("en", 0);
     sim.step().unwrap();
-    assert_eq!(sim.output("q").unwrap(), 6, "re-disabled register holds again");
+    assert_eq!(
+        sim.output("q").unwrap(),
+        6,
+        "re-disabled register holds again"
+    );
 }
 
 #[test]
@@ -129,7 +133,11 @@ fn netlist_eval_does_not_advance_state() {
     nl.set_output("q", reg);
     let mut sim = NetlistSim::new(&nl).unwrap();
     for _ in 0..5 {
-        assert_eq!(sim.output("q").unwrap(), 0, "reading outputs must not clock");
+        assert_eq!(
+            sim.output("q").unwrap(),
+            0,
+            "reading outputs must not clock"
+        );
     }
     sim.step().unwrap();
     for _ in 0..5 {
@@ -150,8 +158,18 @@ fn netlist_ram_write_commits_at_edge_not_before() {
         len: 4,
         init: Some(vec![9, 9, 9, 9]),
     });
-    let addr = nl.add(CellKind::Input { name: "addr".into() }, u(8));
-    let data = nl.add(CellKind::Input { name: "data".into() }, u(8));
+    let addr = nl.add(
+        CellKind::Input {
+            name: "addr".into(),
+        },
+        u(8),
+    );
+    let data = nl.add(
+        CellKind::Input {
+            name: "data".into(),
+        },
+        u(8),
+    );
     let one = nl.add(CellKind::Const(1), u(1));
     nl.add(
         CellKind::RamWrite {
@@ -290,7 +308,12 @@ fn netlist_oob_read_and_write_report_ram_name() {
             len: 4,
             init: None,
         });
-        let addr = nl.add(CellKind::Input { name: "addr".into() }, IntType::new(8, true));
+        let addr = nl.add(
+            CellKind::Input {
+                name: "addr".into(),
+            },
+            IntType::new(8, true),
+        );
         if check_write {
             let data = nl.add(CellKind::Const(1), u(8));
             let one = nl.add(CellKind::Const(1), u(1));
@@ -383,7 +406,14 @@ fn fsmd_guard_true_oob_write_errors() {
         .done();
     let f = b.finish();
     let err = simulate(&f, &[], 100).unwrap_err();
-    assert!(matches!(err, FsmdSimError::OutOfBounds { addr: 99, len: 4, .. }));
+    assert!(matches!(
+        err,
+        FsmdSimError::OutOfBounds {
+            addr: 99,
+            len: 4,
+            ..
+        }
+    ));
 }
 
 #[test]
@@ -474,7 +504,9 @@ fn fsmd_branch_condition_reads_pre_commit_values() {
     let s_then = b.state();
     let s_els = b.state();
     let cond = b.eq(b.get(r), Rv::konst(1, ty));
-    b.at(s0).set(r, Rv::konst(1, ty)).branch(cond, s_then, s_els);
+    b.at(s0)
+        .set(r, Rv::konst(1, ty))
+        .branch(cond, s_then, s_els);
     b.at(s_then).set(flag, Rv::konst(100, ty)).done();
     b.at(s_els).set(flag, Rv::konst(200, ty)).done();
     let result = b.get(flag);
