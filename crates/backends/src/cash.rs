@@ -51,8 +51,9 @@ impl Backend for Cash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chls_dataflow::sim::{simulate, ArgValue, TokenSimOptions};
+    use chls_dataflow::sim::{simulate, ArgValue};
     use chls_frontend::compile_to_hir;
+    use chls_rtl::CostModel;
 
     fn synth(src: &str, entry: &str) -> chls_dataflow::DataflowGraph {
         let prog = compile_to_hir(src).expect("frontend ok");
@@ -83,7 +84,7 @@ mod tests {
         let r = simulate(
             &g,
             &[ArgValue::Scalar(0x1234), ArgValue::Scalar(8)],
-            &TokenSimOptions::default(),
+            &CostModel::new(),
         )
         .unwrap();
         // Golden from the interpreter.
@@ -120,7 +121,7 @@ mod tests {
              int f(int a) { return sq(a) + sq(a + 1); }",
             "f",
         );
-        let r = simulate(&g, &[ArgValue::Scalar(3)], &TokenSimOptions::default()).unwrap();
+        let r = simulate(&g, &[ArgValue::Scalar(3)], &CostModel::new()).unwrap();
         assert_eq!(r.ret, Some(25));
     }
 
@@ -131,7 +132,7 @@ mod tests {
              int f() { int x = 41; bump(&x); return x; }",
             "f",
         );
-        let r = simulate(&g, &[], &TokenSimOptions::default()).unwrap();
+        let r = simulate(&g, &[], &CostModel::new()).unwrap();
         assert_eq!(r.ret, Some(42));
     }
 

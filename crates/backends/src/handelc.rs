@@ -30,7 +30,7 @@ use chls_ir::{BinKind, UnKind};
 use chls_rtl::fsmd::{
     Action, BlockedOp, ChanDir, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId, StuckState,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The Handel-C backend.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,11 +96,15 @@ enum HcNode {
 }
 
 /// A product-machine configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum Cfg {
     Leaf(usize),
     Par { branches: Vec<Cfg>, next: usize },
 }
+
+/// Guarded successor configurations: (path condition, configuration),
+/// where no condition means always.
+type Options = Vec<(Option<Rv>, Cfg)>;
 
 struct Compile<'p> {
     st: HirStorage<'p>,
@@ -358,7 +362,7 @@ impl<'p> Compile<'p> {
         let mut entry_subst = Subst::default();
         for a in &self.fsmd.state(entry_state).actions {
             if let chls_rtl::fsmd::ActionKind::SetReg(r, rv) = &a.kind {
-                entry_subst.regs.insert(*r, rv.clone());
+                entry_subst.set_reg(*r, rv.clone());
             }
         }
 
@@ -366,11 +370,11 @@ impl<'p> Compile<'p> {
         self.fsmd.state_mut(done_state).next = NextState::Done;
 
         // BFS over configurations.
-        let mut state_of: HashMap<Cfg, StateId> = HashMap::new();
+        let mut state_of: BTreeMap<Cfg, StateId> = BTreeMap::new();
         let mut worklist: Vec<Cfg> = Vec::new();
         let get_state = |cfg: &Cfg,
                          fsmd: &mut Fsmd,
-                         state_of: &mut HashMap<Cfg, StateId>,
+                         state_of: &mut BTreeMap<Cfg, StateId>,
                          worklist: &mut Vec<Cfg>|
          -> StateId {
             if *cfg == Cfg::Leaf(END) {
@@ -408,69 +412,43 @@ impl<'p> Compile<'p> {
                 ));
             }
             let state = state_of[&cfg];
-            // 1. Leaves and channel matching.
+            // 1. Leaves and rendezvous.
             let mut leaves: Vec<usize> = Vec::new();
             collect_leaves(&cfg, &mut leaves);
-            let mut senders: HashMap<u32, Vec<usize>> = HashMap::new();
-            let mut receivers: HashMap<u32, Vec<usize>> = HashMap::new();
-            for &l in &leaves {
-                if l == END {
-                    continue;
-                }
-                match &self.nodes[l] {
-                    HcNode::Send { chan, .. } => senders.entry(*chan).or_default().push(l),
-                    HcNode::Recv { chan, .. } => receivers.entry(*chan).or_default().push(l),
-                    _ => {}
-                }
-            }
-            let mut matched: HashMap<usize, usize> = HashMap::new(); // recv node -> send node
-            let mut active_comm: Vec<usize> = Vec::new();
-            for (ch, ss) in &senders {
-                if let Some(rs) = receivers.get(ch) {
-                    for (s, r) in ss.iter().zip(rs.iter()) {
-                        matched.insert(*r, *s);
-                        active_comm.push(*s);
-                        active_comm.push(*r);
-                    }
-                }
-            }
+            let partner = self.rendezvous(&leaves);
 
-            // 2. Actions and the substitution map for next-cycle decisions.
+            // 2. Actions, the substitution map for next-cycle decisions,
+            // and which leaves advance (indexed like `leaves`).
             let mut actions: Vec<Action> = Vec::new();
             let mut subst = Subst::default();
-            let mut leaf_active: HashMap<usize, bool> = HashMap::new();
-            for &l in &leaves {
+            let mut active = vec![false; leaves.len()];
+            for (i, &l) in leaves.iter().enumerate() {
                 if l == END {
                     continue;
                 }
-                match &self.nodes[l] {
+                active[i] = match &self.nodes[l] {
                     HcNode::Step { actions: acts, .. } => {
                         for (d, v) in acts {
                             push_action(&mut actions, &mut subst, d.clone(), v.clone());
                         }
-                        leaf_active.insert(l, true);
+                        true
                     }
-                    HcNode::Delay { .. } => {
-                        leaf_active.insert(l, true);
-                    }
-                    HcNode::Send { .. } => {
-                        leaf_active.insert(l, active_comm.contains(&l));
-                    }
-                    HcNode::Recv { chan: _, dst, .. } => {
-                        let active = matched.contains_key(&l);
-                        if active {
-                            let sender = matched[&l];
-                            let HcNode::Send { value, .. } = &self.nodes[sender] else {
-                                unreachable!("matched sender is a send");
+                    HcNode::Delay { .. } => true,
+                    HcNode::Send { .. } => partner[i].is_some(),
+                    HcNode::Recv { dst, .. } => match partner[i] {
+                        Some(s) => {
+                            let HcNode::Send { value, .. } = &self.nodes[leaves[s]] else {
+                                unreachable!("a receiver's partner is a send");
                             };
                             push_action(&mut actions, &mut subst, dst.clone(), value.clone());
+                            true
                         }
-                        leaf_active.insert(l, active);
-                    }
+                        None => false,
+                    },
                     HcNode::Decision { .. } | HcNode::Par { .. } => {
                         unreachable!("configurations rest at cycle nodes only")
                     }
-                }
+                };
             }
             self.fsmd.state_mut(state).actions = actions;
 
@@ -479,19 +457,14 @@ impl<'p> Compile<'p> {
             // delay will ever fire again. Record it so the simulators
             // report a first-class deadlock instead of spinning here
             // until the cycle limit.
-            let live: Vec<usize> = leaves.iter().copied().filter(|&l| l != END).collect();
-            if !live.is_empty()
-                && live
-                    .iter()
-                    .all(|l| !leaf_active.get(l).copied().unwrap_or(false))
-            {
+            if leaves.iter().any(|&l| l != END) && !active.contains(&true) {
                 let mut blocked = Vec::new();
                 self.collect_blocked(&cfg, &mut Vec::new(), &mut blocked);
                 self.fsmd.stuck.push(StuckState { state, blocked });
             }
 
             // 3. Successor configurations.
-            let options = self.cfg_step(&cfg, &subst, &leaf_active)?;
+            let options = self.cfg_step(&cfg, &subst, &mut active.iter())?;
             let cases: Vec<(Rv, StateId)> = options
                 .iter()
                 .map(|(cond, next_cfg)| {
@@ -551,18 +524,45 @@ impl<'p> Compile<'p> {
         }
     }
 
+    /// Rendezvous partners, indexed like `leaves`: the k-th receiver on a
+    /// channel meets the k-th sender on it, and unmatched ends get none.
+    fn rendezvous(&self, leaves: &[usize]) -> Vec<Option<usize>> {
+        let end_on = |l: usize, send: bool| match self.nodes.get(l) {
+            Some(HcNode::Send { chan, .. }) if send => Some(*chan),
+            Some(HcNode::Recv { chan, .. }) if !send => Some(*chan),
+            _ => None,
+        };
+        let mut partner = vec![None; leaves.len()];
+        for r in 0..leaves.len() {
+            let Some(chan) = end_on(leaves[r], false) else {
+                continue;
+            };
+            let free_sender = (0..leaves.len())
+                .find(|&s| partner[s].is_none() && end_on(leaves[s], true) == Some(chan));
+            if let Some(s) = free_sender {
+                partner[r] = Some(s);
+                partner[s] = Some(r);
+            }
+        }
+        partner
+    }
+
     /// Successor options of one configuration: stalled leaves stay, active
     /// leaves advance through decision nodes with path conditions.
+    /// `active` yields one flag per leaf, in [`collect_leaves`] order.
     fn cfg_step(
         &self,
         cfg: &Cfg,
         subst: &Subst,
-        leaf_active: &HashMap<usize, bool>,
-    ) -> Result<Vec<(Option<Rv>, Cfg)>, SynthError> {
+        active: &mut std::slice::Iter<'_, bool>,
+    ) -> Result<Options, SynthError> {
         match cfg {
-            Cfg::Leaf(END) => Ok(vec![(None, Cfg::Leaf(END))]),
             Cfg::Leaf(node) => {
-                if !leaf_active.get(node).copied().unwrap_or(false) {
+                let active = *active.next().expect("one flag per leaf");
+                if *node == END {
+                    return Ok(vec![(None, Cfg::Leaf(END))]);
+                }
+                if !active {
                     return Ok(vec![(None, Cfg::Leaf(*node))]);
                 }
                 let next = match &self.nodes[*node] {
@@ -575,38 +575,11 @@ impl<'p> Compile<'p> {
                 self.advance(next, subst, &mut Vec::new())
             }
             Cfg::Par { branches, next } => {
-                // Cross product of branch options.
-                let mut combos: Vec<(Option<Rv>, Vec<Cfg>)> = vec![(None, Vec::new())];
-                for b in branches {
-                    let opts = self.cfg_step(b, subst, leaf_active)?;
-                    let mut new_combos = Vec::new();
-                    for (c0, partial) in &combos {
-                        for (c1, sub) in &opts {
-                            let mut p = partial.clone();
-                            p.push(sub.clone());
-                            new_combos.push((and_opt(c0.clone(), c1.clone()), p));
-                        }
-                    }
-                    combos = new_combos;
-                }
-                let mut out = Vec::new();
-                for (cond, branch_cfgs) in combos {
-                    if branch_cfgs.iter().all(|c| *c == Cfg::Leaf(END)) {
-                        // Join: continue after the par in the same step.
-                        for (c2, cont) in self.advance(*next, subst, &mut Vec::new())? {
-                            out.push((and_opt(cond.clone(), c2), cont));
-                        }
-                    } else {
-                        out.push((
-                            cond,
-                            Cfg::Par {
-                                branches: branch_cfgs,
-                                next: *next,
-                            },
-                        ));
-                    }
-                }
-                Ok(out)
+                let options = branches
+                    .iter()
+                    .map(|b| self.cfg_step(b, subst, active))
+                    .collect::<Result<Vec<_>, _>>()?;
+                self.par_product(&options, *next, subst, &mut Vec::new())
             }
         }
     }
@@ -618,7 +591,7 @@ impl<'p> Compile<'p> {
         node: usize,
         subst: &Subst,
         visiting: &mut Vec<usize>,
-    ) -> Result<Vec<(Option<Rv>, Cfg)>, SynthError> {
+    ) -> Result<Options, SynthError> {
         if node == END {
             return Ok(vec![(None, Cfg::Leaf(END))]);
         }
@@ -643,56 +616,77 @@ impl<'p> Compile<'p> {
             }
             HcNode::Par { branches, next } => {
                 visiting.push(node);
-                let mut combos: Vec<(Option<Rv>, Vec<Cfg>)> = vec![(None, Vec::new())];
-                for &b in branches {
-                    let opts = self.advance(b, subst, visiting)?;
-                    let mut new_combos = Vec::new();
-                    for (c0, partial) in &combos {
-                        for (c1, sub) in &opts {
-                            let mut p = partial.clone();
-                            p.push(sub.clone());
-                            new_combos.push((and_opt(c0.clone(), c1.clone()), p));
-                        }
-                    }
-                    combos = new_combos;
-                }
-                let mut out = Vec::new();
-                for (cond, branch_cfgs) in combos {
-                    if branch_cfgs.iter().all(|c| *c == Cfg::Leaf(END)) {
-                        for (c2, cont) in self.advance(*next, subst, visiting)? {
-                            out.push((and_opt(cond.clone(), c2), cont));
-                        }
-                    } else {
-                        out.push((
-                            cond,
-                            Cfg::Par {
-                                branches: branch_cfgs,
-                                next: *next,
-                            },
-                        ));
-                    }
-                }
+                let options = branches
+                    .iter()
+                    .map(|&b| self.advance(b, subst, visiting))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let out = self.par_product(&options, *next, subst, visiting)?;
                 visiting.pop();
                 Ok(out)
             }
             _ => Ok(vec![(None, Cfg::Leaf(node))]),
         }
     }
+
+    /// The options of a `par` from the options of its branches: one per
+    /// combination of branch options, conditions conjoined. A
+    /// combination in which every branch has finished joins: it
+    /// continues at `next` in the same step.
+    fn par_product(
+        &self,
+        branch_options: &[Options],
+        next: usize,
+        subst: &Subst,
+        visiting: &mut Vec<usize>,
+    ) -> Result<Options, SynthError> {
+        let mut combos: Vec<(Option<Rv>, Vec<Cfg>)> = vec![(None, Vec::new())];
+        for opts in branch_options {
+            let mut new_combos = Vec::with_capacity(combos.len() * opts.len());
+            for (c0, partial) in &combos {
+                for (c1, sub) in opts {
+                    let mut p = partial.clone();
+                    p.push(sub.clone());
+                    new_combos.push((and_opt(c0.clone(), c1.clone()), p));
+                }
+            }
+            combos = new_combos;
+        }
+        let mut out = Vec::new();
+        for (cond, branches) in combos {
+            if branches.iter().all(|c| *c == Cfg::Leaf(END)) {
+                for (c2, cont) in self.advance(next, subst, visiting)? {
+                    out.push((and_opt(cond.clone(), c2), cont));
+                }
+            } else {
+                out.push((cond, Cfg::Par { branches, next }));
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// Substitution of this-cycle register writes into next-cycle decisions.
 #[derive(Default)]
 struct Subst {
-    regs: HashMap<RegId, Rv>,
+    /// This cycle's new value of each register written, by `RegId`.
+    regs: Vec<Option<Rv>>,
     /// (mem, addr, value) writes this cycle, for load forwarding.
     mem_writes: Vec<(MemId, Rv, Rv)>,
 }
 
 impl Subst {
+    fn set_reg(&mut self, r: RegId, v: Rv) {
+        let i = r.0 as usize;
+        if self.regs.len() <= i {
+            self.regs.resize(i + 1, None);
+        }
+        self.regs[i] = Some(v);
+    }
+
     fn apply(&self, rv: &Rv) -> Rv {
         let kind = match &rv.kind {
             RvKind::Reg(r) => {
-                if let Some(repl) = self.regs.get(r) {
+                if let Some(Some(repl)) = self.regs.get(r.0 as usize) {
                     return repl.clone();
                 }
                 RvKind::Reg(*r)
@@ -746,7 +740,7 @@ fn push_action(actions: &mut Vec<Action>, subst: &mut Subst, d: Dst, v: Rv) {
     match d {
         Dst::Reg(r) => {
             actions.push(Action::set(r, v.clone()));
-            subst.regs.insert(r, v);
+            subst.set_reg(r, v);
         }
         Dst::Mem(m, addr) => {
             actions.push(Action::write(m, addr.clone(), v.clone()));

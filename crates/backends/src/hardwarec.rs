@@ -74,9 +74,6 @@ enum In {
     Node(NodeId),
     Reg(RegId, IntType),
     Const(i64, IntType),
-    /// FSMD primary input (reserved for future non-latched parameters).
-    #[allow(dead_code)]
-    Input(usize, IntType),
 }
 
 /// Payload of a chunk node (parallel to the DFG node).
@@ -331,7 +328,7 @@ impl<'p> Compiler<'p> {
                 | CNode::Load(_, _, t) => *t,
                 CNode::Store(..) => IntType::u1(),
             },
-            In::Reg(_, t) | In::Const(_, t) | In::Input(_, t) => *t,
+            In::Reg(_, t) | In::Const(_, t) => *t,
         }
     }
 
@@ -639,10 +636,6 @@ impl<'p> Compiler<'p> {
             match i {
                 In::Const(v, t) => Rv::konst(*v, *t),
                 In::Reg(r, t) => Rv::reg(*r, *t),
-                In::Input(idx, t) => Rv {
-                    kind: RvKind::Input(*idx),
-                    ty: *t,
-                },
                 In::Node(n) => {
                     if end_cycle[n.0 as usize] == cycle {
                         node_rv(this, chunk, temp_of, end_cycle, *n, cycle)

@@ -28,15 +28,6 @@ use chls_ir::BinKind;
 use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, StateId};
 use chls_sched::modulo::{loop_dfg, modulo_schedule};
 
-macro_rules! reject {
-    ($why:expr) => {{
-        if std::env::var("CHLS_PIPE_DEBUG").is_ok() {
-            eprintln!("pipeline rejected: {}", $why);
-        }
-        return None;
-    }};
-}
-
 /// The canonical loop shape the pipeliner handles.
 struct LoopShape {
     header: BlockId,
@@ -108,9 +99,6 @@ pub(crate) struct PipelinedLoop {
     pub exit_state: StateId,
     pub exit_block: BlockId,
     pub covered: Vec<BlockId>,
-    /// Achieved initiation interval (for reports).
-    #[allow(dead_code)]
-    pub ii: u32,
 }
 
 /// Attempts to emit `l` as a pipelined kernel into `out`.
@@ -137,7 +125,7 @@ pub(crate) fn try_pipeline(
     let t_len = sched.iteration_length;
     // C2: single-cycle operations only.
     if sched.duration.iter().any(|&d| d != 1) {
-        reject!("multi-cycle operation");
+        return None;
     }
     // C3: profitable — compare II against what the *sequential emission*
     // actually costs per iteration: one list-scheduled state group per
@@ -152,7 +140,7 @@ pub(crate) fn try_pipeline(
         })
         .sum();
     if ii >= serial.max(1) {
-        reject!(format!("not profitable: II {ii} vs serial {serial}"));
+        return None;
     }
 
     // The schedule slot of each kernel value, by `Value`.
@@ -190,8 +178,8 @@ pub(crate) fn try_pipeline(
         }
         match slot(*inc) {
             Some(t) if t < ii => {}
-            None => {} // constant/extern: fine
-            _ => reject!("condition-feeding latch outside stage 0"),
+            None => {}        // constant/extern: fine
+            _ => return None, // a condition-feeding latch outside stage 0
         }
     }
     // C5: the exit condition is evaluated separately — combinationally at
@@ -216,7 +204,7 @@ pub(crate) fn try_pipeline(
             }
         }
         if other_uses {
-            reject!("condition has non-branch uses");
+            return None;
         }
         let mut bad_operand = false;
         f.inst(shape.cond).kind.for_each_operand(|o| {
@@ -229,7 +217,7 @@ pub(crate) fn try_pipeline(
             bad_operand |= !ok;
         });
         if bad_operand {
-            reject!("condition operand not phi/const/param/external");
+            return None;
         }
     }
     // C6: same-iteration values whose lifetime crosses window boundaries
@@ -264,7 +252,7 @@ pub(crate) fn try_pipeline(
                     let v = vals[e.from.0 as usize].0 as usize;
                     value_shadow_depth[v] = value_shadow_depth[v].max(m);
                 }
-                None => reject!("no shadow depth covers a value lifetime"),
+                None => return None, // no shadow depth covers the lifetime
             }
         }
     }
@@ -300,7 +288,7 @@ pub(crate) fn try_pipeline(
             }
         });
         if bad {
-            reject!("carried value read after its late latch overwrite");
+            return None; // a carried value read after its late latch overwrite
         }
     }
 
@@ -535,7 +523,7 @@ pub(crate) fn try_pipeline(
         };
         match &inst.kind {
             InstKind::Bin(..) | InstKind::Un(..) => op_rv(&inst.kind, IntType::u1(), resolve),
-            _ => reject!("condition is not a unary/binary op"),
+            _ => return None, // the condition is not a unary or binary op
         }
     };
     let last = kernels[(ii - 1) as usize];
@@ -608,7 +596,6 @@ pub(crate) fn try_pipeline(
         exit_state,
         exit_block: shape.exit,
         covered,
-        ii,
     })
 }
 

@@ -24,6 +24,7 @@
 use crate::common::*;
 use chls_frontend::IntType;
 use chls_ir::ir::{BlockId, Function, InstKind, Term, Value};
+use chls_ir::liveness::for_each_read;
 use chls_ir::BinKind;
 use chls_rtl::fsmd::{Action, Fsmd, MemId, NextState, RegId, Rv, RvKind, StateId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -159,34 +160,21 @@ fn build(f: &Function) -> Result<Fsmd, SynthError> {
     let (mut out, inputs) = SsaInputs::build(f);
 
     // Registers: values read in a region other than their defining one,
-    // plus phis at region heads. One pass over the uses: an operand is
-    // read in its instruction's region, a phi operand at the end of its
-    // predecessor, a branch condition or return value in its block's.
+    // plus phis at region heads.
     let region = |b: BlockId| region_of[b.0 as usize];
     let mut needs_reg: Vec<bool> = f
         .insts
         .iter()
         .map(|inst| matches!(inst.kind, InstKind::Phi(_)) && is_head[inst.block.0 as usize])
         .collect();
-    let mut read_in = |v: Value, r: BlockId| {
+    for_each_read(f, |b, v| {
         let def = f.inst(v);
-        if !matches!(def.kind, InstKind::Const(_) | InstKind::Param(_)) && region(def.block) != r {
+        if !matches!(def.kind, InstKind::Const(_) | InstKind::Param(_))
+            && region(def.block) != region(b)
+        {
             needs_reg[v.0 as usize] = true;
         }
-    };
-    for inst in &f.insts {
-        match &inst.kind {
-            InstKind::Phi(args) => args
-                .iter()
-                .for_each(|(pred, pv)| read_in(*pv, region(*pred))),
-            kind => kind.for_each_operand(|o| read_in(o, region(inst.block))),
-        }
-    }
-    for (block, &r) in f.blocks.iter().zip(&region_of) {
-        if let Term::Br { cond: v, .. } | Term::Ret(Some(v)) = &block.term {
-            read_in(*v, r);
-        }
-    }
+    });
     // Dense by `Value`, created in `Value` order.
     let reg_of: Vec<Option<RegId>> = f
         .insts

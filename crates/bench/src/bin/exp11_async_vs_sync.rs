@@ -64,15 +64,7 @@ fn main() {
             chls::Design::Dataflow(g) => g,
             _ => unreachable!(),
         };
-        let r_async = chls_dataflow::sim::simulate(
-            g,
-            &args,
-            &chls_dataflow::sim::TokenSimOptions {
-                model: model.clone(),
-                ..Default::default()
-            },
-        )
-        .expect("async sim");
+        let r_async = chls_dataflow::sim::simulate(g, &args, &model).expect("async sim");
         assert_eq!(r_async.ret, golden);
         let async_ns = r_async.time as f64 / 100.0;
         t.row(vec![

@@ -272,12 +272,8 @@ pub fn simulate_design_with(
             })
         }
         Design::Dataflow(g) => {
-            let r = chls_dataflow::sim::simulate(
-                g,
-                args,
-                &chls_dataflow::sim::TokenSimOptions::default(),
-            )
-            .map_err(|e| SimulateError(e.to_string()))?;
+            let r = chls_dataflow::sim::simulate(g, args, &chls_rtl::CostModel::new())
+                .map_err(|e| SimulateError(e.to_string()))?;
             let mut arrays = Vec::new();
             for (mi, m) in g.mems.iter().enumerate() {
                 if let MemSource::Param(p) = m.source {

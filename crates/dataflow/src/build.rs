@@ -20,8 +20,8 @@
 use crate::graph::{out_index, DataflowGraph, NodeId, NodeKind};
 use chls_frontend::IntType;
 use chls_ir::ir::{BlockId, Function, InstKind, Term, Value};
+use chls_ir::liveness::Liveness;
 use chls_ir::FastMap;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors during dataflow construction.
@@ -128,8 +128,6 @@ struct Builder<'f> {
     mu_node: FastMap<(BlockId, Item), NodeId>,
     /// Block where each value is defined.
     def_block: Vec<BlockId>,
-    /// Live-in sets (values only; pseudo-items are live everywhere).
-    live_in: Vec<BTreeSet<Value>>,
     /// Per-block token entry point for each memory the block accesses
     /// (a 1-ary Join fed from the incoming chain in the wiring pass).
     token_in: FastMap<(BlockId, u32), NodeId>,
@@ -159,7 +157,6 @@ impl<'f> Builder<'f> {
             inst_node: vec![None; f.insts.len()],
             mu_node: FastMap::default(),
             def_block: f.insts.iter().map(|i| i.block).collect(),
-            live_in: vec![BTreeSet::new(); f.blocks.len()],
             token_in: FastMap::default(),
             block_token_out: FastMap::default(),
             ctrl_seed,
@@ -172,7 +169,6 @@ impl<'f> Builder<'f> {
     }
 
     fn run(mut self) -> Result<DataflowGraph, BuildError> {
-        self.compute_liveness();
         self.create_inst_nodes();
         self.create_mus();
         // Pass A: in-block wiring (operands and per-block token chains,
@@ -184,91 +180,6 @@ impl<'f> Builder<'f> {
         self.wire_result();
         self.g.compute_sticky();
         Ok(self.g)
-    }
-
-    // ---- analysis ----
-
-    fn compute_liveness(&mut self) {
-        let f = self.f;
-        let nb = f.blocks.len();
-        // use/def per block; phi operands are uses at the predecessor.
-        let mut uses: Vec<BTreeSet<Value>> = vec![BTreeSet::new(); nb];
-        let mut defs: Vec<BTreeSet<Value>> = vec![BTreeSet::new(); nb];
-        for (bi, block) in f.blocks.iter().enumerate() {
-            for &v in &block.insts {
-                defs[bi].insert(v);
-                match &f.inst(v).kind {
-                    InstKind::Phi(args) => {
-                        for (pred, pv) in args {
-                            // A phi operand is a use at the end of the
-                            // predecessor; it is upward-exposed there only
-                            // if not defined in that predecessor.
-                            if !self.sticky_val[pv.0 as usize]
-                                && self.def_block[pv.0 as usize] != *pred
-                            {
-                                uses[pred.0 as usize].insert(*pv);
-                            }
-                        }
-                    }
-                    kind => kind.for_each_operand(|o| {
-                        if !self.sticky_val[o.0 as usize]
-                            && self.def_block[o.0 as usize].0 as usize != bi
-                        {
-                            uses[bi].insert(o);
-                        }
-                    }),
-                }
-            }
-            match &block.term {
-                Term::Br { cond, .. }
-                    if !self.sticky_val[cond.0 as usize]
-                        && self.def_block[cond.0 as usize].0 as usize != bi =>
-                {
-                    uses[bi].insert(*cond);
-                }
-                Term::Ret(Some(v))
-                    if !self.sticky_val[v.0 as usize]
-                        && self.def_block[v.0 as usize].0 as usize != bi =>
-                {
-                    uses[bi].insert(*v);
-                }
-                _ => {}
-            }
-        }
-        // Backward fixpoint.
-        loop {
-            let mut changed = false;
-            for bi in (0..nb).rev() {
-                let mut out: BTreeSet<Value> = BTreeSet::new();
-                for s in f.blocks[bi].term.successors() {
-                    for &v in &self.live_in[s.0 as usize] {
-                        out.insert(v);
-                    }
-                }
-                // phi defs of successors are not live-in there; their
-                // incoming values were added to our `uses` instead.
-                for s in f.blocks[bi].term.successors() {
-                    for &v in &f.blocks[s.0 as usize].insts {
-                        if matches!(f.inst(v).kind, InstKind::Phi(_)) {
-                            out.remove(&v);
-                        }
-                    }
-                }
-                let mut new_in = uses[bi].clone();
-                for v in out {
-                    if !defs[bi].contains(&v) {
-                        new_in.insert(v);
-                    }
-                }
-                if new_in != self.live_in[bi] {
-                    self.live_in[bi] = new_in;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
     }
 
     // ---- node creation ----
@@ -327,15 +238,20 @@ impl<'f> Builder<'f> {
     }
 
     fn create_mus(&mut self) {
+        // Sticky values need no steering. Each value's liveness is
+        // independent of the others', so dropping them after the solve
+        // is exact.
+        let live = Liveness::compute(self.f);
         for bi in 0..self.f.blocks.len() {
             let b = BlockId(bi as u32);
             if !self.is_multi_pred(b) {
                 continue;
             }
             // Values live-in here merge; pseudo-items always merge.
-            let items: Vec<Item> = self.live_in[bi]
-                .iter()
-                .map(|&v| Item::Val(v))
+            let items: Vec<Item> = live
+                .live_in(b)
+                .filter(|v| !self.sticky_val[v.0 as usize])
+                .map(Item::Val)
                 .chain(std::iter::once(Item::Ctrl))
                 .chain((0..self.f.mems.len()).map(|m| Item::Mem(m as u32)))
                 .collect();

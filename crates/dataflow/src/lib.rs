@@ -18,8 +18,9 @@ pub use sim::{simulate, TokenSimError, TokenSimResult};
 #[cfg(test)]
 mod conformance {
     use crate::build::build_dataflow;
-    use crate::sim::{simulate, ArgValue, TokenSimOptions};
+    use crate::sim::{simulate, ArgValue};
     use chls_ir::exec::{execute, ExecOptions};
+    use chls_rtl::cost::CostModel;
 
     /// Builds the dataflow circuit of `src`'s function `f` and checks the
     /// token simulation against the IR executor.
@@ -34,7 +35,7 @@ mod conformance {
             "IR golden disagrees with test expectation"
         );
         let g = build_dataflow(&f).expect("builds");
-        let r = simulate(&g, args, &TokenSimOptions::default())
+        let r = simulate(&g, args, &CostModel::new())
             .unwrap_or_else(|e| panic!("token sim failed: {e}\nhistogram: {:?}", g.histogram()));
         assert_eq!(r.ret, golden.ret, "dataflow result mismatch");
         assert_eq!(r.mems, golden.mems, "dataflow memory mismatch");
@@ -181,7 +182,7 @@ mod conformance {
         let r = simulate(
             &g,
             &[ArgValue::Scalar(99), ArgValue::Scalar(1)],
-            &TokenSimOptions::default(),
+            &CostModel::new(),
         )
         .unwrap();
         assert_eq!(r.ret, Some(37));

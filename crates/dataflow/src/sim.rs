@@ -85,29 +85,11 @@ pub struct TokenSimResult {
     pub mems: Vec<Vec<i64>>,
 }
 
-/// Simulation options.
-#[derive(Debug, Clone)]
-pub struct TokenSimOptions {
-    /// Cost model supplying per-node latencies.
-    pub model: CostModel,
-    /// Fixed handshake overhead added to every firing, in time units.
-    pub handshake_overhead: u64,
-    /// Abort after this many firings.
-    pub event_limit: u64,
-    /// Print every firing to stderr (debugging aid).
-    pub trace: bool,
-}
+/// Fixed handshake overhead added to every firing, in time units.
+const HANDSHAKE_OVERHEAD: u64 = 2;
 
-impl Default for TokenSimOptions {
-    fn default() -> Self {
-        TokenSimOptions {
-            model: CostModel::new(),
-            handshake_overhead: 2,
-            event_limit: 20_000_000,
-            trace: false,
-        }
-    }
-}
+/// Firings after which a run is abandoned.
+const EVENT_LIMIT: u64 = 20_000_000;
 
 /// Per-edge token storage.
 enum EdgeQueue {
@@ -132,7 +114,8 @@ impl Operands {
     }
 }
 
-/// Simulates `g` with `args` bound by parameter index.
+/// Simulates `g` with `args` bound by parameter index, with node
+/// latencies from `model`.
 ///
 /// # Errors
 ///
@@ -140,10 +123,10 @@ impl Operands {
 pub fn simulate(
     g: &DataflowGraph,
     args: &[ArgValue],
-    opts: &TokenSimOptions,
+    model: &CostModel,
 ) -> Result<TokenSimResult, TokenSimError> {
     let _span = chls_trace::span("sim.dataflow");
-    let r = simulate_inner(g, args, opts);
+    let r = simulate_inner(g, args, model);
     if let Ok(r) = &r {
         chls_trace::add("sim.time_units", r.time);
     }
@@ -153,7 +136,7 @@ pub fn simulate(
 fn simulate_inner(
     g: &DataflowGraph,
     args: &[ArgValue],
-    opts: &TokenSimOptions,
+    model: &CostModel,
 ) -> Result<TokenSimResult, TokenSimError> {
     let n = g.nodes.len();
     // Dense per-node input-port table: queue index (or `NO_EDGE`) at
@@ -268,7 +251,7 @@ fn simulate_inner(
     let latency: Vec<u64> = (0..n)
         .map(|i| {
             let (class, w) = g.op_class(NodeId(i as u32));
-            opts.model.async_latency(class, w).max(1) + opts.handshake_overhead
+            model.async_latency(class, w).max(1) + HANDSHAKE_OVERHEAD
         })
         .collect();
 
@@ -387,16 +370,12 @@ fn simulate_inner(
     let mut result: Option<(Option<i64>, u64)> = None;
     while let Some(Ev(t, _ev_seq, node, operands)) = heap.pop() {
         firings += 1;
-        if firings > opts.event_limit {
-            return Err(TokenSimError::EventLimit(opts.event_limit));
+        if firings > EVENT_LIMIT {
+            return Err(TokenSimError::EventLimit(EVENT_LIMIT));
         }
         ever_fired[node.0 as usize] = true;
         let inputs = operands.vals;
         let nd = &g.nodes[node.0 as usize];
-        if opts.trace {
-            let shown = &inputs[..operands.len as usize];
-            eprintln!("t={t} fire {node} {:?} inputs={shown:?}", nd.kind);
-        }
         // Compute outputs.
         let mut value_out: Option<i64> = None;
         let mut token_out = false;

@@ -8,6 +8,8 @@
 //!   known-bits domains, branch-guard refinement, may-written memory);
 //! * [`dom`] — dominator tree and dominance frontiers;
 //! * [`loops`] — natural-loop detection;
+//! * [`liveness`] — where each value is read, and block live-in and
+//!   live-out sets;
 //! * [`exec`] — a reference executor that also produces the dynamic
 //!   dependence traces used by the ILP-limit experiment;
 //! * [`verify`] — structural/SSA/type verifier;
@@ -40,6 +42,7 @@ pub mod dom;
 pub mod exec;
 pub mod fasthash;
 pub mod ir;
+pub mod liveness;
 pub mod loops;
 pub mod lower;
 pub mod verify;

@@ -2,12 +2,14 @@
 //!
 //! Checks structural invariants (valid indices, one home block per
 //! instruction, terminated blocks), SSA invariants (definitions dominate
-//! uses, phi arguments match predecessors), and type invariants (operand
-//! widths agree where required).
+//! reads, phi arguments match predecessors), and type invariants (operand
+//! widths agree where required). A read is where
+//! [`for_each_read`] places it: branch conditions and return values are
+//! checked like any other operand.
 
 use crate::dom::DomTree;
 use crate::ir::*;
-use std::collections::HashMap;
+use crate::liveness::for_each_read;
 use std::fmt;
 
 /// A verifier failure.
@@ -209,14 +211,26 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
         }
     }
 
-    // Dominance: defs dominate uses.
-    let dt = DomTree::compute(f);
-    let mut position: HashMap<Value, (BlockId, usize)> = HashMap::new();
+    // Every read, reachable or not, is of a placed value.
+    let mut position: Vec<Option<(BlockId, usize)>> = vec![None; nv];
     for (bi, block) in f.blocks.iter().enumerate() {
         for (pos, &v) in block.insts.iter().enumerate() {
-            position.insert(v, (BlockId(bi as u32), pos));
+            position[v.0 as usize] = Some((BlockId(bi as u32), pos));
         }
     }
+    let mut unplaced = None;
+    for_each_read(f, |b, v| {
+        if unplaced.is_none() && position.get(v.0 as usize).copied().flatten().is_none() {
+            unplaced = Some(format!("{b} reads unplaced {v}"));
+        }
+    });
+    if let Some(msg) = unplaced {
+        return fail(msg);
+    }
+    let placed = |v: Value| position[v.0 as usize].expect("every read is placed");
+
+    // Dominance: defs dominate uses.
+    let dt = DomTree::compute(f);
     for (bi, block) in f.blocks.iter().enumerate() {
         let b = BlockId(bi as u32);
         if dt.idom[bi].is_none() && b != f.entry {
@@ -226,45 +240,39 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
             let inst = f.inst(v);
             if let InstKind::Phi(args) = &inst.kind {
                 for (pred, a) in args {
-                    if let Some(&(db, _)) = position.get(a) {
-                        if !dt.dominates(db, *pred) {
-                            return fail(format!(
-                                "{v}: phi arg {a} from {pred} not dominated by its def in {db}"
-                            ));
-                        }
+                    let (db, _) = placed(*a);
+                    if !dt.dominates(db, *pred) {
+                        return fail(format!(
+                            "{v}: phi arg {a} from {pred} not dominated by its def in {db}"
+                        ));
                     }
                 }
                 continue;
             }
             let mut bad = None;
             inst.kind.for_each_operand(|o| {
-                if bad.is_some() {
-                    return;
-                }
-                match position.get(&o) {
-                    Some(&(db, dpos)) => {
-                        let ok = if db == b {
-                            dpos < pos
-                        } else {
-                            dt.dominates(db, b)
-                        };
-                        if !ok {
-                            bad = Some(format!("{v}: use of {o} not dominated by its definition"));
-                        }
-                    }
-                    None => bad = Some(format!("{v}: use of unplaced {o}")),
+                let (db, dpos) = placed(o);
+                let ok = if db == b {
+                    dpos < pos
+                } else {
+                    dt.dominates(db, b)
+                };
+                if !ok && bad.is_none() {
+                    bad = Some(format!("{v}: use of {o} not dominated by its definition"));
                 }
             });
             if let Some(msg) = bad {
                 return fail(msg);
             }
         }
-        if let Term::Br { cond, .. } = &block.term {
-            if let Some(&(db, _)) = position.get(cond) {
-                if db != b && !dt.dominates(db, b) {
-                    return fail(format!("branch condition {cond} does not dominate b{bi}"));
-                }
-            }
+        let (what, v) = match &block.term {
+            Term::Br { cond, .. } => ("branch condition", *cond),
+            Term::Ret(Some(v)) => ("return value", *v),
+            _ => continue,
+        };
+        let (db, _) = placed(v);
+        if !dt.dominates(db, b) {
+            return fail(format!("{what} {v} does not dominate b{bi}"));
         }
     }
     Ok(())
@@ -369,5 +377,60 @@ mod tests {
         f.block_mut(b).term = Term::Ret(Some(use_first));
         let err = verify(&f).unwrap_err();
         assert!(err.message.contains("dominated"), "{err}");
+    }
+
+    /// `f` with a constant defined in the arena but listed in no block.
+    fn with_orphan(ty: IntType) -> (Function, Value) {
+        let mut f = Function::new("bad");
+        let b = f.entry;
+        let v = f.add_inst(b, InstKind::Const(1), ty);
+        f.block_mut(b).insts.clear();
+        (f, v)
+    }
+
+    #[test]
+    fn unplaced_return_value_caught() {
+        let ty = IntType::new(32, true);
+        let (mut f, v) = with_orphan(ty);
+        f.ret_ty = Some(ty);
+        f.block_mut(f.entry).term = Term::Ret(Some(v));
+        let err = verify(&f).unwrap_err();
+        assert!(err.message.contains("unplaced"), "{err}");
+    }
+
+    #[test]
+    fn return_value_that_does_not_dominate_caught() {
+        // b0: br c b1 b2 / b1: x = 7; ret x / b2: ret x
+        let ty = IntType::new(32, true);
+        let mut f = Function::new("bad");
+        let b0 = f.entry;
+        let (b1, b2) = (f.add_block(), f.add_block());
+        let c = f.add_inst(b0, InstKind::Param(0), IntType::u1());
+        let x = f.add_inst(b1, InstKind::Const(7), ty);
+        f.block_mut(b0).term = Term::Br {
+            cond: c,
+            then: b1,
+            els: b2,
+        };
+        f.ret_ty = Some(ty);
+        f.block_mut(b1).term = Term::Ret(Some(x));
+        f.block_mut(b2).term = Term::Ret(Some(x));
+        let err = verify(&f).unwrap_err();
+        assert!(err.message.contains("return value"), "{err}");
+        assert!(err.message.contains("does not dominate b2"), "{err}");
+    }
+
+    #[test]
+    fn unplaced_branch_condition_caught() {
+        let (mut f, c) = with_orphan(IntType::u1());
+        let b1 = f.add_block();
+        f.block_mut(f.entry).term = Term::Br {
+            cond: c,
+            then: b1,
+            els: b1,
+        };
+        f.block_mut(b1).term = Term::Ret(None);
+        let err = verify(&f).unwrap_err();
+        assert!(err.message.contains("unplaced"), "{err}");
     }
 }
