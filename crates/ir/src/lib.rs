@@ -8,8 +8,7 @@
 //!   known-bits domains, branch-guard refinement, may-written memory);
 //! * [`dom`] — dominator tree and dominance frontiers;
 //! * [`loops`] — natural-loop detection;
-//! * [`liveness`] — where each value is read, and block live-in and
-//!   live-out sets;
+//! * [`liveness`] — where each value is read, and block liveness;
 //! * [`exec`] — a reference executor that also produces the dynamic
 //!   dependence traces used by the ILP-limit experiment;
 //! * [`verify`] — structural/SSA/type verifier;

@@ -1,17 +1,9 @@
-//! Where SSA values are read, and which are live across block edges.
-//!
-//! [`for_each_read`] is the one definition of where a value is read:
-//! an instruction reads its operands in its own block, a phi reads each
-//! operand at the end of the predecessor it names, and a branch
-//! condition or return value is read in its own block.
-//!
-//! [`Liveness`] builds on it. A value is live into a block when some
-//! path from the block's entry reads it before leaving the block that
-//! defines it. The sets are dense bitsets over the values read outside
-//! their defining block (no other value can be live across an edge),
-//! solved by one backward worklist over every block, reachable or not.
-//! A phi operand is read in the predecessor itself, so it is live out
-//! of the predecessor only when a successor also needs it live in.
+//! Where SSA values are read ([`for_each_read`]: a phi reads each operand
+//! at the end of its predecessor), and which are live across block edges
+//! ([`Liveness`]: dense bitsets over the values read outside their
+//! defining block, one backward worklist over every block, reachable or
+//! not). A phi operand is live out of its predecessor only when a
+//! successor also needs it live in.
 
 use crate::ir::{BlockId, Function, InstKind, Term, Value};
 

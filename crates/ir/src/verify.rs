@@ -2,10 +2,8 @@
 //!
 //! Checks structural invariants (valid indices, one home block per
 //! instruction, terminated blocks), SSA invariants (definitions dominate
-//! reads, phi arguments match predecessors), and type invariants (operand
-//! widths agree where required). A read is where
-//! [`for_each_read`] places it: branch conditions and return values are
-//! checked like any other operand.
+//! reads, including branch conditions and return values), and type
+//! invariants (operand widths agree where required).
 
 use crate::dom::DomTree;
 use crate::ir::*;

@@ -36,6 +36,9 @@ cargo test -q --workspace --release
 echo "== CLI integration suite =="
 cargo test -q --test cli
 
+echo "== rustfmt (the workspace must be formatted) =="
+cargo fmt --all --check
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace -- -D warnings
 
