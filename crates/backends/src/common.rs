@@ -482,8 +482,10 @@ impl fmt::Display for SynthError {
 
 impl std::error::Error for SynthError {}
 
-/// A synthesis backend — one row of Table 1, implemented.
-pub trait Backend {
+/// A synthesis backend — one row of Table 1, implemented. Backends are
+/// stateless, so the conformance driver and `explore` share one set
+/// across their worker threads.
+pub trait Backend: Send + Sync {
     /// Taxonomy metadata.
     fn info(&self) -> BackendInfo;
 

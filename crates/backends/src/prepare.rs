@@ -19,13 +19,14 @@
 //! the prepared IR clones it first.
 //!
 //! The memo serves the thread that created the `Preparer`. The first
-//! request from any other thread (check's fan-out, explore's executor,
-//! the jobs of a long-lived program shared between threads) empties it
-//! for good, and from then on every request computes its own result. A
-//! retained result stays allocated as long as the `Preparer` lives, in
-//! the allocator arena of the thread that computed it; on a program
-//! shared between threads for a long time, such results keep those
-//! arenas from shrinking back after each thread's peaks.
+//! request from any other thread (the worker threads of `check` and
+//! `explore` at more than one job, the jobs of a long-lived program
+//! shared between threads) empties it for good, and from then on every
+//! request computes its own result. A retained result stays allocated
+//! as long as the `Preparer` lives, in the allocator arena of the
+//! thread that computed it; on a program shared between threads for a
+//! long time, such results keep those arenas from shrinking back after
+//! each thread's peaks.
 
 use crate::common::SynthError;
 use chls_frontend::hir::{FuncId, HirProgram};

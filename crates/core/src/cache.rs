@@ -67,10 +67,6 @@ pub enum Artifact {
     /// A complete service response (data + text + warnings), the
     /// whole-verb memo that makes warm daemon requests cheap.
     Response(Arc<crate::service::Response>),
-    /// One `explore` lattice point's measured metrics (the initiation
-    /// interval in particular only exists at synthesis time, so warm
-    /// sweeps must replay it from here, not re-derive it).
-    Eval(Arc<crate::explore::EvalRecord>),
 }
 
 impl Artifact {
@@ -86,7 +82,6 @@ impl Artifact {
                 Artifact::Response(r) => {
                     r.data.len() + r.text.len() + r.warnings.iter().map(String::len).sum::<usize>()
                 }
-                Artifact::Eval(e) => e.approx_bytes(),
             }
     }
 }

@@ -6,7 +6,7 @@ use chls_frontend::hir::HirProgram;
 use chls_frontend::FrontendError;
 use chls_ir::MemSource;
 use chls_sim::interp::{self, ArgValue, InterpOptions};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -174,17 +174,14 @@ impl std::error::Error for SimulateError {}
 /// Cycle limit used by [`simulate_design`].
 pub const MAX_CYCLES: u64 = 5_000_000;
 
-/// Simulates a synthesized design on concrete arguments.
-///
-/// FSMD designs honor the `CHLS_JIT=1` environment default (see
-/// [`crate::CompileOptions::jit_requested`]); use [`simulate_design_with`]
-/// to force the engine explicitly.
+/// Simulates a synthesized design on concrete arguments, interpreting
+/// FSMD designs; [`simulate_design_with`] chooses the engine.
 ///
 /// # Errors
 ///
 /// Returns a [`SimulateError`] wrapping the specific simulator's failure.
 pub fn simulate_design(design: &Design, args: &[ArgValue]) -> Result<SimOutcome, SimulateError> {
-    simulate_design_with(design, args, crate::CompileOptions::new().jit_requested())
+    simulate_design_with(design, args, false)
 }
 
 /// [`simulate_design`] with an explicit engine choice for FSMD designs:
@@ -223,7 +220,7 @@ pub fn simulate_design_with(
                 .eval_outputs()
                 .map_err(|e| SimulateError(e.to_string()))?;
             let mut ret = None;
-            let mut arrays: HashMap<usize, Vec<(usize, i64)>> = HashMap::new();
+            let mut arrays: BTreeMap<usize, Vec<(usize, i64)>> = BTreeMap::new();
             for (name, v) in ports {
                 if name == "ret" {
                     ret = Some(v);
@@ -235,14 +232,13 @@ pub fn simulate_design_with(
                     }
                 }
             }
-            let mut arrays: Vec<(usize, Vec<i64>)> = arrays
+            let arrays = arrays
                 .into_iter()
                 .map(|(pi, mut elems)| {
                     elems.sort_by_key(|(e, _)| *e);
                     (pi, elems.into_iter().map(|(_, v)| v).collect())
                 })
                 .collect();
-            arrays.sort_by_key(|(pi, _)| *pi);
             Ok(SimOutcome {
                 ret,
                 arrays,
@@ -315,9 +311,7 @@ pub enum Verdict {
 }
 
 /// One backend's full conformance run: synthesize, simulate, compare
-/// against the golden interpreter result. A panic in the backend or the
-/// simulator is that backend's [`Verdict::Error`], so it cannot hide the
-/// other backends' verdicts.
+/// against the golden interpreter result.
 fn run_one(
     compiler: &Compiler,
     golden: &interp::InterpResult,
@@ -327,7 +321,7 @@ fn run_one(
     opts: &SynthOptions,
     jit: bool,
 ) -> Verdict {
-    crate::executor::catch_panic(|| match compiler.synthesize(backend, entry, opts) {
+    match compiler.synthesize(backend, entry, opts) {
         Err(
             e @ (SynthError::Unsupported { .. } | SynthError::Loop(_) | SynthError::Transform(_)),
         ) => Verdict::Unsupported(e.to_string()),
@@ -350,21 +344,12 @@ fn run_one(
                 }
             }
         },
-    })
-    .unwrap_or_else(Verdict::Error)
+    }
 }
 
-/// The conformance driver's degree of parallelism: the `CHLS_JOBS`
-/// environment variable when set to a positive integer, otherwise the
-/// host's available parallelism.
+/// The conformance driver's default degree of parallelism: the host's
+/// available parallelism.
 pub fn conformance_jobs() -> usize {
-    if let Ok(v) = std::env::var("CHLS_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -374,9 +359,10 @@ pub fn conformance_jobs() -> usize {
 ///
 /// The job count ([`CompileOptions::effective_jobs`](crate::CompileOptions::effective_jobs)),
 /// the synthesis options and the simulation engine all come from `opts`.
-/// The (independent) backends fan out over that many OS threads, and
-/// the results come back in backend-registry order whatever the job
-/// count, so the verdict list is byte-identical to a sequential run.
+/// The (independent) backends fan out over that many threads (at one
+/// job, inline, so every backend shares one preparation), and the
+/// results come back in backend-registry order whatever the job count,
+/// so the verdict list is byte-identical to a sequential run.
 ///
 /// # Errors
 ///
@@ -393,66 +379,15 @@ pub fn check_conformance(
     let golden = compiler.interpret(entry, args).map_err(|e| e.to_string())?;
     let opts = opts.synth_options();
     let backends = crate::registry::backends();
-    let n = backends.len();
-    if jobs <= 1 || n <= 1 {
-        let out = backends
-            .iter()
-            .map(|b| {
-                (
-                    b.info().name,
-                    run_one(&compiler, &golden, b.as_ref(), entry, args, &opts, jit),
-                )
-            })
-            .collect();
-        return Ok(out);
-    }
-
-    // Fan out with scoped threads (no extra dependencies). Work is
-    // claimed by atomic index so a slow backend doesn't serialize the
-    // rest; each worker builds its own backend instances (`Box<dyn
-    // Backend>` is not `Send`) and returns indexed verdicts that are
-    // merged back into registry order.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let workers = jobs.min(n);
-    let mut slots: Vec<Option<(&'static str, Verdict)>> = Vec::new();
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let next = &next;
-            let compiler = &compiler;
-            let golden = &golden;
-            let opts = &opts;
-            handles.push(scope.spawn(move || {
-                let my_backends = crate::registry::backends();
-                let mut mine: Vec<(usize, &'static str, Verdict)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= my_backends.len() {
-                        break;
-                    }
-                    let b = &my_backends[i];
-                    let v = run_one(compiler, golden, b.as_ref(), entry, args, opts, jit);
-                    mine.push((i, b.info().name, v));
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(mine) => {
-                    for (i, name, v) in mine {
-                        slots[i] = Some((name, v));
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
+    let verdicts = crate::executor::par_map(jobs, &backends, |b| {
+        run_one(&compiler, &golden, b.as_ref(), entry, args, &opts, jit)
     });
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("every backend index was claimed exactly once"))
+    // A panic in the backend or the simulator is that backend's
+    // `Error` verdict, so it cannot hide the other backends' verdicts.
+    Ok(backends
+        .iter()
+        .zip(verdicts)
+        .map(|(b, v)| (b.info().name, v.unwrap_or_else(Verdict::Error)))
         .collect())
 }
 
@@ -480,18 +415,45 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_backend_is_an_error_verdict() {
+    fn a_panicking_backend_fails_alone() {
         let compiler = Compiler::parse("int main(int a) { return a + 1; }").expect("parses");
         let args = [ArgValue::Scalar(41)];
         let golden = compiler.interpret("main", &args).expect("runs");
         let opts = SynthOptions::default();
-        let verdict = run_one(&compiler, &golden, &Panics, "main", &args, &opts, false);
+        // The same compiler still serves the backend after the panic.
+        let backends: [&dyn Backend; 2] = [&Panics, &C2Verilog];
+        let verdicts = crate::executor::par_map(1, &backends, |b| {
+            run_one(&compiler, &golden, *b, "main", &args, &opts, false)
+        });
         assert_eq!(
-            verdict,
-            Verdict::Error("worker panicked: no entry found for key".to_string())
+            verdicts[0],
+            Err("worker panicked: no entry found for key".to_string())
         );
-        // The same compiler still serves the next backend.
-        let verdict = run_one(&compiler, &golden, &C2Verilog, "main", &args, &opts, false);
-        assert!(matches!(verdict, Verdict::Pass { .. }), "{verdict:?}");
+        assert!(
+            matches!(verdicts[1], Ok(Verdict::Pass { .. })),
+            "{:?}",
+            verdicts[1]
+        );
+    }
+
+    #[test]
+    fn one_job_prepares_once_for_every_backend() {
+        // At one job the backends run on the thread that parsed the
+        // program, so the preparation memo serves all seven of them.
+        let source = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/chl/checksum.chl"
+        ))
+        .expect("reads the example");
+        let col = chls_trace::Collector::new();
+        col.set_enabled(true);
+        let opts = crate::CompileOptions::new().jobs(1);
+        let args = [ArgValue::Array((0..16).collect())];
+        let verdicts =
+            chls_trace::with_collector(&col, || check_conformance(&source, "main", &args, &opts))
+                .expect("checks");
+        assert_eq!(verdicts.len(), crate::registry::backends().len());
+        let misses = col.snapshot().counter("backend.prepare.miss").unwrap_or(0);
+        assert!((1..=3).contains(&misses), "{misses} preparation misses");
     }
 }

@@ -1,9 +1,14 @@
-//! A persistent job-queue executor for the synthesis daemon.
+//! Worker threads: the daemon's persistent pool, and the scoped
+//! fan-out of the one-shot verbs.
 //!
-//! PR 1's conformance driver showed the pattern — `thread::scope` plus
-//! an atomic claim counter — but scoped threads die with their scope.
-//! `chls serve` needs workers that outlive any single request, so this
-//! module generalizes the idea into a long-lived pool:
+//! `check` and `explore` fan independent jobs out with `par_map`:
+//! scoped threads that borrow the caller's data, claim indices from one
+//! atomic counter and die with the call. At one job it runs inline on
+//! the calling thread, where the preparation memo (which serves only the
+//! thread that created the program) is shared by every job.
+//!
+//! `chls serve` needs workers that outlive any single request, so
+//! [`Executor`] is a long-lived pool:
 //!
 //! * **Sharded queues.** Each worker owns a `Mutex<VecDeque>` +
 //!   `Condvar` shard; [`Executor::submit`] round-robins across shards
@@ -51,6 +56,56 @@ pub(crate) fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
+/// Runs `f` on every item, each under [`catch_panic`], and returns the
+/// results in item order. With `jobs <= 1` or a single item it runs
+/// inline on the calling thread; otherwise `min(jobs, items)` scoped
+/// threads claim indices from one counter, so a slow item never holds
+/// back the others.
+pub(crate) fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<R, String>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let n = items.len();
+    if jobs <= 1 || n <= 1 {
+        return items.iter().map(|item| catch_panic(|| f(item))).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<Result<R, String>>> =
+        std::iter::repeat_with(|| None).take(n).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices;
+                        // results reach the caller through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return mine;
+                        }
+                        mine.push((i, catch_panic(|| f(&items[i]))));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let mine = worker
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (i, r) in mine {
+                slots[i] = Some(r);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index is claimed exactly once"))
+        .collect()
+}
+
 struct Shard {
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
@@ -77,16 +132,10 @@ pub struct Ticket<T> {
 }
 
 impl<T> Ticket<T> {
-    /// Blocks until the job finishes. `Err` means the job panicked or
-    /// the pool shut down before running it.
-    pub fn wait(self) -> Result<T, String> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err("worker abandoned the job (pool shut down)".to_string()))
-    }
-
-    /// [`Ticket::wait`] with a deadline. On timeout the job keeps
-    /// running in the background; its eventual result is discarded.
+    /// Blocks until the job finishes or `limit` passes. `Err` means the
+    /// job panicked, the pool shut down before running it, or the
+    /// deadline passed; on timeout the job keeps running in the
+    /// background and its eventual result is discarded.
     pub fn wait_timeout(self, limit: Duration) -> Result<T, String> {
         match self.rx.recv_timeout(limit) {
             Ok(r) => r,
@@ -268,11 +317,18 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Far longer than any job here takes: a ticket that reaches it has
+    /// hung.
+    const LONG: Duration = Duration::from_secs(60);
+
     #[test]
     fn runs_jobs_and_returns_results() {
         let ex = Executor::new(4);
         let tickets: Vec<Ticket<u32>> = (0..64).map(|i| ex.submit(move || i * 2)).collect();
-        let mut got: Vec<u32> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        let mut got: Vec<u32> = tickets
+            .into_iter()
+            .map(|t| t.wait_timeout(LONG).unwrap())
+            .collect();
         got.sort_unstable();
         assert_eq!(got, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
@@ -281,11 +337,11 @@ mod tests {
     fn panic_is_isolated_and_pool_survives() {
         let ex = Executor::new(2);
         let boom: Ticket<()> = ex.submit(|| panic!("kaboom"));
-        let e = boom.wait().unwrap_err();
+        let e = boom.wait_timeout(LONG).unwrap_err();
         assert!(e.contains("kaboom"), "{e}");
         assert_eq!(ex.panics(), 1);
         // The pool still works after the panic.
-        assert_eq!(ex.submit(|| 7u32).wait().unwrap(), 7);
+        assert_eq!(ex.submit(|| 7u32).wait_timeout(LONG).unwrap(), 7);
         assert_eq!(ex.workers(), 2);
     }
 
@@ -321,7 +377,7 @@ mod tests {
             })
             .collect();
         for t in tickets {
-            t.wait().unwrap();
+            t.wait_timeout(LONG).unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 32);
     }
@@ -333,9 +389,63 @@ mod tests {
         let gate: Ticket<()> = ex.submit(|| std::thread::sleep(Duration::from_millis(80)));
         let queued: Ticket<u32> = ex.submit(|| 1);
         ex.shutdown();
-        let _ = gate.wait();
-        assert!(queued.wait().is_err(), "abandoned job must error, not hang");
+        let _ = gate.wait_timeout(LONG);
+        let e = queued.wait_timeout(LONG).unwrap_err();
+        assert!(
+            e.contains("abandoned"),
+            "abandoned job must error, not hang: {e}"
+        );
         // Idempotent.
         ex.shutdown();
+    }
+
+    #[test]
+    fn par_map_returns_results_in_item_order() {
+        let items: Vec<u32> = (0..40).collect();
+        for jobs in [1, 2, 8] {
+            let got: Vec<u32> = par_map(jobs, &items, |&i| {
+                // Early items finish last, so claim order is not
+                // completion order.
+                std::thread::sleep(Duration::from_micros(u64::from(40 - i) * 50));
+                i * 3
+            })
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+            assert_eq!(
+                got,
+                items.iter().map(|i| i * 3).collect::<Vec<_>>(),
+                "jobs {jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_isolates_a_panicking_item() {
+        for jobs in [1, 2, 8] {
+            let got = par_map(jobs, &[1u32, 2, 3, 4], |&i| {
+                if i == 2 {
+                    panic!("item two is bad");
+                }
+                i
+            });
+            assert_eq!(got[0], Ok(1), "jobs {jobs}");
+            assert_eq!(
+                got[1],
+                Err("worker panicked: item two is bad".to_string()),
+                "jobs {jobs}"
+            );
+            assert_eq!(got[2..], [Ok(3), Ok(4)], "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn par_map_at_one_job_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let threads = par_map(1, &[(); 4], |()| std::thread::current().id());
+        assert!(threads.into_iter().all(|t| t == Ok(me)));
+        // Several jobs run on scoped threads instead.
+        let threads = par_map(2, &[(); 4], |()| std::thread::current().id());
+        assert!(threads.into_iter().all(|t| t.is_ok_and(|t| t != me)));
     }
 }

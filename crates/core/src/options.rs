@@ -30,7 +30,7 @@ pub struct CompileOptions {
     opt_netlist: bool,
     jobs: Option<usize>,
     trace: bool,
-    jit: Option<bool>,
+    jit: bool,
     backend: Option<String>,
     unroll: Option<u32>,
 }
@@ -77,11 +77,10 @@ impl CompileOptions {
     }
 
     /// Requests native JIT execution of FSMD simulations (`--jit`).
-    /// Unset falls back to the `CHLS_JIT=1` environment default; the
-    /// request silently degrades to the interpreter on hosts where
+    /// The request silently degrades to the interpreter on hosts where
     /// [`chls_jit::available`] is false.
     pub fn jit(mut self, on: bool) -> Self {
-        self.jit = Some(on);
+        self.jit = on;
         self
     }
 
@@ -124,13 +123,6 @@ impl CompileOptions {
         self.opt_netlist
     }
 
-    /// The explicit JIT request, `None` when deferring to `CHLS_JIT`
-    /// (use [`CompileOptions::jit_requested`] for the effective value).
-    #[allow(clippy::missing_const_for_fn)]
-    pub fn jit_explicit(&self) -> Option<bool> {
-        self.jit
-    }
-
     /// The requested unroll-factor override, if any.
     #[allow(clippy::missing_const_for_fn)]
     pub fn unroll_requested(&self) -> Option<u32> {
@@ -139,10 +131,9 @@ impl CompileOptions {
 
     /// The stable content-address of everything that shapes a compile
     /// artifact: backend, narrow, opt_netlist, pipeline, unroll, and the
-    /// *effective* JIT choice (explicit request or the `CHLS_JIT`
-    /// environment default — so flipping the env var invalidates cached
-    /// simulation-bearing artifacts). `jobs` and `trace` are excluded:
-    /// they affect wall-clock, not bytes.
+    /// JIT choice (simulation-bearing artifacts record the engine).
+    /// `jobs` and `trace` are excluded: they affect wall-clock, not
+    /// bytes.
     ///
     /// Two option sets produce the same key iff they request the same
     /// artifacts; the format is versioned by field order and must stay
@@ -156,7 +147,7 @@ impl CompileOptions {
             u8::from(self.pipeline),
             self.unroll
                 .map_or_else(|| "-".to_string(), |u| u.to_string()),
-            u8::from(self.jit_requested()),
+            u8::from(self.jit),
         )
     }
 
@@ -168,11 +159,10 @@ impl CompileOptions {
         h.finish()
     }
 
-    /// Is JIT execution requested, explicitly or via `CHLS_JIT=1`?
+    /// Is JIT execution requested?
+    #[allow(clippy::missing_const_for_fn)]
     pub fn jit_requested(&self) -> bool {
-        self.jit.unwrap_or_else(|| {
-            std::env::var("CHLS_JIT").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        })
+        self.jit
     }
 
     /// The requested job count, if fixed.
@@ -224,7 +214,6 @@ mod tests {
 
     #[test]
     fn cache_key_collides_iff_identical() {
-        // Pin jit explicitly so the key ignores the CHLS_JIT env default.
         let base = || {
             CompileOptions::new()
                 .backend(Some("c2v"))

@@ -272,15 +272,8 @@ fn compiler_for(ctx: &ServiceCtx, src: &str, digest: u64) -> Result<Arc<Compiler
     Ok(Arc::new(compiler))
 }
 
-/// The design cache's content address; `explore` writes freshly
-/// synthesized designs under the same key [`design_for`] reads, so the
-/// two never duplicate work.
-pub(crate) fn design_key(
-    digest: u64,
-    entry: &str,
-    backend_name: &str,
-    opts: &CompileOptions,
-) -> String {
+/// The design cache's content address.
+fn design_key(digest: u64, entry: &str, backend_name: &str, opts: &CompileOptions) -> String {
     format!(
         "design|{digest:016x}|{entry}|{backend_name}|{}",
         opts.cache_key()
@@ -1222,7 +1215,7 @@ impl Request {
                 "opt_netlist": o.opt_netlist_requested(),
                 "pipeline": o.pipeline_requested(),
                 "unroll": o.unroll_requested(),
-                "jit": o.jit_explicit(),
+                "jit": o.jit_requested(),
                 "jobs": o.jobs_requested(),
                 "trace": o.trace_enabled(),
             },
@@ -1269,13 +1262,11 @@ impl Request {
                         .unwrap_or(false),
                 )
                 .pipeline(o.get("pipeline").and_then(Value::as_bool).unwrap_or(false))
+                .jit(o.get("jit").and_then(Value::as_bool).unwrap_or(false))
                 .trace(o.get("trace").and_then(Value::as_bool).unwrap_or(false));
             #[allow(clippy::cast_possible_truncation)]
             if let Some(u) = o.get("unroll").and_then(Value::as_u64) {
                 options = options.unroll(Some(u as u32));
-            }
-            if let Some(j) = o.get("jit").and_then(Value::as_bool) {
-                options = options.jit(j);
             }
             #[allow(clippy::cast_possible_truncation)]
             if let Some(j) = o.get("jobs").and_then(Value::as_u64) {

@@ -379,6 +379,7 @@ mod tests {
         g.connect(c, sq, 0);
         g.connect(c, sq, 1);
         g.compute_sticky();
+        assert!(!g.sticky[lonely.0 as usize]);
         assert_eq!(g.sticky, vec![true, false, false, false, true]);
     }
 

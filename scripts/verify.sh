@@ -40,7 +40,7 @@ echo "== rustfmt (the workspace must be formatted) =="
 cargo fmt --all --check
 
 echo "== clippy (warnings are errors) =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -1,7 +1,6 @@
 //! Integration tests for `chls explore`: determinism across worker
 //! counts (the Pareto frontier must not depend on evaluation order),
-//! cache warm/cold equivalence (a warm sweep must replay the same
-//! frontier, including synthesis-time-only metrics like the II),
+//! warm/cold equivalence (a warm request replays the cold response),
 //! daemon parity (the serve path returns the one-shot bytes), and the
 //! backends' declarations of which knobs they read, which decide the
 //! syntheses a sweep shares.
@@ -69,9 +68,7 @@ fn repeated_sweeps_are_byte_identical() {
 #[test]
 fn warm_sweep_replays_the_cold_frontier() {
     // One shared context: the second sweep hits the response cache and
-    // must return the identical Arc'd response. A third sweep with the
-    // response tier cleared still has warm eval records — the frontier
-    // (including II, which only exists at synthesis time) must match.
+    // must return the identical Arc'd response.
     let ctx = ServiceCtx::with_cache(std::sync::Arc::new(chls::cache::ArtifactCache::default()));
     let req = explore_req(DOT4, "dot4", None, 4);
     let cold = service::handle(&req, &ctx).expect("cold sweep handles");
